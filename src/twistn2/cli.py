@@ -1,7 +1,8 @@
 """Command-line front end: verification verbs with text/JSON reports.
 
 Exit codes: 0 all checks passed, 1 at least one violation or discrepancy
-found (witnesses in the report), 2 usage error.  The worker count for the
+found (witnesses in the report), 2 usage error, 3 internal error (a crash
+of the lab itself; the traceback goes to stderr).  The worker count for the
 axiom sweeps can be overridden with the TWISTN2_WORKERS environment
 variable.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from fractions import Fraction
 
 from . import constraints as clab
@@ -187,7 +189,7 @@ def cmd_solve_coeffs(args) -> Report:
     if which == "all":
         norm_cases = ["A", "B", "B0"]
     elif which.startswith("normalization-"):
-        norm_cases = [which.split("-", 1)[1].upper().replace("0", "0")]
+        norm_cases = [which.split("-", 1)[1].upper()]
     for case in norm_cases:
         nr = clab.alpha_beta_solve(case)
         for desc, ok, fails in nr.solution_checks:
@@ -328,6 +330,13 @@ def cmd_all(args) -> Report:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _window(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"a window must be at least 1, got {value}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twistn2",
@@ -346,8 +355,8 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--bprime")
             p.add_argument("--alpha")
         if windows:
-            p.add_argument("--gen-window", type=int, default=2, dest="gen_window")
-            p.add_argument("--basis-window", type=int, default=4, dest="basis_window")
+            p.add_argument("--gen-window", type=_window, default=2, dest="gen_window")
+            p.add_argument("--basis-window", type=_window, default=4, dest="basis_window")
 
     p = sub.add_parser("verify-axioms", help="module-axiom sweep for one family")
     common(p, family=True, windows=True)
@@ -391,7 +400,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jacobi", help="graded Jacobi identity sweep")
     common(p)
-    p.add_argument("--window", type=int, default=2)
+    p.add_argument("--window", type=_window, default=2)
 
     p = sub.add_parser("all", help="full verification suite")
     common(p)
@@ -443,6 +452,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     text = report.to_json() if args.format == "json" else report.to_text()
     if args.out:
         with open(args.out, "w") as fh:

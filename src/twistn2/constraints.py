@@ -620,7 +620,7 @@ def _g_system_rows(case: str, fam: str, kclass: str, bindings=None):
     return sys3
 
 
-def _shift_factor_check(group, sys3, form, label, printed=None, proportional=None):
+def _shift_factor_check(group, sys3, label, printed=None, proportional=None):
     """Eliminate the k-m unknown from the first two rows.
 
     The remaining combination must be factor * (lhs_form * u_{k+m} -
@@ -744,13 +744,13 @@ def _check_g_shift_a() -> CheckGroup:
             + 2 * (6 + 19 * b + 23 * b**2 + 10 * b**3) * p**2)
     d1kp2 = 2 * p * (3 * (a - k) ** 3 - 2 * p * (b + 3) * (a - k) ** 2
                      - 2 * b * (5 + 4 * b) * (a - k) * p**2 + 4 * b * (b + 1) * p**3)
-    _shift_factor_check(group, sys_x, None, "x side (integer weights)",
+    _shift_factor_check(group, sys_x, "x side (integer weights)",
                         printed=d1b * m**4 + d1kp * m**2 + d1kp2)
     _solution_into_system(group, sys_x, "x side (integer weights)",
                           lambda gi, vi: Poly.var("gamma"))
     # x side, half-odd weights: shift invariance again
     sys_xh = _g_system_rows("A", "g", "half", diag)
-    _shift_factor_check(group, sys_xh, None, "x side (half-odd weights)")
+    _shift_factor_check(group, sys_xh, "x side (half-odd weights)")
     _solution_into_system(group, sys_xh, "x side (half-odd weights)",
                           lambda gi, vi: Poly.var("gamma"))
     # y side: weighted proportionality with the printed cubic-in-p factor
@@ -760,7 +760,7 @@ def _check_g_shift_a() -> CheckGroup:
                  + (k - a) * (3 + 4 * b) * m**2)
     for kclass in ("int", "half"):
         sys_y = _g_system_rows("A", "gp", kclass, diag)
-        _shift_factor_check(group, sys_y, None, f"y side ({kclass} weights)",
+        _shift_factor_check(group, sys_y, f"y side ({kclass} weights)",
                             printed=printed_y,
                             proportional=(w(K), w(K + M)))
         _solution_into_system(
@@ -810,7 +810,7 @@ def _check_g_shift_b() -> CheckGroup:
                  + (1 + b) * (6 * b - 1) * p * m**2 + 6 * (a - k) ** 2 * p
                  + (k - a) * (1 + 4 * b) * m**2)
     sys_x = _g_system_rows("B", "g", "int", diag)
-    _shift_factor_check(group, sys_x, None, "x side (integer weights)",
+    _shift_factor_check(group, sys_x, "x side (integer weights)",
                         printed=printed_x,
                         proportional=(w(K), w(K + M)))
     _solution_into_system(group, sys_x, "x side (integer weights)",
@@ -818,7 +818,7 @@ def _check_g_shift_b() -> CheckGroup:
                                          * Poly.var("beta1"))
     # x side, half-odd weights: plain shift invariance
     sys_xh = _g_system_rows("B", "g", "half", diag)
-    _shift_factor_check(group, sys_xh, None, "x side (half-odd weights)")
+    _shift_factor_check(group, sys_xh, "x side (half-odd weights)")
     _solution_into_system(group, sys_xh, "x side (half-odd weights)",
                           lambda gi, vi: Poly.var("beta2"))
     # y side, integer weights: plain shift invariance with the printed factor
@@ -829,7 +829,7 @@ def _check_g_shift_b() -> CheckGroup:
                      + (1 - 2 * b) * (3 + 4 * b) * (a - k) * p**2
                      + 2 * b * (2 * b - 1) * p**3)
     sys_y = _g_system_rows("B", "gp", "int", diag)
-    _shift_factor_check(group, sys_y, None, "y side (integer weights)",
+    _shift_factor_check(group, sys_y, "y side (integer weights)",
                         printed=d2b * m**4 + d2kp * m**2 + d2kp2)
     _solution_into_system(group, sys_y, "y side (integer weights)",
                           lambda gi, vi: Poly.var("beta3"))
@@ -839,7 +839,7 @@ def _check_g_shift_b() -> CheckGroup:
                   + (3 + 2 * b) * (1 + 3 * b) * p * m**2 + 6 * (a - k) ** 2 * p
                   + (k - a) * (3 + 4 * b) * m**2)
     sys_yh = _g_system_rows("B", "gp", "half", diag)
-    _shift_factor_check(group, sys_yh, None, "y side (half-odd weights)",
+    _shift_factor_check(group, sys_yh, "y side (half-odd weights)",
                         printed=printed_yh,
                         proportional=(wy(K), wy(K + M)))
     _solution_into_system(

@@ -11,6 +11,11 @@ the current coefficients follow from T_r = (1/r)[G_r, G_0].
 The derivations keep both parameters (a, a'); the published one-parameter
 families are the a' = 1 normalization, obtained by rescaling the
 distinguished vector.
+
+The instantiation audit compares each family's table in `modules` (base
+module plus slot rule) with `derived_action`: the base module off the slots,
+and on them `_deformed_slot`, the closed forms above written out for concrete
+indices independently of the slot rules, so a slip in either one shows.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from fractions import Fraction
 from .algebra import Gen, generators_in_window
 from .halfint import HalfInt
 from .indices import SymIndex
-from .modules import (BasisLabel, FamilySpec, LinComb, act, labels_in_window,
-                      lincomb_str)
+from .modules import (BASE_FAMILY, BasisLabel, FamilySpec, LinComb, act,
+                      labels_in_window, lincomb_str)
 from .poly import ONE, Poly, RatFunc, ZERO
 
 HALF = Fraction(1, 2)
@@ -49,19 +54,6 @@ CASES = {
     "A2": DeformCase("A2", +1),
     "B1": DeformCase("B1", -1),
     "B2": DeformCase("B2", +1),
-}
-
-# each deformed family modifies one two-parameter module at one distinguished
-# vector, and the base module's proper submodule survives the deformation:
-#   A1 at x_0, B1 at y_0: a source.  The deformation changes its outgoing
-#     actions and nothing maps onto it; the complement is the submodule.
-#   A2 at y_0, B2 at y_1/2: a sink.  The deformation changes the actions into
-#     it and it maps to nothing; its span is the submodule.
-BASE_FAMILY = {
-    "A1": ("Aab", Fraction(0), Fraction(-1)),
-    "A2": ("Aab", Fraction(0), Fraction(-1, 2)),
-    "B1": ("Bab", Fraction(0), Fraction(-1, 2)),
-    "B2": ("Bab", Fraction(1, 2), Fraction(-1, 2)),
 }
 
 

@@ -79,7 +79,8 @@ class HalfInt:
         return self.doubled <= HalfInt.of(other).doubled
 
     def __hash__(self) -> int:
-        return hash(("HalfInt", self.doubled))
+        # the hash of the equal int or Fraction (exact for |doubled| < 2**53)
+        return hash(self.doubled / 2)
 
     def __str__(self) -> str:
         return format_rational(self.value)

@@ -5,6 +5,11 @@ A(a,b) and B(a,b) and the four one-parameter deformed families A1..B2, plus
 two generic symbolic candidates (GenericA, GenericB) whose T and integer-G
 coefficients are either fresh unknowns or the solved coefficient forms.
 
+A deformed family is its base module (BASE_FAMILY: A(0,-1), A(0,-1/2),
+B(0,-1/2), B(1/2,-1/2)) plus one slot rule that rewrites the actions out of
+or into one distinguished vector (x_0, y_0, y_0, y_1/2); its injected faults
+live in that slot rule.
+
 One action engine serves every consumer: indices are SymIndex linear forms,
 so the same family tables answer concrete sweeps (constant indices) and the
 symbolic constraint derivations (free mode symbols).  Case splits on
@@ -151,8 +156,22 @@ def deformed(family: str, alpha: Param, alphap: Param = Fraction(1),
 # action engine
 # ---------------------------------------------------------------------------
 
+# each deformed family modifies one two-parameter module at one distinguished
+# vector, and the base module's proper submodule survives the deformation:
+#   A1 at x_0, B1 at y_0: a source.  The deformation changes its outgoing
+#     actions and nothing maps onto it; the complement is the submodule.
+#   A2 at y_0, B2 at y_1/2: a sink.  The deformation changes the actions into
+#     it and it maps to nothing; its span is the submodule.
+BASE_FAMILY = {
+    "A1": ("Aab", Fraction(0), Fraction(-1)),
+    "A2": ("Aab", Fraction(0), Fraction(-1, 2)),
+    "B1": ("Bab", Fraction(0), Fraction(-1, 2)),
+    "B2": ("Bab", Fraction(1, 2), Fraction(-1, 2)),
+}
+
+
 class _Ctx:
-    __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode")
+    __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "base")
 
     def __init__(self, spec: FamilySpec):
         self.spec = spec
@@ -171,6 +190,10 @@ class _Ctx:
         if spec.family == "GenericB" and spec.coeff_mode == "mu":
             self.b = ZERO
             self.bp = Poly.const(Fraction(-3, 2))
+        self.base = None
+        if spec.family in BASE_FAMILY:
+            family, a, b = BASE_FAMILY[spec.family]
+            self.base = _ctx(FamilySpec(family, a=a, b=b))
 
 
 def _param_poly(name: str, value: Param) -> Poly | None:
@@ -302,143 +325,83 @@ def _act_b_zero(ctx, kind, g, letter, v, env):
     return [("x", tgt, co)]
 
 
-def _act_a1(ctx, kind, g, letter, v, env):
-    al, alp = ctx.alpha, ctx.alphap
-    kP = v.as_poly()
-    gP = g.as_poly()
-    tgt = v + g
-    at0 = v == IDX_ZERO
+# -- deformed families: the base module plus one slot ------------------------
+# A slot rule returns the deformed terms when the call hits its family's
+# distinguished vector, and None otherwise.
+
+def _act_deformed(ctx, kind, g, letter, v, env):
+    terms = _SLOT_RULES[ctx.spec.family](ctx, kind, g, letter, v, env)
+    if terms is None:
+        terms = _TABLES[ctx.base.spec.family](ctx.base, kind, g, letter, v, env)
+    return terms
+
+
+def _slot_a1(ctx, kind, g, letter, v, env):
+    # outgoing actions of the source x_0
+    if letter != "x" or v != IDX_ZERO:
+        return None
+    al, alp, gP = ctx.alpha, ctx.alphap, g.as_poly()
     if kind == "L":
-        if letter == "x":
-            co = -(gP * (alp * gP + al)) if at0 else -(kP + gP)
-            return [("x", tgt, co)]
-        return [("y", tgt, -(kP + HALF * gP))]
+        return [("x", v + g, -(gP * (alp * gP + al)))]
     if kind == "T":
-        if letter == "x":
-            if not at0:
-                return []
-            co = -2 * alp * gP
-            if ctx.fault == "a1.t0-coeff":
-                co = -2 * alp
-            return [("x", tgt, co)]
-        return [("y", tgt, ONE)]
-    if letter == "x":
-        if at0:
-            co = 2 * gP * alp + al
-            if ctx.fault == "a1.g0-coeff":
-                co = 2 * gP * alp - al
-            return [("y", tgt, co)]
-        return [("y", tgt, ONE)]
-    s = -_sgn2q(g.parity(env))  # (-1)^(2q+1)
-    return [("x", tgt, s * (kP + gP))]
+        co = -2 * alp if ctx.fault == "a1.t0-coeff" else -2 * alp * gP
+        return [("x", v + g, co)]
+    co = 2 * gP * alp - al if ctx.fault == "a1.g0-coeff" else 2 * gP * alp + al
+    return [("y", v + g, co)]
 
 
-def _act_a2(ctx, kind, g, letter, v, env):
-    al, alp = ctx.alpha, ctx.alphap
-    kP = v.as_poly()
-    gP = g.as_poly()
-    tgt = v + g
-    at_def = v == -g  # the deformed target is the distinguished vector y_0
+def _slot_b1(ctx, kind, g, letter, v, env):
+    # outgoing actions of the source y_0
+    if letter != "y" or v != IDX_ZERO:
+        return None
+    al, alp, gP = ctx.alpha, ctx.alphap, g.as_poly()
     if kind == "L":
-        if letter == "x":
-            return [("x", tgt, -(kP + HALF * gP))]
-        if at_def:
-            co = gP * (alp * gP + al)
-            if ctx.fault == "a2.ldef-sign":
-                co = -co
-            return [("y", tgt, co)]
-        return [("y", tgt, -kP)]
+        return [("y", v + g, -(gP * (alp * gP + al)))]
     if kind == "T":
-        if letter == "x":
-            return [("x", tgt, -ONE)]
-        if at_def:
-            co = 2 * alp * gP
-            if ctx.fault == "a2.ty-coeff":
-                co = 2 * alp
-            return [("y", tgt, co)]
-        return []
-    if letter == "x":
-        co = (2 * gP * alp + al) if at_def else ONE
-        return [("y", tgt, co)]
-    s = -_sgn2q(g.parity(env))
-    return [("x", tgt, s * kP)]
+        co = -2 * alp * gP if ctx.fault == "b1.t0-coeff" else -2 * alp
+        return [("y", v + g, co)]
+    co = gP * alp + al if ctx.fault == "b1.gy0-coeff" else 2 * gP * alp + al
+    return [("x", v + g, co)]
 
 
-def _act_b1(ctx, kind, g, letter, v, env):
-    al, alp = ctx.alpha, ctx.alphap
-    kP = v.as_poly()
-    gP = g.as_poly()
-    vpar = v.parity(env)
-    tgt = v + g
-    at0 = v == IDX_ZERO
+_INTO_SINK = (("L", "y"), ("T", "y"), ("G", "x"))
+
+
+def _slot_a2(ctx, kind, g, letter, v, env):
+    # actions into the sink y_0
+    if (kind, letter) not in _INTO_SINK or v != -g:
+        return None
+    al, alp, gP = ctx.alpha, ctx.alphap, g.as_poly()
     if kind == "L":
-        if letter == "x":
-            return [("x", tgt, -(kP + HALF * gP))]
-        if vpar == 1:
-            return [("y", tgt, -kP)]
-        co = -(gP * (alp * gP + al)) if at0 else -(kP + gP)
-        return [("y", tgt, co)]
-    if kind == "T":
-        if letter == "x":
-            return [("x", tgt, ONE)]
-        if not at0:
-            return []
-        co = -2 * alp
-        if ctx.fault == "b1.t0-coeff":
-            co = -2 * alp * gP
-        return [("y", tgt, co)]
-    s1 = -_sgn2q(g.parity(env))  # (-1)^(2q+1)
-    if letter == "x":
-        co = s1 * (kP + gP) if (v + g).parity(env) == 0 else Poly.const(s1)
-        return [("y", tgt, co)]
-    if vpar == 1:
-        return [("x", tgt, kP)]
-    if at0:
+        co = gP * (alp * gP + al)
+        if ctx.fault == "a2.ldef-sign":
+            co = -co
+    elif kind == "T":
+        co = 2 * alp if ctx.fault == "a2.ty-coeff" else 2 * alp * gP
+    else:
         co = 2 * gP * alp + al
-        if ctx.fault == "b1.gy0-coeff":
-            co = gP * alp + al
-        return [("x", tgt, co)]
-    return [("x", tgt, ONE)]
+    return [("y", v + g, co)]
 
 
-def _act_b2(ctx, kind, g, letter, v, env):
-    al, alp = ctx.alpha, ctx.alphap
-    kP = v.as_poly()
-    gP = g.as_poly()
-    vpar = v.parity(env)
-    tgt = v + g
-    at_def = v == (SymIndex(HALF) - g)  # maps into the distinguished y_1/2
+def _slot_b2(ctx, kind, g, letter, v, env):
+    # actions into the sink y_1/2
+    if (kind, letter) not in _INTO_SINK or v != SymIndex(HALF) - g:
+        return None
+    al, alp, gP = ctx.alpha, ctx.alphap, g.as_poly()
     if kind == "L":
-        if letter == "x":
-            return [("x", tgt, HALF - kP - HALF * gP)]
-        if vpar == 0:
-            return [("y", tgt, HALF - kP - gP)]
-        if at_def:
-            co = gP * (alp * gP + al)
-            if ctx.fault == "b2.ldef-sign":
-                co = -co
-            return [("y", tgt, co)]
-        return [("y", tgt, HALF - kP)]
-    if kind == "T":
-        if letter == "x":
-            return [("x", tgt, ONE)]
-        if at_def:
-            return [("y", tgt, 2 * alp)]
-        return []
-    gpar = g.parity(env)
-    s = _sgn2q(gpar)
-    if letter == "x":
-        if (v + g).parity(env) == 0:
-            return [("y", tgt, s * (HALF - kP - gP))]
-        if at_def:
-            co = -s * (2 * gP * alp + al)
-            if ctx.fault == "b2.gdef-sign":
-                co = -co
-            return [("y", tgt, co)]
-        return [("y", tgt, Poly.const(-s))]
-    if vpar == 0:
-        return [("x", tgt, ONE)]
-    return [("x", tgt, kP - HALF)]
+        co = gP * (alp * gP + al)
+        if ctx.fault == "b2.ldef-sign":
+            co = -co
+    elif kind == "T":
+        co = 2 * alp
+    else:
+        co = -_sgn2q(g.parity(env)) * (2 * gP * alp + al)  # (-1)^(2q+1)
+        if ctx.fault == "b2.gdef-sign":
+            co = -co
+    return [("y", v + g, co)]
+
+
+_SLOT_RULES = {"A1": _slot_a1, "A2": _slot_a2, "B1": _slot_b1, "B2": _slot_b2}
 
 
 # -- generic candidates ------------------------------------------------------
@@ -552,10 +515,10 @@ def _act_generic_b(ctx, kind, g, letter, v, env):
 _TABLES = {
     "Aab": _act_aab,
     "Bab": _act_bab,
-    "A1": _act_a1,
-    "A2": _act_a2,
-    "B1": _act_b1,
-    "B2": _act_b2,
+    "A1": _act_deformed,
+    "A2": _act_deformed,
+    "B1": _act_deformed,
+    "B2": _act_deformed,
     "GenericA": _act_generic_a,
     "GenericB": _act_generic_b,
 }

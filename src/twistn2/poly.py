@@ -223,9 +223,6 @@ class Poly:
             raise WrongDegree(f"not a constant: {self}")
         return self.terms[()]
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, name: str) -> int:
         slot = sym_slot(name)
         deg = 0

@@ -20,6 +20,12 @@ def test_parity():
     assert parity(C) == 0
 
 
+def test_halfint_hash_agrees_with_equality():
+    assert HalfInt(2) == 1 and 1 in {HalfInt(2)}
+    assert HalfInt(1) == H and Fraction(1, 2) in {HalfInt(1)}
+    assert HalfInt(-3) in {Fraction(-3, 2)}
+
+
 def test_label_validation():
     with pytest.raises(ValueError):
         L(H)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from twistn2 import cli
 from twistn2.cli import main, parse_candidate, UsageError
+from twistn2.constraints import RootMismatch
 
 
 def run(capsys, *argv):
@@ -29,6 +31,25 @@ class TestParsing:
         code, _ = run(capsys, "verify-axioms", "--family", "Bab",
                       "--a", "1/2", "--b", "0", "--bprime", "-3/2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-axioms", "--family", "A1", "--alpha", "2/7", "--gen-window=-1"),
+        ("submodule", "--family", "Aab", "--candidate", "span:x0", "--basis-window", "0"),
+        ("jacobi", "--window", "0"),
+    ])
+    def test_window_below_1_exits_2(self, capsys, argv):
+        assert main(list(argv)) == 2
+        assert "window must be at least 1" in capsys.readouterr().err
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        def crash(args):
+            raise RootMismatch("root set differs")
+
+        monkeypatch.setitem(cli.VERBS, "delta", crash)
+        assert main(["delta"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "internal error: RootMismatch: root set differs" in err
 
     def test_candidate_grammar(self):
         cand = parse_candidate("span:x0,y1/2")

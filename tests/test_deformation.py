@@ -11,9 +11,9 @@ from twistn2.deformation import (CASES, base_spec, deformation_discrepancies,
                                  repaired_spec)
 from twistn2.algebra import G, L, T
 from twistn2.halfint import HalfInt
-from twistn2.modules import (BasisLabel, act, axiom_sweep, complement_of,
-                             proper_submodule_scan, span_of, spec_with_fault,
-                             submodule_check)
+from twistn2.modules import (FAULT_CATALOG, BasisLabel, FamilySpec, act,
+                             axiom_sweep, complement_of, proper_submodule_scan,
+                             span_of, spec_with_fault, submodule_check)
 from twistn2.poly import Poly
 
 H = Fraction(1, 2)
@@ -69,8 +69,20 @@ class TestInstantiation:
         assert not discrepancies
         assert axiom_sweep(spec, 1, 2).ok
 
-    def test_audit_catches_a_mutated_table(self):
-        bad = spec_with_fault("a1.g0-coeff")
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_audit_and_axioms_at_symbolic_parameters(self, name):
+        # with alpha and alphap free, a clean audit and a clean sweep hold
+        # for every (alpha, alphap), not only at sampled values
+        spec = FamilySpec(name, alpha="sym", alphap="sym")
+        assert not deformation_discrepancies(spec)
+        sweep = axiom_sweep(spec, 2, 4)
+        assert sweep.checks == 6460
+        assert sweep.ok, sweep.violations[:1]
+
+    @pytest.mark.parametrize("fault", sorted(f for f in FAULT_CATALOG
+                                             if not f.startswith(("aab.", "bab."))))
+    def test_audit_catches_a_mutated_table(self, fault):
+        bad = spec_with_fault(fault)
         found = deformation_discrepancies(bad)
         assert found
         # every flagged slot carries the derived value to use instead
