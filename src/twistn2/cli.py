@@ -2,9 +2,7 @@
 
 Exit codes: 0 all checks passed, 1 at least one violation or discrepancy
 found (witnesses in the report), 2 usage error, 3 internal error (a crash
-of the lab itself; the traceback goes to stderr).  The worker count for the
-axiom sweeps can be overridden with the TWISTN2_WORKERS environment
-variable.
+of the lab itself; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -19,8 +17,9 @@ from . import deformation as dlab
 from .algebra import super_jacobi_sweep
 from .modules import (FAULT_CATALOG, FamilySpec, SubmoduleCandidate, aab,
                       axiom_sweep, b_zero_candidate, bab, complement_of,
-                      ns_partition_check, proper_submodule_scan, span_of,
-                      spec_with_fault, submodule_check)
+                      labels_in_window, ns_partition_check,
+                      proper_submodule_scan, span_of, spec_with_fault,
+                      submodule_check)
 from .poly import parse_rational
 from .report import Report
 
@@ -253,6 +252,9 @@ def cmd_submodule(args) -> Report:
     if not args.candidate:
         raise UsageError("submodule needs --candidate or --scan")
     cand = parse_candidate(args.candidate)
+    if not any(map(cand.contains, labels_in_window(args.basis_window))):
+        # nothing to act on: the check would pass without doing any work
+        raise UsageError(f"candidate {args.candidate!r} holds no label of the basis window")
     sr = submodule_check(spec, cand, args.gen_window, args.basis_window)
     rep.params["candidate"] = sr.candidate
     rep.add("candidate subspace is closed under the window action",

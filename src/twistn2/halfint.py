@@ -88,5 +88,3 @@ class HalfInt:
     def __repr__(self) -> str:
         return f"HalfInt({self.doubled})"
 
-
-ZERO_H = HalfInt(0)

@@ -22,7 +22,6 @@ The central element acts as zero on every family.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -633,29 +632,97 @@ class SweepReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        # a sweep that ran no check certifies nothing
+        return self.checks > 0 and not self.violations
 
 
-def _sweep_chunk(spec: FamilySpec, gens, labels, drop):
-    violations = []
+class _ActionRow(dict):
+    """The action of one generator, compiled for one sweep and filled on
+    demand: label key (letter, doubled index) -> ((label key, coeff), ...).
+
+    Constant Poly coefficients are lowered to Fractions; symbolic ones stay
+    Poly (or RatFunc).  Targets that `drop` removes are left out, so a
+    quotient sweep reads the induced action.
+    """
+
+    __slots__ = ("spec", "kind", "gidx", "drop")
+
+    def __init__(self, spec: FamilySpec, g: Gen, drop):
+        super().__init__()
+        self.spec, self.kind, self.drop = spec, g.kind, drop
+        self.gidx = None if g.idx is None else SymIndex.of(g.idx)
+
+    def __missing__(self, key):
+        lc: dict = {}
+        if self.kind != "C":
+            letter, doubled = key
+            for letter2, idx, coeff in act_indexed(self.spec, self.kind, self.gidx, letter,
+                                                   SymIndex(Fraction(doubled, 2))):
+                if coeff:
+                    _lc_add(lc, (letter2, idx.const_value().doubled), coeff)
+        terms = tuple(
+            (lk, c.const_value() if isinstance(c, Poly) and c.is_const() else c)
+            for lk, c in lc.items()
+            if self.drop is None or not self.drop(BasisLabel(lk[0], HalfInt(lk[1]))))
+        self[key] = terms
+        return terms
+
+
+def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
+    """The residual of `bracket_action_check` at every unordered pair and
+    label, with the same operations in the same order, over action rows
+    compiled for this sweep; the bracket and sign are taken once per pair."""
+    rows: dict = {}
+
+    def row(g: Gen) -> _ActionRow:
+        key = (g.kind, None if g.idx is None else g.idx.doubled)
+        r = rows.get(key)
+        if r is None:
+            r = rows[key] = _ActionRow(spec, g, drop)
+        return r
+
+    keyed = [((v.letter, v.idx.doubled), v) for v in labels]
     checks = 0
-    for v in labels:
-        for i, g1 in enumerate(gens):
-            for g2 in gens[i:]:
-                checks += 1
-                res = bracket_action_check(spec, g1, g2, v, drop)
-                if res:
+    violations = []
+    for i, g1 in enumerate(gens):
+        r1 = row(g1)
+        for g2 in gens[i:]:
+            r2 = row(g2)
+            sign = -1 if parity(g1) and parity(g2) else 1
+            lhs_rows = [(row(h), scale) for h, scale in bracket(g1, g2).items()]
+            checks += len(keyed)
+            for vk, v in keyed:
+                out: dict = {}
+                for rh, scale in lhs_rows:
+                    for lk, c in rh[vk]:
+                        _lc_add(out, lk, c * scale)
+                t1: dict = {}
+                for lk, c in r2[vk]:
+                    for lk2, c2 in r1[lk]:
+                        _lc_add(t1, lk2, c * c2)
+                t2: dict = {}
+                for lk, c in r1[vk]:
+                    for lk2, c2 in r2[lk]:
+                        _lc_add(t2, lk2, c * c2)
+                for lk, c in t1.items():
+                    _lc_add(out, lk, -c)
+                for lk, c in t2.items():
+                    _lc_add(out, lk, sign * c)
+                if out:
+                    res = {BasisLabel(lk[0], HalfInt(lk[1])): c for lk, c in out.items()}
                     violations.append(Witness(str(g1), str(g2), str(v), lincomb_str(res)))
     return checks, violations
 
 
 def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4,
-                quotient_of=None, workers: int | None = None) -> SweepReport:
+                quotient_of=None) -> SweepReport:
     """Check the module axiom on every generator pair and window label.
 
     Unordered pairs suffice: the reversed-pair residual is the forward one
     up to the super-antisymmetry sign.  With `quotient_of` set to a closed
-    candidate, the induced quotient action is checked instead.
+    candidate, the induced quotient action is checked instead.  The sweep
+    compiles its own action table, scoped to this call; `bracket_action_check`
+    is the readable reference for the residual it computes.
     """
     from .algebra import generators_in_window
 
@@ -665,30 +732,9 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4,
     if quotient_of is not None:
         drop = quotient_of.contains
         labels = [v for v in labels if not quotient_of.contains(v)]
-    if workers is None:
-        workers = int(os.environ.get("TWISTN2_WORKERS", "1") or "1")
-    if workers > 1 and quotient_of is None:
-        checks, violations = _sweep_parallel(spec, gens, labels, workers)
-    else:
-        checks, violations = _sweep_chunk(spec, gens, labels, drop)
+    checks, violations = _sweep_kernel(spec, gens, labels, drop)
     violations.sort(key=lambda w: (w.v, w.g1, w.g2))
     return SweepReport(spec.label(), gen_window, basis_window, checks, violations)
-
-
-def _sweep_parallel(spec, gens, labels, workers):
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [labels[i::workers] for i in range(workers)]
-    checks = 0
-    violations = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_chunk, spec, gens, chunk, None)
-                   for chunk in chunks if chunk]
-        for fut in futures:
-            c, vi = fut.result()
-            checks += c
-            violations.extend(vi)
-    return checks, violations
 
 
 # ---------------------------------------------------------------------------

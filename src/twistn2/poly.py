@@ -34,7 +34,8 @@ _NAMES: list[str] = []
 _SLOT: dict[str, int] = {}
 
 # Parameters and index symbols used throughout; registered eagerly so that
-# exponent slots are stable across subprocesses forked for parallel sweeps.
+# their slots, and with them the term order of rendered polynomials, do not
+# depend on which code runs first.
 CORE_SYMBOLS = (
     "a", "b", "bp", "m", "n", "p", "q", "k", "r", "s",
     "alpha", "alphap", "e1", "e2", "gamma", "gammap",

@@ -142,6 +142,16 @@ class TestVerbs:
         payload = json.loads(out)
         assert payload["checks"][0]["witness"]["target"]
 
+    @pytest.mark.parametrize("candidate", [
+        "span:", "span:x99", "span:y5",
+        "complement:" + ",".join(f"{l}{d}/2" for l in "xy" for d in range(-4, 5)),
+    ], ids=["span:", "span:x99", "span:y5", "complement-of-window"])
+    def test_candidate_without_window_labels_exits_2(self, capsys, candidate):
+        # a candidate with no window label would be checked against nothing
+        assert main(["submodule", "--family", "Aab", "--a", "0", "--b", "-1",
+                     "--basis-window", "2", "--candidate", candidate]) == 2
+        assert "holds no label of the basis window" in capsys.readouterr().err
+
     def test_submodule_scan(self, capsys):
         code, out = run(capsys, "submodule", "--family", "Aab", "--a", "0", "--b", "-1",
                         "--scan", "--format", "json")

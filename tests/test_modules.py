@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistn2.algebra import G, L, T, bracket, generators_in_window, parity
+from twistn2.algebra import G, Gen, L, T, bracket, generators_in_window, parity
 from twistn2.halfint import HalfInt
 from twistn2.modules import (BasisLabel, FamilySpec, aab, act, axiom_sweep,
                              b_zero_candidate, bab, bracket_action_check,
                              complement_of, deformed, gensum_act,
                              labels_in_window, lincomb_act, ns_partition_check,
-                             proper_submodule_scan, span_of, spec_with_fault,
-                             submodule_check)
+                             lincomb_str, proper_submodule_scan, span_of,
+                             spec_with_fault, submodule_check)
 from twistn2.poly import ONE, Poly
 
 H = Fraction(1, 2)
@@ -97,11 +97,71 @@ class TestAxiomSweeps:
         report = axiom_sweep(aab())
         assert report.checks == labels * gens * (gens + 1) // 2
 
-    def test_worker_override_gives_identical_results(self):
-        serial = axiom_sweep(deformed("A2", Fraction(1)), 1, 2, workers=1)
-        parallel = axiom_sweep(deformed("A2", Fraction(1)), 1, 2, workers=2)
-        assert serial.ok and parallel.ok
-        assert serial.checks == parallel.checks
+    def test_sweep_with_zero_checks_is_not_ok(self):
+        # the complement of nothing contains every label, so no check is left
+        report = axiom_sweep(aab(), quotient_of=complement_of())
+        assert report.checks == 0 and not report.violations
+        assert not report.ok
+
+
+def reference_sweep(spec, quotient_of=None):
+    """axiom_sweep's result computed from bracket_action_check, check by check."""
+    gens = sorted(generators_in_window(2), key=Gen.sort_key)
+    labels = labels_in_window(4)
+    drop = None if quotient_of is None else quotient_of.contains
+    if drop is not None:
+        labels = [v for v in labels if not drop(v)]
+    checks, violations = 0, []
+    for v in labels:
+        for i, g1 in enumerate(gens):
+            for g2 in gens[i:]:
+                checks += 1
+                res = bracket_action_check(spec, g1, g2, v, drop)
+                if res:
+                    violations.append({"g1": str(g1), "g2": str(g2), "v": str(v),
+                                       "residual": lincomb_str(res)})
+    violations.sort(key=lambda w: (w["v"], w["g1"], w["g2"]))
+    return checks, violations
+
+
+@pytest.mark.parametrize("spec, quotient_of", [
+    (deformed("A1", Fraction(2, 7)), None),
+    (aab(), None),
+    (spec_with_fault("a1.g0-coeff"), None),
+    (spec_with_fault("aab.gy-coeff"), None),  # 2 584 witnesses
+    # span(x0) is not closed, so the quotient residuals depend on which
+    # targets are dropped: 264 witnesses
+    (aab(Fraction(0), Fraction(-1, 2)), span_of("x0")),
+], ids=["A1", "Aab", "a1.g0-coeff", "aab.gy-coeff", "quotient"])
+def test_sweep_kernel_matches_the_reference(spec, quotient_of):
+    report = axiom_sweep(spec, quotient_of=quotient_of)
+    got = (report.checks, [w.as_dict() for w in report.violations])
+    assert got == reference_sweep(spec, quotient_of)
+
+
+nonzero_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
+@st.composite
+def small_polys(draw):
+    p = Poly.const(draw(st.fractions(min_value=-4, max_value=4, max_denominator=6)))
+    for _ in range(draw(st.integers(0, 3))):
+        coeff = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
+        p = p + coeff * a ** draw(st.integers(0, 2)) * b ** draw(st.integers(0, 2))
+    return p
+
+
+@given(nonzero_fractions, small_polys())
+@settings(max_examples=150, deadline=None)
+def test_mixed_fraction_and_poly_arithmetic(f, p):
+    # the sweep kernel mixes plain Fraction coefficients with Poly ones
+    fp = Poly.const(f)
+    assert f + p == fp + p and p + f == p + fp
+    assert f - p == fp - p and p - f == p - fp
+    assert f * p == fp * p and p * f == p * fp
+    assert all(isinstance(x, Poly) for x in (f + p, p + f, f - p, f * p, p * f))
+    assert Poly.const(-1 * f) == -1 * fp
+    assert str(f) == str(fp) and str(-1 * f) == str(-1 * fp)
 
 
 @given(st.sampled_from(generators_in_window(2)),
