@@ -806,7 +806,8 @@ def submodule_check(spec: FamilySpec, cand: SubmoduleCandidate,
                     escape = {"g": str(g), "v": str(v), "target": str(label),
                               "coefficient": str(coeff)}
                     return SubmoduleReport(spec.label(), cand.describe(), False, escape, checks)
-    return SubmoduleReport(spec.label(), cand.describe(), True, None, checks)
+    # a candidate with no label in the window was never checked, so it is not closed
+    return SubmoduleReport(spec.label(), cand.describe(), checks > 0, None, checks)
 
 
 def reachable_labels(spec: FamilySpec, start: BasisLabel,

@@ -208,8 +208,9 @@ class Poly:
         while power:
             if power & 1:
                 out = out * base
-            base = base * base
             power >>= 1
+            if power:
+                base = base * base
         return out
 
     # -- structure ---------------------------------------------------------
@@ -262,22 +263,57 @@ class Poly:
     # -- substitution ------------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, Union["Poly", Scalar]]) -> "Poly":
-        """Simultaneously replace symbols by values/polynomials (exact)."""
+        """Replace symbols by values or polynomials, exactly.
+
+        Substitution is simultaneous: every value is read against the
+        original polynomial, so {"k": k - m} and a swap {"b": bp, "bp": b}
+        are correct.  Scalar values, and constant polynomials, are lowered
+        to Fractions once per call; a term meets a polynomial value only
+        when it contains that symbol.
+        """
         if not bindings:
             return self
-        slots = {sym_slot(name): (val if isinstance(val, Poly) else Poly.const(val))
-                 for name, val in bindings.items()}
-        out = ZERO
+        values: list[tuple[int, Union[Fraction, Poly]]] = []
+        for name, val in bindings.items():
+            if not isinstance(val, Poly):
+                val = Fraction(val)
+            elif val.is_const():
+                val = val.const_value()
+            values.append((sym_slot(name), val))
+        powers: dict[tuple[int, int], Union[Fraction, Poly]] = {}
+        acc: dict[Exps, Fraction] = {}
         for exps, coeff in self.terms.items():
-            residual = list(exps)
-            factor = Poly.const(coeff)
-            for slot, val in slots.items():
-                e = exps[slot] if len(exps) > slot else 0
-                if e:
-                    residual[slot] = 0
-                    factor = factor * val ** e
-            out = out + factor * Poly({_trim(residual): Fraction(1)}, _canonical=True)
-        return out
+            residual = factor = None
+            for slot, val in values:
+                e = exps[slot] if slot < len(exps) else 0
+                if not e:
+                    continue
+                pw = powers.get((slot, e))
+                if pw is None:
+                    pw = powers[slot, e] = val ** e
+                if isinstance(pw, Poly):
+                    factor = pw if factor is None else factor * pw
+                else:
+                    coeff = coeff * pw
+                if residual is None:
+                    residual = list(exps)
+                residual[slot] = 0
+            if not coeff:
+                continue
+            key = exps if residual is None else _trim(residual)
+            if factor is None:
+                produced = ((key, coeff),)
+            else:
+                produced = ((_mul_exps(key, fexps), coeff * fcoeff)
+                            for fexps, fcoeff in factor.terms.items())
+            for term, c in produced:
+                prev = acc.get(term)
+                new = c if prev is None else prev + c
+                if new:
+                    acc[term] = new
+                elif prev is not None:
+                    del acc[term]
+        return Poly(acc, _canonical=True)
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
         return self.substitute(bindings).const_value()

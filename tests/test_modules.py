@@ -223,6 +223,12 @@ class TestSubmodules:
             for v in labels_in_window(4):
                 assert not submodule_check(spec, span_of(v)).closed
 
+    def test_candidate_with_no_window_label_is_not_closed(self):
+        for cand in (span_of(), span_of("x99")):
+            report = submodule_check(aab(), cand)
+            assert report.checks == 0 and report.escape is None
+            assert not report.closed
+
     def test_quotient_actions_still_satisfy_the_axioms(self):
         spec = aab(Fraction(0), Fraction(-1))
         report = axiom_sweep(spec, quotient_of=complement_of("x0"))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from twistn2.poly import (NotDivisible, ONE, Poly, QuadRootData, RatFunc,
                           WrongDegree, ZERO, exact_divide, format_rational,
                           normalize, parse_rational, quadratic_root_data,
-                          rational_sqrt)
+                          rational_sqrt, sym_name)
 
 b = Poly.var("b")
 bp = Poly.var("bp")
@@ -44,8 +44,8 @@ small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 @st.composite
-def polys(draw, vars=("b", "m", "k")):
-    n_terms = draw(st.integers(0, 4))
+def polys(draw, vars=("b", "m", "k"), max_terms=4):
+    n_terms = draw(st.integers(0, max_terms))
     p = ZERO
     for _ in range(n_terms):
         coeff = draw(small_fractions)
@@ -74,13 +74,34 @@ def test_exact_divide_inverts_multiplication(p, q):
     assert exact_divide(p * q, q) == p
 
 
-@given(polys(), polys())
-@settings(max_examples=40, deadline=None)
-def test_substitute_is_a_ring_homomorphism(p, q):
-    bindings = {"b": Fraction(2, 3), "m": -2, "k": Fraction(1, 2)}
-    lhs = (p + q).substitute(bindings)
-    assert lhs == p.substitute(bindings) + q.substitute(bindings)
-    assert (p * q).substitute(bindings) == p.substitute(bindings) * q.substitute(bindings)
+def substitute_by_ring_ops(p, bindings):
+    """Reference substitution: rebuild p term by term with ring operations,
+    every symbol read against p itself."""
+    out = ZERO
+    for exps, coeff in p.terms.items():
+        term = Poly.const(coeff)
+        for slot, e in enumerate(exps):
+            val = bindings.get(sym_name(slot), Poly.var(sym_name(slot)))
+            term = term * (val if isinstance(val, Poly) else Poly.const(val)) ** e
+        out = out + term
+    return out
+
+
+# int, Fraction, constant-Poly and polynomial values; the polynomial ones
+# may contain the bound symbols themselves, so order of binding matters
+binding_values = st.one_of(st.integers(-3, 3), small_fractions,
+                           small_fractions.map(Poly.const), polys(max_terms=2))
+bindings_of = st.dictionaries(st.sampled_from(("b", "m", "k")), binding_values, max_size=3)
+
+
+@given(polys(), polys(), bindings_of, small_fractions)
+@settings(max_examples=60, deadline=None)
+def test_substitute_is_a_ring_homomorphism(p, q, bindings, v):
+    sub_p, sub_q = p.substitute(bindings), q.substitute(bindings)
+    assert sub_p == substitute_by_ring_ops(p, bindings)
+    assert (p + q).substitute(bindings) == sub_p + sub_q
+    assert (p * q).substitute(bindings) == sub_p * sub_q
+    assert p.substitute({"b": Poly.const(v)}) == p.substitute({"b": v})
 
 
 def test_exact_divide_examples():
@@ -96,6 +117,9 @@ def test_substitute_examples():
     assert (b - bp) * m**6 == ((b - bp) * m**6).substitute({})
     assert not ((b - bp) * m**6).substitute({"bp": b})
     assert Poly.var("k").substitute({"k": k - m}) == k - m
+    assert (k * k + m).substitute({"k": k - m}) == (k - m) ** 2 + m
+    # simultaneous: a swap is not two substitutions in a row
+    assert (b * b * bp - bp).substitute({"b": bp, "bp": b}) == bp * bp * b - b
 
 
 def test_quadratic_root_data_from_first_determinant_factor():

@@ -1,4 +1,5 @@
-"""Differential oracle: Poly arithmetic and exact_divide against sympy.
+"""Differential oracle: Poly arithmetic, substitution, exact_divide and the
+T-system determinants against sympy.
 
 Skipped when sympy is not installed; the lab itself never imports it.
 """
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from twistn2.constraints import (build_identity_system, delta1_printed, delta2_printed,
+                                 system_determinant)
 from twistn2.poly import NotDivisible, Poly, exact_divide, sym_name
 
 sympy = pytest.importorskip("sympy")
@@ -75,3 +78,29 @@ def test_exact_divide_agrees_with_sympy_div(den, quot, perturb, extra):
     else:
         assert remainder == 0
         assert same(ours, quotient)
+
+
+binding_values = st.one_of(scalars, fractions.map(Poly.const), polys(max_terms=2))
+
+
+@given(polys(), st.dictionaries(st.sampled_from(NAMES), binding_values, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_substitute_agrees_with_simultaneous_subs(p, bindings):
+    theirs = to_sympy(p).subs({sympy.Symbol(name): to_sympy(val)
+                               for name, val in bindings.items()}, simultaneous=True)
+    assert same(p.substitute(bindings), theirs)
+
+
+def factors(expr) -> tuple:
+    """sympy's factorization as (content, {irreducible factor: multiplicity})."""
+    content, parts = sympy.factor_list(expr)
+    return content, dict(parts)
+
+
+@pytest.mark.parametrize("fam, printed", [("f", delta1_printed), ("fp", delta2_printed)])
+def test_t_system_determinant_and_factors_agree_with_sympy(fam, printed):
+    system = build_identity_system("LLT", "A", fam, "int")
+    matrix = sympy.Matrix([[to_sympy(entry) for entry in row] for row in system.matrix])
+    det = to_sympy(system_determinant("LLT", "A", fam, "int"))
+    assert sympy.expand(matrix.det(method="berkowitz") - det) == 0
+    assert factors(det) == factors(to_sympy(printed()))
