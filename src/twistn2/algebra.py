@@ -80,55 +80,69 @@ def _add_term(out: GenSum, g: Gen, coeff: Fraction) -> None:
         del out[g]
 
 
-def bracket(g1: Gen, g2: Gen) -> GenSum:
-    """Super-bracket of two basis generators.
+# kinds in the order the structure constants are written; a pair in the
+# other order is flipped by super-antisymmetry
+_RANK = {"L": 0, "T": 1, "G": 2}
+HALF = Fraction(1, 2)
 
-    Mixed orders are defined through super-antisymmetry
-    [y, x] = -(-1)^(|x||y|) [x, y], so the relation holds by construction.
+
+def bracket_terms(k1: str, i1, k2: str, i2, env: dict | None = None) -> list:
+    """The structure constants: [k1_i1, k2_i2] less its central term.
+
+    Returns (kind, index, coefficient) triples.  Indices are HalfInts, with
+    Fraction coefficients, or, when a parity env is given, SymIndex linear
+    forms with Poly coefficients; a C term is never returned (C acts as zero
+    on every module family).  Mixed orders are defined through
+    super-antisymmetry [y, x] = -(-1)^(|x||y|) [x, y]; two generators of
+    different kinds are never both odd, so the flip is a plain sign.
     """
-    k1, k2 = g1.kind, g2.kind
     if k1 == "C" or k2 == "C":
-        return {}
+        return []
+    if _RANK[k1] > _RANK[k2]:
+        return [(k, i, -c) for k, i, c in bracket_terms(k2, i2, k1, i1, env)]
+    if env is None:
+        x, y = i1.value, i2.value
+    else:
+        x, y = i1.as_poly(), i2.as_poly()
+    idx = i1 + i2
+    if k1 == "L":
+        if k2 == "L":
+            return [("L", idx, x - y)]
+        if k2 == "T":
+            return [("T", idx, -y)]
+        return [("G", idx, HALF * x - y)]
+    if k1 == "T":
+        return [] if k2 == "T" else [("G", idx, Fraction(1))]
+    odd1 = i1.doubled % 2 if env is None else i1.parity(env)
+    odd2 = i2.doubled % 2 if env is None else i2.parity(env)
+    sign = -1 if odd1 else 1  # (-1)^(2p)
+    if odd1 == odd2:
+        return [("L", idx, Fraction(2 * sign))]
+    return [("T", idx, -sign * (x - y))]
 
+
+def _central(kind: str, i: HalfInt) -> Fraction:
+    """C coefficient of [X_i, X_-i] for X = L, T, G."""
+    v = i.value
+    if kind == "L":
+        return (v**3 - v) / 12
+    if kind == "T":
+        return v / 3
+    sign = -1 if i.is_half_odd() else 1
+    return sign * (v * v - Fraction(1, 4)) / 3
+
+
+def bracket(g1: Gen, g2: Gen) -> GenSum:
+    """Super-bracket of two basis generators, central term included."""
+    k1, k2 = g1.kind, g2.kind
     out: GenSum = {}
-    if k1 == "L" and k2 == "L":
-        m, n = g1.idx.value, g2.idx.value
-        _add_term(out, L(m + n), m - n)
-        if g1.idx.doubled + g2.idx.doubled == 0:
-            _add_term(out, C, (m**3 - m) / 12)
+    if k1 == "C" or k2 == "C":
         return out
-    if k1 == "L" and k2 == "T":
-        m, r = g1.idx.value, g2.idx.value
-        _add_term(out, T(r + m), -r)
-        return out
-    if k1 == "L" and k2 == "G":
-        m, p = g1.idx.value, g2.idx.value
-        _add_term(out, G(p + m), m / 2 - p)
-        return out
-    if k1 == "T" and k2 == "T":
-        r = g1.idx.value
-        if g1.idx.doubled + g2.idx.doubled == 0:
-            _add_term(out, C, r / 3)
-        return out
-    if k1 == "T" and k2 == "G":
-        r, p = g1.idx.value, g2.idx.value
-        _add_term(out, G(p + r), Fraction(1))
-        return out
-    if k1 == "G" and k2 == "G":
-        p, q = g1.idx.value, g2.idx.value
-        sign = Fraction(-1) if g1.idx.is_half_odd() else Fraction(1)  # (-1)^(2p)
-        if (g1.idx + g2.idx).is_integer():
-            _add_term(out, L(p + q), 2 * sign)
-            if g1.idx.doubled + g2.idx.doubled == 0:
-                _add_term(out, C, sign * (p * p - Fraction(1, 4)) / 3)
-        else:
-            _add_term(out, T(p + q), -sign * (p - q))
-        return out
-
-    # reversed kinds: flip through super-antisymmetry
-    rev = bracket(g2, g1)
-    sign = Fraction(-1) if parity(g1) and parity(g2) else Fraction(1)
-    return {g: -sign * c for g, c in rev.items()}
+    for kind, idx, coeff in bracket_terms(k1, g1.idx, k2, g2.idx):
+        _add_term(out, Gen(kind, idx), coeff)
+    if k1 == k2 and g1.idx.doubled + g2.idx.doubled == 0:
+        _add_term(out, C, _central(k1, g1.idx))
+    return out
 
 
 def _bracket_gen_sum(g: Gen, summ: GenSum) -> GenSum:

@@ -16,7 +16,7 @@ from . import constraints as clab
 from . import deformation as dlab
 from .algebra import super_jacobi_sweep
 from .modules import (FAULT_CATALOG, FamilySpec, SubmoduleCandidate, aab,
-                      axiom_sweep, b_zero_candidate, bab, complement_of,
+                      axiom_sweep, bab, complement_of,
                       labels_in_window, ns_partition_check,
                       proper_submodule_scan, span_of, spec_with_fault,
                       submodule_check)
@@ -49,10 +49,13 @@ def build_family(args) -> FamilySpec:
             a = _param(args.a) if args.a is not None else "sym"
             b = _param(args.b) if args.b is not None else "sym"
             bprime = _param(args.bprime) if args.bprime is not None else None
-            mode = getattr(args, "coeff_mode", None) or "printed"
             if family.startswith("Generic"):
-                return FamilySpec(family, a=a, b=b, bprime=bprime or "sym",
-                                  coeff_mode=mode)
+                # the printed coefficient forms fix bp (bp = b for GenericA,
+                # b - 1/2 for GenericB), so a given one would go unchecked
+                if bprime is not None:
+                    raise UsageError(f"{family} fixes bprime through its printed "
+                                     "coefficient forms; drop --bprime")
+                return FamilySpec(family, a=a, b=b, bprime="sym")
             return FamilySpec(family, a=a, b=b, bprime=bprime,
                               fault=getattr(args, "inject_fault", None))
         if family in ("A1", "A2", "B1", "B2"):

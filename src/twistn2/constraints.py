@@ -1,7 +1,20 @@
 """Constraint laboratory for the classification of the generic candidates.
 
 Everything here is re-derived mechanically from the algebra and the generic
-candidate actions, then compared against the published closed forms:
+candidate actions, then compared against the published closed forms.  Every
+operator identity is generated from the structure constants in
+`algebra.bracket_terms` by one of two functions, and nothing here restates
+a bracket coefficient:
+
+  * `bracket_residual`: [g1, g2] - bracket(g1, g2) on one basis vector
+    (the L-G recurrence, the T-T, T-G and G-G relations, G_n^2 = L_2n);
+  * `nested_residual`: [g1, [g2, g3]] against [g1 at i1+i2, g3], scaled by
+    the bracket's own constants (the LLT and LLG systems).
+
+Both land on the one basis line their modes lead to.  The solved coefficient
+forms (the alpha, beta and mu modes) are read from the generic candidate's
+own action table through `act_indexed`, never written out a second time.
+The checks:
 
   * operator identities instantiated on a generic candidate yield 3x3
     linear systems in the unknown coefficient functions; their parametric
@@ -12,7 +25,7 @@ candidate actions, then compared against the published closed forms:
     quotient is tested on the published sporadic parameter pairs;
   * the solved coefficient families are substituted back into every
     recurrence they must satisfy, with exact vanishing required;
-  * the current-mode composition T_r = (1/r)[G_r, G_0] regenerates every
+  * the current-mode composition T_r = [G_r, G_0]/r regenerates every
     printed T coefficient;
   * normalization constants (alpha/beta/mu) are checked against the full
     stack of generated consistency equations, including designated
@@ -29,10 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .indices import SymIndex
-from .modules import FamilySpec, act_indexed
+from .algebra import bracket_terms
+from .indices import IDX_ZERO, SymIndex
+from .modules import FamilySpec, act_indexed, unknown_name
 from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, exact_divide,
-                   quadratic_root_data, QuadRootData, rational_sqrt)
+                   quadratic_root_data, QuadRootData)
+from .report import CheckList
 
 HALF = Fraction(1, 2)
 
@@ -99,107 +114,81 @@ def _combine(spec, pieces, letter, vidx, env):
     return out
 
 
-def _only_coeff(lc, expect_key=None):
+def _only_coeff(lc, expect_key):
     if not lc:
         return ZERO
     if len(lc) != 1:
         raise AssertionError(f"expected a single basis line, got {len(lc)}")
     (key, coeff), = lc.items()
-    if expect_key is not None and key != expect_key:
+    if key != expect_key:
         raise AssertionError(f"landed on {key}, expected {expect_key}")
     return coeff
 
 
-def _nested_commutator(o1, o2, o3):
-    """Word list for [o1, [o2, o3]] with o1, o2 even."""
-    return [
-        (1, [o1, o2, o3]),
-        (-1, [o1, o3, o2]),
-        (-1, [o2, o3, o1]),
-        (1, [o3, o2, o1]),
-    ]
+def _landing(letter, vidx, modes):
+    """The line a word of these modes takes (letter, vidx) to: the letter
+    flips on an odd number of G's, and the indices add up."""
+    for kind, idx in modes:
+        if kind == "G":
+            letter = "y" if letter == "x" else "x"
+        vidx = vidx + idx
+    return letter, vidx
 
 
-def llt_residual(spec, mE, nE, kE, letter, env):
-    """[L_m, [L_n, T_r]] + (n+r) [L_{m+n}, T_r] applied to a basis vector."""
-    Lm, Ln, Tr = ("L", mE), ("L", nE), ("T", R)
-    scale = (nE + R).as_poly()
-    pieces = _nested_commutator(Lm, Ln, Tr)
-    pieces += [(scale, [("L", mE + nE), Tr]), (-scale, [Tr, ("L", mE + nE)])]
-    lc = _combine(spec, pieces, letter, kE, env)
-    return _only_coeff(lc, (letter, kE + mE + nE + R))
+def _as_poly(c):
+    return c if isinstance(c, Poly) else Poly.const(c)
 
 
-def llg_residual(spec, mE, nE, kE, letter, env, pE=P):
-    """((m+n)/2 - p)[L_m,[L_n,G_p]] - (n/2-p)(m/2-n-p)[L_{m+n},G_p] applied."""
-    Lm, Ln, Gp = ("L", mE), ("L", nE), ("G", pE)
-    pP = pE.as_poly()
-    s1 = HALF * (mE + nE).as_poly() - pP
-    s2 = (HALF * nE.as_poly() - pP) * (HALF * mE.as_poly() - nE.as_poly() - pP)
-    pieces = [(s1 * sgn, ops) for sgn, ops in _nested_commutator(Lm, Ln, Gp)]
-    pieces += [(-s2, [("L", mE + nE), Gp]), (s2, [Gp, ("L", mE + nE)])]
-    lc = _combine(spec, pieces, letter, kE, env)
-    other = "y" if letter == "x" else "x"
-    return _only_coeff(lc, (other, kE + mE + nE + pE))
+def _commutator(x, y):
+    """Super-commutator of two homogeneous operators, each a (pieces, odd)
+    pair whose pieces are (scalar, word) with the word's modes left to
+    right: [X, Y] = XY - (-1)^(|X||Y|) YX."""
+    (px, odd_x), (py, odd_y) = x, y
+    sign = 1 if odd_x and odd_y else -1
+    pieces = [(s * t, wx + wy) for s, wx in px for t, wy in py]
+    pieces += [(sign * t * s, wy + wx) for t, wy in py for s, wx in px]
+    return pieces, odd_x != odd_y
 
 
-def lg_residual(spec, mE, nE, kE, letter, env):
-    """[L_m, G_n] - (m/2 - n) G_{m+n} applied to a basis vector."""
-    scale = HALF * mE.as_poly() - nE.as_poly()
-    pieces = [
-        (1, [("L", mE), ("G", nE)]),
-        (-1, [("G", nE), ("L", mE)]),
-        (-scale, [("G", mE + nE)]),
-    ]
-    lc = _combine(spec, pieces, letter, kE, env)
-    other = "y" if letter == "x" else "x"
-    return _only_coeff(lc, (other, kE + mE + nE))
+def _mode(g):
+    return [(1, [g])], g[0] == "G"
 
 
-def tt_residual(spec, kE, letter, env):
-    """[T_r, T_s] applied; zero away from r+s=0, and C acts as zero anyway."""
-    pieces = [(1, [("T", R), ("T", S)]), (-1, [("T", S), ("T", R)])]
-    lc = _combine(spec, pieces, letter, kE, env)
-    return _only_coeff(lc, (letter, kE + R + S))
+def bracket_residual(spec, g1, g2, letter, vidx, env):
+    """[g1, g2] - bracket(g1, g2) applied to one basis vector.
+
+    Modes are (kind, SymIndex) pairs; the structure constants come from
+    `bracket_terms`.  Returns the coefficient on the one line the identity
+    lands on.
+    """
+    pieces, _ = _commutator(_mode(g1), _mode(g2))
+    pieces += [(-c, [(kind, idx)]) for kind, idx, c in bracket_terms(*g1, *g2, env)]
+    lc = _combine(spec, pieces, letter, vidx, env)
+    return _only_coeff(lc, _landing(letter, vidx, (g1, g2)))
 
 
-def tg_residual(spec, kE, letter, env, pE=P):
-    """[T_r, G_p] - G_{p+r} applied to a basis vector."""
-    pieces = [
-        (1, [("T", R), ("G", pE)]),
-        (-1, [("G", pE), ("T", R)]),
-        (-1, [("G", pE + R)]),
-    ]
-    lc = _combine(spec, pieces, letter, kE, env)
-    other = "y" if letter == "x" else "x"
-    return _only_coeff(lc, (other, kE + pE + R))
+def nested_residual(spec, g1, g2, g3, letter, vidx, env):
+    """[g1, [g2, g3]] against [g1 at index i1+i2, g3] on one basis vector.
 
-
-def gg_t_residual(spec, kE, letter, env):
-    """G_p G_n + G_n G_p - (p-n) T_{p+n} applied (p half-odd, n integer)."""
-    scale = (P - N).as_poly()
-    pieces = [
-        (1, [("G", P), ("G", N)]),
-        (1, [("G", N), ("G", P)]),
-        (-scale, [("T", P + N)]),
-    ]
-    lc = _combine(spec, pieces, letter, kE, env)
-    return _only_coeff(lc, (letter, kE + P + N))
-
-
-def gg_l_residual(spec, i1, i2, kE, letter, env):
-    """G_{i1} G_{i2} + G_{i2} G_{i1} -+ 2 L_{i1+i2} applied (same parity class)."""
-    par = i1.parity(env)
-    if i2.parity(env) != par:
-        raise ValueError("both fermionic indices must be in the same class")
-    sign = -1 if par else 1  # (-1)^(2p)
-    pieces = [
-        (1, [("G", i1), ("G", i2)]),
-        (1, [("G", i2), ("G", i1)]),
-        (-2 * sign, [("L", i1 + i2)]),
-    ]
-    lc = _combine(spec, pieces, letter, kE, env)
-    return _only_coeff(lc, (letter, kE + i1 + i2))
+    Both sides are one mode times a scale read off the structure constants,
+    c_nested and c_flat.  The residual is [g1,[g2,g3]] - (c_nested/c_flat)
+    [g1', g3] when the division is exact, and c_flat [g1,[g2,g3]] -
+    c_nested [g1', g3] otherwise.
+    """
+    (k1, i1), (k2, i2), (k3, i3) = g1, g2, g3
+    (kind, idx, c23), = bracket_terms(k2, i2, k3, i3, env)
+    (_, _, c1), = bracket_terms(k1, i1, kind, idx, env)
+    (_, _, c_flat), = bracket_terms(k1, i1 + i2, k3, i3, env)
+    c_nested, c_flat = _as_poly(c23 * c1), _as_poly(c_flat)
+    try:
+        outer, inner = ONE, exact_divide(c_nested, c_flat)
+    except NotDivisible:
+        outer, inner = c_flat, c_nested
+    nested, _ = _commutator(_mode(g1), _commutator(_mode(g2), _mode(g3)))
+    flat, _ = _commutator(_mode((k1, i1 + i2)), _mode(g3))
+    pieces = [(outer * s, w) for s, w in nested] + [(-inner * s, w) for s, w in flat]
+    lc = _combine(spec, pieces, letter, vidx, env)
+    return _only_coeff(lc, _landing(letter, vidx, (g1, g2, g3)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +203,17 @@ class System3:
     case: str          # "A" | "B"
     fam: str           # "f" | "fp" | "g" | "gp"
     kclass: str        # "int" | "half"
-    unknowns: list     # unknown symbol names, column order
+    columns: list      # (mode index, vector index) of each unknown, column order
     matrix: list       # 3 rows x 3 columns of Poly
+
+    @property
+    def unknowns(self) -> list:
+        """The unknown coefficient symbols, column order."""
+        return [unknown_name(self.fam, g, v) for g, v in self.columns]
 
     def substituted(self, bindings) -> "System3":
         rows = [[entry.substitute(bindings) for entry in row] for row in self.matrix]
-        return System3(self.kind, self.case, self.fam, self.kclass, list(self.unknowns), rows)
+        return System3(self.kind, self.case, self.fam, self.kclass, list(self.columns), rows)
 
 
 def determinant3(matrix) -> Poly:
@@ -233,7 +227,6 @@ def determinant3(matrix) -> Poly:
 _PATTERNS = ((M, M, K - M), (-M, -M, K + M), (M, -M, K))
 
 _FAM_LETTER = {"f": "x", "fp": "y", "g": "x", "gp": "y"}
-_UNKNOWN_PREFIX = {"f": "f", "fp": "fp", "g": "g", "gp": "gp"}
 
 
 class MalformedInstance(ValueError):
@@ -266,7 +259,8 @@ def linear_decompose(poly: Poly, names: list) -> dict:
 def build_identity_system(kind: str, case: str, fam: str, kclass: str) -> System3:
     """Instantiate one operator identity on a generic candidate.
 
-    The identity is applied at the three (m, n, k) substitution patterns;
+    The identity [L_m, [L_n, X]] against [L_{m+n}, X], X = T_r (LLT) or
+    G_p (LLG), is applied at the three (m, n, k) substitution patterns;
     each application must land on a single basis line whose coefficient is
     linear in exactly three unknown coefficient symbols.
     """
@@ -280,18 +274,14 @@ def build_identity_system(kind: str, case: str, fam: str, kclass: str) -> System
     letter = _FAM_LETTER[fam]
     kpar = 0 if kclass == "int" else 1
     env = {"m": 0, "n": 0, "k": kpar, "r": 1, "p": 0}
-    prefix = _UNKNOWN_PREFIX[fam]
-    gen = R if kind == "LLT" else P
-    cols = [f"{prefix}[{gen};{K + M}]", f"{prefix}[{gen};{K}]", f"{prefix}[{gen};{K - M}]"]
-    rows = []
+    mode = ("T", R) if kind == "LLT" else ("G", P)
+    sys3 = System3(kind, case, fam, kclass, [(mode[1], K + M), (mode[1], K), (mode[1], K - M)], [])
+    names = sys3.unknowns
     for mE, nE, kE in _PATTERNS:
-        if kind == "LLT":
-            res = llt_residual(spec, mE, nE, kE, letter, env)
-        else:
-            res = llg_residual(spec, mE, nE, kE, letter, env)
-        parts = linear_decompose(res, cols)
-        rows.append([parts[c] for c in cols])
-    return System3(kind, case, fam, kclass, cols, rows)
+        res = nested_residual(spec, ("L", mE), ("L", nE), mode, letter, kE, env)
+        parts = linear_decompose(res, names)
+        sys3.matrix.append([parts[nm] for nm in names])
+    return sys3
 
 
 _DET_CACHE: dict[tuple, Poly] = {}
@@ -585,34 +575,6 @@ def swap_symmetry_checks() -> list:
 # coefficient lemmas: solved families into their recurrences
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckGroup:
-    name: str
-    checks: list = field(default_factory=list)  # (description, ok, detail)
-    notes: list = field(default_factory=list)
-
-    def add(self, desc: str, ok: bool, detail: str = ""):
-        self.checks.append((desc, bool(ok), detail))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-
-def _subst_linear(row: Poly, values: dict):
-    """Evaluate a row that is linear in unknown symbols at given values.
-
-    Values may be Poly or RatFunc; the result follows the richer ring.
-    """
-    names = list(values)
-    parts = linear_decompose(row, names)
-    total = None
-    for nm, coeff in parts.items():
-        term = coeff * values[nm]
-        total = term if total is None else total + term
-    return total if total is not None else ZERO
-
-
 def _g_system_rows(case: str, fam: str, kclass: str, bindings=None):
     sys3 = build_identity_system("LLG", case, fam, kclass)
     if bindings:
@@ -628,11 +590,7 @@ def _shift_factor_check(group, sys3, label, printed=None, proportional=None):
     for plain shift invariance).  The factor is compared with the printed
     polynomial when given.
     """
-    (r1, r2, _) = sys3.matrix
-    u_kp, u_k, u_km = sys3.unknowns
-    cols = {nm: i for i, nm in enumerate(sys3.unknowns)}
-    a1, b1, c1 = (r1[cols[u_kp]], r1[cols[u_k]], r1[cols[u_km]])
-    a2, b2, c2 = (r2[cols[u_kp]], r2[cols[u_k]], r2[cols[u_km]])
+    (a1, b1, c1), (a2, b2, c2), _ = sys3.matrix  # columns u_{k+m}, u_k, u_{k-m}
     comb_kp = a1 * c2 - a2 * c1
     comb_k = b1 * c2 - b2 * c1
     lhs_form, rhs_form = proportional if proportional else (ONE, ONE)
@@ -660,50 +618,37 @@ def _shift_factor_check(group, sys3, label, printed=None, proportional=None):
                 f"(derived {factor}); the relation itself is verified above")
 
 
-def _solution_into_system(group, sys3, label, value_of):
+def _mode_coeff(spec, g, letter, v, env):
+    """The candidate's own coefficient of the fermionic mode g on (letter, v)."""
+    (_, _, coeff), = act_indexed(spec, "G", g, letter, v, env)
+    return coeff
+
+
+def _solved_rows(sys3, spec):
+    """Each row of an LLG system evaluated on the solved coefficients of
+    `spec`, read column by column from its own action."""
+    env = {"p": 0, "m": 0, "k": 0 if sys3.kclass == "int" else 1}
+    letter = _FAM_LETTER[sys3.fam]
+    values = [_mode_coeff(spec, g, letter, v, env) for g, v in sys3.columns]
+    return [sum((val * entry for val, entry in zip(values, row)), ZERO)
+            for row in sys3.matrix]
+
+
+def _solution_into_system(group, sys3, label, spec):
     """Substitute a solved coefficient family into all three rows."""
-    values = {}
-    for nm in sys3.unknowns:
-        gidx, vidx = _parse_unknown(nm)
-        values[nm] = value_of(gidx, vidx)
-    for i, row_parts in enumerate(sys3.matrix):
-        row = None
-        for j, nm in enumerate(sys3.unknowns):
-            term = row_parts[j] * values[nm]
-            row = term if row is None else row + term
+    for i, row in enumerate(_solved_rows(sys3, spec)):
         group.add(f"{label}: row {i + 1} vanishes on the solved family", not row)
 
 
-def _parse_unknown(name: str):
-    inner = name[name.index("[") + 1:-1]
-    gtxt, vtxt = inner.split(";")
-    return _parse_idx(gtxt), _parse_idx(vtxt)
+_SIDES = (("x", "int"), ("x", "half"), ("y", "int"), ("y", "half"))
 
 
-def _parse_idx(text: str) -> SymIndex:
-    out = SymIndex()
-    token = ""
-    for ch in text + "+":
-        if ch in "+-" and token:
-            out = out + _token_idx(token)
-            token = ch if ch == "-" else ""
-        elif ch in "+-" and not token:
-            token = ch if ch == "-" else ""
-        else:
-            token += ch
-    return out
-
-
-def _token_idx(token: str) -> SymIndex:
-    neg = token.startswith("-")
-    if neg:
-        token = token[1:]
-    body = (SymIndex.var(token) if token[-1].isalpha()
-            else SymIndex(Fraction(Fraction(token))))
-    # forms like "2n" (coefficient times symbol)
-    if token[-1].isalpha() and len(token) > 1 and token[:-1].isdigit():
-        body = SymIndex.var(token[-1]).scaled(int(token[:-1]))
-    return -body if neg else body
+def _recurrence_checks(group, spec, prefix, what):
+    """The L-G recurrence on the solved coefficients of `spec`, per side."""
+    for letter, kclass in _SIDES:
+        env = {"m": 0, "n": 0, "k": 0 if kclass == "int" else 1}
+        res = bracket_residual(spec, ("L", M), ("G", N), letter, K, env)
+        group.add(f"{prefix}{letter} side ({kclass} weights): {what}", not res)
 
 
 LEMMA_CHECKS = (
@@ -716,27 +661,37 @@ LEMMA_CHECKS = (
 )
 
 
-def coeff_solution_check(which: str) -> CheckGroup:
+def coeff_solution_check(which: str) -> CheckList:
     """Verify one solved-coefficient lemma mechanically."""
     if which == "g-shift-invariance":
         return _check_g_shift_a()
     if which == "g-constant-forms":
-        return _check_g_forms_a()
+        group = CheckList("g-constant-forms")
+        _recurrence_checks(group, generic_candidate("A", "alpha"), "",
+                           "recurrence residual vanishes")
+        return group
     if which == "t-from-g-composition":
         return _check_t_composition_generic("A")
     if which == "b-shift-relations":
         return _check_g_shift_b()
     if which == "b-coefficient-forms":
-        return _check_g_forms_b()
+        group = CheckList("b-coefficient-forms")
+        _recurrence_checks(group, generic_candidate("B", "beta"), "",
+                           "recurrence residual vanishes")
+        # exceptional case: the same recurrences at (b, bp) = (0, -3/2)
+        _recurrence_checks(group, generic_candidate("B", "mu"), "exceptional-case ",
+                           "residual vanishes")
+        return group
     if which == "b-t-composition":
         return _check_t_composition_generic("B")
     raise KeyError(f"unknown lemma check {which!r} (choose from {LEMMA_CHECKS})")
 
 
-def _check_g_shift_a() -> CheckGroup:
-    group = CheckGroup("g-shift-invariance")
+def _check_g_shift_a() -> CheckList:
+    group = CheckList("g-shift-invariance")
     a, b, k, p, m = Pa, Pb, Pk, Pp, Pm
     diag = {"bp": Pb}
+    solved = generic_candidate("A", "alpha")
     # x side, integer weights: plain shift invariance with the printed factor
     sys_x = _g_system_rows("A", "g", "int", diag)
     d1b = -(3 + 13 * b + 18 * b**2 + 8 * b**3)
@@ -746,13 +701,11 @@ def _check_g_shift_a() -> CheckGroup:
                      - 2 * b * (5 + 4 * b) * (a - k) * p**2 + 4 * b * (b + 1) * p**3)
     _shift_factor_check(group, sys_x, "x side (integer weights)",
                         printed=d1b * m**4 + d1kp * m**2 + d1kp2)
-    _solution_into_system(group, sys_x, "x side (integer weights)",
-                          lambda gi, vi: Poly.var("gamma"))
+    _solution_into_system(group, sys_x, "x side (integer weights)", solved)
     # x side, half-odd weights: shift invariance again
     sys_xh = _g_system_rows("A", "g", "half", diag)
     _shift_factor_check(group, sys_xh, "x side (half-odd weights)")
-    _solution_into_system(group, sys_xh, "x side (half-odd weights)",
-                          lambda gi, vi: Poly.var("gamma"))
+    _solution_into_system(group, sys_xh, "x side (half-odd weights)", solved)
     # y side: weighted proportionality with the printed cubic-in-p factor
     w = lambda vi: a - vi.as_poly() + 2 * b * p + p
     printed_y = (2 * (3 + 2 * b) * p**3 + 4 * (k - a) * (3 + 2 * b) * p**2
@@ -763,47 +716,15 @@ def _check_g_shift_a() -> CheckGroup:
         _shift_factor_check(group, sys_y, f"y side ({kclass} weights)",
                             printed=printed_y,
                             proportional=(w(K), w(K + M)))
-        _solution_into_system(
-            group, sys_y, f"y side ({kclass} weights)",
-            lambda gi, vi: (a - vi.as_poly() + 2 * b * gi.as_poly() + gi.as_poly())
-                           * Poly.var("gammap"))
+        _solution_into_system(group, sys_y, f"y side ({kclass} weights)", solved)
     return group
 
 
-def _lg_residual_with_forms(case, letter, kclass, value_of, bindings=None):
-    """Instantiate the L-G recurrence and substitute a solved family."""
-    spec = generic_candidate(case)
-    env = {"m": 0, "n": 0, "k": 0 if kclass == "int" else 1}
-    res = lg_residual(spec, M, N, K, letter, env)
-    if bindings:
-        res = res.substitute(bindings)
-    names = [nm for nm in res.variables() if "[" in nm]
-    values = {nm: value_of(*_parse_unknown(nm)) for nm in names}
-    return _subst_linear(res, values)
-
-
-def _check_g_forms_a() -> CheckGroup:
-    group = CheckGroup("g-constant-forms")
-    a, b = Pa, Pb
-    diag = {"bp": Pb}
-    forms = {
-        ("x", "int"): lambda gi, vi: Poly.var("alpha1"),
-        ("x", "half"): lambda gi, vi: Poly.var("alpha2"),
-        ("y", "int"): lambda gi, vi: (a - vi.as_poly() + 2 * b * gi.as_poly()
-                                      + gi.as_poly()) * Poly.var("alpha3"),
-        ("y", "half"): lambda gi, vi: (a - vi.as_poly() + 2 * b * gi.as_poly()
-                                       + gi.as_poly()) * Poly.var("alpha4"),
-    }
-    for (letter, kclass), value_of in forms.items():
-        res = _lg_residual_with_forms("A", letter, kclass, value_of, diag)
-        group.add(f"{letter} side ({kclass} weights): recurrence residual vanishes", not res)
-    return group
-
-
-def _check_g_shift_b() -> CheckGroup:
-    group = CheckGroup("b-shift-relations")
+def _check_g_shift_b() -> CheckList:
+    group = CheckList("b-shift-relations")
     a, b, k, p, m = Pa, Pb, Pk, Pp, Pm
     diag = {"bp": Pb - HALF}
+    solved = generic_candidate("B", "beta")
     # x side, integer weights: weighted proportionality with weight a-k+2bp
     w = lambda vi: a - vi.as_poly() + 2 * b * p
     printed_x = (4 * (1 + b) * p**3 + 8 * (k - a) * (1 + b) * p**2
@@ -813,14 +734,11 @@ def _check_g_shift_b() -> CheckGroup:
     _shift_factor_check(group, sys_x, "x side (integer weights)",
                         printed=printed_x,
                         proportional=(w(K), w(K + M)))
-    _solution_into_system(group, sys_x, "x side (integer weights)",
-                          lambda gi, vi: (a - vi.as_poly() + 2 * b * gi.as_poly())
-                                         * Poly.var("beta1"))
+    _solution_into_system(group, sys_x, "x side (integer weights)", solved)
     # x side, half-odd weights: plain shift invariance
     sys_xh = _g_system_rows("B", "g", "half", diag)
     _shift_factor_check(group, sys_xh, "x side (half-odd weights)")
-    _solution_into_system(group, sys_xh, "x side (half-odd weights)",
-                          lambda gi, vi: Poly.var("beta2"))
+    _solution_into_system(group, sys_xh, "x side (half-odd weights)", solved)
     # y side, integer weights: plain shift invariance with the printed factor
     d2b = -(b + 6 * b**2 + 8 * b**3)
     d2kp = ((1 + 4 * b) * (a - k) ** 2 + (2 * b**2 + 5 * b + 3) * (k - a) * p
@@ -831,8 +749,7 @@ def _check_g_shift_b() -> CheckGroup:
     sys_y = _g_system_rows("B", "gp", "int", diag)
     _shift_factor_check(group, sys_y, "y side (integer weights)",
                         printed=d2b * m**4 + d2kp * m**2 + d2kp2)
-    _solution_into_system(group, sys_y, "y side (integer weights)",
-                          lambda gi, vi: Poly.var("beta3"))
+    _solution_into_system(group, sys_y, "y side (integer weights)", solved)
     # y side, half-odd weights: same weighted relation as the diagonal case
     wy = lambda vi: a - vi.as_poly() + 2 * b * p + p
     printed_yh = (2 * (3 + 2 * b) * p**3 + 4 * (k - a) * (3 + 2 * b) * p**2
@@ -842,50 +759,33 @@ def _check_g_shift_b() -> CheckGroup:
     _shift_factor_check(group, sys_yh, "y side (half-odd weights)",
                         printed=printed_yh,
                         proportional=(wy(K), wy(K + M)))
-    _solution_into_system(
-        group, sys_yh, "y side (half-odd weights)",
-        lambda gi, vi: (a - vi.as_poly() + 2 * b * gi.as_poly() + gi.as_poly())
-                       * Poly.var("beta4"))
+    _solution_into_system(group, sys_yh, "y side (half-odd weights)", solved)
     _mu_relation_checks(group)
     return group
 
 
-def _mu_forms():
-    a = Pa
-    mu1, mu2, mu3, mu4 = (Poly.var(f"mu{i}") for i in range(1, 5))
-
-    def value_of(gi: SymIndex, vi: SymIndex, letter: str, kpar: int):
-        kP = vi.as_poly()
-        nP = gi.as_poly()
-        if letter == "x":
-            if kpar == 0:
-                return RatFunc((a - kP) * (a - kP - 2 * nP) * mu1)
-            return RatFunc(mu2, a - kP)
-        if kpar == 0:
-            return RatFunc(mu3, a - kP - nP)
-        return RatFunc((a - kP - nP) * (a - kP + nP) * mu4)
-
-    return value_of
-
-
-def _mu_relation_checks(group: CheckGroup) -> None:
+def _mu_relation_checks(group: CheckList) -> None:
     """The four stated shift relations of the exceptional (0, -3/2) case."""
     a, k, m, n = Pa, Pk, Pm, Poly.var("n")
-    value = _mu_forms()
-    g_int = lambda sh: value(N, K + sh, "x", 0)
-    g_half = lambda sh: value(N, K + sh, "x", 1)
-    gp_int = lambda sh: value(N, K + sh, "y", 0)
-    gp_half = lambda sh: value(N, K + sh, "y", 1)
+    spec = generic_candidate("B", "mu")
+
+    def coeff(letter, kpar, shift):
+        return _mode_coeff(spec, N, letter, K + shift, {"n": 0, "m": 0, "k": kpar})
+
+    g_int = lambda sh: coeff("x", 0, sh)
+    g_half = lambda sh: coeff("x", 1, sh)
+    gp_int = lambda sh: coeff("y", 0, sh)
+    gp_half = lambda sh: coeff("y", 1, sh)
     rels = [
         ("(a-k') g = shifted form (x side, half-odd)",
-         (a - k) * g_half(SymIndex()) - (a - k - m) * g_half(M)),
+         (a - k) * g_half(IDX_ZERO) - (a - k - m) * g_half(M)),
         ("(a-k-n) g' = shifted form (y side, integer)",
-         (a - k - n) * gp_int(SymIndex()) - (a - k - m - n) * gp_int(M)),
+         (a - k - n) * gp_int(IDX_ZERO) - (a - k - m - n) * gp_int(M)),
         ("quadratic shift relation (x side, integer)",
-         (a - k - m) * (a - k - m - 2 * n) * g_int(SymIndex())
+         (a - k - m) * (a - k - m - 2 * n) * g_int(IDX_ZERO)
          - (a - k) * (a - k - 2 * n) * g_int(M)),
         ("quadratic shift relation (y side, half-odd)",
-         (a - k - m - n) * (a - k - m + n) * gp_half(SymIndex())
+         (a - k - m - n) * (a - k - m + n) * gp_half(IDX_ZERO)
          - (a - k - n) * (a - k + n) * gp_half(M)),
     ]
     for desc, residual in rels:
@@ -895,43 +795,9 @@ def _mu_relation_checks(group: CheckGroup) -> None:
                                 ("gp", "y", "int"), ("gp", "y", "half")):
         sys3 = _g_system_rows("B", fam, kclass,
                               {"b": ZERO, "bp": Poly.const(Fraction(-3, 2))})
-        kpar = 0 if kclass == "int" else 1
-        values = {nm: value(*_parse_unknown(nm), letter, kpar) for nm in sys3.unknowns}
-        for i, row in enumerate(sys3.matrix):
-            total = None
-            for j, nm in enumerate(sys3.unknowns):
-                term = values[nm] * row[j]
-                total = term if total is None else total + term
+        for i, row in enumerate(_solved_rows(sys3, spec)):
             group.add(f"exceptional-case system row {i + 1} ({letter}, {kclass}) vanishes",
-                      not total)
-
-
-def _check_g_forms_b() -> CheckGroup:
-    group = CheckGroup("b-coefficient-forms")
-    a, b = Pa, Pb
-    diag = {"bp": Pb - HALF}
-    forms = {
-        ("x", "int"): lambda gi, vi: (a - vi.as_poly() + 2 * b * gi.as_poly())
-                                     * Poly.var("beta1"),
-        ("x", "half"): lambda gi, vi: Poly.var("beta2"),
-        ("y", "int"): lambda gi, vi: Poly.var("beta3"),
-        ("y", "half"): lambda gi, vi: (a - vi.as_poly() + 2 * b * gi.as_poly()
-                                       + gi.as_poly()) * Poly.var("beta4"),
-    }
-    for (letter, kclass), value_of in forms.items():
-        res = _lg_residual_with_forms("B", letter, kclass, value_of, diag)
-        group.add(f"{letter} side ({kclass} weights): recurrence residual vanishes", not res)
-    # exceptional case: same recurrences at (b, bp) = (0, -3/2) with mu forms
-    value = _mu_forms()
-    exc = {"b": ZERO, "bp": Poly.const(Fraction(-3, 2))}
-    for letter, kclass in (("x", "int"), ("x", "half"), ("y", "int"), ("y", "half")):
-        kpar = 0 if kclass == "int" else 1
-        res = _lg_residual_with_forms(
-            "B", letter, kclass,
-            lambda gi, vi: value(gi, vi, letter, kpar), exc)
-        group.add(f"exceptional-case {letter} side ({kclass} weights): residual vanishes",
-                  not res)
-    return group
+                      not row)
 
 
 # ---------------------------------------------------------------------------
@@ -958,12 +824,14 @@ class TCompReport:
 
 
 def t_composition(spec: FamilySpec, letter: str, vidx: SymIndex, env) -> RatFunc:
-    """(1/r) (G_r G_0 + G_0 G_r) on one basis vector, r the half-odd symbol."""
-    pieces = [(1, [("G", R), ("G", SymIndex())]), (1, [("G", SymIndex()), ("G", R)])]
-    lc = _combine(spec, pieces, letter, vidx, env)
-    coeff = _only_coeff(lc, (letter, vidx + R)) if lc else ZERO
+    """T_r = [G_r, G_0]/c on one basis vector, r the half-odd symbol and c
+    the structure constant of [G_r, G_0] = c T_r."""
+    g_r, g_0 = ("G", R), ("G", IDX_ZERO)
+    (_, _, scale), = bracket_terms(*g_r, *g_0, env)
+    pieces, _ = _commutator(_mode(g_r), _mode(g_0))
+    coeff = _only_coeff(_combine(spec, pieces, letter, vidx, env), (letter, vidx + R))
     coeff = coeff if isinstance(coeff, RatFunc) else RatFunc(coeff)
-    return RatFunc(coeff.num, coeff.den * Poly.var("r"))
+    return RatFunc(coeff.num, coeff.den * scale)
 
 
 def derive_T_composition(spec: FamilySpec) -> TCompReport:
@@ -1038,11 +906,11 @@ def _t_reference(spec: FamilySpec):
     raise ValueError(f"derive_T_composition: no reference table for {fam}")
 
 
-def _check_t_composition_generic(case: str) -> CheckGroup:
+def _check_t_composition_generic(case: str) -> CheckList:
     """Generic-mode compositions versus the printed solved T coefficients."""
     a, b, k, r = Pa, Pb, Pk, Poly.var("r")
     if case == "A":
-        group = CheckGroup("t-from-g-composition")
+        group = CheckList("t-from-g-composition")
         spec = generic_candidate("A", "alpha")
         a1, a2, a3, a4 = (Poly.var(f"alpha{i}") for i in range(1, 5))
         printed = {
@@ -1056,7 +924,7 @@ def _check_t_composition_generic(case: str) -> CheckGroup:
             group.add(f"{letter} side, {'integer' if kpar == 0 else 'half-odd'} weights: "
                       "composition matches the printed solved form", got == want)
         return group
-    group = CheckGroup("b-t-composition")
+    group = CheckList("b-t-composition")
     spec = generic_candidate("B", "beta")
     b1, b2, b3, b4 = (Poly.var(f"beta{i}") for i in range(1, 5))
     printed = {
@@ -1133,27 +1001,30 @@ def _equation_stack(spec: FamilySpec, include_tg_int=True, include_gg_int=True):
         for kpar in (0, 1):
             kname = "integer" if kpar == 0 else "half-odd"
             env = {"k": kpar, "r": 1, "s": 1, "p": 1, "n": 0, "m": 0}
+
+            def residual(g1, g2, env=env):
+                return bracket_residual(spec, g1, g2, letter, K, env)
+
             eqs.append(EquationRecord(
                 f"current modes commute on {letter} ({kname} weights)",
-                tt_residual(spec, K, letter, env)))
+                residual(("T", R), ("T", S))))
             eqs.append(EquationRecord(
                 f"current-fermionic relation, half-odd mode, on {letter} ({kname})",
-                tg_residual(spec, K, letter, env, pE=P)))
+                residual(("T", R), ("G", P))))
             if include_tg_int:
-                env_i = dict(env, p=0)
                 eqs.append(EquationRecord(
                     f"current-fermionic relation, integer mode, on {letter} ({kname})",
-                    tg_residual(spec, K, letter, env_i, pE=P)))
+                    residual(("T", R), ("G", P), dict(env, p=0))))
             eqs.append(EquationRecord(
                 f"mixed fermionic pair gives a current mode on {letter} ({kname})",
-                gg_t_residual(spec, K, letter, dict(env, p=1))))
+                residual(("G", P), ("G", N))))
             if include_gg_int:
                 eqs.append(EquationRecord(
                     f"integer fermionic square gives a Virasoro mode on {letter} ({kname})",
-                    gg_l_residual(spec, N, M, K, letter, env)))
+                    residual(("G", N), ("G", M))))
             eqs.append(EquationRecord(
                 f"half-odd fermionic square gives a Virasoro mode on {letter} ({kname})",
-                gg_l_residual(spec, R, S, K, letter, env)))
+                residual(("G", R), ("G", S))))
     return eqs
 
 
@@ -1202,7 +1073,7 @@ def alpha_beta_solve(case: str) -> NormalizationReport:
         zeros = {nm: ZERO for nm in names}
         for letter in ("x", "y"):
             env = {"k": 0, "r": 1, "p": 0, "n": 0, "m": 0}
-            res = gg_l_residual(spec, N, M, K, letter, env)
+            res = bracket_residual(spec, ("G", N), ("G", M), letter, K, env)
             res = res.num.substitute(zeros) if isinstance(res, RatFunc) else res.substitute(zeros)
             report.contradiction.append(
                 (f"integer fermionic square on {letter} is violated at the zero solution",
@@ -1214,47 +1085,28 @@ def alpha_beta_solve(case: str) -> NormalizationReport:
 # nonexistence of the exceptional B candidate
 # ---------------------------------------------------------------------------
 
-@dataclass
-class NonexistenceReport:
-    checks: list = field(default_factory=list)
-    witness: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-
-def gsquared_residual(spec: FamilySpec, env=None) -> Poly:
+def gsquared_residual(spec: FamilySpec) -> Poly:
     """[G_n, G_n] - 2 L_{2n} as acting on x_k, symbolically in n and k."""
-    env = env or {"n": 0, "k": 0}
-    pieces = [
-        (2, [("G", N), ("G", N)]),
-        (-2, [("L", N + N)]),
-    ]
-    lc = _combine(spec, pieces, "x", K, env)
-    if not lc:
-        return ZERO
-    return _only_coeff(lc, ("x", K + N + N))
+    return bracket_residual(spec, ("G", N), ("G", N), "x", K, {"n": 0, "k": 0})
 
 
-def b0_nonexistence_check() -> NonexistenceReport:
+def b0_nonexistence_check() -> CheckList:
     """The exceptional candidate cannot exist: its solved coefficients are
     all zero, yet the square of an integer fermionic mode must act as a
     nonzero Virasoro mode."""
     from .modules import b_zero_candidate, aab
 
-    report = NonexistenceReport()
+    report = CheckList("nonexist-b0")
     spec = b_zero_candidate(a="sym")
     res = gsquared_residual(spec)
     want = -2 * (Pa - Pk)
-    report.checks.append(("symbolic residual equals -2(a-k)", res == want, str(res)))
-    report.checks.append(("residual is nonzero as a polynomial", bool(res), str(res)))
+    report.add("symbolic residual equals -2(a-k)", res == want, res)
+    report.add("residual is nonzero as a polynomial", res, res)
     sample = res.substitute({"a": Fraction(1, 3), "k": 0, "n": 1})
-    report.checks.append(("numeric witness at n=1, k=0, a=1/3 equals -2/3",
-                          sample == Poly.const(Fraction(-2, 3)), str(sample)))
+    report.add("numeric witness at n=1, k=0, a=1/3 equals -2/3",
+               sample == Poly.const(Fraction(-2, 3)), sample)
     control = gsquared_residual(aab())
-    report.checks.append(("control family satisfies the same identity", not control,
-                          str(control)))
+    report.add("control family satisfies the same identity", not control, control)
     report.witness = {
         "identity": "square of an integer fermionic mode must equal twice a Virasoro mode",
         "composition": "0 (all solved coefficients vanish)",
@@ -1268,41 +1120,31 @@ def b0_nonexistence_check() -> NonexistenceReport:
 # finite-window propagation of the basic fermionic recurrence
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PropagationReport:
-    checks: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-
-def recurrence_propagation_check(mode_window: int = 6, weight_window: int = 4) -> PropagationReport:
+def recurrence_propagation_check(mode_window: int = 6, weight_window: int = 4) -> CheckList:
     """If one integer fermionic row of coefficients vanishes, the basic
     recurrence forces every row in a finite window to vanish.
 
     The recurrence couples g(n, k), g(n, m+k), g(m+n, k); starting from
     g(1, .) = 0 a zero-propagation fixpoint must cover the whole window.
     """
-    report = PropagationReport()
+    report = CheckList("propagation")
     spec = generic_candidate("A")
-    env = {"m": 0, "n": 0, "k": 0}
-    res = lg_residual(spec, M, N, K, "x", env)
+    res = bracket_residual(spec, ("L", M), ("G", N), "x", K, {"m": 0, "n": 0, "k": 0})
     names = [nm for nm in res.variables() if "[" in nm]
     coeffs = linear_decompose(res, names)
-    target = f"g[{M + N};{K}]"
-    report.checks.append(("recurrence involves the shifted mode coefficient",
-                          target in coeffs, ""))
+    target = unknown_name("g", M + N, K)
+    report.add("recurrence involves the shifted mode coefficient", target in coeffs)
     lead = coeffs[target]
-    report.checks.append(("shifted-mode coefficient is -(m/2 - n)",
-                          lead == -(HALF * Pm - Poly.var("n")), str(lead)))
+    report.add("shifted-mode coefficient is -(m/2 - n)",
+               lead == -(HALF * Pm - Poly.var("n")), lead)
     vanish_m = [mv for mv in range(-mode_window, mode_window + 1)
                 if not lead.substitute({"m": mv, "n": 1})]
-    report.checks.append(("with n=1 the propagation only stalls at m=2",
-                          vanish_m == [2], str(vanish_m)))
+    report.add("with n=1 the propagation only stalls at m=2", vanish_m == [2], vanish_m)
     stuck = lead.substitute({"m": 4, "n": -1})
-    report.checks.append(("the (m,n)=(4,-1) instance reaches the stalled mode",
-                          stuck == Poly.const(-3), str(stuck)))
+    report.add("the (m,n)=(4,-1) instance reaches the stalled mode",
+               stuck == Poly.const(-3), stuck)
+    at_k = coeffs[unknown_name("g", N, K)]
+    at_km = coeffs[unknown_name("g", N, K + M)]
 
     # zero-propagation fixpoint over the window
     known = {(1, kv): True for kv in range(-weight_window - mode_window,
@@ -1319,8 +1161,8 @@ def recurrence_propagation_check(mode_window: int = 6, weight_window: int = 4) -
                 continue
             for nv in range(-mode_window, mode_window + 1):
                 for kv in range(-weight_window, weight_window + 1):
-                    entries = [(("g", nv, kv), coeffs[f"g[{N};{K}]"]),
-                               (("g", nv, kv + mv), coeffs[f"g[{N};{K + M}]"]),
+                    entries = [(("g", nv, kv), at_k),
+                               (("g", nv, kv + mv), at_km),
                                (("g", mv + nv, kv), lead)]
                     vals = {"m": mv, "n": nv, "k": kv}
                     unknown = [(tag, co.substitute(vals)) for tag, co in entries
@@ -1333,9 +1175,8 @@ def recurrence_propagation_check(mode_window: int = 6, weight_window: int = 4) -
     missing = [(nv, kv) for nv in range(-mode_window, mode_window + 1)
                for kv in range(-weight_window, weight_window + 1)
                if (nv, kv) not in known]
-    report.checks.append((
-        "zero propagation covers every mode/weight pair in the window",
-        not missing, str(missing[:5])))
+    report.add("zero propagation covers every mode/weight pair in the window",
+               not missing, missing[:5])
     return report
 
 

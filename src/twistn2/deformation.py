@@ -20,7 +20,7 @@ indices independently of the slot rules, so a slip in either one shows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Gen, generators_in_window
@@ -28,7 +28,8 @@ from .halfint import HalfInt
 from .indices import SymIndex
 from .modules import (BASE_FAMILY, BasisLabel, FamilySpec, LinComb, act,
                       labels_in_window, lincomb_str)
-from .poly import ONE, Poly, RatFunc, ZERO
+from .poly import Poly, RatFunc, ZERO
+from .report import CheckList
 
 HALF = Fraction(1, 2)
 
@@ -78,22 +79,9 @@ def fit_alpha_from_e(e1, e2, case: DeformCase):
     return alpha, alphap
 
 
-@dataclass
-class DeformCheckReport:
-    case: str
-    checks: list = field(default_factory=list)
-
-    def add(self, desc, ok, detail=""):
-        self.checks.append((desc, bool(ok), str(detail)))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-
-def e_closed_form_check(case: DeformCase, n_window: int = 10) -> DeformCheckReport:
+def e_closed_form_check(case: DeformCase, n_window: int = 10) -> CheckList:
     """The closed form satisfies its recurrence and boundary relations."""
-    report = DeformCheckReport(case.name)
+    report = CheckList(case.name)
     e = case.e_closed_form()
 
     def e_at(value) -> Poly:
@@ -116,9 +104,9 @@ def e_closed_form_check(case: DeformCase, n_window: int = 10) -> DeformCheckRepo
     return report
 
 
-def g_solution_check(case: DeformCase) -> DeformCheckReport:
+def g_solution_check(case: DeformCase) -> CheckList:
     """g_q = 2q a' + a solves the fermionic deformation recurrence."""
-    report = DeformCheckReport(case.name)
+    report = CheckList(case.name)
     n, p, al, alp = Pn, Poly.var("p"), Pal, Palp
     g = lambda idx: 2 * idx * alp + al
     inhom = n * (alp * n + al)
@@ -141,11 +129,11 @@ def g_solution_check(case: DeformCase) -> DeformCheckReport:
     return report
 
 
-def f_derivation(case: DeformCase) -> DeformCheckReport:
+def f_derivation(case: DeformCase) -> CheckList:
     """Derive the deformed T coefficient from the fermionic composition."""
     from .constraints import t_composition
 
-    report = DeformCheckReport(case.name)
+    report = CheckList(case.name)
     spec = FamilySpec(case.name, alpha="sym", alphap="sym")
     r, alp = Poly.var("r"), Palp
     start, kpar, printed = {

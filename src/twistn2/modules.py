@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .algebra import Gen, GenSum, bracket, parity
+from .algebra import Gen, GenSum, bracket, bracket_terms, parity
 from .halfint import HalfInt
 from .indices import IDX_ZERO, SymIndex
 from .poly import ONE, Poly, RatFunc, ZERO
@@ -122,9 +122,10 @@ class FamilySpec:
 
     def label(self) -> str:
         bits = [self.family]
-        for nm in ("a", "b", "bprime", "alpha"):
+        for nm in ("a", "b", "bprime", "alpha", "alphap"):
             v = getattr(self, nm)
-            if v is not None:
+            # alphap = 1 is the printed normalization of the deformed families
+            if v is not None and not (nm == "alphap" and v == 1):
                 bits.append(f"{nm}={v}")
         if self.coeff_mode != "printed":
             bits.append(self.coeff_mode)
@@ -405,8 +406,13 @@ _SLOT_RULES = {"A1": _slot_a1, "A2": _slot_a2, "B1": _slot_b1, "B2": _slot_b2}
 
 # -- generic candidates ------------------------------------------------------
 
+def unknown_name(fam: str, g: SymIndex, v: SymIndex) -> str:
+    """Symbol of the unknown coefficient of mode g on vector v (fam f, fp, g, gp)."""
+    return f"{fam}[{g};{v}]"
+
+
 def _unknown(fam: str, g: SymIndex, v: SymIndex) -> Poly:
-    return Poly.var(f"{fam}[{g};{v}]")
+    return Poly.var(unknown_name(fam, g, v))
 
 
 def _generic_g_coeff(ctx, case: str, letter: str, g, v, env):
@@ -445,10 +451,11 @@ def _generic_g_coeff(ctx, case: str, letter: str, g, v, env):
 
 
 def _generic_t_coeff(ctx, case: str, act_fn, letter, g, v, env):
-    """T coefficient: unknown symbol, or the (1/r)[G_r, G_0] composition."""
+    """T coefficient: unknown symbol, or the composition T_r = [G_r, G_0]/c
+    with c the structure constant of [G_r, G_0] = c T_r."""
     if ctx.mode == "unknowns":
         return _unknown("f" if letter == "x" else "fp", g, v)
-    den = g.as_poly()
+    (_, _, den), = bracket_terms("G", g, "G", IDX_ZERO, env)
     total = None
     for first, second in ((IDX_ZERO, g), (g, IDX_ZERO)):
         # G_second then G_first; both halves of the anticommutator

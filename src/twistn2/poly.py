@@ -351,26 +351,6 @@ ZERO = Poly.const(0)
 ONE = Poly.const(1)
 
 
-def normalize(raw_terms: Iterable[tuple[Mapping[str, int] | Exps, Scalar]]) -> Poly:
-    """Build a canonical polynomial out of a raw term list.
-
-    Terms may repeat and may carry zero coefficients; the result collects
-    like terms and drops zeros.  Monomials are given either as exponent
-    tuples (registry order) or as {symbol: exponent} maps.
-    """
-    acc: dict[Exps, Fraction] = {}
-    for mono, coeff in raw_terms:
-        if isinstance(mono, Mapping):
-            exps = [0] * (max((sym_slot(s) for s in mono), default=-1) + 1)
-            for name, e in mono.items():
-                exps[sym_slot(name)] = e
-            key = _trim(exps)
-        else:
-            key = _trim(mono)
-        acc[key] = acc.get(key, Fraction(0)) + Fraction(coeff)
-    return Poly(acc)
-
-
 def exact_divide(num: Poly, den: Poly) -> Poly:
     """Return q with q*den == num, or raise NotDivisible.
 

@@ -23,6 +23,24 @@ class Check:
 
 
 @dataclass
+class CheckList:
+    """A named list of (description, ok, detail) checks from one lab
+    routine, with free-text notes and an optional witness."""
+
+    name: str
+    checks: list = field(default_factory=list)
+    notes: list = field(default_factory=list)
+    witness: dict = field(default_factory=dict)
+
+    def add(self, desc: str, ok, detail="") -> None:
+        self.checks.append((desc, bool(ok), str(detail)))
+
+    @property
+    def ok(self) -> bool:
+        return all(ok for _, ok, _ in self.checks)
+
+
+@dataclass
 class Report:
     command: str
     params: dict = field(default_factory=dict)

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistn2.algebra import (C, G, Gen, L, T, bracket, generators_in_window,
-                             jacobi_residual, parity, super_jacobi_sweep)
+from twistn2.algebra import (C, G, Gen, L, T, bracket, bracket_terms,
+                             generators_in_window, jacobi_residual, parity,
+                             super_jacobi_sweep)
 from twistn2.halfint import HalfInt
+from twistn2.indices import SymIndex
+from twistn2.poly import Poly
 
 H = Fraction(1, 2)
 
@@ -89,6 +92,25 @@ def test_index_and_parity_additivity(g1, g2):
         got = g.idx.doubled if g.idx is not None else 0
         assert got == idx1 + idx2
         assert parity(g) == want_parity
+
+
+@given(gen_strategy.filter(lambda g: g.kind != "C"),
+       gen_strategy.filter(lambda g: g.kind != "C"),
+       st.integers(-3, 3), st.integers(-3, 3))
+@settings(max_examples=200, deadline=None)
+def test_symbolic_bracket_at_concrete_indices(g1, g2, off1, off2):
+    # index i = symbol + offset, the symbol's parity class read off the value
+    offsets = (Fraction(off1, 2), Fraction(off2, 2))
+    values = {"p": g1.idx.value - offsets[0], "q": g2.idx.value - offsets[1]}
+    env = {nm: int(2 * v) % 2 for nm, v in values.items()}
+    i1 = SymIndex.var("p") + SymIndex(offsets[0])
+    i2 = SymIndex.var("q") + SymIndex(offsets[1])
+    got = {}
+    for kind, idx, coeff in bracket_terms(g1.kind, i1, g2.kind, i2, env):
+        value = coeff.substitute(values) if isinstance(coeff, Poly) else Poly.const(coeff)
+        if value:
+            got[Gen(kind, idx.substitute(values).const_value())] = value.const_value()
+    assert got == {g: c for g, c in bracket(g1, g2).items() if g.kind != "C"}
 
 
 def test_jacobi_for_pure_virasoro_triple():

@@ -41,6 +41,13 @@ class TestParsing:
         assert main(list(argv)) == 2
         assert "window must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["GenericA", "GenericB"])
+    def test_generic_family_rejects_bprime(self, capsys, family):
+        # the printed coefficient forms fix bprime, so a given one is never checked
+        assert main(["verify-axioms", "--family", family, "--a", "1/3", "--b", "2",
+                     "--bprime", "5"]) == 2
+        assert "drop --bprime" in capsys.readouterr().err
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def crash(args):
             raise RootMismatch("root set differs")

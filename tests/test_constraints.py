@@ -16,6 +16,8 @@ from twistn2.constraints import (LAMBDA_PAIRS, LAMBDA_PRIME_PAIRS, LEMMA_CHECKS,
                                  recurrence_propagation_check, root_set,
                                  sample_parameters, swap_symmetry_checks,
                                  system_determinant, t_composition)
+from twistn2 import constraints, modules
+from twistn2.algebra import bracket_terms
 from twistn2.indices import SymIndex
 from twistn2.modules import FamilySpec, aab, bab
 from twistn2.poly import ONE, Poly, RatFunc, ZERO
@@ -60,6 +62,23 @@ class TestIdentitySystems:
     def test_diagonal_substitution_kills_the_determinant(self):
         sys3 = build_identity_system("LLT", "A", "f", "int").substituted({"bp": b})
         assert determinant3(sys3.matrix) == ZERO
+
+
+    @pytest.mark.parametrize("kind, fam, pair", [("LLT", "f", ("L", "T")),
+                                                 ("LLG", "g", ("L", "G"))])
+    def test_mutated_structure_constant_changes_the_system(self, monkeypatch,
+                                                           kind, fam, pair):
+        # the rows come from the algebra's structure constants, nowhere else
+        before = build_identity_system(kind, "A", fam, "int").matrix
+
+        def mutated(k1, i1, k2, i2, env=None):
+            terms = bracket_terms(k1, i1, k2, i2, env)
+            if (k1, k2) == pair:
+                return [(kd, ix, c + 1) for kd, ix, c in terms]
+            return terms
+
+        monkeypatch.setattr(constraints, "bracket_terms", mutated)
+        assert build_identity_system(kind, "A", fam, "int").matrix != before
 
 
 class TestDeltaIdentities:
@@ -138,6 +157,23 @@ class TestCoefficientLemmas:
     def test_lemma_groups_pass(self, which):
         group = coeff_solution_check(which)
         assert group.ok, [c for c in group.checks if not c[1]]
+
+    def test_mutated_alpha_form_fails_the_recurrence(self, monkeypatch):
+        # the lemma reads the candidate's own alpha-mode table, so a slip in
+        # that table must show; here the +q term of the y-side form is dropped
+        original = modules._generic_g_coeff
+
+        def mutated(ctx, case, letter, g, v, env):
+            co = original(ctx, case, letter, g, v, env)
+            if ctx.mode == "alpha" and letter == "y":
+                co = co - g.as_poly() * Poly.var("alpha3" if v.parity(env) == 0 else "alpha4")
+            return co
+
+        monkeypatch.setattr(modules, "_generic_g_coeff", mutated)
+        group = coeff_solution_check("g-constant-forms")
+        failed = [desc for desc, ok, _ in group.checks if not ok]
+        assert failed == ["y side (int weights): recurrence residual vanishes",
+                          "y side (half weights): recurrence residual vanishes"]
 
     def test_shift_invariance_has_solution_rows(self):
         group = coeff_solution_check("g-shift-invariance")

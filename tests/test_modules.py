@@ -258,6 +258,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FamilySpec("Bab", a="sym", b=Fraction(0), bprime=Fraction(7))
 
+    def test_label_shows_alphap_off_its_printed_value(self):
+        assert FamilySpec("A1", alpha=Fraction(2, 7)).label() == "A1 alpha=2/7"
+        assert deformed("B2", "sym", "sym").label() == "B2 alpha=sym alphap=sym"
+        assert deformed("A2", Fraction(1), Fraction(3)).label() == "A2 alpha=1 alphap=3"
+
     def test_deformed_families_need_alpha(self):
         with pytest.raises(ValueError):
             FamilySpec("A1")

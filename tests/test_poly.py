@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from twistn2.poly import (NotDivisible, ONE, Poly, QuadRootData, RatFunc,
                           WrongDegree, ZERO, exact_divide, format_rational,
-                          normalize, parse_rational, quadratic_root_data,
+                          parse_rational, quadratic_root_data,
                           rational_sqrt, sym_name)
 
 b = Poly.var("b")
@@ -16,16 +16,6 @@ bp = Poly.var("bp")
 m = Poly.var("m")
 r = Poly.var("r")
 k = Poly.var("k")
-
-
-def test_normalize_collects_like_terms():
-    p = normalize([({"m": 1, "b": 1}, 1), ({"b": 1, "m": 1}, 1), ({"m": 1, "b": 1}, -1)])
-    assert p == m * b
-
-
-def test_normalize_drops_zero_terms():
-    assert normalize([({"m": 2}, 0)]) == ZERO
-    assert not normalize([({"m": 2}, 0)])
 
 
 def test_structural_equality_is_order_independent():
