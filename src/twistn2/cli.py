@@ -164,6 +164,8 @@ def cmd_compose_t(args) -> Report:
     rep = Report("compose-t", {"family": args.family or "all"})
     if args.family:
         specs = [build_family(args)]
+        if args.family.startswith("Generic"):
+            raise UsageError(f"no printed T table for {args.family}")
     else:
         specs = [aab(), bab()] + [FamilySpec(f, alpha="sym") for f in ("A1", "A2", "B1", "B2")]
     for spec in specs:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .algebra import Gen, GenSum, bracket, bracket_terms, parity
@@ -55,7 +56,8 @@ class BasisLabel:
         return (self.letter, self.idx.doubled)
 
 
-# LinComb: BasisLabel -> Poly (or RatFunc in the rational coefficient modes)
+# LinComb: BasisLabel -> coefficient: a Fraction for a concrete spec, Poly
+# where a parameter is symbolic (RatFunc in the rational coefficient modes)
 LinComb = dict
 
 
@@ -122,8 +124,12 @@ class FamilySpec:
 
     def label(self) -> str:
         bits = [self.family]
+        # a generic candidate's solved forms fix bp: show the value checked
+        forced = _ctx(self).forced if self.family.startswith("Generic") else {}
         for nm in ("a", "b", "bprime", "alpha", "alphap"):
             v = getattr(self, nm)
+            if nm in forced:
+                v = str(forced[nm]).replace(" ", "")
             # alphap = 1 is the printed normalization of the deformed families
             if v is not None and not (nm == "alphap" and v == 1):
                 bits.append(f"{nm}={v}")
@@ -171,37 +177,45 @@ BASE_FAMILY = {
 
 
 class _Ctx:
-    __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "base")
+    __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "base",
+                 "forced")
 
     def __init__(self, spec: FamilySpec):
         self.spec = spec
         self.fault = spec.fault
         self.mode = spec.coeff_mode
-        self.a = _param_poly("a", spec.a)
-        self.b = _param_poly("b", spec.b)
-        self.bp = _param_poly("bp", spec.bprime)
-        self.alpha = _param_poly("alpha", spec.alpha)
-        self.alphap = _param_poly("alphap", spec.alphap)
+        self.a = _param("a", spec.a)
+        self.b = _param("b", spec.b)
+        self.bp = _param("bp", spec.bprime)
+        self.alpha = _param("alpha", spec.alpha)
+        self.alphap = _param("alphap", spec.alphap)
+        # the solved coefficient forms of a generic candidate fix bp (and, in
+        # the mu forms, b); `forced` keeps the values they fix, for the label
+        self.forced = {}
         if spec.family == "GenericA" and spec.coeff_mode in ("alpha", "printed"):
             # the solved coefficient forms hold on the diagonal bp = b
-            self.bp = self.b
+            self.forced["bprime"] = self.b
         if spec.family == "GenericB" and spec.coeff_mode in ("beta", "printed"):
-            self.bp = self.b - Fraction(1, 2)
+            self.forced["bprime"] = self.b - Fraction(1, 2)
         if spec.family == "GenericB" and spec.coeff_mode == "mu":
-            self.b = ZERO
-            self.bp = Poly.const(Fraction(-3, 2))
+            self.forced["b"] = ZERO
+            self.forced["bprime"] = Poly.const(Fraction(-3, 2))
+        self.b = self.forced.get("b", self.b)
+        self.bp = self.forced.get("bprime", self.bp)
         self.base = None
         if spec.family in BASE_FAMILY:
             family, a, b = BASE_FAMILY[spec.family]
             self.base = _ctx(FamilySpec(family, a=a, b=b))
 
 
-def _param_poly(name: str, value: Param) -> Poly | None:
+def _param(name: str, value: Param) -> Fraction | Poly | None:
+    """A parameter as the tables read it: a fresh symbol for "sym", else its
+    Fraction, so a concrete spec's coefficients are plain Fractions."""
     if value is None:
         return None
     if value == "sym":
         return Poly.var(name)
-    return Poly.const(Fraction(value))
+    return Fraction(value)
 
 
 _CTX_CACHE: dict[FamilySpec, _Ctx] = {}
@@ -223,13 +237,20 @@ def _sgn2q(gpar: int) -> int:
 HALF = Fraction(1, 2)
 
 
+def _value(idx: SymIndex) -> Fraction | Poly:
+    """An index as a coefficient: its Fraction when constant, else its Poly."""
+    return idx.as_poly() if idx.lin else idx.const
+
+
 def act_indexed(spec: FamilySpec, kind: str, g: SymIndex, letter: str, v: SymIndex,
                 env: dict | None = None):
     """Action of one generator mode on one basis vector.
 
-    Returns a list of (letter, index, coefficient) triples; the coefficient
-    ring is Poly, or RatFunc in the solved generic modes.  `env` declares
-    parity classes for any free index symbols.
+    Returns a list of (letter, index, coefficient) triples.  Concrete
+    parameters and constant indices are read as Fractions, so a concrete
+    spec at constant indices gives Fraction coefficients; a symbolic
+    parameter or index gives Poly ones, or RatFunc in the solved generic
+    modes.  `env` declares parity classes for any free index symbols.
     """
     if kind == "C":
         return []
@@ -240,8 +261,8 @@ def act_indexed(spec: FamilySpec, kind: str, g: SymIndex, letter: str, v: SymInd
 
 def _act_aab(ctx, kind, g, letter, v, env):
     a, b = ctx.a, ctx.b
-    kP = v.as_poly()
-    gP = g.as_poly()
+    kP = _value(v)
+    gP = _value(g)
     tgt = v + g
     if kind == "L":
         if letter == "x":
@@ -268,8 +289,8 @@ def _act_bab(ctx, kind, g, letter, v, env):
     if ctx.spec.bprime == Fraction(-3, 2) and ctx.spec.b == Fraction(0):
         return _act_b_zero(ctx, kind, g, letter, v, env)
     a, b = ctx.a, ctx.b
-    kP = v.as_poly()
-    gP = g.as_poly()
+    kP = _value(v)
+    gP = _value(g)
     vpar = v.parity(env)
     tgt = v + g
     if kind == "L":
@@ -304,8 +325,8 @@ def _act_b_zero(ctx, kind, g, letter, v, env):
     # B(a, 0, -3/2) candidate after its solved coefficients vanish: only the
     # Virasoro part and the half-odd fermionic part act.
     a = ctx.a
-    kP = v.as_poly()
-    gP = g.as_poly()
+    kP = _value(v)
+    gP = _value(g)
     vpar = v.parity(env)
     tgt = v + g
     if kind == "L":
@@ -340,7 +361,7 @@ def _slot_a1(ctx, kind, g, letter, v, env):
     # outgoing actions of the source x_0
     if letter != "x" or v != IDX_ZERO:
         return None
-    al, alp, gP = ctx.alpha, ctx.alphap, g.as_poly()
+    al, alp, gP = ctx.alpha, ctx.alphap, _value(g)
     if kind == "L":
         return [("x", v + g, -(gP * (alp * gP + al)))]
     if kind == "T":
@@ -354,7 +375,7 @@ def _slot_b1(ctx, kind, g, letter, v, env):
     # outgoing actions of the source y_0
     if letter != "y" or v != IDX_ZERO:
         return None
-    al, alp, gP = ctx.alpha, ctx.alphap, g.as_poly()
+    al, alp, gP = ctx.alpha, ctx.alphap, _value(g)
     if kind == "L":
         return [("y", v + g, -(gP * (alp * gP + al)))]
     if kind == "T":
@@ -371,7 +392,7 @@ def _slot_a2(ctx, kind, g, letter, v, env):
     # actions into the sink y_0
     if (kind, letter) not in _INTO_SINK or v != -g:
         return None
-    al, alp, gP = ctx.alpha, ctx.alphap, g.as_poly()
+    al, alp, gP = ctx.alpha, ctx.alphap, _value(g)
     if kind == "L":
         co = gP * (alp * gP + al)
         if ctx.fault == "a2.ldef-sign":
@@ -387,7 +408,7 @@ def _slot_b2(ctx, kind, g, letter, v, env):
     # actions into the sink y_1/2
     if (kind, letter) not in _INTO_SINK or v != SymIndex(HALF) - g:
         return None
-    al, alp, gP = ctx.alpha, ctx.alphap, g.as_poly()
+    al, alp, gP = ctx.alpha, ctx.alphap, _value(g)
     if kind == "L":
         co = gP * (alp * gP + al)
         if ctx.fault == "b2.ldef-sign":
@@ -418,8 +439,8 @@ def _unknown(fam: str, g: SymIndex, v: SymIndex) -> Poly:
 def _generic_g_coeff(ctx, case: str, letter: str, g, v, env):
     """Integer fermionic coefficient g/g' for a generic candidate."""
     a, b = ctx.a, ctx.b
-    kP = v.as_poly()
-    gP = g.as_poly()
+    kP = _value(v)
+    gP = _value(g)
     vpar = v.parity(env)
     mode = ctx.mode
     if mode == "unknowns":
@@ -473,8 +494,8 @@ def _generic_t_coeff(ctx, case: str, act_fn, letter, g, v, env):
 
 def _act_generic_a(ctx, kind, g, letter, v, env):
     a, b, bp = ctx.a, ctx.b, ctx.bp
-    kP = v.as_poly()
-    gP = g.as_poly()
+    kP = _value(v)
+    gP = _value(g)
     vpar = v.parity(env)
     tgt = v + g
     if kind == "L":
@@ -496,8 +517,8 @@ def _act_generic_a(ctx, kind, g, letter, v, env):
 
 def _act_generic_b(ctx, kind, g, letter, v, env):
     a, b, bp = ctx.a, ctx.b, ctx.bp
-    kP = v.as_poly()
-    gP = g.as_poly()
+    kP = _value(v)
+    gP = _value(g)
     vpar = v.parity(env)
     tgt = v + g
     if kind == "L":
@@ -540,6 +561,8 @@ _ACT_CACHE: dict = {}
 def act(spec: FamilySpec, g: Gen, v: BasisLabel) -> LinComb:
     """Concrete action; returns a label -> coefficient map without zeros.
 
+    A concrete spec's coefficients are Fractions; a symbolic parameter gives
+    Poly (or RatFunc) ones, a constant Poly again lowered to its Fraction.
     Results are cached per (spec, g, v); treat the returned map as frozen.
     """
     if g.kind == "C":
@@ -553,9 +576,14 @@ def act(spec: FamilySpec, g: Gen, v: BasisLabel) -> LinComb:
                                           v.letter, SymIndex.of(v.idx)):
         if coeff:
             label = BasisLabel(letter, idx.const_value())
-            _lc_add(out, label, coeff)
+            _lc_add(out, label, _scalar(coeff))
     _ACT_CACHE[key] = out
     return out
+
+
+def _scalar(c):
+    """A constant Poly as its Fraction; any other coefficient unchanged."""
+    return c.const_value() if isinstance(c, Poly) and c.is_const() else c
 
 
 def _lc_add(out: LinComb, label, coeff) -> None:
@@ -644,12 +672,14 @@ class SweepReport:
 
 
 class _ActionRow(dict):
-    """The action of one generator, compiled for one sweep and filled on
-    demand: label key (letter, doubled index) -> ((label key, coeff), ...).
+    """The action of one generator, compiled for one sweep: label key
+    (letter, doubled index) -> ((label key, coeff), ...), each entry built
+    by `act_indexed` the first time it is read.
 
-    Constant Poly coefficients are lowered to Fractions; symbolic ones stay
-    Poly (or RatFunc).  Targets that `drop` removes are left out, so a
-    quotient sweep reads the induced action.
+    Coefficients are Fractions for a concrete spec (a constant Poly is
+    lowered too) and Poly (or RatFunc) where a parameter is symbolic.
+    Targets that `drop` removes are left out, so a quotient sweep reads the
+    induced action.
     """
 
     __slots__ = ("spec", "kind", "gidx", "drop")
@@ -668,56 +698,113 @@ class _ActionRow(dict):
                 if coeff:
                     _lc_add(lc, (letter2, idx.const_value().doubled), coeff)
         terms = tuple(
-            (lk, c.const_value() if isinstance(c, Poly) and c.is_const() else c)
-            for lk, c in lc.items()
+            (lk, _scalar(c)) for lk, c in lc.items()
             if self.drop is None or not self.drop(BasisLabel(lk[0], HalfInt(lk[1]))))
         self[key] = terms
         return terms
 
 
+def _common_denominator(rows: dict, scales) -> int | None:
+    """The lcm of the denominators of every row coefficient and bracket
+    scale, or None when one of them is symbolic."""
+    dens = []
+    for r in rows.values():
+        for terms in r.values():
+            for _, c in terms:
+                if not isinstance(c, (int, Fraction)):
+                    return None
+                dens.append(c.denominator)
+    for c in scales:
+        dens.append(c.denominator)
+    return lcm(*dens)
+
+
+def _over(c, d: int) -> int:
+    """c * d as an int, for a d that c's denominator divides."""
+    return c.numerator * (d // c.denominator)
+
+
 def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
     """The residual of `bracket_action_check` at every unordered pair and
-    label, with the same operations in the same order, over action rows
-    compiled for this sweep; the bracket and sign are taken once per pair."""
+    label, summed in the same order, over action rows compiled for this
+    sweep; the bracket and sign are taken once per pair.
+
+    The rows are filled first, with every entry the loop reads.  When every
+    row coefficient and bracket scale is rational, they are lowered to ints
+    over their common denominator d, and the loop runs in int arithmetic:
+    each residual term is a row coefficient times a scale or a product of
+    two row coefficients, so the loop computes every residual times
+    unit = d**2.  Scaling by a nonzero constant keeps the zero pattern of
+    every partial sum, so the witnesses are the unscaled loop's; only a
+    nonzero residual is divided back, as it is written.  Symbolic rows keep
+    their Poly coefficients and unit 1.
+    """
     rows: dict = {}
 
-    def row(g: Gen) -> _ActionRow:
+    def row(g: Gen):
         key = (g.kind, None if g.idx is None else g.idx.doubled)
-        r = rows.get(key)
-        if r is None:
-            r = rows[key] = _ActionRow(spec, g, drop)
-        return r
+        if key not in rows:
+            rows[key] = _ActionRow(spec, g, drop)
+        return key
 
+    pairs = []
+    for i, g1 in enumerate(gens):
+        for g2 in gens[i:]:
+            sign = -1 if parity(g1) and parity(g2) else 1
+            # C acts as zero, so its bracket terms add nothing
+            lhs = [(row(h), scale) for h, scale in bracket(g1, g2).items() if h.kind != "C"]
+            pairs.append((g1, row(g1), g2, row(g2), sign, lhs))
     keyed = [((v.letter, v.idx.doubled), v) for v in labels]
+    # every row is read on the window labels; the generators' rows also on
+    # each label that one action takes a window label to
+    for r in list(rows.values()):
+        for vk, _ in keyed:
+            r[vk]
+    gen_rows = [rows[row(g)] for g in gens]
+    reached = {lk for r in gen_rows for vk, _ in keyed for lk, _ in r[vk]}
+    for r in gen_rows:
+        for lk in reached:
+            r[lk]
+
+    d = _common_denominator(rows, [scale for *_, lhs in pairs for _, scale in lhs])
+    unit = 1
+    if d is not None:
+        unit = d * d
+        # plain dicts: a read the fill above missed raises instead of
+        # mixing an unscaled Fraction into the int loop
+        rows = {key: {vk: tuple((lk, _over(c, d)) for lk, c in terms)
+                      for vk, terms in r.items()}
+                for key, r in rows.items()}
+        pairs = [(g1, k1, g2, k2, sign, [(kh, _over(scale, d)) for kh, scale in lhs])
+                 for g1, k1, g2, k2, sign, lhs in pairs]
+
     checks = 0
     violations = []
-    for i, g1 in enumerate(gens):
-        r1 = row(g1)
-        for g2 in gens[i:]:
-            r2 = row(g2)
-            sign = -1 if parity(g1) and parity(g2) else 1
-            lhs_rows = [(row(h), scale) for h, scale in bracket(g1, g2).items()]
-            checks += len(keyed)
-            for vk, v in keyed:
-                out: dict = {}
-                for rh, scale in lhs_rows:
-                    for lk, c in rh[vk]:
-                        _lc_add(out, lk, c * scale)
-                t1: dict = {}
-                for lk, c in r2[vk]:
-                    for lk2, c2 in r1[lk]:
-                        _lc_add(t1, lk2, c * c2)
-                t2: dict = {}
-                for lk, c in r1[vk]:
-                    for lk2, c2 in r2[lk]:
-                        _lc_add(t2, lk2, c * c2)
-                for lk, c in t1.items():
-                    _lc_add(out, lk, -c)
-                for lk, c in t2.items():
-                    _lc_add(out, lk, sign * c)
-                if out:
-                    res = {BasisLabel(lk[0], HalfInt(lk[1])): c for lk, c in out.items()}
-                    violations.append(Witness(str(g1), str(g2), str(v), lincomb_str(res)))
+    for g1, k1, g2, k2, sign, lhs in pairs:
+        r1, r2 = rows[k1], rows[k2]
+        lhs_rows = [(rows[kh], scale) for kh, scale in lhs]
+        checks += len(keyed)
+        for vk, v in keyed:
+            out: dict = {}
+            for rh, scale in lhs_rows:
+                for lk, c in rh[vk]:
+                    _lc_add(out, lk, c * scale)
+            t1: dict = {}
+            for lk, c in r2[vk]:
+                for lk2, c2 in r1[lk]:
+                    _lc_add(t1, lk2, c * c2)
+            t2: dict = {}
+            for lk, c in r1[vk]:
+                for lk2, c2 in r2[lk]:
+                    _lc_add(t2, lk2, c * c2)
+            for lk, c in t1.items():
+                _lc_add(out, lk, -c)
+            for lk, c in t2.items():
+                _lc_add(out, lk, sign * c)
+            if out:
+                res = {BasisLabel(lk[0], HalfInt(lk[1])): c if unit == 1 else Fraction(c, unit)
+                       for lk, c in out.items()}
+                violations.append(Witness(str(g1), str(g2), str(v), lincomb_str(res)))
     return checks, violations
 
 
@@ -728,8 +815,10 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4,
     Unordered pairs suffice: the reversed-pair residual is the forward one
     up to the super-antisymmetry sign.  With `quotient_of` set to a closed
     candidate, the induced quotient action is checked instead.  The sweep
-    compiles its own action table, scoped to this call; `bracket_action_check`
-    is the readable reference for the residual it computes.
+    compiles its own action table, scoped to this call, and at concrete
+    parameters runs in int arithmetic over one common denominator
+    (`_sweep_kernel`); `bracket_action_check` is the readable reference for
+    the residual it computes.
     """
     from .algebra import generators_in_window
 

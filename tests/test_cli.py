@@ -48,6 +48,12 @@ class TestParsing:
                      "--bprime", "5"]) == 2
         assert "drop --bprime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["GenericA", "GenericB"])
+    def test_compose_t_on_generic_family_exits_2(self, capsys, family):
+        # the generic candidates have no printed T table to compare with
+        assert main(["compose-t", "--family", family]) == 2
+        assert f"no printed T table for {family}" in capsys.readouterr().err
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def crash(args):
             raise RootMismatch("root set differs")
@@ -97,6 +103,21 @@ class TestReports:
         payload = json.loads(out)
         failing = [c for c in payload["checks"] if c["status"] == "fail"]
         assert failing and "witness" in failing[0]
+
+    @pytest.mark.parametrize("family, b, label", [
+        ("GenericA", "2", "GenericA a=1/3 b=2 bprime=2"),
+        ("GenericB", "2", "GenericB a=1/3 b=2 bprime=3/2"),
+        ("GenericA", None, "GenericA a=1/3 b=sym bprime=b"),
+        ("GenericB", None, "GenericB a=1/3 b=sym bprime=b-1/2"),
+    ])
+    def test_generic_label_shows_the_bprime_checked(self, capsys, family, b, label):
+        # the printed coefficient forms run the sweep at bp = b (GenericA) or
+        # b - 1/2 (GenericB), and the report says so
+        argv = ["verify-axioms", "--family", family, "--a", "1/3", "--format", "json",
+                "--gen-window", "1", "--basis-window", "1"]
+        code, out = run(capsys, *(argv + (["--b", b] if b else [])))
+        assert code == 0
+        assert json.loads(out)["params"]["family"] == label
 
     def test_symbolic_sweep_exits_0(self, capsys):
         code, out = run(capsys, "verify-axioms", "--family", "Aab", "--format", "json")

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from twistn2.algebra import G, Gen, L, T, bracket, generators_in_window, parity
 from twistn2.halfint import HalfInt
-from twistn2.modules import (BasisLabel, FamilySpec, aab, act, axiom_sweep,
-                             b_zero_candidate, bab, bracket_action_check,
-                             complement_of, deformed, gensum_act,
-                             labels_in_window, lincomb_act, ns_partition_check,
-                             lincomb_str, proper_submodule_scan, span_of,
-                             spec_with_fault, submodule_check)
-from twistn2.poly import ONE, Poly
+from twistn2.indices import SymIndex
+from twistn2.modules import (FAULT_CATALOG, BasisLabel, FamilySpec, aab, act,
+                             act_indexed, axiom_sweep, b_zero_candidate, bab,
+                             bracket_action_check, complement_of, deformed,
+                             gensum_act, labels_in_window, lincomb_act,
+                             ns_partition_check, lincomb_str,
+                             proper_submodule_scan, span_of, spec_with_fault,
+                             submodule_check)
+from twistn2.poly import ONE, Poly, RatFunc
 
 H = Fraction(1, 2)
 a, b = Poly.var("a"), Poly.var("b")
@@ -124,19 +126,80 @@ def reference_sweep(spec, quotient_of=None):
     return checks, violations
 
 
-@pytest.mark.parametrize("spec, quotient_of", [
-    (deformed("A1", Fraction(2, 7)), None),
-    (aab(), None),
-    (spec_with_fault("a1.g0-coeff"), None),
-    (spec_with_fault("aab.gy-coeff"), None),  # 2 584 witnesses
+@pytest.mark.parametrize("spec, quotient_of, fractional", [
+    (deformed("A1", Fraction(2, 7)), None, False),
+    (aab(), None, False),
+    (spec_with_fault("a1.g0-coeff"), None, False),
+    (spec_with_fault("aab.gy-coeff"), None, False),  # 2 584 witnesses
     # span(x0) is not closed, so the quotient residuals depend on which
     # targets are dropped: 264 witnesses
-    (aab(Fraction(0), Fraction(-1, 2)), span_of("x0")),
-], ids=["A1", "Aab", "a1.g0-coeff", "aab.gy-coeff", "quotient"])
-def test_sweep_kernel_matches_the_reference(spec, quotient_of):
+    (aab(Fraction(0), Fraction(-1, 2)), span_of("x0"), False),
+    # concrete sweeps run in ints over a common denominator; witnesses with
+    # fractional residuals show a wrong unit
+    (deformed("B2", Fraction(-20, 7), fault="b2.gdef-sign"), None, True),
+    (deformed("A1", Fraction(12, 5), fault="a1.g0-coeff"), None, True),
+    (aab(Fraction(1, 3), Fraction(-5, 7)), span_of("x0"), True),
+], ids=["A1", "Aab", "a1.g0-coeff", "aab.gy-coeff", "quotient",
+        "b2.gdef-sign@-20/7", "a1.g0-coeff@12/5", "quotient@1/3,-5/7"])
+def test_sweep_kernel_matches_the_reference(spec, quotient_of, fractional):
     report = axiom_sweep(spec, quotient_of=quotient_of)
     got = (report.checks, [w.as_dict() for w in report.violations])
     assert got == reference_sweep(spec, quotient_of)
+    if fractional:
+        assert any("/" in w.residual for w in report.violations)
+
+
+def _substituted(coeff, bindings):
+    if isinstance(coeff, (Poly, RatFunc)):
+        return coeff.substitute(bindings)
+    return coeff
+
+
+def _faults(family):
+    prefix = family.lower() + "."
+    return [None] + [f for f in FAULT_CATALOG if f.startswith(prefix)]
+
+
+# (concrete spec, the same spec with symbolic parameters, their values)
+TABLE_CASES = [
+    (deformed(fam, alpha, fault=fault), deformed(fam, "sym", "sym", fault=fault),
+     {"alpha": alpha, "alphap": 1})
+    for fam in ("A1", "A2", "B1", "B2") for fault in _faults(fam)
+    for alpha in (Fraction(2, 7), Fraction(-20, 7), Fraction(12, 5))
+] + [
+    (FamilySpec(fam, a=av, b=bv, fault=fault), FamilySpec(fam, a="sym", b="sym", fault=fault),
+     {"a": av, "b": bv})
+    for fam in ("Aab", "Bab") for fault in _faults(fam)
+    for av, bv in ((Fraction(1, 3), Fraction(-5, 7)), (Fraction(12, 5), Fraction(2)))
+] + [
+    (b_zero_candidate(Fraction(1, 3)), b_zero_candidate("sym"), {"a": Fraction(1, 3)}),
+] + [
+    (FamilySpec(fam, a=Fraction(1, 3), b=Fraction(-5, 7), bprime="sym"),
+     FamilySpec(fam, a="sym", b="sym", bprime="sym"),
+     {"a": Fraction(1, 3), "b": Fraction(-5, 7)})
+    for fam in ("GenericA", "GenericB")
+]
+
+
+@pytest.mark.parametrize("concrete, symbolic, values", TABLE_CASES,
+                         ids=[c.label() for c, _, _ in TABLE_CASES])
+def test_fraction_table_is_the_symbolic_table_evaluated(concrete, symbolic, values):
+    # concrete parameters are read as Fractions, symbolic ones as Poly
+    # symbols; both tables must agree entry by entry on the whole window
+    for g in generators_in_window(2):
+        if g.kind == "C":
+            continue
+        for v in labels_in_window(4):
+            args = (g.kind, SymIndex.of(g.idx), v.letter, SymIndex.of(v.idx))
+            got = act_indexed(concrete, *args)
+            want = act_indexed(symbolic, *args)
+            assert [(l, i) for l, i, _ in got] == [(l, i) for l, i, _ in want]
+            for (_, _, c), (_, _, w) in zip(got, want):
+                if concrete.family.startswith("Generic") and g.kind == "T":
+                    assert isinstance(c, RatFunc)  # the composition T_r = [G_r, G_0]/r
+                else:
+                    assert isinstance(c, Fraction) or c.is_const(), (g, v, c)
+                assert c == _substituted(w, values), (g, v)
 
 
 nonzero_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
