@@ -456,11 +456,19 @@ def _delta3_report(which: str) -> DeltaReport:
     return DeltaReport(which, derived, printed, equal, notes, quotient, omega_checks, nabla_checks)
 
 
-def delta3_vanishes_at(which: str, b: Fraction, bp: Fraction) -> bool:
-    """Does the mixed-identity determinant vanish identically at (b, bp)?"""
+def delta3_at(which: str, b: Fraction) -> Poly:
+    """The mixed-identity determinant at one b: a polynomial in bp, m and p."""
     fam, kclass = _DELTA3_SYSTEM[which]
-    det = system_determinant("LLG", "A", fam, kclass)
-    return not det.substitute({"b": b, "bp": bp})
+    return system_determinant("LLG", "A", fam, kclass).substitute({"b": b})
+
+
+def delta3_vanishes_at(which: str, b: Fraction, bp: Fraction,
+                       at_b: Poly | None = None) -> bool:
+    """Does the mixed-identity determinant vanish identically at (b, bp)?
+    `at_b`, when given, is `delta3_at(which, b)`."""
+    if at_b is None:
+        at_b = delta3_at(which, b)
+    return not at_b.substitute({"bp": bp})
 
 
 # ---------------------------------------------------------------------------
@@ -869,6 +877,8 @@ def _t_reference(spec: FamilySpec):
             ("y, integer weights", "y", K, 0, ZERO),
             ("y, half-odd weights", "y", K, 1, (2 * b + 1) * r),
         ]
+    if fam not in ("A1", "A2", "B1", "B2"):
+        raise ValueError(f"no printed T table for {fam}")
     al, alp = Poly.var("alpha"), Poly.var("alphap")
     if spec.alpha != "sym":
         al = Poly.const(spec.alpha)
@@ -903,7 +913,6 @@ def _t_reference(spec: FamilySpec):
             ("y mapping onto the distinguished vector", "y", SymIndex(HALF) - R, 0,
              2 * alp),
         ]
-    raise ValueError(f"derive_T_composition: no reference table for {fam}")
 
 
 def _check_t_composition_generic(case: str) -> CheckList:
@@ -1237,10 +1246,11 @@ def intersection_scan(case: str, params: list[Fraction] | None = None) -> Inters
             first = set().union(*(rs.rationals_at(bv) for rs in sets1))
             second = set().union(*(rs.rationals_at(bv) for rs in sets2))
             survivors = set()
+            at_b: dict = {}  # which -> the determinant at bv, substituted once
             for cand in first & second:
-                if not _mixed_ok_A("3", bv, cand):
+                if not _mixed_ok_A("3", bv, cand, at_b):
                     continue
-                if not _mixed_ok_A("3p", bv, cand):
+                if not _mixed_ok_A("3p", bv, cand, at_b):
                     continue
                 survivors.add(cand)
             expected = {bv} | {bpv for (b0, bpv) in sporadic if b0 == bv}
@@ -1273,8 +1283,10 @@ def intersection_scan(case: str, params: list[Fraction] | None = None) -> Inters
     raise ValueError(f"unknown intersection case {case!r}")
 
 
-def _mixed_ok_A(which: str, bv: Fraction, cand: Fraction) -> bool:
+def _mixed_ok_A(which: str, bv: Fraction, cand: Fraction, at_b: dict) -> bool:
     near = {"3": (bv - 1, bv), "3p": (bv + 1, bv)}[which]
     if cand in near:
         return True
-    return delta3_vanishes_at(which, bv, cand)
+    if which not in at_b:
+        at_b[which] = delta3_at(which, bv)
+    return delta3_vanishes_at(which, bv, cand, at_b[which])

@@ -232,7 +232,8 @@ def deformation_discrepancies(spec: FamilySpec, gen_window: int = 2,
     return out
 
 
-def instantiate_deformation(case: DeformCase | str, alpha) -> tuple[FamilySpec, list]:
+def instantiate_deformation(case: DeformCase | str, alpha,
+                            alphap=Fraction(1)) -> tuple[FamilySpec, list]:
     """Build a deformed family and audit it against the derived table.
 
     Returns the audited spec and the (normally empty) discrepancy list;
@@ -241,7 +242,7 @@ def instantiate_deformation(case: DeformCase | str, alpha) -> tuple[FamilySpec, 
     """
     if isinstance(case, str):
         case = CASES[case]
-    spec = FamilySpec(case.name, alpha=alpha)
+    spec = FamilySpec(case.name, alpha=alpha, alphap=alphap)
     return spec, deformation_discrepancies(spec)
 
 

@@ -30,7 +30,7 @@ from typing import Union
 from .algebra import Gen, GenSum, bracket, bracket_terms, parity
 from .halfint import HalfInt
 from .indices import IDX_ZERO, SymIndex
-from .poly import ONE, Poly, RatFunc, ZERO
+from .poly import ONE, KroneckerPoint, Poly, RatFunc, ZERO
 
 Param = Union[Fraction, str, None]  # "sym" selects symbolic mode
 
@@ -677,9 +677,11 @@ class _ActionRow(dict):
     by `act_indexed` the first time it is read.
 
     Coefficients are Fractions for a concrete spec (a constant Poly is
-    lowered too) and Poly (or RatFunc) where a parameter is symbolic.
-    Targets that `drop` removes are left out, so a quotient sweep reads the
-    induced action.
+    lowered too) and Poly where a parameter is symbolic; both are lowered
+    to ints before the sweep's loop runs.  Only the generic candidates
+    keep objects: their solved modes give RatFunc coefficients, and their
+    unknowns too many symbols.  Targets that `drop` removes are left out,
+    so a quotient sweep reads the induced action.
     """
 
     __slots__ = ("spec", "kind", "gidx", "drop")
@@ -704,19 +706,57 @@ class _ActionRow(dict):
         return terms
 
 
-def _common_denominator(rows: dict, scales) -> int | None:
-    """The lcm of the denominators of every row coefficient and bracket
-    scale, or None when one of them is symbolic."""
+# A generic candidate in "unknowns" mode has one symbol per mode and vector,
+# which would put each image over 3**(symbols) digits; such rows keep their
+# objects.  The parameter sweeps' images are a few hundred bits wide.
+_MAX_POINT_BITS = 1 << 12
+
+
+def _lowering(rows: dict, brackets):
+    """How `_sweep_kernel` takes its coefficients to ints: (d, lower,
+    decode), or None when a row holds a RatFunc.
+
+    d is the lcm of the denominators of every row coefficient and bracket
+    scale (`brackets` holds one list of scales per pair), and `lower(c, d)`
+    is c * d as an int.  Where a row coefficient is a Poly, c * d is
+    evaluated at one `KroneckerPoint`, chosen so that every coefficient
+    the loop forms, in units of d**2, can be read back; None again when
+    that point's images would be wider than _MAX_POINT_BITS.
+    `decode(c, unit)` is the residual coefficient that c stands for.
+    """
     dens = []
+    polys = []
     for r in rows.values():
         for terms in r.values():
             for _, c in terms:
-                if not isinstance(c, (int, Fraction)):
+                if isinstance(c, (int, Fraction)):
+                    dens.append(c.denominator)
+                elif isinstance(c, Poly):
+                    polys.append(c)
+                    dens.extend(t.denominator for t in c.terms.values())
+                else:
                     return None
-                dens.append(c.denominator)
-    for c in scales:
-        dens.append(c.denominator)
-    return lcm(*dens)
+    for scales in brackets:
+        for c in scales:
+            dens.append(c.denominator)
+    d = lcm(*dens)
+    if not polys:
+        return d, _over, Fraction
+    # a residual coefficient sums a pair's bracket terms (row times scale)
+    # and the two compositions (width products of two rows each)
+    norm = max(sum(abs(_over(t, d)) for t in c.terms.values()) if isinstance(c, Poly)
+               else abs(_over(c, d))
+               for r in rows.values() for terms in r.values() for _, c in terms)
+    width = max(len(terms) for r in rows.values() for terms in r.values())
+    smax = max(sum(abs(_over(c, d)) for c in scales) for scales in brackets)
+    point = KroneckerPoint(polys, smax * width * norm + 2 * width * width * norm * norm)
+    if point.bits > _MAX_POINT_BITS:
+        return None
+
+    def lower(c, d: int) -> int:
+        return point.image(c, d) if isinstance(c, Poly) else _over(c, d)
+
+    return d, lower, point.decode
 
 
 def _over(c, d: int) -> int:
@@ -729,15 +769,18 @@ def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
     label, summed in the same order, over action rows compiled for this
     sweep; the bracket and sign are taken once per pair.
 
-    The rows are filled first, with every entry the loop reads.  When every
-    row coefficient and bracket scale is rational, they are lowered to ints
-    over their common denominator d, and the loop runs in int arithmetic:
-    each residual term is a row coefficient times a scale or a product of
-    two row coefficients, so the loop computes every residual times
-    unit = d**2.  Scaling by a nonzero constant keeps the zero pattern of
-    every partial sum, so the witnesses are the unscaled loop's; only a
-    nonzero residual is divided back, as it is written.  Symbolic rows keep
-    their Poly coefficients and unit 1.
+    The rows are filled first, with every entry the loop reads.  Then every
+    row coefficient and bracket scale is lowered to an int over their
+    common denominator d (`_lowering`), and the loop runs in int
+    arithmetic: each residual term is a row coefficient times a scale or a
+    product of two row coefficients, so the loop computes every residual
+    times unit = d**2.  A Poly coefficient is also evaluated at one
+    `KroneckerPoint`.  Scaling by a nonzero constant and that evaluation
+    are injective on every sum the loop forms, so the zero pattern of every
+    partial sum, and with it each witness, is the object loop's; only a
+    nonzero residual is decoded, as it is written.  Rows holding a RatFunc
+    (the generic candidates' solved modes) keep their objects and unit 1,
+    as do rows in the hundreds of unknowns of a generic candidate.
     """
     rows: dict = {}
 
@@ -766,16 +809,17 @@ def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
         for lk in reached:
             r[lk]
 
-    d = _common_denominator(rows, [scale for *_, lhs in pairs for _, scale in lhs])
-    unit = 1
-    if d is not None:
+    lowering = _lowering(rows, [[scale for _, scale in lhs] for *_, lhs in pairs])
+    unit, decode = 1, None
+    if lowering is not None:
+        d, lower, decode = lowering
         unit = d * d
         # plain dicts: a read the fill above missed raises instead of
-        # mixing an unscaled Fraction into the int loop
-        rows = {key: {vk: tuple((lk, _over(c, d)) for lk, c in terms)
+        # mixing an unscaled coefficient into the int loop
+        rows = {key: {vk: tuple((lk, lower(c, d)) for lk, c in terms)
                       for vk, terms in r.items()}
                 for key, r in rows.items()}
-        pairs = [(g1, k1, g2, k2, sign, [(kh, _over(scale, d)) for kh, scale in lhs])
+        pairs = [(g1, k1, g2, k2, sign, [(kh, lower(scale, d)) for kh, scale in lhs])
                  for g1, k1, g2, k2, sign, lhs in pairs]
 
     checks = 0
@@ -802,7 +846,7 @@ def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
             for lk, c in t2.items():
                 _lc_add(out, lk, sign * c)
             if out:
-                res = {BasisLabel(lk[0], HalfInt(lk[1])): c if unit == 1 else Fraction(c, unit)
+                res = {BasisLabel(lk[0], HalfInt(lk[1])): c if decode is None else decode(c, unit)
                        for lk, c in out.items()}
                 violations.append(Witness(str(g1), str(g2), str(v), lincomb_str(res)))
     return checks, violations
@@ -815,8 +859,8 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4,
     Unordered pairs suffice: the reversed-pair residual is the forward one
     up to the super-antisymmetry sign.  With `quotient_of` set to a closed
     candidate, the induced quotient action is checked instead.  The sweep
-    compiles its own action table, scoped to this call, and at concrete
-    parameters runs in int arithmetic over one common denominator
+    compiles its own action table, scoped to this call, and runs in int
+    arithmetic over one common denominator, at symbolic parameters too
     (`_sweep_kernel`); `bracket_action_check` is the readable reference for
     the residual it computes.
     """

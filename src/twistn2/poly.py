@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping, Union
 
 
@@ -378,6 +379,81 @@ def exact_divide(num: Poly, den: Poly) -> Poly:
         quot[key] = c
         rem = rem - Poly({key: c}, _canonical=True) * den
     return Poly(quot, _canonical=True)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution: polynomials as integers
+# ---------------------------------------------------------------------------
+
+class KroneckerPoint:
+    """One integer point at which a set of polynomials can be evaluated,
+    and at which the products of two of them can be decoded again.
+
+    Symbol slot i goes to X**offset_i.  The offsets are in mixed radix
+    2*deg_i + 1, deg_i the top degree of slot i in `polys`, so every
+    monomial of a product of two of them has its own power of X.  X is
+    2**(B + 2) with 2**B > `bound`.  Evaluation is a ring homomorphism into
+    the integers, and on polynomials within those degrees whose
+    coefficients are integers of absolute value at most `bound` it is
+    injective: such an image is zero only for the zero polynomial, and
+    `decode` reads it back as balanced base-X digits.
+    """
+
+    __slots__ = ("slots", "sizes", "shift")
+
+    def __init__(self, polys: Iterable[Poly], bound: int):
+        top: dict[int, int] = {}
+        for p in polys:
+            for exps in p.terms:
+                for slot, e in enumerate(exps):
+                    if e > top.get(slot, 0):
+                        top[slot] = e
+        self.slots = sorted(top)
+        self.sizes = [2 * top[slot] + 1 for slot in self.slots]
+        self.shift = bound.bit_length() + 2
+
+    @property
+    def bits(self) -> int:
+        """The width of the widest image: digits times digit size."""
+        return prod(self.sizes) * self.shift
+
+    def image(self, p: Poly, scale: int = 1) -> int:
+        """The value of p * scale at the point; its coefficients must be
+        integers."""
+        out = 0
+        for exps, coeff in p.terms.items():
+            pos, place = 0, 1
+            for slot, size in zip(self.slots, self.sizes):
+                if slot < len(exps):
+                    pos += exps[slot] * place
+                place *= size
+            coeff = coeff * scale
+            if coeff.denominator != 1:
+                raise ValueError(f"({p})*{scale} has a non-integer coefficient")
+            out += coeff.numerator << (pos * self.shift)
+        return out
+
+    def decode(self, value: int, unit: int = 1) -> Poly:
+        """The polynomial whose image is `value`, divided by `unit`."""
+        mask = (1 << self.shift) - 1
+        half = 1 << (self.shift - 1)
+        terms: dict[Exps, Fraction] = {}
+        pos = 0
+        while value:
+            digit = value & mask
+            if digit >= half:
+                digit -= mask + 1
+            value = (value - digit) >> self.shift
+            if digit:
+                exps = [0] * (self.slots[-1] + 1) if self.slots else []
+                rest = pos
+                for slot, size in zip(self.slots, self.sizes):
+                    rest, exps[slot] = divmod(rest, size)
+                if rest:
+                    raise ValueError("value is not the image of a polynomial in range")
+                terms[_trim(exps)] = Fraction(digit, unit)
+            pos += 1
+        return Poly(terms, _canonical=True)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from twistn2.constraints import (LAMBDA_PAIRS, LAMBDA_PRIME_PAIRS, LEMMA_CHECKS,
                                  b0_nonexistence_check, build_identity_system,
                                  coeff_solution_check, compare_delta_closed_form,
                                  delta1_printed, delta2_printed, determinant3,
-                                 delta3_vanishes_at, derive_T_composition,
+                                 delta3_at, delta3_vanishes_at,
+                                 derive_T_composition,
                                  generic_candidate, intersection_scan,
                                  recurrence_propagation_check, root_set,
                                  sample_parameters, swap_symmetry_checks,
@@ -125,6 +126,18 @@ class TestDeltaIdentities:
         assert delta3_vanishes_at("3p", Fraction(0), Fraction(-1))
         assert not delta3_vanishes_at("3", Fraction(1, 3), Fraction(7))
 
+    @pytest.mark.parametrize("which", ["3", "3p"])
+    def test_determinant_at_b_is_the_determinant_substituted(self, which):
+        # the scan substitutes b once, then each candidate bp
+        det = system_determinant("LLG", "A", *constraints._DELTA3_SYSTEM[which])
+        for bv in (Fraction(-1), Fraction(1, 3)):
+            at_b = delta3_at(which, bv)
+            assert at_b.degree_in("b") == 0
+            for bpv in (Fraction(0), Fraction(-3, 2), Fraction(7)):
+                want = det.substitute({"b": bv, "bp": bpv})
+                assert at_b.substitute({"bp": bpv}) == want
+                assert delta3_vanishes_at(which, bv, bpv, at_b) == (not want)
+
 
 class TestRootSets:
     @pytest.mark.parametrize("name", ROOT_SET_NAMES)
@@ -205,6 +218,12 @@ class TestTCompositions:
     def test_numeric_deformed_family(self):
         report = derive_T_composition(FamilySpec("A1", alpha=Fraction(2, 7)))
         assert report.ok
+
+    @pytest.mark.parametrize("family", ["GenericA", "GenericB"])
+    def test_generic_family_has_no_printed_table(self, family):
+        spec = FamilySpec(family, a="sym", b="sym", bprime="sym")
+        with pytest.raises(ValueError, match=f"^no printed T table for {family}$"):
+            derive_T_composition(spec)
 
 
 class TestNormalizations:

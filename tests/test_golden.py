@@ -30,6 +30,9 @@ CONCRETE = [
     ("verify-axioms-b2-gdef-sign", ["verify-axioms", "--family", "B2", "--alpha", "-20/7",
                                     "--inject-fault", "b2.gdef-sign"], 1),
     ("deform-alpha-13-5", ["deform", "--alpha", "13/5"], 0),
+    # a symbolic sweep's witnesses, decoded from its int loop (exit 1)
+    ("verify-axioms-aab-gy-coeff", ["verify-axioms", "--family", "Aab",
+                                    "--inject-fault", "aab.gy-coeff"], 1),
 ]
 
 

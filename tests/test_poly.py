@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistn2.poly import (NotDivisible, ONE, Poly, QuadRootData, RatFunc,
+from twistn2.poly import (KroneckerPoint, NotDivisible, ONE, Poly, QuadRootData, RatFunc,
                           WrongDegree, ZERO, exact_divide, format_rational,
                           parse_rational, quadratic_root_data,
                           rational_sqrt, sym_name)
@@ -92,6 +92,56 @@ def test_substitute_is_a_ring_homomorphism(p, q, bindings, v):
     assert (p + q).substitute(bindings) == sub_p + sub_q
     assert (p * q).substitute(bindings) == sub_p * sub_q
     assert p.substitute({"b": Poly.const(v)}) == p.substitute({"b": v})
+
+
+def l1(p: Poly) -> Fraction:
+    return sum((abs(c) for c in p.terms.values()), Fraction(0))
+
+
+@st.composite
+def integer_polys(draw, vars=("b", "m", "k"), max_terms=5):
+    # coefficients up to a random size, so the radix varies from a few bits
+    # to well past a machine word
+    size = draw(st.sampled_from((1, 7, 10**6, 2**80)))
+    p = ZERO
+    for _ in range(draw(st.integers(0, max_terms))):
+        term = Poly.const(draw(st.integers(-size, size)))
+        for v in vars:
+            term = term * Poly.var(v) ** draw(st.integers(0, 3))
+        p = p + term
+    return p
+
+
+@given(integer_polys(), integer_polys(), st.sampled_from((("b",), ("b", "m"), ("b", "m", "k"))))
+@settings(max_examples=80, deadline=None)
+def test_kronecker_point_decodes_images_and_their_products(p, q, names):
+    # keep only the chosen symbols: up to three, in any registry slots
+    p = p.substitute({v: 1 for v in ("b", "m", "k") if v not in names})
+    q = q.substitute({v: 1 for v in ("b", "m", "k") if v not in names})
+    bound = int(max(l1(p) * l1(q), l1(p) + l1(q)))
+    point = KroneckerPoint([p, q], bound)
+    ip, iq = point.image(p), point.image(q)
+    assert point.decode(ip) == p and point.decode(iq) == q
+    assert point.decode(ip * iq) == p * q
+    assert point.decode(ip - iq) == p - q
+    assert (ip * iq == 0) == (not p * q)
+
+
+@given(polys(), st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_kronecker_point_scales_fractions_to_a_common_denominator(p, extra):
+    d = extra
+    for c in p.terms.values():
+        d = d * c.denominator
+    point = KroneckerPoint([p], int(l1(p) * d) ** 2)
+    assert point.decode(point.image(p, d), d) == p
+    assert point.decode(point.image(p, d) ** 2, d * d) == p * p
+
+
+def test_kronecker_point_rejects_non_integer_images():
+    point = KroneckerPoint([b], 1)
+    with pytest.raises(ValueError):
+        point.image(b * Fraction(1, 2))
 
 
 def test_exact_divide_examples():
