@@ -44,7 +44,8 @@ from fractions import Fraction
 
 from .algebra import bracket_terms
 from .indices import IDX_ZERO, SymIndex
-from .modules import FamilySpec, act_indexed, unknown_name
+from .modules import (R, FamilySpec, _combine, _commutator, _landing, _mode, _only_coeff,
+                      act_indexed, bracket_residual, t_composition, unknown_name)
 from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, exact_divide,
                    quadratic_root_data, QuadRootData)
 from .report import CheckList
@@ -55,7 +56,6 @@ HALF = Fraction(1, 2)
 M = SymIndex.var("m")
 N = SymIndex.var("n")
 K = SymIndex.var("k")
-R = SymIndex.var("r")
 S = SymIndex.var("s")
 P = SymIndex.var("p")
 
@@ -73,98 +73,12 @@ def generic_candidate(case: str, mode: str = "unknowns") -> FamilySpec:
 
 
 # ---------------------------------------------------------------------------
-# operator words and identity residuals
+# nested identity residuals (the word engine and `bracket_residual` live in
+# `modules`, beside the tables they read)
 # ---------------------------------------------------------------------------
-
-def _apply_word(spec, ops, letter, vidx, env):
-    """Apply ops[0] o ops[1] o ... (rightmost first) to one basis vector."""
-    state = {(letter, vidx): ONE}
-    for kind, gidx in reversed(ops):
-        nxt = {}
-        for (lt, ix), coeff in state.items():
-            for lt2, ix2, co2 in act_indexed(spec, kind, gidx, lt, ix, env):
-                if not co2:
-                    continue
-                key = (lt2, ix2)
-                term = coeff * co2
-                acc = nxt.get(key)
-                new = term if acc is None else acc + term
-                if new:
-                    nxt[key] = new
-                elif acc is not None:
-                    del nxt[key]
-        state = nxt
-    return state
-
-
-def _combine(spec, pieces, letter, vidx, env):
-    """Scaled sum of operator words applied to (letter, vidx)."""
-    out = {}
-    for scalar, ops in pieces:
-        if isinstance(scalar, (int, Fraction)):
-            scalar = Poly.const(scalar)
-        for key, coeff in _apply_word(spec, ops, letter, vidx, env).items():
-            term = scalar * coeff
-            acc = out.get(key)
-            new = term if acc is None else acc + term
-            if new:
-                out[key] = new
-            elif acc is not None:
-                del out[key]
-    return out
-
-
-def _only_coeff(lc, expect_key):
-    if not lc:
-        return ZERO
-    if len(lc) != 1:
-        raise AssertionError(f"expected a single basis line, got {len(lc)}")
-    (key, coeff), = lc.items()
-    if key != expect_key:
-        raise AssertionError(f"landed on {key}, expected {expect_key}")
-    return coeff
-
-
-def _landing(letter, vidx, modes):
-    """The line a word of these modes takes (letter, vidx) to: the letter
-    flips on an odd number of G's, and the indices add up."""
-    for kind, idx in modes:
-        if kind == "G":
-            letter = "y" if letter == "x" else "x"
-        vidx = vidx + idx
-    return letter, vidx
-
 
 def _as_poly(c):
     return c if isinstance(c, Poly) else Poly.const(c)
-
-
-def _commutator(x, y):
-    """Super-commutator of two homogeneous operators, each a (pieces, odd)
-    pair whose pieces are (scalar, word) with the word's modes left to
-    right: [X, Y] = XY - (-1)^(|X||Y|) YX."""
-    (px, odd_x), (py, odd_y) = x, y
-    sign = 1 if odd_x and odd_y else -1
-    pieces = [(s * t, wx + wy) for s, wx in px for t, wy in py]
-    pieces += [(sign * t * s, wy + wx) for t, wy in py for s, wx in px]
-    return pieces, odd_x != odd_y
-
-
-def _mode(g):
-    return [(1, [g])], g[0] == "G"
-
-
-def bracket_residual(spec, g1, g2, letter, vidx, env):
-    """[g1, g2] - bracket(g1, g2) applied to one basis vector.
-
-    Modes are (kind, SymIndex) pairs; the structure constants come from
-    `bracket_terms`.  Returns the coefficient on the one line the identity
-    lands on.
-    """
-    pieces, _ = _commutator(_mode(g1), _mode(g2))
-    pieces += [(-c, [(kind, idx)]) for kind, idx, c in bracket_terms(*g1, *g2, env)]
-    lc = _combine(spec, pieces, letter, vidx, env)
-    return _only_coeff(lc, _landing(letter, vidx, (g1, g2)))
 
 
 def nested_residual(spec, g1, g2, g3, letter, vidx, env):
@@ -829,17 +743,6 @@ class TCompReport:
     @property
     def ok(self) -> bool:
         return all(e.match for e in self.entries)
-
-
-def t_composition(spec: FamilySpec, letter: str, vidx: SymIndex, env) -> RatFunc:
-    """T_r = [G_r, G_0]/c on one basis vector, r the half-odd symbol and c
-    the structure constant of [G_r, G_0] = c T_r."""
-    g_r, g_0 = ("G", R), ("G", IDX_ZERO)
-    (_, _, scale), = bracket_terms(*g_r, *g_0, env)
-    pieces, _ = _commutator(_mode(g_r), _mode(g_0))
-    coeff = _only_coeff(_combine(spec, pieces, letter, vidx, env), (letter, vidx + R))
-    coeff = coeff if isinstance(coeff, RatFunc) else RatFunc(coeff)
-    return RatFunc(coeff.num, coeff.den * scale)
 
 
 def derive_T_composition(spec: FamilySpec) -> TCompReport:

@@ -27,7 +27,7 @@ from .algebra import Gen, generators_in_window
 from .halfint import HalfInt
 from .indices import SymIndex
 from .modules import (BASE_FAMILY, BasisLabel, FamilySpec, LinComb, act,
-                      labels_in_window, lincomb_str)
+                      labels_in_window, lincomb_str, t_composition)
 from .poly import Poly, RatFunc, ZERO
 from .report import CheckList
 
@@ -131,8 +131,6 @@ def g_solution_check(case: DeformCase) -> CheckList:
 
 def f_derivation(case: DeformCase) -> CheckList:
     """Derive the deformed T coefficient from the fermionic composition."""
-    from .constraints import t_composition
-
     report = CheckList(case.name)
     spec = FamilySpec(case.name, alpha="sym", alphap="sym")
     r, alp = Poly.var("r"), Palp
@@ -213,7 +211,7 @@ def derived_action(case: DeformCase, spec: FamilySpec, g: Gen, v: BasisLabel) ->
     slot = _deformed_slot(case, spec, g, v)
     if slot is not None:
         return {lbl: co for lbl, co in slot.items() if co}
-    return act(base_spec(case), g, v)
+    return act(spec.ctx.base, g, v)
 
 
 def deformation_discrepancies(spec: FamilySpec, gen_window: int = 2,
@@ -244,8 +242,3 @@ def instantiate_deformation(case: DeformCase | str, alpha,
         case = CASES[case]
     spec = FamilySpec(case.name, alpha=alpha, alphap=alphap)
     return spec, deformation_discrepancies(spec)
-
-
-def repaired_spec(spec: FamilySpec) -> FamilySpec:
-    """Drop any injected table mutation, restoring the derived action."""
-    return FamilySpec(spec.family, alpha=spec.alpha, alphap=spec.alphap)

@@ -15,19 +15,22 @@ so the same family tables answer concrete sweeps (constant indices) and the
 symbolic constraint derivations (free mode symbols).  Case splits on
 distinguished indices (deformation points) are structural-equality tests,
 which on symbolic indices is exactly the generic-index reading used when
-the coefficient recurrences are solved.
+the coefficient recurrences are solved.  Each spec memoizes its own
+action table (`FamilySpec.ctx`); no action state is process-wide.
 
 The central element acts as zero on every family.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Union
 
-from .algebra import Gen, GenSum, bracket, bracket_terms, parity
+from .algebra import Gen, bracket, bracket_terms, parity
 from .halfint import HalfInt
 from .indices import IDX_ZERO, SymIndex
 from .poly import ONE, KroneckerPoint, Poly, RatFunc, ZERO
@@ -122,10 +125,16 @@ class FamilySpec:
             return
         raise ValueError(f"unsupported bprime={bp} for Bab (use b-1/2 or the (0,-3/2) candidate)")
 
+    @cached_property
+    def ctx(self) -> _Ctx:
+        """The parameters as the tables read them, and this spec's action
+        memo; built on first use, and outside eq, hash and repr."""
+        return _Ctx(self)
+
     def label(self) -> str:
         bits = [self.family]
         # a generic candidate's solved forms fix bp: show the value checked
-        forced = _ctx(self).forced if self.family.startswith("Generic") else {}
+        forced = self.ctx.forced if self.family.startswith("Generic") else {}
         for nm in ("a", "b", "bprime", "alpha", "alphap"):
             v = getattr(self, nm)
             if nm in forced:
@@ -177,11 +186,19 @@ BASE_FAMILY = {
 
 
 class _Ctx:
+    """One spec's parameters as the tables read them, and its action memo:
+    one `_ActionRow` per generator, shared by every reader of the spec.
+
+    It reaches its spec through a weak proxy, so a spec and its memo form
+    no reference cycle and are freed together.  A deformed family's context
+    holds its base module's spec, whose own memo the audit reads.
+    """
+
     __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "base",
-                 "forced")
+                 "forced", "rows")
 
     def __init__(self, spec: FamilySpec):
-        self.spec = spec
+        self.spec = weakref.proxy(spec)
         self.fault = spec.fault
         self.mode = spec.coeff_mode
         self.a = _param("a", spec.a)
@@ -205,7 +222,15 @@ class _Ctx:
         self.base = None
         if spec.family in BASE_FAMILY:
             family, a, b = BASE_FAMILY[spec.family]
-            self.base = _ctx(FamilySpec(family, a=a, b=b))
+            self.base = FamilySpec(family, a=a, b=b)
+        self.rows: dict = {}
+
+    def row(self, g: Gen) -> _ActionRow:
+        key = (g.kind, None if g.idx is None else g.idx.doubled)
+        r = self.rows.get(key)
+        if r is None:
+            r = self.rows[key] = _ActionRow(self.spec, g)
+        return r
 
 
 def _param(name: str, value: Param) -> Fraction | Poly | None:
@@ -216,17 +241,6 @@ def _param(name: str, value: Param) -> Fraction | Poly | None:
     if value == "sym":
         return Poly.var(name)
     return Fraction(value)
-
-
-_CTX_CACHE: dict[FamilySpec, _Ctx] = {}
-
-
-def _ctx(spec: FamilySpec) -> _Ctx:
-    ctx = _CTX_CACHE.get(spec)
-    if ctx is None:
-        ctx = _Ctx(spec)
-        _CTX_CACHE[spec] = ctx
-    return ctx
 
 
 def _sgn2q(gpar: int) -> int:
@@ -254,9 +268,7 @@ def act_indexed(spec: FamilySpec, kind: str, g: SymIndex, letter: str, v: SymInd
     """
     if kind == "C":
         return []
-    env = env or {}
-    ctx = _ctx(spec)
-    return _TABLES[spec.family](ctx, kind, g, letter, v, env)
+    return _TABLES[spec.family](spec.ctx, kind, g, letter, v, env or {})
 
 
 def _act_aab(ctx, kind, g, letter, v, env):
@@ -353,7 +365,7 @@ def _act_b_zero(ctx, kind, g, letter, v, env):
 def _act_deformed(ctx, kind, g, letter, v, env):
     terms = _SLOT_RULES[ctx.spec.family](ctx, kind, g, letter, v, env)
     if terms is None:
-        terms = _TABLES[ctx.base.spec.family](ctx.base, kind, g, letter, v, env)
+        terms = _TABLES[ctx.base.family](ctx.base.ctx, kind, g, letter, v, env)
     return terms
 
 
@@ -471,25 +483,12 @@ def _generic_g_coeff(ctx, case: str, letter: str, g, v, env):
     return (a - kP + 2 * b * gP + gP) * scale
 
 
-def _generic_t_coeff(ctx, case: str, act_fn, letter, g, v, env):
-    """T coefficient: unknown symbol, or the composition T_r = [G_r, G_0]/c
-    with c the structure constant of [G_r, G_0] = c T_r."""
+def _generic_t_coeff(ctx, letter, g, v, env):
+    """T coefficient: unknown symbol, or the composition T_g = [G_g, G_0]/c
+    of the candidate's own fermionic action (`t_composition`)."""
     if ctx.mode == "unknowns":
         return _unknown("f" if letter == "x" else "fp", g, v)
-    (_, _, den), = bracket_terms("G", g, "G", IDX_ZERO, env)
-    total = None
-    for first, second in ((IDX_ZERO, g), (g, IDX_ZERO)):
-        # G_second then G_first; both halves of the anticommutator
-        for l2, i2, c2 in act_fn(ctx, "G", second, letter, v, env):
-            for l3, i3, c3 in act_fn(ctx, "G", first, l2, i2, env):
-                if i3 != v + g or l3 != letter:
-                    raise AssertionError("fermionic composition left the expected line")
-                term = c2 * c3
-                total = term if total is None else total + term
-    if total is None:
-        return ZERO
-    total = RatFunc(total) if not isinstance(total, RatFunc) else total
-    return RatFunc(total.num, total.den * den)
+    return t_composition(ctx.spec, letter, v, env, g)
 
 
 def _act_generic_a(ctx, kind, g, letter, v, env):
@@ -505,7 +504,7 @@ def _act_generic_a(ctx, kind, g, letter, v, env):
         co = a - kP + ((bp if vpar == 0 else b) + HALF) * gP
         return [("y", tgt, co)]
     if kind == "T":
-        return [(letter, tgt, _generic_t_coeff(ctx, "A", _act_generic_a, letter, g, v, env))]
+        return [(letter, tgt, _generic_t_coeff(ctx, letter, g, v, env))]
     if g.parity(env) == 1:  # half-odd fermionic modes are part of the ansatz
         if letter == "x":
             return [("y", tgt, ONE)]
@@ -528,7 +527,7 @@ def _act_generic_b(ctx, kind, g, letter, v, env):
         co = a - kP + bp * gP if vpar == 0 else a - kP + (b + HALF) * gP
         return [("y", tgt, co)]
     if kind == "T":
-        return [(letter, tgt, _generic_t_coeff(ctx, "B", _act_generic_b, letter, g, v, env))]
+        return [(letter, tgt, _generic_t_coeff(ctx, letter, g, v, env))]
     if g.parity(env) == 1:
         if letter == "x":
             co = ONE if vpar == 0 else -(a - kP + 2 * gP * (bp + HALF))
@@ -552,33 +551,113 @@ _TABLES = {
 
 
 # ---------------------------------------------------------------------------
-# concrete action wrappers
+# operator words and the fermionic composition
 # ---------------------------------------------------------------------------
 
-_ACT_CACHE: dict = {}
+R = SymIndex.var("r")
 
+
+def _apply_word(spec, ops, letter, vidx, env):
+    """Apply ops[0] o ops[1] o ... (rightmost first) to one basis vector."""
+    state = {(letter, vidx): ONE}
+    for kind, gidx in reversed(ops):
+        nxt = {}
+        for (lt, ix), coeff in state.items():
+            for lt2, ix2, co2 in act_indexed(spec, kind, gidx, lt, ix, env):
+                if co2:
+                    _lc_add(nxt, (lt2, ix2), coeff * co2)
+        state = nxt
+    return state
+
+
+def _combine(spec, pieces, letter, vidx, env):
+    """Scaled sum of operator words applied to (letter, vidx)."""
+    out = {}
+    for scalar, ops in pieces:
+        if isinstance(scalar, (int, Fraction)):
+            scalar = Poly.const(scalar)
+        for key, coeff in _apply_word(spec, ops, letter, vidx, env).items():
+            _lc_add(out, key, scalar * coeff)
+    return out
+
+
+def _only_coeff(lc, expect_key):
+    if not lc:
+        return ZERO
+    if len(lc) != 1:
+        raise AssertionError(f"expected a single basis line, got {len(lc)}")
+    (key, coeff), = lc.items()
+    if key != expect_key:
+        raise AssertionError(f"landed on {key}, expected {expect_key}")
+    return coeff
+
+
+def _landing(letter, vidx, modes):
+    """The line a word of these modes takes (letter, vidx) to: the letter
+    flips on an odd number of G's, and the indices add up."""
+    for kind, idx in modes:
+        if kind == "G":
+            letter = "y" if letter == "x" else "x"
+        vidx = vidx + idx
+    return letter, vidx
+
+
+def _commutator(x, y):
+    """Super-commutator of two homogeneous operators, each a (pieces, odd)
+    pair whose pieces are (scalar, word) with the word's modes left to
+    right: [X, Y] = XY - (-1)^(|X||Y|) YX."""
+    (px, odd_x), (py, odd_y) = x, y
+    sign = 1 if odd_x and odd_y else -1
+    pieces = [(s * t, wx + wy) for s, wx in px for t, wy in py]
+    pieces += [(sign * t * s, wy + wx) for t, wy in py for s, wx in px]
+    return pieces, odd_x != odd_y
+
+
+def _mode(g):
+    return [(1, [g])], g[0] == "G"
+
+
+def bracket_residual(spec, g1, g2, letter, vidx, env):
+    """[g1, g2] - bracket(g1, g2) applied to one basis vector.
+
+    Modes are (kind, SymIndex) pairs; the structure constants come from
+    `bracket_terms`.  Returns the coefficient on the one line the identity
+    lands on.
+    """
+    pieces, _ = _commutator(_mode(g1), _mode(g2))
+    pieces += [(-c, [(kind, idx)]) for kind, idx, c in bracket_terms(*g1, *g2, env)]
+    lc = _combine(spec, pieces, letter, vidx, env)
+    return _only_coeff(lc, _landing(letter, vidx, (g1, g2)))
+
+
+def t_composition(spec: FamilySpec, letter: str, vidx: SymIndex, env,
+                  r: SymIndex = R) -> RatFunc:
+    """T_r = [G_r, G_0]/c on one basis vector, with c the structure constant
+    of [G_r, G_0] = c T_r; r is the half-odd mode symbol unless given."""
+    g_r, g_0 = ("G", r), ("G", IDX_ZERO)
+    (_, _, scale), = bracket_terms(*g_r, *g_0, env)
+    pieces, _ = _commutator(_mode(g_r), _mode(g_0))
+    coeff = _only_coeff(_combine(spec, pieces, letter, vidx, env), (letter, vidx + r))
+    coeff = coeff if isinstance(coeff, RatFunc) else RatFunc(coeff)
+    return RatFunc(coeff.num, coeff.den * scale)
+
+
+# ---------------------------------------------------------------------------
+# concrete action
+# ---------------------------------------------------------------------------
 
 def act(spec: FamilySpec, g: Gen, v: BasisLabel) -> LinComb:
     """Concrete action; returns a label -> coefficient map without zeros.
 
-    A concrete spec's coefficients are Fractions; a symbolic parameter gives
-    Poly (or RatFunc) ones, a constant Poly again lowered to its Fraction.
-    Results are cached per (spec, g, v); treat the returned map as frozen.
+    A view of the spec's memo row for g (`FamilySpec.ctx`), with BasisLabel
+    keys.  A concrete spec's coefficients are Fractions; a symbolic
+    parameter gives Poly (or RatFunc) ones, a constant Poly again lowered
+    to its Fraction.
     """
     if g.kind == "C":
         return {}
-    key = (spec, g, v)
-    out = _ACT_CACHE.get(key)
-    if out is not None:
-        return out
-    out = {}
-    for letter, idx, coeff in act_indexed(spec, g.kind, SymIndex.of(g.idx),
-                                          v.letter, SymIndex.of(v.idx)):
-        if coeff:
-            label = BasisLabel(letter, idx.const_value())
-            _lc_add(out, label, _scalar(coeff))
-    _ACT_CACHE[key] = out
-    return out
+    return {BasisLabel(letter, HalfInt(doubled)): c
+            for (letter, doubled), c in spec.ctx.row(g)[(v.letter, v.idx.doubled)]}
 
 
 def _scalar(c):
@@ -595,44 +674,32 @@ def _lc_add(out: LinComb, label, coeff) -> None:
         del out[label]
 
 
-def lincomb_act(spec: FamilySpec, g: Gen, lc: LinComb, drop=None) -> LinComb:
-    out: LinComb = {}
-    for label, coeff in lc.items():
-        for label2, coeff2 in act(spec, g, label).items():
-            if drop is not None and drop(label2):
-                continue
-            _lc_add(out, label2, coeff * coeff2)
-    return out
-
-
-def gensum_act(spec: FamilySpec, gs: GenSum, v: BasisLabel, drop=None) -> LinComb:
-    out: LinComb = {}
-    for g, scale in gs.items():
-        for label, coeff in act(spec, g, v).items():
-            if drop is not None and drop(label):
-                continue
-            _lc_add(out, label, coeff * scale)
-    return out
-
-
 def bracket_action_check(spec: FamilySpec, g1: Gen, g2: Gen, v: BasisLabel,
                          drop=None) -> LinComb:
     """Residual of the module axiom at (g1, g2, v); zero certifies it.
 
-    act([g1,g2], v) - (act(g1, act(g2, v)) - (-1)^(|g1||g2|) act(g2, act(g1, v)))
+    act([g1,g2], v) - (act(g1, act(g2, v)) - (-1)^(|g1||g2|) act(g2, act(g1, v))),
+    with every target that `drop` selects left out.  This is the readable
+    reference for the residuals `_sweep_kernel` computes.
     """
-    start = {v: ONE}
     if drop is not None and drop(v):
         return {}
+
+    def kept(lc: LinComb):
+        return [(label, c) for label, c in lc.items() if drop is None or not drop(label)]
+
+    out: LinComb = {}
+    for h, scale in bracket(g1, g2).items():
+        for label, coeff in kept(act(spec, h, v)):
+            _lc_add(out, label, coeff * scale)
     sign = -1 if parity(g1) and parity(g2) else 1
-    lhs = gensum_act(spec, bracket(g1, g2), v, drop)
-    t1 = lincomb_act(spec, g1, lincomb_act(spec, g2, start, drop), drop)
-    t2 = lincomb_act(spec, g2, lincomb_act(spec, g1, start, drop), drop)
-    out = dict(lhs)
-    for label, coeff in t1.items():
-        _lc_add(out, label, -coeff)
-    for label, coeff in t2.items():
-        _lc_add(out, label, sign * coeff)
+    for outer, inner, s in ((g1, g2, -1), (g2, g1, sign)):
+        composed: LinComb = {}
+        for label, coeff in kept(act(spec, inner, v)):
+            for label2, coeff2 in kept(act(spec, outer, label)):
+                _lc_add(composed, label2, coeff * coeff2)
+        for label, coeff in composed.items():
+            _lc_add(out, label, s * coeff)
     return out
 
 
@@ -672,23 +739,25 @@ class SweepReport:
 
 
 class _ActionRow(dict):
-    """The action of one generator, compiled for one sweep: label key
-    (letter, doubled index) -> ((label key, coeff), ...), each entry built
-    by `act_indexed` the first time it is read.
+    """The action of one generator on one spec: label key (letter, doubled
+    index) -> ((label key, coeff), ...), each entry built by `act_indexed`
+    the first time it is read and kept as long as the spec.
+
+    It is the only action memo.  The spec's context owns one row per
+    generator (`_Ctx.row`), and `act`, the axiom sweep, the submodule and
+    partition checks and the deformation audit all read it, so each entry
+    of a spec is built once however many of them run.
 
     Coefficients are Fractions for a concrete spec (a constant Poly is
-    lowered too) and Poly where a parameter is symbolic; both are lowered
-    to ints before the sweep's loop runs.  Only the generic candidates
-    keep objects: their solved modes give RatFunc coefficients, and their
-    unknowns too many symbols.  Targets that `drop` removes are left out,
-    so a quotient sweep reads the induced action.
+    lowered too) and Poly where a parameter is symbolic; RatFunc in the
+    generic candidates' solved modes.
     """
 
-    __slots__ = ("spec", "kind", "gidx", "drop")
+    __slots__ = ("spec", "kind", "gidx")
 
-    def __init__(self, spec: FamilySpec, g: Gen, drop):
+    def __init__(self, spec: FamilySpec, g: Gen):
         super().__init__()
-        self.spec, self.kind, self.drop = spec, g.kind, drop
+        self.spec, self.kind = spec, g.kind
         self.gidx = None if g.idx is None else SymIndex.of(g.idx)
 
     def __missing__(self, key):
@@ -699,9 +768,7 @@ class _ActionRow(dict):
                                                    SymIndex(Fraction(doubled, 2))):
                 if coeff:
                     _lc_add(lc, (letter2, idx.const_value().doubled), coeff)
-        terms = tuple(
-            (lk, _scalar(c)) for lk, c in lc.items()
-            if self.drop is None or not self.drop(BasisLabel(lk[0], HalfInt(lk[1]))))
+        terms = tuple((lk, _scalar(c)) for lk, c in lc.items())
         self[key] = terms
         return terms
 
@@ -766,12 +833,14 @@ def _over(c, d: int) -> int:
 
 def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
     """The residual of `bracket_action_check` at every unordered pair and
-    label, summed in the same order, over action rows compiled for this
-    sweep; the bracket and sign are taken once per pair.
+    label, summed in the same order, over the spec's memo rows
+    (`_ActionRow`); the bracket and sign are taken once per pair.
 
-    The rows are filled first, with every entry the loop reads.  Then every
-    row coefficient and bracket scale is lowered to an int over their
-    common denominator d (`_lowering`), and the loop runs in int
+    First the entries the loop reads are copied out of the rows, built
+    there if no earlier reader of the spec did, with the targets that
+    `drop` selects left out, so a quotient sweep reads the induced action.
+    Then every copied coefficient and bracket scale is lowered to an int
+    over their common denominator d (`_lowering`), and the loop runs in int
     arithmetic: each residual term is a row coefficient times a scale or a
     product of two row coefficients, so the loop computes every residual
     times unit = d**2.  A Poly coefficient is also evaluated at one
@@ -782,12 +851,12 @@ def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
     (the generic candidates' solved modes) keep their objects and unit 1,
     as do rows in the hundreds of unknowns of a generic candidate.
     """
-    rows: dict = {}
+    ctx = spec.ctx
+    memo: dict = {}
 
     def row(g: Gen):
         key = (g.kind, None if g.idx is None else g.idx.doubled)
-        if key not in rows:
-            rows[key] = _ActionRow(spec, g, drop)
+        memo[key] = ctx.row(g)
         return key
 
     pairs = []
@@ -796,39 +865,45 @@ def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
             sign = -1 if parity(g1) and parity(g2) else 1
             # C acts as zero, so its bracket terms add nothing
             lhs = [(row(h), scale) for h, scale in bracket(g1, g2).items() if h.kind != "C"]
-            pairs.append((g1, row(g1), g2, row(g2), sign, lhs))
-    keyed = [((v.letter, v.idx.doubled), v) for v in labels]
-    # every row is read on the window labels; the generators' rows also on
-    # each label that one action takes a window label to
-    for r in list(rows.values()):
-        for vk, _ in keyed:
-            r[vk]
-    gen_rows = [rows[row(g)] for g in gens]
-    reached = {lk for r in gen_rows for vk, _ in keyed for lk, _ in r[vk]}
-    for r in gen_rows:
+            # names are formed once, and shared by every witness that uses them
+            pairs.append((str(g1), row(g1), str(g2), row(g2), sign, lhs))
+    keyed = [((v.letter, v.idx.doubled), str(v)) for v in labels]
+
+    def kept(terms):
+        if drop is None:
+            return terms
+        return tuple((lk, c) for lk, c in terms
+                     if not drop(BasisLabel(lk[0], HalfInt(lk[1]))))
+
+    # plain dicts of exactly the entries the loop reads: every row on the
+    # window labels, the generators' rows also on each label that one
+    # action takes a window label to.  A read this misses raises.
+    rows = {key: {vk: kept(r[vk]) for vk, _ in keyed} for key, r in memo.items()}
+    gen_keys = [row(g) for g in gens]
+    reached = {lk for key in gen_keys for vk, _ in keyed for lk, _ in rows[key][vk]}
+    for key in gen_keys:
         for lk in reached:
-            r[lk]
+            rows[key][lk] = kept(memo[key][lk])
 
     lowering = _lowering(rows, [[scale for _, scale in lhs] for *_, lhs in pairs])
     unit, decode = 1, None
     if lowering is not None:
         d, lower, decode = lowering
         unit = d * d
-        # plain dicts: a read the fill above missed raises instead of
-        # mixing an unscaled coefficient into the int loop
-        rows = {key: {vk: tuple((lk, lower(c, d)) for lk, c in terms)
-                      for vk, terms in r.items()}
-                for key, r in rows.items()}
-        pairs = [(g1, k1, g2, k2, sign, [(kh, lower(scale, d)) for kh, scale in lhs])
-                 for g1, k1, g2, k2, sign, lhs in pairs]
+        # in place: the copies are lowered without a second set of dicts
+        for r in rows.values():
+            for vk, terms in r.items():
+                r[vk] = tuple((lk, lower(c, d)) for lk, c in terms)
+        pairs = [(n1, k1, n2, k2, sign, [(kh, lower(scale, d)) for kh, scale in lhs])
+                 for n1, k1, n2, k2, sign, lhs in pairs]
 
     checks = 0
     violations = []
-    for g1, k1, g2, k2, sign, lhs in pairs:
+    for n1, k1, n2, k2, sign, lhs in pairs:
         r1, r2 = rows[k1], rows[k2]
         lhs_rows = [(rows[kh], scale) for kh, scale in lhs]
         checks += len(keyed)
-        for vk, v in keyed:
+        for vk, name in keyed:
             out: dict = {}
             for rh, scale in lhs_rows:
                 for lk, c in rh[vk]:
@@ -848,7 +923,7 @@ def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
             if out:
                 res = {BasisLabel(lk[0], HalfInt(lk[1])): c if decode is None else decode(c, unit)
                        for lk, c in out.items()}
-                violations.append(Witness(str(g1), str(g2), str(v), lincomb_str(res)))
+                violations.append(Witness(n1, n2, name, lincomb_str(res)))
     return checks, violations
 
 
@@ -859,10 +934,11 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4,
     Unordered pairs suffice: the reversed-pair residual is the forward one
     up to the super-antisymmetry sign.  With `quotient_of` set to a closed
     candidate, the induced quotient action is checked instead.  The sweep
-    compiles its own action table, scoped to this call, and runs in int
-    arithmetic over one common denominator, at symbolic parameters too
-    (`_sweep_kernel`); `bracket_action_check` is the readable reference for
-    the residual it computes.
+    reads the spec's action memo, so entries an earlier reader of the same
+    spec built (the deformation audit, a first sweep) are not built again,
+    and runs in int arithmetic over one common denominator, at symbolic
+    parameters too (`_sweep_kernel`); `bracket_action_check` is the
+    readable reference for the residual it computes.
     """
     from .algebra import generators_in_window
 
@@ -1010,7 +1086,8 @@ class PartitionReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        # a partition check that ran no check certifies nothing
+        return self.checks > 0 and not self.violations
 
 
 def ns_partition_check(spec: FamilySpec, gen_window: int = 2,

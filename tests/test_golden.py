@@ -7,6 +7,9 @@ byte of them alone; a deliberate change to a report regenerates its file
 and says why.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,14 @@ CONCRETE = [
     # a symbolic sweep's witnesses, decoded from its int loop (exit 1)
     ("verify-axioms-aab-gy-coeff", ["verify-axioms", "--family", "Aab",
                                     "--inject-fault", "aab.gy-coeff"], 1),
+    # the action table read through `act`: a window survey of cyclic
+    # submodules, and an escape whose witness prints an action coefficient
+    ("submodule-aab-0--1-scan", ["submodule", "--family", "Aab", "--a", "0", "--b", "-1",
+                                 "--scan"], 0),
+    ("submodule-aab-1-3-2-5-span-x0", ["submodule", "--family", "Aab", "--a", "1/3",
+                                       "--b", "2/5", "--candidate", "span:x0"], 1),
+    # a symbolic sweep and the NS partition check of one spec
+    ("verify-axioms-bab", ["verify-axioms", "--family", "Bab"], 0),
 ]
 
 
@@ -40,3 +51,14 @@ CONCRETE = [
 def test_concrete_json_report_is_byte_identical(capsys, name, argv, code):
     assert main(argv + ["--format", "json"]) == code
     assert capsys.readouterr().out == (DATA / f"{name}.json").read_text()
+
+
+def test_all_json_report_is_byte_identical():
+    # a fresh interpreter: the symbol registry's order, and with it the term
+    # order of printed polynomials, depends on what ran first in a process
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-m", "twistn2.cli", "all", "--format", "json"],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (DATA / "all.json").read_text()

@@ -1,20 +1,24 @@
 """Module family actions, axiom sweeps, partitions, submodules."""
 
+import gc
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistn2 import modules
 from twistn2.algebra import G, Gen, L, T, bracket, generators_in_window, parity
+from twistn2.cli import main
+from twistn2.deformation import instantiate_deformation
 from twistn2.halfint import HalfInt
 from twistn2.indices import SymIndex
 from twistn2.modules import (FAULT_CATALOG, BasisLabel, FamilySpec, aab, act,
                              act_indexed, axiom_sweep, b_zero_candidate, bab,
                              bracket_action_check, complement_of, deformed,
-                             gensum_act, labels_in_window, lincomb_act,
-                             ns_partition_check, lincomb_str,
+                             labels_in_window, ns_partition_check, lincomb_str,
                              proper_submodule_scan, span_of, spec_with_fault,
                              submodule_check)
 from twistn2.poly import ONE, Poly, RatFunc
@@ -55,15 +59,27 @@ class TestPrintedActions:
         assert act(aab(), C, lbl("x", 0)) == {}
 
 
+def acting(spec, g, lc):
+    """g applied to a linear combination of basis vectors, through `act`."""
+    out = {}
+    for label, coeff in lc.items():
+        for label2, coeff2 in act(spec, g, label).items():
+            out[label2] = out.get(label2, 0) + coeff * coeff2
+    return {label: coeff for label, coeff in out.items() if coeff}
+
+
 class TestBracketActionChecks:
     def test_aab_fermion_pair_on_x0(self):
         spec = aab()
         assert bracket_action_check(spec, G(H), G(0), lbl("x", 0)) == {}
         # both sides equal -(b+1) x_{1/2}, computed independently
-        lhs = gensum_act(spec, bracket(G(H), G(0)), lbl("x", 0))
         start = {lbl("x", 0): ONE}
-        rhs = lincomb_act(spec, G(H), lincomb_act(spec, G(0), start))
-        for label2, coeff in lincomb_act(spec, G(0), lincomb_act(spec, G(H), start)).items():
+        lhs = {}
+        for h, scale in bracket(G(H), G(0)).items():
+            for label, coeff in acting(spec, h, start).items():
+                lhs[label] = lhs.get(label, 0) + scale * coeff
+        rhs = acting(spec, G(H), acting(spec, G(0), start))
+        for label2, coeff in acting(spec, G(0), acting(spec, G(H), start)).items():
             rhs[label2] = rhs.get(label2, 0) + coeff
         assert lhs == {lbl("x", H): -(b + 1)} == rhs
 
@@ -73,7 +89,7 @@ class TestBracketActionChecks:
     def test_deformed_family_mixed_pair(self):
         spec = deformed("A1", Fraction(2, 7))
         assert bracket_action_check(spec, L(1), G(-H), lbl("x", 0)) == {}
-        both = lincomb_act(spec, G(H), {lbl("x", 0): ONE})
+        both = acting(spec, G(H), {lbl("x", 0): ONE})
         assert both == {lbl("y", H): Poly.const(2 * H + Fraction(2, 7))}
 
 
@@ -281,6 +297,12 @@ class TestPartitions:
             report = ns_partition_check(spec)
             assert report.ok, report.violations[:1]
 
+    def test_partition_check_with_zero_checks_is_not_ok(self):
+        # a basis window below 0 holds no label, so nothing is checked
+        report = ns_partition_check(aab(), 2, -1)
+        assert report.checks == 0 and not report.violations
+        assert not report.ok
+
 
 class TestSubmodules:
     def test_distinguished_vector_complement_is_closed(self):
@@ -324,6 +346,68 @@ class TestSubmodules:
 
     def test_cyclic_scan_on_generic_parameters_is_empty(self):
         assert proper_submodule_scan(aab(Fraction(1, 3), Fraction(2, 5))) == {}
+
+
+@pytest.fixture
+def counted_act_indexed(monkeypatch):
+    """Counts the action entries built from the tables."""
+    calls = [0]
+    original = modules.act_indexed
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(modules, "act_indexed", counting)
+    return calls
+
+
+class TestActionMemo:
+    def test_second_sweep_of_one_spec_builds_no_entry(self, counted_act_indexed):
+        spec = deformed("A1", Fraction(2, 7))
+        first = axiom_sweep(spec)
+        assert counted_act_indexed[0] > 0
+        counted_act_indexed[0] = 0
+        second = axiom_sweep(spec)
+        assert counted_act_indexed[0] == 0
+        assert second == first
+
+    def test_audit_and_sweep_of_one_spec_share_entries(self, counted_act_indexed):
+        axiom_sweep(deformed("B2", Fraction(2, 7)))
+        cold = counted_act_indexed[0]
+        spec, _ = instantiate_deformation("B2", Fraction(2, 7))
+        counted_act_indexed[0] = 0
+        axiom_sweep(spec)
+        assert counted_act_indexed[0] < cold
+
+    def test_spec_and_its_memo_form_no_reference_cycle(self):
+        # with the cyclic collector off, a spec goes as soon as its last
+        # reference does, memo and all
+        specs = [deformed("A1", Fraction(2, 7)), bab(),
+                 FamilySpec("GenericB", a=Fraction(1, 3), b=Fraction(-5, 7), bprime="sym")]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for spec in specs:
+                axiom_sweep(spec, 1, 2)
+                ns_partition_check(spec, 1, 2)
+            refs = [weakref.ref(spec) for spec in specs]
+            refs.append(weakref.ref(specs[0].ctx.base))
+            del spec, specs
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_all_leaves_no_module_state_behind(self, capsys):
+        def sizes():
+            return {name: len(value) for name, value in vars(modules).items()
+                    if isinstance(value, (dict, list, set, tuple))}
+
+        before = sizes()
+        assert main(["all", "--format", "json"]) == 0
+        capsys.readouterr()
+        assert sizes() == before
 
 
 class TestSpecValidation:
