@@ -69,15 +69,15 @@ def parity(g: Gen) -> int:
 GenSum = dict
 
 
-def _add_term(out: GenSum, g: Gen, coeff: Fraction) -> None:
-    if not coeff:
-        return
-    acc = out.get(g)
+def add_term(out: dict, key, coeff) -> None:
+    """Add coeff to out[key]: a zero sum is not stored, and a key whose
+    terms cancel is deleted.  Shared by every sparse sum in the package."""
+    acc = out.get(key)
     new = coeff if acc is None else acc + coeff
     if new:
-        out[g] = new
+        out[key] = new
     elif acc is not None:
-        del out[g]
+        del out[key]
 
 
 # kinds in the order the structure constants are written; a pair in the
@@ -139,9 +139,9 @@ def bracket(g1: Gen, g2: Gen) -> GenSum:
     if k1 == "C" or k2 == "C":
         return out
     for kind, idx, coeff in bracket_terms(k1, g1.idx, k2, g2.idx):
-        _add_term(out, Gen(kind, idx), coeff)
+        add_term(out, Gen(kind, idx), coeff)
     if k1 == k2 and g1.idx.doubled + g2.idx.doubled == 0:
-        _add_term(out, C, _central(k1, g1.idx))
+        add_term(out, C, _central(k1, g1.idx))
     return out
 
 
@@ -149,7 +149,7 @@ def _bracket_gen_sum(g: Gen, summ: GenSum) -> GenSum:
     out: GenSum = {}
     for h, c in summ.items():
         for h2, c2 in bracket(g, h).items():
-            _add_term(out, h2, c * c2)
+            add_term(out, h2, c * c2)
     return out
 
 
@@ -197,12 +197,12 @@ def jacobi_residual(x: Gen, y: Gen, z: Gen) -> GenSum:
     rhs1: GenSum = {}
     for h, c in bracket(x, y).items():
         for h2, c2 in bracket(h, z).items():
-            _add_term(rhs1, h2, c * c2)
+            add_term(rhs1, h2, c * c2)
     sign = Fraction(-1) if parity(x) and parity(y) else Fraction(1)
     rhs2 = _bracket_gen_sum(y, bracket(x, z))
     out = dict(lhs)
     for g, c in rhs1.items():
-        _add_term(out, g, -c)
+        add_term(out, g, -c)
     for g, c in rhs2.items():
-        _add_term(out, g, -sign * c)
+        add_term(out, g, -sign * c)
     return out

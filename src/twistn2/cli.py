@@ -132,21 +132,23 @@ def cmd_delta(args) -> Report:
     return rep
 
 
+# the sporadic pair sets: the mixed-identity determinant whose quotient
+# each must annihilate, and the check's wording
+OMEGA_SETS = {
+    "omega": ("3", "sporadic pair set annihilates the mixed-identity quotient"),
+    "omega-prime": ("3p", "mirrored sporadic pair set annihilates its quotient"),
+}
+
+
 def cmd_roots(args) -> Report:
     which = args.which or "all"
     rep = Report("roots", {"which": which})
-    names = clab.ROOT_SET_NAMES + ("omega", "omega-prime") if which == "all" else (which,)
+    names = clab.ROOT_SET_NAMES + tuple(OMEGA_SETS) if which == "all" else (which,)
     for name in names:
-        if name == "omega":
-            dr = clab.compare_delta_closed_form("3")
-            rep.add("sporadic pair set annihilates the mixed-identity quotient",
-                    "root-set/omega", all(v == "0" for _, v in dr.omega_checks),
-                    dict(dr.omega_checks))
-            continue
-        if name == "omega-prime":
-            dr = clab.compare_delta_closed_form("3p")
-            rep.add("mirrored sporadic pair set annihilates its quotient",
-                    "root-set/omega-prime", all(v == "0" for _, v in dr.omega_checks),
+        if name in OMEGA_SETS:
+            delta, desc = OMEGA_SETS[name]
+            dr = clab.compare_delta_closed_form(delta)
+            rep.add(desc, f"root-set/{name}", all(v == "0" for _, v in dr.omega_checks),
                     dict(dr.omega_checks))
             continue
         try:
@@ -378,7 +380,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", help="root sets of the constraint determinants")
     common(p)
     p.add_argument("--which",
-                   choices=clab.ROOT_SET_NAMES + ("omega", "omega-prime", "all"),
+                   choices=clab.ROOT_SET_NAMES + tuple(OMEGA_SETS) + ("all",),
                    default="all")
 
     p = sub.add_parser("compose-t", help="re-derive T coefficients from compositions")

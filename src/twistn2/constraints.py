@@ -43,9 +43,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import bracket_terms
+from .deformation import CASES
 from .indices import IDX_ZERO, SymIndex
 from .modules import (R, FamilySpec, _combine, _commutator, _landing, _mode, _only_coeff,
-                      act_indexed, bracket_residual, t_composition, unknown_name)
+                      act_indexed, bracket_residual, slot_vector, t_composition,
+                      unknown_name)
 from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, exact_divide,
                    quadratic_root_data, QuadRootData)
 from .report import CheckList
@@ -609,6 +611,18 @@ def coeff_solution_check(which: str) -> CheckList:
     raise KeyError(f"unknown lemma check {which!r} (choose from {LEMMA_CHECKS})")
 
 
+def _y_weighted_check(group, sys3, label):
+    """The y side's weighted proportionality, shared by case A and by case
+    B's half-odd weights: weight a - k + (2b + 1)p, and the printed
+    cubic-in-p factor."""
+    a, b, k, p, m = Pa, Pb, Pk, Pp, Pm
+    w = lambda vi: a - vi.as_poly() + 2 * b * p + p
+    printed = (2 * (3 + 2 * b) * p**3 + 4 * (k - a) * (3 + 2 * b) * p**2
+               + (3 + 2 * b) * (1 + 3 * b) * p * m**2 + 6 * (a - k) ** 2 * p
+               + (k - a) * (3 + 4 * b) * m**2)
+    _shift_factor_check(group, sys3, label, printed=printed, proportional=(w(K), w(K + M)))
+
+
 def _check_g_shift_a() -> CheckList:
     group = CheckList("g-shift-invariance")
     a, b, k, p, m = Pa, Pb, Pk, Pp, Pm
@@ -629,15 +643,9 @@ def _check_g_shift_a() -> CheckList:
     _shift_factor_check(group, sys_xh, "x side (half-odd weights)")
     _solution_into_system(group, sys_xh, "x side (half-odd weights)", solved)
     # y side: weighted proportionality with the printed cubic-in-p factor
-    w = lambda vi: a - vi.as_poly() + 2 * b * p + p
-    printed_y = (2 * (3 + 2 * b) * p**3 + 4 * (k - a) * (3 + 2 * b) * p**2
-                 + (3 + 2 * b) * (1 + 3 * b) * p * m**2 + 6 * (a - k) ** 2 * p
-                 + (k - a) * (3 + 4 * b) * m**2)
     for kclass in ("int", "half"):
         sys_y = _g_system_rows("A", "gp", kclass, diag)
-        _shift_factor_check(group, sys_y, f"y side ({kclass} weights)",
-                            printed=printed_y,
-                            proportional=(w(K), w(K + M)))
+        _y_weighted_check(group, sys_y, f"y side ({kclass} weights)")
         _solution_into_system(group, sys_y, f"y side ({kclass} weights)", solved)
     return group
 
@@ -673,14 +681,8 @@ def _check_g_shift_b() -> CheckList:
                         printed=d2b * m**4 + d2kp * m**2 + d2kp2)
     _solution_into_system(group, sys_y, "y side (integer weights)", solved)
     # y side, half-odd weights: same weighted relation as the diagonal case
-    wy = lambda vi: a - vi.as_poly() + 2 * b * p + p
-    printed_yh = (2 * (3 + 2 * b) * p**3 + 4 * (k - a) * (3 + 2 * b) * p**2
-                  + (3 + 2 * b) * (1 + 3 * b) * p * m**2 + 6 * (a - k) ** 2 * p
-                  + (k - a) * (3 + 4 * b) * m**2)
     sys_yh = _g_system_rows("B", "gp", "half", diag)
-    _shift_factor_check(group, sys_yh, "y side (half-odd weights)",
-                        printed=printed_yh,
-                        proportional=(wy(K), wy(K + M)))
+    _y_weighted_check(group, sys_yh, "y side (half-odd weights)")
     _solution_into_system(group, sys_yh, "y side (half-odd weights)", solved)
     _mu_relation_checks(group)
     return group
@@ -780,17 +782,15 @@ def _t_reference(spec: FamilySpec):
             ("y, integer weights", "y", K, 0, ZERO),
             ("y, half-odd weights", "y", K, 1, (2 * b + 1) * r),
         ]
-    if fam not in ("A1", "A2", "B1", "B2"):
+    if fam not in CASES:
         raise ValueError(f"no printed T table for {fam}")
-    al, alp = Poly.var("alpha"), Poly.var("alphap")
-    if spec.alpha != "sym":
-        al = Poly.const(spec.alpha)
-    if spec.alphap != "sym":
-        alp = Poly.const(spec.alphap)
+    # the row on the distinguished vector reads the case's closed form
+    letter, start = slot_vector(fam, "T", R)
+    f_slot = CASES[fam].f_closed_form(alphap=spec.ctx.alphap)
     if fam == "A1":
         return [
             ("x away from the distinguished vector", "x", K, 0, ZERO),
-            ("x at the distinguished vector", "x", SymIndex(), 0, -2 * r * alp),
+            ("x at the distinguished vector", letter, start, 0, f_slot),
             ("y, integer weights", "y", K, 0, ONE),
             ("y, half-odd weights", "y", K, 1, ONE),
         ]
@@ -799,23 +799,21 @@ def _t_reference(spec: FamilySpec):
             ("x, integer weights", "x", K, 0, -ONE),
             ("x, half-odd weights", "x", K, 1, -ONE),
             ("y away from the distinguished vector", "y", K, 0, ZERO),
-            ("y mapping onto the distinguished vector", "y", -R, 1, 2 * r * alp),
+            ("y mapping onto the distinguished vector", letter, start, 1, f_slot),
         ]
     if fam == "B1":
         return [
             ("x, integer weights", "x", K, 0, ONE),
             ("x, half-odd weights", "x", K, 1, ONE),
             ("y away from the distinguished vector", "y", K, 1, ZERO),
-            ("y at the distinguished vector", "y", SymIndex(), 0, -2 * alp),
+            ("y at the distinguished vector", letter, start, 0, f_slot),
         ]
-    if fam == "B2":
-        return [
-            ("x, integer weights", "x", K, 0, ONE),
-            ("x, half-odd weights", "x", K, 1, ONE),
-            ("y away from the distinguished vector", "y", K, 1, ZERO),
-            ("y mapping onto the distinguished vector", "y", SymIndex(HALF) - R, 0,
-             2 * alp),
-        ]
+    return [
+        ("x, integer weights", "x", K, 0, ONE),
+        ("x, half-odd weights", "x", K, 1, ONE),
+        ("y away from the distinguished vector", "y", K, 1, ZERO),
+        ("y mapping onto the distinguished vector", letter, start, 0, f_slot),
+    ]
 
 
 def _check_t_composition_generic(case: str) -> CheckList:
@@ -831,25 +829,23 @@ def _check_t_composition_generic(case: str) -> CheckList:
             ("y", 0): RatFunc((a - k) * a3 - (a - k + 2 * b * r + r) * a2, r),
             ("y", 1): RatFunc((a - k) * a4 - (a - k + 2 * b * r + r) * a1, r),
         }
-        for (letter, kpar), want in printed.items():
-            got = t_composition(spec, letter, K, {"k": kpar, "r": 1})
-            group.add(f"{letter} side, {'integer' if kpar == 0 else 'half-odd'} weights: "
-                      "composition matches the printed solved form", got == want)
-        return group
-    group = CheckList("b-t-composition")
-    spec = generic_candidate("B", "beta")
-    b1, b2, b3, b4 = (Poly.var(f"beta{i}") for i in range(1, 5))
-    printed = {
-        ("x", 0): RatFunc((a - k) * b1 + (a - k - r) * b4, r),
-        ("x", 1): RatFunc(-((a - k + 2 * b * r + r) * b2 + (a - k + 2 * b * r) * b3), r),
-        ("y", 0): RatFunc(b2 + b3, r),
-        ("y", 1): RatFunc(-((a - k) * (a - k + 2 * b * r) * b4
-                            + (a - k - r) * (a - k + 2 * b * r + r) * b1), r),
-    }
+    else:
+        group = CheckList("b-t-composition")
+        spec = generic_candidate("B", "beta")
+        b1, b2, b3, b4 = (Poly.var(f"beta{i}") for i in range(1, 5))
+        printed = {
+            ("x", 0): RatFunc((a - k) * b1 + (a - k - r) * b4, r),
+            ("x", 1): RatFunc(-((a - k + 2 * b * r + r) * b2 + (a - k + 2 * b * r) * b3), r),
+            ("y", 0): RatFunc(b2 + b3, r),
+            ("y", 1): RatFunc(-((a - k) * (a - k + 2 * b * r) * b4
+                                + (a - k - r) * (a - k + 2 * b * r + r) * b1), r),
+        }
     for (letter, kpar), want in printed.items():
         got = t_composition(spec, letter, K, {"k": kpar, "r": 1})
         group.add(f"{letter} side, {'integer' if kpar == 0 else 'half-odd'} weights: "
                   "composition matches the printed solved form", got == want)
+    if case == "A":
+        return group
     # exceptional (0,-3/2) candidate: printed forms carry transcription slips,
     # so the derived compositions are recorded and compared term by term
     mspec = generic_candidate("B", "mu")

@@ -5,10 +5,11 @@ A(a,b) and B(a,b) and the four one-parameter deformed families A1..B2, plus
 two generic symbolic candidates (GenericA, GenericB) whose T and integer-G
 coefficients are either fresh unknowns or the solved coefficient forms.
 
-A deformed family is its base module (BASE_FAMILY: A(0,-1), A(0,-1/2),
-B(0,-1/2), B(1/2,-1/2)) plus one slot rule that rewrites the actions out of
-or into one distinguished vector (x_0, y_0, y_0, y_1/2); its injected faults
-live in that slot rule.
+A deformed family is its base module (A(0,-1), A(0,-1/2), B(0,-1/2),
+B(1/2,-1/2)) plus one slot: the actions out of a distinguished source (x_0
+for A1, y_0 for B1) or into a distinguished sink (y_0 for A2, y_1/2 for
+B2).  `BASE_FAMILY` is the one statement of where each slot sits; the slot
+rule holds only the slot's values and the injected faults.
 
 One action engine serves every consumer: indices are SymIndex linear forms,
 so the same family tables answer concrete sweeps (constant indices) and the
@@ -30,7 +31,7 @@ from functools import cached_property
 from math import lcm
 from typing import Union
 
-from .algebra import Gen, bracket, bracket_terms, parity
+from .algebra import Gen, add_term, bracket, bracket_terms, parity
 from .halfint import HalfInt
 from .indices import IDX_ZERO, SymIndex
 from .poly import ONE, KroneckerPoint, Poly, RatFunc, ZERO
@@ -171,17 +172,21 @@ def deformed(family: str, alpha: Param, alphap: Param = Fraction(1),
 # action engine
 # ---------------------------------------------------------------------------
 
-# each deformed family modifies one two-parameter module at one distinguished
-# vector, and the base module's proper submodule survives the deformation:
+HALF = Fraction(1, 2)
+
+# each deformed family is one two-parameter module deformed at one
+# distinguished vector, and this table is the one place that says where:
+# family -> (base module, a, b, role, (letter, index)).  The base module's
+# proper submodule survives the deformation:
 #   A1 at x_0, B1 at y_0: a source.  The deformation changes its outgoing
 #     actions and nothing maps onto it; the complement is the submodule.
 #   A2 at y_0, B2 at y_1/2: a sink.  The deformation changes the actions into
 #     it and it maps to nothing; its span is the submodule.
 BASE_FAMILY = {
-    "A1": ("Aab", Fraction(0), Fraction(-1)),
-    "A2": ("Aab", Fraction(0), Fraction(-1, 2)),
-    "B1": ("Bab", Fraction(0), Fraction(-1, 2)),
-    "B2": ("Bab", Fraction(1, 2), Fraction(-1, 2)),
+    "A1": ("Aab", Fraction(0), Fraction(-1), "source", ("x", IDX_ZERO)),
+    "A2": ("Aab", Fraction(0), Fraction(-1, 2), "sink", ("y", IDX_ZERO)),
+    "B1": ("Bab", Fraction(0), Fraction(-1, 2), "source", ("y", IDX_ZERO)),
+    "B2": ("Bab", Fraction(1, 2), Fraction(-1, 2), "sink", ("y", SymIndex(HALF))),
 }
 
 
@@ -191,11 +196,12 @@ class _Ctx:
 
     It reaches its spec through a weak proxy, so a spec and its memo form
     no reference cycle and are freed together.  A deformed family's context
-    holds its base module's spec, whose own memo the audit reads.
+    holds its base module's spec, which answers every read off the slot, and
+    the slot's role and vector (`BASE_FAMILY`).
     """
 
     __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "base",
-                 "forced", "rows")
+                 "slot", "forced", "rows")
 
     def __init__(self, spec: FamilySpec):
         self.spec = weakref.proxy(spec)
@@ -219,10 +225,11 @@ class _Ctx:
             self.forced["bprime"] = Poly.const(Fraction(-3, 2))
         self.b = self.forced.get("b", self.b)
         self.bp = self.forced.get("bprime", self.bp)
-        self.base = None
+        self.base = self.slot = None
         if spec.family in BASE_FAMILY:
-            family, a, b = BASE_FAMILY[spec.family]
+            family, a, b, role, vector = BASE_FAMILY[spec.family]
             self.base = FamilySpec(family, a=a, b=b)
+            self.slot = role, vector
         self.rows: dict = {}
 
     def row(self, g: Gen) -> _ActionRow:
@@ -246,9 +253,6 @@ def _param(name: str, value: Param) -> Fraction | Poly | None:
 def _sgn2q(gpar: int) -> int:
     """(-1)^(2q) for an index of the given parity class."""
     return -1 if gpar else 1
-
-
-HALF = Fraction(1, 2)
 
 
 def _value(idx: SymIndex) -> Fraction | Poly:
@@ -359,82 +363,60 @@ def _act_b_zero(ctx, kind, g, letter, v, env):
 
 
 # -- deformed families: the base module plus one slot ------------------------
-# A slot rule returns the deformed terms when the call hits its family's
-# distinguished vector, and None otherwise.
 
 def _act_deformed(ctx, kind, g, letter, v, env):
-    terms = _SLOT_RULES[ctx.spec.family](ctx, kind, g, letter, v, env)
-    if terms is None:
-        terms = _TABLES[ctx.base.family](ctx.base.ctx, kind, g, letter, v, env)
-    return terms
+    if not _at_slot(ctx, kind, g, letter, v):
+        return _TABLES[ctx.base.family](ctx.base.ctx, kind, g, letter, v, env)
+    return [(*_landing(letter, v, ((kind, g),)), _slot_coeff(ctx, kind, g, env))]
 
 
-def _slot_a1(ctx, kind, g, letter, v, env):
-    # outgoing actions of the source x_0
-    if letter != "x" or v != IDX_ZERO:
-        return None
-    al, alp, gP = ctx.alpha, ctx.alphap, _value(g)
+def _at_slot(ctx, kind, g, letter, v) -> bool:
+    """Does this action read the deformation slot?  Every action out of a
+    source does, and every action into a sink."""
+    role, vector = ctx.slot
+    if role == "source":
+        return (letter, v) == vector
+    return _landing(letter, v, ((kind, g),)) == vector
+
+
+def slot_vector(family: str, kind: str, q: SymIndex):
+    """The basis vector (letter, index) on which mode (kind, q) reads the
+    family's slot: the source itself, or the line that (kind, q) takes to
+    the sink."""
+    *_, role, (letter, idx) = BASE_FAMILY[family]
+    if role == "source":
+        return letter, idx
+    if kind == "G":
+        letter = "y" if letter == "x" else "x"
+    return letter, idx - q
+
+
+def _slot_coeff(ctx, kind, g, env):
+    """The slot's coefficient for mode (kind, q), with the family's injected
+    fault: -+q(a'q + a) for L (- at a source, + at a sink), -+2a'q for T on
+    A1/A2 and -+2a' on B1/B2, 2qa' + a for G, times (-1)^(2q+1) on B2."""
+    fam = ctx.spec.family
+    # a fault names its family; another family's fault changes nothing here
+    fault = ctx.fault if (ctx.fault or "").startswith(fam.lower() + ".") else None
+    al, alp, q = ctx.alpha, ctx.alphap, _value(g)
+    sign = -1 if ctx.slot[0] == "source" else 1
     if kind == "L":
-        return [("x", v + g, -(gP * (alp * gP + al)))]
+        co = sign * q * (alp * q + al)
+        return -co if fault in ("a2.ldef-sign", "b2.ldef-sign") else co
     if kind == "T":
-        co = -2 * alp if ctx.fault == "a1.t0-coeff" else -2 * alp * gP
-        return [("x", v + g, co)]
-    co = 2 * gP * alp - al if ctx.fault == "a1.g0-coeff" else 2 * gP * alp + al
-    return [("y", v + g, co)]
-
-
-def _slot_b1(ctx, kind, g, letter, v, env):
-    # outgoing actions of the source y_0
-    if letter != "y" or v != IDX_ZERO:
-        return None
-    al, alp, gP = ctx.alpha, ctx.alphap, _value(g)
-    if kind == "L":
-        return [("y", v + g, -(gP * (alp * gP + al)))]
-    if kind == "T":
-        co = -2 * alp * gP if ctx.fault == "b1.t0-coeff" else -2 * alp
-        return [("y", v + g, co)]
-    co = gP * alp + al if ctx.fault == "b1.gy0-coeff" else 2 * gP * alp + al
-    return [("x", v + g, co)]
-
-
-_INTO_SINK = (("L", "y"), ("T", "y"), ("G", "x"))
-
-
-def _slot_a2(ctx, kind, g, letter, v, env):
-    # actions into the sink y_0
-    if (kind, letter) not in _INTO_SINK or v != -g:
-        return None
-    al, alp, gP = ctx.alpha, ctx.alphap, _value(g)
-    if kind == "L":
-        co = gP * (alp * gP + al)
-        if ctx.fault == "a2.ldef-sign":
+        # three faults drop the factor q from A's slots or add it to B's
+        with_q = (fam[0] == "A") != (fault in ("a1.t0-coeff", "a2.ty-coeff", "b1.t0-coeff"))
+        return sign * 2 * alp * (q if with_q else 1)
+    if fault == "a1.g0-coeff":
+        return 2 * q * alp - al
+    if fault == "b1.gy0-coeff":
+        return q * alp + al
+    co = 2 * q * alp + al
+    if fam == "B2":
+        co = -_sgn2q(g.parity(env)) * co  # (-1)^(2q+1)
+        if fault == "b2.gdef-sign":
             co = -co
-    elif kind == "T":
-        co = 2 * alp if ctx.fault == "a2.ty-coeff" else 2 * alp * gP
-    else:
-        co = 2 * gP * alp + al
-    return [("y", v + g, co)]
-
-
-def _slot_b2(ctx, kind, g, letter, v, env):
-    # actions into the sink y_1/2
-    if (kind, letter) not in _INTO_SINK or v != SymIndex(HALF) - g:
-        return None
-    al, alp, gP = ctx.alpha, ctx.alphap, _value(g)
-    if kind == "L":
-        co = gP * (alp * gP + al)
-        if ctx.fault == "b2.ldef-sign":
-            co = -co
-    elif kind == "T":
-        co = 2 * alp
-    else:
-        co = -_sgn2q(g.parity(env)) * (2 * gP * alp + al)  # (-1)^(2q+1)
-        if ctx.fault == "b2.gdef-sign":
-            co = -co
-    return [("y", v + g, co)]
-
-
-_SLOT_RULES = {"A1": _slot_a1, "A2": _slot_a2, "B1": _slot_b1, "B2": _slot_b2}
+    return co
 
 
 # -- generic candidates ------------------------------------------------------
@@ -565,7 +547,7 @@ def _apply_word(spec, ops, letter, vidx, env):
         for (lt, ix), coeff in state.items():
             for lt2, ix2, co2 in act_indexed(spec, kind, gidx, lt, ix, env):
                 if co2:
-                    _lc_add(nxt, (lt2, ix2), coeff * co2)
+                    add_term(nxt, (lt2, ix2), coeff * co2)
         state = nxt
     return state
 
@@ -577,7 +559,7 @@ def _combine(spec, pieces, letter, vidx, env):
         if isinstance(scalar, (int, Fraction)):
             scalar = Poly.const(scalar)
         for key, coeff in _apply_word(spec, ops, letter, vidx, env).items():
-            _lc_add(out, key, scalar * coeff)
+            add_term(out, key, scalar * coeff)
     return out
 
 
@@ -665,15 +647,6 @@ def _scalar(c):
     return c.const_value() if isinstance(c, Poly) and c.is_const() else c
 
 
-def _lc_add(out: LinComb, label, coeff) -> None:
-    acc = out.get(label)
-    new = coeff if acc is None else acc + coeff
-    if new:
-        out[label] = new
-    elif acc is not None:
-        del out[label]
-
-
 def bracket_action_check(spec: FamilySpec, g1: Gen, g2: Gen, v: BasisLabel,
                          drop=None) -> LinComb:
     """Residual of the module axiom at (g1, g2, v); zero certifies it.
@@ -691,15 +664,15 @@ def bracket_action_check(spec: FamilySpec, g1: Gen, g2: Gen, v: BasisLabel,
     out: LinComb = {}
     for h, scale in bracket(g1, g2).items():
         for label, coeff in kept(act(spec, h, v)):
-            _lc_add(out, label, coeff * scale)
+            add_term(out, label, coeff * scale)
     sign = -1 if parity(g1) and parity(g2) else 1
     for outer, inner, s in ((g1, g2, -1), (g2, g1, sign)):
         composed: LinComb = {}
         for label, coeff in kept(act(spec, inner, v)):
             for label2, coeff2 in kept(act(spec, outer, label)):
-                _lc_add(composed, label2, coeff * coeff2)
+                add_term(composed, label2, coeff * coeff2)
         for label, coeff in composed.items():
-            _lc_add(out, label, s * coeff)
+            add_term(out, label, s * coeff)
     return out
 
 
@@ -744,9 +717,9 @@ class _ActionRow(dict):
     the first time it is read and kept as long as the spec.
 
     It is the only action memo.  The spec's context owns one row per
-    generator (`_Ctx.row`), and `act`, the axiom sweep, the submodule and
-    partition checks and the deformation audit all read it, so each entry
-    of a spec is built once however many of them run.
+    generator (`_Ctx.row`), and `act`, the axiom sweep and the submodule
+    and partition checks all read it, so each entry of a spec is built once
+    however many of them run.
 
     Coefficients are Fractions for a concrete spec (a constant Poly is
     lowered too) and Poly where a parameter is symbolic; RatFunc in the
@@ -767,7 +740,7 @@ class _ActionRow(dict):
             for letter2, idx, coeff in act_indexed(self.spec, self.kind, self.gidx, letter,
                                                    SymIndex(Fraction(doubled, 2))):
                 if coeff:
-                    _lc_add(lc, (letter2, idx.const_value().doubled), coeff)
+                    add_term(lc, (letter2, idx.const_value().doubled), coeff)
         terms = tuple((lk, _scalar(c)) for lk, c in lc.items())
         self[key] = terms
         return terms
@@ -907,19 +880,19 @@ def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
             out: dict = {}
             for rh, scale in lhs_rows:
                 for lk, c in rh[vk]:
-                    _lc_add(out, lk, c * scale)
+                    add_term(out, lk, c * scale)
             t1: dict = {}
             for lk, c in r2[vk]:
                 for lk2, c2 in r1[lk]:
-                    _lc_add(t1, lk2, c * c2)
+                    add_term(t1, lk2, c * c2)
             t2: dict = {}
             for lk, c in r1[vk]:
                 for lk2, c2 in r2[lk]:
-                    _lc_add(t2, lk2, c * c2)
+                    add_term(t2, lk2, c * c2)
             for lk, c in t1.items():
-                _lc_add(out, lk, -c)
+                add_term(out, lk, -c)
             for lk, c in t2.items():
-                _lc_add(out, lk, sign * c)
+                add_term(out, lk, sign * c)
             if out:
                 res = {BasisLabel(lk[0], HalfInt(lk[1])): c if decode is None else decode(c, unit)
                        for lk, c in out.items()}
@@ -935,7 +908,7 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4,
     up to the super-antisymmetry sign.  With `quotient_of` set to a closed
     candidate, the induced quotient action is checked instead.  The sweep
     reads the spec's action memo, so entries an earlier reader of the same
-    spec built (the deformation audit, a first sweep) are not built again,
+    spec built (`act`, a first sweep) are not built again,
     and runs in int arithmetic over one common denominator, at symbolic
     parameters too (`_sweep_kernel`); `bracket_action_check` is the
     readable reference for the residual it computes.

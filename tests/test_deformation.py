@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from twistn2.deformation import (CASES, base_spec, deformation_discrepancies,
-                                 derived_action, e_closed_form_check,
-                                 f_derivation, fit_alpha_from_e,
-                                 g_solution_check, instantiate_deformation)
+from twistn2 import modules
+from twistn2.deformation import (CASES, DeformCase, deformation_discrepancies,
+                                 e_closed_form_check, f_derivation,
+                                 fit_alpha_from_e, g_solution_check,
+                                 instantiate_deformation)
 from twistn2.algebra import G, L, T
 from twistn2.halfint import HalfInt
 from twistn2.modules import (FAULT_CATALOG, BasisLabel, FamilySpec, act,
@@ -81,28 +82,62 @@ class TestInstantiation:
     @pytest.mark.parametrize("fault", sorted(f for f in FAULT_CATALOG
                                              if not f.startswith(("aab.", "bab."))))
     def test_audit_catches_a_mutated_table(self, fault):
-        bad = spec_with_fault(fault)
-        found = deformation_discrepancies(bad)
-        assert found
-        # every flagged slot carries the derived value to use instead
-        entry = found[0]
-        assert entry.derived_value != entry.family_value
-        fixed = FamilySpec(bad.family, alpha=bad.alpha, alphap=bad.alphap)
-        assert not deformation_discrepancies(fixed)
-        assert axiom_sweep(fixed, 1, 2).ok
+        family = spec_with_fault(fault).family
+        for alpha in (Fraction(2, 7), "sym"):
+            bad = FamilySpec(family, alpha=alpha, fault=fault)
+            found = deformation_discrepancies(bad)
+            assert found, alpha
+            # every flagged read carries the closed-form value to use instead
+            entry = found[0]
+            assert entry.derived_value != entry.family_value
+            fixed = FamilySpec(family, alpha=alpha)
+            assert not deformation_discrepancies(fixed)
+            assert axiom_sweep(fixed, 1, 2).ok
 
-    def test_derived_table_matches_base_away_from_the_slots(self):
-        spec, _ = instantiate_deformation("A2", Fraction(2, 7))
-        case = CASES["A2"]
-        g, v = L(1), lbl("y", 3)
-        assert derived_action(case, spec, g, v) == act(base_spec(case), g, v)
+    def test_audit_catches_a_mutated_closed_form(self, monkeypatch):
+        # the audit compares the slot rule with the closed forms: drop the
+        # +alpha from g and every family's fermionic reads disagree
+        def g_without_alpha(self, q, parity=1, alpha=None, alphap=None):
+            return self.g_sign(parity) * (2 * q * alphap)
+
+        monkeypatch.setattr(DeformCase, "g_closed_form", g_without_alpha)
+        for name in sorted(CASES):
+            for alpha in (Fraction(2, 7), "sym"):
+                found = deformation_discrepancies(FamilySpec(name, alpha=alpha))
+                assert {d.g for d in found} == {"G(q), q integer", "G(q), q half-odd"}
 
     def test_deformed_coefficient_differs_from_the_base_module(self):
         spec, _ = instantiate_deformation("A1", Fraction(2, 7))
-        base = base_spec(CASES["A1"])
+        base = spec.ctx.base
         assert act(spec, L(2), lbl("x", 0)) != act(base, L(2), lbl("x", 0))
         # away from the distinguished vector the actions agree
         assert act(spec, L(2), lbl("x", 1)) == act(base, L(2), lbl("x", 1))
+
+
+def _moved(entry, how):
+    """A BASE_FAMILY entry with its distinguished vector moved."""
+    family, a, b, role, (letter, idx) = entry
+    if how == "index":
+        idx = idx + 1
+    elif how == "letter":
+        letter = "y" if letter == "x" else "x"
+    else:
+        role = "sink" if role == "source" else "source"
+    return family, a, b, role, (letter, idx)
+
+
+class TestSlotPlacement:
+    # the audit reads each slot where BASE_FAMILY puts it, so the axiom sweep
+    # is what checks that the slot sits in the right place
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("how", ("index", "letter", "role"))
+    def test_a_moved_slot_fails_the_sweep(self, monkeypatch, name, how):
+        monkeypatch.setitem(modules.BASE_FAMILY, name,
+                            _moved(modules.BASE_FAMILY[name], how))
+        for alpha in (Fraction(2, 7), "sym"):
+            spec = FamilySpec(name, alpha=alpha)
+            sweep = axiom_sweep(spec, 1, 2)
+            assert sweep.checks and sweep.violations, alpha
 
 
 class TestSubmoduleStructure:
@@ -123,7 +158,7 @@ class TestSubmoduleStructure:
         for name, closed, escaping in cases:
             specs = [instantiate_deformation(name, alpha)[0]
                      for alpha in (Fraction(2, 7), "sym")]
-            specs.append(base_spec(CASES[name]))
+            specs.append(specs[0].ctx.base)
             for spec in specs:
                 rep = submodule_check(spec, closed)
                 assert rep.closed, (name, spec.label(), rep.candidate, rep.escape)
@@ -133,7 +168,7 @@ class TestSubmoduleStructure:
     def test_cyclic_scan_is_unchanged_by_the_deformation(self):
         spec, _ = instantiate_deformation("A1", Fraction(2, 7))
         assert (set(map(tuple, proper_submodule_scan(spec).values()))
-                == set(map(tuple, proper_submodule_scan(base_spec(CASES["A1"])).values()))
+                == set(map(tuple, proper_submodule_scan(spec.ctx.base).values()))
                 == {("x_0",)})
 
     def test_annihilated_vector_spans_the_one_dimensional_submodule(self):

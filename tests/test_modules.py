@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistn2 import modules
+from twistn2 import deformation, modules
 from twistn2.algebra import G, Gen, L, T, bracket, generators_in_window, parity
 from twistn2.cli import main
 from twistn2.deformation import instantiate_deformation
@@ -350,7 +350,8 @@ class TestSubmodules:
 
 @pytest.fixture
 def counted_act_indexed(monkeypatch):
-    """Counts the action entries built from the tables."""
+    """Counts the action entries built from the tables, through the
+    bindings in `modules` and in `deformation`."""
     calls = [0]
     original = modules.act_indexed
 
@@ -359,6 +360,7 @@ def counted_act_indexed(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(modules, "act_indexed", counting)
+    monkeypatch.setattr(deformation, "act_indexed", counting)
     return calls
 
 
@@ -372,13 +374,16 @@ class TestActionMemo:
         assert counted_act_indexed[0] == 0
         assert second == first
 
-    def test_audit_and_sweep_of_one_spec_share_entries(self, counted_act_indexed):
-        axiom_sweep(deformed("B2", Fraction(2, 7)))
-        cold = counted_act_indexed[0]
-        spec, _ = instantiate_deformation("B2", Fraction(2, 7))
-        counted_act_indexed[0] = 0
-        axiom_sweep(spec)
-        assert counted_act_indexed[0] < cold
+    def test_audit_reads_the_slot_only(self, counted_act_indexed):
+        # one read per kind of mode at a symbolic index, and no memo entry
+        # of the spec or of its base module
+        for family in ("A1", "A2", "B1", "B2"):
+            counted_act_indexed[0] = 0
+            spec, found = instantiate_deformation(family, Fraction(2, 7))
+            assert not found
+            assert 0 < counted_act_indexed[0] <= 4
+            assert spec.ctx.rows == {}
+            assert spec.ctx.base.ctx.rows == {}
 
     def test_spec_and_its_memo_form_no_reference_cycle(self):
         # with the cyclic collector off, a spec goes as soon as its last
