@@ -45,8 +45,8 @@ from fractions import Fraction
 from .algebra import bracket_terms
 from .deformation import CASES
 from .indices import IDX_ZERO, SymIndex
-from .modules import (R, FamilySpec, _combine, _commutator, _landing, _mode, _only_coeff,
-                      act_indexed, bracket_residual, slot_vector, t_composition,
+from .modules import (PRINTED_CONSTANTS, R, FamilySpec, _combine, _commutator, _landing,
+                      _mode, _only_coeff, act_indexed, bracket_residual, slot_vector, t_composition,
                       unknown_name)
 from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, exact_divide,
                    quadratic_root_data, QuadRootData)
@@ -763,25 +763,16 @@ def derive_T_composition(spec: FamilySpec) -> TCompReport:
 
 def _t_reference(spec: FamilySpec):
     """(description, letter, start index, k parity, printed coefficient)."""
-    a, b = Pa, Pb
-    k, r = Pk, Poly.var("r")
     fam = spec.family
-    if fam == "Aab":
-        co_x = -2 * (b + 1)
-        co_y = -(2 * b + 1)
-        return [
-            ("x, integer weights", "x", K, 0, co_x),
-            ("x, half-odd weights", "x", K, 1, co_x),
-            ("y, integer weights", "y", K, 0, co_y),
-            ("y, half-odd weights", "y", K, 1, co_y),
-        ]
-    if fam == "Bab":
-        return [
-            ("x, integer weights", "x", K, 0, ONE),
-            ("x, half-odd weights", "x", K, 1, ONE),
-            ("y, integer weights", "y", K, 0, ZERO),
-            ("y, half-odd weights", "y", K, 1, (2 * b + 1) * r),
-        ]
+    if fam in ("Aab", "Bab"):
+        # the printed closed forms, as the family's own table states them
+        rows = []
+        for letter in ("x", "y"):
+            for kpar in (0, 1):
+                terms = act_indexed(spec, "T", R, letter, K, {"k": kpar, "r": 1})
+                rows.append((f"{letter}, {'integer' if kpar == 0 else 'half-odd'} weights",
+                             letter, K, kpar, terms[0][2] if terms else ZERO))
+        return rows
     if fam not in CASES:
         raise ValueError(f"no printed T table for {fam}")
     # the row on the distinguished vector reads the case's closed form
@@ -939,33 +930,26 @@ def _equation_stack(spec: FamilySpec, include_tg_int=True, include_gg_int=True):
 def alpha_beta_solve(case: str) -> NormalizationReport:
     """Check the printed normalization constants against all generated
     consistency equations, and check that designated mutations break one."""
+    branch = {"A": "alpha", "B": "beta", "B0": "mu"}.get(case)
+    if branch is None:
+        raise ValueError(f"unknown normalization case {case!r}")
+    spec = generic_candidate(case[0], branch)
+    names = [f"{branch}{i}" for i in range(1, 5)]
+    printed = dict(zip(names, PRINTED_CONSTANTS[branch]))
+    flipped = {nm: -c for nm, c in printed.items()}
     if case == "A":
-        spec = generic_candidate("A", "alpha")
-        names = [f"alpha{i}" for i in range(1, 5)]
-        solutions = [("all constants 1", {nm: ONE for nm in names}),
-                     ("all constants -1", {nm: Poly.const(-1) for nm in names})]
-        mutations = [("first constant mutated to 2",
-                      dict({nm: ONE for nm in names}, alpha1=Poly.const(2)))]
+        solutions = [("all constants 1", printed), ("all constants -1", flipped)]
+        mutations = [("first constant mutated to 2", dict(printed, alpha1=2))]
         eqs = _equation_stack(spec)
     elif case == "B":
-        spec = generic_candidate("B", "beta")
-        names = [f"beta{i}" for i in range(1, 5)]
-        signs = {"beta1": ONE, "beta2": Poly.const(-1),
-                 "beta3": ONE, "beta4": Poly.const(-1)}
-        solutions = [("alternating signs (1,-1,1,-1)", signs),
-                     ("alternating signs flipped (-1,1,-1,1)",
-                      {nm: -v for nm, v in signs.items()})]
-        mutations = [("first constant mutated to 2", dict(signs, beta1=Poly.const(2)))]
+        solutions = [("alternating signs (1,-1,1,-1)", printed),
+                     ("alternating signs flipped (-1,1,-1,1)", flipped)]
+        mutations = [("first constant mutated to 2", dict(printed, beta1=2))]
         eqs = _equation_stack(spec)
-    elif case == "B0":
-        spec = generic_candidate("B", "mu")
-        names = [f"mu{i}" for i in range(1, 5)]
-        zeros = {nm: ZERO for nm in names}
-        solutions = [("all constants 0", zeros)]
-        mutations = [("second constant mutated to 1", dict(zeros, mu2=ONE))]
-        eqs = _equation_stack(spec, include_tg_int=False, include_gg_int=False)
     else:
-        raise ValueError(f"unknown normalization case {case!r}")
+        solutions = [("all constants 0", printed)]
+        mutations = [("second constant mutated to 1", dict(printed, mu2=1))]
+        eqs = _equation_stack(spec, include_tg_int=False, include_gg_int=False)
 
     report = NormalizationReport(case, eqs)
     for label, values in solutions:
@@ -978,11 +962,10 @@ def alpha_beta_solve(case: str) -> NormalizationReport:
                                        bool(failures), failures[:3]))
     if case == "B0":
         # the identities excluded above are exactly the contradictory ones
-        zeros = {nm: ZERO for nm in names}
         for letter in ("x", "y"):
             env = {"k": 0, "r": 1, "p": 0, "n": 0, "m": 0}
             res = bracket_residual(spec, ("G", N), ("G", M), letter, K, env)
-            res = res.num.substitute(zeros) if isinstance(res, RatFunc) else res.substitute(zeros)
+            res = (res.num if isinstance(res, RatFunc) else res).substitute(printed)
             report.contradiction.append(
                 (f"integer fermionic square on {letter} is violated at the zero solution",
                  str(res)))
@@ -1025,15 +1008,19 @@ def b0_nonexistence_check() -> CheckList:
 
 
 # ---------------------------------------------------------------------------
-# finite-window propagation of the basic fermionic recurrence
+# propagation of the basic fermionic recurrence
 # ---------------------------------------------------------------------------
 
-def recurrence_propagation_check(mode_window: int = 6, weight_window: int = 4) -> CheckList:
+def recurrence_propagation_check() -> CheckList:
     """If one integer fermionic row of coefficients vanishes, the basic
-    recurrence forces every row in a finite window to vanish.
+    recurrence (the L-G identity on x at integer weights) forces every row
+    to vanish, at every mode and weight index.
 
-    The recurrence couples g(n, k), g(n, m+k), g(m+n, k); starting from
-    g(1, .) = 0 a zero-propagation fixpoint must cover the whole window.
+    The recurrence is linear and homogeneous in g(n, k), g(n, m+k) and
+    g(m+n, k), so a zero row n forces a zero row m+n wherever the leading
+    coefficient -(m/2 - n) is nonzero.  From row 1 that reaches every row
+    but 3, since at n = 1 the coefficient vanishes only at m = 2; row 3
+    follows from row -1 = 1 + (-2) with (m, n) = (4, -1).
     """
     report = CheckList("propagation")
     spec = generic_candidate("A")
@@ -1042,49 +1029,19 @@ def recurrence_propagation_check(mode_window: int = 6, weight_window: int = 4) -
     coeffs = linear_decompose(res, names)
     target = unknown_name("g", M + N, K)
     report.add("recurrence involves the shifted mode coefficient", target in coeffs)
-    lead = coeffs[target]
-    report.add("shifted-mode coefficient is -(m/2 - n)",
-               lead == -(HALF * Pm - Poly.var("n")), lead)
-    vanish_m = [mv for mv in range(-mode_window, mode_window + 1)
-                if not lead.substitute({"m": mv, "n": 1})]
-    report.add("with n=1 the propagation only stalls at m=2", vanish_m == [2], vanish_m)
+    lead = coeffs.get(target, ZERO)
+    shape = lead == -(HALF * Pm - Poly.var("n"))
+    report.add("shifted-mode coefficient is -(m/2 - n)", shape, lead)
+    at_1 = lead.substitute({"n": 1})
+    stalls = (at_1.variables() == ("m",) and at_1.degree_in("m") == 1
+              and not at_1.substitute({"m": 2}))
+    report.add("with n=1 the propagation only stalls at m=2", stalls, at_1)
     stuck = lead.substitute({"m": 4, "n": -1})
     report.add("the (m,n)=(4,-1) instance reaches the stalled mode",
                stuck == Poly.const(-3), stuck)
-    at_k = coeffs[unknown_name("g", N, K)]
-    at_km = coeffs[unknown_name("g", N, K + M)]
-
-    # zero-propagation fixpoint over the window
-    known = {(1, kv): True for kv in range(-weight_window - mode_window,
-                                           weight_window + mode_window + 1)}
-
-    def coeff_nonzero(poly):
-        return bool(poly)
-
-    changed = True
-    while changed:
-        changed = False
-        for mv in range(-mode_window, mode_window + 1):
-            if mv == 0:
-                continue
-            for nv in range(-mode_window, mode_window + 1):
-                for kv in range(-weight_window, weight_window + 1):
-                    entries = [(("g", nv, kv), at_k),
-                               (("g", nv, kv + mv), at_km),
-                               (("g", mv + nv, kv), lead)]
-                    vals = {"m": mv, "n": nv, "k": kv}
-                    unknown = [(tag, co.substitute(vals)) for tag, co in entries
-                               if (tag[1], tag[2]) not in known]
-                    if len(unknown) == 1:
-                        tag, co = unknown[0]
-                        if coeff_nonzero(co):
-                            known[(tag[1], tag[2])] = True
-                            changed = True
-    missing = [(nv, kv) for nv in range(-mode_window, mode_window + 1)
-               for kv in range(-weight_window, weight_window + 1)
-               if (nv, kv) not in known]
-    report.add("zero propagation covers every mode/weight pair in the window",
-               not missing, missing[:5])
+    rows = {target, unknown_name("g", N, K), unknown_name("g", N, K + M)}
+    report.add("zero propagation from row 1 covers every mode and weight index",
+               set(coeffs) == rows and shape and stalls and bool(stuck))
     return report
 
 

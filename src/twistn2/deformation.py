@@ -93,8 +93,9 @@ def fit_alpha_from_e(e1, e2, case: DeformCase):
     return alpha, alphap
 
 
-def e_closed_form_check(case: DeformCase, n_window: int = 10) -> CheckList:
-    """The closed form satisfies its recurrence and boundary relations."""
+def e_closed_form_check(case: DeformCase) -> CheckList:
+    """The closed form satisfies its recurrence, identically in the mode
+    index, and its boundary relations."""
     report = CheckList(case.name)
     e = case.e_closed_form()
 
@@ -104,9 +105,6 @@ def e_closed_form_check(case: DeformCase, n_window: int = 10) -> CheckList:
     # polynomial identity in n itself
     sym = ((Pn + 1) * (e - e_at(1)) - (Pn - 1) * e.substitute({"n": Pn + 1}))
     report.add("recurrence holds identically in the mode index", not sym, sym)
-    for nv in range(-n_window, n_window + 1):
-        res = (nv + 1) * (e_at(nv) - e_at(1)) - (nv - 1) * e_at(nv + 1)
-        report.add(f"recurrence instance at n={nv}", not res, res)
     report.add("the zero mode is forced to vanish", not e_at(0), e_at(0))
     boundary = e_at(-1) - (e_at(2) - 3 * e_at(1))
     report.add("boundary relation e(-1) = e(2) - 3 e(1)", not boundary, boundary)
@@ -139,7 +137,7 @@ def g_solution_check(case: DeformCase) -> CheckList:
     main_int = (m + HALF * n) * h(m) - inhom_int - (m - HALF * n) * h(n + m)
     report.add("integer-mode branch satisfies the same recurrence", not main_int, main_int)
     at0 = (HALF * n) * h(ZERO) - inhom_int + (HALF * n) * h(n)
-    report.add("zero-mode instance forces h_0 = alpha", not at0, at0)
+    report.add(f"zero-mode instance forces h_0 = {h(ZERO)}", not at0, at0)
     report.add("a' = 0 collapses the solution to the constant alpha",
                g(p).substitute({"alphap": 0}) == al, "")
     return report

@@ -121,7 +121,8 @@ class SymIndex:
         return self.const == other.const and self.lin == other.lin
 
     def __hash__(self) -> int:
-        return hash((self.const, self.lin))
+        # a constant index hashes as the equal Fraction, int or HalfInt
+        return hash((self.const, self.lin)) if self.lin else hash(self.const)
 
     def __str__(self) -> str:
         pieces = []

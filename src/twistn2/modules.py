@@ -1,15 +1,22 @@
 """Module families over the twisted N=2 algebra, and their verifiers.
 
-Six concrete families are implemented: the two-parameter indecomposables
-A(a,b) and B(a,b) and the four one-parameter deformed families A1..B2, plus
-two generic symbolic candidates (GenericA, GenericB) whose T and integer-G
-coefficients are either fresh unknowns or the solved coefficient forms.
+Two action tables, one per case, serve every family.  The generic candidates
+GenericA and GenericB read them with their T and integer-G coefficients as
+fresh unknowns, as the solved forms times symbolic normalization constants
+(the alpha, beta and mu modes), or at the printed constants.  The printed
+families are the same tables at the printed constants (`PRINTED_CONSTANTS`):
+A(a,b) is case A's solution with alpha_i = 1 and b' = b, B(a,b) is case B's
+with beta = (1, -1, 1, -1) and b' = b - 1/2, and the excluded B(a,0,-3/2)
+candidate is case B's mu solution with mu_i = 0.  They keep their printed
+closed-form T coefficients, where the generic candidates compose T from
+their fermionic action.
 
-A deformed family is its base module (A(0,-1), A(0,-1/2), B(0,-1/2),
-B(1/2,-1/2)) plus one slot: the actions out of a distinguished source (x_0
-for A1, y_0 for B1) or into a distinguished sink (y_0 for A2, y_1/2 for
-B2).  `BASE_FAMILY` is the one statement of where each slot sits; the slot
-rule holds only the slot's values and the injected faults.
+The four one-parameter deformed families A1..B2 are a base module (A(0,-1),
+A(0,-1/2), B(0,-1/2), B(1/2,-1/2)) plus one slot: the actions out of a
+distinguished source (x_0 for A1, y_0 for B1) or into a distinguished sink
+(y_0 for A2, y_1/2 for B2).  `BASE_FAMILY` is the one statement of where
+each slot sits; the slot rule holds only the slot's values and the injected
+faults.
 
 One action engine serves every consumer: indices are SymIndex linear forms,
 so the same family tables answer concrete sweeps (constant indices) and the
@@ -97,6 +104,9 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.coeff_mode not in COEFF_MODES:
             raise ValueError(f"unknown coefficient mode {self.coeff_mode!r}")
+        if self.coeff_mode != "printed" and not self.family.startswith("Generic"):
+            raise ValueError(f"{self.family} reads the printed coefficients; coefficient "
+                             f"mode {self.coeff_mode!r} is for the generic candidates")
         if self.family in ("Aab", "Bab", "GenericA", "GenericB"):
             if self.a is None or self.b is None:
                 raise ValueError(f"{self.family} needs parameters a and b")
@@ -159,7 +169,8 @@ def bab(a: Param = "sym", b: Param = "sym", fault: str | None = None) -> FamilyS
 
 
 def b_zero_candidate(a: Param = "sym") -> FamilySpec:
-    """The B(a, 0, -3/2) candidate with all solved coefficients zero."""
+    """The B(a, 0, -3/2) candidate: case B's mu solution at its printed
+    constants mu_i = 0, so T and the integer G modes act as zero."""
     return FamilySpec("Bab", a=a, b=Fraction(0), bprime=Fraction(-3, 2))
 
 
@@ -190,18 +201,34 @@ BASE_FAMILY = {
 }
 
 
+# The printed normalization constants of the three solved branches, in the
+# order alpha1..4 (beta1..4, mu1..4): the integer fermionic coefficient on x
+# at integer and half-odd weights, then on y.  Case A's alpha forms hold on
+# b' = b, case B's beta forms on b' = b - 1/2, and the mu forms of the
+# exceptional case-B candidate at (b, b') = (0, -3/2).  A(a,b), B(a,b) and
+# B(a,0,-3/2) are the generic tables at these values.
+PRINTED_CONSTANTS = {
+    "alpha": (1, 1, 1, 1),
+    "beta": (1, -1, 1, -1),
+    "mu": (0, 0, 0, 0),
+}
+
+
 class _Ctx:
     """One spec's parameters as the tables read them, and its action memo:
     one `_ActionRow` per generator, shared by every reader of the spec.
 
-    It reaches its spec through a weak proxy, so a spec and its memo form
-    no reference cycle and are freed together.  A deformed family's context
-    holds its base module's spec, which answers every read off the slot, and
-    the slot's role and vector (`BASE_FAMILY`).
+    It decides once which solved branch the spec reads (`branch`: alpha,
+    beta or mu) and whether its normalization constants are symbols or
+    their printed values (`consts`).  It reaches its spec through a weak
+    proxy, so a spec and its memo form no reference cycle and are freed
+    together.  A deformed family's context holds its base module's spec,
+    which answers every read off the slot, and the slot's role and vector
+    (`BASE_FAMILY`).
     """
 
-    __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "base",
-                 "slot", "forced", "rows")
+    __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "branch",
+                 "consts", "printed_t", "base", "slot", "forced", "rows")
 
     def __init__(self, spec: FamilySpec):
         self.spec = weakref.proxy(spec)
@@ -212,24 +239,37 @@ class _Ctx:
         self.bp = _param("bp", spec.bprime)
         self.alpha = _param("alpha", spec.alpha)
         self.alphap = _param("alphap", spec.alphap)
-        # the solved coefficient forms of a generic candidate fix bp (and, in
-        # the mu forms, b); `forced` keeps the values they fix, for the label
+        self.branch = self.consts = self.base = self.slot = None
         self.forced = {}
-        if spec.family == "GenericA" and spec.coeff_mode in ("alpha", "printed"):
-            # the solved coefficient forms hold on the diagonal bp = b
-            self.forced["bprime"] = self.b
-        if spec.family == "GenericB" and spec.coeff_mode in ("beta", "printed"):
-            self.forced["bprime"] = self.b - Fraction(1, 2)
-        if spec.family == "GenericB" and spec.coeff_mode == "mu":
-            self.forced["b"] = ZERO
-            self.forced["bprime"] = Poly.const(Fraction(-3, 2))
-        self.b = self.forced.get("b", self.b)
-        self.bp = self.forced.get("bprime", self.bp)
-        self.base = self.slot = None
         if spec.family in BASE_FAMILY:
             family, a, b, role, vector = BASE_FAMILY[spec.family]
             self.base = FamilySpec(family, a=a, b=b)
             self.slot = role, vector
+        elif spec.family in ("Aab", "GenericA"):
+            self.branch = "alpha"
+        elif spec.coeff_mode == "mu" or (spec.family == "Bab" and spec.b == 0
+                                         and spec.bprime == Fraction(-3, 2)):
+            self.branch = "mu"
+        else:
+            self.branch = "beta"
+        if self.branch is not None:
+            # symbols are named here and made at their first read
+            self.consts = (PRINTED_CONSTANTS[self.branch] if spec.coeff_mode == "printed"
+                           else tuple(f"{self.branch}{i}" for i in range(1, 5)))
+            # a branch's solved forms fix bp (and, on the mu branch, b);
+            # `forced` keeps the values they fix, for a generic candidate's label
+            if spec.coeff_mode in ("printed", self.branch):
+                if self.branch == "alpha":
+                    self.forced["bprime"] = self.b
+                elif self.branch == "beta":
+                    self.forced["bprime"] = self.b - HALF
+                else:
+                    self.forced.update(b=Fraction(0), bprime=Fraction(-3, 2))
+            self.b = self.forced.get("b", self.b)
+            self.bp = self.forced.get("bprime", self.bp)
+        # the printed families keep their printed T; the generic candidates
+        # compose theirs from the fermionic action
+        self.printed_t = spec.family in ("Aab", "Bab")
         self.rows: dict = {}
 
     def row(self, g: Gen) -> _ActionRow:
@@ -275,91 +315,129 @@ def act_indexed(spec: FamilySpec, kind: str, g: SymIndex, letter: str, v: SymInd
     return _TABLES[spec.family](spec.ctx, kind, g, letter, v, env or {})
 
 
-def _act_aab(ctx, kind, g, letter, v, env):
-    a, b = ctx.a, ctx.b
-    kP = _value(v)
-    gP = _value(g)
-    tgt = v + g
-    if kind == "L":
-        if letter == "x":
-            return [("x", tgt, a - kP + b * gP)]
-        return [("y", tgt, a - kP + (b + HALF) * gP)]
-    if kind == "T":
-        if letter == "x":
-            co = -2 * (b + 1)
-            if ctx.fault == "aab.t-sign":
-                co = 2 * (b + 1)
-            return [("x", tgt, co)]
-        return [("y", tgt, -(2 * b + 1))]
-    # G
-    if letter == "x":
-        return [("y", tgt, ONE)]
-    s = _sgn2q(g.parity(env))
-    co = a - kP + 2 * b * gP + gP
-    if ctx.fault == "aab.gy-coeff":
-        co = a - kP + 2 * b * gP
-    return [("x", tgt, s * co)]
+# -- the two case tables -----------------------------------------------------
+
+def unknown_name(fam: str, g: SymIndex, v: SymIndex) -> str:
+    """Symbol of the unknown coefficient of mode g on vector v (fam f, fp, g, gp)."""
+    return f"{fam}[{g};{v}]"
 
 
-def _act_bab(ctx, kind, g, letter, v, env):
-    if ctx.spec.bprime == Fraction(-3, 2) and ctx.spec.b == Fraction(0):
-        return _act_b_zero(ctx, kind, g, letter, v, env)
+def _unknown(fam: str, g: SymIndex, v: SymIndex) -> Poly:
+    return Poly.var(unknown_name(fam, g, v))
+
+
+def _integer_g_coeff(ctx, letter, g, v, vpar, kP, gP):
+    """Integer fermionic coefficient g/g': an unknown symbol, or the solved
+    form of the spec's branch times its normalization constant; None where
+    that constant is a printed zero (B(a,0,-3/2)), so the mode acts as zero."""
+    if ctx.mode == "unknowns":
+        return _unknown("g" if letter == "x" else "gp", g, v)
+    i = vpar if letter == "x" else 2 + vpar
+    const = ctx.consts[i]
+    if isinstance(const, str):
+        const = Poly.var(const)
+    elif not const:
+        return None
     a, b = ctx.a, ctx.b
-    kP = _value(v)
-    gP = _value(g)
-    vpar = v.parity(env)
-    tgt = v + g
-    if kind == "L":
+    if ctx.branch == "alpha":
         if letter == "x":
-            return [("x", tgt, a - kP + b * gP)]
-        shift = -HALF if vpar == 0 else HALF
-        return [("y", tgt, a - kP + (b + shift) * gP)]
-    if kind == "T":
-        if letter == "x":
-            return [("x", tgt, ONE)]
-        if vpar == 0:
-            return []
-        co = (2 * b + 1) * gP
-        if ctx.fault == "bab.ty-sign":
-            co = -co
-        return [("y", tgt, co)]
-    # G
-    s = _sgn2q(g.parity(env))
+            return ONE * const
+        form = a - kP + 2 * b * gP + gP
+        if ctx.fault == "aab.gy-coeff":
+            form = form - gP
+    elif ctx.branch == "beta":
+        if i in (1, 2):
+            # the x-side half-odd-weight branch carries the bab.gx-sign fault
+            return (-ONE if i == 1 and ctx.fault == "bab.gx-sign" else ONE) * const
+        form = a - kP + 2 * b * gP if i == 0 else a - kP + 2 * b * gP + gP
+    elif i == 0:
+        form = (a - kP) * (a - kP - 2 * gP)
+    elif i == 1:
+        form = RatFunc(ONE, a - kP)
+    elif i == 2:
+        form = RatFunc(ONE, a - kP - gP)
+    else:
+        form = (a - kP - gP) * (a - kP + gP)
+    return form * const
+
+
+def _t_coeff(ctx, letter, g, v, env, vpar):
+    """T coefficient: an unknown symbol; the printed closed form of A(a,b),
+    B(a,b) or B(a,0,-3/2), None where T acts as zero; or, for a generic
+    candidate, the composition T_g = [G_g, G_0]/c of its own fermionic
+    action (`t_composition`)."""
+    if ctx.mode == "unknowns":
+        return _unknown("f" if letter == "x" else "fp", g, v)
+    if not ctx.printed_t:
+        return t_composition(ctx.spec, letter, v, env, g)
+    b = ctx.b
+    if ctx.branch == "alpha":
+        if letter == "y":
+            return -(2 * b + 1)
+        return 2 * (b + 1) if ctx.fault == "aab.t-sign" else -2 * (b + 1)
+    if ctx.branch == "mu":
+        return None
     if letter == "x":
-        if (v + g).parity(env) == 0:
-            return [("y", tgt, s * (a - kP + 2 * b * gP))]
-        co = Poly.const(-s)
-        if ctx.fault == "bab.gx-sign":
-            co = Poly.const(s)
-        return [("y", tgt, co)]
+        return ONE
     if vpar == 0:
-        return [("x", tgt, ONE)]
-    return [("x", tgt, -(a - kP + 2 * b * gP + gP))]
+        return None
+    co = (2 * b + 1) * _value(g)
+    return -co if ctx.fault == "bab.ty-sign" else co
 
 
-def _act_b_zero(ctx, kind, g, letter, v, env):
-    # B(a, 0, -3/2) candidate after its solved coefficients vanish: only the
-    # Virasoro part and the half-odd fermionic part act.
-    a = ctx.a
+def _act_case_a(ctx, kind, g, letter, v, env):
+    """Case A, on the diagonal b' = b except in the unknowns mode."""
+    tgt = v + g
+    if kind == "T":
+        return [(letter, tgt, _t_coeff(ctx, letter, g, v, env, None))]
+    a, b, bp = ctx.a, ctx.b, ctx.bp
+    kP = _value(v)
+    gP = _value(g)
+    # off the diagonal, x reads b' and y reads b on half-odd weights
+    if bp is not b and v.parity(env):
+        b, bp = bp, b
+    if kind == "L":
+        if letter == "x":
+            return [("x", tgt, a - kP + b * gP)]
+        return [("y", tgt, a - kP + (bp + HALF) * gP)]
+    if g.parity(env) == 1:  # half-odd fermionic modes are part of the ansatz
+        if letter == "x":
+            return [("y", tgt, ONE)]
+        co = a - kP + 2 * gP * (bp + HALF)
+        if ctx.fault == "aab.gy-coeff":
+            co = co - gP
+        return [("x", tgt, -co)]
+    co = _integer_g_coeff(ctx, letter, g, v, v.parity(env), kP, gP)
+    return [("y" if letter == "x" else "x", tgt, co)]
+
+
+def _act_case_b(ctx, kind, g, letter, v, env):
+    """Case B: b' = b - 1/2 on the beta branch, (b, b') = (0, -3/2) on the
+    mu branch, and b' free in the unknowns mode."""
+    a, b, bp = ctx.a, ctx.b, ctx.bp
     kP = _value(v)
     gP = _value(g)
     vpar = v.parity(env)
     tgt = v + g
     if kind == "L":
         if letter == "x":
-            co = a - kP if vpar == 0 else a - kP - gP
-        else:
-            co = a - kP - Fraction(3, 2) * gP if vpar == 0 else a - kP + HALF * gP
-        return [(letter, tgt, co)]
-    if kind == "T":
-        return []
-    if g.parity(env) == 0:  # integer fermionic modes act as zero
-        return []
-    if letter == "x":
-        co = ONE if vpar == 0 else -(a - kP - 2 * gP)
+            co = a - kP + b * gP if vpar == 0 else a - kP + (bp + HALF) * gP
+            return [("x", tgt, co)]
+        co = a - kP + bp * gP if vpar == 0 else a - kP + (b + HALF) * gP
         return [("y", tgt, co)]
-    co = ONE if vpar == 0 else -(a - kP + gP)
-    return [("x", tgt, co)]
+    if kind == "T":
+        co = _t_coeff(ctx, letter, g, v, env, vpar)
+        return [] if co is None else [(letter, tgt, co)]
+    if g.parity(env) == 1:
+        if vpar == 0:
+            co = -ONE if letter == "x" and ctx.fault == "bab.gx-sign" else ONE
+        else:
+            co = -(a - kP + 2 * gP * ((bp if letter == "x" else b) + HALF))
+    else:
+        co = _integer_g_coeff(ctx, letter, g, v, vpar, kP, gP)
+        if co is None:
+            return []
+    return [("y" if letter == "x" else "x", tgt, co)]
 
 
 # -- deformed families: the base module plus one slot ------------------------
@@ -419,116 +497,17 @@ def _slot_coeff(ctx, kind, g, env):
     return co
 
 
-# -- generic candidates ------------------------------------------------------
-
-def unknown_name(fam: str, g: SymIndex, v: SymIndex) -> str:
-    """Symbol of the unknown coefficient of mode g on vector v (fam f, fp, g, gp)."""
-    return f"{fam}[{g};{v}]"
-
-
-def _unknown(fam: str, g: SymIndex, v: SymIndex) -> Poly:
-    return Poly.var(unknown_name(fam, g, v))
-
-
-def _generic_g_coeff(ctx, case: str, letter: str, g, v, env):
-    """Integer fermionic coefficient g/g' for a generic candidate."""
-    a, b = ctx.a, ctx.b
-    kP = _value(v)
-    gP = _value(g)
-    vpar = v.parity(env)
-    mode = ctx.mode
-    if mode == "unknowns":
-        return _unknown("g" if letter == "x" else "gp", g, v)
-    if case == "A":
-        if letter == "x":
-            name = "alpha1" if vpar == 0 else "alpha2"
-            return ONE if mode == "printed" else Poly.var(name)
-        scale = ONE if mode == "printed" else Poly.var("alpha3" if vpar == 0 else "alpha4")
-        return (a - kP + 2 * b * gP + gP) * scale
-    if mode == "mu":
-        if letter == "x":
-            if vpar == 0:
-                return (a - kP) * (a - kP - 2 * gP) * Poly.var("mu1")
-            return RatFunc(Poly.var("mu2"), a - kP)
-        if vpar == 0:
-            return RatFunc(Poly.var("mu3"), a - kP - gP)
-        return (a - kP - gP) * (a - kP + gP) * Poly.var("mu4")
-    # case B on the diagonal bp = b - 1/2
-    if letter == "x":
-        if vpar == 0:
-            scale = ONE if mode == "printed" else Poly.var("beta1")
-            return (a - kP + 2 * b * gP) * scale
-        return Poly.const(-1) if mode == "printed" else Poly.var("beta2")
-    if vpar == 0:
-        return ONE if mode == "printed" else Poly.var("beta3")
-    scale = Poly.const(-1) if mode == "printed" else Poly.var("beta4")
-    return (a - kP + 2 * b * gP + gP) * scale
-
-
-def _generic_t_coeff(ctx, letter, g, v, env):
-    """T coefficient: unknown symbol, or the composition T_g = [G_g, G_0]/c
-    of the candidate's own fermionic action (`t_composition`)."""
-    if ctx.mode == "unknowns":
-        return _unknown("f" if letter == "x" else "fp", g, v)
-    return t_composition(ctx.spec, letter, v, env, g)
-
-
-def _act_generic_a(ctx, kind, g, letter, v, env):
-    a, b, bp = ctx.a, ctx.b, ctx.bp
-    kP = _value(v)
-    gP = _value(g)
-    vpar = v.parity(env)
-    tgt = v + g
-    if kind == "L":
-        if letter == "x":
-            co = a - kP + (b if vpar == 0 else bp) * gP
-            return [("x", tgt, co)]
-        co = a - kP + ((bp if vpar == 0 else b) + HALF) * gP
-        return [("y", tgt, co)]
-    if kind == "T":
-        return [(letter, tgt, _generic_t_coeff(ctx, letter, g, v, env))]
-    if g.parity(env) == 1:  # half-odd fermionic modes are part of the ansatz
-        if letter == "x":
-            return [("y", tgt, ONE)]
-        co = -(a - kP + 2 * gP * ((bp if vpar == 0 else b) + HALF))
-        return [("x", tgt, co)]
-    co = _generic_g_coeff(ctx, "A", letter, g, v, env)
-    return [("y" if letter == "x" else "x", tgt, co)]
-
-
-def _act_generic_b(ctx, kind, g, letter, v, env):
-    a, b, bp = ctx.a, ctx.b, ctx.bp
-    kP = _value(v)
-    gP = _value(g)
-    vpar = v.parity(env)
-    tgt = v + g
-    if kind == "L":
-        if letter == "x":
-            co = a - kP + b * gP if vpar == 0 else a - kP + (bp + HALF) * gP
-            return [("x", tgt, co)]
-        co = a - kP + bp * gP if vpar == 0 else a - kP + (b + HALF) * gP
-        return [("y", tgt, co)]
-    if kind == "T":
-        return [(letter, tgt, _generic_t_coeff(ctx, letter, g, v, env))]
-    if g.parity(env) == 1:
-        if letter == "x":
-            co = ONE if vpar == 0 else -(a - kP + 2 * gP * (bp + HALF))
-            return [("y", tgt, co)]
-        co = ONE if vpar == 0 else -(a - kP + 2 * gP * (b + HALF))
-        return [("x", tgt, co)]
-    co = _generic_g_coeff(ctx, "B", letter, g, v, env)
-    return [("y" if letter == "x" else "x", tgt, co)]
-
-
+# one table per case; a printed family reads its case's table at the
+# printed constants, a deformed family its base module's off the slot
 _TABLES = {
-    "Aab": _act_aab,
-    "Bab": _act_bab,
+    "Aab": _act_case_a,
+    "GenericA": _act_case_a,
+    "Bab": _act_case_b,
+    "GenericB": _act_case_b,
     "A1": _act_deformed,
     "A2": _act_deformed,
     "B1": _act_deformed,
     "B2": _act_deformed,
-    "GenericA": _act_generic_a,
-    "GenericB": _act_generic_b,
 }
 
 

@@ -120,7 +120,7 @@ def test_criterion_07_coefficient_lemmas():
 
 def test_criterion_08_deformation_recurrences():
     for name, case in dlab.CASES.items():
-        e_rep = dlab.e_closed_form_check(case, n_window=10)
+        e_rep = dlab.e_closed_form_check(case)
         assert e_rep.ok, [c for c in e_rep.checks if not c[1]]
         g_rep = dlab.g_solution_check(case)
         assert g_rep.ok, [c for c in g_rep.checks if not c[1]]

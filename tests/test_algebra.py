@@ -29,6 +29,31 @@ def test_halfint_hash_agrees_with_equality():
     assert HalfInt(-3) in {Fraction(-3, 2)}
 
 
+@st.composite
+def index_values(draw):
+    """One index value as a SymIndex, a HalfInt, an int or a Fraction,
+    constant or (for a SymIndex) with a symbolic part."""
+    doubled = draw(st.integers(-40, 40))
+    kind = draw(st.sampled_from(("sym", "sym-var", "halfint", "int", "fraction")))
+    if kind == "sym":
+        return SymIndex(Fraction(doubled, 2))
+    if kind == "sym-var":
+        return SymIndex(Fraction(doubled, 2), (("k", draw(st.integers(-2, 2))),))
+    if kind == "halfint":
+        return HalfInt(doubled)
+    if kind == "int":
+        return doubled // 2
+    return Fraction(doubled, 2)
+
+
+@given(index_values(), index_values())
+@settings(max_examples=300, deadline=None)
+def test_equal_indices_hash_equal(x, y):
+    if x == y:
+        assert hash(x) == hash(y)
+        assert x in {y} and y in {x}
+
+
 def test_label_validation():
     with pytest.raises(ValueError):
         L(H)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistn2.constraints import (LAMBDA_PAIRS, LAMBDA_PRIME_PAIRS, LEMMA_CHECKS,
+from twistn2.constraints import (K, M, N, LAMBDA_PAIRS, LAMBDA_PRIME_PAIRS, LEMMA_CHECKS,
                                  MalformedInstance, OMEGA_PAIRS,
                                  OMEGA_PRIME_PAIRS, ROOT_SET_NAMES,
                                  SPORADIC_SURVIVORS_A, alpha_beta_solve,
@@ -20,7 +20,7 @@ from twistn2.constraints import (LAMBDA_PAIRS, LAMBDA_PRIME_PAIRS, LEMMA_CHECKS,
 from twistn2 import constraints, modules
 from twistn2.algebra import bracket_terms
 from twistn2.indices import SymIndex
-from twistn2.modules import FamilySpec, aab, bab
+from twistn2.modules import FamilySpec, aab, bab, unknown_name
 from twistn2.poly import ONE, Poly, RatFunc, ZERO
 
 a, b, bp, m, k, r, p = (Poly.var(s) for s in ("a", "b", "bp", "m", "k", "r", "p"))
@@ -174,15 +174,15 @@ class TestCoefficientLemmas:
     def test_mutated_alpha_form_fails_the_recurrence(self, monkeypatch):
         # the lemma reads the candidate's own alpha-mode table, so a slip in
         # that table must show; here the +q term of the y-side form is dropped
-        original = modules._generic_g_coeff
+        original = modules._integer_g_coeff
 
-        def mutated(ctx, case, letter, g, v, env):
-            co = original(ctx, case, letter, g, v, env)
+        def mutated(ctx, letter, g, v, vpar, kP, gP):
+            co = original(ctx, letter, g, v, vpar, kP, gP)
             if ctx.mode == "alpha" and letter == "y":
-                co = co - g.as_poly() * Poly.var("alpha3" if v.parity(env) == 0 else "alpha4")
+                co = co - g.as_poly() * Poly.var("alpha3" if vpar == 0 else "alpha4")
             return co
 
-        monkeypatch.setattr(modules, "_generic_g_coeff", mutated)
+        monkeypatch.setattr(modules, "_integer_g_coeff", mutated)
         group = coeff_solution_check("g-constant-forms")
         failed = [desc for desc, ok, _ in group.checks if not ok]
         assert failed == ["y side (int weights): recurrence residual vanishes",
@@ -261,6 +261,24 @@ class TestPropagation:
     def test_window_propagation(self):
         report = recurrence_propagation_check()
         assert report.ok, report.checks
+
+    def test_mutated_leading_coefficient_fails(self, monkeypatch):
+        # doubled, the coefficient still stalls only at m = 2 at n = 1 and is
+        # nonzero at (4, -1), but it is not -(m/2 - n): the induction fails
+        original = constraints.linear_decompose
+        target = unknown_name("g", M + N, K)
+
+        def mutated(poly, names):
+            coeffs = original(poly, names)
+            if target in coeffs:
+                coeffs[target] = 2 * coeffs[target]
+            return coeffs
+
+        monkeypatch.setattr(constraints, "linear_decompose", mutated)
+        failed = [desc for desc, ok, _ in recurrence_propagation_check().checks if not ok]
+        assert failed == ["shifted-mode coefficient is -(m/2 - n)",
+                          "the (m,n)=(4,-1) instance reaches the stalled mode",
+                          "zero propagation from row 1 covers every mode and weight index"]
 
 
 class TestIntersections:

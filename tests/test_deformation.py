@@ -46,7 +46,7 @@ class TestParameterFit:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_e_closed_form(name):
-    report = e_closed_form_check(CASES[name], n_window=10)
+    report = e_closed_form_check(CASES[name])
     assert report.ok, [c for c in report.checks if not c[1]]
 
 

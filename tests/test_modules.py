@@ -59,6 +59,71 @@ class TestPrintedActions:
         assert act(aab(), C, lbl("x", 0)) == {}
 
 
+# The printed actions of A(a,b), B(a,b) and B(a,0,-3/2) on the basis vector
+# of index k, by mode q: (kind, parity of q, letter, parity of k) ->
+# (target letter, coefficient), or None where the mode acts as zero; the
+# target index is always k + q.  L modes are integer and T modes half-odd.
+Pk, Pq = Poly.var("k"), Poly.var("q")
+STRATA = [(kind, qpar, letter, kpar)
+          for kind, qpars in (("L", (0,)), ("T", (1,)), ("G", (0, 1)))
+          for qpar in qpars for letter in ("x", "y") for kpar in (0, 1)]
+
+
+def _printed_a(kind, qpar, letter, kpar):
+    if kind == "L":
+        return letter, a - Pk + (b if letter == "x" else b + H) * Pq
+    if kind == "T":
+        return letter, -2 * (b + 1) if letter == "x" else -(2 * b + 1)
+    if letter == "x":
+        return "y", ONE
+    return "x", (-1 if qpar else 1) * (a - Pk + (2 * b + 1) * Pq)  # (-1)^(2q)
+
+
+def _printed_b(kind, qpar, letter, kpar):
+    s = -1 if qpar else 1  # (-1)^(2q)
+    if kind == "L":
+        if letter == "x":
+            return "x", a - Pk + b * Pq
+        return "y", a - Pk + (b + H if kpar else b - H) * Pq
+    if kind == "T":
+        if letter == "x":
+            return "x", ONE
+        return ("y", (2 * b + 1) * Pq) if kpar else None
+    if letter == "x":
+        if (kpar + qpar) % 2 == 0:
+            return "y", s * (a - Pk + 2 * b * Pq)
+        return "y", Poly.const(-s)
+    return "x", -(a - Pk + (2 * b + 1) * Pq) if kpar else ONE
+
+
+def _printed_b_zero(kind, qpar, letter, kpar):
+    if kind == "L":
+        if letter == "x":
+            return "x", a - Pk - Pq if kpar else a - Pk
+        return "y", a - Pk + H * Pq if kpar else a - Pk - 3 * H * Pq
+    if kind == "T" or qpar == 0:  # T and the integer G modes act as zero
+        return None
+    if letter == "x":
+        return "y", -(a - Pk - 2 * Pq) if kpar else ONE
+    return "x", -(a - Pk + Pq) if kpar else ONE
+
+
+PRINTED_TABLES = [(aab(), _printed_a), (bab(), _printed_b),
+                  (b_zero_candidate(), _printed_b_zero)]
+
+
+@pytest.mark.parametrize("spec, printed", PRINTED_TABLES, ids=["Aab", "Bab", "B(a,0,-3/2)"])
+@pytest.mark.parametrize("stratum", STRATA, ids=[f"{k}{q}{l}{p}" for k, q, l, p in STRATA])
+def test_printed_action_at_symbolic_indices(spec, printed, stratum):
+    kind, qpar, letter, kpar = stratum
+    k, q = SymIndex.var("k"), SymIndex.var("q")
+    got = act_indexed(spec, kind, q, letter, k, {"k": kpar, "q": qpar})
+    want = printed(*stratum)
+    assert [(l, i) for l, i, _ in got] == ([] if want is None else [(want[0], k + q)])
+    if want is not None:
+        assert got[0][2] == want[1]
+
+
 def acting(spec, g, lc):
     """g applied to a linear combination of basis vectors, through `act`."""
     out = {}
@@ -422,6 +487,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             FamilySpec("Bab", a=Fraction(3), b=Fraction(0), bprime=Fraction(-3, 2))
         b_zero_candidate(a=Fraction(1, 3))  # allowed
+
+    @pytest.mark.parametrize("family", ["Aab", "Bab", "A1"])
+    @pytest.mark.parametrize("mode", ["unknowns", "alpha", "beta", "mu"])
+    def test_printed_family_takes_no_coefficient_mode(self, family, mode):
+        # only the generic candidates read unknowns or symbolic constants
+        params = dict(alpha="sym") if family == "A1" else dict(a="sym", b="sym")
+        with pytest.raises(ValueError, match="coefficient mode"):
+            FamilySpec(family, coeff_mode=mode, **params)
 
     def test_unsupported_bprime_is_rejected(self):
         with pytest.raises(ValueError):
