@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from math import lcm
 
 from .halfint import HalfInt
 
@@ -78,6 +78,11 @@ def add_term(out: dict, key, coeff) -> None:
         out[key] = new
     elif acc is not None:
         del out[key]
+
+
+def _over(c, d: int) -> int:
+    """c * d as an int, for a d that c's denominator divides."""
+    return c.numerator * (d // c.denominator)
 
 
 # kinds in the order the structure constants are written; a pair in the
@@ -174,22 +179,83 @@ class JacobiReport:
         return not self.violations
 
 
+def _key(g: Gen) -> tuple:
+    return (g.kind, None if g.idx is None else g.idx.doubled)
+
+
 def super_jacobi_sweep(window: int) -> JacobiReport:
     """Exhaustively check the graded Jacobi identity on a window.
 
     For homogeneous x, y, z the identity reads
         [x,[y,z]] = [[x,y],z] + (-1)^(|x||y|) [y,[x,z]].
     Violations are collected (none are expected); nothing is thrown.
+
+    The sweep computes `jacobi_residual`, the readable reference, at every
+    triple, summed in the same order.  First it fills one table of bracket
+    terms, keyed by (kind, doubled index) pairs: every window pair, and
+    (h, z) and (z, h) for each h that one bracket of window generators
+    reaches.  Then every scale is lowered to an int over the lcm d of their
+    denominators, and the loop runs in int arithmetic: each residual term
+    is a product of two scales, so the loop computes each residual times
+    d**2.  Scaling by d**2 is injective, so the zero pattern of every
+    partial sum, and with it each witness, is the reference's; only a
+    nonzero residual is turned back into Fractions.
     """
     gens = generators_in_window(window)
+    keyed = [(g, _key(g)) for g in gens]
+    named: dict = {}  # key -> Gen, for the witnesses
+    table: dict = {}
+
+    def fill(g1: Gen, k1, g2: Gen, k2) -> None:
+        if (k1, k2) in table:
+            return
+        terms = []
+        for h, c in bracket(g1, g2).items():
+            kh = _key(h)
+            named[kh] = h
+            terms.append((kh, c))
+        table[k1, k2] = terms
+
+    for g1, k1 in keyed:
+        for g2, k2 in keyed:
+            fill(g1, k1, g2, k2)
+    # `named` holds, so far, every generator one window bracket reaches
+    for kh, h in list(named.items()):
+        for z, kz in keyed:
+            fill(h, kh, z, kz)
+            fill(z, kz, h, kh)
+
+    d = lcm(*(c.denominator for terms in table.values() for _, c in terms))
+    for pair, terms in table.items():
+        table[pair] = [(kh, _over(c, d)) for kh, c in terms]
+    unit = d * d
+
     violations = []
-    count = 0
-    for x, y, z in product(gens, repeat=3):
-        count += 1
-        res = jacobi_residual(x, y, z)
-        if res:
-            violations.append((x, y, z, {str(g): c for g, c in res.items()}))
-    return JacobiReport(window, count, violations)
+    for x, kx in keyed:
+        for y, ky in keyed:
+            sign = -1 if x.kind == "G" and y.kind == "G" else 1
+            xy = table[kx, ky]
+            for z, kz in keyed:
+                lhs: dict = {}
+                for h, c in table[ky, kz]:
+                    for h2, c2 in table[kx, h]:
+                        add_term(lhs, h2, c * c2)
+                rhs1: dict = {}
+                for h, c in xy:
+                    for h2, c2 in table[h, kz]:
+                        add_term(rhs1, h2, c * c2)
+                rhs2: dict = {}
+                for h, c in table[kx, kz]:
+                    for h2, c2 in table[ky, h]:
+                        add_term(rhs2, h2, c * c2)
+                for h, c in rhs1.items():
+                    add_term(lhs, h, -c)
+                for h, c in rhs2.items():
+                    add_term(lhs, h, -sign * c)
+                if lhs:
+                    violations.append((x, y, z, {str(named[h]): Fraction(c, unit)
+                                                 for h, c in lhs.items()}))
+    return JacobiReport(window, len(gens) ** 3, violations)
 
 
 def jacobi_residual(x: Gen, y: Gen, z: Gen) -> GenSum:

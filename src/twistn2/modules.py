@@ -38,7 +38,7 @@ from functools import cached_property
 from math import lcm
 from typing import Union
 
-from .algebra import Gen, add_term, bracket, bracket_terms, parity
+from .algebra import Gen, _over, add_term, bracket, bracket_terms, parity
 from .halfint import HalfInt
 from .indices import IDX_ZERO, SymIndex
 from .poly import ONE, KroneckerPoint, Poly, RatFunc, ZERO
@@ -47,6 +47,10 @@ Param = Union[Fraction, str, None]  # "sym" selects symbolic mode
 
 FAMILIES = ("Aab", "Bab", "A1", "A2", "B1", "B2", "GenericA", "GenericB")
 COEFF_MODES = ("printed", "unknowns", "alpha", "beta", "mu")
+# the coefficient modes each family reads: a generic candidate its own
+# case's solved branches, any other family its printed coefficients only
+FAMILY_MODES = {"GenericA": ("printed", "unknowns", "alpha"),
+                "GenericB": ("printed", "unknowns", "beta", "mu")}
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,10 @@ class FamilySpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.coeff_mode not in COEFF_MODES:
             raise ValueError(f"unknown coefficient mode {self.coeff_mode!r}")
-        if self.coeff_mode != "printed" and not self.family.startswith("Generic"):
-            raise ValueError(f"{self.family} reads the printed coefficients; coefficient "
-                             f"mode {self.coeff_mode!r} is for the generic candidates")
+        modes = FAMILY_MODES.get(self.family, ("printed",))
+        if self.coeff_mode not in modes:
+            raise ValueError(f"{self.family} does not read coefficient mode "
+                             f"{self.coeff_mode!r}; it takes {', '.join(modes)}")
         if self.family in ("Aab", "Bab", "GenericA", "GenericB"):
             if self.a is None or self.b is None:
                 raise ValueError(f"{self.family} needs parameters a and b")
@@ -776,11 +781,6 @@ def _lowering(rows: dict, brackets):
         return point.image(c, d) if isinstance(c, Poly) else _over(c, d)
 
     return d, lower, point.decode
-
-
-def _over(c, d: int) -> int:
-    """c * d as an int, for a d that c's denominator divides."""
-    return c.numerator * (d // c.denominator)
 
 
 def _sweep_kernel(spec: FamilySpec, gens, labels, drop):

@@ -1,10 +1,13 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-Coefficients are `fractions.Fraction` (arbitrary precision, always reduced,
-positive denominator), so every identity checked downstream is exact: two
-polynomials are equal iff their canonical term maps are equal.
+Coefficients are exact rationals in one canonical form: a Python `int`
+exactly when the coefficient is integral, otherwise a `fractions.Fraction`
+with denominator > 1 (reduced, positive denominator).  Arithmetic on
+integral coefficients, the common case, builds no Fraction at all.  Every
+identity checked downstream is exact: two polynomials are equal iff their
+canonical term maps are equal (`3 == Fraction(3)`, and the two hash alike).
 
-A polynomial is a map from exponent tuples to nonzero Fractions.  Exponent
+A polynomial is a map from exponent tuples to nonzero coefficients.  Exponent
 tuples index a process-wide symbol registry and are stored with trailing
 zeros trimmed, so polynomials built before and after new symbols are
 registered compare equal.  Term order is graded lexicographic with respect
@@ -92,20 +95,44 @@ def _grlex_key(exps: Exps):
     return (sum(exps), exps)
 
 
+def _rat(value) -> Scalar:
+    """`value` as a canonical coefficient: an int if integral, else a
+    Fraction with denominator > 1."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _integral(out: dict) -> dict:
+    """Canonicalize in place the integral Fractions an arithmetic loop left
+    in `out`; int + int and int * int stay int on their own."""
+    for key, c in out.items():
+        if type(c) is Fraction and c.denominator == 1:
+            out[key] = c.numerator
+    return out
+
+
 class Poly:
-    """Canonical sparse polynomial; immutable by convention."""
+    """Canonical sparse polynomial; immutable by convention.
+
+    `terms` maps trimmed exponent tuples to nonzero coefficients, each an
+    int when integral and otherwise a Fraction with denominator > 1.  The
+    constructor canonicalizes any rational (or float) coefficients it is
+    given; `_canonical=True` trusts the caller to pass that form.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Exps, Fraction] | None = None, _canonical: bool = False):
+    def __init__(self, terms: Mapping[Exps, Scalar] | None = None, _canonical: bool = False):
         if terms is None:
             self.terms = {}
         elif _canonical:
             self.terms = dict(terms)
         else:
-            clean: dict[Exps, Fraction] = {}
+            clean: dict[Exps, Scalar] = {}
             for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _rat(coeff)
                 if coeff:
                     key = _trim(exps)
                     acc = clean.get(key)
@@ -114,20 +141,20 @@ class Poly:
                         clean[key] = new
                     elif acc is not None:
                         del clean[key]
-            self.terms = clean
+            self.terms = _integral(clean)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(value: Scalar) -> "Poly":
-        value = Fraction(value)
+        value = _rat(value)
         return Poly({(): value} if value else {}, _canonical=bool(value))
 
     @staticmethod
     def var(name: str, power: int = 1) -> "Poly":
         slot = sym_slot(name)
         exps = (0,) * slot + (power,)
-        return Poly({exps: Fraction(1)}, _canonical=True)
+        return Poly({exps: 1}, _canonical=True)
 
     # -- ring operations ---------------------------------------------------
 
@@ -155,11 +182,16 @@ class Poly:
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
             acc = out.get(exps)
-            new = coeff if acc is None else acc + coeff
-            if new:
-                out[exps] = new
-            elif acc is not None:
+            if acc is None:
+                out[exps] = coeff
+                continue
+            new = acc + coeff
+            if not new:
                 del out[exps]
+            elif type(new) is Fraction and new.denominator == 1:
+                out[exps] = new.numerator
+            else:
+                out[exps] = new
         return Poly(out, _canonical=True)
 
     __radd__ = __add__
@@ -179,15 +211,16 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+            other = _rat(other)
             if not other:
                 return ZERO
-            return Poly({e: c * other for e, c in self.terms.items()}, _canonical=True)
+            return Poly(_integral({e: c * other for e, c in self.terms.items()}),
+                        _canonical=True)
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.terms or not other.terms:
             return ZERO
-        out: dict[Exps, Fraction] = {}
+        out: dict[Exps, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = _mul_exps(e1, e2)
@@ -197,7 +230,7 @@ class Poly:
                     out[key] = new
                 elif acc is not None:
                     del out[key]
-        return Poly(out, _canonical=True)
+        return Poly(_integral(out), _canonical=True)
 
     __rmul__ = __mul__
 
@@ -220,11 +253,13 @@ class Poly:
         return not self.terms or self.terms.keys() == {()}
 
     def const_value(self) -> Fraction:
+        """The constant's value, as a Fraction even when integral, so a
+        caller may divide by it exactly."""
         if not self.terms:
             return Fraction(0)
         if self.terms.keys() != {()}:
             raise WrongDegree(f"not a constant: {self}")
-        return self.terms[()]
+        return Fraction(self.terms[()])
 
     def degree_in(self, name: str) -> int:
         slot = sym_slot(name)
@@ -245,7 +280,7 @@ class Poly:
     def coeff_in(self, name: str, power: int) -> "Poly":
         """Coefficient of name**power, a polynomial in the other symbols."""
         slot = sym_slot(name)
-        out: dict[Exps, Fraction] = {}
+        out: dict[Exps, Scalar] = {}
         for exps, coeff in self.terms.items():
             e = exps[slot] if len(exps) > slot else 0
             if e == power:
@@ -255,7 +290,7 @@ class Poly:
                 out[_trim(rest)] = coeff
         return Poly(out, _canonical=True)
 
-    def leading(self) -> tuple[Exps, Fraction]:
+    def leading(self) -> tuple[Exps, Scalar]:
         if not self.terms:
             raise WrongDegree("zero polynomial has no leading term")
         exps = max(self.terms, key=_grlex_key)
@@ -269,20 +304,20 @@ class Poly:
         Substitution is simultaneous: every value is read against the
         original polynomial, so {"k": k - m} and a swap {"b": bp, "bp": b}
         are correct.  Scalar values, and constant polynomials, are lowered
-        to Fractions once per call; a term meets a polynomial value only
-        when it contains that symbol.
+        to canonical coefficients once per call; a term meets a polynomial
+        value only when it contains that symbol.
         """
         if not bindings:
             return self
-        values: list[tuple[int, Union[Fraction, Poly]]] = []
+        values: list[tuple[int, Union[Scalar, Poly]]] = []
         for name, val in bindings.items():
             if not isinstance(val, Poly):
-                val = Fraction(val)
+                val = _rat(val)
             elif val.is_const():
-                val = val.const_value()
+                val = val.terms.get((), 0)
             values.append((sym_slot(name), val))
-        powers: dict[tuple[int, int], Union[Fraction, Poly]] = {}
-        acc: dict[Exps, Fraction] = {}
+        powers: dict[tuple[int, int], Union[Scalar, Poly]] = {}
+        acc: dict[Exps, Scalar] = {}
         for exps, coeff in self.terms.items():
             residual = factor = None
             for slot, val in values:
@@ -314,9 +349,10 @@ class Poly:
                     acc[term] = new
                 elif prev is not None:
                     del acc[term]
-        return Poly(acc, _canonical=True)
+        return Poly(_integral(acc), _canonical=True)
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
+        """The value at `bindings`, which must bind every symbol; a Fraction."""
         return self.substitute(bindings).const_value()
 
     # -- rendering ---------------------------------------------------------
@@ -363,7 +399,7 @@ def exact_divide(num: Poly, den: Poly) -> Poly:
     if not num:
         return ZERO
     den_exps, den_coeff = den.leading()
-    quot: dict[Exps, Fraction] = {}
+    quot: dict[Exps, Scalar] = {}
     rem = num
     while rem:
         exps, coeff = rem.leading()
@@ -375,7 +411,7 @@ def exact_divide(num: Poly, den: Poly) -> Poly:
             if diff[i] < 0:
                 raise NotDivisible(f"({num}) is not divisible by ({den})")
         key = _trim(diff)
-        c = coeff / den_coeff
+        c = _rat(Fraction(coeff) / den_coeff)
         quot[key] = c
         rem = rem - Poly({key: c}, _canonical=True) * den
     return Poly(quot, _canonical=True)
@@ -437,7 +473,7 @@ class KroneckerPoint:
         """The polynomial whose image is `value`, divided by `unit`."""
         mask = (1 << self.shift) - 1
         half = 1 << (self.shift - 1)
-        terms: dict[Exps, Fraction] = {}
+        terms: dict[Exps, Scalar] = {}
         pos = 0
         while value:
             digit = value & mask
@@ -451,7 +487,7 @@ class KroneckerPoint:
                     rest, exps[slot] = divmod(rest, size)
                 if rest:
                     raise ValueError("value is not the image of a polynomial in range")
-                terms[_trim(exps)] = Fraction(digit, unit)
+                terms[_trim(exps)] = _rat(Fraction(digit, unit))
             pos += 1
         return Poly(terms, _canonical=True)
 

@@ -1,11 +1,13 @@
 """Bracket table, grading, and the graded Jacobi identity."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistn2 import algebra
 from twistn2.algebra import (C, G, Gen, L, T, bracket, bracket_terms,
                              generators_in_window, jacobi_residual, parity,
                              super_jacobi_sweep)
@@ -164,3 +166,58 @@ def test_jacobi_sweep_small_window():
     report = super_jacobi_sweep(1)
     assert report.ok
     assert report.triples_checked == len(generators_in_window(1)) ** 3
+
+
+def test_jacobi_sweep_window_three():
+    report = super_jacobi_sweep(3)
+    assert report.triples_checked == 27 ** 3 == 19683
+    assert report.ok
+
+
+def reference_sweep(window):
+    """(triples_checked, violations) from `jacobi_residual`, one triple at a
+    time, as the sweep reports them."""
+    gens = generators_in_window(window)
+    violations = []
+    for x, y, z in product(gens, repeat=3):
+        res = jacobi_residual(x, y, z)
+        if res:
+            violations.append((x, y, z, {str(g): c for g, c in res.items()}))
+    return len(gens) ** 3, violations
+
+
+def _double_l_central(orig):
+    return lambda kind, i: 2 * orig(kind, i) if kind == "L" else orig(kind, i)
+
+
+def _flip_g_central(orig):
+    return lambda kind, i: -orig(kind, i) if kind == "G" else orig(kind, i)
+
+
+def _double_tg(orig):
+    # [G, T] is defined through [T, G], which reads the patched global
+    def terms(k1, i1, k2, i2, env=None):
+        out = orig(k1, i1, k2, i2, env)
+        if (k1, k2) == ("T", "G"):
+            out = [(k, i, 2 * c) for k, i, c in out]
+        return out
+    return terms
+
+
+@pytest.mark.parametrize("target, mutate", [
+    (None, None),
+    ("_central", _double_l_central),
+    ("_central", _flip_g_central),
+    ("bracket_terms", _double_tg),
+], ids=["clean", "L-central-doubled", "G-central-sign", "TG-doubled"])
+@pytest.mark.parametrize("window", [1, 2])
+def test_jacobi_sweep_equals_reference(monkeypatch, window, target, mutate):
+    if target is not None:
+        monkeypatch.setattr(algebra, target, mutate(getattr(algebra, target)))
+    report = super_jacobi_sweep(window)
+    want = reference_sweep(window)
+    assert (report.triples_checked, report.violations) == want
+    assert repr(report.violations) == repr(want[1])
+    if window == 2:
+        # at window 1 the L central term vanishes on every pair it reads
+        assert report.ok == (target is None)

@@ -496,6 +496,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="coefficient mode"):
             FamilySpec(family, coeff_mode=mode, **params)
 
+    @pytest.mark.parametrize("family, mode", [("GenericA", "beta"), ("GenericA", "mu"),
+                                              ("GenericB", "alpha")])
+    def test_generic_candidate_takes_only_its_own_case_modes(self, family, mode):
+        # each table reads only its own case's constants; another case's mode
+        # would be shown in the label and never read
+        with pytest.raises(ValueError, match="coefficient mode"):
+            FamilySpec(family, a="sym", b="sym", bprime="sym", coeff_mode=mode)
+
     def test_unsupported_bprime_is_rejected(self):
         with pytest.raises(ValueError):
             FamilySpec("Bab", a="sym", b=Fraction(0), bprime=Fraction(7))

@@ -31,6 +31,8 @@ def test_constants_and_scalars():
 
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# ints and Fractions, integral ones among them, as coefficients are given
+small_scalars = st.one_of(st.integers(-4, 4), small_fractions)
 
 
 @st.composite
@@ -38,7 +40,7 @@ def polys(draw, vars=("b", "m", "k"), max_terms=4):
     n_terms = draw(st.integers(0, max_terms))
     p = ZERO
     for _ in range(n_terms):
-        coeff = draw(small_fractions)
+        coeff = draw(small_scalars)
         term = Poly.const(coeff)
         for v in vars:
             term = term * Poly.var(v) ** draw(st.integers(0, 2))
@@ -92,6 +94,52 @@ def test_substitute_is_a_ring_homomorphism(p, q, bindings, v):
     assert (p + q).substitute(bindings) == sub_p + sub_q
     assert (p * q).substitute(bindings) == sub_p * sub_q
     assert p.substitute({"b": Poly.const(v)}) == p.substitute({"b": v})
+
+
+def is_canonical(c) -> bool:
+    """An int exactly when integral, else a Fraction with denominator > 1."""
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def assert_canonical(p: Poly) -> None:
+    assert all(is_canonical(c) for c in p.terms.values()), p.terms
+
+
+@given(polys(), polys(), small_scalars, bindings_of, st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_every_coefficient_is_canonical(p, q, s, bindings, power):
+    assert_canonical(p)
+    for out in (p + q, p - q, p + s, s + p, p - s, s - p, -p, p * q, p * s, s * p,
+                p ** power, p.substitute(bindings), p.coeff_in("b", 1),
+                p.coeff_in("m", 0)):
+        assert_canonical(out)
+    if q:
+        assert_canonical(exact_divide(p * q, q))
+        assert_canonical(exact_divide(q * (p + s), q))
+    d = 1
+    for c in p.terms.values():
+        d = d * c.denominator
+    point = KroneckerPoint([p], int(l1(p) * d) ** 2)
+    assert_canonical(point.decode(point.image(p, d), d))
+    assert_canonical(point.decode(point.image(p, d) * 3, 2 * d))
+    # a value read as a scalar stays a Fraction, so a caller may divide by it
+    value = p.evaluate({"b": s, "m": 2, "k": Fraction(1, 3)})
+    assert type(value) is Fraction
+    assert type(Poly.const(s).const_value()) is Fraction
+    assert type(ZERO.const_value()) is Fraction
+
+
+def test_canonical_coefficient_examples():
+    assert Poly({(): Fraction(4, 2)}) == Poly.const(2)
+    assert type(Poly({(): Fraction(4, 2)}).terms[()]) is int
+    assert type(Poly.const(True).terms[()]) is int
+    assert type(Poly.const(0.5).terms[()]) is Fraction
+    assert Poly.var("b").terms == {(0, 1): 1}
+    half = Poly.const(Fraction(1, 2)) * b
+    assert type((half * 2).terms[(0, 1)]) is int
+    assert type((half + half).terms[(0, 1)]) is int
+    assert type(exact_divide(b * 3, b * 6).terms[()]) is Fraction
+    assert type(exact_divide(b * 6, b * 3).terms[()]) is int
 
 
 def l1(p: Poly) -> Fraction:

@@ -26,7 +26,7 @@ scalars = st.one_of(st.integers(-6, 6), fractions)
 def polys(draw, max_terms=4):
     p = Poly.const(0)
     for _ in range(draw(st.integers(0, max_terms))):
-        term = Poly.const(draw(fractions))
+        term = Poly.const(draw(scalars))
         for name in NAMES:
             term = term * Poly.var(name) ** draw(st.integers(0, 2))
         p = p + term
