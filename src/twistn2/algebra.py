@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .halfint import HalfInt
+from .indices import SymIndex
 
 EVEN, ODD = 0, 1
 
@@ -22,7 +22,7 @@ class Gen:
     """A basis generator: kind in {L, T, G, C}, index absent for C."""
 
     kind: str
-    idx: HalfInt | None = None
+    idx: SymIndex | None = None
 
     def __post_init__(self):
         if self.kind == "C":
@@ -31,8 +31,8 @@ class Gen:
             return
         if self.kind not in ("L", "T", "G"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        if not isinstance(self.idx, HalfInt):
-            object.__setattr__(self, "idx", HalfInt.of(self.idx))
+        # a symbolic index is rejected: a generator is one concrete mode
+        object.__setattr__(self, "idx", SymIndex.of(self.idx).const_value())
         if self.kind == "L" and not self.idx.is_integer():
             raise ValueError(f"L index must be an integer, got {self.idx}")
         if self.kind == "T" and not self.idx.is_half_odd():
@@ -46,15 +46,15 @@ class Gen:
 
 
 def L(i) -> Gen:
-    return Gen("L", HalfInt.of(i))
+    return Gen("L", i)
 
 
 def T(i) -> Gen:
-    return Gen("T", HalfInt.of(i))
+    return Gen("T", i)
 
 
 def G(i) -> Gen:
-    return Gen("G", HalfInt.of(i))
+    return Gen("G", i)
 
 
 C = Gen("C")
@@ -94,10 +94,11 @@ HALF = Fraction(1, 2)
 def bracket_terms(k1: str, i1, k2: str, i2, env: dict | None = None) -> list:
     """The structure constants: [k1_i1, k2_i2] less its central term.
 
-    Returns (kind, index, coefficient) triples.  Indices are HalfInts, with
-    Fraction coefficients, or, when a parity env is given, SymIndex linear
-    forms with Poly coefficients; a C term is never returned (C acts as zero
-    on every module family).  Mixed orders are defined through
+    Returns (kind, index, coefficient) triples over SymIndex indices.  A
+    coefficient is a Fraction where the indices are concrete half-integers
+    and a Poly where one is symbolic; `env` declares the parity class of
+    each free index symbol.  A C term is never returned (C acts as zero on
+    every module family).  Mixed orders are defined through
     super-antisymmetry [y, x] = -(-1)^(|x||y|) [x, y]; two generators of
     different kinds are never both odd, so the flip is a plain sign.
     """
@@ -105,10 +106,7 @@ def bracket_terms(k1: str, i1, k2: str, i2, env: dict | None = None) -> list:
         return []
     if _RANK[k1] > _RANK[k2]:
         return [(k, i, -c) for k, i, c in bracket_terms(k2, i2, k1, i1, env)]
-    if env is None:
-        x, y = i1.value, i2.value
-    else:
-        x, y = i1.as_poly(), i2.as_poly()
+    x, y = i1.value, i2.value
     idx = i1 + i2
     if k1 == "L":
         if k2 == "L":
@@ -118,15 +116,14 @@ def bracket_terms(k1: str, i1, k2: str, i2, env: dict | None = None) -> list:
         return [("G", idx, HALF * x - y)]
     if k1 == "T":
         return [] if k2 == "T" else [("G", idx, Fraction(1))]
-    odd1 = i1.doubled % 2 if env is None else i1.parity(env)
-    odd2 = i2.doubled % 2 if env is None else i2.parity(env)
+    odd1, odd2 = i1.parity(env), i2.parity(env)
     sign = -1 if odd1 else 1  # (-1)^(2p)
     if odd1 == odd2:
         return [("L", idx, Fraction(2 * sign))]
     return [("T", idx, -sign * (x - y))]
 
 
-def _central(kind: str, i: HalfInt) -> Fraction:
+def _central(kind: str, i: SymIndex) -> Fraction:
     """C coefficient of [X_i, X_-i] for X = L, T, G."""
     v = i.value
     if kind == "L":
@@ -162,9 +159,9 @@ def generators_in_window(window: int) -> list[Gen]:
     """All generators with |doubled index| <= 2*window, plus C."""
     bound = 2 * window
     gens: list[Gen] = [C]
-    gens += [L(HalfInt(d)) for d in range(-bound, bound + 1) if d % 2 == 0]
-    gens += [T(HalfInt(d)) for d in range(-bound, bound + 1) if d % 2 == 1]
-    gens += [G(HalfInt(d)) for d in range(-bound, bound + 1)]
+    gens += [L(SymIndex(d)) for d in range(-bound, bound + 1) if d % 2 == 0]
+    gens += [T(SymIndex(d)) for d in range(-bound, bound + 1) if d % 2 == 1]
+    gens += [G(SymIndex(d)) for d in range(-bound, bound + 1)]
     return gens
 
 

@@ -14,6 +14,9 @@ from fractions import Fraction
 
 from . import constraints as clab
 from . import deformation as dlab
+# `halfint` is not used here: perfbench/tracer.py counts index operations
+# through `halfint.HalfInt`, so the module must be loaded with the CLI
+from . import halfint  # noqa: F401
 from .algebra import super_jacobi_sweep
 from .modules import (FAULT_CATALOG, FamilySpec, SubmoduleCandidate, aab,
                       axiom_sweep, bab, complement_of,
@@ -205,10 +208,12 @@ def cmd_solve_coeffs(args) -> Report:
             rep.add(f"recurrence propagation: {desc}", "lemma/propagation", ok,
                     detail or None)
     if which in ("all", "intersections"):
-        for case in ("A", "B"):
+        claims = {"A": "survivors match the classification",
+                  "B": "b-1/2 and b+1/2 lie in both weight classes' root sets"}
+        for case, claim in claims.items():
             ir = clab.intersection_scan(case)
-            rep.add(f"sampled intersection ({case}): survivors match the classification "
-                    f"over {ir.sampled} parameters", f"intersection/{case}", ir.ok,
+            rep.add(f"sampled intersection ({case}): {claim} over {ir.sampled} parameters",
+                    f"intersection/{case}", ir.ok,
                     ir.unexplained[:2] if ir.unexplained else None)
             for bv, extras in ir.exceptions:
                 rep.notes.append(

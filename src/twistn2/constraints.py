@@ -263,7 +263,8 @@ OMEGA_PRIME_PAIRS = (
     (Fraction(-3, 2), Fraction(1, 2)),
 )
 
-# sporadic pair sets from the B-candidate mixed-identity analysis
+# sporadic pair sets from the B-candidate mixed-identity analysis: printed
+# data, which no check reads yet
 LAMBDA_PAIRS = (
     (Fraction(-3, 2), Fraction(0)),
     (Fraction(-1), Fraction(1, 2)),
@@ -1085,11 +1086,13 @@ class IntersectionReport:
 def intersection_scan(case: str, params: list[Fraction] | None = None) -> IntersectionReport:
     """Reproduce the allowed-bp conclusion by exact set intersection.
 
-    Candidates come from the two pairs of root sets (one per weight class);
-    survivors must satisfy both mixed-identity constraints, decided by
-    substituting the candidate pair into the derived determinants.  For the
-    A analysis the expected outcome is the diagonal bp = b, except at the
-    four documented sporadic coincidences.
+    Candidates come from the two pairs of root sets (one per weight class).
+    In case A, survivors must satisfy both mixed-identity constraints,
+    decided by substituting the candidate pair into the derived
+    determinants, and the expected outcome is the diagonal bp = b, except at
+    the four documented sporadic coincidences.  Case B consults no
+    determinant: it checks that b - 1/2 and b + 1/2 lie in both weight
+    classes' root sets.
     """
     params = params if params is not None else sample_parameters()
     exceptions = []
@@ -1119,22 +1122,13 @@ def intersection_scan(case: str, params: list[Fraction] | None = None) -> Inters
     if case == "B":
         sets1 = [root_set("lambda1"), root_set("lambda2")]
         sets2 = [root_set("lambda3"), root_set("lambda4")]
-        lam = dict.fromkeys(LAMBDA_PAIRS, True)
-        lamp = dict.fromkeys(LAMBDA_PRIME_PAIRS, True)
         for bv in params:
             first = set().union(*(rs.rationals_at(bv) for rs in sets1))
             second = set().union(*(rs.rationals_at(bv) for rs in sets2))
             expected = {bv - HALF, bv + HALF}
-            survivors = set()
-            for cand in first & second:
-                near = cand in (bv - HALF, bv + HALF)
-                sporadic = (bv, cand) in lam and (bv, cand) in lamp
-                if near or sporadic:
-                    survivors.add(cand)
-                if sporadic:
-                    expected.add(cand)
-            if survivors != expected:
-                unexplained.append((bv, sorted(survivors), sorted(expected)))
+            found = expected & first & second
+            if found != expected:
+                unexplained.append((bv, sorted(found), sorted(expected)))
         return IntersectionReport("B", len(params), [], unexplained)
     raise ValueError(f"unknown intersection case {case!r}")
 

@@ -83,7 +83,7 @@ def fit_alpha_from_e(e1, e2, case: DeformCase):
     Case sign -1: a = e2/2 - 2 e1 and a' = e1 - e2/2; the mirrored case
     flips both.  Accepts exact rationals or polynomials.
     """
-    half_e2 = Fraction(1, 2) * e2 if isinstance(e2, Fraction) else HALF * e2
+    half_e2 = HALF * e2
     if case.sign < 0:
         alpha = half_e2 - 2 * e1
         alphap = e1 - half_e2

@@ -39,7 +39,6 @@ from math import lcm
 from typing import Union
 
 from .algebra import Gen, _over, add_term, bracket, bracket_terms, parity
-from .halfint import HalfInt
 from .indices import IDX_ZERO, SymIndex
 from .poly import ONE, KroneckerPoint, Poly, RatFunc, ZERO
 
@@ -56,13 +55,13 @@ FAMILY_MODES = {"GenericA": ("printed", "unknowns", "alpha"),
 @dataclass(frozen=True)
 class BasisLabel:
     letter: str  # "x" or "y"
-    idx: HalfInt
+    idx: SymIndex
 
     def __post_init__(self):
         if self.letter not in ("x", "y"):
             raise ValueError(f"bad basis letter {self.letter!r}")
-        if not isinstance(self.idx, HalfInt):
-            object.__setattr__(self, "idx", HalfInt.of(self.idx))
+        # a symbolic index is rejected: a label is one concrete basis vector
+        object.__setattr__(self, "idx", SymIndex.of(self.idx).const_value())
 
     def __str__(self) -> str:
         return f"{self.letter}_{self.idx}"
@@ -202,7 +201,7 @@ BASE_FAMILY = {
     "A1": ("Aab", Fraction(0), Fraction(-1), "source", ("x", IDX_ZERO)),
     "A2": ("Aab", Fraction(0), Fraction(-1, 2), "sink", ("y", IDX_ZERO)),
     "B1": ("Bab", Fraction(0), Fraction(-1, 2), "source", ("y", IDX_ZERO)),
-    "B2": ("Bab", Fraction(1, 2), Fraction(-1, 2), "sink", ("y", SymIndex(HALF))),
+    "B2": ("Bab", Fraction(1, 2), Fraction(-1, 2), "sink", ("y", SymIndex(1))),
 }
 
 
@@ -300,11 +299,6 @@ def _sgn2q(gpar: int) -> int:
     return -1 if gpar else 1
 
 
-def _value(idx: SymIndex) -> Fraction | Poly:
-    """An index as a coefficient: its Fraction when constant, else its Poly."""
-    return idx.as_poly() if idx.lin else idx.const
-
-
 def act_indexed(spec: FamilySpec, kind: str, g: SymIndex, letter: str, v: SymIndex,
                 env: dict | None = None):
     """Action of one generator mode on one basis vector.
@@ -317,7 +311,7 @@ def act_indexed(spec: FamilySpec, kind: str, g: SymIndex, letter: str, v: SymInd
     """
     if kind == "C":
         return []
-    return _TABLES[spec.family](spec.ctx, kind, g, letter, v, env or {})
+    return _TABLES[spec.family](spec.ctx, kind, g, letter, v, env)
 
 
 # -- the two case tables -----------------------------------------------------
@@ -386,7 +380,7 @@ def _t_coeff(ctx, letter, g, v, env, vpar):
         return ONE
     if vpar == 0:
         return None
-    co = (2 * b + 1) * _value(g)
+    co = (2 * b + 1) * g.value
     return -co if ctx.fault == "bab.ty-sign" else co
 
 
@@ -396,8 +390,8 @@ def _act_case_a(ctx, kind, g, letter, v, env):
     if kind == "T":
         return [(letter, tgt, _t_coeff(ctx, letter, g, v, env, None))]
     a, b, bp = ctx.a, ctx.b, ctx.bp
-    kP = _value(v)
-    gP = _value(g)
+    kP = v.value
+    gP = g.value
     # off the diagonal, x reads b' and y reads b on half-odd weights
     if bp is not b and v.parity(env):
         b, bp = bp, b
@@ -420,8 +414,8 @@ def _act_case_b(ctx, kind, g, letter, v, env):
     """Case B: b' = b - 1/2 on the beta branch, (b, b') = (0, -3/2) on the
     mu branch, and b' free in the unknowns mode."""
     a, b, bp = ctx.a, ctx.b, ctx.bp
-    kP = _value(v)
-    gP = _value(g)
+    kP = v.value
+    gP = g.value
     vpar = v.parity(env)
     tgt = v + g
     if kind == "L":
@@ -481,7 +475,7 @@ def _slot_coeff(ctx, kind, g, env):
     fam = ctx.spec.family
     # a fault names its family; another family's fault changes nothing here
     fault = ctx.fault if (ctx.fault or "").startswith(fam.lower() + ".") else None
-    al, alp, q = ctx.alpha, ctx.alphap, _value(g)
+    al, alp, q = ctx.alpha, ctx.alphap, g.value
     sign = -1 if ctx.slot[0] == "source" else 1
     if kind == "L":
         co = sign * q * (alp * q + al)
@@ -615,14 +609,14 @@ def t_composition(spec: FamilySpec, letter: str, vidx: SymIndex, env,
 def act(spec: FamilySpec, g: Gen, v: BasisLabel) -> LinComb:
     """Concrete action; returns a label -> coefficient map without zeros.
 
-    A view of the spec's memo row for g (`FamilySpec.ctx`), with BasisLabel
-    keys.  A concrete spec's coefficients are Fractions; a symbolic
-    parameter gives Poly (or RatFunc) ones, a constant Poly again lowered
-    to its Fraction.
+    A view of the spec's memo row for g (`FamilySpec.ctx`): a row key's
+    doubled index d is the label index `SymIndex(d)`.  A concrete spec's
+    coefficients are Fractions; a symbolic parameter gives Poly (or
+    RatFunc) ones, a constant Poly again lowered to its Fraction.
     """
     if g.kind == "C":
         return {}
-    return {BasisLabel(letter, HalfInt(doubled)): c
+    return {BasisLabel(letter, SymIndex(doubled)): c
             for (letter, doubled), c in spec.ctx.row(g)[(v.letter, v.idx.doubled)]}
 
 
@@ -666,7 +660,7 @@ def bracket_action_check(spec: FamilySpec, g1: Gen, g2: Gen, v: BasisLabel,
 
 def labels_in_window(window: int) -> list[BasisLabel]:
     bound = 2 * window
-    return [BasisLabel(letter, HalfInt(d))
+    return [BasisLabel(letter, SymIndex(d))
             for letter in ("x", "y") for d in range(-bound, bound + 1)]
 
 
@@ -698,7 +692,9 @@ class SweepReport:
 class _ActionRow(dict):
     """The action of one generator on one spec: label key (letter, doubled
     index) -> ((label key, coeff), ...), each entry built by `act_indexed`
-    the first time it is read and kept as long as the spec.
+    the first time it is read and kept as long as the spec.  A key's
+    doubled index d is the index `SymIndex(d)` the table reads, and a
+    target's is the `doubled` of the index the table returns.
 
     It is the only action memo.  The spec's context owns one row per
     generator (`_Ctx.row`), and `act`, the axiom sweep and the submodule
@@ -714,17 +710,16 @@ class _ActionRow(dict):
 
     def __init__(self, spec: FamilySpec, g: Gen):
         super().__init__()
-        self.spec, self.kind = spec, g.kind
-        self.gidx = None if g.idx is None else SymIndex.of(g.idx)
+        self.spec, self.kind, self.gidx = spec, g.kind, g.idx
 
     def __missing__(self, key):
         lc: dict = {}
         if self.kind != "C":
             letter, doubled = key
             for letter2, idx, coeff in act_indexed(self.spec, self.kind, self.gidx, letter,
-                                                   SymIndex(Fraction(doubled, 2))):
+                                                   SymIndex(doubled)):
                 if coeff:
-                    add_term(lc, (letter2, idx.const_value().doubled), coeff)
+                    add_term(lc, (letter2, idx.doubled), coeff)
         terms = tuple((lk, _scalar(c)) for lk, c in lc.items())
         self[key] = terms
         return terms
@@ -825,7 +820,7 @@ def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
         if drop is None:
             return terms
         return tuple((lk, c) for lk, c in terms
-                     if not drop(BasisLabel(lk[0], HalfInt(lk[1]))))
+                     if not drop(BasisLabel(lk[0], SymIndex(lk[1]))))
 
     # plain dicts of exactly the entries the loop reads: every row on the
     # window labels, the generators' rows also on each label that one
@@ -873,7 +868,7 @@ def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
             for lk, c in t2.items():
                 add_term(out, lk, sign * c)
             if out:
-                res = {BasisLabel(lk[0], HalfInt(lk[1])): c if decode is None else decode(c, unit)
+                res = {BasisLabel(lk[0], SymIndex(lk[1])): c if decode is None else decode(c, unit)
                        for lk, c in out.items()}
                 violations.append(Witness(n1, n2, name, lincomb_str(res)))
     return checks, violations
@@ -946,7 +941,7 @@ def _as_label(l) -> BasisLabel:
     if isinstance(l, BasisLabel):
         return l
     letter, idx = l[0], l[1:]
-    return BasisLabel(letter, HalfInt.of(idx))
+    return BasisLabel(letter, idx)
 
 
 @dataclass

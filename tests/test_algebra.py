@@ -4,16 +4,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistn2 import algebra
 from twistn2.algebra import (C, G, Gen, L, T, bracket, bracket_terms,
                              generators_in_window, jacobi_residual, parity,
                              super_jacobi_sweep)
-from twistn2.halfint import HalfInt
 from twistn2.indices import SymIndex
-from twistn2.poly import Poly
+from twistn2.poly import Poly, format_rational
 
 H = Fraction(1, 2)
 
@@ -26,34 +25,78 @@ def test_parity():
 
 
 def test_halfint_hash_agrees_with_equality():
-    assert HalfInt(2) == 1 and 1 in {HalfInt(2)}
-    assert HalfInt(1) == H and Fraction(1, 2) in {HalfInt(1)}
-    assert HalfInt(-3) in {Fraction(-3, 2)}
+    assert SymIndex(2) == 1 and 1 in {SymIndex(2)}
+    assert SymIndex(1) == H and Fraction(1, 2) in {SymIndex(1)}
+    assert SymIndex(-3) in {Fraction(-3, 2)}
 
 
 @st.composite
 def index_values(draw):
-    """One index value as a SymIndex, a HalfInt, an int or a Fraction,
-    constant or (for a SymIndex) with a symbolic part."""
+    """One index value as a SymIndex, an int or a Fraction: constant or
+    (for a SymIndex) with a symbolic part, and for a Fraction possibly off
+    the half-integers."""
     doubled = draw(st.integers(-40, 40))
-    kind = draw(st.sampled_from(("sym", "sym-var", "halfint", "int", "fraction")))
-    if kind == "sym":
-        return SymIndex(Fraction(doubled, 2))
+    kind = draw(st.sampled_from(("const", "sym-var", "int", "fraction", "third")))
+    if kind == "const":
+        return SymIndex(doubled)
     if kind == "sym-var":
-        return SymIndex(Fraction(doubled, 2), (("k", draw(st.integers(-2, 2))),))
-    if kind == "halfint":
-        return HalfInt(doubled)
+        return SymIndex(doubled, (("k", draw(st.integers(-2, 2))),))
     if kind == "int":
         return doubled // 2
+    if kind == "third":
+        return Fraction(doubled, 3)
     return Fraction(doubled, 2)
 
 
 @given(index_values(), index_values())
+@example(SymIndex(2), Fraction(1, 3))
 @settings(max_examples=300, deadline=None)
 def test_equal_indices_hash_equal(x, y):
     if x == y:
         assert hash(x) == hash(y)
         assert x in {y} and y in {x}
+
+
+def test_index_off_the_half_integers_is_unequal():
+    assert (SymIndex(2) == Fraction(1, 3)) is False
+    assert (Fraction(1, 3) == SymIndex(2)) is False
+    assert SymIndex(2) != Fraction(1, 3)
+    assert (SymIndex.var("m") == Fraction(1, 3)) is False
+
+
+@given(st.integers(-60, 60), st.integers(-60, 60))
+@settings(max_examples=200, deadline=None)
+def test_constant_indices_agree_with_fractions(d1, d2):
+    i1, i2 = SymIndex(d1), SymIndex(d2)
+    f1, f2 = Fraction(d1, 2), Fraction(d2, 2)
+    assert i1 + i2 == f1 + f2 and (i1 + i2).value == f1 + f2
+    assert i1 - i2 == f1 - f2 and (i1 - i2).value == f1 - f2
+    assert -i1 == -f1 and (-i1).value == -f1
+    assert (i1 == i2) == (f1 == f2)
+    assert i1 == f1 and hash(i1) == hash(f1)
+    assert i1.parity() == d1 % 2 == (0 if f1.denominator == 1 else 1)
+    assert i1.is_integer() == (f1.denominator == 1) != i1.is_half_odd()
+    assert str(i1) == format_rational(f1)
+    assert i1.const_value() is i1 and type(i1.value) is Fraction
+
+
+def test_index_constructors():
+    assert SymIndex.of("3/2") == SymIndex(3) == Fraction(3, 2)
+    assert SymIndex.of("-2") == SymIndex(-4)
+    assert SymIndex.of(Fraction(-1, 2)) == SymIndex(-1)
+    m = SymIndex.var("m")
+    assert m.lin == (("m", 1),) and m.doubled == 0 and SymIndex.of(m) is m
+    assert str(m + SymIndex.of("1/2")) == "m+1/2"
+    for bad in ("m", "1/3", Fraction(1, 3)):
+        with pytest.raises(ValueError):
+            SymIndex.of(bad)
+    with pytest.raises(TypeError):
+        SymIndex(Fraction(1, 2))
+    with pytest.raises(ValueError):
+        m.const_value()
+    with pytest.raises(KeyError):
+        m.parity()
+    assert (m + 1).parity({"m": 1}) == 1
 
 
 def test_label_validation():
@@ -62,9 +105,11 @@ def test_label_validation():
     with pytest.raises(ValueError):
         T(1)
     with pytest.raises(ValueError):
-        Gen("C", HalfInt(2))
+        Gen("C", SymIndex(2))
     with pytest.raises(ValueError):
-        Gen("X", HalfInt(0))
+        Gen("X", SymIndex(0))
+    with pytest.raises(ValueError):
+        Gen("L", SymIndex.var("m"))
 
 
 def test_virasoro_bracket_with_central_term():
@@ -127,17 +172,30 @@ def test_index_and_parity_additivity(g1, g2):
 @settings(max_examples=200, deadline=None)
 def test_symbolic_bracket_at_concrete_indices(g1, g2, off1, off2):
     # index i = symbol + offset, the symbol's parity class read off the value
-    offsets = (Fraction(off1, 2), Fraction(off2, 2))
-    values = {"p": g1.idx.value - offsets[0], "q": g2.idx.value - offsets[1]}
-    env = {nm: int(2 * v) % 2 for nm, v in values.items()}
-    i1 = SymIndex.var("p") + SymIndex(offsets[0])
-    i2 = SymIndex.var("q") + SymIndex(offsets[1])
+    values = {"p": (g1.idx - SymIndex(off1)).value, "q": (g2.idx - SymIndex(off2)).value}
+    env = {nm: SymIndex.of(v).parity() for nm, v in values.items()}
+    i1 = SymIndex.var("p") + SymIndex(off1)
+    i2 = SymIndex.var("q") + SymIndex(off2)
     got = {}
     for kind, idx, coeff in bracket_terms(g1.kind, i1, g2.kind, i2, env):
         value = coeff.substitute(values) if isinstance(coeff, Poly) else Poly.const(coeff)
         if value:
             got[Gen(kind, idx.substitute(values).const_value())] = value.const_value()
     assert got == {g: c for g, c in bracket(g1, g2).items() if g.kind != "C"}
+
+
+def test_bracket_terms_at_concrete_indices_ignore_env():
+    # one path: concrete indices give Fraction coefficients, env or not
+    gens = [g for g in WINDOW_GENS if g.kind != "C"]
+    for g1, g2 in product(gens, gens):
+        plain = bracket_terms(g1.kind, g1.idx, g2.kind, g2.idx)
+        with_env = bracket_terms(g1.kind, g1.idx, g2.kind, g2.idx, {"m": 0})
+        assert plain == with_env
+        assert all(type(c) is Fraction for *_, c in plain)
+        got = {}
+        for kind, idx, c in plain:
+            algebra.add_term(got, Gen(kind, idx), c)
+        assert got == {g: c for g, c in bracket(g1, g2).items() if g.kind != "C"}
 
 
 def test_jacobi_for_pure_virasoro_triple():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from twistn2.constraints import (K, M, N, LAMBDA_PAIRS, LAMBDA_PRIME_PAIRS, LEMMA_CHECKS,
+                                 RootSetEntry,
                                  MalformedInstance, OMEGA_PAIRS,
                                  OMEGA_PRIME_PAIRS, ROOT_SET_NAMES,
                                  SPORADIC_SURVIVORS_A, alpha_beta_solve,
@@ -297,6 +298,24 @@ class TestIntersections:
     def test_case_b_scan_is_clean(self):
         report = intersection_scan("B")
         assert report.ok and not report.exceptions
+
+    def test_case_b_scan_fails_when_a_root_set_loses_b_plus_half(self, monkeypatch):
+        # the scan requires b - 1/2 and b + 1/2 in both weight classes' root sets
+        rationals_at = RootSetEntry.rationals_at
+
+        def losing(entry, bv):
+            vals = rationals_at(entry, bv)
+            if entry.name in ("lambda3", "lambda4"):
+                vals.discard(bv + Fraction(1, 2))
+            return vals
+
+        monkeypatch.setattr(RootSetEntry, "rationals_at", losing)
+        params = [Fraction(-1), Fraction(0), Fraction(2, 3)]
+        report = intersection_scan("B", params)
+        assert not report.ok
+        assert [(bv, exp) for bv, _, exp in report.unexplained] == [
+            (bv, [bv - Fraction(1, 2), bv + Fraction(1, 2)]) for bv in params]
+        assert all(bv + Fraction(1, 2) not in got for bv, got, _ in report.unexplained)
 
     def test_pair_tables(self):
         assert len(OMEGA_PAIRS) == len(OMEGA_PRIME_PAIRS) == 4

@@ -10,7 +10,7 @@ from twistn2.deformation import (CASES, DeformCase, deformation_discrepancies,
                                  fit_alpha_from_e, g_solution_check,
                                  instantiate_deformation)
 from twistn2.algebra import G, L, T
-from twistn2.halfint import HalfInt
+from twistn2.indices import SymIndex
 from twistn2.modules import (FAULT_CATALOG, BasisLabel, FamilySpec, act,
                              axiom_sweep, complement_of, proper_submodule_scan,
                              span_of, spec_with_fault, submodule_check)
@@ -20,7 +20,7 @@ H = Fraction(1, 2)
 
 
 def lbl(letter, idx):
-    return BasisLabel(letter, HalfInt.of(idx))
+    return BasisLabel(letter, SymIndex.of(idx))
 
 
 class TestParameterFit:

@@ -13,7 +13,6 @@ from twistn2 import deformation, modules
 from twistn2.algebra import G, Gen, L, T, bracket, generators_in_window, parity
 from twistn2.cli import main
 from twistn2.deformation import instantiate_deformation
-from twistn2.halfint import HalfInt
 from twistn2.indices import SymIndex
 from twistn2.modules import (FAULT_CATALOG, BasisLabel, FamilySpec, aab, act,
                              act_indexed, axiom_sweep, b_zero_candidate, bab,
@@ -28,7 +27,7 @@ a, b = Poly.var("a"), Poly.var("b")
 
 
 def lbl(letter, idx):
-    return BasisLabel(letter, HalfInt.of(idx))
+    return BasisLabel(letter, SymIndex.of(idx))
 
 
 class TestPrintedActions:
@@ -516,6 +515,13 @@ class TestSpecValidation:
     def test_deformed_families_need_alpha(self):
         with pytest.raises(ValueError):
             FamilySpec("A1")
+
+    def test_basis_label_is_concrete(self):
+        assert BasisLabel("x", "1/2") == lbl("x", H) and BasisLabel("y", 2).idx == SymIndex(4)
+        with pytest.raises(ValueError):
+            BasisLabel("x", SymIndex.var("k"))
+        with pytest.raises(ValueError):
+            BasisLabel("x", Fraction(1, 3))
 
     def test_exceptional_candidate_kills_currents_and_integer_fermions(self):
         spec = b_zero_candidate(a=Fraction(1, 3))
