@@ -46,6 +46,12 @@ CONCRETE = [
                                        "--b", "2/5", "--candidate", "span:x0"], 1),
     # a symbolic sweep and the NS partition check of one spec
     ("verify-axioms-bab", ["verify-axioms", "--family", "Bab"], 0),
+    # the symbolic verbs' selectors: one determinant, one sporadic pair set,
+    # one normalization case and one family's T table at a concrete alpha
+    ("delta-3p", ["delta", "--which", "3p"], 0),
+    ("roots-omega-prime", ["roots", "--which", "omega-prime"], 0),
+    ("solve-coeffs-normalization-b0", ["solve-coeffs", "--which", "normalization-b0"], 0),
+    ("compose-t-b2-alpha-2-7", ["compose-t", "--family", "B2", "--alpha", "2/7"], 0),
 ]
 
 
