@@ -105,59 +105,23 @@ def cmd_verify_axioms(args) -> Report:
 
 def cmd_delta(args) -> Report:
     which = args.which or "all"
-    selected = ("1", "2", "3", "3p") if which == "all" else (which,)
     rep = Report("delta", {"which": which})
-    for w in selected:
-        dr = clab.compare_delta_closed_form(w)
-        if w in ("1", "2"):
-            rep.add(f"determinant {w} equals its printed factorization",
-                    f"delta{w}-factorization", dr.equal)
-        else:
-            tag = "mixed-identity determinant" + ("" if w == "3" else " (second family)")
-            rep.add(f"{tag}: exact divisibility by the stated factors",
-                    f"delta{w}-divisibility",
-                    not any(n.startswith("fail") for n in dr.notes))
-            pairs = "sporadic pairs" if w == "3" else "mirrored sporadic pairs"
-            rep.add(f"{tag}: quotient vanishes at all {pairs}",
-                    f"delta{w}-sporadic-pairs",
-                    all(v == "0" for _, v in dr.omega_checks), dict(dr.omega_checks))
-            for name, msg in dr.nabla_checks:
-                if "differs" in msg:
-                    rep.notes.append(f"{name}: {msg}")
-                else:
-                    rep.add(f"{tag}: {name} quotient piece matches the printed form",
-                            f"delta{w}-{name}", True)
+    for w in ("1", "2", "3", "3p") if which == "all" else (which,):
+        rep.extend(clab.compare_delta_closed_form(w))
     return rep
-
-
-# the sporadic pair sets: the mixed-identity determinant whose quotient
-# each must annihilate, and the check's wording
-OMEGA_SETS = {
-    "omega": ("3", "sporadic pair set annihilates the mixed-identity quotient"),
-    "omega-prime": ("3p", "mirrored sporadic pair set annihilates its quotient"),
-}
 
 
 def cmd_roots(args) -> Report:
     which = args.which or "all"
     rep = Report("roots", {"which": which})
-    names = clab.ROOT_SET_NAMES + tuple(OMEGA_SETS) if which == "all" else (which,)
+    names = clab.ROOT_SET_NAMES + tuple(clab.OMEGA_SETS) if which == "all" else (which,)
     for name in names:
-        if name in OMEGA_SETS:
-            delta, desc = OMEGA_SETS[name]
-            dr = clab.compare_delta_closed_form(delta)
-            rep.add(desc, f"root-set/{name}", all(v == "0" for _, v in dr.omega_checks),
-                    dict(dr.omega_checks))
-            continue
         try:
-            entry = clab.root_set(name)
+            rep.extend(clab.root_set_check(name))
         except KeyError as exc:
             raise UsageError(str(exc)) from exc
-        for desc, ok in entry.checks:
-            rep.add(f"{name}: {desc}", f"root-set/{name}", ok)
     if which == "all":
-        for desc, ok in clab.swap_symmetry_checks():
-            rep.add(desc, "root-set/mirror-symmetry", ok)
+        rep.extend(clab.swap_symmetry_checks())
     return rep
 
 
@@ -170,55 +134,24 @@ def cmd_compose_t(args) -> Report:
     else:
         specs = [aab(), bab()] + [FamilySpec(f, alpha="sym") for f in ("A1", "A2", "B1", "B2")]
     for spec in specs:
-        tr = clab.derive_T_composition(spec)
-        for entry in tr.entries:
-            rep.add(f"{spec.family}: {entry.description}: derived equals printed",
-                    f"t-composition/{spec.family}", entry.match,
-                    None if entry.match else {"derived": entry.derived,
-                                              "printed": entry.printed})
+        rep.extend(clab.derive_T_composition(spec))
     return rep
 
 
 def cmd_solve_coeffs(args) -> Report:
     which = args.which or "all"
     rep = Report("solve-coeffs", {"which": which})
-    lemmas = clab.LEMMA_CHECKS if which == "all" else ()
-    if which in clab.LEMMA_CHECKS:
-        lemmas = (which,)
-    for name in lemmas:
-        group = clab.coeff_solution_check(name)
-        for desc, ok, detail in group.checks:
-            rep.add(f"{name}: {desc}", f"lemma/{name}", ok, detail or None)
-        rep.notes.extend(group.notes)
-    norm_cases = []
-    if which == "all":
-        norm_cases = ["A", "B", "B0"]
-    elif which.startswith("normalization-"):
-        norm_cases = [which.split("-", 1)[1].upper()]
-    for case in norm_cases:
-        nr = clab.alpha_beta_solve(case)
-        for desc, ok, fails in nr.solution_checks:
-            rep.add(f"normalization {case}: {desc}", f"normalization/{case}", ok,
-                    fails if fails and not ok else None)
-        for name, res in nr.contradiction:
-            rep.notes.append(f"normalization {case}: {name}: residual {res}")
+    for name in clab.LEMMA_CHECKS:
+        if which in ("all", name):
+            rep.extend(clab.coeff_solution_check(name))
+    for case in ("A", "B", "B0"):
+        if which in ("all", f"normalization-{case.lower()}"):
+            rep.extend(clab.alpha_beta_solve(case))
     if which in ("all", "propagation"):
-        pr = clab.recurrence_propagation_check()
-        for desc, ok, detail in pr.checks:
-            rep.add(f"recurrence propagation: {desc}", "lemma/propagation", ok,
-                    detail or None)
+        rep.extend(clab.recurrence_propagation_check())
     if which in ("all", "intersections"):
-        claims = {"A": "survivors match the classification",
-                  "B": "b-1/2 and b+1/2 lie in both weight classes' root sets"}
-        for case, claim in claims.items():
-            ir = clab.intersection_scan(case)
-            rep.add(f"sampled intersection ({case}): {claim} over {ir.sampled} parameters",
-                    f"intersection/{case}", ir.ok,
-                    ir.unexplained[:2] if ir.unexplained else None)
-            for bv, extras in ir.exceptions:
-                rep.notes.append(
-                    f"intersection ({case}): documented sporadic survivor at b={bv}: "
-                    f"{[str(e) for e in extras]}")
+        rep.extend(clab.intersection_scan("A"))
+        rep.extend(clab.intersection_scan("B"))
     if not rep.checks:
         raise UsageError(f"unknown solve-coeffs selector {which!r}")
     return rep
@@ -232,11 +165,9 @@ def cmd_deform(args) -> Report:
         if name not in dlab.CASES:
             raise UsageError(f"unknown deformation case {name!r}")
         case = dlab.CASES[name]
-        for sub in (dlab.e_closed_form_check(case), dlab.g_solution_check(case),
-                    dlab.f_derivation(case)):
-            for desc, ok, detail in sub.checks:
-                rep.add(f"{name}: {desc}", f"deformation/{name}", ok,
-                        detail if not ok else None)
+        rep.extend(dlab.e_closed_form_check(case))
+        rep.extend(dlab.g_solution_check(case))
+        rep.extend(dlab.f_derivation(case))
         alpha = _param(args.alpha) if args.alpha else Fraction(2, 7)
         spec, disc = dlab.instantiate_deformation(name, alpha)
         rep.add(f"{name}: instantiated table agrees with the derived table",
@@ -272,10 +203,7 @@ def cmd_submodule(args) -> Report:
 
 def cmd_nonexist_b0(args) -> Report:
     rep = Report("nonexist-b0", {})
-    nr = clab.b0_nonexistence_check()
-    for desc, ok, detail in nr.checks:
-        rep.add(desc, "nonexistence-witness", ok, detail or None)
-    rep.notes.append(str(nr.witness))
+    rep.extend(clab.b0_nonexistence_check())
     return rep
 
 
@@ -381,7 +309,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", help="root sets of the constraint determinants")
     common(p)
     p.add_argument("--which",
-                   choices=clab.ROOT_SET_NAMES + tuple(OMEGA_SETS) + ("all",),
+                   choices=clab.ROOT_SET_NAMES + tuple(clab.OMEGA_SETS) + ("all",),
                    default="all")
 
     p = sub.add_parser("compose-t", help="re-derive T coefficients from compositions")

@@ -32,14 +32,17 @@ The checks:
     violations that must break at least one equation;
   * the b'=-3/2 candidate is shown to be contradictory.
 
+Each check is stated once, by the routine that makes it: every check
+routine here returns a `report.Report` whose checks carry their final name,
+ref, status and witness, so the CLI only chooses routines and merges them.
 Where the publication and the derivation disagree, the derivation is
-authoritative and the disagreement is recorded in the returned reports;
+authoritative and the disagreement is a note of the returned report;
 nothing is patched silently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import bracket_terms
@@ -50,7 +53,7 @@ from .modules import (PRINTED_CONSTANTS, R, FamilySpec, _combine, _commutator, _
                       unknown_name)
 from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, exact_divide,
                    quadratic_root_data, QuadRootData)
-from .report import CheckList
+from .report import Report
 
 HALF = Fraction(1, 2)
 
@@ -280,43 +283,23 @@ LAMBDA_PRIME_PAIRS = (
 )
 
 
-@dataclass
-class DeltaReport:
-    which: str
-    derived: Poly
-    printed: Poly | None
-    equal: bool
-    notes: list = field(default_factory=list)
-    quotient: Poly | None = None
-    omega_checks: list = field(default_factory=list)
-    nabla_checks: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        if self.which in ("1", "2"):
-            return self.equal
-        return (all(v == "0" for _, v in self.omega_checks)
-                and not any(n.startswith("fail") for n in self.notes))
-
-
-def compare_delta_closed_form(which: str) -> DeltaReport:
+def compare_delta_closed_form(which: str) -> Report:
     """Compare a derived determinant with its published closed form.
 
     which: "1" (x-side T system, integer weights), "2" (y-side T system,
     half-odd weights), "3" (x-side mixed system) or "3p" (y-side mixed
     system, the g' analogue).
     """
-    if which == "1":
-        derived = system_determinant("LLT", "A", "f", "int")
-        printed = delta1_printed()
-        return DeltaReport("1", derived, printed, derived == printed)
-    if which == "2":
-        derived = system_determinant("LLT", "A", "fp", "int")
-        printed = delta2_printed()
-        return DeltaReport("2", derived, printed, derived == printed)
     if which in ("3", "3p"):
         return _delta3_report(which)
-    raise ValueError(f"unknown determinant selector {which!r}")
+    if which not in ("1", "2"):
+        raise ValueError(f"unknown determinant selector {which!r}")
+    fam, printed = ("f", delta1_printed()) if which == "1" else ("fp", delta2_printed())
+    rep = Report(f"delta{which}")
+    rep.add(f"determinant {which} equals its printed factorization",
+            f"delta{which}-factorization",
+            system_determinant("LLT", "A", fam, "int") == printed)
+    return rep
 
 
 # the two weight classes whose mixed-identity determinants carry the
@@ -335,42 +318,52 @@ def _delta3_quotient(which: str) -> Poly:
     return exact_divide(q, lin)
 
 
-def _delta3_report(which: str) -> DeltaReport:
-    fam, kclass = _DELTA3_SYSTEM[which]
-    derived = system_determinant("LLG", "A", fam, kclass)
-    notes = []
+def sporadic_values(which: str, quotient: Poly | None = None) -> dict:
+    """The mixed-identity quotient at each pair of its sporadic set, keyed
+    "(b,bp)"; empty when the stated factors do not divide the determinant.
+    `quotient`, when given, is `_delta3_quotient(which)`."""
+    if quotient is None:
+        try:
+            quotient = _delta3_quotient(which)
+        except NotDivisible:
+            return {}
+    pairs = OMEGA_PAIRS if which == "3" else OMEGA_PRIME_PAIRS
+    return {f"({bv},{bpv})": str(quotient.substitute({"b": bv, "bp": bpv}))
+            for bv, bpv in pairs}
+
+
+def _sporadic_check(rep: Report, values: dict, name: str, ref: str) -> None:
+    """The quotient vanishes at every sporadic pair; a check that evaluated
+    no pair fails."""
+    rep.add(name, ref, bool(values) and all(v == "0" for v in values.values()),
+            values or "no pair evaluated: the stated factors do not divide")
+
+
+def _delta3_report(which: str) -> Report:
+    tag = "mixed-identity determinant" + ("" if which == "3" else " (second family)")
+    rep = Report(f"delta{which}")
     try:
         quotient = _delta3_quotient(which)
-        notes.append("divisible by m^6 * p * linear-factor pair")
     except NotDivisible:
-        rep = DeltaReport(which, derived, None, False, ["fail: expected linear factors do not divide"])
-        return rep
-    if quotient.degree_in("p") != 2:
-        notes.append("fail: quotient is not quadratic in p")
-    pairs = OMEGA_PAIRS if which == "3" else OMEGA_PRIME_PAIRS
-    omega_checks = [(f"({bv},{bpv})", str(quotient.substitute({"b": bv, "bp": bpv})))
-                    for bv, bpv in pairs]
-    nabla_checks = []
-    printed = None
-    equal = False
-    if which == "3":
+        quotient = None
+    rep.add(f"{tag}: exact divisibility by the stated factors", f"delta{which}-divisibility",
+            quotient is not None and quotient.degree_in("p") == 2)
+    pairs = "sporadic pairs" if which == "3" else "mirrored sporadic pairs"
+    _sporadic_check(rep, sporadic_values(which, quotient),
+                    f"{tag}: quotient vanishes at all {pairs}", f"delta{which}-sporadic-pairs")
+    if which == "3" and quotient is not None:
         # printed reference pieces: the quotient is -(nabla1 m^2 + nabla2 p + nabla3 p^2)/4
         d3 = -4 * quotient
-        got1 = exact_divide(d3.coeff_in("p", 0), Pm**2)
-        got2 = d3.coeff_in("p", 1)
-        got3 = d3.coeff_in("p", 2)
-        for name, got, want in (("nabla1", got1, nabla1_printed()),
-                                ("nabla2", got2, nabla2_printed()),
-                                ("nabla3", got3, nabla3_printed())):
+        for name, got, want in (("nabla1", exact_divide(d3.coeff_in("p", 0), Pm**2),
+                                 nabla1_printed()),
+                                ("nabla2", d3.coeff_in("p", 1), nabla2_printed()),
+                                ("nabla3", d3.coeff_in("p", 2), nabla3_printed())):
             if got == want:
-                nabla_checks.append((name, "matches printed form"))
+                rep.add(f"{tag}: {name} quotient piece matches the printed form",
+                        f"delta{which}-{name}", True)
             else:
-                nabla_checks.append((name, f"printed form differs; derived {got}"))
-        printed = (-Fraction(1, 4) * Pm**6 * Pp * (Pb - Pbp - 1) * (Pb - Pbp)
-                   * (nabla1_printed() * Pm**2 + nabla2_printed() * Pp
-                      + nabla3_printed() * Pp**2))
-        equal = derived == printed
-    return DeltaReport(which, derived, printed, equal, notes, quotient, omega_checks, nabla_checks)
+                rep.notes.append(f"{name}: printed form differs; derived {got}")
+    return rep
 
 
 def delta3_at(which: str, b: Fraction) -> Poly:
@@ -399,11 +392,11 @@ class RootSetEntry:
     linear_roots: list      # printed roots, Poly in b
     quad: QuadRootData      # derived quadratic factor data (monic in bp)
     printed_disc: Poly
-    checks: list            # (description, ok) pairs
+    checks: list            # report.Check
 
     @property
     def ok(self) -> bool:
-        return all(ok for _, ok in self.checks)
+        return all(c.passed for c in self.checks)
 
     def rationals_at(self, b: Fraction) -> set:
         vals = {root.evaluate({"b": b}) for root in self.linear_roots}
@@ -460,10 +453,10 @@ def root_set(name: str) -> RootSetEntry:
         raise KeyError(f"unknown root set {name!r} (choose from {ROOT_SET_NAMES})")
     (case, fam, kclass), linear, disc_printed = table[name]
     det = system_determinant("LLT", case, fam, kclass)
-    checks = []
+    rep, ref = Report(name), f"root-set/{name}"
     for root in linear:
         ann = not det.substitute({"bp": root})
-        checks.append((f"linear root bp={root} annihilates the determinant", ann))
+        rep.add(f"{name}: linear root bp={root} annihilates the determinant", ref, ann)
         if not ann:
             raise RootMismatch(f"{name}: printed root bp={root} does not annihilate")
     rest = exact_divide(det, Pm**6)
@@ -474,26 +467,43 @@ def root_set(name: str) -> RootSetEntry:
         raise RootMismatch(f"{name}: quadratic cofactor has non-constant leading term")
     monic = rest * (1 / lead.const_value())
     quad = quadratic_root_data(monic, "bp")
-    checks.append(("cofactor is quadratic in bp", rest.degree_in("bp") == 2))
-    checks.append((f"discriminant equals {disc_printed}", quad.discriminant == disc_printed))
-    entry = RootSetEntry(name, (case, fam, kclass), linear, quad, disc_printed, checks)
+    rep.add(f"{name}: cofactor is quadratic in bp", ref, rest.degree_in("bp") == 2)
+    rep.add(f"{name}: discriminant equals {disc_printed}", ref,
+            quad.discriminant == disc_printed)
+    entry = RootSetEntry(name, (case, fam, kclass), linear, quad, disc_printed, rep.checks)
     _ROOT_CACHE[name] = entry
     return entry
 
 
-def swap_symmetry_checks() -> list:
+# the sporadic pair sets: the mixed-identity determinant whose quotient
+# each must annihilate, and the check's wording
+OMEGA_SETS = {
+    "omega": ("3", "sporadic pair set annihilates the mixed-identity quotient"),
+    "omega-prime": ("3p", "mirrored sporadic pair set annihilates its quotient"),
+}
+
+
+def root_set_check(name: str) -> Report:
+    """The checks of one root set (`root_set`) or of one sporadic pair set."""
+    rep = Report(name)
+    if name in OMEGA_SETS:
+        which, desc = OMEGA_SETS[name]
+        _sporadic_check(rep, sporadic_values(which), desc, f"root-set/{name}")
+    else:
+        rep.checks.extend(root_set(name).checks)
+    return rep
+
+
+def swap_symmetry_checks() -> Report:
     """The two k-classes of each T-system determinant are b <-> bp mirrors."""
-    out = []
-    d_f_int = system_determinant("LLT", "A", "f", "int")
-    d_f_half = system_determinant("LLT", "A", "f", "half")
+    rep = Report("mirror-symmetry")
     swap = {"b": Pbp, "bp": Pb}
-    out.append(("x-side half-odd determinant is the b<->bp mirror",
-                d_f_half == d_f_int.substitute(swap)))
-    d_fp_half = system_determinant("LLT", "A", "fp", "half")
-    d_fp_int = system_determinant("LLT", "A", "fp", "int")
-    out.append(("y-side half-odd determinant is the b<->bp mirror",
-                d_fp_half == d_fp_int.substitute(swap)))
-    return out
+    for side, fam in (("x", "f"), ("y", "fp")):
+        d_int = system_determinant("LLT", "A", fam, "int")
+        d_half = system_determinant("LLT", "A", fam, "half")
+        rep.add(f"{side}-side half-odd determinant is the b<->bp mirror",
+                "root-set/mirror-symmetry", d_half == d_int.substitute(swap))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +517,13 @@ def _g_system_rows(case: str, fam: str, kclass: str, bindings=None):
     return sys3
 
 
-def _shift_factor_check(group, sys3, label, printed=None, proportional=None):
+def _lemma(rep: Report, desc: str, ok, witness=None) -> None:
+    """One check of a coefficient lemma, named and referenced by the lemma
+    (`rep.command`)."""
+    rep.add(f"{rep.command}: {desc}", f"lemma/{rep.command}", ok, witness)
+
+
+def _shift_factor_check(rep, sys3, label, printed=None, proportional=None):
     """Eliminate the k-m unknown from the first two rows.
 
     The remaining combination must be factor * (lhs_form * u_{k+m} -
@@ -522,23 +538,23 @@ def _shift_factor_check(group, sys3, label, printed=None, proportional=None):
     try:
         factor = exact_divide(comb_kp, lhs_form)
     except NotDivisible:
-        group.add(f"{label}: elimination matches the proportionality shape", False,
-                  "leading combination not divisible by the stated form")
+        _lemma(rep, f"{label}: elimination matches the proportionality shape", False,
+               "leading combination not divisible by the stated form")
         return
     shape_ok = comb_k == -factor * rhs_form
-    group.add(f"{label}: elimination yields factor * proportionality relation", shape_ok)
+    _lemma(rep, f"{label}: elimination yields factor * proportionality relation", shape_ok)
     if printed is not None:
         try:
             cof = exact_divide(factor, printed)
         except NotDivisible:
             cof = None
         if cof is not None and len(cof.terms) == 1:
-            group.add(f"{label}: printed factor reproduced", True,
-                      f"up to the monomial cofactor {cof}")
+            _lemma(rep, f"{label}: printed factor reproduced", True,
+                   f"up to the monomial cofactor {cof}")
         else:
             # printed display cannot be reproduced from the canonical
             # elimination; the derived factor is authoritative
-            group.notes.append(
+            rep.notes.append(
                 f"{label}: printed factor differs from the derived elimination "
                 f"(derived {factor}); the relation itself is verified above")
 
@@ -559,21 +575,21 @@ def _solved_rows(sys3, spec):
             for row in sys3.matrix]
 
 
-def _solution_into_system(group, sys3, label, spec):
+def _solution_into_system(rep, sys3, label, spec):
     """Substitute a solved coefficient family into all three rows."""
     for i, row in enumerate(_solved_rows(sys3, spec)):
-        group.add(f"{label}: row {i + 1} vanishes on the solved family", not row)
+        _lemma(rep, f"{label}: row {i + 1} vanishes on the solved family", not row)
 
 
 _SIDES = (("x", "int"), ("x", "half"), ("y", "int"), ("y", "half"))
 
 
-def _recurrence_checks(group, spec, prefix, what):
+def _recurrence_checks(rep, spec, prefix, what):
     """The L-G recurrence on the solved coefficients of `spec`, per side."""
     for letter, kclass in _SIDES:
         env = {"m": 0, "n": 0, "k": 0 if kclass == "int" else 1}
         res = bracket_residual(spec, ("L", M), ("G", N), letter, K, env)
-        group.add(f"{prefix}{letter} side ({kclass} weights): {what}", not res)
+        _lemma(rep, f"{prefix}{letter} side ({kclass} weights): {what}", not res)
 
 
 LEMMA_CHECKS = (
@@ -586,33 +602,32 @@ LEMMA_CHECKS = (
 )
 
 
-def coeff_solution_check(which: str) -> CheckList:
+def coeff_solution_check(which: str) -> Report:
     """Verify one solved-coefficient lemma mechanically."""
+    if which not in LEMMA_CHECKS:
+        raise KeyError(f"unknown lemma check {which!r} (choose from {LEMMA_CHECKS})")
+    rep = Report(which)
     if which == "g-shift-invariance":
-        return _check_g_shift_a()
-    if which == "g-constant-forms":
-        group = CheckList("g-constant-forms")
-        _recurrence_checks(group, generic_candidate("A", "alpha"), "",
+        _check_g_shift_a(rep)
+    elif which == "g-constant-forms":
+        _recurrence_checks(rep, generic_candidate("A", "alpha"), "",
                            "recurrence residual vanishes")
-        return group
-    if which == "t-from-g-composition":
-        return _check_t_composition_generic("A")
-    if which == "b-shift-relations":
-        return _check_g_shift_b()
-    if which == "b-coefficient-forms":
-        group = CheckList("b-coefficient-forms")
-        _recurrence_checks(group, generic_candidate("B", "beta"), "",
+    elif which == "t-from-g-composition":
+        _check_t_composition_generic(rep, "A")
+    elif which == "b-shift-relations":
+        _check_g_shift_b(rep)
+    elif which == "b-coefficient-forms":
+        _recurrence_checks(rep, generic_candidate("B", "beta"), "",
                            "recurrence residual vanishes")
         # exceptional case: the same recurrences at (b, bp) = (0, -3/2)
-        _recurrence_checks(group, generic_candidate("B", "mu"), "exceptional-case ",
+        _recurrence_checks(rep, generic_candidate("B", "mu"), "exceptional-case ",
                            "residual vanishes")
-        return group
-    if which == "b-t-composition":
-        return _check_t_composition_generic("B")
-    raise KeyError(f"unknown lemma check {which!r} (choose from {LEMMA_CHECKS})")
+    else:
+        _check_t_composition_generic(rep, "B")
+    return rep
 
 
-def _y_weighted_check(group, sys3, label):
+def _y_weighted_check(rep, sys3, label):
     """The y side's weighted proportionality, shared by case A and by case
     B's half-odd weights: weight a - k + (2b + 1)p, and the printed
     cubic-in-p factor."""
@@ -621,11 +636,10 @@ def _y_weighted_check(group, sys3, label):
     printed = (2 * (3 + 2 * b) * p**3 + 4 * (k - a) * (3 + 2 * b) * p**2
                + (3 + 2 * b) * (1 + 3 * b) * p * m**2 + 6 * (a - k) ** 2 * p
                + (k - a) * (3 + 4 * b) * m**2)
-    _shift_factor_check(group, sys3, label, printed=printed, proportional=(w(K), w(K + M)))
+    _shift_factor_check(rep, sys3, label, printed=printed, proportional=(w(K), w(K + M)))
 
 
-def _check_g_shift_a() -> CheckList:
-    group = CheckList("g-shift-invariance")
+def _check_g_shift_a(rep: Report) -> None:
     a, b, k, p, m = Pa, Pb, Pk, Pp, Pm
     diag = {"bp": Pb}
     solved = generic_candidate("A", "alpha")
@@ -636,23 +650,21 @@ def _check_g_shift_a() -> CheckList:
             + 2 * (6 + 19 * b + 23 * b**2 + 10 * b**3) * p**2)
     d1kp2 = 2 * p * (3 * (a - k) ** 3 - 2 * p * (b + 3) * (a - k) ** 2
                      - 2 * b * (5 + 4 * b) * (a - k) * p**2 + 4 * b * (b + 1) * p**3)
-    _shift_factor_check(group, sys_x, "x side (integer weights)",
+    _shift_factor_check(rep, sys_x, "x side (integer weights)",
                         printed=d1b * m**4 + d1kp * m**2 + d1kp2)
-    _solution_into_system(group, sys_x, "x side (integer weights)", solved)
+    _solution_into_system(rep, sys_x, "x side (integer weights)", solved)
     # x side, half-odd weights: shift invariance again
     sys_xh = _g_system_rows("A", "g", "half", diag)
-    _shift_factor_check(group, sys_xh, "x side (half-odd weights)")
-    _solution_into_system(group, sys_xh, "x side (half-odd weights)", solved)
+    _shift_factor_check(rep, sys_xh, "x side (half-odd weights)")
+    _solution_into_system(rep, sys_xh, "x side (half-odd weights)", solved)
     # y side: weighted proportionality with the printed cubic-in-p factor
     for kclass in ("int", "half"):
         sys_y = _g_system_rows("A", "gp", kclass, diag)
-        _y_weighted_check(group, sys_y, f"y side ({kclass} weights)")
-        _solution_into_system(group, sys_y, f"y side ({kclass} weights)", solved)
-    return group
+        _y_weighted_check(rep, sys_y, f"y side ({kclass} weights)")
+        _solution_into_system(rep, sys_y, f"y side ({kclass} weights)", solved)
 
 
-def _check_g_shift_b() -> CheckList:
-    group = CheckList("b-shift-relations")
+def _check_g_shift_b(rep: Report) -> None:
     a, b, k, p, m = Pa, Pb, Pk, Pp, Pm
     diag = {"bp": Pb - HALF}
     solved = generic_candidate("B", "beta")
@@ -662,14 +674,14 @@ def _check_g_shift_b() -> CheckList:
                  + (1 + b) * (6 * b - 1) * p * m**2 + 6 * (a - k) ** 2 * p
                  + (k - a) * (1 + 4 * b) * m**2)
     sys_x = _g_system_rows("B", "g", "int", diag)
-    _shift_factor_check(group, sys_x, "x side (integer weights)",
+    _shift_factor_check(rep, sys_x, "x side (integer weights)",
                         printed=printed_x,
                         proportional=(w(K), w(K + M)))
-    _solution_into_system(group, sys_x, "x side (integer weights)", solved)
+    _solution_into_system(rep, sys_x, "x side (integer weights)", solved)
     # x side, half-odd weights: plain shift invariance
     sys_xh = _g_system_rows("B", "g", "half", diag)
-    _shift_factor_check(group, sys_xh, "x side (half-odd weights)")
-    _solution_into_system(group, sys_xh, "x side (half-odd weights)", solved)
+    _shift_factor_check(rep, sys_xh, "x side (half-odd weights)")
+    _solution_into_system(rep, sys_xh, "x side (half-odd weights)", solved)
     # y side, integer weights: plain shift invariance with the printed factor
     d2b = -(b + 6 * b**2 + 8 * b**3)
     d2kp = ((1 + 4 * b) * (a - k) ** 2 + (2 * b**2 + 5 * b + 3) * (k - a) * p
@@ -678,18 +690,17 @@ def _check_g_shift_b() -> CheckList:
                      + (1 - 2 * b) * (3 + 4 * b) * (a - k) * p**2
                      + 2 * b * (2 * b - 1) * p**3)
     sys_y = _g_system_rows("B", "gp", "int", diag)
-    _shift_factor_check(group, sys_y, "y side (integer weights)",
+    _shift_factor_check(rep, sys_y, "y side (integer weights)",
                         printed=d2b * m**4 + d2kp * m**2 + d2kp2)
-    _solution_into_system(group, sys_y, "y side (integer weights)", solved)
+    _solution_into_system(rep, sys_y, "y side (integer weights)", solved)
     # y side, half-odd weights: same weighted relation as the diagonal case
     sys_yh = _g_system_rows("B", "gp", "half", diag)
-    _y_weighted_check(group, sys_yh, "y side (half-odd weights)")
-    _solution_into_system(group, sys_yh, "y side (half-odd weights)", solved)
-    _mu_relation_checks(group)
-    return group
+    _y_weighted_check(rep, sys_yh, "y side (half-odd weights)")
+    _solution_into_system(rep, sys_yh, "y side (half-odd weights)", solved)
+    _mu_relation_checks(rep)
 
 
-def _mu_relation_checks(group: CheckList) -> None:
+def _mu_relation_checks(rep: Report) -> None:
     """The four stated shift relations of the exceptional (0, -3/2) case."""
     a, k, m, n = Pa, Pk, Pm, Poly.var("n")
     spec = generic_candidate("B", "mu")
@@ -714,52 +725,32 @@ def _mu_relation_checks(group: CheckList) -> None:
          - (a - k - n) * (a - k + n) * gp_half(M)),
     ]
     for desc, residual in rels:
-        group.add(f"exceptional-case {desc}", not residual)
+        _lemma(rep, f"exceptional-case {desc}", not residual)
     # and the solved family satisfies the mixed-identity systems themselves
     for fam, letter, kclass in (("g", "x", "int"), ("g", "x", "half"),
                                 ("gp", "y", "int"), ("gp", "y", "half")):
         sys3 = _g_system_rows("B", fam, kclass,
                               {"b": ZERO, "bp": Poly.const(Fraction(-3, 2))})
         for i, row in enumerate(_solved_rows(sys3, spec)):
-            group.add(f"exceptional-case system row {i + 1} ({letter}, {kclass}) vanishes",
-                      not row)
+            _lemma(rep, f"exceptional-case system row {i + 1} ({letter}, {kclass}) vanishes",
+                   not row)
 
 
 # ---------------------------------------------------------------------------
 # T from the fermionic composition
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TCompEntry:
-    description: str
-    derived: str
-    printed: str
-    match: bool
-
-
-@dataclass
-class TCompReport:
-    family: str
-    entries: list[TCompEntry] = field(default_factory=list)
-    notes: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.match for e in self.entries)
-
-
-def derive_T_composition(spec: FamilySpec) -> TCompReport:
+def derive_T_composition(spec: FamilySpec) -> Report:
     """Re-derive every T coefficient of a family from its fermionic action."""
-    report = TCompReport(spec.label())
-    env = {"k": 0, "r": 1}
+    rep = Report(spec.label())
     for desc, letter, vidx, kpar, printed in _t_reference(spec):
-        e = dict(env)
-        e["k"] = kpar
-        derived = t_composition(spec, letter, vidx, e)
+        derived = t_composition(spec, letter, vidx, {"k": kpar, "r": 1})
         printed_r = printed if isinstance(printed, RatFunc) else RatFunc(printed)
-        report.entries.append(TCompEntry(desc, str(derived), str(printed_r),
-                                         derived == printed_r))
-    return report
+        match = derived == printed_r
+        rep.add(f"{spec.family}: {desc}: derived equals printed",
+                f"t-composition/{spec.family}", match,
+                None if match else {"derived": str(derived), "printed": str(printed_r)})
+    return rep
 
 
 def _t_reference(spec: FamilySpec):
@@ -808,11 +799,10 @@ def _t_reference(spec: FamilySpec):
     ]
 
 
-def _check_t_composition_generic(case: str) -> CheckList:
+def _check_t_composition_generic(rep: Report, case: str) -> None:
     """Generic-mode compositions versus the printed solved T coefficients."""
     a, b, k, r = Pa, Pb, Pk, Poly.var("r")
     if case == "A":
-        group = CheckList("t-from-g-composition")
         spec = generic_candidate("A", "alpha")
         a1, a2, a3, a4 = (Poly.var(f"alpha{i}") for i in range(1, 5))
         printed = {
@@ -822,7 +812,6 @@ def _check_t_composition_generic(case: str) -> CheckList:
             ("y", 1): RatFunc((a - k) * a4 - (a - k + 2 * b * r + r) * a1, r),
         }
     else:
-        group = CheckList("b-t-composition")
         spec = generic_candidate("B", "beta")
         b1, b2, b3, b4 = (Poly.var(f"beta{i}") for i in range(1, 5))
         printed = {
@@ -834,10 +823,10 @@ def _check_t_composition_generic(case: str) -> CheckList:
         }
     for (letter, kpar), want in printed.items():
         got = t_composition(spec, letter, K, {"k": kpar, "r": 1})
-        group.add(f"{letter} side, {'integer' if kpar == 0 else 'half-odd'} weights: "
-                  "composition matches the printed solved form", got == want)
+        _lemma(rep, f"{letter} side, {'integer' if kpar == 0 else 'half-odd'} weights: "
+               "composition matches the printed solved form", got == want)
     if case == "A":
-        return group
+        return
     # exceptional (0,-3/2) candidate: printed forms carry transcription slips,
     # so the derived compositions are recorded and compared term by term
     mspec = generic_candidate("B", "mu")
@@ -854,17 +843,14 @@ def _check_t_composition_generic(case: str) -> CheckList:
         got = t_composition(mspec, letter, K, {"k": kpar, "r": 1})
         side = f"exceptional-case {letter} side, {'integer' if kpar == 0 else 'half-odd'} weights"
         if got == want:
-            group.add(f"{side}: composition matches the printed form", True)
+            _lemma(rep, f"{side}: composition matches the printed form", True)
         else:
-            group.notes.append(
+            rep.notes.append(
                 f"{side}: printed form differs from the derived composition "
                 f"(derived {got}); the derivation is authoritative")
-            group.add(f"{side}: printed form reproduced (recorded discrepancy)", True,
-                      "printed transcription slip; see notes")
         wiped = RatFunc(got.num.substitute(zero_mu), got.den.substitute(zero_mu))
-        group.add(f"{side}: composition vanishes once the solved family is zero",
-                  not wiped)
-    return group
+        _lemma(rep, f"{side}: composition vanishes once the solved family is zero",
+               not wiped)
 
 
 # ---------------------------------------------------------------------------
@@ -881,18 +867,6 @@ class EquationRecord:
         if isinstance(res, RatFunc):
             return res.num.substitute(values)
         return res.substitute(values)
-
-
-@dataclass
-class NormalizationReport:
-    case: str
-    equations: list[EquationRecord] = field(default_factory=list)
-    solution_checks: list = field(default_factory=list)   # (label, ok, failures)
-    contradiction: list = field(default_factory=list)     # B0 only
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.solution_checks)
 
 
 def _equation_stack(spec: FamilySpec, include_tg_int=True, include_gg_int=True):
@@ -928,7 +902,7 @@ def _equation_stack(spec: FamilySpec, include_tg_int=True, include_gg_int=True):
     return eqs
 
 
-def alpha_beta_solve(case: str) -> NormalizationReport:
+def alpha_beta_solve(case: str) -> Report:
     """Check the printed normalization constants against all generated
     consistency equations, and check that designated mutations break one."""
     branch = {"A": "alpha", "B": "beta", "B0": "mu"}.get(case)
@@ -952,25 +926,23 @@ def alpha_beta_solve(case: str) -> NormalizationReport:
         mutations = [("second constant mutated to 1", dict(printed, mu2=1))]
         eqs = _equation_stack(spec, include_tg_int=False, include_gg_int=False)
 
-    report = NormalizationReport(case, eqs)
+    rep, ref = Report(f"normalization {case}"), f"normalization/{case}"
     for label, values in solutions:
         failures = [eq.name for eq in eqs if eq.residual_at(values)]
-        report.solution_checks.append((f"solution {label} satisfies every equation",
-                                       not failures, failures))
+        rep.add(f"normalization {case}: solution {label} satisfies every equation", ref,
+                not failures, failures)
     for label, values in mutations:
-        failures = [eq.name for eq in eqs if eq.residual_at(values)]
-        report.solution_checks.append((f"mutation {label} violates at least one equation",
-                                       bool(failures), failures[:3]))
+        rep.add(f"normalization {case}: mutation {label} violates at least one equation",
+                ref, any(eq.residual_at(values) for eq in eqs))
     if case == "B0":
         # the identities excluded above are exactly the contradictory ones
         for letter in ("x", "y"):
             env = {"k": 0, "r": 1, "p": 0, "n": 0, "m": 0}
             res = bracket_residual(spec, ("G", N), ("G", M), letter, K, env)
             res = (res.num if isinstance(res, RatFunc) else res).substitute(printed)
-            report.contradiction.append(
-                (f"integer fermionic square on {letter} is violated at the zero solution",
-                 str(res)))
-    return report
+            rep.notes.append(f"normalization {case}: integer fermionic square on {letter} "
+                             f"is violated at the zero solution: residual {res}")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -982,37 +954,37 @@ def gsquared_residual(spec: FamilySpec) -> Poly:
     return bracket_residual(spec, ("G", N), ("G", N), "x", K, {"n": 0, "k": 0})
 
 
-def b0_nonexistence_check() -> CheckList:
+def b0_nonexistence_check() -> Report:
     """The exceptional candidate cannot exist: its solved coefficients are
     all zero, yet the square of an integer fermionic mode must act as a
     nonzero Virasoro mode."""
     from .modules import b_zero_candidate, aab
 
-    report = CheckList("nonexist-b0")
+    rep, ref = Report("nonexist-b0"), "nonexistence-witness"
     spec = b_zero_candidate(a="sym")
     res = gsquared_residual(spec)
     want = -2 * (Pa - Pk)
-    report.add("symbolic residual equals -2(a-k)", res == want, res)
-    report.add("residual is nonzero as a polynomial", res, res)
+    rep.add("symbolic residual equals -2(a-k)", ref, res == want, str(res))
+    rep.add("residual is nonzero as a polynomial", ref, bool(res), str(res))
     sample = res.substitute({"a": Fraction(1, 3), "k": 0, "n": 1})
-    report.add("numeric witness at n=1, k=0, a=1/3 equals -2/3",
-               sample == Poly.const(Fraction(-2, 3)), sample)
+    rep.add("numeric witness at n=1, k=0, a=1/3 equals -2/3", ref,
+            sample == Poly.const(Fraction(-2, 3)), str(sample))
     control = gsquared_residual(aab())
-    report.add("control family satisfies the same identity", not control, control)
-    report.witness = {
+    rep.add("control family satisfies the same identity", ref, not control, str(control))
+    rep.notes.append(str({
         "identity": "square of an integer fermionic mode must equal twice a Virasoro mode",
         "composition": "0 (all solved coefficients vanish)",
         "bracket_side": "2(a-k) on the integer-weight line",
         "residual": str(res),
-    }
-    return report
+    }))
+    return rep
 
 
 # ---------------------------------------------------------------------------
 # propagation of the basic fermionic recurrence
 # ---------------------------------------------------------------------------
 
-def recurrence_propagation_check() -> CheckList:
+def recurrence_propagation_check() -> Report:
     """If one integer fermionic row of coefficients vanishes, the basic
     recurrence (the L-G identity on x at integer weights) forces every row
     to vanish, at every mode and weight index.
@@ -1023,31 +995,35 @@ def recurrence_propagation_check() -> CheckList:
     but 3, since at n = 1 the coefficient vanishes only at m = 2; row 3
     follows from row -1 = 1 + (-2) with (m, n) = (4, -1).
     """
-    report = CheckList("propagation")
+    rep = Report("propagation")
+
+    def add(desc, ok, witness=None):
+        rep.add(f"recurrence propagation: {desc}", "lemma/propagation", ok, witness)
+
     spec = generic_candidate("A")
     res = bracket_residual(spec, ("L", M), ("G", N), "x", K, {"m": 0, "n": 0, "k": 0})
     names = [nm for nm in res.variables() if "[" in nm]
     coeffs = linear_decompose(res, names)
     target = unknown_name("g", M + N, K)
-    report.add("recurrence involves the shifted mode coefficient", target in coeffs)
+    add("recurrence involves the shifted mode coefficient", target in coeffs)
     lead = coeffs.get(target, ZERO)
     shape = lead == -(HALF * Pm - Poly.var("n"))
-    report.add("shifted-mode coefficient is -(m/2 - n)", shape, lead)
+    add("shifted-mode coefficient is -(m/2 - n)", shape, str(lead))
     at_1 = lead.substitute({"n": 1})
     stalls = (at_1.variables() == ("m",) and at_1.degree_in("m") == 1
               and not at_1.substitute({"m": 2}))
-    report.add("with n=1 the propagation only stalls at m=2", stalls, at_1)
+    add("with n=1 the propagation only stalls at m=2", stalls, str(at_1))
     stuck = lead.substitute({"m": 4, "n": -1})
-    report.add("the (m,n)=(4,-1) instance reaches the stalled mode",
-               stuck == Poly.const(-3), stuck)
+    add("the (m,n)=(4,-1) instance reaches the stalled mode", stuck == Poly.const(-3),
+        str(stuck))
     rows = {target, unknown_name("g", N, K), unknown_name("g", N, K + M)}
-    report.add("zero propagation from row 1 covers every mode and weight index",
-               set(coeffs) == rows and shape and stalls and bool(stuck))
-    return report
+    add("zero propagation from row 1 covers every mode and weight index",
+        set(coeffs) == rows and shape and stalls and bool(stuck))
+    return rep
 
 
 # ---------------------------------------------------------------------------
-# sampled intersection of the root-set constraints
+# intersection of the root-set constraints
 # ---------------------------------------------------------------------------
 
 def sample_parameters(max_num: int = 20, max_den: int = 5) -> list[Fraction]:
@@ -1071,66 +1047,55 @@ SPORADIC_SURVIVORS_A = (
 )
 
 
-@dataclass
-class IntersectionReport:
-    case: str
-    sampled: int
-    exceptions: list   # (b, extra survivors) matching the documented sporadic pairs
-    unexplained: list  # (b, got, expected) beyond the documented set
+def intersection_scan(case: str, params: list[Fraction] | None = None) -> Report:
+    """Reproduce the allowed-bp conclusion.
 
-    @property
-    def ok(self) -> bool:
-        return not self.unexplained
-
-
-def intersection_scan(case: str, params: list[Fraction] | None = None) -> IntersectionReport:
-    """Reproduce the allowed-bp conclusion by exact set intersection.
-
-    Candidates come from the two pairs of root sets (one per weight class).
-    In case A, survivors must satisfy both mixed-identity constraints,
-    decided by substituting the candidate pair into the derived
-    determinants, and the expected outcome is the diagonal bp = b, except at
-    the four documented sporadic coincidences.  Case B consults no
-    determinant: it checks that b - 1/2 and b + 1/2 lie in both weight
-    classes' root sets.
+    Case A intersects the two pairs of root sets (one pair per weight class)
+    at each sampled b, keeping the candidates that satisfy both
+    mixed-identity constraints, decided by substituting the candidate pair
+    into the derived determinants.  The expected outcome is the diagonal
+    bp = b, except at the four documented sporadic coincidences.  Case B
+    holds for every b: in each weight class, bp = b - 1/2 and bp = b + 1/2
+    must each annihilate one of that class's T-system determinants
+    identically in b.
     """
-    params = params if params is not None else sample_parameters()
-    exceptions = []
-    unexplained = []
-    if case == "A":
-        sets1 = [root_set("f-int"), root_set("fp-int")]
-        sets2 = [root_set("f-half"), root_set("fp-half")]
-        sporadic = dict.fromkeys(SPORADIC_SURVIVORS_A, True)
-        for bv in params:
-            first = set().union(*(rs.rationals_at(bv) for rs in sets1))
-            second = set().union(*(rs.rationals_at(bv) for rs in sets2))
-            survivors = set()
-            at_b: dict = {}  # which -> the determinant at bv, substituted once
-            for cand in first & second:
-                if not _mixed_ok_A("3", bv, cand, at_b):
-                    continue
-                if not _mixed_ok_A("3p", bv, cand, at_b):
-                    continue
-                survivors.add(cand)
-            expected = {bv} | {bpv for (b0, bpv) in sporadic if b0 == bv}
-            if survivors == expected:
-                if len(expected) > 1:
-                    exceptions.append((bv, sorted(expected - {bv})))
-            else:
-                unexplained.append((bv, sorted(survivors), sorted(expected)))
-        return IntersectionReport("A", len(params), exceptions, unexplained)
     if case == "B":
-        sets1 = [root_set("lambda1"), root_set("lambda2")]
-        sets2 = [root_set("lambda3"), root_set("lambda4")]
-        for bv in params:
-            first = set().union(*(rs.rationals_at(bv) for rs in sets1))
-            second = set().union(*(rs.rationals_at(bv) for rs in sets2))
-            expected = {bv - HALF, bv + HALF}
-            found = expected & first & second
-            if found != expected:
-                unexplained.append((bv, sorted(found), sorted(expected)))
-        return IntersectionReport("B", len(params), [], unexplained)
-    raise ValueError(f"unknown intersection case {case!r}")
+        rep = Report("intersection (B)")
+        missing = [f"bp = {bp} on {kclass} weights"
+                   for kclass in ("int", "half") for bp in (Pb - HALF, Pb + HALF)
+                   if all(system_determinant("LLT", "B", fam, kclass).substitute({"bp": bp})
+                          for fam in ("f", "fp"))]
+        rep.add("intersection (B): in each weight class, bp = b-1/2 and bp = b+1/2 each "
+                "annihilate a T-system determinant for every b", "intersection/B",
+                not missing, missing)
+        return rep
+    if case != "A":
+        raise ValueError(f"unknown intersection case {case!r}")
+    params = params if params is not None else sample_parameters()
+    rep = Report("intersection (A)")
+    unexplained = []
+    sets1 = [root_set("f-int"), root_set("fp-int")]
+    sets2 = [root_set("f-half"), root_set("fp-half")]
+    for bv in params:
+        first = set().union(*(rs.rationals_at(bv) for rs in sets1))
+        second = set().union(*(rs.rationals_at(bv) for rs in sets2))
+        survivors = set()
+        at_b: dict = {}  # which -> the determinant at bv, substituted once
+        for cand in first & second:
+            if not _mixed_ok_A("3", bv, cand, at_b):
+                continue
+            if not _mixed_ok_A("3p", bv, cand, at_b):
+                continue
+            survivors.add(cand)
+        expected = {bv} | {bpv for (b0, bpv) in SPORADIC_SURVIVORS_A if b0 == bv}
+        if survivors != expected:
+            unexplained.append((bv, sorted(survivors), sorted(expected)))
+        elif len(expected) > 1:
+            rep.notes.append(f"intersection (A): documented sporadic survivor at b={bv}: "
+                             f"{[str(e) for e in sorted(expected - {bv})]}")
+    rep.add(f"sampled intersection (A): survivors match the classification over "
+            f"{len(params)} parameters", "intersection/A", not unexplained, unexplained[:2])
+    return rep
 
 
 def _mixed_ok_A(which: str, bv: Fraction, cand: Fraction, at_b: dict) -> bool:

@@ -33,7 +33,7 @@ from .indices import SymIndex
 from .modules import (R, FamilySpec, _landing, act, act_indexed,  # noqa: F401
                       slot_vector, t_composition)
 from .poly import Poly, RatFunc, ZERO
-from .report import CheckList
+from .report import Report
 
 HALF = Fraction(1, 2)
 
@@ -93,10 +93,17 @@ def fit_alpha_from_e(e1, e2, case: DeformCase):
     return alpha, alphap
 
 
-def e_closed_form_check(case: DeformCase) -> CheckList:
+def _add(rep: Report, desc: str, ok, witness="") -> None:
+    """One check of the deformation case `rep.command`; its witness is kept
+    only when it fails."""
+    rep.add(f"{rep.command}: {desc}", f"deformation/{rep.command}", ok,
+            None if ok else str(witness))
+
+
+def e_closed_form_check(case: DeformCase) -> Report:
     """The closed form satisfies its recurrence, identically in the mode
     index, and its boundary relations."""
-    report = CheckList(case.name)
+    rep = Report(case.name)
     e = case.e_closed_form()
 
     def e_at(value) -> Poly:
@@ -104,57 +111,57 @@ def e_closed_form_check(case: DeformCase) -> CheckList:
 
     # polynomial identity in n itself
     sym = ((Pn + 1) * (e - e_at(1)) - (Pn - 1) * e.substitute({"n": Pn + 1}))
-    report.add("recurrence holds identically in the mode index", not sym, sym)
-    report.add("the zero mode is forced to vanish", not e_at(0), e_at(0))
+    _add(rep, "recurrence holds identically in the mode index", not sym, sym)
+    _add(rep, "the zero mode is forced to vanish", not e_at(0), e_at(0))
     boundary = e_at(-1) - (e_at(2) - 3 * e_at(1))
-    report.add("boundary relation e(-1) = e(2) - 3 e(1)", not boundary, boundary)
+    _add(rep, "boundary relation e(-1) = e(2) - 3 e(1)", not boundary, boundary)
     # round trip through the parameter fit
     al, alp = fit_alpha_from_e(e_at(1), e_at(2), case)
     rebuilt = case.e_closed_form(al, alp)
-    report.add("parameters recovered from e(1), e(2) rebuild the closed form",
-               rebuilt == e, rebuilt)
-    return report
+    _add(rep, "parameters recovered from e(1), e(2) rebuild the closed form",
+         rebuilt == e, rebuilt)
+    return rep
 
 
-def g_solution_check(case: DeformCase) -> CheckList:
+def g_solution_check(case: DeformCase) -> Report:
     """g_q solves the fermionic deformation recurrence
     (q + n/2) g_q - s n(a'n + a) = (q - n/2) g_{n+q}, s = `g_sign`."""
-    report = CheckList(case.name)
+    rep = Report(case.name)
     n, p, al, alp = Pn, Poly.var("p"), Pal, Palp
     inhom = n * (alp * n + al)
     g = lambda idx: case.g_closed_form(idx, 1)
     main = (p + HALF * n) * g(p) - inhom - (p - HALF * n) * g(n + p)
-    report.add("recurrence residual vanishes identically in n and p", not main, main)
+    _add(rep, "recurrence residual vanishes identically in n and p", not main, main)
     # setting n = 2p isolates g_p: the unknown side drops out
     gamma = Poly.var("gamma")
     pinned = ((p + HALF * n) * gamma - inhom).substitute({"n": 2 * Poly.var("p")})
     solved = pinned - 2 * p * (gamma - g(p))
-    report.add("the n = 2p instance pins g_p to the closed form", not solved, solved)
+    _add(rep, "the n = 2p instance pins g_p to the closed form", not solved, solved)
     # integer branch: same recurrence, and the zero mode gives the parameter
     m = Poly.var("m")
     h = lambda idx: case.g_closed_form(idx, 0)
     inhom_int = case.g_sign(0) * inhom
     main_int = (m + HALF * n) * h(m) - inhom_int - (m - HALF * n) * h(n + m)
-    report.add("integer-mode branch satisfies the same recurrence", not main_int, main_int)
+    _add(rep, "integer-mode branch satisfies the same recurrence", not main_int, main_int)
     at0 = (HALF * n) * h(ZERO) - inhom_int + (HALF * n) * h(n)
-    report.add(f"zero-mode instance forces h_0 = {h(ZERO)}", not at0, at0)
-    report.add("a' = 0 collapses the solution to the constant alpha",
-               g(p).substitute({"alphap": 0}) == al, "")
-    return report
+    _add(rep, f"zero-mode instance forces h_0 = {h(ZERO)}", not at0, at0)
+    _add(rep, "a' = 0 collapses the solution to the constant alpha",
+         g(p).substitute({"alphap": 0}) == al)
+    return rep
 
 
-def f_derivation(case: DeformCase) -> CheckList:
+def f_derivation(case: DeformCase) -> Report:
     """Derive the deformed T coefficient from the fermionic composition, on
     the vector where T_r reads the family's slot."""
-    report = CheckList(case.name)
+    rep = Report(case.name)
     spec = FamilySpec(case.name, alpha="sym", alphap="sym")
     letter, start = slot_vector(case.name, "T", R)
     derived = t_composition(spec, letter, start, {"r": 1})
-    report.add("composition-derived T coefficient matches the closed form",
-               derived == RatFunc(case.f_closed_form()), derived)
-    report.add("the coefficient vanishes when a' = 0",
-               not derived.num.substitute({"alphap": 0}), "")
-    return report
+    _add(rep, "composition-derived T coefficient matches the closed form",
+         derived == RatFunc(case.f_closed_form()), derived)
+    _add(rep, "the coefficient vanishes when a' = 0",
+         not derived.num.substitute({"alphap": 0}))
+    return rep
 
 
 # ---------------------------------------------------------------------------

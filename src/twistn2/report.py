@@ -1,5 +1,10 @@
 """Deterministic check reports, rendered as text or JSON.
 
+`Report` is the one record of checks from lab to output.  Each check is
+stated once, by the routine that makes it: a lab routine returns a `Report`
+whose checks carry their final name, ref, status and witness, and a CLI
+verb only chooses routines and merges their reports with `Report.extend`.
+
 Reports are byte-stable for identical inputs: no timestamps, no set
 iteration, insertion-ordered keys only.
 """
@@ -15,29 +20,11 @@ class Check:
     name: str
     ref: str
     status: str  # "pass" | "fail"
-    witness: dict | str | None = None
+    witness: dict | list | str | None = None
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-
-@dataclass
-class CheckList:
-    """A named list of (description, ok, detail) checks from one lab
-    routine, with free-text notes and an optional witness."""
-
-    name: str
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    witness: dict = field(default_factory=dict)
-
-    def add(self, desc: str, ok, detail="") -> None:
-        self.checks.append((desc, bool(ok), str(detail)))
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
 
 
 @dataclass

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from twistn2 import cli
+from twistn2 import cli, constraints
 from twistn2.cli import main, parse_candidate, UsageError
 from twistn2.constraints import RootMismatch
+from twistn2.poly import NotDivisible
 
 
 def run(capsys, *argv):
@@ -190,6 +191,21 @@ class TestVerbs:
         assert code == 0
         payload = json.loads(out)
         assert "-2*a + 2*k" in payload["notes"][0]
+
+    @pytest.mark.parametrize("argv, ref", [(("delta", "--which", "3"), "delta3-sporadic-pairs"),
+                                           (("roots", "--which", "omega"), "root-set/omega")],
+                             ids=["delta-3", "roots-omega"])
+    def test_sporadic_pair_check_without_a_quotient_fails(self, capsys, monkeypatch,
+                                                          argv, ref):
+        # no quotient, so no pair is evaluated: the check must not pass
+        def not_divisible(which):
+            raise NotDivisible("the stated factors do not divide")
+
+        monkeypatch.setattr(constraints, "_delta3_quotient", not_divisible)
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        [check] = [c for c in json.loads(out)["checks"] if c["ref"] == ref]
+        assert check["status"] == "fail" and check["witness"]
 
     def test_jacobi_text(self, capsys):
         code, out = run(capsys, "jacobi")

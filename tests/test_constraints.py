@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from twistn2.constraints import (K, M, N, LAMBDA_PAIRS, LAMBDA_PRIME_PAIRS, LEMMA_CHECKS,
-                                 RootSetEntry,
                                  MalformedInstance, OMEGA_PAIRS,
                                  OMEGA_PRIME_PAIRS, ROOT_SET_NAMES,
                                  SPORADIC_SURVIVORS_A, alpha_beta_solve,
@@ -16,8 +15,9 @@ from twistn2.constraints import (K, M, N, LAMBDA_PAIRS, LAMBDA_PRIME_PAIRS, LEMM
                                  derive_T_composition,
                                  generic_candidate, intersection_scan,
                                  recurrence_propagation_check, root_set,
-                                 sample_parameters, swap_symmetry_checks,
-                                 system_determinant, t_composition)
+                                 sample_parameters, sporadic_values,
+                                 swap_symmetry_checks, system_determinant,
+                                 t_composition)
 from twistn2 import constraints, modules
 from twistn2.algebra import bracket_terms
 from twistn2.indices import SymIndex
@@ -85,14 +85,13 @@ class TestIdentitySystems:
 
 class TestDeltaIdentities:
     def test_first_determinant_matches_printed_factorization(self):
-        report = compare_delta_closed_form("1")
-        assert report.equal
-        assert report.derived.degree_in("m") == 6
-        assert report.derived.variables() == ("b", "bp", "m")
+        assert compare_delta_closed_form("1").ok
+        derived = system_determinant("LLT", "A", "f", "int")
+        assert derived.degree_in("m") == 6
+        assert derived.variables() == ("b", "bp", "m")
 
     def test_second_determinant_matches_printed_factorization(self):
-        report = compare_delta_closed_form("2")
-        assert report.equal
+        assert compare_delta_closed_form("2").ok
 
     def test_numeric_oracle_point(self):
         # substitute-then-expand versus expand-then-substitute versus printed
@@ -104,23 +103,23 @@ class TestDeltaIdentities:
         assert delta1_printed().evaluate(point) == -48
 
     def test_mirror_symmetry_between_weight_classes(self):
-        for desc, ok in swap_symmetry_checks():
-            assert ok, desc
+        report = swap_symmetry_checks()
+        assert len(report.checks) == 2 and report.ok, report.checks
 
     def test_mixed_identity_structure(self):
         report = compare_delta_closed_form("3")
-        assert "divisible by m^6 * p * linear-factor pair" in report.notes
-        assert report.quotient.degree_in("p") == 2
-        assert all(v == "0" for _, v in report.omega_checks)
-        nabla = dict(report.nabla_checks)
-        assert nabla["nabla1"] == "matches printed form"
-        assert nabla["nabla2"] == "matches printed form"
-        assert "differs" in nabla["nabla3"]  # documented misprint
+        assert report.ok
+        assert constraints._delta3_quotient("3").degree_in("p") == 2
+        assert set(sporadic_values("3").values()) == {"0"}
+        assert [c.ref for c in report.checks] == ["delta3-divisibility",
+                                                  "delta3-sporadic-pairs",
+                                                  "delta3-nabla1", "delta3-nabla2"]
+        assert [n.split(":")[0] for n in report.notes] == ["nabla3"]  # documented misprint
 
     def test_mixed_identity_second_family(self):
-        report = compare_delta_closed_form("3p")
-        assert "divisible by m^6 * p * linear-factor pair" in report.notes
-        assert all(v == "0" for _, v in report.omega_checks)
+        assert compare_delta_closed_form("3p").ok
+        assert constraints._delta3_quotient("3p").degree_in("p") == 2
+        assert set(sporadic_values("3p").values()) == {"0"}
 
     def test_sporadic_pair_membership_examples(self):
         assert delta3_vanishes_at("3", Fraction(-1), Fraction(0))
@@ -170,7 +169,7 @@ class TestCoefficientLemmas:
     @pytest.mark.parametrize("which", LEMMA_CHECKS)
     def test_lemma_groups_pass(self, which):
         group = coeff_solution_check(which)
-        assert group.ok, [c for c in group.checks if not c[1]]
+        assert group.ok, [c for c in group.checks if not c.passed]
 
     def test_mutated_alpha_form_fails_the_recurrence(self, monkeypatch):
         # the lemma reads the candidate's own alpha-mode table, so a slip in
@@ -185,14 +184,14 @@ class TestCoefficientLemmas:
 
         monkeypatch.setattr(modules, "_integer_g_coeff", mutated)
         group = coeff_solution_check("g-constant-forms")
-        failed = [desc for desc, ok, _ in group.checks if not ok]
-        assert failed == ["y side (int weights): recurrence residual vanishes",
-                          "y side (half weights): recurrence residual vanishes"]
+        failed = [c.name for c in group.checks if not c.passed]
+        assert failed == ["g-constant-forms: y side (int weights): recurrence residual vanishes",
+                          "g-constant-forms: y side (half weights): recurrence residual vanishes"]
 
     def test_shift_invariance_has_solution_rows(self):
         group = coeff_solution_check("g-shift-invariance")
-        solution_rows = [c for c in group.checks if "vanishes on the solved family" in c[0]]
-        assert len(solution_rows) == 12 and all(ok for _, ok, _ in solution_rows)
+        solution_rows = [c for c in group.checks if "vanishes on the solved family" in c.name]
+        assert len(solution_rows) == 12 and all(c.passed for c in solution_rows)
 
     def test_exceptional_composition_discrepancies_are_recorded(self):
         group = coeff_solution_check("b-t-composition")
@@ -214,7 +213,7 @@ class TestTCompositions:
     ], ids=lambda s: s.family)
     def test_every_family_t_coefficient_is_rederived(self, spec):
         report = derive_T_composition(spec)
-        assert report.ok, [e for e in report.entries if not e.match]
+        assert report.ok, [c for c in report.checks if not c.passed]
 
     def test_numeric_deformed_family(self):
         report = derive_T_composition(FamilySpec("A1", alpha=Fraction(2, 7)))
@@ -231,9 +230,8 @@ class TestNormalizations:
     def test_case_a_solutions_and_mutation(self):
         report = alpha_beta_solve("A")
         assert report.ok
-        assert len(report.equations) == 24
-        labels = [lab for lab, _, _ in report.solution_checks]
-        assert any("mutated to 2" in lab for lab in labels)
+        assert len(constraints._equation_stack(generic_candidate("A", "alpha"))) == 24
+        assert any("mutated to 2" in c.name for c in report.checks)
 
     def test_case_b_alternating_signs(self):
         report = alpha_beta_solve("B")
@@ -242,9 +240,9 @@ class TestNormalizations:
     def test_exceptional_case_zero_solution_and_contradiction(self):
         report = alpha_beta_solve("B0")
         assert report.ok
-        assert len(report.contradiction) == 2
-        for _, res in report.contradiction:
-            assert res != "0"
+        assert len(report.notes) == 2
+        for note in report.notes:
+            assert not note.endswith("residual 0")
 
     def test_unknown_case_is_rejected(self):
         with pytest.raises(ValueError):
@@ -255,7 +253,7 @@ class TestNonexistence:
     def test_contradiction_witness(self):
         report = b0_nonexistence_check()
         assert report.ok
-        assert report.witness["residual"] == "-2*a + 2*k"
+        assert report.checks[0].witness == "-2*a + 2*k"
 
 
 class TestPropagation:
@@ -276,10 +274,11 @@ class TestPropagation:
             return coeffs
 
         monkeypatch.setattr(constraints, "linear_decompose", mutated)
-        failed = [desc for desc, ok, _ in recurrence_propagation_check().checks if not ok]
-        assert failed == ["shifted-mode coefficient is -(m/2 - n)",
-                          "the (m,n)=(4,-1) instance reaches the stalled mode",
-                          "zero propagation from row 1 covers every mode and weight index"]
+        failed = [c.name for c in recurrence_propagation_check().checks if not c.passed]
+        assert failed == [f"recurrence propagation: {desc}" for desc in (
+            "shifted-mode coefficient is -(m/2 - n)",
+            "the (m,n)=(4,-1) instance reaches the stalled mode",
+            "zero propagation from row 1 covers every mode and weight index")]
 
 
 class TestIntersections:
@@ -291,31 +290,29 @@ class TestIntersections:
 
     def test_case_a_scan_matches_with_documented_sporadics(self):
         report = intersection_scan("A")
-        assert report.ok, report.unexplained
-        got = {(bv, extras[0]) for bv, extras in report.exceptions}
-        assert got == set(SPORADIC_SURVIVORS_A)
+        assert report.ok, report.checks
+        assert report.notes == [f"intersection (A): documented sporadic survivor at b={bv}: "
+                                f"['{bpv}']" for bv, bpv in SPORADIC_SURVIVORS_A]
 
     def test_case_b_scan_is_clean(self):
         report = intersection_scan("B")
-        assert report.ok and not report.exceptions
+        assert report.ok and not report.notes
 
-    def test_case_b_scan_fails_when_a_root_set_loses_b_plus_half(self, monkeypatch):
-        # the scan requires b - 1/2 and b + 1/2 in both weight classes' root sets
-        rationals_at = RootSetEntry.rationals_at
+    def test_case_b_fails_when_a_half_class_determinant_loses_b_plus_half(self, monkeypatch):
+        # a term that vanishes at bp = b - 1/2 but not at b + 1/2: neither
+        # half-odd determinant is annihilated by b + 1/2 any more
+        original = constraints.system_determinant
 
-        def losing(entry, bv):
-            vals = rationals_at(entry, bv)
-            if entry.name in ("lambda3", "lambda4"):
-                vals.discard(bv + Fraction(1, 2))
-            return vals
+        def mutated(kind, case, fam, kclass):
+            det = original(kind, case, fam, kclass)
+            if (kind, case, kclass) == ("LLT", "B", "half"):
+                det = det + (bp - b + H) * m**6
+            return det
 
-        monkeypatch.setattr(RootSetEntry, "rationals_at", losing)
-        params = [Fraction(-1), Fraction(0), Fraction(2, 3)]
-        report = intersection_scan("B", params)
+        monkeypatch.setattr(constraints, "system_determinant", mutated)
+        report = intersection_scan("B")
         assert not report.ok
-        assert [(bv, exp) for bv, _, exp in report.unexplained] == [
-            (bv, [bv - Fraction(1, 2), bv + Fraction(1, 2)]) for bv in params]
-        assert all(bv + Fraction(1, 2) not in got for bv, got, _ in report.unexplained)
+        assert report.checks[0].witness == ["bp = b + 1/2 on half weights"]
 
     def test_pair_tables(self):
         assert len(OMEGA_PAIRS) == len(OMEGA_PRIME_PAIRS) == 4

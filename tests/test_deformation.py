@@ -47,19 +47,19 @@ class TestParameterFit:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_e_closed_form(name):
     report = e_closed_form_check(CASES[name])
-    assert report.ok, [c for c in report.checks if not c[1]]
+    assert report.ok, [c for c in report.checks if not c.passed]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_g_solution(name):
     report = g_solution_check(CASES[name])
-    assert report.ok, [c for c in report.checks if not c[1]]
+    assert report.ok, [c for c in report.checks if not c.passed]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_f_derivation(name):
     report = f_derivation(CASES[name])
-    assert report.ok, [c for c in report.checks if not c[1]]
+    assert report.ok, [c for c in report.checks if not c.passed]
 
 
 class TestInstantiation:
