@@ -123,15 +123,17 @@ def bracket_terms(k1: str, i1, k2: str, i2, env: dict | None = None) -> list:
     return [("T", idx, -sign * (x - y))]
 
 
-def _central(kind: str, i: SymIndex) -> Fraction:
-    """C coefficient of [X_i, X_-i] for X = L, T, G."""
+def _central(kind: str, i: SymIndex, env: dict | None = None):
+    """C coefficient of [X_i, X_-i] for X = L, T, G: a Fraction at a
+    concrete index, a Poly at a symbolic one, whose parity class `env`
+    declares."""
     v = i.value
     if kind == "L":
-        return (v**3 - v) / 12
+        return (v**3 - v) * Fraction(1, 12)
     if kind == "T":
-        return v / 3
-    sign = -1 if i.is_half_odd() else 1
-    return sign * (v * v - Fraction(1, 4)) / 3
+        return v * Fraction(1, 3)
+    sign = -1 if i.parity(env) else 1
+    return sign * (v * v - Fraction(1, 4)) * Fraction(1, 3)
 
 
 def bracket(g1: Gen, g2: Gen) -> GenSum:

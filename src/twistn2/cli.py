@@ -1,13 +1,15 @@
 """Command-line front end: verification verbs with text/JSON reports.
 
 Exit codes: 0 all checks passed, 1 at least one violation or discrepancy
-found (witnesses in the report), 2 usage error, 3 internal error (a crash
-of the lab itself; the traceback goes to stderr).
+found (witnesses in the report), 2 usage error (including a report file
+that cannot be written), 3 internal error (a crash of the lab itself, whose
+traceback goes to stderr, or a report the reader stopped reading).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -39,12 +41,20 @@ def _param(text: str | None):
         raise UsageError(str(exc)) from exc
 
 
+# the families that read --a, --b and --bprime; the others read --alpha
+_PARAMETRIC = ("Aab", "Bab", "GenericA", "GenericB")
+
+
 def build_family(args) -> FamilySpec:
     family = args.family
     if family is None:
         raise UsageError("--family is required for this command")
+    unread = ("alpha",) if family in _PARAMETRIC else ("a", "b", "bprime")
+    given = [f"--{nm}" for nm in unread if getattr(args, nm) is not None]
+    if given:
+        raise UsageError(f"family {family} does not read {', '.join(given)}")
     try:
-        if family in ("Aab", "Bab", "GenericA", "GenericB"):
+        if family in _PARAMETRIC:
             a = _param(args.a) if args.a is not None else "sym"
             b = _param(args.b) if args.b is not None else "sym"
             bprime = _param(args.bprime) if args.bprime is not None else None
@@ -95,7 +105,7 @@ def cmd_verify_axioms(args) -> Report:
             sweep.violations[0].as_dict() if sweep.violations else None)
     if len(sweep.violations) > 1:
         rep.notes.append(f"{len(sweep.violations)} violations in total")
-    if spec.family in ("Aab", "Bab", "GenericA", "GenericB") and not spec.fault:
+    if spec.family in _PARAMETRIC and not spec.fault:
         part = ns_partition_check(spec, args.gen_window, args.basis_window)
         rep.add("even/odd restriction partitions preserved and swapped as required",
                 "ns-partition", part.ok,
@@ -396,11 +406,21 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     text = report.to_json() if args.format == "json" else report.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    try:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: the report was not delivered.  Point
+        # stdout at devnull so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     return 0 if report.ok else 1
 
 

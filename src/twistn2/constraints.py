@@ -51,8 +51,8 @@ from .indices import IDX_ZERO, SymIndex
 from .modules import (PRINTED_CONSTANTS, R, FamilySpec, _combine, _commutator, _landing,
                       _mode, _only_coeff, act_indexed, bracket_residual, slot_vector, t_composition,
                       unknown_name)
-from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, exact_divide,
-                   quadratic_root_data, QuadRootData)
+from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, _lowered, exact_divide,
+                   quadratic_root_data, QuadRootData, sym_slot)
 from .report import Report
 
 HALF = Fraction(1, 2)
@@ -372,13 +372,42 @@ def delta3_at(which: str, b: Fraction) -> Poly:
     return system_determinant("LLG", "A", fam, kclass).substitute({"b": b})
 
 
-def delta3_vanishes_at(which: str, b: Fraction, bp: Fraction,
-                       at_b: Poly | None = None) -> bool:
-    """Does the mixed-identity determinant vanish identically at (b, bp)?
-    `at_b`, when given, is `delta3_at(which, b)`."""
-    if at_b is None:
-        at_b = delta3_at(which, b)
-    return not at_b.substitute({"bp": bp})
+_DELTA3_COEFFS: dict[str, tuple] = {}
+
+
+def _delta3_coefficients(which: str) -> tuple:
+    """The mixed-identity determinant read as a polynomial in the symbols
+    other than b and bp, over Z[b, bp]: (coefficients, top degree in b, top
+    degree in bp).  Each coefficient is a list of int terms (i, j, c) of
+    c * b**i * bp**j, the determinant times its common denominator, which
+    no zero test needs; the shortest come first."""
+    got = _DELTA3_COEFFS.get(which)
+    if got is None:
+        fam, kclass = _DELTA3_SYSTEM[which]
+        det = system_determinant("LLG", "A", fam, kclass)
+        num, _ = _lowered(det.terms)
+        sb, sbp = sym_slot("b"), sym_slot("bp")
+        groups: dict[tuple, list] = {}
+        for exps, c in num.items():
+            i = exps[sb] if sb < len(exps) else 0
+            j = exps[sbp] if sbp < len(exps) else 0
+            rest = tuple((slot, e) for slot, e in enumerate(exps) if e and slot not in (sb, sbp))
+            groups.setdefault(rest, []).append((i, j, c))
+        got = _DELTA3_COEFFS[which] = (sorted(groups.values(), key=len),
+                                       det.degree_in("b"), det.degree_in("bp"))
+    return got
+
+
+def delta3_vanishes_at(which: str, b: Fraction, bp: Fraction) -> bool:
+    """Does the mixed-identity determinant vanish identically in its other
+    symbols (a, m, p, k) at (b, bp)?  Each coefficient in those symbols is
+    evaluated in ints, at b = u/v and bp = s/t as v**Db * t**Dbp times its
+    value (Db and Dbp the top degrees), and the test stops at the first
+    nonzero one."""
+    coeffs, top_b, top_bp = _delta3_coefficients(which)
+    xb = [b.numerator ** i * b.denominator ** (top_b - i) for i in range(top_b + 1)]
+    xbp = [bp.numerator ** j * bp.denominator ** (top_bp - j) for j in range(top_bp + 1)]
+    return not any(sum(c * xb[i] * xbp[j] for i, j, c in terms) for terms in coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -1079,14 +1108,8 @@ def intersection_scan(case: str, params: list[Fraction] | None = None) -> Report
     for bv in params:
         first = set().union(*(rs.rationals_at(bv) for rs in sets1))
         second = set().union(*(rs.rationals_at(bv) for rs in sets2))
-        survivors = set()
-        at_b: dict = {}  # which -> the determinant at bv, substituted once
-        for cand in first & second:
-            if not _mixed_ok_A("3", bv, cand, at_b):
-                continue
-            if not _mixed_ok_A("3p", bv, cand, at_b):
-                continue
-            survivors.add(cand)
+        survivors = {cand for cand in first & second
+                     if _mixed_ok_A("3", bv, cand) and _mixed_ok_A("3p", bv, cand)}
         expected = {bv} | {bpv for (b0, bpv) in SPORADIC_SURVIVORS_A if b0 == bv}
         if survivors != expected:
             unexplained.append((bv, sorted(survivors), sorted(expected)))
@@ -1098,10 +1121,6 @@ def intersection_scan(case: str, params: list[Fraction] | None = None) -> Report
     return rep
 
 
-def _mixed_ok_A(which: str, bv: Fraction, cand: Fraction, at_b: dict) -> bool:
+def _mixed_ok_A(which: str, bv: Fraction, cand: Fraction) -> bool:
     near = {"3": (bv - 1, bv), "3p": (bv + 1, bv)}[which]
-    if cand in near:
-        return True
-    if which not in at_b:
-        at_b[which] = delta3_at(which, bv)
-    return delta3_vanishes_at(which, bv, cand, at_b[which])
+    return cand in near or delta3_vanishes_at(which, bv, cand)

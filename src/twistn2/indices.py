@@ -155,9 +155,12 @@ class SymIndex:
         return self.const_value().doubled <= SymIndex.of(other).const_value().doubled
 
     def __hash__(self) -> int:
-        # a constant index hashes as the equal int or Fraction (exact for
-        # |doubled| < 2**53)
-        return hash((self.doubled, self.lin)) if self.lin else hash(self.doubled / 2)
+        if self.lin:
+            return hash((self.doubled, self.lin))
+        # a constant index hashes as the equal int or Fraction: below 2**53
+        # the float doubled / 2 is that value exactly, and hashes alike
+        d = self.doubled
+        return hash(d / 2) if -2**53 < d < 2**53 else hash(Fraction(d, 2))
 
     def __str__(self) -> str:
         pieces = []

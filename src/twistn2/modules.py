@@ -119,6 +119,10 @@ class FamilySpec:
                 raise ValueError(f"{self.family} needs parameter alpha")
             if self.alphap is None:
                 object.__setattr__(self, "alphap", Fraction(1))
+        if self.family == "Aab" and self.bprime is not None and not (
+                self.b != "sym" and self.bprime == self.b):
+            # the alpha forms hold on b' = b, so another b' would go unchecked
+            raise ValueError(f"unsupported bprime={self.bprime} for Aab (use b)")
         if self.family == "Bab":
             self._check_bab()
 

@@ -2,7 +2,11 @@
 
 Coefficients are exact rationals in one canonical form: a Python `int`
 exactly when the coefficient is integral, otherwise a `fractions.Fraction`
-with denominator > 1 (reduced, positive denominator).  Arithmetic on
+with denominator > 1 (reduced, positive denominator).  Products and
+substitution run over the integers: each operand is lowered to int
+coefficients over one common denominator, the loop does int arithmetic
+only, and each result coefficient is divided back once, so they make one
+rational per output term and none per term product.  Arithmetic on
 integral coefficients, the common case, builds no Fraction at all.  Every
 identity checked downstream is exact: two polynomials are equal iff their
 canonical term maps are equal (`3 == Fraction(3)`, and the two hash alike).
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Mapping, Union
 
 
@@ -104,6 +108,27 @@ def _rat(value) -> Scalar:
     return value.numerator if value.denominator == 1 else value
 
 
+def _lowered(terms: Mapping[Exps, Scalar]) -> tuple[Mapping[Exps, int], int]:
+    """(num, d): `terms` as int numerators over their common denominator d.
+    An all-int map is returned as it is, with d = 1."""
+    d = 1
+    for c in terms.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return terms, 1
+    return {e: c * d if type(c) is int else c.numerator * (d // c.denominator)
+            for e, c in terms.items()}, d
+
+
+def _over(num: dict, d: int) -> dict:
+    """The canonical coefficients num/d of an int term map, zeros dropped:
+    one int or Fraction per term."""
+    if d == 1:
+        return {e: c for e, c in num.items() if c}
+    return {e: c // d if not c % d else Fraction(c, d) for e, c in num.items() if c}
+
+
 def _integral(out: dict) -> dict:
     """Canonicalize in place the integral Fractions an arithmetic loop left
     in `out`; int + int and int * int stay int on their own."""
@@ -119,7 +144,10 @@ class Poly:
     `terms` maps trimmed exponent tuples to nonzero coefficients, each an
     int when integral and otherwise a Fraction with denominator > 1.  The
     constructor canonicalizes any rational (or float) coefficients it is
-    given; `_canonical=True` trusts the caller to pass that form.
+    given; `_canonical=True` trusts the caller to pass that form.  Products
+    and `substitute` do their rational arithmetic in ints over one common
+    denominator (`_lowered`) and divide each result coefficient once
+    (`_over`).
     """
 
     __slots__ = ("terms",)
@@ -214,23 +242,26 @@ class Poly:
             other = _rat(other)
             if not other:
                 return ZERO
-            return Poly(_integral({e: c * other for e, c in self.terms.items()}),
-                        _canonical=True)
+            num, d = _lowered(self.terms)
+            if type(other) is not int:
+                d *= other.denominator
+                other = other.numerator
+            out = {e: c * other for e, c in num.items()}
+            # a product of nonzero ints is nonzero: over d = 1 it is canonical
+            return Poly(out if d == 1 else _over(out, d), _canonical=True)
         if not isinstance(other, Poly):
             return NotImplemented
         if not self.terms or not other.terms:
             return ZERO
-        out: dict[Exps, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        num1, d1 = _lowered(self.terms)
+        num2, d2 = _lowered(other.terms)
+        out: dict[Exps, int] = {}
+        get = out.get
+        for e1, c1 in num1.items():
+            for e2, c2 in num2.items():
                 key = _mul_exps(e1, e2)
-                acc = out.get(key)
-                new = c1 * c2 if acc is None else acc + c1 * c2
-                if new:
-                    out[key] = new
-                elif acc is not None:
-                    del out[key]
-        return Poly(_integral(out), _canonical=True)
+                out[key] = get(key, 0) + c1 * c2
+        return Poly(_over(out, d1 * d2), _canonical=True)
 
     __rmul__ = __mul__
 
@@ -303,53 +334,69 @@ class Poly:
 
         Substitution is simultaneous: every value is read against the
         original polynomial, so {"k": k - m} and a swap {"b": bp, "bp": b}
-        are correct.  Scalar values, and constant polynomials, are lowered
-        to canonical coefficients once per call; a term meets a polynomial
-        value only when it contains that symbol.
+        are correct.  It runs in ints: the coefficients are lowered over
+        their common denominator d, and each value to num/den, with num an
+        int or an int-coefficient polynomial (a constant polynomial counts
+        as a scalar).  A term of degree e in a symbol of top degree D is
+        multiplied by num**e * den**(D - e), so every term lands over the
+        one denominator d * prod(den**D), and each result coefficient is
+        divided by it once.  A term meets a polynomial value only when it
+        contains that symbol.
         """
         if not bindings:
             return self
-        values: list[tuple[int, Union[Scalar, Poly]]] = []
+        num, d = _lowered(self.terms)
+        bound = []  # (slot, numerator, den, top degree in self)
         for name, val in bindings.items():
-            if not isinstance(val, Poly):
-                val = _rat(val)
-            elif val.is_const():
+            slot = sym_slot(name)
+            if isinstance(val, Poly) and val.is_const():
                 val = val.terms.get((), 0)
-            values.append((sym_slot(name), val))
-        powers: dict[tuple[int, int], Union[Scalar, Poly]] = {}
-        acc: dict[Exps, Scalar] = {}
-        for exps, coeff in self.terms.items():
+            if isinstance(val, Poly):
+                vnum, den = _lowered(val.terms)
+                val = Poly(vnum, _canonical=True)
+            else:
+                if not isinstance(val, (int, Fraction)):
+                    val = Fraction(val)
+                val, den = val.numerator, val.denominator
+            top = 0
+            if den != 1:
+                for exps in num:
+                    if slot < len(exps) and exps[slot] > top:
+                        top = exps[slot]
+                d *= den ** top
+            bound.append((slot, val, den, top))
+        # (slot, e) -> (int scale, int polynomial or None) of a degree-e term
+        powers: dict[tuple[int, int], tuple] = {}
+        acc: dict[Exps, int] = {}
+        get = acc.get
+        for exps, coeff in num.items():
             residual = factor = None
-            for slot, val in values:
+            for slot, val, den, top in bound:
                 e = exps[slot] if slot < len(exps) else 0
-                if not e:
+                if not e and den == 1:
                     continue
                 pw = powers.get((slot, e))
                 if pw is None:
-                    pw = powers[slot, e] = val ** e
-                if isinstance(pw, Poly):
-                    factor = pw if factor is None else factor * pw
-                else:
-                    coeff = coeff * pw
-                if residual is None:
-                    residual = list(exps)
-                residual[slot] = 0
+                    rest = den ** (top - e) if den != 1 else 1
+                    pw = powers[slot, e] = ((val ** e * rest, None) if type(val) is int
+                                            else (rest, val ** e if e else None))
+                coeff *= pw[0]
+                if pw[1] is not None:
+                    factor = pw[1] if factor is None else factor * pw[1]
+                if e:
+                    if residual is None:
+                        residual = list(exps)
+                    residual[slot] = 0
             if not coeff:
                 continue
             key = exps if residual is None else _trim(residual)
             if factor is None:
-                produced = ((key, coeff),)
+                acc[key] = get(key, 0) + coeff
             else:
-                produced = ((_mul_exps(key, fexps), coeff * fcoeff)
-                            for fexps, fcoeff in factor.terms.items())
-            for term, c in produced:
-                prev = acc.get(term)
-                new = c if prev is None else prev + c
-                if new:
-                    acc[term] = new
-                elif prev is not None:
-                    del acc[term]
-        return Poly(_integral(acc), _canonical=True)
+                for fexps, fcoeff in factor.terms.items():
+                    term = _mul_exps(key, fexps)
+                    acc[term] = get(term, 0) + coeff * fcoeff
+        return Poly(_over(acc, d), _canonical=True)
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
         """The value at `bindings`, which must bind every symbol; a Fraction."""

@@ -50,6 +50,7 @@ def index_values(draw):
 
 @given(index_values(), index_values())
 @example(SymIndex(2), Fraction(1, 3))
+@example(SymIndex(2**60 + 1), Fraction(2**60 + 1, 2))
 @settings(max_examples=300, deadline=None)
 def test_equal_indices_hash_equal(x, y):
     if x == y:
@@ -114,6 +115,19 @@ def test_label_validation():
 
 def test_virasoro_bracket_with_central_term():
     assert bracket(L(2), L(-2)) == {L(0): Fraction(4), C: Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("kind, parity_class", [("L", 0), ("T", 1), ("G", 0), ("G", 1)])
+def test_central_constant_at_a_symbolic_index(kind, parity_class):
+    # one formula for both index types: the symbolic C coefficient is the
+    # concrete one at every instance of its parity class
+    value = algebra._central(kind, SymIndex.var("m"), {"m": parity_class})
+    assert isinstance(value, Poly) and value.variables() == ("m",)
+    for doubled in (-6, -2, 0, 2, 8):
+        doubled += parity_class
+        want = algebra._central(kind, SymIndex(doubled))
+        assert type(want) is Fraction
+        assert value.evaluate({"m": Fraction(doubled, 2)}) == want
 
 
 def test_current_modes_pair_to_the_center():

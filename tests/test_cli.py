@@ -1,6 +1,10 @@
 """Command-line interface: parsing, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,12 @@ from twistn2 import cli, constraints
 from twistn2.cli import main, parse_candidate, UsageError
 from twistn2.constraints import RootMismatch
 from twistn2.poly import NotDivisible
+
+
+# a child interpreter that imports the package from this checkout
+SRC = str(Path(cli.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run(capsys, *argv):
@@ -65,6 +75,29 @@ class TestParsing:
         assert "Traceback" in err
         assert "internal error: RootMismatch: root set differs" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("verify-axioms", "--family", "Aab", "--a", "1/3", "--b", "0", "--bprime", "-3/2"),
+         "bprime=-3/2"),
+        (("verify-axioms", "--family", "A1", "--alpha", "2/7", "--a", "1"), "--a"),
+        (("verify-axioms", "--family", "B2", "--alpha", "2/7", "--b", "0", "--bprime", "0"),
+         "--b, --bprime"),
+        (("submodule", "--family", "Aab", "--alpha", "1", "--candidate", "span:x0"),
+         "--alpha"),
+        (("verify-axioms", "--family", "Bab", "--alpha", "1"), "--alpha"),
+        (("compose-t", "--family", "GenericA", "--alpha", "1"), "--alpha"),
+    ], ids=["aab-bprime", "a1-a", "b2-b-bprime", "aab-alpha", "bab-alpha", "generic-alpha"])
+    def test_option_the_family_does_not_read_exits_2(self, capsys, argv, flag):
+        # an option the family ignores would be reported but never checked
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+
+    def test_aab_bprime_equal_to_b_is_accepted(self, capsys):
+        code, out = run(capsys, "verify-axioms", "--family", "Aab", "--a", "1/3", "--b", "0",
+                        "--bprime", "0", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["params"]["family"] == "Aab a=1/3 b=0 bprime=0"
+
     def test_candidate_grammar(self):
         cand = parse_candidate("span:x0,y1/2")
         assert cand.kind == "span" and len(cand.labels) == 2
@@ -96,6 +129,29 @@ class TestReports:
         assert code == 0 and out == ""
         payload = json.loads(target.read_text())
         assert payload["summary"]["failed"] == 0
+
+    def test_unwritable_out_file_exits_2(self, tmp_path):
+        target = tmp_path / "no-such-dir" / "x.json"
+        proc = subprocess.run([sys.executable, "-m", "twistn2.cli", "nonexist-b0",
+                               "--out", str(target)],
+                              env=CHILD_ENV, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_closed_stdout_exits_3_without_traceback(self):
+        # as in `twistn2 roots | head -1`, but with the reader gone before
+        # the first write, so the outcome does not depend on timing
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "twistn2.cli", "roots"],
+                                  env=CHILD_ENV, stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr and "Exception" not in proc.stderr
 
     def test_fault_injection_exits_1_with_witness(self, capsys):
         code, out = run(capsys, "verify-axioms", "--family", "Aab",

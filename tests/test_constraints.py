@@ -128,7 +128,6 @@ class TestDeltaIdentities:
 
     @pytest.mark.parametrize("which", ["3", "3p"])
     def test_determinant_at_b_is_the_determinant_substituted(self, which):
-        # the scan substitutes b once, then each candidate bp
         det = system_determinant("LLG", "A", *constraints._DELTA3_SYSTEM[which])
         for bv in (Fraction(-1), Fraction(1, 3)):
             at_b = delta3_at(which, bv)
@@ -136,7 +135,26 @@ class TestDeltaIdentities:
             for bpv in (Fraction(0), Fraction(-3, 2), Fraction(7)):
                 want = det.substitute({"b": bv, "bp": bpv})
                 assert at_b.substitute({"bp": bpv}) == want
-                assert delta3_vanishes_at(which, bv, bpv, at_b) == (not want)
+                assert delta3_vanishes_at(which, bv, bpv) == (not want)
+
+    def test_zero_test_agrees_with_substitution_over_the_scan(self, monkeypatch):
+        # every (b, candidate) pair the case-A scan decides, for both determinants
+        visited = []
+        orig = constraints.delta3_vanishes_at
+
+        def record(which, bv, cand):
+            visited.append((which, bv, cand))
+            return orig(which, bv, cand)
+
+        monkeypatch.setattr(constraints, "delta3_vanishes_at", record)
+        assert intersection_scan("A").ok
+        assert len(visited) == 838  # one call per candidate off the near diagonal
+        assert {w for w, _, _ in visited} == {"3", "3p"}
+        at_b: dict = {}
+        for which, bv, cand in visited:
+            if (which, bv) not in at_b:
+                at_b[which, bv] = delta3_at(which, bv)
+            assert orig(which, bv, cand) == (not at_b[which, bv].substitute({"bp": cand}))
 
 
 class TestRootSets:

@@ -14,6 +14,8 @@ from twistn2.constraints import (build_identity_system, delta1_printed, delta2_p
                                  system_determinant)
 from twistn2.poly import NotDivisible, Poly, exact_divide, sym_name
 
+from test_poly import assert_canonical
+
 sympy = pytest.importorskip("sympy")
 
 NAMES = ("a", "b", "m")
@@ -22,11 +24,14 @@ fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 scalars = st.one_of(st.integers(-6, 6), fractions)
 
 
+nonintegral = fractions.filter(lambda f: f.denominator > 1)
+
+
 @st.composite
-def polys(draw, max_terms=4):
+def polys(draw, max_terms=4, coeffs=scalars):
     p = Poly.const(0)
     for _ in range(draw(st.integers(0, max_terms))):
-        term = Poly.const(draw(scalars))
+        term = Poly.const(draw(coeffs))
         for name in NAMES:
             term = term * Poly.var(name) ** draw(st.integers(0, 2))
         p = p + term
@@ -89,6 +94,55 @@ def test_substitute_agrees_with_simultaneous_subs(p, bindings):
     theirs = to_sympy(p).subs({sympy.Symbol(name): to_sympy(val)
                                for name, val in bindings.items()}, simultaneous=True)
     assert same(p.substitute(bindings), theirs)
+
+
+# products and substitution run in ints over one common denominator; these
+# draw non-integral coefficients and values so that path does the work
+@given(polys(coeffs=nonintegral), polys(coeffs=nonintegral), nonintegral)
+@settings(max_examples=80, deadline=None)
+def test_products_with_fractional_coefficients_agree_with_sympy(p, q, s):
+    sp, sq, ss = to_sympy(p), to_sympy(q), to_sympy(s)
+    for ours, theirs in ((p * q, sp * sq), (p * s, sp * ss), (s * p, ss * sp),
+                         (p * p * q, sp * sp * sq)):
+        assert same(ours, theirs)
+        assert_canonical(ours)
+
+
+@st.composite
+def fractional_bindings(draw, kind):
+    """{name: value} with scalar, Poly-valued or mixed values."""
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True))
+    scalar = st.one_of(nonintegral, fractions)
+    poly = polys(max_terms=2, coeffs=nonintegral)
+    value = {"scalar": scalar, "poly": poly, "mixed": st.one_of(scalar, poly)}[kind]
+    return {name: draw(value) for name in names}
+
+
+@pytest.mark.parametrize("kind", ["scalar", "poly", "mixed"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_substitute_with_fractional_bindings_agrees_with_sympy(kind, data):
+    p = data.draw(polys(coeffs=st.one_of(nonintegral, scalars)))
+    bindings = data.draw(fractional_bindings(kind))
+    theirs = to_sympy(p).subs({sympy.Symbol(name): to_sympy(val)
+                               for name, val in bindings.items()}, simultaneous=True)
+    ours = p.substitute(bindings)
+    assert same(ours, theirs)
+    assert_canonical(ours)
+
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+
+
+@given(polys(coeffs=st.one_of(nonintegral, scalars)), rationals, rationals, rationals)
+@settings(max_examples=80, deadline=None)
+def test_evaluate_at_rationals_agrees_with_sympy(p, x, y, z):
+    point = dict(zip(NAMES, (x, y, z)))
+    ours = p.evaluate(point)
+    theirs = to_sympy(p).subs({sympy.Symbol(name): to_sympy(v) for name, v in point.items()})
+    assert type(ours) is Fraction
+    assert sympy.Rational(ours.numerator, ours.denominator) == theirs
+    assert_canonical(p.substitute(point))
 
 
 def factors(expr) -> tuple:
