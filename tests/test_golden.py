@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from twistn2 import algebra
 from twistn2.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -70,3 +71,17 @@ def test_all_json_report_is_byte_identical():
                           capture_output=True, text=True, env=env, timeout=600)
     assert done.returncode == 0, done.stderr
     assert done.stdout == (DATA / "all.json").read_text()
+
+
+def test_failing_jacobi_report_is_byte_identical(capsys, monkeypatch):
+    # a Jacobi witness read off the sweep: the L central term doubled breaks
+    # the identity on 30 triples at window 2, each with a C residual
+    orig = algebra._central
+
+    def doubled(kind, i, env=None):
+        return 2 * orig(kind, i, env) if kind == "L" else orig(kind, i, env)
+
+    monkeypatch.setattr(algebra, "_central", doubled)
+    assert len(algebra.super_jacobi_sweep(2).violations) == 30
+    assert main(["jacobi", "--format", "json"]) == 1
+    assert capsys.readouterr().out == (DATA / "jacobi-l-central-doubled.json").read_text()
