@@ -4,6 +4,11 @@ Generators: Virasoro modes L_m (m integer), current modes T_r (r half-odd),
 fermionic modes G_p (p any half-integer), and the central element C.  The
 super-bracket is total on ordered pairs; Kronecker terms are exact integer
 comparisons on doubled indices, so no floating point enters anywhere.
+
+The graded Jacobi identity says that the adjoint action is a module action,
+so it is checked as the module axiom of the adjoint module: one residual
+engine (`residual_sweep`) runs both the Jacobi sweep and the module
+families' axiom sweeps.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .indices import SymIndex
+from .poly import KroneckerPoint, Poly
 
 EVEN, ODD = 0, 1
 
@@ -80,7 +86,7 @@ def add_term(out: dict, key, coeff) -> None:
         del out[key]
 
 
-def _over(c, d: int) -> int:
+def _times(c, d: int) -> int:
     """c * d as an int, for a d that c's denominator divides."""
     return c.numerator * (d // c.denominator)
 
@@ -186,34 +192,31 @@ def super_jacobi_sweep(window: int) -> JacobiReport:
     """Exhaustively check the graded Jacobi identity on a window.
 
     For homogeneous x, y, z the identity reads
-        [x,[y,z]] = [[x,y],z] + (-1)^(|x||y|) [y,[x,z]].
+        [x,[y,z]] = [[x,y],z] + (-1)^(|x||y|) [y,[x,z]],
+    the module axiom of the adjoint module at (x, y) on the vector z, so
+    the sweep runs on the axiom sweeps' engine (`residual_sweep`), which
+    sums `jacobi_residual`, the readable reference, at every triple.
     Violations are collected (none are expected); nothing is thrown.
 
-    The sweep computes `jacobi_residual`, the readable reference, at every
-    triple, summed in the same order.  First it fills one table of bracket
-    terms, keyed by (kind, doubled index) pairs: every window pair, and
-    (h, z) and (z, h) for each h that one bracket of window generators
-    reaches.  Then every scale is lowered to an int over the lcm d of their
-    denominators, and the loop runs in int arithmetic: each residual term
-    is a product of two scales, so the loop computes each residual times
-    d**2.  Scaling by d**2 is injective, so the zero pattern of every
-    partial sum, and with it each witness, is the reference's; only a
-    nonzero residual is turned back into Fractions.
+    The adjoint rows are one table of bracket terms, keyed by (kind,
+    doubled index) pairs: every window pair, and (h, z) and (z, h) for
+    each h that one bracket of window generators reaches.
     """
     gens = generators_in_window(window)
     keyed = [(g, _key(g)) for g in gens]
     named: dict = {}  # key -> Gen, for the witnesses
-    table: dict = {}
+    rows: dict = {}  # key of x -> key of z -> the terms of [x, z]
 
     def fill(g1: Gen, k1, g2: Gen, k2) -> None:
-        if (k1, k2) in table:
+        row = rows.setdefault(k1, {})
+        if k2 in row:
             return
         terms = []
         for h, c in bracket(g1, g2).items():
             kh = _key(h)
             named[kh] = h
             terms.append((kh, c))
-        table[k1, k2] = terms
+        row[k2] = terms
 
     for g1, k1 in keyed:
         for g2, k2 in keyed:
@@ -224,37 +227,127 @@ def super_jacobi_sweep(window: int) -> JacobiReport:
             fill(h, kh, z, kz)
             fill(z, kz, h, kh)
 
-    d = lcm(*(c.denominator for terms in table.values() for _, c in terms))
-    for pair, terms in table.items():
-        table[pair] = [(kh, _over(c, d)) for kh, c in terms]
-    unit = d * d
-
-    violations = []
-    for x, kx in keyed:
-        for y, ky in keyed:
-            sign = -1 if x.kind == "G" and y.kind == "G" else 1
-            xy = table[kx, ky]
-            for z, kz in keyed:
-                lhs: dict = {}
-                for h, c in table[ky, kz]:
-                    for h2, c2 in table[kx, h]:
-                        add_term(lhs, h2, c * c2)
-                rhs1: dict = {}
-                for h, c in xy:
-                    for h2, c2 in table[h, kz]:
-                        add_term(rhs1, h2, c * c2)
-                rhs2: dict = {}
-                for h, c in table[kx, kz]:
-                    for h2, c2 in table[ky, h]:
-                        add_term(rhs2, h2, c * c2)
-                for h, c in rhs1.items():
-                    add_term(lhs, h, -c)
-                for h, c in rhs2.items():
-                    add_term(lhs, h, -sign * c)
-                if lhs:
-                    violations.append((x, y, z, {str(named[h]): Fraction(c, unit)
-                                                 for h, c in lhs.items()}))
+    pairs = [((x, y), kx, ky, -1 if x.kind == "G" and y.kind == "G" else 1, rows[kx][ky])
+             for x, kx in keyed for y, ky in keyed]
+    violations = [(x, y, z, {str(named[h]): c for h, c in res.items()})
+                  for (x, y), z, res in residual_sweep(pairs, rows, [(kz, z) for z, kz in keyed])]
     return JacobiReport(window, len(gens) ** 3, violations)
+
+
+# A generic candidate in "unknowns" mode has one symbol per mode and vector,
+# which would put each image over 3**(symbols) digits; such rows keep their
+# objects.  The parameter sweeps' images are a few hundred bits wide.
+_MAX_POINT_BITS = 1 << 12
+
+
+def _lowering(rows: dict, brackets):
+    """How `residual_sweep` takes its coefficients to ints: (d, lower,
+    decode), or None when a row holds a RatFunc.
+
+    d is the lcm of the denominators of every row coefficient and bracket
+    scale (`brackets` holds one list of scales per pair), and `lower(c, d)`
+    is c * d as an int.  Where a row coefficient is a Poly, c * d is
+    evaluated at one `KroneckerPoint`, chosen so that every coefficient
+    the loop forms, in units of d**2, can be read back; None again when
+    that point's images would be wider than _MAX_POINT_BITS.
+    `decode(c, unit)` is the residual coefficient that c stands for.
+    """
+    dens = []
+    polys = []
+    for r in rows.values():
+        for terms in r.values():
+            for _, c in terms:
+                if isinstance(c, (int, Fraction)):
+                    dens.append(c.denominator)
+                elif isinstance(c, Poly):
+                    polys.append(c)
+                    dens.extend(t.denominator for t in c.terms.values())
+                else:
+                    return None
+    for scales in brackets:
+        for c in scales:
+            dens.append(c.denominator)
+    d = lcm(*dens)
+    if not polys:
+        return d, _times, Fraction
+    # a residual coefficient sums a pair's bracket terms (row times scale)
+    # and the two compositions (width products of two rows each)
+    norm = max(sum(abs(_times(t, d)) for t in c.terms.values()) if isinstance(c, Poly)
+               else abs(_times(c, d))
+               for r in rows.values() for terms in r.values() for _, c in terms)
+    width = max(len(terms) for r in rows.values() for terms in r.values())
+    smax = max(sum(abs(_times(c, d)) for c in scales) for scales in brackets)
+    point = KroneckerPoint(polys, smax * width * norm + 2 * width * width * norm * norm)
+    if point.bits > _MAX_POINT_BITS:
+        return None
+
+    def lower(c, d: int) -> int:
+        return point.image(c, d) if isinstance(c, Poly) else _times(c, d)
+
+    return d, lower, point.decode
+
+
+def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
+    """The one residual engine: the axiom residual of every pair on every
+    vector, in int arithmetic; yields the nonzero ones.
+
+    `rows` maps a row key to that operator's action, a dict from vector
+    key to ((target key, coeff), ...) holding every entry the loop reads
+    (a missing one raises).  Each pair is (tag, k1, k2, eps, xy): the
+    row keys of x and y, the sign eps = (-1)^(|x||y|), and [x, y] as
+    ((row key, scale), ...).  Each vector is (vector key, tag).  At (x, y)
+    on v the residual is
+        x(y v) - [x,y] v - eps y(x v),
+    summed in that order, each part in its own dict, as `jacobi_residual`
+    sums it; `sign` = -1 gives a module axiom's residual, the negative.
+
+    Every row coefficient and bracket scale is lowered to an int over their
+    common denominator d (`_lowering`), in place, so each residual term, a
+    product of two of them, comes out times d**2.  A Poly coefficient is
+    also evaluated at one `KroneckerPoint`.  Scaling by a nonzero constant
+    and that evaluation are injective on every sum the loop forms, so the
+    zero pattern of every partial sum, and with it each witness, is the
+    object loop's; only a nonzero residual is decoded, at sign * d**2, so
+    the decoding takes the sign too.  Rows holding a RatFunc, or in the
+    hundreds of unknowns of a generic candidate, keep their objects, and
+    their unit is the sign alone.  Yields (pair tag, vector tag, {target
+    key: coeff}) triples, one at a time, so a caller that keeps only its
+    witness strings never holds every decoded residual at once.
+    """
+    lowering = _lowering(rows, [[scale for _, scale in xy] for *_, xy in pairs])
+    if lowering is None:
+        unit, decode = sign, lambda c, unit: c if unit == 1 else -c
+    else:
+        d, lower, decode = lowering
+        unit = sign * d * d
+        for r in rows.values():
+            for vk, terms in r.items():
+                r[vk] = tuple((lk, lower(c, d)) for lk, c in terms)
+        pairs = [(tag, k1, k2, eps, [(kh, lower(scale, d)) for kh, scale in xy])
+                 for tag, k1, k2, eps, xy in pairs]
+
+    for tag, k1, k2, eps, xy in pairs:
+        r1, r2 = rows[k1], rows[k2]
+        xy_rows = [(rows[kh], scale) for kh, scale in xy]
+        for vk, name in vectors:
+            out: dict = {}
+            for lk, c in r2[vk]:
+                for lk2, c2 in r1[lk]:
+                    add_term(out, lk2, c * c2)
+            t1: dict = {}
+            for rh, scale in xy_rows:
+                for lk, c in rh[vk]:
+                    add_term(t1, lk, scale * c)
+            t2: dict = {}
+            for lk, c in r1[vk]:
+                for lk2, c2 in r2[lk]:
+                    add_term(t2, lk2, c * c2)
+            for lk, c in t1.items():
+                add_term(out, lk, -c)
+            for lk, c in t2.items():
+                add_term(out, lk, -eps * c)
+            if out:
+                yield tag, name, {lk: decode(c, unit) for lk, c in out.items()}
 
 
 def jacobi_residual(x: Gen, y: Gen, z: Gen) -> GenSum:

@@ -64,7 +64,7 @@ def build_family(args) -> FamilySpec:
                 if bprime is not None:
                     raise UsageError(f"{family} fixes bprime through its printed "
                                      "coefficient forms; drop --bprime")
-                return FamilySpec(family, a=a, b=b, bprime="sym")
+                bprime = "sym"
             return FamilySpec(family, a=a, b=b, bprime=bprime,
                               fault=getattr(args, "inject_fault", None))
         if family in ("A1", "A2", "B1", "B2"):

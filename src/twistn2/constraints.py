@@ -49,8 +49,8 @@ from .algebra import bracket_terms
 from .deformation import CASES
 from .indices import IDX_ZERO, SymIndex
 from .modules import (PRINTED_CONSTANTS, R, FamilySpec, _combine, _commutator, _landing,
-                      _mode, _only_coeff, act_indexed, bracket_residual, slot_vector, t_composition,
-                      unknown_name)
+                      _mode, _only_coeff, aab, act_indexed, b_zero_candidate, bracket_residual,
+                      slot_vector, t_composition, unknown_name)
 from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, _lowered, exact_divide,
                    quadratic_root_data, QuadRootData, sym_slot)
 from .report import Report
@@ -154,8 +154,6 @@ class MalformedInstance(ValueError):
 
 def linear_decompose(poly: Poly, names: list) -> dict:
     """Split a polynomial that is linear-homogeneous in `names`."""
-    from .poly import sym_slot
-
     slots = {sym_slot(nm): nm for nm in names}
     out = {nm: ZERO for nm in names}
     for exps, coeff in poly.terms.items():
@@ -987,8 +985,6 @@ def b0_nonexistence_check() -> Report:
     """The exceptional candidate cannot exist: its solved coefficients are
     all zero, yet the square of an integer fermionic mode must act as a
     nonzero Virasoro mode."""
-    from .modules import b_zero_candidate, aab
-
     rep, ref = Report("nonexist-b0"), "nonexistence-witness"
     spec = b_zero_candidate(a="sym")
     res = gsquared_residual(spec)

@@ -35,12 +35,12 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Union
 
-from .algebra import Gen, _over, add_term, bracket, bracket_terms, parity
+from .algebra import (Gen, add_term, bracket, bracket_terms, generators_in_window, parity,
+                      residual_sweep)
 from .indices import IDX_ZERO, SymIndex
-from .poly import ONE, KroneckerPoint, Poly, RatFunc, ZERO
+from .poly import ONE, Poly, RatFunc, ZERO
 
 Param = Union[Fraction, str, None]  # "sym" selects symbolic mode
 
@@ -125,6 +125,10 @@ class FamilySpec:
             raise ValueError(f"unsupported bprime={self.bprime} for Aab (use b)")
         if self.family == "Bab":
             self._check_bab()
+        # a fault names its family: another family's would inject nothing
+        if self.fault is not None and (self.fault not in FAULT_CATALOG or
+                                       not self.fault.startswith(self.family.lower() + ".")):
+            raise ValueError(f"fault {self.fault!r} is not a catalogued fault of {self.family}")
 
     def _check_bab(self):
         bp = self.bprime
@@ -476,9 +480,7 @@ def _slot_coeff(ctx, kind, g, env):
     """The slot's coefficient for mode (kind, q), with the family's injected
     fault: -+q(a'q + a) for L (- at a source, + at a sink), -+2a'q for T on
     A1/A2 and -+2a' on B1/B2, 2qa' + a for G, times (-1)^(2q+1) on B2."""
-    fam = ctx.spec.family
-    # a fault names its family; another family's fault changes nothing here
-    fault = ctx.fault if (ctx.fault or "").startswith(fam.lower() + ".") else None
+    fam, fault = ctx.spec.family, ctx.fault
     al, alp, q = ctx.alpha, ctx.alphap, g.value
     sign = -1 if ctx.slot[0] == "source" else 1
     if kind == "L":
@@ -635,7 +637,8 @@ def bracket_action_check(spec: FamilySpec, g1: Gen, g2: Gen, v: BasisLabel,
 
     act([g1,g2], v) - (act(g1, act(g2, v)) - (-1)^(|g1||g2|) act(g2, act(g1, v))),
     with every target that `drop` selects left out.  This is the readable
-    reference for the residuals `_sweep_kernel` computes.
+    reference for the residuals of the residual engine,
+    `algebra.residual_sweep`.
     """
     if drop is not None and drop(v):
         return {}
@@ -703,7 +706,8 @@ class _ActionRow(dict):
     It is the only action memo.  The spec's context owns one row per
     generator (`_Ctx.row`), and `act`, the axiom sweep and the submodule
     and partition checks all read it, so each entry of a spec is built once
-    however many of them run.
+    however many of them run.  The axiom sweep copies the entries it reads
+    into the rows of the residual engine, `algebra.residual_sweep`.
 
     Coefficients are Fractions for a concrete spec (a constant Poly is
     lowered too) and Poly where a parameter is symbolic; RatFunc in the
@@ -729,79 +733,27 @@ class _ActionRow(dict):
         return terms
 
 
-# A generic candidate in "unknowns" mode has one symbol per mode and vector,
-# which would put each image over 3**(symbols) digits; such rows keep their
-# objects.  The parameter sweeps' images are a few hundred bits wide.
-_MAX_POINT_BITS = 1 << 12
+def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4,
+                quotient_of=None) -> SweepReport:
+    """Check the module axiom on every generator pair and window label.
 
-
-def _lowering(rows: dict, brackets):
-    """How `_sweep_kernel` takes its coefficients to ints: (d, lower,
-    decode), or None when a row holds a RatFunc.
-
-    d is the lcm of the denominators of every row coefficient and bracket
-    scale (`brackets` holds one list of scales per pair), and `lower(c, d)`
-    is c * d as an int.  Where a row coefficient is a Poly, c * d is
-    evaluated at one `KroneckerPoint`, chosen so that every coefficient
-    the loop forms, in units of d**2, can be read back; None again when
-    that point's images would be wider than _MAX_POINT_BITS.
-    `decode(c, unit)` is the residual coefficient that c stands for.
+    Unordered pairs suffice: the reversed-pair residual is the forward one
+    up to the super-antisymmetry sign.  With `quotient_of` set to a closed
+    candidate, the induced quotient action is checked instead.  The sweep
+    reads the spec's action memo (`_ActionRow`), so entries an earlier
+    reader of the same spec built (`act`, a first sweep) are not built
+    again.  It copies out the entries the loop reads, with the targets the
+    quotient drops left out, and hands them to the residual engine
+    (`algebra.residual_sweep`), which runs in int arithmetic, at symbolic
+    parameters too; `bracket_action_check` is the readable reference for
+    the residual it computes.
     """
-    dens = []
-    polys = []
-    for r in rows.values():
-        for terms in r.values():
-            for _, c in terms:
-                if isinstance(c, (int, Fraction)):
-                    dens.append(c.denominator)
-                elif isinstance(c, Poly):
-                    polys.append(c)
-                    dens.extend(t.denominator for t in c.terms.values())
-                else:
-                    return None
-    for scales in brackets:
-        for c in scales:
-            dens.append(c.denominator)
-    d = lcm(*dens)
-    if not polys:
-        return d, _over, Fraction
-    # a residual coefficient sums a pair's bracket terms (row times scale)
-    # and the two compositions (width products of two rows each)
-    norm = max(sum(abs(_over(t, d)) for t in c.terms.values()) if isinstance(c, Poly)
-               else abs(_over(c, d))
-               for r in rows.values() for terms in r.values() for _, c in terms)
-    width = max(len(terms) for r in rows.values() for terms in r.values())
-    smax = max(sum(abs(_over(c, d)) for c in scales) for scales in brackets)
-    point = KroneckerPoint(polys, smax * width * norm + 2 * width * width * norm * norm)
-    if point.bits > _MAX_POINT_BITS:
-        return None
-
-    def lower(c, d: int) -> int:
-        return point.image(c, d) if isinstance(c, Poly) else _over(c, d)
-
-    return d, lower, point.decode
-
-
-def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
-    """The residual of `bracket_action_check` at every unordered pair and
-    label, summed in the same order, over the spec's memo rows
-    (`_ActionRow`); the bracket and sign are taken once per pair.
-
-    First the entries the loop reads are copied out of the rows, built
-    there if no earlier reader of the spec did, with the targets that
-    `drop` selects left out, so a quotient sweep reads the induced action.
-    Then every copied coefficient and bracket scale is lowered to an int
-    over their common denominator d (`_lowering`), and the loop runs in int
-    arithmetic: each residual term is a row coefficient times a scale or a
-    product of two row coefficients, so the loop computes every residual
-    times unit = d**2.  A Poly coefficient is also evaluated at one
-    `KroneckerPoint`.  Scaling by a nonzero constant and that evaluation
-    are injective on every sum the loop forms, so the zero pattern of every
-    partial sum, and with it each witness, is the object loop's; only a
-    nonzero residual is decoded, as it is written.  Rows holding a RatFunc
-    (the generic candidates' solved modes) keep their objects and unit 1,
-    as do rows in the hundreds of unknowns of a generic candidate.
-    """
+    gens = sorted(generators_in_window(gen_window), key=Gen.sort_key)
+    labels = labels_in_window(basis_window)
+    drop = None
+    if quotient_of is not None:
+        drop = quotient_of.contains
+        labels = [v for v in labels if not quotient_of.contains(v)]
     ctx = spec.ctx
     memo: dict = {}
 
@@ -817,7 +769,7 @@ def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
             # C acts as zero, so its bracket terms add nothing
             lhs = [(row(h), scale) for h, scale in bracket(g1, g2).items() if h.kind != "C"]
             # names are formed once, and shared by every witness that uses them
-            pairs.append((str(g1), row(g1), str(g2), row(g2), sign, lhs))
+            pairs.append(((str(g1), str(g2)), row(g1), row(g2), sign, lhs))
     keyed = [((v.letter, v.idx.doubled), str(v)) for v in labels]
 
     def kept(terms):
@@ -836,72 +788,12 @@ def _sweep_kernel(spec: FamilySpec, gens, labels, drop):
         for lk in reached:
             rows[key][lk] = kept(memo[key][lk])
 
-    lowering = _lowering(rows, [[scale for _, scale in lhs] for *_, lhs in pairs])
-    unit, decode = 1, None
-    if lowering is not None:
-        d, lower, decode = lowering
-        unit = d * d
-        # in place: the copies are lowered without a second set of dicts
-        for r in rows.values():
-            for vk, terms in r.items():
-                r[vk] = tuple((lk, lower(c, d)) for lk, c in terms)
-        pairs = [(n1, k1, n2, k2, sign, [(kh, lower(scale, d)) for kh, scale in lhs])
-                 for n1, k1, n2, k2, sign, lhs in pairs]
-
-    checks = 0
-    violations = []
-    for n1, k1, n2, k2, sign, lhs in pairs:
-        r1, r2 = rows[k1], rows[k2]
-        lhs_rows = [(rows[kh], scale) for kh, scale in lhs]
-        checks += len(keyed)
-        for vk, name in keyed:
-            out: dict = {}
-            for rh, scale in lhs_rows:
-                for lk, c in rh[vk]:
-                    add_term(out, lk, c * scale)
-            t1: dict = {}
-            for lk, c in r2[vk]:
-                for lk2, c2 in r1[lk]:
-                    add_term(t1, lk2, c * c2)
-            t2: dict = {}
-            for lk, c in r1[vk]:
-                for lk2, c2 in r2[lk]:
-                    add_term(t2, lk2, c * c2)
-            for lk, c in t1.items():
-                add_term(out, lk, -c)
-            for lk, c in t2.items():
-                add_term(out, lk, sign * c)
-            if out:
-                res = {BasisLabel(lk[0], SymIndex(lk[1])): c if decode is None else decode(c, unit)
-                       for lk, c in out.items()}
-                violations.append(Witness(n1, n2, name, lincomb_str(res)))
-    return checks, violations
-
-
-def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4,
-                quotient_of=None) -> SweepReport:
-    """Check the module axiom on every generator pair and window label.
-
-    Unordered pairs suffice: the reversed-pair residual is the forward one
-    up to the super-antisymmetry sign.  With `quotient_of` set to a closed
-    candidate, the induced quotient action is checked instead.  The sweep
-    reads the spec's action memo, so entries an earlier reader of the same
-    spec built (`act`, a first sweep) are not built again,
-    and runs in int arithmetic over one common denominator, at symbolic
-    parameters too (`_sweep_kernel`); `bracket_action_check` is the
-    readable reference for the residual it computes.
-    """
-    from .algebra import generators_in_window
-
-    gens = sorted(generators_in_window(gen_window), key=Gen.sort_key)
-    labels = labels_in_window(basis_window)
-    drop = None
-    if quotient_of is not None:
-        drop = quotient_of.contains
-        labels = [v for v in labels if not quotient_of.contains(v)]
-    checks, violations = _sweep_kernel(spec, gens, labels, drop)
+    violations = [Witness(n1, n2, name, lincomb_str({BasisLabel(lk[0], SymIndex(lk[1])): c
+                                                     for lk, c in res.items()}))
+                  for (n1, n2), name, res in residual_sweep(pairs, rows, keyed, sign=-1)]
     violations.sort(key=lambda w: (w.v, w.g1, w.g2))
-    return SweepReport(spec.label(), gen_window, basis_window, checks, violations)
+    return SweepReport(spec.label(), gen_window, basis_window, len(pairs) * len(keyed),
+                       violations)
 
 
 # ---------------------------------------------------------------------------
@@ -960,8 +852,6 @@ class SubmoduleReport:
 def submodule_check(spec: FamilySpec, cand: SubmoduleCandidate,
                     gen_window: int = 2, basis_window: int = 4) -> SubmoduleReport:
     """Is the candidate subspace closed under the window action?"""
-    from .algebra import generators_in_window
-
     checks = 0
     for v in labels_in_window(basis_window):
         if not cand.contains(v):
@@ -984,8 +874,6 @@ def reachable_labels(spec: FamilySpec, start: BasisLabel,
     Exploration is confined to the basis window, so the result is the
     window shadow of the submodule generated by the start vector.
     """
-    from .algebra import generators_in_window
-
     bound = 2 * basis_window
     gens = generators_in_window(gen_window)
     seen = {start}
@@ -1046,8 +934,6 @@ def ns_partition_check(spec: FamilySpec, gen_window: int = 2,
     """Generators of the Neveu-Schwarz subalgebra (L_n and half-odd G_r)
     must preserve both partition blocks; T_r and integer G_n must swap them.
     """
-    from .algebra import generators_in_window
-
     checks = 0
     violations = []
     for g in generators_in_window(gen_window):

@@ -59,6 +59,15 @@ class TestParsing:
                      "--bprime", "5"]) == 2
         assert "drop --bprime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("verify-axioms", "--family", "A1", "--alpha", "2/7", "--inject-fault", "aab.t-sign"),
+        ("verify-axioms", "--family", "GenericA", "--inject-fault", "aab.gy-coeff"),
+    ], ids=["other-family", "generic"])
+    def test_fault_of_another_family_exits_2(self, capsys, argv):
+        # the fault would inject nothing, so a pass under its label would lie
+        assert main(list(argv)) == 2
+        assert "is not a catalogued fault of" in capsys.readouterr().err
+
     @pytest.mark.parametrize("family", ["GenericA", "GenericB"])
     def test_compose_t_on_generic_family_exits_2(self, capsys, family):
         # the generic candidates have no printed T table to compare with

@@ -503,6 +503,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="coefficient mode"):
             FamilySpec(family, a="sym", b="sym", bprime="sym", coeff_mode=mode)
 
+    @pytest.mark.parametrize("family, fault", [
+        ("Aab", "no-such-fault"), ("A1", "aab.t-sign"), ("B2", "b1.t0-coeff"),
+        ("GenericA", "aab.gy-coeff")])
+    def test_fault_must_be_a_catalogued_fault_of_the_family(self, family, fault):
+        params = dict(alpha="sym") if family in ("A1", "B2") else dict(a="sym", b="sym")
+        with pytest.raises(ValueError, match="catalogued fault"):
+            FamilySpec(family, fault=fault, **params)
+
     def test_unsupported_bprime_is_rejected(self):
         with pytest.raises(ValueError):
             FamilySpec("Bab", a="sym", b=Fraction(0), bprime=Fraction(7))
