@@ -131,7 +131,8 @@ class SymIndex:
         return out
 
     def as_poly(self) -> Poly:
-        out = Poly.const(Fraction(self.doubled, 2))
+        d = self.doubled
+        out = Poly.const(Fraction(d, 2) if d % 2 else d // 2)
         for nm, c in self.lin:
             out = out + c * Poly.var(nm)
         return out

@@ -26,6 +26,14 @@ which on symbolic indices is exactly the generic-index reading used when
 the coefficient recurrences are solved.  Each spec memoizes its own
 action table (`FamilySpec.ctx`); no action state is process-wide.
 
+Each weight space is one-dimensional, so on each parity class of mode m
+and vector index k an action lands on index k+m with a coefficient
+polynomial in (m, k).  The memo reads the table once per such stratum, at
+symbolic m and k, and fills its entries by evaluating that read in ints.
+It reads the table entry by entry where a stratum is not a polynomial in
+the indices alone (a symbolic parameter, a RatFunc form, the unknowns
+mode), and on a deformed family's slot, the one index-equality decision.
+
 The central element acts as zero on every family.
 """
 
@@ -35,12 +43,13 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Union
 
 from .algebra import (Gen, add_term, bracket, bracket_terms, generators_in_window, parity,
                       residual_sweep)
 from .indices import IDX_ZERO, SymIndex
-from .poly import ONE, Poly, RatFunc, ZERO
+from .poly import ONE, Poly, RatFunc, ZERO, sym_slot
 
 Param = Union[Fraction, str, None]  # "sym" selects symbolic mode
 
@@ -228,7 +237,8 @@ PRINTED_CONSTANTS = {
 
 class _Ctx:
     """One spec's parameters as the tables read them, and its action memo:
-    one `_ActionRow` per generator, shared by every reader of the spec.
+    one `_ActionRow` per generator, shared by every reader of the spec, and
+    the strata the rows evaluate (`stratum`).
 
     It decides once which solved branch the spec reads (`branch`: alpha,
     beta or mu) and whether its normalization constants are symbols or
@@ -240,7 +250,7 @@ class _Ctx:
     """
 
     __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "branch",
-                 "consts", "printed_t", "base", "slot", "forced", "rows")
+                 "consts", "printed_t", "base", "slot", "forced", "rows", "strata")
 
     def __init__(self, spec: FamilySpec):
         self.spec = weakref.proxy(spec)
@@ -283,13 +293,30 @@ class _Ctx:
         # compose theirs from the fermionic action
         self.printed_t = spec.family in ("Aab", "Bab")
         self.rows: dict = {}
+        self.strata: dict = {}
 
     def row(self, g: Gen) -> _ActionRow:
         key = (g.kind, None if g.idx is None else g.idx.doubled)
         r = self.rows.get(key)
         if r is None:
-            r = self.rows[key] = _ActionRow(self.spec, g)
+            slot = None
+            if self.slot is not None and g.kind != "C":
+                letter, idx = slot_vector(self.spec.family, g.kind, g.idx)
+                slot = letter, idx.doubled
+            r = self.rows[key] = _ActionRow(self.spec, g, slot)
         return r
+
+    def stratum(self, kind: str, qpar: int, letter: str, kpar: int):
+        """The action of mode m on the vector `letter`_k, for m and k of the
+        given parity classes, read once from the table at symbolic m and k
+        and lowered to ints (`_int_stratum`); None where a row must read
+        each entry directly.  The unknowns mode is never read here, as its
+        symbols are named by concrete index."""
+        key = (kind, qpar, letter, kpar)
+        if key not in self.strata:
+            self.strata[key] = None if self.mode == "unknowns" else _int_stratum(
+                act_indexed(self.spec, kind, _M, letter, _K, {"m": qpar, "k": kpar}))
+        return self.strata[key]
 
 
 def _param(name: str, value: Param) -> Fraction | Poly | None:
@@ -696,12 +723,53 @@ class SweepReport:
         return self.checks > 0 and not self.violations
 
 
+_M, _K = SymIndex.var("m"), SymIndex.var("k")
+_MK = (_M + _K).lin
+_M_SLOT, _K_SLOT = sym_slot("m"), sym_slot("k")
+
+
+def _int_stratum(terms):
+    """A stratum read (`_Ctx.stratum`) in ints: one (letter, offset, den,
+    ((n, i, j), ...)) per term, in the table's order, for the target
+    letter_(k+m+offset/2) with the coefficient sum n (2m)**i (2k)**j / den,
+    so a row evaluates it at doubled indices.  None unless every target is
+    k + m plus a constant and every coefficient a scalar or a Poly in m and
+    k alone; a symbolic parameter or a RatFunc form leaves the whole stratum
+    to direct reads."""
+    out = []
+    for letter, idx, coeff in terms:
+        if idx.lin != _MK:
+            return None
+        if isinstance(coeff, (int, Fraction)):
+            coeff = Poly.const(coeff)
+        elif not isinstance(coeff, Poly):
+            return None
+        parts = []
+        for exps, c in coeff.terms.items():
+            i = exps[_M_SLOT] if len(exps) > _M_SLOT else 0
+            j = exps[_K_SLOT] if len(exps) > _K_SLOT else 0
+            if sum(exps) != i + j:
+                return None
+            parts.append((Fraction(c, 2 ** (i + j)), i, j))
+        den = lcm(1, *(c.denominator for c, _, _ in parts))
+        out.append((letter, idx.doubled, den,
+                    tuple((c.numerator * (den // c.denominator), i, j) for c, i, j in parts)))
+    return tuple(out)
+
+
 class _ActionRow(dict):
     """The action of one generator on one spec: label key (letter, doubled
-    index) -> ((label key, coeff), ...), each entry built by `act_indexed`
-    the first time it is read and kept as long as the spec.  A key's
-    doubled index d is the index `SymIndex(d)` the table reads, and a
-    target's is the `doubled` of the index the table returns.
+    index) -> ((label key, coeff), ...), each entry built the first time it
+    is read and kept as long as the spec.  A key's doubled index d is the
+    index `SymIndex(d)` the table reads, and a target's is the `doubled` of
+    the index the table returns.
+
+    An entry is the spec's stratum for the key's parity class (`_Ctx.stratum`)
+    evaluated in ints at the row's mode and the key's index, with one
+    Fraction per nonzero term.  It is read from the table directly, by
+    `act_indexed`, where there is no such stratum, and on the one key of a
+    deformed family's row that reads the slot (`slot_vector`, where
+    `_at_slot` holds), the tables' only decision on index equality.
 
     It is the only action memo.  The spec's context owns one row per
     generator (`_Ctx.row`), and `act`, the axiom sweep and the submodule
@@ -714,23 +782,57 @@ class _ActionRow(dict):
     generic candidates' solved modes.
     """
 
-    __slots__ = ("spec", "kind", "gidx")
+    __slots__ = ("spec", "kind", "gidx", "slot", "forms")
 
-    def __init__(self, spec: FamilySpec, g: Gen):
+    def __init__(self, spec: FamilySpec, g: Gen, slot=None):
         super().__init__()
-        self.spec, self.kind, self.gidx = spec, g.kind, g.idx
+        self.spec, self.kind, self.gidx, self.slot = spec, g.kind, g.idx, slot
+        self.forms: dict = {}  # (letter, parity of k) -> the stratum at this mode
+
+    def _form(self, letter: str, kpar: int):
+        """The stratum at this row's mode, or None: per term, the target
+        letter, the target's offset from the key, the denominator and the
+        numerator's int coefficients by falling power of the key's doubled
+        index."""
+        if (letter, kpar) not in self.forms:
+            gd = self.gidx.doubled
+            stratum = self.spec.ctx.stratum(self.kind, gd & 1, letter, kpar)
+            form = None
+            if stratum is not None:
+                form = []
+                for letter2, off, den, nums in stratum:
+                    powers = [0] * (1 + max((j for _, _, j in nums), default=0))
+                    for n, i, j in nums:
+                        powers[j] += n * gd ** i
+                    form.append((letter2, off + gd, den, powers[::-1]))
+            self.forms[letter, kpar] = form
+        return self.forms[letter, kpar]
 
     def __missing__(self, key):
-        lc: dict = {}
-        if self.kind != "C":
-            letter, doubled = key
-            for letter2, idx, coeff in act_indexed(self.spec, self.kind, self.gidx, letter,
-                                                   SymIndex(doubled)):
-                if coeff:
-                    add_term(lc, (letter2, idx.doubled), coeff)
-        terms = tuple((lk, _scalar(c)) for lk, c in lc.items())
+        letter, doubled = key
+        form = None if self.kind == "C" else self._form(letter, doubled & 1)
+        if form is None or key == self.slot:
+            terms = self._read(letter, doubled)
+        else:
+            terms = []
+            for letter2, off, den, powers in form:
+                num = 0
+                for c in powers:
+                    num = num * doubled + c
+                if num:
+                    terms.append(((letter2, doubled + off), Fraction(num, den)))
+            terms = tuple(terms)
         self[key] = terms
         return terms
+
+    def _read(self, letter: str, doubled: int) -> tuple:
+        """The entry read from the table directly."""
+        lc: dict = {}
+        for letter2, idx, coeff in act_indexed(self.spec, self.kind, self.gidx, letter,
+                                               SymIndex(doubled)):
+            if coeff:
+                add_term(lc, (letter2, idx.doubled), coeff)
+        return tuple((lk, _scalar(c)) for lk, c in lc.items())
 
 
 def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4,

@@ -707,8 +707,10 @@ class RatFunc:
         return exact_divide(self.num, self.den)
 
     def __str__(self) -> str:
-        if self.den == ONE:
-            return str(self.num)
+        # a constant denominator is folded into the numerator here only:
+        # the stored pair stays unreduced, as every RatFunc is
+        if self.den.is_const():
+            return str(self.num * (1 / self.den.const_value()))
         return f"({self.num})/({self.den})"
 
     __repr__ = __str__

@@ -3,13 +3,14 @@
 import gc
 import re
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistn2 import deformation, modules
+from twistn2 import deformation, modules, poly
 from twistn2.algebra import G, Gen, L, T, bracket, generators_in_window, parity
 from twistn2.cli import main
 from twistn2.deformation import instantiate_deformation
@@ -276,6 +277,93 @@ TABLE_CASES = [
      {"a": Fraction(1, 3), "b": Fraction(-5, 7)})
     for fam in ("GenericA", "GenericB")
 ]
+
+
+# every spec of TABLE_CASES, each once, the faults at alpha' = 3/2, and
+# the mu branch, whose RatFunc and mu-symbol strata are read entry by entry
+FILL_CASES = list(dict.fromkeys([spec for c, s, _ in TABLE_CASES for spec in (c, s)] + [
+    deformed(fam, Fraction(2, 7), Fraction(3, 2), fault=fault)
+    for fam in ("A1", "A2", "B1", "B2") for fault in _faults(fam)
+] + [FamilySpec("GenericB", a=Fraction(1, 3), b=Fraction(0), coeff_mode="mu")]))
+
+
+def _fill_mismatches(spec):
+    """The (generator, label) entries of a fresh copy of the spec's memo
+    that differ from a direct table read in value, type or term order: on
+    the window-2 generators and the bracket targets an axiom sweep reads,
+    at every label up to +-6."""
+    spec = replace(spec)
+    gens = generators_in_window(2) + [L(4), L(-4), T(Fraction(7, 2)), T(Fraction(-7, 2)),
+                                      G(4), G(-4)]
+    bad = []
+    for g in gens:
+        row = spec.ctx.row(g)
+        for v in labels_in_window(6):
+            want = tuple(((letter, idx.doubled), modules._scalar(c)) for letter, idx, c in
+                         act_indexed(spec, g.kind, g.idx, v.letter, v.idx) if c)
+            got = row[(v.letter, v.idx.doubled)]
+            if got != want or [type(c) for _, c in got] != [type(c) for _, c in want]:
+                bad.append((g, v))
+    return bad
+
+
+@pytest.mark.parametrize("spec", FILL_CASES, ids=[s.label() for s in FILL_CASES])
+def test_row_fill_equals_direct_reads(spec):
+    # a row evaluates one symbolic read per parity stratum; `act` and the
+    # sweeps read the same rows, so only a direct read can check them
+    assert _fill_mismatches(spec) == []
+
+
+def test_row_fill_misses_an_index_case_without_its_own_fallback(monkeypatch):
+    # a case split on v = 3 is a decision on index equality, which a read
+    # at symbolic k never takes; so the fill disagrees there, and the slot,
+    # the tables' one such decision, needs the rows' direct read
+    original = modules._act_case_a
+
+    def special(ctx, kind, g, letter, v, env):
+        terms = original(ctx, kind, g, letter, v, env)
+        return [(l, i, c + 1) for l, i, c in terms] if v == 3 else terms
+
+    monkeypatch.setitem(modules._TABLES, "Aab", special)
+    bad = _fill_mismatches(aab(Fraction(1, 3), Fraction(-5, 7)))
+    assert bad and {v for _, v in bad} == {lbl("x", 3), lbl("y", 3)}
+
+
+def test_row_fill_registers_no_symbol(monkeypatch):
+    # test_golden's term order rests on the order of the symbol registry, so
+    # the fill may ask it for no name but the core symbols, whichever test
+    # registered a name first
+    asked = set()
+    register = poly.sym_slot
+
+    def recording(name):
+        asked.add(name)
+        return register(name)
+
+    monkeypatch.setattr(poly, "sym_slot", recording)
+    specs = [aab(Fraction(1, 3), Fraction(-5, 7)), bab(Fraction(1, 3), Fraction(-5, 7)),
+             b_zero_candidate(Fraction(1, 3)), aab(), bab(), b_zero_candidate()]
+    specs += [deformed(fam, alpha, alphap) for fam in ("A1", "A2", "B1", "B2")
+              for alpha, alphap in ((Fraction(2, 7), Fraction(1)), ("sym", "sym"))]
+    before = len(poly._NAMES)
+    for spec in specs:
+        assert axiom_sweep(spec, 1, 2).checks
+    assert len(poly._NAMES) == before
+    assert asked <= set(poly.CORE_SYMBOLS)
+    # the unknowns mode names its symbols by concrete mode and vector only
+    axiom_sweep(FamilySpec("GenericA", a="sym", b="sym", bprime="sym",
+                           coeff_mode="unknowns"), 1, 2)
+    assert all(re.fullmatch(r"(fp?|gp?)\[-?[\d/]+;-?[\d/]+\]", name)
+               for name in asked - set(poly.CORE_SYMBOLS))
+
+
+def test_witness_over_a_constant_denominator_prints_as_a_polynomial():
+    spec = FamilySpec("GenericB", a=Fraction(1, 3), b=Fraction(0), bprime="sym",
+                      coeff_mode="mu")
+    report = axiom_sweep(spec, 1, 1)
+    assert len(report.violations) == 230
+    assert report.violations[0].residual == "(-8/3*mu1*mu3 + 8/3)*x_-3"
+    assert not any(")/(" in w.residual for w in report.violations)
 
 
 @pytest.mark.parametrize("concrete, symbolic, values", TABLE_CASES,

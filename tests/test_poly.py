@@ -287,3 +287,14 @@ def test_ratfunc_as_poly():
     assert RatFunc(r * (b + 1), r).as_poly() == b + 1
     with pytest.raises(NotDivisible):
         RatFunc(b + 1, r).as_poly()
+
+
+def test_ratfunc_prints_a_constant_denominator_folded():
+    a = Poly.var("a")
+    f = RatFunc(a, Poly.const(Fraction(3, 4)))
+    assert str(f) == "4/3*a"
+    assert str(RatFunc(1 - a, Poly.const(Fraction(-3, 2)))) == "2/3*a - 2/3"
+    assert str(RatFunc(a)) == "a" and str(RatFunc(a, b)) == "(a)/(b)"
+    # the fold is the rendering's alone: the pair is stored as given
+    assert f.num == a and f.den == Poly.const(Fraction(3, 4))
+    assert (f + f).den == Poly.const(Fraction(3, 4))
