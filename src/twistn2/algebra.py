@@ -19,6 +19,7 @@ from math import lcm
 
 from .indices import SymIndex
 from .poly import KroneckerPoint, Poly
+from .report import Tally
 
 EVEN, ODD = 0, 1
 
@@ -173,23 +174,15 @@ def generators_in_window(window: int) -> list[Gen]:
     return gens
 
 
-@dataclass
-class JacobiReport:
-    window: int
-    triples_checked: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _key(g: Gen) -> tuple:
     return (g.kind, None if g.idx is None else g.idx.doubled)
 
 
-def super_jacobi_sweep(window: int) -> JacobiReport:
+def super_jacobi_sweep(window: int) -> Tally:
     """Exhaustively check the graded Jacobi identity on a window.
+
+    Returns a `Tally` of every ordered triple of window generators, whose
+    violations are (x, y, z, {generator name: residual coefficient}).
 
     For homogeneous x, y, z the identity reads
         [x,[y,z]] = [[x,y],z] + (-1)^(|x||y|) [y,[x,z]],
@@ -231,7 +224,7 @@ def super_jacobi_sweep(window: int) -> JacobiReport:
              for x, kx in keyed for y, ky in keyed]
     violations = [(x, y, z, {str(named[h]): c for h, c in res.items()})
                   for (x, y), z, res in residual_sweep(pairs, rows, [(kz, z) for z, kz in keyed])]
-    return JacobiReport(window, len(gens) ** 3, violations)
+    return Tally(len(gens) ** 3, violations)
 
 
 # A generic candidate in "unknowns" mode has one symbol per mode and vector,

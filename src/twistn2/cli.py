@@ -101,15 +101,13 @@ def cmd_verify_axioms(args) -> Report:
                                    "basis_window": args.basis_window})
     sweep = axiom_sweep(spec, args.gen_window, args.basis_window)
     rep.add(f"axiom sweep over {sweep.checks} generator-pair/vector checks",
-            "axiom-sweep", sweep.ok,
-            sweep.violations[0].as_dict() if sweep.violations else None)
+            "axiom-sweep", sweep.ok, sweep.witness)
     if len(sweep.violations) > 1:
         rep.notes.append(f"{len(sweep.violations)} violations in total")
     if spec.family in _PARAMETRIC and not spec.fault:
         part = ns_partition_check(spec, args.gen_window, args.basis_window)
         rep.add("even/odd restriction partitions preserved and swapped as required",
-                "ns-partition", part.ok,
-                part.violations[0] if part.violations else None)
+                "ns-partition", part.ok, part.witness)
     return rep
 
 
@@ -181,12 +179,10 @@ def cmd_deform(args) -> Report:
         alpha = _param(args.alpha) if args.alpha else Fraction(2, 7)
         spec, disc = dlab.instantiate_deformation(name, alpha)
         rep.add(f"{name}: instantiated table agrees with the derived table",
-                f"deformation/{name}", not disc,
-                disc[0].as_dict() if disc else None)
+                f"deformation/{name}", not disc, disc[0] if disc else None)
         sweep = axiom_sweep(spec, 2, 4)
         rep.add(f"{name}: instantiated family passes the axiom sweep",
-                f"deformation/{name}", sweep.ok,
-                sweep.violations[0].as_dict() if sweep.violations else None)
+                f"deformation/{name}", sweep.ok, sweep.witness)
     return rep
 
 
@@ -194,6 +190,8 @@ def cmd_submodule(args) -> Report:
     spec = build_family(args)
     rep = Report("submodule", {"family": spec.label()})
     if args.scan:
+        if args.candidate is not None:
+            raise UsageError("submodule takes --candidate or --scan, not both")
         gaps = proper_submodule_scan(spec, args.gen_window, args.basis_window)
         rep.add("window survey of cyclic submodules completed", "submodule/scan", True,
                 {k: v[:4] for k, v in sorted(gaps.items())[:6]} or None)
@@ -205,9 +203,9 @@ def cmd_submodule(args) -> Report:
         # nothing to act on: the check would pass without doing any work
         raise UsageError(f"candidate {args.candidate!r} holds no label of the basis window")
     sr = submodule_check(spec, cand, args.gen_window, args.basis_window)
-    rep.params["candidate"] = sr.candidate
+    rep.params["candidate"] = cand.describe()
     rep.add("candidate subspace is closed under the window action",
-            "submodule/closure", sr.closed, sr.escape)
+            "submodule/closure", sr.ok, sr.witness)
     return rep
 
 
@@ -220,8 +218,8 @@ def cmd_nonexist_b0(args) -> Report:
 def cmd_jacobi(args) -> Report:
     rep = Report("jacobi", {"window": args.window})
     jr = super_jacobi_sweep(args.window)
-    rep.add(f"graded Jacobi identity over {jr.triples_checked} generator triples",
-            "jacobi", jr.ok, jr.violations[0] if jr.violations else None)
+    rep.add(f"graded Jacobi identity over {jr.checks} generator triples",
+            "jacobi", jr.ok, jr.witness)
     return rep
 
 
@@ -229,7 +227,7 @@ def cmd_all(args) -> Report:
     rep = Report("all", {"gen_window": 2, "basis_window": 4})
 
     jr = super_jacobi_sweep(2)
-    rep.add(f"graded Jacobi identity over {jr.triples_checked} triples", "jacobi", jr.ok)
+    rep.add(f"graded Jacobi identity over {jr.checks} triples", "jacobi", jr.ok)
 
     sub = cmd_delta(argparse.Namespace(which="all"))
     rep.extend(sub)
@@ -238,8 +236,7 @@ def cmd_all(args) -> Report:
 
     for spec in (aab(), bab()):
         sweep = axiom_sweep(spec)
-        rep.add(f"axiom sweep: {spec.label()}", "axiom-sweep", sweep.ok,
-                sweep.violations[0].as_dict() if sweep.violations else None)
+        rep.add(f"axiom sweep: {spec.label()}", "axiom-sweep", sweep.ok, sweep.witness)
         part = ns_partition_check(spec)
         rep.add(f"restriction partitions: {spec.label()}", "ns-partition", part.ok)
     # the deformed families are swept at symbolic alpha and alphap, which
@@ -249,7 +246,7 @@ def cmd_all(args) -> Report:
         spec, disc = dlab.instantiate_deformation(fam, "sym", "sym")
         sweep = axiom_sweep(spec)
         rep.add(f"axiom sweep: {spec.label()}", "axiom-sweep", sweep.ok and not disc,
-                sweep.violations[0].as_dict() if sweep.violations else None)
+                sweep.witness)
 
     rep.extend(cmd_compose_t(argparse.Namespace(family=None)))
     rep.extend(cmd_solve_coeffs(argparse.Namespace(which="all")))
@@ -262,16 +259,17 @@ def cmd_all(args) -> Report:
     ]
     for spec, cand, want in facts:
         sr = submodule_check(spec, cand)
+        # "not closed" needs an escape witness: a check that ran nothing has none
         rep.add(f"submodule fact: {cand.describe()} in {spec.label()} "
                 f"{'closed' if want else 'not closed'}",
-                "submodule/closure", sr.closed == want, sr.escape)
+                "submodule/closure", sr.ok if want else bool(sr.violations), sr.witness)
 
     rep.extend(cmd_nonexist_b0(argparse.Namespace()))
 
     for fault, desc in FAULT_CATALOG.items():
         sweep = axiom_sweep(spec_with_fault(fault))
         rep.add(f"fault detection: {desc}", f"fault/{fault}", bool(sweep.violations),
-                sweep.violations[0].as_dict() if sweep.violations else None)
+                sweep.witness)
     return rep
 
 

@@ -1051,12 +1051,11 @@ def recurrence_propagation_check() -> Report:
 # intersection of the root-set constraints
 # ---------------------------------------------------------------------------
 
-def sample_parameters(max_num: int = 20, max_den: int = 5) -> list[Fraction]:
-    """Deterministic rational grid p/q, |p| <= max_num, 1 <= q <= max_den,
-    excluding the four values where a root-set discriminant vanishes."""
+def sample_parameters() -> list[Fraction]:
+    """Deterministic rational grid p/q, |p| <= 20, 1 <= q <= 5, excluding
+    the four values where a root-set discriminant vanishes."""
     excluded = {Fraction(-9, 8), Fraction(-3, 8), Fraction(1, 8), Fraction(-13, 8)}
-    grid = {Fraction(pn, qd) for qd in range(1, max_den + 1)
-            for pn in range(-max_num, max_num + 1)}
+    grid = {Fraction(pn, qd) for qd in range(1, 6) for pn in range(-20, 21)}
     return sorted(grid - excluded)
 
 
@@ -1072,7 +1071,7 @@ SPORADIC_SURVIVORS_A = (
 )
 
 
-def intersection_scan(case: str, params: list[Fraction] | None = None) -> Report:
+def intersection_scan(case: str) -> Report:
     """Reproduce the allowed-bp conclusion.
 
     Case A intersects the two pairs of root sets (one pair per weight class)
@@ -1096,7 +1095,7 @@ def intersection_scan(case: str, params: list[Fraction] | None = None) -> Report
         return rep
     if case != "A":
         raise ValueError(f"unknown intersection case {case!r}")
-    params = params if params is not None else sample_parameters()
+    params = sample_parameters()
     rep = Report("intersection (A)")
     unexplained = []
     sets1 = [root_set("f-int"), root_set("fp-int")]

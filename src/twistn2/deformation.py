@@ -168,18 +168,6 @@ def f_derivation(case: DeformCase) -> Report:
 # instantiation with a slot audit
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Discrepancy:
-    g: str
-    v: str
-    family_value: str
-    derived_value: str
-
-    def as_dict(self):
-        return {"g": self.g, "v": self.v, "family": self.family_value,
-                "derived": self.derived_value}
-
-
 Q = SymIndex.var("q")
 
 # the reads that cover a slot: each kind of mode, with the parity class of q
@@ -190,12 +178,14 @@ def _terms_str(terms) -> str:
     return " + ".join(f"({c})*{letter}_{idx}" for letter, idx, c in terms) or "0"
 
 
-def deformation_discrepancies(spec: FamilySpec) -> list[Discrepancy]:
+def deformation_discrepancies(spec: FamilySpec) -> list[dict]:
     """Audit a deformed family's slot against the closed forms of its case.
 
     One `act_indexed` read per entry of `_SLOT_READS`, at the symbolic mode
     index q on the vector where that mode reads the slot (`slot_vector`),
-    so the audit covers every mode index.
+    so the audit covers every mode index.  Returns one {"g", "v", "family",
+    "derived"} dict per read that disagrees: the mode, the vector, and the
+    family's and the closed form's terms.
     """
     case = CASES[spec.family]
     al, alp = spec.ctx.alpha, spec.ctx.alphap
@@ -212,8 +202,8 @@ def deformation_discrepancies(spec: FamilySpec) -> list[Discrepancy]:
         got = [t for t in act_indexed(spec, kind, Q, letter, v, {"q": parity}) if t[2]]
         if got != want:
             q_class = "half-odd" if parity else "integer"
-            out.append(Discrepancy(f"{kind}(q), q {q_class}", f"{letter}_{v}",
-                                   _terms_str(got), _terms_str(want)))
+            out.append({"g": f"{kind}(q), q {q_class}", "v": f"{letter}_{v}",
+                        "family": _terms_str(got), "derived": _terms_str(want)})
     return out
 
 

@@ -40,16 +40,18 @@ The central element acts as zero on every family.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import itemgetter
 from typing import Union
 
 from .algebra import (Gen, add_term, bracket, bracket_terms, generators_in_window, parity,
                       residual_sweep)
 from .indices import IDX_ZERO, SymIndex
 from .poly import ONE, Poly, RatFunc, ZERO, sym_slot
+from .report import Tally
 
 Param = Union[Fraction, str, None]  # "sym" selects symbolic mode
 
@@ -658,30 +660,22 @@ def _scalar(c):
     return c.const_value() if isinstance(c, Poly) and c.is_const() else c
 
 
-def bracket_action_check(spec: FamilySpec, g1: Gen, g2: Gen, v: BasisLabel,
-                         drop=None) -> LinComb:
+def bracket_action_check(spec: FamilySpec, g1: Gen, g2: Gen, v: BasisLabel) -> LinComb:
     """Residual of the module axiom at (g1, g2, v); zero certifies it.
 
-    act([g1,g2], v) - (act(g1, act(g2, v)) - (-1)^(|g1||g2|) act(g2, act(g1, v))),
-    with every target that `drop` selects left out.  This is the readable
-    reference for the residuals of the residual engine,
-    `algebra.residual_sweep`.
+    act([g1,g2], v) - (act(g1, act(g2, v)) - (-1)^(|g1||g2|) act(g2, act(g1, v))).
+    This is the readable reference for the residuals of the residual
+    engine, `algebra.residual_sweep`.
     """
-    if drop is not None and drop(v):
-        return {}
-
-    def kept(lc: LinComb):
-        return [(label, c) for label, c in lc.items() if drop is None or not drop(label)]
-
     out: LinComb = {}
     for h, scale in bracket(g1, g2).items():
-        for label, coeff in kept(act(spec, h, v)):
+        for label, coeff in act(spec, h, v).items():
             add_term(out, label, coeff * scale)
     sign = -1 if parity(g1) and parity(g2) else 1
     for outer, inner, s in ((g1, g2, -1), (g2, g1, sign)):
         composed: LinComb = {}
-        for label, coeff in kept(act(spec, inner, v)):
-            for label2, coeff2 in kept(act(spec, outer, label)):
+        for label, coeff in act(spec, inner, v).items():
+            for label2, coeff2 in act(spec, outer, label).items():
                 add_term(composed, label2, coeff * coeff2)
         for label, coeff in composed.items():
             add_term(out, label, s * coeff)
@@ -696,31 +690,6 @@ def labels_in_window(window: int) -> list[BasisLabel]:
     bound = 2 * window
     return [BasisLabel(letter, SymIndex(d))
             for letter in ("x", "y") for d in range(-bound, bound + 1)]
-
-
-@dataclass
-class Witness:
-    g1: str
-    g2: str
-    v: str
-    residual: str
-
-    def as_dict(self) -> dict:
-        return {"g1": self.g1, "g2": self.g2, "v": self.v, "residual": self.residual}
-
-
-@dataclass
-class SweepReport:
-    spec: str
-    gen_window: int
-    basis_window: int
-    checks: int
-    violations: list[Witness] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        # a sweep that ran no check certifies nothing
-        return self.checks > 0 and not self.violations
 
 
 _M, _K = SymIndex.var("m"), SymIndex.var("k")
@@ -835,27 +804,22 @@ class _ActionRow(dict):
         return tuple((lk, _scalar(c)) for lk, c in lc.items())
 
 
-def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4,
-                quotient_of=None) -> SweepReport:
+def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) -> Tally:
     """Check the module axiom on every generator pair and window label.
 
-    Unordered pairs suffice: the reversed-pair residual is the forward one
-    up to the super-antisymmetry sign.  With `quotient_of` set to a closed
-    candidate, the induced quotient action is checked instead.  The sweep
-    reads the spec's action memo (`_ActionRow`), so entries an earlier
-    reader of the same spec built (`act`, a first sweep) are not built
-    again.  It copies out the entries the loop reads, with the targets the
-    quotient drops left out, and hands them to the residual engine
+    Returns a `Tally` of the (pair, label) checks, whose violations are
+    {"g1", "g2", "v", "residual"} dicts of names, sorted by label, then
+    pair.  Unordered pairs suffice: the reversed-pair residual is the
+    forward one up to the super-antisymmetry sign.  The sweep reads the
+    spec's action memo (`_ActionRow`), so entries an earlier reader of the
+    same spec built (`act`, a first sweep) are not built again.  It copies
+    out the entries the loop reads and hands them to the residual engine
     (`algebra.residual_sweep`), which runs in int arithmetic, at symbolic
     parameters too; `bracket_action_check` is the readable reference for
     the residual it computes.
     """
     gens = sorted(generators_in_window(gen_window), key=Gen.sort_key)
     labels = labels_in_window(basis_window)
-    drop = None
-    if quotient_of is not None:
-        drop = quotient_of.contains
-        labels = [v for v in labels if not quotient_of.contains(v)]
     ctx = spec.ctx
     memo: dict = {}
 
@@ -874,28 +838,22 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4,
             pairs.append(((str(g1), str(g2)), row(g1), row(g2), sign, lhs))
     keyed = [((v.letter, v.idx.doubled), str(v)) for v in labels]
 
-    def kept(terms):
-        if drop is None:
-            return terms
-        return tuple((lk, c) for lk, c in terms
-                     if not drop(BasisLabel(lk[0], SymIndex(lk[1]))))
-
     # plain dicts of exactly the entries the loop reads: every row on the
     # window labels, the generators' rows also on each label that one
     # action takes a window label to.  A read this misses raises.
-    rows = {key: {vk: kept(r[vk]) for vk, _ in keyed} for key, r in memo.items()}
+    rows = {key: {vk: r[vk] for vk, _ in keyed} for key, r in memo.items()}
     gen_keys = [row(g) for g in gens]
     reached = {lk for key in gen_keys for vk, _ in keyed for lk, _ in rows[key][vk]}
     for key in gen_keys:
         for lk in reached:
-            rows[key][lk] = kept(memo[key][lk])
+            rows[key][lk] = memo[key][lk]
 
-    violations = [Witness(n1, n2, name, lincomb_str({BasisLabel(lk[0], SymIndex(lk[1])): c
-                                                     for lk, c in res.items()}))
+    violations = [{"g1": n1, "g2": n2, "v": name,
+                   "residual": lincomb_str({BasisLabel(lk[0], SymIndex(lk[1])): c
+                                            for lk, c in res.items()})}
                   for (n1, n2), name, res in residual_sweep(pairs, rows, keyed, sign=-1)]
-    violations.sort(key=lambda w: (w.v, w.g1, w.g2))
-    return SweepReport(spec.label(), gen_window, basis_window, len(pairs) * len(keyed),
-                       violations)
+    violations.sort(key=itemgetter("v", "g1", "g2"))
+    return Tally(len(pairs) * len(keyed), violations)
 
 
 # ---------------------------------------------------------------------------
@@ -942,18 +900,14 @@ def _as_label(l) -> BasisLabel:
     return BasisLabel(letter, idx)
 
 
-@dataclass
-class SubmoduleReport:
-    spec: str
-    candidate: str
-    closed: bool
-    escape: dict | None
-    checks: int
-
-
 def submodule_check(spec: FamilySpec, cand: SubmoduleCandidate,
-                    gen_window: int = 2, basis_window: int = 4) -> SubmoduleReport:
-    """Is the candidate subspace closed under the window action?"""
+                    gen_window: int = 2, basis_window: int = 4) -> Tally:
+    """Is the candidate subspace closed under the window action?
+
+    Returns a `Tally` of the (generator, label) actions checked: `ok` says
+    the candidate is closed, and an escape stops the check with one
+    {"g", "v", "target", "coefficient"} witness.
+    """
     checks = 0
     for v in labels_in_window(basis_window):
         if not cand.contains(v):
@@ -964,9 +918,8 @@ def submodule_check(spec: FamilySpec, cand: SubmoduleCandidate,
                 if coeff and not cand.contains(label):
                     escape = {"g": str(g), "v": str(v), "target": str(label),
                               "coefficient": str(coeff)}
-                    return SubmoduleReport(spec.label(), cand.describe(), False, escape, checks)
-    # a candidate with no label in the window was never checked, so it is not closed
-    return SubmoduleReport(spec.label(), cand.describe(), checks > 0, None, checks)
+                    return Tally(checks, [escape])
+    return Tally(checks)
 
 
 def reachable_labels(spec: FamilySpec, start: BasisLabel,
@@ -1019,22 +972,13 @@ def _partition_side(label: BasisLabel) -> int:
     return 1 if label.idx.is_integer() else 0
 
 
-@dataclass
-class PartitionReport:
-    spec: str
-    checks: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        # a partition check that ran no check certifies nothing
-        return self.checks > 0 and not self.violations
-
-
 def ns_partition_check(spec: FamilySpec, gen_window: int = 2,
-                       basis_window: int = 4) -> PartitionReport:
+                       basis_window: int = 4) -> Tally:
     """Generators of the Neveu-Schwarz subalgebra (L_n and half-odd G_r)
     must preserve both partition blocks; T_r and integer G_n must swap them.
+
+    Returns a `Tally` of the (generator, label) actions checked, with one
+    {"g", "v", "target"} violation per target in the wrong block.
     """
     checks = 0
     violations = []
@@ -1048,7 +992,7 @@ def ns_partition_check(spec: FamilySpec, gen_window: int = 2,
             for label, coeff in act(spec, g, v).items():
                 if coeff and _partition_side(label) != want:
                     violations.append({"g": str(g), "v": str(v), "target": str(label)})
-    return PartitionReport(spec.label(), checks, violations)
+    return Tally(checks, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Deterministic check reports, rendered as text or JSON.
 
-`Report` is the one record of checks from lab to output.  Each check is
-stated once, by the routine that makes it: a lab routine returns a `Report`
-whose checks carry their final name, ref, status and witness, and a CLI
-verb only chooses routines and merges their reports with `Report.extend`.
+Two records carry every result from lab to output.  `Report` holds named
+checks.  Each check is stated once, by the routine that makes it: a lab
+routine returns a `Report` whose checks carry their final name, ref, status
+and witness, and a CLI verb only chooses routines and merges their reports
+with `Report.extend`.  `Tally` holds what a window check counted: the
+Jacobi sweep, the axiom sweeps, the NS partitions and submodule closure
+return one, and a CLI verb turns it into one check of its `Report`.
 
 Reports are byte-stable for identical inputs: no timestamps, no set
 iteration, insertion-ordered keys only.
@@ -25,6 +28,25 @@ class Check:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
+
+
+@dataclass
+class Tally:
+    """What a window check counted: the checks it ran and the witnesses of
+    the ones that failed, as the report prints them."""
+
+    checks: int
+    violations: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        # a window check that ran no check certifies nothing
+        return self.checks > 0 and not self.violations
+
+    @property
+    def witness(self):
+        """The first violation, or None."""
+        return self.violations[0] if self.violations else None
 
 
 @dataclass

@@ -237,17 +237,17 @@ def test_jacobi_mixed_triple_expands_to_equal_sides():
 def test_jacobi_sweep_small_window():
     report = super_jacobi_sweep(1)
     assert report.ok
-    assert report.triples_checked == len(generators_in_window(1)) ** 3
+    assert report.checks == len(generators_in_window(1)) ** 3
 
 
 def test_jacobi_sweep_window_three():
     report = super_jacobi_sweep(3)
-    assert report.triples_checked == 27 ** 3 == 19683
+    assert report.checks == 27 ** 3 == 19683
     assert report.ok
 
 
 def reference_sweep(window):
-    """(triples_checked, violations) from `jacobi_residual`, one triple at a
+    """(checks, violations) from `jacobi_residual`, one triple at a
     time, as the sweep reports them."""
     gens = generators_in_window(window)
     violations = []
@@ -288,7 +288,7 @@ def test_jacobi_sweep_equals_reference(monkeypatch, window, target, mutate):
         monkeypatch.setattr(algebra, target, mutate(getattr(algebra, target)))
     report = super_jacobi_sweep(window)
     want = reference_sweep(window)
-    assert (report.triples_checked, report.violations) == want
+    assert (report.checks, report.violations) == want
     assert repr(report.violations) == repr(want[1])
     if window == 2:
         # at window 1 the L central term vanishes on every pair it reads

@@ -12,6 +12,7 @@ from twistn2 import cli, constraints
 from twistn2.cli import main, parse_candidate, UsageError
 from twistn2.constraints import RootMismatch
 from twistn2.poly import NotDivisible
+from twistn2.report import Tally
 
 
 # a child interpreter that imports the package from this checkout
@@ -250,6 +251,23 @@ class TestVerbs:
         code, out = run(capsys, "submodule", "--family", "Aab", "--a", "0", "--b", "-1",
                         "--scan", "--format", "json")
         assert code == 0
+
+    def test_submodule_scan_with_a_candidate_exits_2(self, capsys):
+        # the scan never reads the candidate, so it would go unchecked
+        assert main(["submodule", "--family", "Aab", "--a", "0", "--b", "-1", "--scan",
+                     "--candidate", "span:x0"]) == 2
+        assert "not both" in capsys.readouterr().err
+
+    def test_not_closed_fact_fails_without_work(self, capsys, monkeypatch):
+        # a closure check that ran nothing found no escape, so "not closed"
+        # is as unproven as "closed"
+        monkeypatch.setattr(cli, "submodule_check", lambda spec, cand: Tally(0))
+        code, out = run(capsys, "all", "--format", "json")
+        assert code == 1
+        facts = {c["name"]: c["status"] for c in json.loads(out)["checks"]
+                 if c["name"].startswith("submodule fact")}
+        assert len(facts) == 3 and set(facts.values()) == {"fail"}
+        assert any(name.endswith(" not closed") for name in facts)
 
     def test_nonexist_b0(self, capsys):
         code, out = run(capsys, "nonexist-b0", "--format", "json")

@@ -89,7 +89,7 @@ class TestInstantiation:
             assert found, alpha
             # every flagged read carries the closed-form value to use instead
             entry = found[0]
-            assert entry.derived_value != entry.family_value
+            assert entry["derived"] != entry["family"]
             fixed = FamilySpec(family, alpha=alpha)
             assert not deformation_discrepancies(fixed)
             assert axiom_sweep(fixed, 1, 2).ok
@@ -104,7 +104,7 @@ class TestInstantiation:
         for name in sorted(CASES):
             for alpha in (Fraction(2, 7), "sym"):
                 found = deformation_discrepancies(FamilySpec(name, alpha=alpha))
-                assert {d.g for d in found} == {"G(q), q integer", "G(q), q half-odd"}
+                assert {d["g"] for d in found} == {"G(q), q integer", "G(q), q half-odd"}
 
     def test_deformed_coefficient_differs_from_the_base_module(self):
         spec, _ = instantiate_deformation("A1", Fraction(2, 7))
@@ -161,9 +161,9 @@ class TestSubmoduleStructure:
             specs.append(specs[0].ctx.base)
             for spec in specs:
                 rep = submodule_check(spec, closed)
-                assert rep.closed, (name, spec.label(), rep.candidate, rep.escape)
+                assert rep.ok, (name, spec.label(), closed.describe(), rep.witness)
                 rep = submodule_check(spec, escaping)
-                assert not rep.closed, (name, spec.label(), rep.candidate, rep.escape)
+                assert not rep.ok, (name, spec.label(), escaping.describe(), rep.witness)
 
     def test_cyclic_scan_is_unchanged_by_the_deformation(self):
         spec, _ = instantiate_deformation("A1", Fraction(2, 7))
