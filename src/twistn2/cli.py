@@ -238,7 +238,8 @@ def cmd_all(args) -> Report:
         sweep = axiom_sweep(spec)
         rep.add(f"axiom sweep: {spec.label()}", "axiom-sweep", sweep.ok, sweep.witness)
         part = ns_partition_check(spec)
-        rep.add(f"restriction partitions: {spec.label()}", "ns-partition", part.ok)
+        rep.add(f"restriction partitions: {spec.label()}", "ns-partition", part.ok,
+                part.witness)
     # the deformed families are swept at symbolic alpha and alphap, which
     # covers every value; the deform stage's alpha = 2/7 audit and sweep
     # cross-check the Fraction rows
@@ -246,7 +247,7 @@ def cmd_all(args) -> Report:
         spec, disc = dlab.instantiate_deformation(fam, "sym", "sym")
         sweep = axiom_sweep(spec)
         rep.add(f"axiom sweep: {spec.label()}", "axiom-sweep", sweep.ok and not disc,
-                sweep.witness)
+                sweep.witness or (disc[0] if disc else None))
 
     rep.extend(cmd_compose_t(argparse.Namespace(family=None)))
     rep.extend(cmd_solve_coeffs(argparse.Namespace(which="all")))

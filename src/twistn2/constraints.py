@@ -13,7 +13,8 @@ a bracket coefficient:
 
 Both land on the one basis line their modes lead to.  The solved coefficient
 forms (the alpha, beta and mu modes) are read from the generic candidate's
-own action table through `act_indexed`, never written out a second time.
+own action table through `act_indexed`, never written out a second time;
+the coefficient lemmas read the weights of their eliminations there too.
 The checks:
 
   * operator identities instantiated on a generic candidate yield 3x3
@@ -47,10 +48,10 @@ from fractions import Fraction
 
 from .algebra import bracket_terms
 from .deformation import CASES
-from .indices import IDX_ZERO, SymIndex
-from .modules import (PRINTED_CONSTANTS, R, FamilySpec, _combine, _commutator, _landing,
-                      _mode, _only_coeff, aab, act_indexed, b_zero_candidate, bracket_residual,
-                      slot_vector, t_composition, unknown_name)
+from .indices import SymIndex
+from .modules import (BASE_FAMILY, PRINTED_CONSTANTS, R, FamilySpec, _combine, _commutator,
+                      _landing, _mode, _only_coeff, aab, act_indexed, b_zero_candidate,
+                      bracket_residual, slot_vector, t_composition, unknown_name)
 from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, _lowered, exact_divide,
                    quadratic_root_data, QuadRootData, sym_slot)
 from .report import Report
@@ -126,6 +127,11 @@ class System3:
     matrix: list       # 3 rows x 3 columns of Poly
 
     @property
+    def kpar(self) -> int:
+        """The parity of the weight index k."""
+        return 0 if self.kclass == "int" else 1
+
+    @property
     def unknowns(self) -> list:
         """The unknown coefficient symbols, column order."""
         return [unknown_name(self.fam, g, v) for g, v in self.columns]
@@ -146,6 +152,9 @@ def determinant3(matrix) -> Poly:
 _PATTERNS = ((M, M, K - M), (-M, -M, K + M), (M, -M, K))
 
 _FAM_LETTER = {"f": "x", "fp": "y", "g": "x", "gp": "y"}
+
+# the weight classes by the parity of k, as check names state them
+_WEIGHTS = ("integer", "half-odd")
 
 
 class MalformedInstance(ValueError):
@@ -189,10 +198,9 @@ def build_identity_system(kind: str, case: str, fam: str, kclass: str) -> System
         raise MalformedInstance(f"identity {kind} does not constrain family {fam}")
     spec = generic_candidate(case)
     letter = _FAM_LETTER[fam]
-    kpar = 0 if kclass == "int" else 1
-    env = {"m": 0, "n": 0, "k": kpar, "r": 1, "p": 0}
     mode = ("T", R) if kind == "LLT" else ("G", P)
     sys3 = System3(kind, case, fam, kclass, [(mode[1], K + M), (mode[1], K), (mode[1], K - M)], [])
+    env = {"m": 0, "n": 0, "k": sys3.kpar, "r": 1, "p": 0}
     names = sys3.unknowns
     for mE, nE, kE in _PATTERNS:
         res = nested_residual(spec, ("L", mE), ("L", nE), mode, letter, kE, env)
@@ -537,39 +545,33 @@ def swap_symmetry_checks() -> Report:
 # coefficient lemmas: solved families into their recurrences
 # ---------------------------------------------------------------------------
 
-def _g_system_rows(case: str, fam: str, kclass: str, bindings=None):
-    sys3 = build_identity_system("LLG", case, fam, kclass)
-    if bindings:
-        sys3 = sys3.substituted(bindings)
-    return sys3
-
-
 def _lemma(rep: Report, desc: str, ok, witness=None) -> None:
     """One check of a coefficient lemma, named and referenced by the lemma
     (`rep.command`)."""
     rep.add(f"{rep.command}: {desc}", f"lemma/{rep.command}", ok, witness)
 
 
-def _shift_factor_check(rep, sys3, label, printed=None, proportional=None):
+def _shift_factor_check(rep, sys3, label, weights, printed=None):
     """Eliminate the k-m unknown from the first two rows.
 
-    The remaining combination must be factor * (lhs_form * u_{k+m} -
-    rhs_form * u_k); `proportional` supplies (lhs_form, rhs_form) (both ONE
-    for plain shift invariance).  The factor is compared with the printed
-    polynomial when given.
+    The remaining combination must be factor * (lhs * u_{k+m} - rhs * u_k)
+    with a nonzero factor, where `weights` = (lhs, rhs) are R(k) and R(k+m)
+    of a solved form R, cleared of denominators.  That proves
+    u_{k+m}/u_k = R(k+m)/R(k) at every k, so u is a constant times R.  The
+    factor is compared with the printed polynomial when given.
     """
     (a1, b1, c1), (a2, b2, c2), _ = sys3.matrix  # columns u_{k+m}, u_k, u_{k-m}
     comb_kp = a1 * c2 - a2 * c1
     comb_k = b1 * c2 - b2 * c1
-    lhs_form, rhs_form = proportional if proportional else (ONE, ONE)
+    lhs, rhs = weights
+    name = f"{label}: elimination yields factor * proportionality relation"
     try:
-        factor = exact_divide(comb_kp, lhs_form)
+        factor = exact_divide(comb_kp, lhs)
     except NotDivisible:
-        _lemma(rep, f"{label}: elimination matches the proportionality shape", False,
-               "leading combination not divisible by the stated form")
+        _lemma(rep, name, False, "leading combination not divisible by the stated form")
         return
-    shape_ok = comb_k == -factor * rhs_form
-    _lemma(rep, f"{label}: elimination yields factor * proportionality relation", shape_ok)
+    # a zero factor relates nothing: the first two rows are proportional
+    _lemma(rep, name, bool(factor) and comb_k == -factor * rhs, None if factor else "zero factor")
     if printed is not None:
         try:
             cof = exact_divide(factor, printed)
@@ -592,20 +594,85 @@ def _mode_coeff(spec, g, letter, v, env):
     return coeff
 
 
-def _solved_rows(sys3, spec):
-    """Each row of an LLG system evaluated on the solved coefficients of
-    `spec`, read column by column from its own action."""
-    env = {"p": 0, "m": 0, "k": 0 if sys3.kclass == "int" else 1}
-    letter = _FAM_LETTER[sys3.fam]
-    values = [_mode_coeff(spec, g, letter, v, env) for g, v in sys3.columns]
-    return [sum((val * entry for val, entry in zip(values, row)), ZERO)
-            for row in sys3.matrix]
+def _solved_weights(sys3, spec):
+    """R(k) and R(k+m) for the solved form R that `spec` reads on the
+    system's unknowns, its normalization constants set to 1, cleared of
+    denominators: (num(k) den(k+m), num(k+m) den(k))."""
+    ones = dict.fromkeys(spec.ctx.consts, 1)
+    env = {"p": 0, "m": 0, "k": sys3.kpar}
+    at_k, at_km = (RatFunc(_mode_coeff(spec, P, _FAM_LETTER[sys3.fam], v, env)).substitute(ones)
+                   for v in (K, K + M))
+    return at_k.num * at_km.den, at_km.num * at_k.den
 
 
 def _solution_into_system(rep, sys3, label, spec):
-    """Substitute a solved coefficient family into all three rows."""
-    for i, row in enumerate(_solved_rows(sys3, spec)):
-        _lemma(rep, f"{label}: row {i + 1} vanishes on the solved family", not row)
+    """Substitute a solved coefficient family into all three rows, read
+    column by column from the family's own action."""
+    env, letter = {"p": 0, "m": 0, "k": sys3.kpar}, _FAM_LETTER[sys3.fam]
+    values = [_mode_coeff(spec, g, letter, v, env) for g, v in sys3.columns]
+    for i, row in enumerate(sys3.matrix):
+        solved = sum((val * entry for val, entry in zip(values, row)), ZERO)
+        _lemma(rep, f"{label}: row {i + 1} vanishes on the solved family", not solved)
+
+
+# the four LLG systems of a case, x side first
+_LLG_SYSTEMS = (("g", "int"), ("g", "half"), ("gp", "int"), ("gp", "half"))
+
+# each case's solved branches, with the (b, b') their forms hold on and the
+# prefix of their check names
+_LLG_BRANCHES = {
+    "A": (("alpha", {"bp": Pb}, ""),),
+    "B": (("beta", {"bp": Pb - HALF}, ""),
+          ("mu", {"b": ZERO, "bp": Poly.const(Fraction(-3, 2))}, "exceptional-case ")),
+}
+
+
+def _printed_llg_factors() -> dict:
+    """The elimination factors the publication prints, keyed by (branch,
+    family, weight class): d1 and d2, and the x- and y-side cubics in p."""
+    a, b, k, p, m = Pa, Pb, Pk, Pp, Pm
+    d1b = -(3 + 13 * b + 18 * b**2 + 8 * b**3)
+    d1kp = ((3 + 4 * b) * (a - k) ** 2 + (2 * b**2 + 7 * b + 6) * (a - k) * p
+            + 2 * (6 + 19 * b + 23 * b**2 + 10 * b**3) * p**2)
+    d1kp2 = 2 * p * (3 * (a - k) ** 3 - 2 * p * (b + 3) * (a - k) ** 2
+                     - 2 * b * (5 + 4 * b) * (a - k) * p**2 + 4 * b * (b + 1) * p**3)
+    d2b = -(b + 6 * b**2 + 8 * b**3)
+    d2kp = ((1 + 4 * b) * (a - k) ** 2 + (2 * b**2 + 5 * b + 3) * (k - a) * p
+            + (2 + 7 * b + 16 * b**2 + 20 * b**3) * p**2)
+    d2kp2 = 2 * p * (3 * (a - k) ** 3 - p * (5 + 2 * b) * (a - k) ** 2
+                     + (1 - 2 * b) * (3 + 4 * b) * (a - k) * p**2
+                     + 2 * b * (2 * b - 1) * p**3)
+    x_cubic = (4 * (1 + b) * p**3 + 8 * (k - a) * (1 + b) * p**2
+               + (1 + b) * (6 * b - 1) * p * m**2 + 6 * (a - k) ** 2 * p
+               + (k - a) * (1 + 4 * b) * m**2)
+    y_cubic = (2 * (3 + 2 * b) * p**3 + 4 * (k - a) * (3 + 2 * b) * p**2
+               + (3 + 2 * b) * (1 + 3 * b) * p * m**2 + 6 * (a - k) ** 2 * p
+               + (k - a) * (3 + 4 * b) * m**2)
+    return {
+        ("alpha", "g", "int"): d1b * m**4 + d1kp * m**2 + d1kp2,
+        ("alpha", "gp", "int"): y_cubic,
+        ("alpha", "gp", "half"): y_cubic,
+        ("beta", "g", "int"): x_cubic,
+        ("beta", "gp", "int"): d2b * m**4 + d2kp * m**2 + d2kp2,
+        ("beta", "gp", "half"): y_cubic,
+    }
+
+
+def _shift_lemma(rep: Report, case: str) -> None:
+    """Each LLG system of a case, on each solved branch of the case: the
+    elimination pins the unknowns to the branch's own table form up to a
+    constant (`_shift_factor_check`), and that form solves all three rows.
+    Each system is built once and substituted per branch."""
+    printed = _printed_llg_factors()
+    systems = [build_identity_system("LLG", case, fam, kclass) for fam, kclass in _LLG_SYSTEMS]
+    for branch, bindings, prefix in _LLG_BRANCHES[case]:
+        spec = generic_candidate(case, branch)
+        for sys3 in systems:
+            sys3 = sys3.substituted(bindings)
+            label = f"{prefix}{_FAM_LETTER[sys3.fam]} side ({_WEIGHTS[sys3.kpar]} weights)"
+            _shift_factor_check(rep, sys3, label, _solved_weights(sys3, spec),
+                                printed.get((branch, sys3.fam, sys3.kclass)))
+            _solution_into_system(rep, sys3, label, spec)
 
 
 _SIDES = (("x", "int"), ("x", "half"), ("y", "int"), ("y", "half"))
@@ -635,14 +702,14 @@ def coeff_solution_check(which: str) -> Report:
         raise KeyError(f"unknown lemma check {which!r} (choose from {LEMMA_CHECKS})")
     rep = Report(which)
     if which == "g-shift-invariance":
-        _check_g_shift_a(rep)
+        _shift_lemma(rep, "A")
     elif which == "g-constant-forms":
         _recurrence_checks(rep, generic_candidate("A", "alpha"), "",
                            "recurrence residual vanishes")
     elif which == "t-from-g-composition":
         _check_t_composition_generic(rep, "A")
     elif which == "b-shift-relations":
-        _check_g_shift_b(rep)
+        _shift_lemma(rep, "B")
     elif which == "b-coefficient-forms":
         _recurrence_checks(rep, generic_candidate("B", "beta"), "",
                            "recurrence residual vanishes")
@@ -652,115 +719,6 @@ def coeff_solution_check(which: str) -> Report:
     else:
         _check_t_composition_generic(rep, "B")
     return rep
-
-
-def _y_weighted_check(rep, sys3, label):
-    """The y side's weighted proportionality, shared by case A and by case
-    B's half-odd weights: weight a - k + (2b + 1)p, and the printed
-    cubic-in-p factor."""
-    a, b, k, p, m = Pa, Pb, Pk, Pp, Pm
-    w = lambda vi: a - vi.as_poly() + 2 * b * p + p
-    printed = (2 * (3 + 2 * b) * p**3 + 4 * (k - a) * (3 + 2 * b) * p**2
-               + (3 + 2 * b) * (1 + 3 * b) * p * m**2 + 6 * (a - k) ** 2 * p
-               + (k - a) * (3 + 4 * b) * m**2)
-    _shift_factor_check(rep, sys3, label, printed=printed, proportional=(w(K), w(K + M)))
-
-
-def _check_g_shift_a(rep: Report) -> None:
-    a, b, k, p, m = Pa, Pb, Pk, Pp, Pm
-    diag = {"bp": Pb}
-    solved = generic_candidate("A", "alpha")
-    # x side, integer weights: plain shift invariance with the printed factor
-    sys_x = _g_system_rows("A", "g", "int", diag)
-    d1b = -(3 + 13 * b + 18 * b**2 + 8 * b**3)
-    d1kp = ((3 + 4 * b) * (a - k) ** 2 + (2 * b**2 + 7 * b + 6) * (a - k) * p
-            + 2 * (6 + 19 * b + 23 * b**2 + 10 * b**3) * p**2)
-    d1kp2 = 2 * p * (3 * (a - k) ** 3 - 2 * p * (b + 3) * (a - k) ** 2
-                     - 2 * b * (5 + 4 * b) * (a - k) * p**2 + 4 * b * (b + 1) * p**3)
-    _shift_factor_check(rep, sys_x, "x side (integer weights)",
-                        printed=d1b * m**4 + d1kp * m**2 + d1kp2)
-    _solution_into_system(rep, sys_x, "x side (integer weights)", solved)
-    # x side, half-odd weights: shift invariance again
-    sys_xh = _g_system_rows("A", "g", "half", diag)
-    _shift_factor_check(rep, sys_xh, "x side (half-odd weights)")
-    _solution_into_system(rep, sys_xh, "x side (half-odd weights)", solved)
-    # y side: weighted proportionality with the printed cubic-in-p factor
-    for kclass in ("int", "half"):
-        sys_y = _g_system_rows("A", "gp", kclass, diag)
-        _y_weighted_check(rep, sys_y, f"y side ({kclass} weights)")
-        _solution_into_system(rep, sys_y, f"y side ({kclass} weights)", solved)
-
-
-def _check_g_shift_b(rep: Report) -> None:
-    a, b, k, p, m = Pa, Pb, Pk, Pp, Pm
-    diag = {"bp": Pb - HALF}
-    solved = generic_candidate("B", "beta")
-    # x side, integer weights: weighted proportionality with weight a-k+2bp
-    w = lambda vi: a - vi.as_poly() + 2 * b * p
-    printed_x = (4 * (1 + b) * p**3 + 8 * (k - a) * (1 + b) * p**2
-                 + (1 + b) * (6 * b - 1) * p * m**2 + 6 * (a - k) ** 2 * p
-                 + (k - a) * (1 + 4 * b) * m**2)
-    sys_x = _g_system_rows("B", "g", "int", diag)
-    _shift_factor_check(rep, sys_x, "x side (integer weights)",
-                        printed=printed_x,
-                        proportional=(w(K), w(K + M)))
-    _solution_into_system(rep, sys_x, "x side (integer weights)", solved)
-    # x side, half-odd weights: plain shift invariance
-    sys_xh = _g_system_rows("B", "g", "half", diag)
-    _shift_factor_check(rep, sys_xh, "x side (half-odd weights)")
-    _solution_into_system(rep, sys_xh, "x side (half-odd weights)", solved)
-    # y side, integer weights: plain shift invariance with the printed factor
-    d2b = -(b + 6 * b**2 + 8 * b**3)
-    d2kp = ((1 + 4 * b) * (a - k) ** 2 + (2 * b**2 + 5 * b + 3) * (k - a) * p
-            + (2 + 7 * b + 16 * b**2 + 20 * b**3) * p**2)
-    d2kp2 = 2 * p * (3 * (a - k) ** 3 - p * (5 + 2 * b) * (a - k) ** 2
-                     + (1 - 2 * b) * (3 + 4 * b) * (a - k) * p**2
-                     + 2 * b * (2 * b - 1) * p**3)
-    sys_y = _g_system_rows("B", "gp", "int", diag)
-    _shift_factor_check(rep, sys_y, "y side (integer weights)",
-                        printed=d2b * m**4 + d2kp * m**2 + d2kp2)
-    _solution_into_system(rep, sys_y, "y side (integer weights)", solved)
-    # y side, half-odd weights: same weighted relation as the diagonal case
-    sys_yh = _g_system_rows("B", "gp", "half", diag)
-    _y_weighted_check(rep, sys_yh, "y side (half-odd weights)")
-    _solution_into_system(rep, sys_yh, "y side (half-odd weights)", solved)
-    _mu_relation_checks(rep)
-
-
-def _mu_relation_checks(rep: Report) -> None:
-    """The four stated shift relations of the exceptional (0, -3/2) case."""
-    a, k, m, n = Pa, Pk, Pm, Poly.var("n")
-    spec = generic_candidate("B", "mu")
-
-    def coeff(letter, kpar, shift):
-        return _mode_coeff(spec, N, letter, K + shift, {"n": 0, "m": 0, "k": kpar})
-
-    g_int = lambda sh: coeff("x", 0, sh)
-    g_half = lambda sh: coeff("x", 1, sh)
-    gp_int = lambda sh: coeff("y", 0, sh)
-    gp_half = lambda sh: coeff("y", 1, sh)
-    rels = [
-        ("(a-k') g = shifted form (x side, half-odd)",
-         (a - k) * g_half(IDX_ZERO) - (a - k - m) * g_half(M)),
-        ("(a-k-n) g' = shifted form (y side, integer)",
-         (a - k - n) * gp_int(IDX_ZERO) - (a - k - m - n) * gp_int(M)),
-        ("quadratic shift relation (x side, integer)",
-         (a - k - m) * (a - k - m - 2 * n) * g_int(IDX_ZERO)
-         - (a - k) * (a - k - 2 * n) * g_int(M)),
-        ("quadratic shift relation (y side, half-odd)",
-         (a - k - m - n) * (a - k - m + n) * gp_half(IDX_ZERO)
-         - (a - k - n) * (a - k + n) * gp_half(M)),
-    ]
-    for desc, residual in rels:
-        _lemma(rep, f"exceptional-case {desc}", not residual)
-    # and the solved family satisfies the mixed-identity systems themselves
-    for fam, letter, kclass in (("g", "x", "int"), ("g", "x", "half"),
-                                ("gp", "y", "int"), ("gp", "y", "half")):
-        sys3 = _g_system_rows("B", fam, kclass,
-                              {"b": ZERO, "bp": Poly.const(Fraction(-3, 2))})
-        for i, row in enumerate(_solved_rows(sys3, spec)):
-            _lemma(rep, f"exceptional-case system row {i + 1} ({letter}, {kclass}) vanishes",
-                   not row)
 
 
 # ---------------------------------------------------------------------------
@@ -781,49 +739,27 @@ def derive_T_composition(spec: FamilySpec) -> Report:
 
 
 def _t_reference(spec: FamilySpec):
-    """(description, letter, start index, k parity, printed coefficient)."""
+    """(description, letter, start index, k parity, printed coefficient).
+
+    The four generic rows read the family's own table, which states the
+    printed closed forms; off its slot, a deformed family's table is its
+    base module's.  A deformed family adds the row on its slot, which reads
+    the deformation's closed form (`BASE_FAMILY` gives the slot's role)."""
     fam = spec.family
-    if fam in ("Aab", "Bab"):
-        # the printed closed forms, as the family's own table states them
-        rows = []
-        for letter in ("x", "y"):
-            for kpar in (0, 1):
-                terms = act_indexed(spec, "T", R, letter, K, {"k": kpar, "r": 1})
-                rows.append((f"{letter}, {'integer' if kpar == 0 else 'half-odd'} weights",
-                             letter, K, kpar, terms[0][2] if terms else ZERO))
-        return rows
-    if fam not in CASES:
+    if fam not in ("Aab", "Bab") and fam not in CASES:
         raise ValueError(f"no printed T table for {fam}")
-    # the row on the distinguished vector reads the case's closed form
-    letter, start = slot_vector(fam, "T", R)
-    f_slot = CASES[fam].f_closed_form(alphap=spec.ctx.alphap)
-    if fam == "A1":
-        return [
-            ("x away from the distinguished vector", "x", K, 0, ZERO),
-            ("x at the distinguished vector", letter, start, 0, f_slot),
-            ("y, integer weights", "y", K, 0, ONE),
-            ("y, half-odd weights", "y", K, 1, ONE),
-        ]
-    if fam == "A2":
-        return [
-            ("x, integer weights", "x", K, 0, -ONE),
-            ("x, half-odd weights", "x", K, 1, -ONE),
-            ("y away from the distinguished vector", "y", K, 0, ZERO),
-            ("y mapping onto the distinguished vector", letter, start, 1, f_slot),
-        ]
-    if fam == "B1":
-        return [
-            ("x, integer weights", "x", K, 0, ONE),
-            ("x, half-odd weights", "x", K, 1, ONE),
-            ("y away from the distinguished vector", "y", K, 1, ZERO),
-            ("y at the distinguished vector", letter, start, 0, f_slot),
-        ]
-    return [
-        ("x, integer weights", "x", K, 0, ONE),
-        ("x, half-odd weights", "x", K, 1, ONE),
-        ("y away from the distinguished vector", "y", K, 1, ZERO),
-        ("y mapping onto the distinguished vector", letter, start, 0, f_slot),
-    ]
+    rows = []
+    for letter in ("x", "y"):
+        for kpar in (0, 1):
+            terms = act_indexed(spec, "T", R, letter, K, {"k": kpar, "r": 1})
+            rows.append((f"{letter}, {_WEIGHTS[kpar]} weights", letter, K, kpar,
+                         terms[0][2] if terms else ZERO))
+    if fam in CASES:
+        letter, start = slot_vector(fam, "T", R)
+        where = "at" if BASE_FAMILY[fam][3] == "source" else "mapping onto"
+        rows.append((f"{letter} {where} the distinguished vector", letter, start,
+                     start.parity({"r": 1}), CASES[fam].f_closed_form(alphap=spec.ctx.alphap)))
+    return rows
 
 
 def _check_t_composition_generic(rep: Report, case: str) -> None:
@@ -850,7 +786,7 @@ def _check_t_composition_generic(rep: Report, case: str) -> None:
         }
     for (letter, kpar), want in printed.items():
         got = t_composition(spec, letter, K, {"k": kpar, "r": 1})
-        _lemma(rep, f"{letter} side, {'integer' if kpar == 0 else 'half-odd'} weights: "
+        _lemma(rep, f"{letter} side, {_WEIGHTS[kpar]} weights: "
                "composition matches the printed solved form", got == want)
     if case == "A":
         return
@@ -868,7 +804,7 @@ def _check_t_composition_generic(rep: Report, case: str) -> None:
     zero_mu = {f"mu{i}": ZERO for i in range(1, 5)}
     for (letter, kpar), want in printed_mu.items():
         got = t_composition(mspec, letter, K, {"k": kpar, "r": 1})
-        side = f"exceptional-case {letter} side, {'integer' if kpar == 0 else 'half-odd'} weights"
+        side = f"exceptional-case {letter} side, {_WEIGHTS[kpar]} weights"
         if got == want:
             _lemma(rep, f"{side}: composition matches the printed form", True)
         else:
@@ -900,7 +836,7 @@ def _equation_stack(spec: FamilySpec, include_tg_int=True, include_gg_int=True):
     eqs = []
     for letter in ("x", "y"):
         for kpar in (0, 1):
-            kname = "integer" if kpar == 0 else "half-odd"
+            kname = _WEIGHTS[kpar]
             env = {"k": kpar, "r": 1, "s": 1, "p": 1, "n": 0, "m": 0}
 
             def residual(g1, g2, env=env):

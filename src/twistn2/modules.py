@@ -247,8 +247,8 @@ class _Ctx:
     their printed values (`consts`).  It reaches its spec through a weak
     proxy, so a spec and its memo form no reference cycle and are freed
     together.  A deformed family's context holds its base module's spec,
-    which answers every read off the slot, and the slot's role and vector
-    (`BASE_FAMILY`).
+    which answers every read off the slot, and the slot's role
+    (`BASE_FAMILY`; `slot_vector` says where the slot is read).
     """
 
     __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "branch",
@@ -266,9 +266,8 @@ class _Ctx:
         self.branch = self.consts = self.base = self.slot = None
         self.forced = {}
         if spec.family in BASE_FAMILY:
-            family, a, b, role, vector = BASE_FAMILY[spec.family]
+            family, a, b, self.slot, _ = BASE_FAMILY[spec.family]
             self.base = FamilySpec(family, a=a, b=b)
-            self.slot = role, vector
         elif spec.family in ("Aab", "GenericA"):
             self.branch = "alpha"
         elif spec.coeff_mode == "mu" or (spec.family == "Bab" and spec.b == 0
@@ -486,11 +485,8 @@ def _act_deformed(ctx, kind, g, letter, v, env):
 
 def _at_slot(ctx, kind, g, letter, v) -> bool:
     """Does this action read the deformation slot?  Every action out of a
-    source does, and every action into a sink."""
-    role, vector = ctx.slot
-    if role == "source":
-        return (letter, v) == vector
-    return _landing(letter, v, ((kind, g),)) == vector
+    source does, and every action into a sink: those act on `slot_vector`."""
+    return (letter, v) == slot_vector(ctx.spec.family, kind, g)
 
 
 def slot_vector(family: str, kind: str, q: SymIndex):
@@ -511,7 +507,7 @@ def _slot_coeff(ctx, kind, g, env):
     A1/A2 and -+2a' on B1/B2, 2qa' + a for G, times (-1)^(2q+1) on B2."""
     fam, fault = ctx.spec.family, ctx.fault
     al, alp, q = ctx.alpha, ctx.alphap, g.value
-    sign = -1 if ctx.slot[0] == "source" else 1
+    sign = -1 if ctx.slot == "source" else 1
     if kind == "L":
         co = sign * q * (alp * q + al)
         return -co if fault in ("a2.ldef-sign", "b2.ldef-sign") else co

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from twistn2 import cli, constraints
+from twistn2 import cli, constraints, deformation
 from twistn2.cli import main, parse_candidate, UsageError
 from twistn2.constraints import RootMismatch
 from twistn2.poly import NotDivisible
@@ -268,6 +268,26 @@ class TestVerbs:
                  if c["name"].startswith("submodule fact")}
         assert len(facts) == 3 and set(facts.values()) == {"fail"}
         assert any(name.endswith(" not closed") for name in facts)
+
+    def test_all_witnesses_an_audit_discrepancy_and_a_partition_violation(
+            self, capsys, monkeypatch):
+        # a failed check of `all` carries the record that failed it
+        disc = {"g": "T(q), q integer", "v": "x_0", "family": "0", "derived": "1"}
+        original = deformation.instantiate_deformation
+        monkeypatch.setattr(deformation, "instantiate_deformation",
+                            lambda *args: (original(*args)[0], [disc]))
+        part = {"g": "T_1/2", "v": "x_0", "target": "x_1/2"}
+        monkeypatch.setattr(cli, "ns_partition_check", lambda spec: Tally(1, [part]))
+        code, out = run(capsys, "all", "--format", "json")
+        assert code == 1
+        checks = json.loads(out)["checks"]
+        sweeps = [c for c in checks if c["name"].startswith("axiom sweep:")
+                  and "alpha=sym" in c["name"]]
+        assert len(sweeps) == 4
+        assert all(c["status"] == "fail" and c["witness"] == disc for c in sweeps)
+        parts = [c for c in checks if c["ref"] == "ns-partition"]
+        assert len(parts) == 2
+        assert all(c["status"] == "fail" and c["witness"] == part for c in parts)
 
     def test_nonexist_b0(self, capsys):
         code, out = run(capsys, "nonexist-b0", "--format", "json")

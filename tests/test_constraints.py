@@ -23,6 +23,7 @@ from twistn2.algebra import bracket_terms
 from twistn2.indices import SymIndex
 from twistn2.modules import FamilySpec, aab, bab, unknown_name
 from twistn2.poly import ONE, Poly, RatFunc, ZERO
+from twistn2.report import Report
 
 a, b, bp, m, k, r, p = (Poly.var(s) for s in ("a", "b", "bp", "m", "k", "r", "p"))
 H = Fraction(1, 2)
@@ -210,6 +211,70 @@ class TestCoefficientLemmas:
         group = coeff_solution_check("g-shift-invariance")
         solution_rows = [c for c in group.checks if "vanishes on the solved family" in c.name]
         assert len(solution_rows) == 12 and all(c.passed for c in solution_rows)
+
+    @pytest.mark.parametrize("matrix", [
+        [[ZERO] * 3] * 3,
+        [[p, k, m], [2 * p, 2 * k, 2 * m], [ONE, ONE, ONE]],
+    ], ids=["zero-matrix", "proportional-rows"])
+    def test_zero_elimination_relates_nothing(self, matrix):
+        # both eliminated combinations vanish, so the shape holds with a zero
+        # factor; that pins no unknown, and the check must fail
+        sys3 = constraints.System3("LLG", "A", "g", "int",
+                                   [(SymIndex.var("p"), K + M), (SymIndex.var("p"), K),
+                                    (SymIndex.var("p"), K - M)], matrix)
+        rep = Report("g-shift-invariance")
+        constraints._shift_factor_check(rep, sys3, "x side (integer weights)",
+                                        weights=(ONE, ONE))
+        [check] = rep.checks
+        assert check.name.endswith("elimination yields factor * proportionality relation")
+        assert not check.passed
+
+    def test_mutated_alpha_form_fails_the_elimination(self, monkeypatch):
+        # the weights of the elimination are read from the table, so the
+        # y-side form with its +q term dropped no longer fits the system
+        original = modules._integer_g_coeff
+
+        def mutated(ctx, letter, g, v, vpar, kP, gP):
+            co = original(ctx, letter, g, v, vpar, kP, gP)
+            if ctx.mode == "alpha" and letter == "y":
+                co = co - g.as_poly() * Poly.var("alpha3" if vpar == 0 else "alpha4")
+            return co
+
+        monkeypatch.setattr(modules, "_integer_g_coeff", mutated)
+        group = coeff_solution_check("g-shift-invariance")
+        failed = {c.name for c in group.checks if not c.passed}
+        assert ("g-shift-invariance: y side (integer weights): elimination yields factor * "
+                "proportionality relation") in failed
+
+    def test_mutated_mu_form_fails_its_elimination(self, monkeypatch):
+        # 1/(a-k) on the half-odd x side, mutated to 1/(a-k+1)
+        original = modules._integer_g_coeff
+
+        def mutated(ctx, letter, g, v, vpar, kP, gP):
+            co = original(ctx, letter, g, v, vpar, kP, gP)
+            if ctx.branch == "mu" and letter == "x" and vpar == 1:
+                co = RatFunc(Poly.var("mu2"), a - kP + 1)
+            return co
+
+        monkeypatch.setattr(modules, "_integer_g_coeff", mutated)
+        group = coeff_solution_check("b-shift-relations")
+        failed = {c.name for c in group.checks if not c.passed}
+        assert ("b-shift-relations: exceptional-case x side (half-odd weights): elimination "
+                "yields factor * proportionality relation") in failed
+
+    def test_the_shift_lemmas_build_eight_systems(self, monkeypatch):
+        # case B's four systems serve both its beta and its mu branch
+        built = []
+        original = constraints.build_identity_system
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(constraints, "build_identity_system", counting)
+        for which in ("g-shift-invariance", "b-shift-relations"):
+            assert coeff_solution_check(which).ok
+        assert len(built) == 8 and len(set(built)) == 8
 
     def test_exceptional_composition_discrepancies_are_recorded(self):
         group = coeff_solution_check("b-t-composition")
