@@ -78,7 +78,8 @@ GenSum = dict
 
 def add_term(out: dict, key, coeff) -> None:
     """Add coeff to out[key]: a zero sum is not stored, and a key whose
-    terms cancel is deleted.  Shared by every sparse sum in the package."""
+    terms cancel is deleted.  Shared by the sparse sums outside the
+    residual engine."""
     acc = out.get(key)
     new = coeff if acc is None else acc + coeff
     if new:
@@ -284,63 +285,73 @@ def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
     """The one residual engine: the axiom residual of every pair on every
     vector, in int arithmetic; yields the nonzero ones.
 
-    `rows` maps a row key to that operator's action, a dict from vector
-    key to ((target key, coeff), ...) holding every entry the loop reads
-    (a missing one raises).  Each pair is (tag, k1, k2, eps, xy): the
-    row keys of x and y, the sign eps = (-1)^(|x||y|), and [x, y] as
-    ((row key, scale), ...).  Each vector is (vector key, tag).  At (x, y)
-    on v the residual is
+    `rows` maps a row key to that operator's action, a mapping from vector
+    key to ((target key, coeff), ...).  Each pair is (tag, k1, k2, eps,
+    xy): the row keys of x and y, the sign eps = (-1)^(|x||y|), and [x, y]
+    as ((row key, scale), ...).  Each vector is (vector key, tag).  At
+    (x, y) on v the residual is
         x(y v) - [x,y] v - eps y(x v),
-    summed in that order, each part in its own dict, as `jacobi_residual`
-    sums it; `sign` = -1 gives a module axiom's residual, the negative.
+    summed in that order into one accumulator; `sign` = -1 gives a module
+    axiom's residual, the negative.
 
-    Every row coefficient and bracket scale is lowered to an int over their
-    common denominator d (`_lowering`), in place, so each residual term, a
-    product of two of them, comes out times d**2.  A Poly coefficient is
-    also evaluated at one `KroneckerPoint`.  Scaling by a nonzero constant
-    and that evaluation are injective on every sum the loop forms, so the
-    zero pattern of every partial sum, and with it each witness, is the
-    object loop's; only a nonzero residual is decoded, at sign * d**2, so
+    A gather pass reads, once, the entries the loop reads: every row on
+    the vectors, and the pairs' rows also on every label one of them takes
+    a vector to.  A row that misses one raises there; a
+    `modules._ActionRow` builds it there.  Each label key then gets an int
+    position, and each row becomes a list indexed by position, with None
+    where nothing was gathered, so a read past the gather raises too.  Its
+    entries are ((target position, coeff), ...), every row coefficient and
+    bracket scale lowered to an int over their common denominator d
+    (`_lowering`), so each residual term, a product of two of them, comes
+    out times d**2.  A Poly coefficient is also evaluated at one
+    `KroneckerPoint`.  Scaling by a nonzero constant and that evaluation
+    are injective on every sum the loop forms, so a residual vanishes
+    exactly where the object loop's does.  Only a nonzero residual is
+    decoded: its nonzero entries, back to their keys, at sign * d**2, so
     the decoding takes the sign too.  Rows holding a RatFunc, or in the
     hundreds of unknowns of a generic candidate, keep their objects, and
     their unit is the sign alone.  Yields (pair tag, vector tag, {target
     key: coeff}) triples, one at a time, so a caller that keeps only its
     witness strings never holds every decoded residual at once.
     """
-    lowering = _lowering(rows, [[scale for _, scale in xy] for *_, xy in pairs])
-    if lowering is None:
-        unit, decode = sign, lambda c, unit: c if unit == 1 else -c
-    else:
-        d, lower, decode = lowering
-        unit = sign * d * d
-        for r in rows.values():
-            for vk, terms in r.items():
-                r[vk] = tuple((lk, lower(c, d)) for lk, c in terms)
-        pairs = [(tag, k1, k2, eps, [(kh, lower(scale, d)) for kh, scale in xy])
-                 for tag, k1, k2, eps, xy in pairs]
+    vkeys = [vk for vk, _ in vectors]
+    outer = dict.fromkeys(k for _, k1, k2, _, _ in pairs for k in (k1, k2))
+    gathered = {k: {vk: r[vk] for vk in vkeys} for k, r in rows.items()}
+    reached = dict.fromkeys(lk for k in outer for terms in gathered[k].values()
+                            for lk, _ in terms)
+    for k in outer:
+        gathered[k].update((lk, rows[k][lk]) for lk in reached)
+    d, lower, decode = (_lowering(gathered, [[scale for _, scale in xy] for *_, xy in pairs])
+                        or (1, lambda c, d: c, lambda c, unit: c if unit == 1 else -c))
+    unit = sign * d * d
+    keys = list(dict.fromkeys([*vkeys, *(lk for entries in gathered.values()
+                                         for terms in entries.values() for lk, _ in terms)]))
+    pos = {key: i for i, key in enumerate(keys)}
+    lowered = {}
+    for k, entries in gathered.items():
+        row = lowered[k] = [None] * len(keys)
+        for vk, terms in entries.items():
+            row[pos[vk]] = tuple((pos[lk], lower(c, d)) for lk, c in terms)
+    vectors = [(pos[vk], name) for vk, name in vectors]
 
     for tag, k1, k2, eps, xy in pairs:
-        r1, r2 = rows[k1], rows[k2]
-        xy_rows = [(rows[kh], scale) for kh, scale in xy]
-        for vk, name in vectors:
-            out: dict = {}
-            for lk, c in r2[vk]:
-                for lk2, c2 in r1[lk]:
-                    add_term(out, lk2, c * c2)
-            t1: dict = {}
+        r1, r2 = lowered[k1], lowered[k2]
+        xy_rows = [(lowered[kh], -lower(scale, d)) for kh, scale in xy]
+        for vp, name in vectors:
+            acc: dict = {}
+            get = acc.get
+            for lp, c in r2[vp]:
+                for lp2, c2 in r1[lp]:
+                    acc[lp2] = get(lp2, 0) + c * c2
             for rh, scale in xy_rows:
-                for lk, c in rh[vk]:
-                    add_term(t1, lk, scale * c)
-            t2: dict = {}
-            for lk, c in r1[vk]:
-                for lk2, c2 in r2[lk]:
-                    add_term(t2, lk2, c * c2)
-            for lk, c in t1.items():
-                add_term(out, lk, -c)
-            for lk, c in t2.items():
-                add_term(out, lk, -eps * c)
-            if out:
-                yield tag, name, {lk: decode(c, unit) for lk, c in out.items()}
+                for lp, c in rh[vp]:
+                    acc[lp] = get(lp, 0) + scale * c
+            for lp, c in r1[vp]:
+                c = -eps * c
+                for lp2, c2 in r2[lp]:
+                    acc[lp2] = get(lp2, 0) + c * c2
+            if any(acc.values()):
+                yield tag, name, {keys[p]: decode(c, unit) for p, c in acc.items() if c}
 
 
 def jacobi_residual(x: Gen, y: Gen, z: Gen) -> GenSum:

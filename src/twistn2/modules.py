@@ -739,8 +739,9 @@ class _ActionRow(dict):
     It is the only action memo.  The spec's context owns one row per
     generator (`_Ctx.row`), and `act`, the axiom sweep and the submodule
     and partition checks all read it, so each entry of a spec is built once
-    however many of them run.  The axiom sweep copies the entries it reads
-    into the rows of the residual engine, `algebra.residual_sweep`.
+    however many of them run.  The axiom sweep hands its rows to the
+    residual engine, `algebra.residual_sweep`, whose gather pass reads, and
+    so builds, exactly the entries the engine's loop reads.
 
     Coefficients are Fractions for a concrete spec (a constant Poly is
     lowered too) and Poly where a parameter is symbolic; RatFunc in the
@@ -808,11 +809,11 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
     pair.  Unordered pairs suffice: the reversed-pair residual is the
     forward one up to the super-antisymmetry sign.  The sweep reads the
     spec's action memo (`_ActionRow`), so entries an earlier reader of the
-    same spec built (`act`, a first sweep) are not built again.  It copies
-    out the entries the loop reads and hands them to the residual engine
-    (`algebra.residual_sweep`), which runs in int arithmetic, at symbolic
-    parameters too; `bracket_action_check` is the readable reference for
-    the residual it computes.
+    same spec built (`act`, a first sweep) are not built again.  It hands
+    those rows to the residual engine (`algebra.residual_sweep`), which
+    reads exactly the entries its loop needs and runs in int arithmetic, at
+    symbolic parameters too; `bracket_action_check` is the readable
+    reference for the residual it computes.
     """
     gens = sorted(generators_in_window(gen_window), key=Gen.sort_key)
     labels = labels_in_window(basis_window)
@@ -833,21 +834,10 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
             # names are formed once, and shared by every witness that uses them
             pairs.append(((str(g1), str(g2)), row(g1), row(g2), sign, lhs))
     keyed = [((v.letter, v.idx.doubled), str(v)) for v in labels]
-
-    # plain dicts of exactly the entries the loop reads: every row on the
-    # window labels, the generators' rows also on each label that one
-    # action takes a window label to.  A read this misses raises.
-    rows = {key: {vk: r[vk] for vk, _ in keyed} for key, r in memo.items()}
-    gen_keys = [row(g) for g in gens]
-    reached = {lk for key in gen_keys for vk, _ in keyed for lk, _ in rows[key][vk]}
-    for key in gen_keys:
-        for lk in reached:
-            rows[key][lk] = memo[key][lk]
-
     violations = [{"g1": n1, "g2": n2, "v": name,
                    "residual": lincomb_str({BasisLabel(lk[0], SymIndex(lk[1])): c
                                             for lk, c in res.items()})}
-                  for (n1, n2), name, res in residual_sweep(pairs, rows, keyed, sign=-1)]
+                  for (n1, n2), name, res in residual_sweep(pairs, memo, keyed, sign=-1)]
     violations.sort(key=itemgetter("v", "g1", "g2"))
     return Tally(len(pairs) * len(keyed), violations)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from twistn2 import algebra
 from twistn2.algebra import (C, G, Gen, L, T, bracket, bracket_terms,
                              generators_in_window, jacobi_residual, parity,
-                             super_jacobi_sweep)
+                             residual_sweep, super_jacobi_sweep)
 from twistn2.indices import SymIndex
 from twistn2.poly import Poly, format_rational
 
@@ -293,3 +293,48 @@ def test_jacobi_sweep_equals_reference(monkeypatch, window, target, mutate):
     if window == 2:
         # at window 1 the L central term vanishes on every pair it reads
         assert report.ok == (target is None)
+
+
+@pytest.mark.parametrize("target, mutate", [
+    ("_central", _double_l_central),
+    ("_central", _flip_g_central),
+    ("bracket_terms", _double_tg),
+], ids=["L-central-doubled", "G-central-sign", "TG-doubled"])
+def test_jacobi_int_residuals_equal_the_object_loop(monkeypatch, target, mutate):
+    monkeypatch.setattr(algebra, target, mutate(getattr(algebra, target)))
+    lowered = super_jacobi_sweep(2)
+    # without a lowering the engine keeps every row's objects
+    monkeypatch.setattr(algebra, "_lowering", lambda rows, brackets: None)
+    objects = super_jacobi_sweep(2)
+    assert lowered.violations
+    assert (objects.checks, objects.violations) == (lowered.checks, lowered.violations)
+    assert repr(objects.violations) == repr(lowered.violations)
+
+
+# Hand-built rows over string keys.  On v, x(y v) takes w to 1, then 0,
+# then back to 1 within its part, and z to 1; -[x,y] v takes both to 0;
+# -y(x v) re-forms w at 1 and leaves z at 0.  The pair "exact" reads rows
+# whose three parts cancel: 2w - 2w.
+CANCELLING_ROWS = {
+    "x": {"v": (("u4", 1),), "u1": (("w", 1),), "u2": (("w", -1),),
+          "u3": (("w", 1), ("z", 1)), "u4": ()},
+    "y": {"v": (("u1", 1), ("u2", 1), ("u3", 1)), "u1": (), "u2": (), "u3": (),
+          "u4": (("w", -1),)},
+    "h": {"v": (("w", 2), ("z", 2))},
+    "x0": {"v": (), "u1": (("w", 1),), "u2": (("w", -1),), "u3": (("w", 2),), "u4": ()},
+    "y0": {"v": (("u1", 1), ("u2", 1), ("u3", 1)), "u1": (), "u2": (), "u3": (), "u4": ()},
+    "h0": {"v": (("w", 2),)},
+}
+CANCELLING_PAIRS = [
+    ("re-formed", "x", "y", 1, [("h", H)]),
+    ("exact", "x0", "y0", 1, [("h0", 1)]),
+]
+
+
+@pytest.mark.parametrize("objects", [False, True], ids=["ints", "objects"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_residual_drops_cancelled_entries(monkeypatch, sign, objects):
+    if objects:
+        monkeypatch.setattr(algebra, "_lowering", lambda rows, brackets: None)
+    got = list(residual_sweep(CANCELLING_PAIRS, CANCELLING_ROWS, [("v", "v")], sign))
+    assert got == [("re-formed", "v", {"w": sign})]

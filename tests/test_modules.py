@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistn2 import deformation, modules, poly
-from twistn2.algebra import G, Gen, L, T, bracket, generators_in_window, parity
+from twistn2 import algebra, deformation, modules, poly
+from twistn2.algebra import (G, Gen, L, T, bracket, generators_in_window, parity,
+                             residual_sweep)
 from twistn2.cli import main
 from twistn2.deformation import instantiate_deformation
 from twistn2.indices import SymIndex
@@ -248,6 +249,37 @@ def test_sweep_kernel_matches_the_reference(spec, fractional):
                    for w in report.violations)
     elif fractional:
         assert any("/" in w["residual"] for w in report.violations)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULT_CATALOG))
+def test_int_residuals_equal_the_object_loop(monkeypatch, fault):
+    # without a lowering the engine keeps every row's objects, the loop
+    # the RatFunc and unknowns sweeps run
+    lowered = axiom_sweep(spec_with_fault(fault))
+    monkeypatch.setattr(algebra, "_lowering", lambda rows, brackets: None)
+    objects = axiom_sweep(spec_with_fault(fault))
+    assert lowered.violations
+    assert (objects.checks, objects.violations) == (lowered.checks, lowered.violations)
+
+
+def test_a_row_missing_a_reached_entry_raises(monkeypatch):
+    handed = []
+
+    def recording(pairs, rows, vectors, sign=1):
+        handed.append((pairs, rows, vectors, sign))
+        return residual_sweep(pairs, rows, vectors, sign)
+
+    monkeypatch.setattr(modules, "residual_sweep", recording)
+    assert axiom_sweep(deformed("A1", Fraction(2, 7)), 1, 2).ok
+    (pairs, memo, vectors, sign), = handed
+    # a fresh spec's memo holds exactly the entries the engine read
+    rows = {key: dict(r) for key, r in memo.items()}
+    assert list(residual_sweep(pairs, rows, vectors, sign)) == []
+    window = {vk for vk, _ in vectors}
+    key, lk = next((k1, lk) for _, k1, *_ in pairs for lk in rows[k1] if lk not in window)
+    del rows[key][lk]
+    with pytest.raises(KeyError):
+        list(residual_sweep(pairs, rows, vectors, sign))
 
 
 def _substituted(coeff, bindings):
