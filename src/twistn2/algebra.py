@@ -13,6 +13,7 @@ families' axiom sweeps.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -281,9 +282,40 @@ def _lowering(rows: dict, brackets):
     return d, lower, point.decode
 
 
+class Residual(Mapping):
+    """One nonzero residual as the engine's loop leaves it: `entries`, its
+    nonzero terms as one flat tuple (target position, int coeff, target
+    position, int coeff, ...), and the sweep's one `decoder`, which reads
+    them back to {target key: coeff} when the residual is read.  A sweep
+    that keeps only a count and one witness so decodes one residual."""
+
+    __slots__ = ("decoder", "entries")
+
+    def __init__(self, decoder, entries: tuple):
+        self.decoder, self.entries = decoder, entries
+
+    def decoded(self) -> dict:
+        return self.decoder(self.entries)
+
+    def __getitem__(self, key):
+        return self.decoded()[key]
+
+    def __iter__(self):
+        return iter(self.decoded())
+
+    def __len__(self) -> int:
+        return len(self.entries) // 2
+
+    def items(self):
+        return self.decoded().items()
+
+    def __repr__(self) -> str:
+        return repr(self.decoded())
+
+
 def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
     """The one residual engine: the axiom residual of every pair on every
-    vector, in int arithmetic; yields the nonzero ones.
+    vector, in int arithmetic; yields the nonzero ones, undecoded.
 
     `rows` maps a row key to that operator's action, a mapping from vector
     key to ((target key, coeff), ...).  Each pair is (tag, k1, k2, eps,
@@ -306,13 +338,14 @@ def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
     out times d**2.  A Poly coefficient is also evaluated at one
     `KroneckerPoint`.  Scaling by a nonzero constant and that evaluation
     are injective on every sum the loop forms, so a residual vanishes
-    exactly where the object loop's does.  Only a nonzero residual is
-    decoded: its nonzero entries, back to their keys, at sign * d**2, so
-    the decoding takes the sign too.  Rows holding a RatFunc, or in the
-    hundreds of unknowns of a generic candidate, keep their objects, and
-    their unit is the sign alone.  Yields (pair tag, vector tag, {target
-    key: coeff}) triples, one at a time, so a caller that keeps only its
-    witness strings never holds every decoded residual at once.
+    exactly where the object loop's does.  Rows holding a RatFunc, or in
+    the hundreds of unknowns of a generic candidate, keep their objects,
+    and their unit is the sign alone.
+
+    Yields (pair tag, vector tag, `Residual`) triples, one at a time.  A
+    `Residual` holds the accumulator's nonzero entries as they are, and
+    decodes them only when read: back to their keys, at sign * d**2, so the
+    decoding takes the sign too.  One decoder serves the whole sweep.
     """
     vkeys = [vk for vk, _ in vectors]
     outer = dict.fromkeys(k for _, k1, k2, _, _ in pairs for k in (k1, k2))
@@ -334,6 +367,10 @@ def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
             row[pos[vk]] = tuple((pos[lk], lower(c, d)) for lk, c in terms)
     vectors = [(pos[vk], name) for vk, name in vectors]
 
+    def decoder(entries: tuple) -> dict:
+        terms = iter(entries)
+        return {keys[p]: decode(c, unit) for p, c in zip(terms, terms)}
+
     for tag, k1, k2, eps, xy in pairs:
         r1, r2 = lowered[k1], lowered[k2]
         xy_rows = [(lowered[kh], -lower(scale, d)) for kh, scale in xy]
@@ -351,7 +388,8 @@ def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
                 for lp2, c2 in r2[lp]:
                     acc[lp2] = get(lp2, 0) + c * c2
             if any(acc.values()):
-                yield tag, name, {keys[p]: decode(c, unit) for p, c in acc.items() if c}
+                yield tag, name, Residual(decoder, tuple(x for item in acc.items() if item[1]
+                                                         for x in item))
 
 
 def jacobi_residual(x: Gen, y: Gen, z: Gen) -> GenSum:

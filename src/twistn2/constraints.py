@@ -364,11 +364,12 @@ def _delta3_report(which: str) -> Report:
                                  nabla1_printed()),
                                 ("nabla2", d3.coeff_in("p", 1), nabla2_printed()),
                                 ("nabla3", d3.coeff_in("p", 2), nabla3_printed())):
-            if got == want:
-                rep.add(f"{tag}: {name} quotient piece matches the printed form",
-                        f"delta{which}-{name}", True)
-            else:
+            if name == "nabla3" and got != want:
+                # the printed nabla3 is a known misprint (`nabla3_printed`)
                 rep.notes.append(f"{name}: printed form differs; derived {got}")
+            else:
+                rep.add(f"{tag}: {name} quotient piece matches the printed form",
+                        f"delta{which}-{name}", got == want, None if got == want else str(got))
     return rep
 
 

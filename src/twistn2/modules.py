@@ -28,11 +28,12 @@ action table (`FamilySpec.ctx`); no action state is process-wide.
 
 Each weight space is one-dimensional, so on each parity class of mode m
 and vector index k an action lands on index k+m with a coefficient
-polynomial in (m, k).  The memo reads the table once per such stratum, at
-symbolic m and k, and fills its entries by evaluating that read in ints.
-It reads the table entry by entry where a stratum is not a polynomial in
-the indices alone (a symbolic parameter, a RatFunc form, the unknowns
-mode), and on a deformed family's slot, the one index-equality decision.
+polynomial in (m, k) and the symbolic parameters.  The memo reads the
+table once per such stratum, at symbolic m and k, and fills its entries by
+evaluating that read in ints, once per parameter monomial.  It reads the
+table entry by entry where a stratum is not such a polynomial (a RatFunc
+form, the unknowns mode), and on a deformed family's slot, the one
+index-equality decision.
 
 The central element acts as zero on every family.
 """
@@ -42,7 +43,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import lcm
 from operator import itemgetter
 from typing import Union
@@ -50,8 +51,8 @@ from typing import Union
 from .algebra import (Gen, add_term, bracket, bracket_terms, generators_in_window, parity,
                       residual_sweep)
 from .indices import IDX_ZERO, SymIndex
-from .poly import ONE, Poly, RatFunc, ZERO, sym_slot
-from .report import Tally
+from .poly import ONE, Poly, RatFunc, ZERO, _trim, sym_slot
+from .report import LazyList, Tally
 
 Param = Union[Fraction, str, None]  # "sym" selects symbolic mode
 
@@ -310,9 +311,10 @@ class _Ctx:
     def stratum(self, kind: str, qpar: int, letter: str, kpar: int):
         """The action of mode m on the vector `letter`_k, for m and k of the
         given parity classes, read once from the table at symbolic m and k
-        and lowered to ints (`_int_stratum`); None where a row must read
-        each entry directly.  The unknowns mode is never read here, as its
-        symbols are named by concrete index."""
+        and lowered to ints (`_int_stratum`), per parameter monomial where
+        a parameter is symbolic; None where a row must read each entry
+        directly (a RatFunc form).  The unknowns mode is never read here,
+        as its symbols are named by concrete index."""
         key = (kind, qpar, letter, kpar)
         if key not in self.strata:
             self.strata[key] = None if self.mode == "unknowns" else _int_stratum(
@@ -691,16 +693,30 @@ def labels_in_window(window: int) -> list[BasisLabel]:
 _M, _K = SymIndex.var("m"), SymIndex.var("k")
 _MK = (_M + _K).lin
 _M_SLOT, _K_SLOT = sym_slot("m"), sym_slot("k")
+# the parameters a spec's tables read as symbols (`_param`)
+_PARAM_SLOTS = frozenset(sym_slot(name) for name in ("a", "b", "bp", "alpha", "alphap"))
+
+
+def _int_parts(parts):
+    """(den, ((n, i, j), ...)): the terms c (2m)**i (2k)**j of `parts`, given
+    as (c, i, j), as int numerators n over their common denominator."""
+    parts = [(Fraction(c, 2 ** (i + j)), i, j) for c, i, j in parts]
+    den = lcm(1, *(c.denominator for c, _, _ in parts))
+    return den, tuple((c.numerator * (den // c.denominator), i, j) for c, i, j in parts)
 
 
 def _int_stratum(terms):
     """A stratum read (`_Ctx.stratum`) in ints: one (letter, offset, den,
-    ((n, i, j), ...)) per term, in the table's order, for the target
-    letter_(k+m+offset/2) with the coefficient sum n (2m)**i (2k)**j / den,
-    so a row evaluates it at doubled indices.  None unless every target is
-    k + m plus a constant and every coefficient a scalar or a Poly in m and
-    k alone; a symbolic parameter or a RatFunc form leaves the whole stratum
-    to direct reads."""
+    nums) per term, in the table's order, for the target
+    letter_(k+m+offset/2).  A coefficient in m and k alone is the sum
+    n (2m)**i (2k)**j / den over nums = ((n, i, j), ...), so a row
+    evaluates it at doubled indices.  One that holds a symbolic parameter
+    has den None, and nums is ((monomial, den, ((n, i, j), ...)), ...):
+    the same form for each parameter monomial (an exponent tuple) it
+    holds.  None unless every target is k + m plus a constant and every
+    coefficient a scalar or a Poly in m, k and the parameters a, b, bp,
+    alpha and alphap; another symbol or a RatFunc form leaves the whole
+    stratum to direct reads."""
     out = []
     for letter, idx, coeff in terms:
         if idx.lin != _MK:
@@ -709,17 +725,50 @@ def _int_stratum(terms):
             coeff = Poly.const(coeff)
         elif not isinstance(coeff, Poly):
             return None
-        parts = []
+        groups: dict = {}  # parameter monomial -> [(c, i, j), ...]
         for exps, c in coeff.terms.items():
             i = exps[_M_SLOT] if len(exps) > _M_SLOT else 0
             j = exps[_K_SLOT] if len(exps) > _K_SLOT else 0
-            if sum(exps) != i + j:
-                return None
-            parts.append((Fraction(c, 2 ** (i + j)), i, j))
-        den = lcm(1, *(c.denominator for c, _, _ in parts))
-        out.append((letter, idx.doubled, den,
-                    tuple((c.numerator * (den // c.denominator), i, j) for c, i, j in parts)))
+            mono = ()
+            if sum(exps) != i + j:  # the term holds another symbol
+                mono = [0 if slot in (_M_SLOT, _K_SLOT) else e for slot, e in enumerate(exps)]
+                if any(e and slot not in _PARAM_SLOTS for slot, e in enumerate(mono)):
+                    return None
+                mono = _trim(mono)
+            groups.setdefault(mono, []).append((c, i, j))
+        if groups.keys() <= {()}:
+            out.append((letter, idx.doubled, *_int_parts(groups.get((), ()))))
+        else:
+            out.append((letter, idx.doubled, None,
+                        tuple((mono, *_int_parts(parts)) for mono, parts in groups.items())))
     return tuple(out)
+
+
+def _falling(nums, gd: int) -> list:
+    """The int coefficients, by falling power of the key's doubled index,
+    of sum n gd**i (2k)**j over nums = ((n, i, j), ...)."""
+    powers = [0] * (1 + max((j for _, _, j in nums), default=0))
+    for n, i, j in nums:
+        powers[j] += n * gd ** i
+    return powers[::-1]
+
+
+def _poly_at(groups, doubled: int):
+    """A symbolic-parameter stratum term at the key's doubled index: the
+    canonical Poly of its (monomial, den, powers) groups, a constant as its
+    Fraction (as `_scalar` gives it), None where it vanishes."""
+    out = {}
+    for mono, den, powers in groups:
+        num = 0
+        for c in powers:
+            num = num * doubled + c
+        if num:
+            out[mono] = num // den if not num % den else Fraction(num, den)
+    if not out:
+        return None
+    if out.keys() == {()}:
+        return Fraction(out[()])
+    return Poly(out, _canonical=True)
 
 
 class _ActionRow(dict):
@@ -730,11 +779,14 @@ class _ActionRow(dict):
     the index the table returns.
 
     An entry is the spec's stratum for the key's parity class (`_Ctx.stratum`)
-    evaluated in ints at the row's mode and the key's index, with one
-    Fraction per nonzero term.  It is read from the table directly, by
-    `act_indexed`, where there is no such stratum, and on the one key of a
-    deformed family's row that reads the slot (`slot_vector`, where
-    `_at_slot` holds), the tables' only decision on index equality.
+    evaluated in ints at the row's mode and the key's index: one Fraction
+    per nonzero term at concrete parameters, and at symbolic ones one Horner
+    evaluation per parameter monomial and one canonical Poly per term (a
+    constant one as its Fraction).  It is read from the table directly, by
+    `act_indexed`, where there is no such stratum (the C row, a RatFunc
+    form, the unknowns mode), and on the one key of a deformed family's row
+    that reads the slot (`slot_vector`, where `_at_slot` holds), the
+    tables' only decision on index equality.
 
     It is the only action memo.  The spec's context owns one row per
     generator (`_Ctx.row`), and `act`, the axiom sweep and the submodule
@@ -759,18 +811,17 @@ class _ActionRow(dict):
         """The stratum at this row's mode, or None: per term, the target
         letter, the target's offset from the key, the denominator and the
         numerator's int coefficients by falling power of the key's doubled
-        index."""
+        index (`_falling`); at a symbolic parameter, None and that
+        (monomial, den, powers) per parameter monomial."""
         if (letter, kpar) not in self.forms:
             gd = self.gidx.doubled
             stratum = self.spec.ctx.stratum(self.kind, gd & 1, letter, kpar)
             form = None
             if stratum is not None:
-                form = []
-                for letter2, off, den, nums in stratum:
-                    powers = [0] * (1 + max((j for _, _, j in nums), default=0))
-                    for n, i, j in nums:
-                        powers[j] += n * gd ** i
-                    form.append((letter2, off + gd, den, powers[::-1]))
+                form = [(letter2, off + gd, den, _falling(nums, gd)) if den is not None
+                        else (letter2, off + gd, None,
+                              tuple((mono, d, _falling(n, gd)) for mono, d, n in nums))
+                        for letter2, off, den, nums in stratum]
             self.forms[letter, kpar] = form
         return self.forms[letter, kpar]
 
@@ -782,6 +833,11 @@ class _ActionRow(dict):
         else:
             terms = []
             for letter2, off, den, powers in form:
+                if den is None:
+                    coeff = _poly_at(powers, doubled)
+                    if coeff is not None:
+                        terms.append(((letter2, doubled + off), coeff))
+                    continue
                 num = 0
                 for c in powers:
                     num = num * doubled + c
@@ -801,6 +857,15 @@ class _ActionRow(dict):
         return tuple((lk, _scalar(c)) for lk, c in lc.items())
 
 
+def _sweep_witness(decoder, record) -> dict:
+    """The {"g1", "g2", "v", "residual"} witness of one violation record,
+    (v, g1, g2, *residual entries) as `algebra.Residual` holds them."""
+    name, n1, n2, *entries = record
+    return {"g1": n1, "g2": n2, "v": name,
+            "residual": lincomb_str({BasisLabel(lk[0], SymIndex(lk[1])): c
+                                     for lk, c in decoder(entries).items()})}
+
+
 def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) -> Tally:
     """Check the module axiom on every generator pair and window label.
 
@@ -814,6 +879,12 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
     reads exactly the entries its loop needs and runs in int arithmetic, at
     symbolic parameters too; `bracket_action_check` is the readable
     reference for the residual it computes.
+
+    A violation is kept as one tuple of its names and its undecoded
+    residual's entries (`algebra.Residual`), sorted by the names, and the
+    violations are a `report.LazyList`: a witness is decoded, by the
+    sweep's one decoder, and formatted (`lincomb_str`) only when it is
+    read.
     """
     gens = sorted(generators_in_window(gen_window), key=Gen.sort_key)
     labels = labels_in_window(basis_window)
@@ -834,12 +905,13 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
             # names are formed once, and shared by every witness that uses them
             pairs.append(((str(g1), str(g2)), row(g1), row(g2), sign, lhs))
     keyed = [((v.letter, v.idx.doubled), str(v)) for v in labels]
-    violations = [{"g1": n1, "g2": n2, "v": name,
-                   "residual": lincomb_str({BasisLabel(lk[0], SymIndex(lk[1])): c
-                                            for lk, c in res.items()})}
-                  for (n1, n2), name, res in residual_sweep(pairs, memo, keyed, sign=-1)]
-    violations.sort(key=itemgetter("v", "g1", "g2"))
-    return Tally(len(pairs) * len(keyed), violations)
+    found = []
+    decoder = None
+    for (n1, n2), name, res in residual_sweep(pairs, memo, keyed, sign=-1):
+        decoder = res.decoder  # one for the whole sweep
+        found.append((name, n1, n2, *res.entries))
+    found.sort(key=itemgetter(0, 1, 2))
+    return Tally(len(pairs) * len(keyed), LazyList(found, partial(_sweep_witness, decoder)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ routine returns a `Report` whose checks carry their final name, ref, status
 and witness, and a CLI verb only chooses routines and merges their reports
 with `Report.extend`.  `Tally` holds what a window check counted: the
 Jacobi sweep, the axiom sweeps, the NS partitions and submodule closure
-return one, and a CLI verb turns it into one check of its `Report`.
+return one, and a CLI verb turns it into one check of its `Report`.  An
+axiom sweep's violations are a `LazyList`, which builds a witness only
+when it is read, since a report prints the count and the first one.
 
 Reports are byte-stable for identical inputs: no timestamps, no set
 iteration, insertion-ordered keys only.
@@ -15,6 +17,7 @@ iteration, insertion-ordered keys only.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 
@@ -30,13 +33,44 @@ class Check:
         return self.status == "pass"
 
 
+class LazyList(Sequence):
+    """A read-only list whose entry i is `build(records[i])`, built each
+    time it is read.  Its length, order, slices (plain lists), truth value,
+    `==` (against a list or another LazyList) and `repr` are those of the
+    list of built entries."""
+
+    __slots__ = ("records", "build")
+
+    def __init__(self, records: list, build):
+        self.records, self.build = records, build
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self.build(r) for r in self.records[i]]
+        return self.build(self.records[i])
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, LazyList)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class Tally:
     """What a window check counted: the checks it ran and the witnesses of
-    the ones that failed, as the report prints them."""
+    the ones that failed, as the report prints them: a list, or a
+    `LazyList` that builds each witness when it is read."""
 
     checks: int
-    violations: list = field(default_factory=list)
+    violations: Sequence = field(default_factory=list)
 
     @property
     def ok(self) -> bool:

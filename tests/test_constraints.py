@@ -20,6 +20,7 @@ from twistn2.constraints import (K, M, N, LAMBDA_PAIRS, LAMBDA_PRIME_PAIRS, LEMM
                                  t_composition)
 from twistn2 import constraints, modules
 from twistn2.algebra import bracket_terms
+from twistn2.cli import main
 from twistn2.indices import SymIndex
 from twistn2.modules import FamilySpec, aab, bab, unknown_name
 from twistn2.poly import ONE, Poly, RatFunc, ZERO
@@ -116,6 +117,19 @@ class TestDeltaIdentities:
                                                   "delta3-sporadic-pairs",
                                                   "delta3-nabla1", "delta3-nabla2"]
         assert [n.split(":")[0] for n in report.notes] == ["nabla3"]  # documented misprint
+
+    @pytest.mark.parametrize("piece", ["nabla1_printed", "nabla2_printed"])
+    def test_a_wrong_printed_nabla_piece_fails_delta(self, monkeypatch, capsys, piece):
+        # only the known nabla3 misprint is a note; a wrong nabla1 or nabla2
+        # fails its check, with the derived piece as witness
+        orig = getattr(constraints, piece)
+        monkeypatch.setattr(constraints, piece, lambda: orig() + b)
+        assert main(["delta", "--which", "3", "--format", "json"]) == 1
+        report = compare_delta_closed_form("3")
+        name = piece.split("_")[0]
+        failed, = [c for c in report.checks if not c.passed]
+        assert failed.ref == f"delta3-{name}" and failed.witness == str(orig())
+        assert [n.split(":")[0] for n in report.notes] == ["nabla3"]
 
     def test_mixed_identity_second_family(self):
         assert compare_delta_closed_form("3p").ok

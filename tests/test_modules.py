@@ -1,6 +1,8 @@
 """Module family actions, axiom sweeps, partitions, submodules."""
 
+import functools
 import gc
+import json
 import re
 import weakref
 from dataclasses import replace
@@ -21,7 +23,7 @@ from twistn2.modules import (FAULT_CATALOG, BasisLabel, FamilySpec, aab, act,
                              bracket_action_check, complement_of, deformed,
                              labels_in_window, ns_partition_check, lincomb_str,
                              proper_submodule_scan, span_of, spec_with_fault,
-                             submodule_check)
+                             submodule_check, unknown_name)
 from twistn2.poly import ONE, Poly, RatFunc
 from twistn2.report import Tally
 
@@ -262,6 +264,43 @@ def test_int_residuals_equal_the_object_loop(monkeypatch, fault):
     assert (objects.checks, objects.violations) == (lowered.checks, lowered.violations)
 
 
+@functools.lru_cache(maxsize=None)
+def fault_reference(fault):
+    """`reference_sweep` of a catalogued fault's spec, built once."""
+    return reference_sweep(spec_with_fault(fault))
+
+
+@pytest.mark.parametrize("fault", sorted(FAULT_CATALOG))
+def test_lazy_witnesses_read_as_the_eager_list(fault):
+    # a sweep keeps its violations undecoded and builds each witness when
+    # it is read; every reading of the list is the eager reference's
+    checks, want = fault_reference(fault)
+    report = axiom_sweep(spec_with_fault(fault))
+    got = report.violations
+    assert report.checks == checks and len(got) == len(want) and bool(got)
+    assert list(got) == want and got == want and want == got
+    assert got[0] == want[0] and got[-1] == want[-1] and report.witness == want[0]
+    assert got[:3] == want[:3] and got[1::7] == want[1::7]
+    assert repr(got) == repr(want)
+
+
+def test_a_fault_sweep_formats_only_the_witness_it_prints(monkeypatch, capsys):
+    formatted = []
+
+    def counting(lc):
+        formatted.append(lc)
+        return lincomb_str(lc)
+
+    monkeypatch.setattr(modules, "lincomb_str", counting)
+    argv = ["verify-axioms", "--family", "Aab", "--inject-fault", "aab.t-sign"]
+    assert main(argv + ["--format", "json"]) == 1
+    assert len(formatted) <= 1
+    _, want = fault_reference("aab.t-sign")
+    out = json.loads(capsys.readouterr().out)
+    assert out["checks"][0]["witness"] == want[0]
+    assert out["notes"] == [f"{len(want)} violations in total"]
+
+
 def test_a_row_missing_a_reached_entry_raises(monkeypatch):
     handed = []
 
@@ -314,12 +353,18 @@ TABLE_CASES = [
 ]
 
 
-# every spec of TABLE_CASES, each once, the faults at alpha' = 3/2, and
-# the mu branch, whose RatFunc and mu-symbol strata are read entry by entry
+# every spec of TABLE_CASES, each once (the Aab/Bab faults at symbolic
+# (a, b), and A1-B2 with their faults at symbolic alpha, alpha'), the faults
+# at alpha' = 3/2, the mu branch, whose RatFunc and mu-symbol strata are
+# read entry by entry, and an integral a with b symbolic, where b*q vanishes
+# on L_0, so a symbolic stratum gives a constant entry, integral at integer k
 FILL_CASES = list(dict.fromkeys([spec for c, s, _ in TABLE_CASES for spec in (c, s)] + [
     deformed(fam, Fraction(2, 7), Fraction(3, 2), fault=fault)
     for fam in ("A1", "A2", "B1", "B2") for fault in _faults(fam)
-] + [FamilySpec("GenericB", a=Fraction(1, 3), b=Fraction(0), coeff_mode="mu")]))
+] + [FamilySpec("GenericB", a=Fraction(1, 3), b=Fraction(0), coeff_mode="mu")] + [
+    FamilySpec(fam, a=Fraction(2), b="sym", fault=fault)
+    for fam in ("Aab", "Bab") for fault in _faults(fam)
+]))
 
 
 def _fill_mismatches(spec):
@@ -362,6 +407,57 @@ def test_row_fill_misses_an_index_case_without_its_own_fallback(monkeypatch):
     monkeypatch.setitem(modules._TABLES, "Aab", special)
     bad = _fill_mismatches(aab(Fraction(1, 3), Fraction(-5, 7)))
     assert bad and {v for _, v in bad} == {lbl("x", 3), lbl("y", 3)}
+
+
+SYMBOLIC_AB = [spec for spec in FILL_CASES
+               if spec.family in ("Aab", "Bab") and spec.a == "sym"]
+
+
+@pytest.mark.parametrize("spec", SYMBOLIC_AB, ids=[s.label() for s in SYMBOLIC_AB])
+def test_symbolic_parameter_rows_are_filled_from_strata(spec):
+    # so the fill test above compares the strata's evaluation, not a direct
+    # read with itself
+    strata = [spec.ctx.stratum(kind, qpar, letter, kpar)
+              for kind, qpar in (("L", 0), ("T", 1), ("G", 0), ("G", 1))
+              for letter in "xy" for kpar in (0, 1)]
+    assert None not in strata
+    if spec.b == "sym":
+        assert any(den is None for st_ in strata for _, _, den, _ in st_)
+
+
+@pytest.mark.parametrize("spec", SYMBOLIC_AB, ids=[s.label() for s in SYMBOLIC_AB])
+def test_symbolic_parameter_sweep_reads_strata(monkeypatch, spec):
+    # 1 133 (Aab) and 869 (Bab) direct reads when a symbolic parameter
+    # got no stratum; now only the C row is read from the table
+    read = []
+    original = modules._ActionRow._read
+
+    def counting(self, letter, doubled):
+        read.append(self.kind)
+        return original(self, letter, doubled)
+
+    monkeypatch.setattr(modules._ActionRow, "_read", counting)
+    assert axiom_sweep(replace(spec)).checks == 6460
+    assert len(read) <= 50 and set(read) == {"C"}
+
+
+@pytest.mark.parametrize("spec", [aab(), aab(Fraction(1, 3), Fraction(-5, 7))],
+                         ids=["sym", "1/3,-5/7"])
+def test_a_stratum_in_another_symbol_is_left_to_direct_reads(monkeypatch, spec):
+    # a coefficient holding a symbol other than m, k and the parameters
+    # (here an unknown of the unknowns mode) is no stratum of ints
+    original = modules._act_case_a
+    unknown = Poly.var(unknown_name("g", SymIndex(0), SymIndex(0)))
+
+    def with_unknown(ctx, kind, g, letter, v, env):
+        terms = original(ctx, kind, g, letter, v, env)
+        return [(l, i, c + unknown) for l, i, c in terms] if kind == "L" else terms
+
+    monkeypatch.setitem(modules._TABLES, "Aab", with_unknown)
+    spec = replace(spec)
+    assert spec.ctx.stratum("L", 0, "x", 0) is None
+    assert spec.ctx.stratum("G", 1, "x", 0) is not None
+    assert _fill_mismatches(spec) == []
 
 
 def test_row_fill_registers_no_symbol(monkeypatch):
