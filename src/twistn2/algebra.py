@@ -2,25 +2,25 @@
 
 Generators: Virasoro modes L_m (m integer), current modes T_r (r half-odd),
 fermionic modes G_p (p any half-integer), and the central element C.  The
-super-bracket is total on ordered pairs; Kronecker terms are exact integer
-comparisons on doubled indices, so no floating point enters anywhere.
+super-bracket is total on ordered pairs; its Kronecker deltas (the central
+terms, not `KroneckerPoint`) are exact integer comparisons on doubled
+indices, so no floating point enters anywhere.
 
 The graded Jacobi identity says that the adjoint action is a module action,
 so it is checked as the module axiom of the adjoint module: one residual
 engine (`residual_sweep`) runs both the Jacobi sweep and the module
-families' axiom sweeps.
+families' axiom sweeps, and both build a witness only when it is read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .indices import SymIndex
 from .poly import KroneckerPoint, Poly
-from .report import Tally
+from .report import LazyList, Tally
 
 EVEN, ODD = 0, 1
 
@@ -184,7 +184,9 @@ def super_jacobi_sweep(window: int) -> Tally:
     """Exhaustively check the graded Jacobi identity on a window.
 
     Returns a `Tally` of every ordered triple of window generators, whose
-    violations are (x, y, z, {generator name: residual coefficient}).
+    violations are (x, y, z, {generator name: residual coefficient}), in
+    the engine's pair-major order.  They are a `report.LazyList` over the
+    engine's records: a witness is decoded only when it is read.
 
     For homogeneous x, y, z the identity reads
         [x,[y,z]] = [[x,y],z] + (-1)^(|x||y|) [y,[x,z]],
@@ -224,9 +226,13 @@ def super_jacobi_sweep(window: int) -> Tally:
 
     pairs = [((x, y), kx, ky, -1 if x.kind == "G" and y.kind == "G" else 1, rows[kx][ky])
              for x, kx in keyed for y, ky in keyed]
-    violations = [(x, y, z, {str(named[h]): c for h, c in res.items()})
-                  for (x, y), z, res in residual_sweep(pairs, rows, [(kz, z) for z, kz in keyed])]
-    return Tally(len(gens) ** 3, violations)
+    decode, records = residual_sweep(pairs, rows, [(kz, z) for z, kz in keyed])
+
+    def witness(record) -> tuple:
+        (x, y), z, entries = record
+        return x, y, z, {str(named[h]): c for h, c in decode(entries).items()}
+
+    return Tally(len(gens) ** 3, LazyList(list(records), witness))
 
 
 # A generic candidate in "unknowns" mode has one symbol per mode and vector,
@@ -282,40 +288,9 @@ def _lowering(rows: dict, brackets):
     return d, lower, point.decode
 
 
-class Residual(Mapping):
-    """One nonzero residual as the engine's loop leaves it: `entries`, its
-    nonzero terms as one flat tuple (target position, int coeff, target
-    position, int coeff, ...), and the sweep's one `decoder`, which reads
-    them back to {target key: coeff} when the residual is read.  A sweep
-    that keeps only a count and one witness so decodes one residual."""
-
-    __slots__ = ("decoder", "entries")
-
-    def __init__(self, decoder, entries: tuple):
-        self.decoder, self.entries = decoder, entries
-
-    def decoded(self) -> dict:
-        return self.decoder(self.entries)
-
-    def __getitem__(self, key):
-        return self.decoded()[key]
-
-    def __iter__(self):
-        return iter(self.decoded())
-
-    def __len__(self) -> int:
-        return len(self.entries) // 2
-
-    def items(self):
-        return self.decoded().items()
-
-    def __repr__(self) -> str:
-        return repr(self.decoded())
-
-
 def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
     """The one residual engine: the axiom residual of every pair on every
-    vector, in int arithmetic; yields the nonzero ones, undecoded.
+    vector, in int arithmetic; hands back the nonzero ones, undecoded.
 
     `rows` maps a row key to that operator's action, a mapping from vector
     key to ((target key, coeff), ...).  Each pair is (tag, k1, k2, eps,
@@ -342,10 +317,13 @@ def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
     the hundreds of unknowns of a generic candidate, keep their objects,
     and their unit is the sign alone.
 
-    Yields (pair tag, vector tag, `Residual`) triples, one at a time.  A
-    `Residual` holds the accumulator's nonzero entries as they are, and
-    decodes them only when read: back to their keys, at sign * d**2, so the
-    decoding takes the sign too.  One decoder serves the whole sweep.
+    The gather runs at the call.  Returns (decode, records): `records`
+    yields one (pair tag, vector tag, entries) tuple per nonzero residual,
+    where entries are the accumulator's nonzero terms as one flat tuple
+    (target position, int coeff, target position, int coeff, ...), and
+    `decode(entries)`, the sweep's one decoder, reads them back to {target
+    key: coeff} at sign * d**2, so the decoding takes the sign too.  A
+    sweep that keeps a count and one witness so decodes one residual.
     """
     vkeys = [vk for vk, _ in vectors]
     outer = dict.fromkeys(k for _, k1, k2, _, _ in pairs for k in (k1, k2))
@@ -371,25 +349,27 @@ def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
         terms = iter(entries)
         return {keys[p]: decode(c, unit) for p, c in zip(terms, terms)}
 
-    for tag, k1, k2, eps, xy in pairs:
-        r1, r2 = lowered[k1], lowered[k2]
-        xy_rows = [(lowered[kh], -lower(scale, d)) for kh, scale in xy]
-        for vp, name in vectors:
-            acc: dict = {}
-            get = acc.get
-            for lp, c in r2[vp]:
-                for lp2, c2 in r1[lp]:
-                    acc[lp2] = get(lp2, 0) + c * c2
-            for rh, scale in xy_rows:
-                for lp, c in rh[vp]:
-                    acc[lp] = get(lp, 0) + scale * c
-            for lp, c in r1[vp]:
-                c = -eps * c
-                for lp2, c2 in r2[lp]:
-                    acc[lp2] = get(lp2, 0) + c * c2
-            if any(acc.values()):
-                yield tag, name, Residual(decoder, tuple(x for item in acc.items() if item[1]
-                                                         for x in item))
+    def records():
+        for tag, k1, k2, eps, xy in pairs:
+            r1, r2 = lowered[k1], lowered[k2]
+            xy_rows = [(lowered[kh], -lower(scale, d)) for kh, scale in xy]
+            for vp, name in vectors:
+                acc: dict = {}
+                get = acc.get
+                for lp, c in r2[vp]:
+                    for lp2, c2 in r1[lp]:
+                        acc[lp2] = get(lp2, 0) + c * c2
+                for rh, scale in xy_rows:
+                    for lp, c in rh[vp]:
+                        acc[lp] = get(lp, 0) + scale * c
+                for lp, c in r1[vp]:
+                    c = -eps * c
+                    for lp2, c2 in r2[lp]:
+                        acc[lp2] = get(lp2, 0) + c * c2
+                if any(acc.values()):
+                    yield tag, name, tuple(x for item in acc.items() if item[1] for x in item)
+
+    return decoder, records()
 
 
 def jacobi_residual(x: Gen, y: Gen, z: Gen) -> GenSum:

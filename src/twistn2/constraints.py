@@ -426,7 +426,7 @@ class RootSetEntry:
     name: str
     system: tuple           # (case, fam, kclass)
     linear_roots: list      # printed roots, Poly in b
-    quad: QuadRootData      # derived quadratic factor data (monic in bp)
+    quad: QuadRootData | None  # derived quadratic factor (monic in bp); None if not one
     printed_disc: Poly
     checks: list            # report.Check
 
@@ -438,10 +438,6 @@ class RootSetEntry:
         vals = {root.evaluate({"b": b}) for root in self.linear_roots}
         vals.update(self.quad.rational_roots_at({"b": b}))
         return vals
-
-
-class RootMismatch(ValueError):
-    pass
 
 
 def _roots_spec():
@@ -478,9 +474,10 @@ _ROOT_CACHE: dict[str, RootSetEntry] = {}
 def root_set(name: str) -> RootSetEntry:
     """Derive one root set and verify it against the printed data.
 
-    Each printed linear root must annihilate the derived determinant; the
-    cofactor left after dividing the linear factors out must be a quadratic
-    in bp whose discriminant matches the printed one literally.
+    Each printed linear root must annihilate the derived determinant, the
+    roots before it divided out, or its check fails with it as witness.  The
+    cofactor left must be a quadratic in bp with a constant lead whose
+    discriminant matches the printed one literally, or `quad` is None.
     """
     if name in _ROOT_CACHE:
         return _ROOT_CACHE[name]
@@ -488,24 +485,23 @@ def root_set(name: str) -> RootSetEntry:
     if name not in table:
         raise KeyError(f"unknown root set {name!r} (choose from {ROOT_SET_NAMES})")
     (case, fam, kclass), linear, disc_printed = table[name]
-    det = system_determinant("LLT", case, fam, kclass)
+    rest = exact_divide(system_determinant("LLT", case, fam, kclass), Pm**6)
     rep, ref = Report(name), f"root-set/{name}"
     for root in linear:
-        ann = not det.substitute({"bp": root})
-        rep.add(f"{name}: linear root bp={root} annihilates the determinant", ref, ann)
-        if not ann:
-            raise RootMismatch(f"{name}: printed root bp={root} does not annihilate")
-    rest = exact_divide(det, Pm**6)
-    for root in linear:
-        rest = exact_divide(rest, Pbp - root)
-    lead = rest.coeff_in("bp", 2)
-    if not lead.is_const():
-        raise RootMismatch(f"{name}: quadratic cofactor has non-constant leading term")
-    monic = rest * (1 / lead.const_value())
-    quad = quadratic_root_data(monic, "bp")
-    rep.add(f"{name}: cofactor is quadratic in bp", ref, rest.degree_in("bp") == 2)
+        ann = not rest.substitute({"bp": root})
+        rep.add(f"{name}: linear root bp={root} annihilates the determinant", ref, ann,
+                None if ann else str(root))
+        if ann:
+            rest = exact_divide(rest, Pbp - root)
+    deg = rest.degree_in("bp")
+    lead = rest.coeff_in("bp", deg)
+    quad = None
+    if deg == 2 and lead.is_const():
+        quad = quadratic_root_data(rest * (1 / lead.const_value()), "bp")
+    rep.add(f"{name}: cofactor is quadratic in bp", ref, quad is not None,
+            None if quad else f"degree {deg} in bp, lead {lead}")
     rep.add(f"{name}: discriminant equals {disc_printed}", ref,
-            quad.discriminant == disc_printed)
+            quad is not None and quad.discriminant == disc_printed)
     entry = RootSetEntry(name, (case, fam, kclass), linear, quad, disc_printed, rep.checks)
     _ROOT_CACHE[name] = entry
     return entry
@@ -989,9 +985,10 @@ def recurrence_propagation_check() -> Report:
 # ---------------------------------------------------------------------------
 
 def sample_parameters() -> list[Fraction]:
-    """Deterministic rational grid p/q, |p| <= 20, 1 <= q <= 5, excluding
-    the four values where a root-set discriminant vanishes."""
-    excluded = {Fraction(-9, 8), Fraction(-3, 8), Fraction(1, 8), Fraction(-13, 8)}
+    """Deterministic rational grid p/q, |p| <= 20, 1 <= q <= 5, less the b
+    at which a printed case-A discriminant (linear in b) vanishes."""
+    excluded = {-disc.coeff_in("b", 0).const_value() / disc.coeff_in("b", 1).const_value()
+                for (case, _, _), _, disc in _roots_spec().values() if case == "A"}
     grid = {Fraction(pn, qd) for qd in range(1, 6) for pn in range(-20, 21)}
     return sorted(grid - excluded)
 
@@ -1034,10 +1031,11 @@ def intersection_scan(case: str) -> Report:
         raise ValueError(f"unknown intersection case {case!r}")
     params = sample_parameters()
     rep = Report("intersection (A)")
-    unexplained = []
     sets1 = [root_set("f-int"), root_set("fp-int")]
     sets2 = [root_set("f-half"), root_set("fp-half")]
-    for bv in params:
+    failed = [rs.name for rs in sets1 + sets2 if not rs.ok]  # their roots are not read
+    unexplained = []
+    for bv in () if failed else params:
         first = set().union(*(rs.rationals_at(bv) for rs in sets1))
         second = set().union(*(rs.rationals_at(bv) for rs in sets2))
         survivors = {cand for cand in first & second
@@ -1049,7 +1047,8 @@ def intersection_scan(case: str) -> Report:
             rep.notes.append(f"intersection (A): documented sporadic survivor at b={bv}: "
                              f"{[str(e) for e in sorted(expected - {bv})]}")
     rep.add(f"sampled intersection (A): survivors match the classification over "
-            f"{len(params)} parameters", "intersection/A", not unexplained, unexplained[:2])
+            f"{len(params)} parameters", "intersection/A", not (failed or unexplained),
+            failed or unexplained[:2])
     return rep
 
 

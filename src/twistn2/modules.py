@@ -857,13 +857,14 @@ class _ActionRow(dict):
         return tuple((lk, _scalar(c)) for lk, c in lc.items())
 
 
-def _sweep_witness(decoder, record) -> dict:
+def _sweep_witness(decode, record) -> dict:
     """The {"g1", "g2", "v", "residual"} witness of one violation record,
-    (v, g1, g2, *residual entries) as `algebra.Residual` holds them."""
+    (v, g1, g2, *entries), with the flat entries the residual engine hands
+    back and its `decode`."""
     name, n1, n2, *entries = record
     return {"g1": n1, "g2": n2, "v": name,
             "residual": lincomb_str({BasisLabel(lk[0], SymIndex(lk[1])): c
-                                     for lk, c in decoder(entries).items()})}
+                                     for lk, c in decode(entries).items()})}
 
 
 def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) -> Tally:
@@ -880,11 +881,10 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
     symbolic parameters too; `bracket_action_check` is the readable
     reference for the residual it computes.
 
-    A violation is kept as one tuple of its names and its undecoded
-    residual's entries (`algebra.Residual`), sorted by the names, and the
-    violations are a `report.LazyList`: a witness is decoded, by the
-    sweep's one decoder, and formatted (`lincomb_str`) only when it is
-    read.
+    A violation is kept as one tuple of its names and the engine's flat,
+    undecoded entries, sorted by the names, and the violations are a
+    `report.LazyList`: a witness is decoded, by the sweep's one decoder,
+    and formatted (`lincomb_str`) only when it is read.
     """
     gens = sorted(generators_in_window(gen_window), key=Gen.sort_key)
     labels = labels_in_window(basis_window)
@@ -905,13 +905,10 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
             # names are formed once, and shared by every witness that uses them
             pairs.append(((str(g1), str(g2)), row(g1), row(g2), sign, lhs))
     keyed = [((v.letter, v.idx.doubled), str(v)) for v in labels]
-    found = []
-    decoder = None
-    for (n1, n2), name, res in residual_sweep(pairs, memo, keyed, sign=-1):
-        decoder = res.decoder  # one for the whole sweep
-        found.append((name, n1, n2, *res.entries))
-    found.sort(key=itemgetter(0, 1, 2))
-    return Tally(len(pairs) * len(keyed), LazyList(found, partial(_sweep_witness, decoder)))
+    decode, records = residual_sweep(pairs, memo, keyed, sign=-1)
+    found = sorted(((name, n1, n2, *entries) for (n1, n2), name, entries in records),
+                   key=itemgetter(0, 1, 2))
+    return Tally(len(pairs) * len(keyed), LazyList(found, partial(_sweep_witness, decode)))
 
 
 # ---------------------------------------------------------------------------

@@ -336,5 +336,6 @@ CANCELLING_PAIRS = [
 def test_residual_drops_cancelled_entries(monkeypatch, sign, objects):
     if objects:
         monkeypatch.setattr(algebra, "_lowering", lambda rows, brackets: None)
-    got = list(residual_sweep(CANCELLING_PAIRS, CANCELLING_ROWS, [("v", "v")], sign))
+    decode, records = residual_sweep(CANCELLING_PAIRS, CANCELLING_ROWS, [("v", "v")], sign)
+    got = [(tag, name, decode(entries)) for tag, name, entries in records]
     assert got == [("re-formed", "v", {"w": sign})]

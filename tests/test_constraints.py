@@ -197,6 +197,42 @@ class TestRootSets:
         with pytest.raises(KeyError):
             root_set("no-such-set")
 
+    @staticmethod
+    def _patch_f_int(monkeypatch, edit):
+        orig = constraints._roots_spec
+
+        def patched():
+            spec = orig()
+            system, linear, disc = spec["f-int"]
+            spec["f-int"] = (system, edit(list(linear)), disc)
+            return spec
+
+        monkeypatch.setattr(constraints, "_roots_spec", patched)
+        monkeypatch.setattr(constraints, "_ROOT_CACHE", {})
+
+    def test_a_moved_printed_root_fails_its_check(self, monkeypatch, capsys):
+        # f-int's root -b-1 moved to -b: that root fails with itself as
+        # witness, the cofactor stays cubic, and the scan that reads f-int fails
+        self._patch_f_int(monkeypatch, lambda linear: [-b] + linear[1:])
+        assert main(["roots", "--which", "f-int", "--format", "json"]) == 1
+        root, cofactor, disc = [c for c in root_set("f-int").checks if not c.passed]
+        assert root.name == "f-int: linear root bp=-b annihilates the determinant"
+        assert root.witness == str(-b) and cofactor.witness.startswith("degree 3 in bp")
+        assert main(["solve-coeffs", "--which", "intersections", "--format", "json"]) == 1
+        scan, = intersection_scan("A").checks
+        assert not scan.passed and scan.witness == ["f-int"]
+        assert intersection_scan("B").ok
+
+    def test_a_dropped_printed_root_fails_the_cofactor(self, monkeypatch, capsys):
+        # f-int's last root, b, dropped: every printed root annihilates, but
+        # the cofactor is cubic in bp
+        self._patch_f_int(monkeypatch, lambda linear: linear[:-1])
+        assert main(["roots", "--which", "f-int", "--format", "json"]) == 1
+        entry = root_set("f-int")
+        assert entry.quad is None
+        assert [c.name.split(": ")[1] for c in entry.checks if not c.passed] == [
+            "cofactor is quadratic in bp", "discriminant equals 8*b + 9"]
+
 
 class TestCoefficientLemmas:
     @pytest.mark.parametrize("which", LEMMA_CHECKS)
@@ -384,6 +420,22 @@ class TestIntersections:
         assert len(params) == 141
         assert Fraction(-9, 8) not in params
         assert Fraction(-20) in params and Fraction(19, 5) in params
+
+    def test_sampling_excludes_the_zeros_of_the_case_a_discriminants(self, monkeypatch):
+        # the printed zeros -9/8, -3/8, 1/8 and -13/8 lie off the grid; with
+        # every discriminant's zero moved onto it, only case A's leave it
+        grid = set(sample_parameters())
+        orig = constraints._roots_spec
+
+        def moved():
+            return {name: ((case, *rest), linear,
+                           disc.substitute({"b": b * Fraction(1 if case == "A" else 2, 8)}))
+                    for name, ((case, *rest), linear, disc) in orig().items()}
+
+        monkeypatch.setattr(constraints, "_roots_spec", moved)
+        discs_a = [disc for (case, *_), _, disc in moved().values() if case == "A"]
+        zeros = {bv for bv in grid if any(not disc.evaluate({"b": bv}) for disc in discs_a)}
+        assert grid - set(sample_parameters()) == zeros == {-9, -3, 1, -13}
 
     def test_case_a_scan_matches_with_documented_sporadics(self):
         report = intersection_scan("A")

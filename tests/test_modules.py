@@ -313,12 +313,12 @@ def test_a_row_missing_a_reached_entry_raises(monkeypatch):
     (pairs, memo, vectors, sign), = handed
     # a fresh spec's memo holds exactly the entries the engine read
     rows = {key: dict(r) for key, r in memo.items()}
-    assert list(residual_sweep(pairs, rows, vectors, sign)) == []
+    assert list(residual_sweep(pairs, rows, vectors, sign)[1]) == []
     window = {vk for vk, _ in vectors}
     key, lk = next((k1, lk) for _, k1, *_ in pairs for lk in rows[k1] if lk not in window)
     del rows[key][lk]
     with pytest.raises(KeyError):
-        list(residual_sweep(pairs, rows, vectors, sign))
+        list(residual_sweep(pairs, rows, vectors, sign)[1])
 
 
 def _substituted(coeff, bindings):
