@@ -53,7 +53,7 @@ from .modules import (BASE_FAMILY, PRINTED_CONSTANTS, R, FamilySpec, _combine, _
                       _landing, _mode, _only_coeff, aab, act_indexed, b_zero_candidate,
                       bracket_residual, slot_vector, t_composition, unknown_name)
 from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, _lowered, exact_divide,
-                   quadratic_root_data, QuadRootData, sym_slot)
+                   quadratic_root_data, QuadRootData, sym_shift)
 from .report import Report
 
 HALF = Fraction(1, 2)
@@ -163,22 +163,20 @@ class MalformedInstance(ValueError):
 
 def linear_decompose(poly: Poly, names: list) -> dict:
     """Split a polynomial that is linear-homogeneous in `names`."""
-    slots = {sym_slot(nm): nm for nm in names}
+    shifts = {sym_shift(nm): nm for nm in names}
     out = {nm: ZERO for nm in names}
-    for exps, coeff in poly.terms.items():
+    for key, coeff in poly.terms.items():
         hit = None
-        for slot, nm in slots.items():
-            e = exps[slot] if len(exps) > slot else 0
+        for shift, nm in shifts.items():
+            e = key >> shift & 255
             if e == 1 and hit is None:
-                hit = (slot, nm)
+                hit = (shift, nm)
             elif e:
                 raise MalformedInstance("row is not linear in the unknowns")
         if hit is None:
             raise MalformedInstance("row has a term free of the unknowns")
-        slot, nm = hit
-        rest = list(exps)
-        rest[slot] = 0
-        out[nm] = out[nm] + Poly({tuple(rest): coeff})
+        shift, nm = hit
+        out[nm] = out[nm] + Poly({key - (1 << shift): coeff}, _canonical=True)
     return out
 
 
@@ -393,13 +391,11 @@ def _delta3_coefficients(which: str) -> tuple:
         fam, kclass = _DELTA3_SYSTEM[which]
         det = system_determinant("LLG", "A", fam, kclass)
         num, _ = _lowered(det.terms)
-        sb, sbp = sym_slot("b"), sym_slot("bp")
-        groups: dict[tuple, list] = {}
-        for exps, c in num.items():
-            i = exps[sb] if sb < len(exps) else 0
-            j = exps[sbp] if sbp < len(exps) else 0
-            rest = tuple((slot, e) for slot, e in enumerate(exps) if e and slot not in (sb, sbp))
-            groups.setdefault(rest, []).append((i, j, c))
+        sb, sbp = sym_shift("b"), sym_shift("bp")
+        groups: dict[int, list] = {}
+        for key, c in num.items():
+            rest = key & ~(255 << sb | 255 << sbp)
+            groups.setdefault(rest, []).append((key >> sb & 255, key >> sbp & 255, c))
         got = _DELTA3_COEFFS[which] = (sorted(groups.values(), key=len),
                                        det.degree_in("b"), det.degree_in("bp"))
     return got
@@ -985,12 +981,8 @@ def recurrence_propagation_check() -> Report:
 # ---------------------------------------------------------------------------
 
 def sample_parameters() -> list[Fraction]:
-    """Deterministic rational grid p/q, |p| <= 20, 1 <= q <= 5, less the b
-    at which a printed case-A discriminant (linear in b) vanishes."""
-    excluded = {-disc.coeff_in("b", 0).const_value() / disc.coeff_in("b", 1).const_value()
-                for (case, _, _), _, disc in _roots_spec().values() if case == "A"}
-    grid = {Fraction(pn, qd) for qd in range(1, 6) for pn in range(-20, 21)}
-    return sorted(grid - excluded)
+    """Deterministic rational grid p/q, |p| <= 20, 1 <= q <= 5."""
+    return sorted({Fraction(pn, qd) for qd in range(1, 6) for pn in range(-20, 21)})
 
 
 # Parameter pairs at which the determinant constraints alone admit one

@@ -51,7 +51,7 @@ from typing import Union
 from .algebra import (Gen, add_term, bracket, bracket_terms, generators_in_window, parity,
                       residual_sweep)
 from .indices import IDX_ZERO, SymIndex
-from .poly import ONE, Poly, RatFunc, ZERO, _trim, sym_slot
+from .poly import ONE, Poly, RatFunc, ZERO, sym_shift
 from .report import LazyList, Tally
 
 Param = Union[Fraction, str, None]  # "sym" selects symbolic mode
@@ -692,9 +692,10 @@ def labels_in_window(window: int) -> list[BasisLabel]:
 
 _M, _K = SymIndex.var("m"), SymIndex.var("k")
 _MK = (_M + _K).lin
-_M_SLOT, _K_SLOT = sym_slot("m"), sym_slot("k")
-# the parameters a spec's tables read as symbols (`_param`)
-_PARAM_SLOTS = frozenset(sym_slot(name) for name in ("a", "b", "bp", "alpha", "alphap"))
+_M_SHIFT, _K_SHIFT = sym_shift("m"), sym_shift("k")
+_MK_MASK = 255 << _M_SHIFT | 255 << _K_SHIFT
+# the fields of the parameters a spec's tables read as symbols (`_param`)
+_PARAM_MASK = sum(255 << sym_shift(name) for name in ("a", "b", "bp", "alpha", "alphap"))
 
 
 def _int_parts(parts):
@@ -712,11 +713,11 @@ def _int_stratum(terms):
     n (2m)**i (2k)**j / den over nums = ((n, i, j), ...), so a row
     evaluates it at doubled indices.  One that holds a symbolic parameter
     has den None, and nums is ((monomial, den, ((n, i, j), ...)), ...):
-    the same form for each parameter monomial (an exponent tuple) it
-    holds.  None unless every target is k + m plus a constant and every
-    coefficient a scalar or a Poly in m, k and the parameters a, b, bp,
-    alpha and alphap; another symbol or a RatFunc form leaves the whole
-    stratum to direct reads."""
+    the same form for each parameter monomial (a packed `poly` key, 0 for
+    none) it holds.  None unless every target is k + m plus a constant and
+    every coefficient a scalar or a Poly in m, k and the parameters a, b,
+    bp, alpha and alphap; another symbol or a RatFunc form leaves the
+    whole stratum to direct reads."""
     out = []
     for letter, idx, coeff in terms:
         if idx.lin != _MK:
@@ -726,18 +727,13 @@ def _int_stratum(terms):
         elif not isinstance(coeff, Poly):
             return None
         groups: dict = {}  # parameter monomial -> [(c, i, j), ...]
-        for exps, c in coeff.terms.items():
-            i = exps[_M_SLOT] if len(exps) > _M_SLOT else 0
-            j = exps[_K_SLOT] if len(exps) > _K_SLOT else 0
-            mono = ()
-            if sum(exps) != i + j:  # the term holds another symbol
-                mono = [0 if slot in (_M_SLOT, _K_SLOT) else e for slot, e in enumerate(exps)]
-                if any(e and slot not in _PARAM_SLOTS for slot, e in enumerate(mono)):
-                    return None
-                mono = _trim(mono)
-            groups.setdefault(mono, []).append((c, i, j))
-        if groups.keys() <= {()}:
-            out.append((letter, idx.doubled, *_int_parts(groups.get((), ()))))
+        for key, c in coeff.terms.items():
+            mono = key & ~_MK_MASK
+            if mono & ~_PARAM_MASK:
+                return None
+            groups.setdefault(mono, []).append((c, key >> _M_SHIFT & 255, key >> _K_SHIFT & 255))
+        if groups.keys() <= {0}:
+            out.append((letter, idx.doubled, *_int_parts(groups.get(0, ()))))
         else:
             out.append((letter, idx.doubled, None,
                         tuple((mono, *_int_parts(parts)) for mono, parts in groups.items())))
@@ -766,8 +762,8 @@ def _poly_at(groups, doubled: int):
             out[mono] = num // den if not num % den else Fraction(num, den)
     if not out:
         return None
-    if out.keys() == {()}:
-        return Fraction(out[()])
+    if out.keys() == {0}:
+        return Fraction(out[0])
     return Poly(out, _canonical=True)
 
 

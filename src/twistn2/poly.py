@@ -11,18 +11,22 @@ integral coefficients, the common case, builds no Fraction at all.  Every
 identity checked downstream is exact: two polynomials are equal iff their
 canonical term maps are equal (`3 == Fraction(3)`, and the two hash alike).
 
-A polynomial is a map from exponent tuples to nonzero coefficients.  Exponent
-tuples index a process-wide symbol registry and are stored with trailing
-zeros trimmed, so polynomials built before and after new symbols are
-registered compare equal.  Term order is graded lexicographic with respect
-to registry order.
+A polynomial maps monomials to nonzero coefficients.  A monomial is one
+int, a packed exponent vector (Monagan and Pearce, CASC 2007): the exponent
+of slot i of a process-wide symbol registry sits in bits [8i, 8i+8), so a
+term product is one int add.  Exponents stay below 128, so no field
+carries, and one that would reach 128 raises OverflowError.  A new symbol
+adds a field that is zero in older keys, so polynomials built before and
+after it compare equal.  Rendering is graded lex in registry order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm, prod
+from operator import or_
 from typing import Iterable, Mapping, Union
 
 
@@ -40,6 +44,7 @@ class WrongDegree(ValueError):
 
 _NAMES: list[str] = []
 _SLOT: dict[str, int] = {}
+_GUARD = 0  # bit 7 of every registered field; a sum of keys sets one on overflow
 
 # Parameters and index symbols used throughout; registered eagerly so that
 # their slots, and with them the term order of rendered polynomials, do not
@@ -55,12 +60,19 @@ CORE_SYMBOLS = (
 
 def sym_slot(name: str) -> int:
     """Return the registry slot of `name`, registering it if new."""
+    global _GUARD
     slot = _SLOT.get(name)
     if slot is None:
         slot = len(_NAMES)
         _NAMES.append(name)
         _SLOT[name] = slot
+        _GUARD |= 0x80 << 8 * slot
     return slot
+
+
+def sym_shift(name: str) -> int:
+    """Where `name`'s exponent sits in a packed monomial: key >> shift & 255."""
+    return 8 * sym_slot(name)
 
 
 def sym_name(slot: int) -> str:
@@ -72,33 +84,26 @@ for _s in CORE_SYMBOLS:
 
 
 Scalar = Union[int, Fraction]
-Exps = tuple  # exponent tuple, trailing zeros trimmed
+Exps = int  # packed monomial: the exponent of slot i in bits [8i, 8i+8)
 
 
-def _trim(exps: Iterable[int]) -> Exps:
-    out = list(exps)
-    while out and out[-1] == 0:
-        out.pop()
+def _checked(keys) -> None:
+    """Raise unless every exponent of the packed `keys` is below 128."""
+    if reduce(or_, keys, 0) & _GUARD:
+        raise OverflowError("an exponent reached 128")
+
+
+def _unpack(key: Exps) -> tuple[int, ...]:
+    """The exponent tuple of a packed monomial, trailing zeros trimmed."""
+    out = []
+    while key:
+        out.append(key & 255)
+        key >>= 8
     return tuple(out)
 
 
-# Exponent tuples stay trimmed: padded to the registry width they made the
-# symbolic lab slower overall (cpu_ref +18 %) and its peak RSS 1.5 MB larger.
-def _mul_exps(e1: Exps, e2: Exps) -> Exps:
-    if not e1:
-        return e2
-    if not e2:
-        return e1
-    if len(e1) < len(e2):
-        e1, e2 = e2, e1
-    out = list(e1)
-    for i, e in enumerate(e2):
-        out[i] += e
-    return tuple(out)
-
-
-def _grlex_key(exps: Exps):
-    return (sum(exps), exps)
+def _grlex_key(term):
+    return (sum(term[0]), term[0])
 
 
 def _rat(value) -> Scalar:
@@ -125,9 +130,9 @@ def _lowered(terms: Mapping[Exps, Scalar]) -> tuple[Mapping[Exps, int], int]:
 
 def _over(num: dict, d: int) -> dict:
     """The canonical coefficients num/d of an int term map, zeros dropped:
-    one int or Fraction per term."""
+    one int or Fraction per term; `num` itself if d = 1 and none is zero."""
     if d == 1:
-        return {e: c for e, c in num.items() if c}
+        return num if all(num.values()) else {e: c for e, c in num.items() if c}
     return {e: c // d if not c % d else Fraction(c, d) for e, c in num.items() if c}
 
 
@@ -143,10 +148,11 @@ def _integral(out: dict) -> dict:
 class Poly:
     """Canonical sparse polynomial; immutable by convention.
 
-    `terms` maps trimmed exponent tuples to nonzero coefficients, each an
-    int when integral and otherwise a Fraction with denominator > 1.  The
-    constructor canonicalizes any rational (or float) coefficients it is
-    given; `_canonical=True` trusts the caller to pass that form.  Products
+    `terms` maps packed monomials to nonzero coefficients, each an int when
+    integral and otherwise a Fraction with denominator > 1; `monomials()`
+    reads the exponent tuples.  The constructor canonicalizes any rational
+    (or float) coefficients it is given; `_canonical=True` trusts the
+    caller to pass that form and takes ownership of the dict.  Products
     and `substitute` do their rational arithmetic in ints over one common
     denominator (`_lowered`) and divide each result coefficient once
     (`_over`).
@@ -158,13 +164,12 @@ class Poly:
         if terms is None:
             self.terms = {}
         elif _canonical:
-            self.terms = dict(terms)
+            self.terms = terms
         else:
             clean: dict[Exps, Scalar] = {}
-            for exps, coeff in terms.items():
+            for key, coeff in terms.items():
                 coeff = _rat(coeff)
                 if coeff:
-                    key = _trim(exps)
                     acc = clean.get(key)
                     new = coeff if acc is None else acc + coeff
                     if new:
@@ -178,13 +183,13 @@ class Poly:
     @staticmethod
     def const(value: Scalar) -> "Poly":
         value = _rat(value)
-        return Poly({(): value} if value else {}, _canonical=bool(value))
+        return Poly({0: value} if value else {}, _canonical=bool(value))
 
     @staticmethod
     def var(name: str, power: int = 1) -> "Poly":
-        slot = sym_slot(name)
-        exps = (0,) * slot + (power,)
-        return Poly({exps: 1}, _canonical=True)
+        if power >> 7:
+            raise OverflowError(f"exponent {power} is not in [0, 128)")
+        return Poly({power << sym_shift(name): 1}, _canonical=True)
 
     # -- ring operations ---------------------------------------------------
 
@@ -261,8 +266,9 @@ class Poly:
         get = out.get
         for e1, c1 in num1.items():
             for e2, c2 in num2.items():
-                key = _mul_exps(e1, e2)
+                key = e1 + e2
                 out[key] = get(key, 0) + c1 * c2
+        _checked(out)
         return Poly(_over(out, d1 * d2), _canonical=True)
 
     __rmul__ = __mul__
@@ -283,51 +289,41 @@ class Poly:
     # -- structure ---------------------------------------------------------
 
     def is_const(self) -> bool:
-        return not self.terms or self.terms.keys() == {()}
+        return not self.terms or self.terms.keys() == {0}
 
     def const_value(self) -> Fraction:
         """The constant's value, as a Fraction even when integral, so a
         caller may divide by it exactly."""
         if not self.terms:
             return Fraction(0)
-        if self.terms.keys() != {()}:
+        if self.terms.keys() != {0}:
             raise WrongDegree(f"not a constant: {self}")
-        return Fraction(self.terms[()])
+        return Fraction(self.terms[0])
+
+    def monomials(self) -> list[tuple[tuple[int, ...], Scalar]]:
+        """(exponent tuple by registry slot, coefficient) per term."""
+        return [(_unpack(key), c) for key, c in self.terms.items()]
 
     def degree_in(self, name: str) -> int:
-        slot = sym_slot(name)
-        deg = 0
-        for exps in self.terms:
-            if len(exps) > slot:
-                deg = max(deg, exps[slot])
-        return deg
+        """The top degree in `name`; 0, unregistered, for an unseen name."""
+        slot = _SLOT.get(name)
+        if slot is None:
+            return 0
+        return max((key >> 8 * slot & 255 for key in self.terms), default=0)
 
     def variables(self) -> tuple[str, ...]:
-        seen: set[int] = set()
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    seen.add(i)
-        return tuple(sym_name(i) for i in sorted(seen))
+        seen = _unpack(reduce(or_, self.terms, 0))
+        return tuple(sym_name(i) for i, e in enumerate(seen) if e)
 
     def coeff_in(self, name: str, power: int) -> "Poly":
         """Coefficient of name**power, a polynomial in the other symbols."""
-        slot = sym_slot(name)
-        out: dict[Exps, Scalar] = {}
-        for exps, coeff in self.terms.items():
-            e = exps[slot] if len(exps) > slot else 0
-            if e == power:
-                rest = list(exps)
-                if len(rest) > slot:
-                    rest[slot] = 0
-                out[_trim(rest)] = coeff
-        return Poly(out, _canonical=True)
-
-    def leading(self) -> tuple[Exps, Scalar]:
-        if not self.terms:
-            raise WrongDegree("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        slot = _SLOT.get(name)
+        if slot is None:
+            return self if power == 0 else ZERO
+        want = power << 8 * slot
+        mask = 255 << 8 * slot
+        return Poly({key - want: c for key, c in self.terms.items() if key & mask == want},
+                    _canonical=True)
 
     # -- substitution ------------------------------------------------------
 
@@ -348,11 +344,14 @@ class Poly:
         if not bindings:
             return self
         num, d = _lowered(self.terms)
-        bound = []  # (slot, numerator, den, top degree in self)
+        bound = []  # (shift, numerator, den, top degree in self)
         for name, val in bindings.items():
-            slot = sym_slot(name)
+            slot = _SLOT.get(name)
+            if slot is None:  # a symbol never registered is in no term
+                continue
+            shift = 8 * slot
             if isinstance(val, Poly) and val.is_const():
-                val = val.terms.get((), 0)
+                val = val.terms.get(0, 0)
             if isinstance(val, Poly):
                 vnum, den = _lowered(val.terms)
                 val = Poly(vnum, _canonical=True)
@@ -362,42 +361,37 @@ class Poly:
                 val, den = val.numerator, val.denominator
             top = 0
             if den != 1:
-                for exps in num:
-                    if slot < len(exps) and exps[slot] > top:
-                        top = exps[slot]
+                top = max((key >> shift & 255 for key in num), default=0)
                 d *= den ** top
-            bound.append((slot, val, den, top))
-        # (slot, e) -> (int scale, int polynomial or None) of a degree-e term
+            bound.append((shift, val, den, top))
+        # (shift, e) -> (int scale, int polynomial or None) of a degree-e term
         powers: dict[tuple[int, int], tuple] = {}
         acc: dict[Exps, int] = {}
         get = acc.get
-        for exps, coeff in num.items():
-            residual = factor = None
-            for slot, val, den, top in bound:
-                e = exps[slot] if slot < len(exps) else 0
+        for key, coeff in num.items():
+            factor = None
+            for shift, val, den, top in bound:
+                e = key >> shift & 255
                 if not e and den == 1:
                     continue
-                pw = powers.get((slot, e))
+                pw = powers.get((shift, e))
                 if pw is None:
                     rest = den ** (top - e) if den != 1 else 1
-                    pw = powers[slot, e] = ((val ** e * rest, None) if type(val) is int
-                                            else (rest, val ** e if e else None))
+                    pw = powers[shift, e] = ((val ** e * rest, None) if type(val) is int
+                                             else (rest, val ** e if e else None))
                 coeff *= pw[0]
                 if pw[1] is not None:
                     factor = pw[1] if factor is None else factor * pw[1]
-                if e:
-                    if residual is None:
-                        residual = list(exps)
-                    residual[slot] = 0
+                key -= e << shift
             if not coeff:
                 continue
-            key = exps if residual is None else _trim(residual)
             if factor is None:
                 acc[key] = get(key, 0) + coeff
             else:
-                for fexps, fcoeff in factor.terms.items():
-                    term = _mul_exps(key, fexps)
+                for fkey, fcoeff in factor.terms.items():
+                    term = key + fkey
                     acc[term] = get(term, 0) + coeff * fcoeff
+        _checked(acc)
         return Poly(_over(acc, d), _canonical=True)
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
@@ -410,8 +404,7 @@ class Poly:
         if not self.terms:
             return "0"
         pieces = []
-        for exps in sorted(self.terms, key=_grlex_key, reverse=True):
-            coeff = self.terms[exps]
+        for exps, coeff in sorted(self.monomials(), key=_grlex_key, reverse=True):
             mono = "*".join(
                 sym_name(i) if e == 1 else f"{sym_name(i)}^{e}"
                 for i, e in enumerate(exps) if e
@@ -440,27 +433,25 @@ ONE = Poly.const(1)
 def exact_divide(num: Poly, den: Poly) -> Poly:
     """Return q with q*den == num, or raise NotDivisible.
 
-    Standard leading-term division in graded-lex order; because the order is
-    multiplicative, an exact quotient (if one exists) is found greedily.
+    Leading-term division by the largest packed key: comparing packed
+    keys is a monomial order (lex, last slot first), so the unique exact
+    quotient is found greedily.  Key k is divisible by key d iff no field
+    of k - d is negative: ((k | G) - d) & G == G, G the guard bits.
     """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
     if not num:
         return ZERO
-    den_exps, den_coeff = den.leading()
+    den_key = max(den.terms)
+    den_coeff = den.terms[den_key]
     quot: dict[Exps, Scalar] = {}
     rem = num
     while rem:
-        exps, coeff = rem.leading()
-        diff = [0] * max(len(exps), len(den_exps))
-        for i, e in enumerate(exps):
-            diff[i] = e
-        for i, e in enumerate(den_exps):
-            diff[i] -= e
-            if diff[i] < 0:
-                raise NotDivisible(f"({num}) is not divisible by ({den})")
-        key = _trim(diff)
-        c = _rat(Fraction(coeff) / den_coeff)
+        lead = max(rem.terms)
+        if ((lead | _GUARD) - den_key) & _GUARD != _GUARD:
+            raise NotDivisible(f"({num}) is not divisible by ({den})")
+        key = lead - den_key
+        c = _rat(Fraction(rem.terms[lead]) / den_coeff)
         quot[key] = c
         rem = rem - Poly({key: c}, _canonical=True) * den
     return Poly(quot, _canonical=True)
@@ -484,18 +475,18 @@ class KroneckerPoint:
     `decode` reads it back as balanced base-X digits.
     """
 
-    __slots__ = ("slots", "sizes", "shift")
+    __slots__ = ("slots", "sizes", "shift", "pos")
 
     def __init__(self, polys: Iterable[Poly], bound: int):
         top: dict[int, int] = {}
-        for p in polys:
-            for exps in p.terms:
-                for slot, e in enumerate(exps):
-                    if e > top.get(slot, 0):
-                        top[slot] = e
+        for key in set().union(*(p.terms for p in polys)):
+            for slot, e in enumerate(_unpack(key)):
+                if e > top.get(slot, 0):
+                    top[slot] = e
         self.slots = sorted(top)
         self.sizes = [2 * top[slot] + 1 for slot in self.slots]
         self.shift = bound.bit_length() + 2
+        self.pos: dict[Exps, int] = {}  # packed key -> digit position, filled by image
 
     @property
     def bits(self) -> int:
@@ -506,12 +497,14 @@ class KroneckerPoint:
         """The value of p * scale at the point; its coefficients must be
         integers."""
         out = 0
-        for exps, coeff in p.terms.items():
-            pos, place = 0, 1
-            for slot, size in zip(self.slots, self.sizes):
-                if slot < len(exps):
-                    pos += exps[slot] * place
-                place *= size
+        for key, coeff in p.terms.items():
+            pos = self.pos.get(key)
+            if pos is None:
+                pos, place = 0, 1
+                for slot, size in zip(self.slots, self.sizes):
+                    pos += (key >> 8 * slot & 255) * place
+                    place *= size
+                self.pos[key] = pos
             coeff = coeff * scale
             if coeff.denominator != 1:
                 raise ValueError(f"({p})*{scale} has a non-integer coefficient")
@@ -530,13 +523,13 @@ class KroneckerPoint:
                 digit -= mask + 1
             value = (value - digit) >> self.shift
             if digit:
-                exps = [0] * (self.slots[-1] + 1) if self.slots else []
-                rest = pos
+                key, rest = 0, pos
                 for slot, size in zip(self.slots, self.sizes):
-                    rest, exps[slot] = divmod(rest, size)
+                    rest, e = divmod(rest, size)
+                    key |= e << 8 * slot
                 if rest:
                     raise ValueError("value is not the image of a polynomial in range")
-                terms[_trim(exps)] = _rat(Fraction(digit, unit))
+                terms[key] = _rat(Fraction(digit, unit))
             pos += 1
         return Poly(terms, _canonical=True)
 

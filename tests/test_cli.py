@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from twistn2 import cli, constraints, deformation
+from twistn2 import cli, constraints, deformation, modules
 from twistn2.cli import main, parse_candidate, UsageError
 from twistn2.poly import NotDivisible
 from twistn2.report import Tally
@@ -24,6 +24,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+class TestPrintedDataMutations:
+    """A wrong printed datum makes the verb that reads it exit 1."""
+
+    @pytest.mark.parametrize("patch, argv", [
+        (lambda mp: mp.setattr(constraints, "SPORADIC_SURVIVORS_A",
+                               constraints.SPORADIC_SURVIVORS_A[:-1]),
+         ("solve-coeffs", "--which", "intersections")),
+        (lambda mp: mp.setitem(modules.PRINTED_CONSTANTS, "beta", (1, 1, 1, -1)),
+         ("verify-axioms", "--family", "Bab", "--a", "1/3", "--b", "2/5")),
+    ], ids=["sporadic-survivors-a", "printed-beta"])
+    def test_mutated_datum_fails_its_verb(self, capsys, monkeypatch, patch, argv):
+        assert run(capsys, *argv)[0] == 0
+        patch(monkeypatch)
+        assert run(capsys, *argv)[0] == 1
 
 
 class TestParsing:

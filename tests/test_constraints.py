@@ -421,21 +421,20 @@ class TestIntersections:
         assert Fraction(-9, 8) not in params
         assert Fraction(-20) in params and Fraction(19, 5) in params
 
-    def test_sampling_excludes_the_zeros_of_the_case_a_discriminants(self, monkeypatch):
-        # the printed zeros -9/8, -3/8, 1/8 and -13/8 lie off the grid; with
-        # every discriminant's zero moved onto it, only case A's leave it
-        grid = set(sample_parameters())
-        orig = constraints._roots_spec
-
-        def moved():
-            return {name: ((case, *rest), linear,
-                           disc.substitute({"b": b * Fraction(1 if case == "A" else 2, 8)}))
-                    for name, ((case, *rest), linear, disc) in orig().items()}
-
-        monkeypatch.setattr(constraints, "_roots_spec", moved)
-        discs_a = [disc for (case, *_), _, disc in moved().values() if case == "A"]
-        zeros = {bv for bv in grid if any(not disc.evaluate({"b": bv}) for disc in discs_a)}
-        assert grid - set(sample_parameters()) == zeros == {-9, -3, 1, -13}
+    def test_the_scan_passes_at_the_case_a_discriminant_zeros(self, monkeypatch):
+        # a zero discriminant is a double root, which rational_roots_at
+        # returns exactly, so the sampled b need not avoid these zeros
+        zeros = {}
+        for name, ((case, *_), _, disc) in constraints._roots_spec().items():
+            if case == "A":
+                zeros[name] = -disc.coeff_in("b", 0).const_value() / disc.coeff_in("b", 1).const_value()
+                assert len(root_set(name).quad.rational_roots_at({"b": zeros[name]})) == 1
+        assert set(zeros.values()) == {Fraction(n, 8) for n in (-9, -3, 1, -13)}
+        monkeypatch.setattr(constraints, "sample_parameters", lambda: sorted(zeros.values()))
+        report = intersection_scan("A")
+        assert report.ok, report.checks
+        assert [c.name for c in report.checks] == [
+            "sampled intersection (A): survivors match the classification over 4 parameters"]
 
     def test_case_a_scan_matches_with_documented_sporadics(self):
         report = intersection_scan("A")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistn2 import poly
 from twistn2.poly import (KroneckerPoint, NotDivisible, ONE, Poly, QuadRootData, RatFunc,
                           WrongDegree, ZERO, exact_divide, format_rational,
                           parse_rational, quadratic_root_data,
@@ -70,7 +71,7 @@ def substitute_by_ring_ops(p, bindings):
     """Reference substitution: rebuild p term by term with ring operations,
     every symbol read against p itself."""
     out = ZERO
-    for exps, coeff in p.terms.items():
+    for exps, coeff in p.monomials():
         term = Poly.const(coeff)
         for slot, e in enumerate(exps):
             val = bindings.get(sym_name(slot), Poly.var(sym_name(slot)))
@@ -129,17 +130,55 @@ def test_every_coefficient_is_canonical(p, q, s, bindings, power):
     assert type(ZERO.const_value()) is Fraction
 
 
+def by_exponents(p: Poly) -> dict:
+    return dict(p.monomials())
+
+
 def test_canonical_coefficient_examples():
-    assert Poly({(): Fraction(4, 2)}) == Poly.const(2)
-    assert type(Poly({(): Fraction(4, 2)}).terms[()]) is int
-    assert type(Poly.const(True).terms[()]) is int
-    assert type(Poly.const(0.5).terms[()]) is Fraction
-    assert Poly.var("b").terms == {(0, 1): 1}
+    # the packed key 0 is the constant monomial
+    assert Poly({0: Fraction(4, 2)}) == Poly.const(2)
+    assert type(by_exponents(Poly({0: Fraction(4, 2)}))[()]) is int
+    assert type(by_exponents(Poly.const(True))[()]) is int
+    assert type(by_exponents(Poly.const(0.5))[()]) is Fraction
+    assert by_exponents(Poly.var("b")) == {(0, 1): 1}
     half = Poly.const(Fraction(1, 2)) * b
-    assert type((half * 2).terms[(0, 1)]) is int
-    assert type((half + half).terms[(0, 1)]) is int
-    assert type(exact_divide(b * 3, b * 6).terms[()]) is Fraction
-    assert type(exact_divide(b * 6, b * 3).terms[()]) is int
+    assert type(by_exponents(half * 2)[(0, 1)]) is int
+    assert type(by_exponents(half + half)[(0, 1)]) is int
+    assert type(by_exponents(exact_divide(b * 3, b * 6))[()]) is Fraction
+    assert type(by_exponents(exact_divide(b * 6, b * 3))[()]) is int
+
+
+def test_an_exponent_of_128_raises():
+    assert Poly.var("b", 127).degree_in("b") == 127
+    assert ((b + m) ** 127).degree_in("m") == 127
+    assert (b ** 100 * m).substitute({"m": b ** 27}) == b ** 127
+    for make in (lambda: Poly.var("b", 128),
+                 lambda: Poly.var("m", 64) * (b + Poly.var("m", 64)),
+                 lambda: (b * m + 1) ** 128,
+                 lambda: (b ** 100 * m).substitute({"m": b ** 28 + 1})):
+        with pytest.raises(OverflowError):
+            make()
+
+
+def test_a_poly_built_before_a_new_symbol_equals_one_built_after():
+    before = (b + 2 * m) ** 2 - k * bp
+    name = "registered_after_the_first_build"
+    assert name not in poly._SLOT
+    late = Poly.var(name)
+    after = (Poly.var("b") + 2 * Poly.var("m")) ** 2 - Poly.var("k") * Poly.var("bp")
+    assert before == after and str(before) == str(after)
+    assert exact_divide(before * late, late) == before
+    assert (before * late).coeff_in(name, 1) == before
+
+
+def test_reading_an_unseen_symbol_registers_nothing():
+    p = b * m - 3
+    names = list(poly._NAMES)
+    assert p.degree_in("unseen_zz") == 0
+    assert p.coeff_in("unseen_yy", 0) == p and p.coeff_in("unseen_yy", 1) == ZERO
+    assert p.substitute({"unseen_xx": 1}) == p
+    assert p.substitute({"unseen_xx": b, "m": 2}) == 2 * b - 3
+    assert poly._NAMES == names
 
 
 def l1(p: Poly) -> Fraction:
@@ -197,6 +236,9 @@ def test_exact_divide_examples():
     assert exact_divide(r * (-2 * b - 2), r) == -2 * b - 2
     with pytest.raises(NotDivisible):
         exact_divide(m * m + 1, m)
+    # a leading key larger than the divisor's, with one field too small
+    with pytest.raises(NotDivisible):
+        exact_divide(b * k ** 2, m * k)
 
 
 def test_substitute_examples():

@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from twistn2.constraints import (build_identity_system, delta1_printed, delta2_printed,
                                  system_determinant)
+from twistn2 import poly
+from twistn2.indices import SymIndex
+from twistn2.modules import unknown_name
 from twistn2.poly import NotDivisible, Poly, exact_divide, sym_name
 
 from test_poly import assert_canonical
@@ -42,7 +45,7 @@ def to_sympy(p) -> "sympy.Expr":
     if isinstance(p, (int, Fraction)):
         return sympy.Rational(p.numerator, p.denominator)
     out = sympy.Integer(0)
-    for exps, coeff in p.terms.items():
+    for exps, coeff in p.monomials():
         mono = sympy.Rational(coeff.numerator, coeff.denominator)
         for slot, e in enumerate(exps):
             mono *= sympy.Symbol(sym_name(slot)) ** e
@@ -76,6 +79,42 @@ def test_exact_divide_agrees_with_sympy_div(den, quot, perturb, extra):
     assume(den)
     num = den * quot + (extra if perturb else Poly.const(0))
     quotient, remainder = sympy.div(to_sympy(num), to_sympy(den), *SYMS, domain="QQ")
+    try:
+        ours = exact_divide(num, den)
+    except NotDivisible:
+        assert remainder != 0
+    else:
+        assert remainder == 0
+        assert same(ours, quotient)
+
+
+# an unknown coefficient's symbol, at a mode no report reads: a registry
+# slot after every core symbol, whose field sits past bit 224
+LATE = unknown_name("g", SymIndex(99), SymIndex(-77))
+
+
+@st.composite
+def late_polys(draw, max_terms=3):
+    p = Poly.const(0)
+    for _ in range(draw(st.integers(0, max_terms))):
+        term = Poly.const(draw(scalars))
+        for name in ("a", LATE):
+            term = term * Poly.var(name) ** draw(st.integers(0, 3))
+        p = p + term
+    return p
+
+
+@given(late_polys(), late_polys(), st.booleans(), late_polys(max_terms=2))
+@settings(max_examples=80, deadline=None)
+def test_products_and_division_in_a_late_slot_agree_with_sympy(den, quot, perturb, extra):
+    assume(den)
+    assert poly._SLOT[LATE] >= len(poly.CORE_SYMBOLS)
+    sden, squot = to_sympy(den), to_sympy(quot)
+    assert same(den * quot, sden * squot)
+    assert same(den ** 2 * quot, sden ** 2 * squot)
+    num = den * quot + (extra if perturb else Poly.const(0))
+    quotient, remainder = sympy.div(to_sympy(num), sden, sympy.Symbol("a"),
+                                    sympy.Symbol(LATE), domain="QQ")
     try:
         ours = exact_divide(num, den)
     except NotDivisible:
