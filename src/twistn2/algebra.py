@@ -235,6 +235,18 @@ def super_jacobi_sweep(window: int) -> Tally:
     return Tally(len(gens) ** 3, LazyList(list(records), witness))
 
 
+class Row(dict):
+    """One operator's action for the residual engine: vector key ->
+    ((target key, coeff), ...), each coeff an int numerator over `den`, or
+    an object (Fraction, Poly, RatFunc) where den is None, as in a dict."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, entries=(), den: int | None = None):
+        super().__init__(entries)
+        self.den = den
+
+
 # A generic candidate in "unknowns" mode has one symbol per mode and vector,
 # which would put each image over 3**(symbols) digits; such rows keep their
 # objects.  The parameter sweeps' images are a few hundred bits wide.
@@ -245,24 +257,33 @@ def _lowering(rows: dict, brackets):
     """How `residual_sweep` takes its coefficients to ints: (d, lower,
     decode), or None when a row holds a RatFunc.
 
-    d is the lcm of the denominators of every row coefficient and bracket
-    scale (`brackets` holds one list of scales per pair), and `lower(c, d)`
-    is c * d as an int.  Where a row coefficient is a Poly, c * d is
-    evaluated at one `KroneckerPoint`, chosen so that every coefficient
-    the loop forms, in units of d**2, can be read back; None again when
-    that point's images would be wider than _MAX_POINT_BITS.
-    `decode(c, unit)` is the residual coefficient that c stands for.
+    `rows` are `Row`s.  d is the lcm of the bracket scales' denominators
+    (`brackets` holds one list of scales per pair) and of the rows': an
+    int row's den, whose entries are not read here, and the denominators
+    of every object coefficient.  `lower(c, d)` is an object c times d as
+    an int.  Where a row coefficient is a Poly, c * d is evaluated at one
+    `KroneckerPoint`, chosen so that every coefficient the loop forms, in
+    units of d**2, can be read back (an int row's numerators, taken over
+    1, only overstate that bound); None again when that point's images
+    would be wider than _MAX_POINT_BITS.  `decode(c, unit)` is the
+    residual coefficient that c stands for.  A bare int in a row of
+    objects is a numerator that lost its den, and raises.
     """
     dens = []
     polys = []
     for r in rows.values():
+        if r.den is not None:
+            dens.append(r.den)
+            continue
         for terms in r.values():
             for _, c in terms:
-                if isinstance(c, (int, Fraction)):
+                if isinstance(c, Fraction):
                     dens.append(c.denominator)
                 elif isinstance(c, Poly):
                     polys.append(c)
                     dens.extend(t.denominator for t in c.terms.values())
+                elif isinstance(c, int):
+                    raise TypeError(f"int coefficient {c} in a row without a den")
                 else:
                     return None
     for scales in brackets:
@@ -292,11 +313,11 @@ def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
     """The one residual engine: the axiom residual of every pair on every
     vector, in int arithmetic; hands back the nonzero ones, undecoded.
 
-    `rows` maps a row key to that operator's action, a mapping from vector
-    key to ((target key, coeff), ...).  Each pair is (tag, k1, k2, eps,
-    xy): the row keys of x and y, the sign eps = (-1)^(|x||y|), and [x, y]
-    as ((row key, scale), ...).  Each vector is (vector key, tag).  At
-    (x, y) on v the residual is
+    `rows` maps a row key to that operator's action, a `Row` (or a plain
+    dict of objects) from vector key to ((target key, coeff), ...).  Each
+    pair is (tag, k1, k2, eps, xy): the row keys of x and y, the sign eps =
+    (-1)^(|x||y|), and [x, y] as ((row key, scale), ...).  Each vector is
+    (vector key, tag).  At (x, y) on v the residual is
         x(y v) - [x,y] v - eps y(x v),
     summed in that order into one accumulator; `sign` = -1 gives a module
     axiom's residual, the negative.
@@ -308,14 +329,15 @@ def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
     position, and each row becomes a list indexed by position, with None
     where nothing was gathered, so a read past the gather raises too.  Its
     entries are ((target position, coeff), ...), every row coefficient and
-    bracket scale lowered to an int over their common denominator d
-    (`_lowering`), so each residual term, a product of two of them, comes
-    out times d**2.  A Poly coefficient is also evaluated at one
-    `KroneckerPoint`.  Scaling by a nonzero constant and that evaluation
-    are injective on every sum the loop forms, so a residual vanishes
-    exactly where the object loop's does.  Rows holding a RatFunc, or in
-    the hundreds of unknowns of a generic candidate, keep their objects,
-    and their unit is the sign alone.
+    bracket scale an int over their common denominator d (`_lowering`), so
+    each residual term, a product of two of them, comes out times d**2.
+    An int row is taken as it is, times d / den where its den is not d.
+    A Poly coefficient is lowered and evaluated at one `KroneckerPoint`.
+    Scaling by a nonzero constant and that evaluation are injective on
+    every sum the loop forms, so a residual vanishes exactly where the
+    object loop's does.  Rows holding a RatFunc, or in the hundreds of
+    unknowns of a generic candidate, keep their objects, with the sign
+    alone as their unit; an int row beside them is read over its den.
 
     The gather runs at the call.  Returns (decode, records): `records`
     yields one (pair tag, vector tag, entries) tuple per nonzero residual,
@@ -327,13 +349,21 @@ def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
     """
     vkeys = [vk for vk, _ in vectors]
     outer = dict.fromkeys(k for _, k1, k2, _, _ in pairs for k in (k1, k2))
-    gathered = {k: {vk: r[vk] for vk in vkeys} for k, r in rows.items()}
+    gathered = {k: Row(((vk, r[vk]) for vk in vkeys), getattr(r, "den", None))
+                for k, r in rows.items()}
     reached = dict.fromkeys(lk for k in outer for terms in gathered[k].values()
                             for lk, _ in terms)
     for k in outer:
         gathered[k].update((lk, rows[k][lk]) for lk in reached)
-    d, lower, decode = (_lowering(gathered, [[scale for _, scale in xy] for *_, xy in pairs])
-                        or (1, lambda c, d: c, lambda c, unit: c if unit == 1 else -c))
+    lowering = _lowering(gathered, [[scale for _, scale in xy] for *_, xy in pairs])
+    if lowering is None:
+        for r in gathered.values():  # an int row is read over its den
+            if r.den is not None:
+                r.update({vk: tuple((lk, Fraction(c, r.den)) for lk, c in terms)
+                          for vk, terms in r.items()})
+                r.den = None
+        lowering = 1, lambda c, d: c, lambda c, unit: c if unit == 1 else -c
+    d, lower, decode = lowering
     unit = sign * d * d
     keys = list(dict.fromkeys([*vkeys, *(lk for entries in gathered.values()
                                          for terms in entries.values() for lk, _ in terms)]))
@@ -341,8 +371,11 @@ def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
     lowered = {}
     for k, entries in gathered.items():
         row = lowered[k] = [None] * len(keys)
+        f = entries.den and d // entries.den
         for vk, terms in entries.items():
-            row[pos[vk]] = tuple((pos[lk], lower(c, d)) for lk, c in terms)
+            row[pos[vk]] = (tuple((pos[lk], lower(c, d)) for lk, c in terms) if f is None
+                            else tuple((pos[lk], c) for lk, c in terms) if f == 1
+                            else tuple((pos[lk], c * f) for lk, c in terms))
     vectors = [(pos[vk], name) for vk, name in vectors]
 
     def decoder(entries: tuple) -> dict:

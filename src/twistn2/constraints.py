@@ -52,7 +52,7 @@ from .indices import SymIndex
 from .modules import (BASE_FAMILY, PRINTED_CONSTANTS, R, FamilySpec, _combine, _commutator,
                       _landing, _mode, _only_coeff, aab, act_indexed, b_zero_candidate,
                       bracket_residual, slot_vector, t_composition, unknown_name)
-from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, _lowered, exact_divide,
+from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, _SLOT, _lowered, exact_divide,
                    quadratic_root_data, QuadRootData, sym_shift)
 from .report import Report
 
@@ -162,9 +162,10 @@ class MalformedInstance(ValueError):
 
 
 def linear_decompose(poly: Poly, names: list) -> dict:
-    """Split a polynomial that is linear-homogeneous in `names`."""
-    shifts = {sym_shift(nm): nm for nm in names}
-    out = {nm: ZERO for nm in names}
+    """Split a polynomial that is linear-homogeneous in `names`.  A name
+    with no registry slot is in no term: it gets ZERO and stays unregistered."""
+    shifts = {8 * _SLOT[nm]: nm for nm in names if nm in _SLOT}
+    parts: dict = {nm: {} for nm in names}
     for key, coeff in poly.terms.items():
         hit = None
         for shift, nm in shifts.items():
@@ -176,8 +177,8 @@ def linear_decompose(poly: Poly, names: list) -> dict:
         if hit is None:
             raise MalformedInstance("row has a term free of the unknowns")
         shift, nm = hit
-        out[nm] = out[nm] + Poly({key - (1 << shift): coeff}, _canonical=True)
-    return out
+        parts[nm][key - (1 << shift)] = coeff
+    return {nm: Poly(terms, _canonical=True) for nm, terms in parts.items()}
 
 
 def build_identity_system(kind: str, case: str, fam: str, kclass: str) -> System3:

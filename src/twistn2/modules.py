@@ -30,10 +30,12 @@ Each weight space is one-dimensional, so on each parity class of mode m
 and vector index k an action lands on index k+m with a coefficient
 polynomial in (m, k) and the symbolic parameters.  The memo reads the
 table once per such stratum, at symbolic m and k, and fills its entries by
-evaluating that read in ints, once per parameter monomial.  It reads the
+evaluating that read in ints, once per parameter monomial; at concrete
+parameters a row keeps int numerators over one denominator.  It reads the
 table entry by entry where a stratum is not such a polynomial (a RatFunc
 form, the unknowns mode), and on a deformed family's slot, the one
-index-equality decision.
+index-equality decision.  The axiom sweeps of every spec share one table
+of generator pairs per window (`_pair_table`).
 
 The central element acts as zero on every family.
 """
@@ -43,13 +45,13 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from math import lcm
 from operator import itemgetter
 from typing import Union
 
-from .algebra import (Gen, add_term, bracket, bracket_terms, generators_in_window, parity,
-                      residual_sweep)
+from .algebra import (Gen, Row, _times, add_term, bracket, bracket_terms, generators_in_window,
+                      parity, residual_sweep)
 from .indices import IDX_ZERO, SymIndex
 from .poly import ONE, Poly, RatFunc, ZERO, sym_shift
 from .report import LazyList, Tally
@@ -253,7 +255,7 @@ class _Ctx:
     """
 
     __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "branch",
-                 "consts", "printed_t", "base", "slot", "forced", "rows", "strata")
+                 "consts", "printed_t", "base", "slot", "forced", "rows", "strata", "den")
 
     def __init__(self, spec: FamilySpec):
         self.spec = weakref.proxy(spec)
@@ -296,6 +298,7 @@ class _Ctx:
         self.printed_t = spec.family in ("Aab", "Bab")
         self.rows: dict = {}
         self.strata: dict = {}
+        self.den = 0  # not yet known (`int_den`)
 
     def row(self, g: Gen) -> _ActionRow:
         key = (g.kind, None if g.idx is None else g.idx.doubled)
@@ -307,6 +310,18 @@ class _Ctx:
                 slot = letter, idx.doubled
             r = self.rows[key] = _ActionRow(self.spec, g, slot)
         return r
+
+    def int_den(self) -> int | None:
+        """The lcm of the spec's stratum denominators, over which its rows
+        hold ints; None, and rows of objects, unless every stratum is in
+        ints and no slot parameter is a symbol."""
+        if self.den == 0:
+            strata = [self.stratum(*key) for key in _STRATA]
+            dens = [den for st in strata if st is not None for _, _, den, _ in st]
+            concrete = None not in strata and None not in dens and not any(
+                isinstance(p, Poly) for p in (self.alpha, self.alphap))
+            self.den = lcm(1, *dens) if concrete else None
+        return self.den
 
     def stratum(self, kind: str, qpar: int, letter: str, kpar: int):
         """The action of mode m on the vector `letter`_k, for m and k of the
@@ -335,6 +350,11 @@ def _param(name: str, value: Param) -> Fraction | Poly | None:
 def _sgn2q(gpar: int) -> int:
     """(-1)^(2q) for an index of the given parity class."""
     return -1 if gpar else 1
+
+
+# the (kind, parity of the mode, letter, parity of k) of every stratum
+_STRATA = tuple((kind, qpar, letter, kpar) for kind, qpar in (("L", 0), ("T", 1), ("G", 0), ("G", 1))
+                for letter in "xy" for kpar in (0, 1))
 
 
 def act_indexed(spec: FamilySpec, kind: str, g: SymIndex, letter: str, v: SymIndex,
@@ -644,13 +664,16 @@ def act(spec: FamilySpec, g: Gen, v: BasisLabel) -> LinComb:
 
     A view of the spec's memo row for g (`FamilySpec.ctx`): a row key's
     doubled index d is the label index `SymIndex(d)`.  A concrete spec's
-    coefficients are Fractions; a symbolic parameter gives Poly (or
+    row holds int numerators over its `den`, which this divides out, so
+    its coefficients are Fractions; a symbolic parameter gives Poly (or
     RatFunc) ones, a constant Poly again lowered to its Fraction.
     """
     if g.kind == "C":
         return {}
-    return {BasisLabel(letter, SymIndex(doubled)): c
-            for (letter, doubled), c in spec.ctx.row(g)[(v.letter, v.idx.doubled)]}
+    row = spec.ctx.row(g)
+    den = row.den
+    return {BasisLabel(letter, SymIndex(doubled)): c if den is None else Fraction(c, den)
+            for (letter, doubled), c in row[(v.letter, v.idx.doubled)]}
 
 
 def _scalar(c):
@@ -767,7 +790,7 @@ def _poly_at(groups, doubled: int):
     return Poly(out, _canonical=True)
 
 
-class _ActionRow(dict):
+class _ActionRow(Row):
     """The action of one generator on one spec: label key (letter, doubled
     index) -> ((label key, coeff), ...), each entry built the first time it
     is read and kept as long as the spec.  A key's doubled index d is the
@@ -775,14 +798,15 @@ class _ActionRow(dict):
     the index the table returns.
 
     An entry is the spec's stratum for the key's parity class (`_Ctx.stratum`)
-    evaluated in ints at the row's mode and the key's index: one Fraction
-    per nonzero term at concrete parameters, and at symbolic ones one Horner
-    evaluation per parameter monomial and one canonical Poly per term (a
-    constant one as its Fraction).  It is read from the table directly, by
-    `act_indexed`, where there is no such stratum (the C row, a RatFunc
-    form, the unknowns mode), and on the one key of a deformed family's row
-    that reads the slot (`slot_vector`, where `_at_slot` holds), the
-    tables' only decision on index equality.
+    evaluated in ints at the row's mode and the key's index: at concrete
+    parameters one int numerator per nonzero term, over the row's `den`
+    (the lcm of `_Ctx.int_den` and the slot entry's denominators), and at
+    symbolic ones (den None) one Horner evaluation per parameter monomial
+    and one canonical Poly per term (a constant one as its Fraction).  It
+    is read from the table directly, by `act_indexed`, where there is no
+    such stratum (the C row, a RatFunc form, the unknowns mode), and on the
+    one key of a deformed family's row that reads the slot (`slot_vector`,
+    where `_at_slot` holds), the tables' only decision on index equality.
 
     It is the only action memo.  The spec's context owns one row per
     generator (`_Ctx.row`), and `act`, the axiom sweep and the submodule
@@ -791,30 +815,39 @@ class _ActionRow(dict):
     residual engine, `algebra.residual_sweep`, whose gather pass reads, and
     so builds, exactly the entries the engine's loop reads.
 
-    Coefficients are Fractions for a concrete spec (a constant Poly is
-    lowered too) and Poly where a parameter is symbolic; RatFunc in the
-    generic candidates' solved modes.
+    A row of objects holds Fractions where only its slot or another row
+    holds a symbol or RatFunc, Poly where a parameter is symbolic, and
+    RatFunc in the generic candidates' solved modes.
     """
 
-    __slots__ = ("spec", "kind", "gidx", "slot", "forms")
+    __slots__ = ("spec", "kind", "gidx", "forms")
 
     def __init__(self, spec: FamilySpec, g: Gen, slot=None):
-        super().__init__()
-        self.spec, self.kind, self.gidx, self.slot = spec, g.kind, g.idx, slot
+        super().__init__(den=spec.ctx.int_den())
+        self.spec, self.kind, self.gidx = spec, g.kind, g.idx
         self.forms: dict = {}  # (letter, parity of k) -> the stratum at this mode
+        if slot is not None:
+            terms = self._read(*slot)
+            if self.den is not None:
+                self.den = lcm(self.den, *(c.denominator for _, c in terms))
+                terms = tuple((lk, _times(c, self.den)) for lk, c in terms)
+            self[slot] = terms
 
     def _form(self, letter: str, kpar: int):
         """The stratum at this row's mode, or None: per term, the target
         letter, the target's offset from the key, the denominator and the
         numerator's int coefficients by falling power of the key's doubled
-        index (`_falling`); at a symbolic parameter, None and that
-        (monomial, den, powers) per parameter monomial."""
+        index (`_falling`), in an int row times its den over the stratum's;
+        at a symbolic parameter, None and that (monomial, den, powers) per
+        parameter monomial."""
         if (letter, kpar) not in self.forms:
             gd = self.gidx.doubled
             stratum = self.spec.ctx.stratum(self.kind, gd & 1, letter, kpar)
             form = None
             if stratum is not None:
-                form = [(letter2, off + gd, den, _falling(nums, gd)) if den is not None
+                form = [(letter2, off + gd, den,
+                         [c * (self.den // den) for c in _falling(nums, gd)] if self.den
+                         else _falling(nums, gd)) if den is not None
                         else (letter2, off + gd, None,
                               tuple((mono, d, _falling(n, gd)) for mono, d, n in nums))
                         for letter2, off, den, nums in stratum]
@@ -824,9 +857,10 @@ class _ActionRow(dict):
     def __missing__(self, key):
         letter, doubled = key
         form = None if self.kind == "C" else self._form(letter, doubled & 1)
-        if form is None or key == self.slot:
+        if form is None:
             terms = self._read(letter, doubled)
         else:
+            ints = self.den is not None
             terms = []
             for letter2, off, den, powers in form:
                 if den is None:
@@ -838,13 +872,13 @@ class _ActionRow(dict):
                 for c in powers:
                     num = num * doubled + c
                 if num:
-                    terms.append(((letter2, doubled + off), Fraction(num, den)))
+                    terms.append(((letter2, doubled + off), num if ints else Fraction(num, den)))
             terms = tuple(terms)
         self[key] = terms
         return terms
 
     def _read(self, letter: str, doubled: int) -> tuple:
-        """The entry read from the table directly."""
+        """The entry read from the table directly, as objects."""
         lc: dict = {}
         for letter2, idx, coeff in act_indexed(self.spec, self.kind, self.gidx, letter,
                                                SymIndex(doubled)):
@@ -863,33 +897,18 @@ def _sweep_witness(decode, record) -> dict:
                                      for lk, c in decode(entries).items()})}
 
 
-def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) -> Tally:
-    """Check the module axiom on every generator pair and window label.
-
-    Returns a `Tally` of the (pair, label) checks, whose violations are
-    {"g1", "g2", "v", "residual"} dicts of names, sorted by label, then
-    pair.  Unordered pairs suffice: the reversed-pair residual is the
-    forward one up to the super-antisymmetry sign.  The sweep reads the
-    spec's action memo (`_ActionRow`), so entries an earlier reader of the
-    same spec built (`act`, a first sweep) are not built again.  It hands
-    those rows to the residual engine (`algebra.residual_sweep`), which
-    reads exactly the entries its loop needs and runs in int arithmetic, at
-    symbolic parameters too; `bracket_action_check` is the readable
-    reference for the residual it computes.
-
-    A violation is kept as one tuple of its names and the engine's flat,
-    undecoded entries, sorted by the names, and the violations are a
-    `report.LazyList`: a witness is decoded, by the sweep's one decoder,
-    and formatted (`lincomb_str`) only when it is read.
-    """
+@lru_cache(maxsize=4)
+def _pair_table(gen_window: int) -> tuple:
+    """An axiom sweep's pairs at this generator window, as `residual_sweep`
+    takes them, and (row key, generator) for each row they read: constants
+    shared by every spec's sweep, with each generator named once."""
     gens = sorted(generators_in_window(gen_window), key=Gen.sort_key)
-    labels = labels_in_window(basis_window)
-    ctx = spec.ctx
-    memo: dict = {}
+    names = {g: str(g) for g in gens}
+    rows: dict = {}
 
     def row(g: Gen):
         key = (g.kind, None if g.idx is None else g.idx.doubled)
-        memo[key] = ctx.row(g)
+        rows.setdefault(key, g)
         return key
 
     pairs = []
@@ -897,10 +916,35 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
         for g2 in gens[i:]:
             sign = -1 if parity(g1) and parity(g2) else 1
             # C acts as zero, so its bracket terms add nothing
-            lhs = [(row(h), scale) for h, scale in bracket(g1, g2).items() if h.kind != "C"]
-            # names are formed once, and shared by every witness that uses them
-            pairs.append(((str(g1), str(g2)), row(g1), row(g2), sign, lhs))
-    keyed = [((v.letter, v.idx.doubled), str(v)) for v in labels]
+            lhs = tuple((row(h), scale) for h, scale in bracket(g1, g2).items() if h.kind != "C")
+            pairs.append(((names[g1], names[g2]), row(g1), row(g2), sign, lhs))
+    return tuple(pairs), tuple(rows.items())
+
+
+def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) -> Tally:
+    """Check the module axiom on every generator pair and window label.
+
+    Returns a `Tally` of the (pair, label) checks, whose violations are
+    {"g1", "g2", "v", "residual"} dicts of names, sorted by label, then
+    pair.  Unordered pairs suffice: the reversed-pair residual is the
+    forward one up to the super-antisymmetry sign; the pairs are the
+    window's `_pair_table`.  The sweep reads the spec's action memo
+    (`_ActionRow`), so entries an earlier reader of the same spec built
+    (`act`, a first sweep) are not built again.  It hands those rows to
+    the residual engine (`algebra.residual_sweep`), which reads exactly the
+    entries its loop needs and runs in int arithmetic, taking a concrete
+    spec's int rows as they are; `bracket_action_check` is the readable
+    reference for the residual it computes.
+
+    A violation is kept as one tuple of its names and the engine's flat,
+    undecoded entries, sorted by the names, and the violations are a
+    `report.LazyList`: a witness is decoded, by the sweep's one decoder,
+    and formatted (`lincomb_str`) only when it is read.
+    """
+    pairs, gens = _pair_table(gen_window)
+    ctx = spec.ctx
+    memo = {key: ctx.row(g) for key, g in gens}
+    keyed = [((v.letter, v.idx.doubled), str(v)) for v in labels_in_window(basis_window)]
     decode, records = residual_sweep(pairs, memo, keyed, sign=-1)
     found = sorted(((name, n1, n2, *entries) for (n1, n2), name, entries in records),
                    key=itemgetter(0, 1, 2))
@@ -960,10 +1004,11 @@ def submodule_check(spec: FamilySpec, cand: SubmoduleCandidate,
     {"g", "v", "target", "coefficient"} witness.
     """
     checks = 0
+    gens = generators_in_window(gen_window)
     for v in labels_in_window(basis_window):
         if not cand.contains(v):
             continue
-        for g in generators_in_window(gen_window):
+        for g in gens:
             checks += 1
             for label, coeff in act(spec, g, v).items():
                 if coeff and not cand.contains(label):

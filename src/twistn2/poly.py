@@ -31,7 +31,13 @@ from typing import Iterable, Mapping, Union
 
 
 class NotDivisible(ArithmeticError):
-    """Exact division failed: the claimed factor does not divide."""
+    """Exact division failed: the claimed factor does not divide.  Raised
+    with the two operands, it renders them only when its message is read."""
+
+    def __str__(self) -> str:
+        if len(self.args) != 2:
+            return super().__str__()
+        return "({}) is not divisible by ({})".format(*self.args)
 
 
 class WrongDegree(ValueError):
@@ -436,7 +442,8 @@ def exact_divide(num: Poly, den: Poly) -> Poly:
     Leading-term division by the largest packed key: comparing packed
     keys is a monomial order (lex, last slot first), so the unique exact
     quotient is found greedily.  Key k is divisible by key d iff no field
-    of k - d is negative: ((k | G) - d) & G == G, G the guard bits.
+    of k - d is negative: ((k | G) - d) & G == G, G the guard bits.  Each
+    quotient term times den is subtracted from one working remainder.
     """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -445,15 +452,21 @@ def exact_divide(num: Poly, den: Poly) -> Poly:
     den_key = max(den.terms)
     den_coeff = den.terms[den_key]
     quot: dict[Exps, Scalar] = {}
-    rem = num
+    rem = dict(num.terms)
     while rem:
-        lead = max(rem.terms)
+        lead = max(rem)
         if ((lead | _GUARD) - den_key) & _GUARD != _GUARD:
-            raise NotDivisible(f"({num}) is not divisible by ({den})")
+            raise NotDivisible(num, den)
         key = lead - den_key
-        c = _rat(Fraction(rem.terms[lead]) / den_coeff)
-        quot[key] = c
-        rem = rem - Poly({key: c}, _canonical=True) * den
+        c = quot[key] = _rat(Fraction(rem[lead]) / den_coeff)
+        _checked(key + dk for dk in den.terms)
+        for dk, dc in den.terms.items():
+            t = key + dk
+            new = rem.get(t, 0) - c * dc
+            if new:
+                rem[t] = new
+            else:
+                del rem[t]
     return Poly(quot, _canonical=True)
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistn2 import algebra
-from twistn2.algebra import (C, G, Gen, L, T, bracket, bracket_terms,
+from twistn2.algebra import (C, G, Gen, L, Row, T, bracket, bracket_terms,
                              generators_in_window, jacobi_residual, parity,
                              residual_sweep, super_jacobi_sweep)
 from twistn2.indices import SymIndex
@@ -314,8 +314,8 @@ def test_jacobi_int_residuals_equal_the_object_loop(monkeypatch, target, mutate)
 # Hand-built rows over string keys.  On v, x(y v) takes w to 1, then 0,
 # then back to 1 within its part, and z to 1; -[x,y] v takes both to 0;
 # -y(x v) re-forms w at 1 and leaves z at 0.  The pair "exact" reads rows
-# whose three parts cancel: 2w - 2w.
-CANCELLING_ROWS = {
+# whose three parts cancel: 2w - 2w.  The coefficients are ints over den 1.
+CANCELLING_ROWS = {key: Row(entries, den=1) for key, entries in {
     "x": {"v": (("u4", 1),), "u1": (("w", 1),), "u2": (("w", -1),),
           "u3": (("w", 1), ("z", 1)), "u4": ()},
     "y": {"v": (("u1", 1), ("u2", 1), ("u3", 1)), "u1": (), "u2": (), "u3": (),
@@ -324,7 +324,7 @@ CANCELLING_ROWS = {
     "x0": {"v": (), "u1": (("w", 1),), "u2": (("w", -1),), "u3": (("w", 2),), "u4": ()},
     "y0": {"v": (("u1", 1), ("u2", 1), ("u3", 1)), "u1": (), "u2": (), "u3": (), "u4": ()},
     "h0": {"v": (("w", 2),)},
-}
+}.items()}
 CANCELLING_PAIRS = [
     ("re-formed", "x", "y", 1, [("h", H)]),
     ("exact", "x0", "y0", 1, [("h0", 1)]),

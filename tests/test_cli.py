@@ -10,6 +10,7 @@ import pytest
 
 from twistn2 import cli, constraints, deformation, modules
 from twistn2.cli import main, parse_candidate, UsageError
+from twistn2.indices import SymIndex
 from twistn2.poly import NotDivisible
 from twistn2.report import Tally
 
@@ -35,11 +36,22 @@ class TestPrintedDataMutations:
          ("solve-coeffs", "--which", "intersections")),
         (lambda mp: mp.setitem(modules.PRINTED_CONSTANTS, "beta", (1, 1, 1, -1)),
          ("verify-axioms", "--family", "Bab", "--a", "1/3", "--b", "2/5")),
-    ], ids=["sporadic-survivors-a", "printed-beta"])
+        (lambda mp: mp.setitem(modules.BASE_FAMILY, "A1", (*modules.BASE_FAMILY["A1"][:4],
+                                                           ("x", SymIndex(2)))),
+         ("verify-axioms", "--family", "A1", "--alpha", "2/7")),
+    ], ids=["sporadic-survivors-a", "printed-beta", "a1-slot-at-x1"])
     def test_mutated_datum_fails_its_verb(self, capsys, monkeypatch, patch, argv):
         assert run(capsys, *argv)[0] == 0
         patch(monkeypatch)
         assert run(capsys, *argv)[0] == 1
+
+
+    def test_a1_slot_at_x1_reports_every_violation(self, capsys, monkeypatch):
+        monkeypatch.setitem(modules.BASE_FAMILY, "A1", (*modules.BASE_FAMILY["A1"][:4],
+                                                        ("x", SymIndex(2))))
+        code, out = run(capsys, "verify-axioms", "--family", "A1", "--alpha", "2/7",
+                        "--format", "json")
+        assert code == 1 and json.loads(out)["notes"] == ["350 violations in total"]
 
 
 class TestParsing:

@@ -18,7 +18,7 @@ from twistn2.constraints import (K, M, N, LAMBDA_PAIRS, LAMBDA_PRIME_PAIRS, LEMM
                                  sample_parameters, sporadic_values,
                                  swap_symmetry_checks, system_determinant,
                                  t_composition)
-from twistn2 import constraints, modules
+from twistn2 import constraints, modules, poly
 from twistn2.algebra import bracket_terms
 from twistn2.cli import main
 from twistn2.indices import SymIndex
@@ -36,6 +36,18 @@ def numeric_det3(matrix, bindings):
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = rows
     return (a1 * b2 * c3 + a2 * b3 * c1 + a3 * b1 * c2
             - a3 * b2 * c1 - a2 * b1 * c3 - a1 * b3 * c2)
+
+
+def test_reading_an_unseen_symbol_registers_nothing():
+    # linear_decompose reads each name's terms; an unseen name has none, and
+    # registering it would shift the first-use order rendering rests on
+    row = 3 * b * Poly.var("alpha1") - Poly.var("alpha2") + a * Poly.var("alpha1")
+    names = list(poly._NAMES)
+    parts = constraints.linear_decompose(row, ["alpha1", "alpha2", "unseen_ww"])
+    assert parts == {"alpha1": 3 * b + a, "alpha2": -ONE, "unseen_ww": ZERO}
+    assert poly._NAMES == names
+    with pytest.raises(MalformedInstance):
+        constraints.linear_decompose(row + 1, ["alpha1", "alpha2"])
 
 
 class TestIdentitySystems:

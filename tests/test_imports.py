@@ -1,6 +1,8 @@
-"""The package's own imports: sympy and Hypothesis are for the tests only."""
+"""The package's own imports: the standard library and itself only, so
+sympy and Hypothesis are for the tests only and `dependencies = []` holds."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,12 @@ def _imported_roots(path: Path) -> set:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_src_imports_no_test_only_package(path):
     assert not _imported_roots(path) & set(TEST_ONLY)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_src_imports_only_the_standard_library(path):
+    # a package installed on this host (numpy, say) would import here too
+    assert _imported_roots(path) - {"twistn2"} <= set(sys.stdlib_module_names)
 
 
 def test_the_scan_sees_an_import():

@@ -301,7 +301,13 @@ def test_a_fault_sweep_formats_only_the_witness_it_prints(monkeypatch, capsys):
     assert out["notes"] == [f"{len(want)} violations in total"]
 
 
-def test_a_row_missing_a_reached_entry_raises(monkeypatch):
+def _decoded(row, key):
+    """A memo row's entry, an int row's numerators over its den."""
+    return tuple((lk, c if row.den is None else Fraction(c, row.den)) for lk, c in row[key])
+
+
+def _engine_input(monkeypatch, spec, *windows):
+    """The (pairs, rows, vectors, sign) an axiom sweep of spec hands the engine."""
     handed = []
 
     def recording(pairs, rows, vectors, sign=1):
@@ -309,16 +315,34 @@ def test_a_row_missing_a_reached_entry_raises(monkeypatch):
         return residual_sweep(pairs, rows, vectors, sign)
 
     monkeypatch.setattr(modules, "residual_sweep", recording)
-    assert axiom_sweep(deformed("A1", Fraction(2, 7)), 1, 2).ok
-    (pairs, memo, vectors, sign), = handed
+    assert axiom_sweep(spec, *windows).ok
+    return handed[0]
+
+
+def test_a_row_missing_a_reached_entry_raises(monkeypatch):
+    pairs, memo, vectors, sign = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)), 1, 2)
     # a fresh spec's memo holds exactly the entries the engine read
-    rows = {key: dict(r) for key, r in memo.items()}
+    rows = {key: {lk: _decoded(r, lk) for lk in r} for key, r in memo.items()}
     assert list(residual_sweep(pairs, rows, vectors, sign)[1]) == []
     window = {vk for vk, _ in vectors}
     key, lk = next((k1, lk) for _, k1, *_ in pairs for lk in rows[k1] if lk not in window)
     del rows[key][lk]
     with pytest.raises(KeyError):
         list(residual_sweep(pairs, rows, vectors, sign)[1])
+
+
+def test_an_int_row_read_without_its_den_raises(monkeypatch):
+    # copied into plain dicts, a concrete spec's int numerators would be
+    # read as if over 1: every copy, or one beside the int rows, raises
+    pairs, memo, vectors, sign = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)), 1, 2)
+    assert all(r.den for r in memo.values()) and {r.den for r in memo.values()} != {1}
+    key = next(k for k, r in memo.items() if any(r.values()))
+    # decoded, one row beside the int rows is read as it is
+    mixed = {**memo, key: {lk: _decoded(memo[key], lk) for lk in memo[key]}}
+    assert list(residual_sweep(pairs, mixed, vectors, sign)[1]) == []
+    for rows in ({k: dict(r) for k, r in memo.items()}, {**memo, key: dict(memo[key])}):
+        with pytest.raises(TypeError, match="without a den"):
+            residual_sweep(pairs, rows, vectors, sign)
 
 
 def _substituted(coeff, bindings):
@@ -330,6 +354,39 @@ def _substituted(coeff, bindings):
 def _faults(family):
     prefix = family.lower() + "."
     return [None] + [f for f in FAULT_CATALOG if f.startswith(prefix)]
+
+
+# alpha denominators the strata (over 4) lack: the slot entries put rows of
+# one sweep over 4, 12 and 36 (28, 20), and each is rescaled to the sweep's d
+FOREIGN_DENS = [deformed(fam, alpha, fault=fault) for fam, alpha, fault in (
+    *((fam, Fraction(1, 9), fault) for fam in ("A1", "A2", "B1", "B2")
+      for fault in (None, _faults(fam)[1])),
+    ("A2", Fraction(-20, 7), "a2.ty-coeff"), ("B1", Fraction(12, 5), None))]
+
+
+@pytest.mark.parametrize("spec", FOREIGN_DENS, ids=[s.label() for s in FOREIGN_DENS])
+def test_int_rows_over_foreign_denominators_match_the_reference(spec):
+    report = axiom_sweep(spec)
+    assert len({r.den for r in spec.ctx.rows.values()}) > 1
+    assert (report.checks, report.violations) == reference_sweep(spec)
+    assert bool(report.violations) == (spec.fault is not None)
+
+
+def test_pair_tables_of_two_windows_do_not_mix():
+    # the pair table is kept per window: one spec swept at window 1, 2, then
+    # 1 again reports what fresh specs report with no table kept
+    spec = deformed("B2", Fraction(1, 9), fault="b2.gdef-sign")
+    fresh = {}
+    for window in (1, 2):
+        modules._pair_table.cache_clear()
+        fresh[window] = axiom_sweep(replace(spec), window)
+    modules._pair_table.cache_clear()
+    for window in (1, 2, 1):
+        got = axiom_sweep(spec, window)
+        gens = len(generators_in_window(window))
+        assert got.checks == fresh[window].checks == 34 * gens * (gens + 1) // 2
+        assert got.violations and list(got.violations) == list(fresh[window].violations)
+    assert modules._pair_table.cache_info().hits == 1
 
 
 # (concrete spec, the same spec with symbolic parameters, their values)
@@ -381,7 +438,7 @@ def _fill_mismatches(spec):
         for v in labels_in_window(6):
             want = tuple(((letter, idx.doubled), modules._scalar(c)) for letter, idx, c in
                          act_indexed(spec, g.kind, g.idx, v.letter, v.idx) if c)
-            got = row[(v.letter, v.idx.doubled)]
+            got = _decoded(row, (v.letter, v.idx.doubled))
             if got != want or [type(c) for _, c in got] != [type(c) for _, c in want]:
                 bad.append((g, v))
     return bad

@@ -234,8 +234,11 @@ def test_kronecker_point_rejects_non_integer_images():
 def test_exact_divide_examples():
     assert exact_divide((b - bp) * m**6, m**6) == b - bp
     assert exact_divide(r * (-2 * b - 2), r) == -2 * b - 2
-    with pytest.raises(NotDivisible):
+    with pytest.raises(NotDivisible) as failed:
         exact_divide(m * m + 1, m)
+    # the operands are kept, and rendered only when the message is read
+    assert failed.value.args == (m * m + 1, m)
+    assert str(failed.value) == "(m^2 + 1) is not divisible by (m)"
     # a leading key larger than the divisor's, with one field too small
     with pytest.raises(NotDivisible):
         exact_divide(b * k ** 2, m * k)
