@@ -3,8 +3,8 @@
 Generators: Virasoro modes L_m (m integer), current modes T_r (r half-odd),
 fermionic modes G_p (p any half-integer), and the central element C.  The
 super-bracket is total on ordered pairs; its Kronecker deltas (the central
-terms, not `KroneckerPoint`) are exact integer comparisons on doubled
-indices, so no floating point enters anywhere.
+terms) are exact integer comparisons on doubled indices, so no floating
+point enters anywhere.
 
 The graded Jacobi identity says that the adjoint action is a module action,
 so it is checked as the module axiom of the adjoint module: one residual
@@ -19,7 +19,6 @@ from fractions import Fraction
 from math import lcm
 
 from .indices import SymIndex
-from .poly import KroneckerPoint, Poly
 from .report import LazyList, Tally
 
 EVEN, ODD = 0, 1
@@ -247,30 +246,19 @@ class Row(dict):
         self.den = den
 
 
-# A generic candidate in "unknowns" mode has one symbol per mode and vector,
-# which would put each image over 3**(symbols) digits; such rows keep their
-# objects.  The parameter sweeps' images are a few hundred bits wide.
-_MAX_POINT_BITS = 1 << 12
-
-
 def _lowering(rows: dict, brackets):
     """How `residual_sweep` takes its coefficients to ints: (d, lower,
-    decode), or None when a row holds a RatFunc.
+    decode), or None when a row holds an object other than a Fraction (a
+    Poly or a RatFunc).
 
     `rows` are `Row`s.  d is the lcm of the bracket scales' denominators
     (`brackets` holds one list of scales per pair) and of the rows': an
-    int row's den, whose entries are not read here, and the denominators
-    of every object coefficient.  `lower(c, d)` is an object c times d as
-    an int.  Where a row coefficient is a Poly, c * d is evaluated at one
-    `KroneckerPoint`, chosen so that every coefficient the loop forms, in
-    units of d**2, can be read back (an int row's numerators, taken over
-    1, only overstate that bound); None again when that point's images
-    would be wider than _MAX_POINT_BITS.  `decode(c, unit)` is the
-    residual coefficient that c stands for.  A bare int in a row of
-    objects is a numerator that lost its den, and raises.
+    int row's den, whose entries are not read here, and the denominator of
+    every Fraction.  `lower(c, d)` is a Fraction c times d as an int, and
+    `decode(c, unit)` the residual coefficient that c stands for.  A bare
+    int in a row of objects is a numerator that lost its den, and raises.
     """
     dens = []
-    polys = []
     for r in rows.values():
         if r.den is not None:
             dens.append(r.den)
@@ -279,9 +267,6 @@ def _lowering(rows: dict, brackets):
             for _, c in terms:
                 if isinstance(c, Fraction):
                     dens.append(c.denominator)
-                elif isinstance(c, Poly):
-                    polys.append(c)
-                    dens.extend(t.denominator for t in c.terms.values())
                 elif isinstance(c, int):
                     raise TypeError(f"int coefficient {c} in a row without a den")
                 else:
@@ -289,27 +274,10 @@ def _lowering(rows: dict, brackets):
     for scales in brackets:
         for c in scales:
             dens.append(c.denominator)
-    d = lcm(*dens)
-    if not polys:
-        return d, _times, Fraction
-    # a residual coefficient sums a pair's bracket terms (row times scale)
-    # and the two compositions (width products of two rows each)
-    norm = max(sum(abs(_times(t, d)) for t in c.terms.values()) if isinstance(c, Poly)
-               else abs(_times(c, d))
-               for r in rows.values() for terms in r.values() for _, c in terms)
-    width = max(len(terms) for r in rows.values() for terms in r.values())
-    smax = max(sum(abs(_times(c, d)) for c in scales) for scales in brackets)
-    point = KroneckerPoint(polys, smax * width * norm + 2 * width * width * norm * norm)
-    if point.bits > _MAX_POINT_BITS:
-        return None
-
-    def lower(c, d: int) -> int:
-        return point.image(c, d) if isinstance(c, Poly) else _times(c, d)
-
-    return d, lower, point.decode
+    return lcm(*dens), _times, Fraction
 
 
-def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
+def residual_sweep(pairs, rows: dict, vectors, sign: int = 1, decode=None):
     """The one residual engine: the axiom residual of every pair on every
     vector, in int arithmetic; hands back the nonzero ones, undecoded.
 
@@ -331,13 +299,10 @@ def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
     entries are ((target position, coeff), ...), every row coefficient and
     bracket scale an int over their common denominator d (`_lowering`), so
     each residual term, a product of two of them, comes out times d**2.
-    An int row is taken as it is, times d / den where its den is not d.
-    A Poly coefficient is lowered and evaluated at one `KroneckerPoint`.
-    Scaling by a nonzero constant and that evaluation are injective on
-    every sum the loop forms, so a residual vanishes exactly where the
-    object loop's does.  Rows holding a RatFunc, or in the hundreds of
-    unknowns of a generic candidate, keep their objects, with the sign
-    alone as their unit; an int row beside them is read over its den.
+    An int row is taken as it is, times d / den where its den is not d,
+    and a Fraction is lowered.  Rows holding a Poly or a RatFunc keep their
+    objects, with the sign alone as their unit; an int row beside them is
+    read over its den.
 
     The gather runs at the call.  Returns (decode, records): `records`
     yields one (pair tag, vector tag, entries) tuple per nonzero residual,
@@ -345,7 +310,9 @@ def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
     (target position, int coeff, target position, int coeff, ...), and
     `decode(entries)`, the sweep's one decoder, reads them back to {target
     key: coeff} at sign * d**2, so the decoding takes the sign too.  A
-    sweep that keeps a count and one witness so decodes one residual.
+    sweep that keeps a count and one witness so decodes one residual.  An
+    int coefficient c reads back as c / unit, unit = sign * d**2, or as
+    `decode(c, unit)` where given (a twin's Kronecker point, `modules._twin`).
     """
     vkeys = [vk for vk, _ in vectors]
     outer = dict.fromkeys(k for _, k1, k2, _, _ in pairs for k in (k1, k2))
@@ -363,7 +330,8 @@ def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
                           for vk, terms in r.items()})
                 r.den = None
         lowering = 1, lambda c, d: c, lambda c, unit: c if unit == 1 else -c
-    d, lower, decode = lowering
+    d, lower, read = lowering
+    read = decode or read
     unit = sign * d * d
     keys = list(dict.fromkeys([*vkeys, *(lk for entries in gathered.values()
                                          for terms in entries.values() for lk, _ in terms)]))
@@ -380,7 +348,7 @@ def residual_sweep(pairs, rows: dict, vectors, sign: int = 1):
 
     def decoder(entries: tuple) -> dict:
         terms = iter(entries)
-        return {keys[p]: decode(c, unit) for p, c in zip(terms, terms)}
+        return {keys[p]: read(c, unit) for p, c in zip(terms, terms)}
 
     def records():
         for tag, k1, k2, eps, xy in pairs:

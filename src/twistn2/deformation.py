@@ -30,8 +30,8 @@ from fractions import Fraction
 from .indices import SymIndex
 # `act` is not called here: perfbench/selftest.py checks that the tracer
 # rebinds this import of it, a binding outside its home module
-from .modules import (R, FamilySpec, _landing, act, act_indexed,  # noqa: F401
-                      slot_vector, t_composition)
+from .modules import (MODE_CLASSES, R, FamilySpec, _landing, act,  # noqa: F401
+                      act_indexed, slot_vector, t_composition)
 from .poly import Poly, RatFunc, ZERO
 from .report import Report
 
@@ -170,9 +170,6 @@ def f_derivation(case: DeformCase) -> Report:
 
 Q = SymIndex.var("q")
 
-# the reads that cover a slot: each kind of mode, with the parity class of q
-_SLOT_READS = (("L", 0), ("T", 1), ("G", 0), ("G", 1))
-
 
 def _terms_str(terms) -> str:
     return " + ".join(f"({c})*{letter}_{idx}" for letter, idx, c in terms) or "0"
@@ -181,16 +178,17 @@ def _terms_str(terms) -> str:
 def deformation_discrepancies(spec: FamilySpec) -> list[dict]:
     """Audit a deformed family's slot against the closed forms of its case.
 
-    One `act_indexed` read per entry of `_SLOT_READS`, at the symbolic mode
-    index q on the vector where that mode reads the slot (`slot_vector`),
-    so the audit covers every mode index.  Returns one {"g", "v", "family",
-    "derived"} dict per read that disagrees: the mode, the vector, and the
-    family's and the closed form's terms.
+    One `act_indexed` read per kind of mode and parity class of its index
+    (`modules.MODE_CLASSES`), at the symbolic mode index q on the vector
+    where that mode reads the slot (`slot_vector`), so the audit covers
+    every mode index.  Returns one {"g", "v", "family", "derived"} dict per
+    read that disagrees: the mode, the vector, and the family's and the
+    closed form's terms.
     """
     case = CASES[spec.family]
     al, alp = spec.ctx.alpha, spec.ctx.alphap
     out = []
-    for kind, parity in _SLOT_READS:
+    for kind, parity in MODE_CLASSES:
         letter, v = slot_vector(spec.family, kind, Q)
         if kind == "L":
             value = case.e_closed_form(al, alp, Pq)

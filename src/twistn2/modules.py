@@ -28,14 +28,14 @@ action table (`FamilySpec.ctx`); no action state is process-wide.
 
 Each weight space is one-dimensional, so on each parity class of mode m
 and vector index k an action lands on index k+m with a coefficient
-polynomial in (m, k) and the symbolic parameters.  The memo reads the
-table once per such stratum, at symbolic m and k, and fills its entries by
-evaluating that read in ints, once per parameter monomial; at concrete
-parameters a row keeps int numerators over one denominator.  It reads the
-table entry by entry where a stratum is not such a polynomial (a RatFunc
-form, the unknowns mode), and on a deformed family's slot, the one
-index-equality decision.  The axiom sweeps of every spec share one table
-of generator pairs per window (`_pair_table`).
+polynomial in (m, k) and the parameters.  At concrete parameters the memo
+reads the table once per such stratum, at symbolic m and k, and fills its
+entries by evaluating that read in ints, over one denominator per row.  It
+reads the table entry by entry at symbolic parameters, where a stratum is
+not such a polynomial, and on a deformed family's slot, the one
+index-equality decision.  The window checks sweep a symbolic family as its
+concrete twin at one Kronecker point (`_twin`), and share one table of
+generator pairs per window (`_pair_table`).
 
 The central element acts as zero on every family.
 """
@@ -43,7 +43,7 @@ The central element acts as zero on every family.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import lcm
@@ -53,7 +53,7 @@ from typing import Union
 from .algebra import (Gen, Row, _times, add_term, bracket, bracket_terms, generators_in_window,
                       parity, residual_sweep)
 from .indices import IDX_ZERO, SymIndex
-from .poly import ONE, Poly, RatFunc, ZERO, sym_shift
+from .poly import ONE, KroneckerPoint, Poly, RatFunc, ZERO, sym_shift, sym_slot
 from .report import LazyList, Tally
 
 Param = Union[Fraction, str, None]  # "sym" selects symbolic mode
@@ -240,6 +240,11 @@ PRINTED_CONSTANTS = {
 }
 
 
+# each parameter field of a spec, and the `_Ctx` slot that holds it as the
+# tables read it: the symbol of that name where the field is "sym"
+_SYMBOLS = {"a": "a", "b": "b", "bprime": "bp", "alpha": "alpha", "alphap": "alphap"}
+
+
 class _Ctx:
     """One spec's parameters as the tables read them, and its action memo:
     one `_ActionRow` per generator, shared by every reader of the spec, and
@@ -261,11 +266,8 @@ class _Ctx:
         self.spec = weakref.proxy(spec)
         self.fault = spec.fault
         self.mode = spec.coeff_mode
-        self.a = _param("a", spec.a)
-        self.b = _param("b", spec.b)
-        self.bp = _param("bp", spec.bprime)
-        self.alpha = _param("alpha", spec.alpha)
-        self.alphap = _param("alphap", spec.alphap)
+        for field, name in _SYMBOLS.items():
+            setattr(self, name, _param(name, getattr(spec, field)))
         self.branch = self.consts = self.base = self.slot = None
         self.forced = {}
         if spec.family in BASE_FAMILY:
@@ -313,23 +315,22 @@ class _Ctx:
 
     def int_den(self) -> int | None:
         """The lcm of the spec's stratum denominators, over which its rows
-        hold ints; None, and rows of objects, unless every stratum is in
-        ints and no slot parameter is a symbol."""
+        hold ints; None, and rows of objects, where a parameter is a
+        symbol or a stratum is not in ints."""
         if self.den == 0:
-            strata = [self.stratum(*key) for key in _STRATA]
-            dens = [den for st in strata if st is not None for _, _, den, _ in st]
-            concrete = None not in strata and None not in dens and not any(
-                isinstance(p, Poly) for p in (self.alpha, self.alphap))
-            self.den = lcm(1, *dens) if concrete else None
+            symbolic = any(isinstance(getattr(self, name), Poly) for name in _SYMBOLS.values())
+            strata = [None] if symbolic else [self.stratum(*key) for key in _STRATA]
+            self.den = None if None in strata else lcm(
+                1, *(den for st in strata for _, _, den, _ in st))
         return self.den
 
     def stratum(self, kind: str, qpar: int, letter: str, kpar: int):
         """The action of mode m on the vector `letter`_k, for m and k of the
         given parity classes, read once from the table at symbolic m and k
-        and lowered to ints (`_int_stratum`), per parameter monomial where
-        a parameter is symbolic; None where a row must read each entry
-        directly (a RatFunc form).  The unknowns mode is never read here,
-        as its symbols are named by concrete index."""
+        and lowered to ints (`_int_stratum`); None where a row must read
+        each entry directly (a RatFunc form, a symbol other than m and k).
+        The unknowns mode is never read here, as its symbols are named by
+        concrete index."""
         key = (kind, qpar, letter, kpar)
         if key not in self.strata:
             self.strata[key] = None if self.mode == "unknowns" else _int_stratum(
@@ -352,8 +353,11 @@ def _sgn2q(gpar: int) -> int:
     return -1 if gpar else 1
 
 
+# each kind of mode with the parity class of its index: L integer, T
+# half-odd, G either
+MODE_CLASSES = (("L", 0), ("T", 1), ("G", 0), ("G", 1))
 # the (kind, parity of the mode, letter, parity of k) of every stratum
-_STRATA = tuple((kind, qpar, letter, kpar) for kind, qpar in (("L", 0), ("T", 1), ("G", 0), ("G", 1))
+_STRATA = tuple((kind, qpar, letter, kpar) for kind, qpar in MODE_CLASSES
                 for letter in "xy" for kpar in (0, 1))
 
 
@@ -713,12 +717,10 @@ def labels_in_window(window: int) -> list[BasisLabel]:
             for letter in ("x", "y") for d in range(-bound, bound + 1)]
 
 
-_M, _K = SymIndex.var("m"), SymIndex.var("k")
+_M, _K, _Q = SymIndex.var("m"), SymIndex.var("k"), SymIndex.var("q")
 _MK = (_M + _K).lin
 _M_SHIFT, _K_SHIFT = sym_shift("m"), sym_shift("k")
 _MK_MASK = 255 << _M_SHIFT | 255 << _K_SHIFT
-# the fields of the parameters a spec's tables read as symbols (`_param`)
-_PARAM_MASK = sum(255 << sym_shift(name) for name in ("a", "b", "bp", "alpha", "alphap"))
 
 
 def _int_parts(parts):
@@ -732,15 +734,12 @@ def _int_parts(parts):
 def _int_stratum(terms):
     """A stratum read (`_Ctx.stratum`) in ints: one (letter, offset, den,
     nums) per term, in the table's order, for the target
-    letter_(k+m+offset/2).  A coefficient in m and k alone is the sum
+    letter_(k+m+offset/2), whose coefficient is the sum
     n (2m)**i (2k)**j / den over nums = ((n, i, j), ...), so a row
-    evaluates it at doubled indices.  One that holds a symbolic parameter
-    has den None, and nums is ((monomial, den, ((n, i, j), ...)), ...):
-    the same form for each parameter monomial (a packed `poly` key, 0 for
-    none) it holds.  None unless every target is k + m plus a constant and
-    every coefficient a scalar or a Poly in m, k and the parameters a, b,
-    bp, alpha and alphap; another symbol or a RatFunc form leaves the
-    whole stratum to direct reads."""
+    evaluates it at doubled indices.  None unless every target is k + m
+    plus a constant and every coefficient a scalar or a Poly in m and k
+    alone; another symbol or a RatFunc form leaves the whole stratum to
+    direct reads."""
     out = []
     for letter, idx, coeff in terms:
         if idx.lin != _MK:
@@ -749,17 +748,10 @@ def _int_stratum(terms):
             coeff = Poly.const(coeff)
         elif not isinstance(coeff, Poly):
             return None
-        groups: dict = {}  # parameter monomial -> [(c, i, j), ...]
-        for key, c in coeff.terms.items():
-            mono = key & ~_MK_MASK
-            if mono & ~_PARAM_MASK:
-                return None
-            groups.setdefault(mono, []).append((c, key >> _M_SHIFT & 255, key >> _K_SHIFT & 255))
-        if groups.keys() <= {0}:
-            out.append((letter, idx.doubled, *_int_parts(groups.get(0, ()))))
-        else:
-            out.append((letter, idx.doubled, None,
-                        tuple((mono, *_int_parts(parts)) for mono, parts in groups.items())))
+        if any(key & ~_MK_MASK for key in coeff.terms):
+            return None
+        out.append((letter, idx.doubled, *_int_parts(
+            (c, key >> _M_SHIFT & 255, key >> _K_SHIFT & 255) for key, c in coeff.terms.items())))
     return tuple(out)
 
 
@@ -772,24 +764,6 @@ def _falling(nums, gd: int) -> list:
     return powers[::-1]
 
 
-def _poly_at(groups, doubled: int):
-    """A symbolic-parameter stratum term at the key's doubled index: the
-    canonical Poly of its (monomial, den, powers) groups, a constant as its
-    Fraction (as `_scalar` gives it), None where it vanishes."""
-    out = {}
-    for mono, den, powers in groups:
-        num = 0
-        for c in powers:
-            num = num * doubled + c
-        if num:
-            out[mono] = num // den if not num % den else Fraction(num, den)
-    if not out:
-        return None
-    if out.keys() == {0}:
-        return Fraction(out[0])
-    return Poly(out, _canonical=True)
-
-
 class _ActionRow(Row):
     """The action of one generator on one spec: label key (letter, doubled
     index) -> ((label key, coeff), ...), each entry built the first time it
@@ -797,16 +771,15 @@ class _ActionRow(Row):
     index `SymIndex(d)` the table reads, and a target's is the `doubled` of
     the index the table returns.
 
-    An entry is the spec's stratum for the key's parity class (`_Ctx.stratum`)
-    evaluated in ints at the row's mode and the key's index: at concrete
-    parameters one int numerator per nonzero term, over the row's `den`
-    (the lcm of `_Ctx.int_den` and the slot entry's denominators), and at
-    symbolic ones (den None) one Horner evaluation per parameter monomial
-    and one canonical Poly per term (a constant one as its Fraction).  It
-    is read from the table directly, by `act_indexed`, where there is no
-    such stratum (the C row, a RatFunc form, the unknowns mode), and on the
-    one key of a deformed family's row that reads the slot (`slot_vector`,
-    where `_at_slot` holds), the tables' only decision on index equality.
+    An entry of an int row is the spec's stratum for the key's parity class
+    (`_Ctx.stratum`) evaluated in ints at the row's mode and the key's
+    index: one int numerator per nonzero term, over the row's `den` (the
+    lcm of `_Ctx.int_den` and the slot entry's denominators).  An entry is
+    read from the table directly, by `act_indexed`, in a row of objects
+    (den None: a symbolic parameter, a RatFunc form, the unknowns mode), in
+    the C row, and on the one key of a deformed family's row that reads
+    the slot (`slot_vector`, where `_at_slot` holds), the tables' only
+    decision on index equality.
 
     It is the only action memo.  The spec's context owns one row per
     generator (`_Ctx.row`), and `act`, the axiom sweep and the submodule
@@ -834,45 +807,30 @@ class _ActionRow(Row):
             self[slot] = terms
 
     def _form(self, letter: str, kpar: int):
-        """The stratum at this row's mode, or None: per term, the target
-        letter, the target's offset from the key, the denominator and the
-        numerator's int coefficients by falling power of the key's doubled
-        index (`_falling`), in an int row times its den over the stratum's;
-        at a symbolic parameter, None and that (monomial, den, powers) per
-        parameter monomial."""
+        """The stratum at this row's mode: per term, the target letter, the
+        target's offset from the key, and the numerator's int coefficients
+        by falling power of the key's doubled index (`_falling`), times the
+        row's den over the stratum's."""
         if (letter, kpar) not in self.forms:
             gd = self.gidx.doubled
-            stratum = self.spec.ctx.stratum(self.kind, gd & 1, letter, kpar)
-            form = None
-            if stratum is not None:
-                form = [(letter2, off + gd, den,
-                         [c * (self.den // den) for c in _falling(nums, gd)] if self.den
-                         else _falling(nums, gd)) if den is not None
-                        else (letter2, off + gd, None,
-                              tuple((mono, d, _falling(n, gd)) for mono, d, n in nums))
-                        for letter2, off, den, nums in stratum]
-            self.forms[letter, kpar] = form
+            self.forms[letter, kpar] = [
+                (letter2, off + gd, [c * (self.den // den) for c in _falling(nums, gd)])
+                for letter2, off, den, nums in self.spec.ctx.stratum(self.kind, gd & 1,
+                                                                     letter, kpar)]
         return self.forms[letter, kpar]
 
     def __missing__(self, key):
         letter, doubled = key
-        form = None if self.kind == "C" else self._form(letter, doubled & 1)
-        if form is None:
+        if self.den is None or self.kind == "C":
             terms = self._read(letter, doubled)
         else:
-            ints = self.den is not None
             terms = []
-            for letter2, off, den, powers in form:
-                if den is None:
-                    coeff = _poly_at(powers, doubled)
-                    if coeff is not None:
-                        terms.append(((letter2, doubled + off), coeff))
-                    continue
+            for letter2, off, powers in self._form(letter, doubled & 1):
                 num = 0
                 for c in powers:
                     num = num * doubled + c
                 if num:
-                    terms.append(((letter2, doubled + off), num if ints else Fraction(num, den)))
+                    terms.append(((letter2, doubled + off), num))
             terms = tuple(terms)
         self[key] = terms
         return terms
@@ -921,6 +879,81 @@ def _pair_table(gen_window: int) -> tuple:
     return tuple(pairs), tuple(rows.items())
 
 
+def _twin_point(spec: FamilySpec, gen_window: int, basis_window: int):
+    """(point, D, norm, {field: symbol}) for `_twin`, or None."""
+    params = {field: name for field, name in _SYMBOLS.items() if getattr(spec, field) == "sym"}
+    if not params or spec.coeff_mode == "unknowns":  # its symbols name concrete indices
+        return None
+    reads = [act_indexed(spec, kind, _M, letter, _K, {"m": qpar, "k": kpar})
+             for kind, qpar, letter, kpar in _STRATA]
+    if spec.family in BASE_FAMILY:
+        reads += [act_indexed(spec, kind, _Q, *slot_vector(spec.family, kind, _Q), {"q": qpar})
+                  for kind, qpar in MODE_CLASSES]
+    pairs, rows = _pair_table(gen_window)
+    modes = max(abs(doubled) for (_, doubled), _ in rows if doubled is not None)
+    bounds = dict(m=modes, k=modes + 2 * basis_window, q=modes, **dict.fromkeys(params.values(), 1))
+    halved = []  # each read coefficient in 2m, 2k and 2q
+    for coeff in (coeff for read in reads for _, _, coeff in read):
+        if not isinstance(coeff, (int, Fraction, Poly)):
+            return None
+        halved.append((ONE * coeff).substitute({i: HALF * Poly.var(i) for i in "mkq"}))
+        if not bounds.keys() >= set(halved[-1].variables()):
+            return None
+    scales = [[scale for _, scale in lhs] for *_, lhs in pairs]
+    den = lcm(*(Fraction(c).denominator for p in halved for c in p.terms.values()),
+              *(c.denominator for row in scales for c in row))
+    norm = int(den * max(Poly({key: abs(c) for key, c in p.terms.items()}).evaluate(bounds)
+                         for p in halved))
+    smax = int(den * max(sum(map(abs, row)) for row in scales))
+    width = max(map(len, reads))
+    tops = {sym_slot(name): max(p.degree_in(name) for p in halved) for name in params.values()}
+    point = KroneckerPoint(tops, smax * width * norm + 2 * width * width * norm * norm)
+    return point, den, norm, params
+
+
+def _twin(spec: FamilySpec, gen_window: int, basis_window: int):
+    """(twin, decode): the concrete spec a window check of this symbolic
+    one runs on, and the `decode` its residual engine reads ints with;
+    (spec, None) for a concrete spec or one with no twin.
+
+    The twin sets each symbolic parameter to its value at one
+    `KroneckerPoint`, a ring homomorphism, so its tables hold the images
+    of the spec's coefficients, in int rows.  The point is wide enough:
+    - Reads: the 16 strata at symbolic m and k and, on A1..B2, the 4 slot
+      reads at a symbolic mode q (`MODE_CLASSES`); each entry a window
+      check reads is one of them at concrete indices.  Each coefficient is
+      a Poly in m, k, q and the spec's parameters, or there is no twin (a
+      RatFunc, an unknown, a normalization symbol alpha1..).
+    - Tops: each parameter's top degree over the reads.
+    - Index bounds, doubled: |2m| and |2q| are at most the largest |2i| of
+      a row of `_pair_table`, whose bracket targets reach 2 * gen_window,
+      and |2k| at most that plus 2 * basis_window.
+    - Norm: a term c m^i k^j q^l is (c / 2^(i+j+l)) (2m)^i (2k)^j (2q)^l.
+      D, the lcm of those denominators and the bracket scales', clears
+      every entry and scale, so the twin engine's d divides D; `norm`, D
+      times the largest L1 norm of a read at the index bounds, bounds the
+      L1 norm of D times an entry.
+    - Bound: a residual times D^2 sums bracket terms (at most smax * width
+      * norm, smax D times the largest sum of |scale|, width the most
+      terms in one read) and two compositions (width^2 norm^2 each), so
+      its coefficients are ints within the point's bound; `decode` reads
+      the engine's int c at unit sign d^2 as c (D/d)^2 over sign D^2.
+    A spec that refuses its twin (B(a,0,-3/2) at an integer a) has none.
+    """
+    found = _twin_point(spec, gen_window, basis_window)
+    if found is None:
+        return spec, None
+    point, den, _, params = found
+    values = {field: Fraction(point.value(name)) for field, name in params.items()}
+    try:
+        twin = replace(spec, **values)
+    except ValueError:  # the spec refuses these values
+        return spec, None
+    square = den * den
+    return twin, lambda c, unit: point.decode(c * (square // abs(unit)),
+                                              square if unit > 0 else -square)
+
+
 def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) -> Tally:
     """Check the module axiom on every generator pair and window label.
 
@@ -930,11 +963,13 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
     forward one up to the super-antisymmetry sign; the pairs are the
     window's `_pair_table`.  The sweep reads the spec's action memo
     (`_ActionRow`), so entries an earlier reader of the same spec built
-    (`act`, a first sweep) are not built again.  It hands those rows to
+    (`act`, a first sweep) are not built again.  A symbolic spec is swept
+    as its concrete twin (`_twin`), whose rows are int rows and whose
+    residuals decode at one Kronecker point.  The sweep hands the rows to
     the residual engine (`algebra.residual_sweep`), which reads exactly the
-    entries its loop needs and runs in int arithmetic, taking a concrete
-    spec's int rows as they are; `bracket_action_check` is the readable
-    reference for the residual it computes.
+    entries its loop needs and runs in int arithmetic, taking int rows as
+    they are; `bracket_action_check` is the readable reference for the
+    residual it computes.
 
     A violation is kept as one tuple of its names and the engine's flat,
     undecoded entries, sorted by the names, and the violations are a
@@ -942,10 +977,11 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
     and formatted (`lincomb_str`) only when it is read.
     """
     pairs, gens = _pair_table(gen_window)
-    ctx = spec.ctx
+    twin, decode = _twin(spec, gen_window, basis_window)
+    ctx = twin.ctx
     memo = {key: ctx.row(g) for key, g in gens}
     keyed = [((v.letter, v.idx.doubled), str(v)) for v in labels_in_window(basis_window)]
-    decode, records = residual_sweep(pairs, memo, keyed, sign=-1)
+    decode, records = residual_sweep(pairs, memo, keyed, sign=-1, decode=decode)
     found = sorted(((name, n1, n2, *entries) for (n1, n2), name, entries in records),
                    key=itemgetter(0, 1, 2))
     return Tally(len(pairs) * len(keyed), LazyList(found, partial(_sweep_witness, decode)))
@@ -1074,8 +1110,10 @@ def ns_partition_check(spec: FamilySpec, gen_window: int = 2,
     must preserve both partition blocks; T_r and integer G_n must swap them.
 
     Returns a `Tally` of the (generator, label) actions checked, with one
-    {"g", "v", "target"} violation per target in the wrong block.
+    {"g", "v", "target"} violation per target in the wrong block.  A
+    symbolic spec is checked on its twin (`_twin`).
     """
+    spec = _twin(spec, gen_window, basis_window)[0]
     checks = 0
     violations = []
     for g in generators_in_window(gen_window):

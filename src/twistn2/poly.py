@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm, prod
 from operator import or_
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 
 class NotDivisible(ArithmeticError):
@@ -475,54 +475,29 @@ def exact_divide(num: Poly, den: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 class KroneckerPoint:
-    """One integer point at which a set of polynomials can be evaluated,
-    and at which the products of two of them can be decoded again.
+    """One integer point at which polynomials within given degrees are
+    evaluated, and the products of two of them decoded again.
 
-    Symbol slot i goes to X**offset_i.  The offsets are in mixed radix
-    2*deg_i + 1, deg_i the top degree of slot i in `polys`, so every
-    monomial of a product of two of them has its own power of X.  X is
-    2**(B + 2) with 2**B > `bound`.  Evaluation is a ring homomorphism into
-    the integers, and on polynomials within those degrees whose
-    coefficients are integers of absolute value at most `bound` it is
-    injective: such an image is zero only for the zero polynomial, and
-    `decode` reads it back as balanced base-X digits.
+    Symbol slot i goes to X**offset_i (`value`), the offsets in mixed radix
+    2*top_i + 1 by the top degrees `tops`, so every monomial of a product
+    of two such polynomials has its own power of X; X is 2**(B + 2) with
+    2**B > `bound`.  Evaluation there is a ring homomorphism (Kronecker
+    substitution), and on such products with integer coefficients of
+    absolute value at most `bound` it is injective: `decode` reads the
+    image back as balanced base-X digits.
     """
 
-    __slots__ = ("slots", "sizes", "shift", "pos")
+    __slots__ = ("slots", "sizes", "shift")
 
-    def __init__(self, polys: Iterable[Poly], bound: int):
-        top: dict[int, int] = {}
-        for key in set().union(*(p.terms for p in polys)):
-            for slot, e in enumerate(_unpack(key)):
-                if e > top.get(slot, 0):
-                    top[slot] = e
-        self.slots = sorted(top)
-        self.sizes = [2 * top[slot] + 1 for slot in self.slots]
+    def __init__(self, tops: Mapping[int, int], bound: int):
+        self.slots = sorted(tops)
+        self.sizes = [2 * tops[slot] + 1 for slot in self.slots]
         self.shift = bound.bit_length() + 2
-        self.pos: dict[Exps, int] = {}  # packed key -> digit position, filled by image
 
-    @property
-    def bits(self) -> int:
-        """The width of the widest image: digits times digit size."""
-        return prod(self.sizes) * self.shift
-
-    def image(self, p: Poly, scale: int = 1) -> int:
-        """The value of p * scale at the point; its coefficients must be
-        integers."""
-        out = 0
-        for key, coeff in p.terms.items():
-            pos = self.pos.get(key)
-            if pos is None:
-                pos, place = 0, 1
-                for slot, size in zip(self.slots, self.sizes):
-                    pos += (key >> 8 * slot & 255) * place
-                    place *= size
-                self.pos[key] = pos
-            coeff = coeff * scale
-            if coeff.denominator != 1:
-                raise ValueError(f"({p})*{scale} has a non-integer coefficient")
-            out += coeff.numerator << (pos * self.shift)
-        return out
+    def value(self, name: str) -> int:
+        """The integer the symbol `name`, one of the point's slots, takes."""
+        i = self.slots.index(_SLOT[name])
+        return 1 << self.shift * prod(self.sizes[:i])
 
     def decode(self, value: int, unit: int = 1) -> Poly:
         """The polynomial whose image is `value`, divided by `unit`."""

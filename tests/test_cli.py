@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from twistn2 import cli, constraints, deformation, modules
+from fractions import Fraction
+
+from twistn2 import algebra, cli, constraints, deformation, modules
 from twistn2.cli import main, parse_candidate, UsageError
 from twistn2.indices import SymIndex
 from twistn2.poly import NotDivisible
@@ -27,6 +29,33 @@ def run(capsys, *argv):
     return code, out
 
 
+def _a1_slot_at_x1(mp):
+    mp.setitem(modules.BASE_FAMILY, "A1", (*modules.BASE_FAMILY["A1"][:4], ("x", SymIndex(2))))
+
+
+def _t_central_doubled(mp):
+    orig = algebra._central
+    mp.setattr(algebra, "_central",
+               lambda kind, i, env=None: (2 if kind == "T" else 1) * orig(kind, i, env))
+
+
+def _llg_factor_doubled_plus_b(mp):
+    # a printed factor no known misprint covers
+    orig = constraints._printed_llg_factors
+
+    def wrong():
+        factors = orig()
+        key = ("alpha", "gp", "half")
+        factors[key] = 2 * factors[key] + constraints.Pb
+        return factors
+
+    mp.setattr(constraints, "_printed_llg_factors", wrong)
+
+
+def _printed_alpha(mp):
+    mp.setitem(modules.PRINTED_CONSTANTS, "alpha", (2, 1, 1, 1))
+
+
 class TestPrintedDataMutations:
     """A wrong printed datum makes the verb that reads it exit 1."""
 
@@ -36,22 +65,53 @@ class TestPrintedDataMutations:
          ("solve-coeffs", "--which", "intersections")),
         (lambda mp: mp.setitem(modules.PRINTED_CONSTANTS, "beta", (1, 1, 1, -1)),
          ("verify-axioms", "--family", "Bab", "--a", "1/3", "--b", "2/5")),
-        (lambda mp: mp.setitem(modules.BASE_FAMILY, "A1", (*modules.BASE_FAMILY["A1"][:4],
-                                                           ("x", SymIndex(2)))),
-         ("verify-axioms", "--family", "A1", "--alpha", "2/7")),
-    ], ids=["sporadic-survivors-a", "printed-beta", "a1-slot-at-x1"])
+        (_a1_slot_at_x1, ("verify-axioms", "--family", "A1", "--alpha", "2/7")),
+        (_printed_alpha, ("solve-coeffs", "--which", "normalization-a")),
+        (lambda mp: mp.setitem(modules.PRINTED_CONSTANTS, "mu", (0, 1, 0, 0)),
+         ("solve-coeffs", "--which", "normalization-b0")),
+        (lambda mp: mp.setitem(deformation.CASES, "A1", deformation.DeformCase("A1", +1)),
+         ("deform", "--case", "A1")),
+        (_t_central_doubled, ("jacobi",)),
+        (lambda mp: mp.setattr(constraints, "OMEGA_PAIRS", constraints.OMEGA_PAIRS[:-1] + (
+            (Fraction(1, 2), Fraction(-1, 2)),)),
+         ("roots", "--which", "omega")),
+        (_llg_factor_doubled_plus_b, ("solve-coeffs", "--which", "g-shift-invariance")),
+    ], ids=["sporadic-survivors-a", "printed-beta", "a1-slot-at-x1", "printed-alpha",
+            "printed-mu", "a1-case-sign", "t-central-doubled", "omega-last-pair",
+            "llg-factor"])
     def test_mutated_datum_fails_its_verb(self, capsys, monkeypatch, patch, argv):
         assert run(capsys, *argv)[0] == 0
         patch(monkeypatch)
         assert run(capsys, *argv)[0] == 1
 
+    # sweeps of symbolic families, which run on their twins
+    @pytest.mark.parametrize("patch, family, count", [
+        (_a1_slot_at_x1, ("--family", "A1", "--alpha", "sym"), 350),
+        (_printed_alpha, ("--family", "Aab"), 1094),
+    ], ids=["a1-slot-at-x1-sym", "printed-alpha-aab-sym"])
+    def test_mutated_datum_in_a_twinned_sweep_reports_every_violation(
+            self, capsys, monkeypatch, patch, family, count):
+        patch(monkeypatch)
+        code, out = run(capsys, "verify-axioms", *family, "--format", "json")
+        assert code == 1 and json.loads(out)["notes"] == [f"{count} violations in total"]
 
     def test_a1_slot_at_x1_reports_every_violation(self, capsys, monkeypatch):
-        monkeypatch.setitem(modules.BASE_FAMILY, "A1", (*modules.BASE_FAMILY["A1"][:4],
-                                                        ("x", SymIndex(2))))
+        _a1_slot_at_x1(monkeypatch)
         code, out = run(capsys, "verify-axioms", "--family", "A1", "--alpha", "2/7",
                         "--format", "json")
         assert code == 1 and json.loads(out)["notes"] == ["350 violations in total"]
+
+    def test_a_wrong_llg_factor_fails_its_check(self, capsys, monkeypatch):
+        # off the known misprints a mismatch is a failing check, not a note,
+        # so the check count stays 18
+        _llg_factor_doubled_plus_b(monkeypatch)
+        code, out = run(capsys, "solve-coeffs", "--which", "g-shift-invariance",
+                        "--format", "json")
+        report = json.loads(out)
+        assert code == 1 and report["summary"] == {"passed": 17, "failed": 1}
+        failed, = [c for c in report["checks"] if c["status"] == "fail"]
+        assert failed["name"].endswith("y side (half-odd weights): printed factor reproduced")
+        assert failed["witness"] and not any("half-odd" in n for n in report["notes"])
 
 
 class TestParsing:

@@ -47,6 +47,13 @@ CONCRETE = [
                                        "--b", "2/5", "--candidate", "span:x0"], 1),
     # a symbolic sweep and the NS partition check of one spec
     ("verify-axioms-bab", ["verify-axioms", "--family", "Bab"], 0),
+    # a deformed family's fault at symbolic alpha, swept as its concrete
+    # twin (exit 1), and B(a,0,-3/2) at symbolic a, which refuses the
+    # twin's integer a and is swept over its own Poly rows (exit 1)
+    ("verify-axioms-a2-sym-ty-coeff", ["verify-axioms", "--family", "A2", "--alpha", "sym",
+                                       "--inject-fault", "a2.ty-coeff"], 1),
+    ("verify-axioms-b0-sym", ["verify-axioms", "--family", "Bab", "--b", "0",
+                              "--bprime", "-3/2"], 1),
     # the symbolic verbs' selectors: one determinant, one sporadic pair set,
     # one normalization case and one family's T table at a concrete alpha
     ("delta-3p", ["delta", "--which", "3p"], 0),

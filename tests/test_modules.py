@@ -234,13 +234,16 @@ def reference_sweep(spec):
     # residuals are polynomials in the parameters show a wrong decoding
     (bab(fault="bab.gx-sign"), "symbolic"),
     (deformed("B2", "sym", "sym", fault="b2.gdef-sign"), "symbolic"),
+    # B(a,0,-3/2) refuses the twin's integer a, so the loop keeps its Poly
+    # rows (1 190 witnesses)
+    (b_zero_candidate(), False),
     # rows the loop keeps as objects: RatFunc solved forms, and one unknown
     # per mode and vector (3 842 witnesses)
     (FamilySpec("GenericB", a=Fraction(1, 3), b=Fraction(-5, 7), bprime="sym"), False),
     (FamilySpec("GenericA", a="sym", b="sym", bprime="sym", coeff_mode="unknowns"), False),
 ], ids=["A1", "Aab", "a1.g0-coeff", "aab.gy-coeff",
         "b2.gdef-sign@-20/7", "a1.g0-coeff@12/5",
-        "bab.gx-sign@sym", "b2.gdef-sign@sym",
+        "bab.gx-sign@sym", "b2.gdef-sign@sym", "B(a,0,-3/2)@sym",
         "GenericB@1/3,-5/7", "GenericA-unknowns"])
 def test_sweep_kernel_matches_the_reference(spec, fractional):
     report = axiom_sweep(spec)
@@ -256,9 +259,11 @@ def test_sweep_kernel_matches_the_reference(spec, fractional):
 @pytest.mark.parametrize("fault", sorted(FAULT_CATALOG))
 def test_int_residuals_equal_the_object_loop(monkeypatch, fault):
     # without a lowering the engine keeps every row's objects, the loop
-    # the RatFunc and unknowns sweeps run
+    # the RatFunc and unknowns sweeps run; without a twin a symbolic spec
+    # is swept over its own Poly rows
     lowered = axiom_sweep(spec_with_fault(fault))
     monkeypatch.setattr(algebra, "_lowering", lambda rows, brackets: None)
+    monkeypatch.setattr(modules, "_twin", lambda spec, *windows: (spec, None))
     objects = axiom_sweep(spec_with_fault(fault))
     assert lowered.violations
     assert (objects.checks, objects.violations) == (lowered.checks, lowered.violations)
@@ -310,9 +315,9 @@ def _engine_input(monkeypatch, spec, *windows):
     """The (pairs, rows, vectors, sign) an axiom sweep of spec hands the engine."""
     handed = []
 
-    def recording(pairs, rows, vectors, sign=1):
+    def recording(pairs, rows, vectors, sign=1, decode=None):
         handed.append((pairs, rows, vectors, sign))
-        return residual_sweep(pairs, rows, vectors, sign)
+        return residual_sweep(pairs, rows, vectors, sign, decode)
 
     monkeypatch.setattr(modules, "residual_sweep", recording)
     assert axiom_sweep(spec, *windows).ok
@@ -447,8 +452,9 @@ def _fill_mismatches(spec):
 @pytest.mark.parametrize("spec", FILL_CASES, ids=[s.label() for s in FILL_CASES])
 def test_row_fill_equals_direct_reads(spec):
     # a row evaluates one symbolic read per parity stratum; `act` and the
-    # sweeps read the same rows, so only a direct read can check them
-    assert _fill_mismatches(spec) == []
+    # sweeps read the same rows, so only a direct read can check them.  A
+    # symbolic spec's rows are direct reads, so its twin's fill is checked
+    assert _fill_mismatches(modules._twin(spec, 2, 4)[0]) == []
 
 
 def test_row_fill_misses_an_index_case_without_its_own_fallback(monkeypatch):
@@ -470,22 +476,29 @@ SYMBOLIC_AB = [spec for spec in FILL_CASES
                if spec.family in ("Aab", "Bab") and spec.a == "sym"]
 
 
+# B(a,0,-3/2) refuses an integer a, so it gets no twin
+REFUSED = b_zero_candidate()
+
+
 @pytest.mark.parametrize("spec", SYMBOLIC_AB, ids=[s.label() for s in SYMBOLIC_AB])
 def test_symbolic_parameter_rows_are_filled_from_strata(spec):
-    # so the fill test above compares the strata's evaluation, not a direct
-    # read with itself
-    strata = [spec.ctx.stratum(kind, qpar, letter, kpar)
-              for kind, qpar in (("L", 0), ("T", 1), ("G", 0), ("G", 1))
-              for letter in "xy" for kpar in (0, 1)]
-    assert None not in strata
-    if spec.b == "sym":
-        assert any(den is None for st_ in strata for _, _, den, _ in st_)
+    # a symbolic spec is swept as its twin, whose rows are int rows filled
+    # from int strata; the bound test below compares their entries with
+    # direct reads of the spec at the twin's point
+    twin, decode = modules._twin(spec, 2, 4)
+    if spec == REFUSED:
+        assert twin is spec and decode is None and spec.ctx.int_den() is None
+        return
+    assert decode is not None and twin.family == spec.family and twin.fault == spec.fault
+    strata = [twin.ctx.stratum(*key) for key in modules._STRATA]
+    assert None not in strata and twin.ctx.int_den()
 
 
 @pytest.mark.parametrize("spec", SYMBOLIC_AB, ids=[s.label() for s in SYMBOLIC_AB])
 def test_symbolic_parameter_sweep_reads_strata(monkeypatch, spec):
     # 1 133 (Aab) and 869 (Bab) direct reads when a symbolic parameter
-    # got no stratum; now only the C row is read from the table
+    # got no stratum; on the twin only the C row is read from the table,
+    # and a spec with no twin reads its rows directly
     read = []
     original = modules._ActionRow._read
 
@@ -495,14 +508,76 @@ def test_symbolic_parameter_sweep_reads_strata(monkeypatch, spec):
 
     monkeypatch.setattr(modules._ActionRow, "_read", counting)
     assert axiom_sweep(replace(spec)).checks == 6460
-    assert len(read) <= 50 and set(read) == {"C"}
+    if spec == REFUSED:
+        assert len(read) > 1000 and set(read) == {"C", "L", "T", "G"}
+    else:
+        assert len(read) <= 50 and set(read) == {"C"}
+
+
+def test_a_twin_decodes_at_d_squared_where_its_engine_runs_over_less(monkeypatch):
+    # b/8 added to every G action: an int at the point, so the twin's rows
+    # stay over 4 while its residuals hold b**2/32; decode reads them at D**2
+    original = modules._act_case_a
+
+    def eighth(ctx, kind, g, letter, v, env):
+        terms = original(ctx, kind, g, letter, v, env)
+        return [(l, i, c + ctx.b * Fraction(1, 8)) for l, i, c in terms] if kind == "G" else terms
+
+    monkeypatch.setitem(modules._TABLES, "Aab", eighth)
+    spec = aab()
+    assert modules._twin_point(spec, 1, 2)[1] == 8
+    assert modules._twin(spec, 1, 2)[0].ctx.int_den() == 4
+    twinned = axiom_sweep(spec, 1, 2)
+    assert "15/32*b^2" in twinned.witness["residual"]
+    monkeypatch.setattr(modules, "_twin", lambda spec, *windows: (spec, None))
+    objects = axiom_sweep(replace(spec), 1, 2)
+    assert len(twinned.violations) == 450
+    assert list(objects.violations) == list(twinned.violations)
+
+
+# every twinned spec of `all`, and the four faults at symbolic (a, b)
+TWINNED = [aab(), bab(), *(deformed(fam, "sym", "sym") for fam in ("A1", "A2", "B1", "B2")),
+           *(spec_with_fault(fault) for fault in _faults("Aab")[1:] + _faults("Bab")[1:])]
+
+
+@pytest.mark.parametrize("windows", [(1, 2), (2, 4)], ids=["1,2", "2,4"])
+@pytest.mark.parametrize("spec", TWINNED, ids=[s.label() for s in TWINNED])
+def test_the_twin_point_bounds_every_entry_the_sweep_reads(monkeypatch, spec, windows):
+    # the twin's engine runs over a d that divides D, and every entry it
+    # reads is the image of a direct read of the symbolic spec whose L1
+    # norm, times D, is within the point's norm
+    spec = replace(spec)
+    point, den, norm, params = modules._twin_point(spec, *windows)
+    handed = []
+    lowering = algebra._lowering
+
+    def recording(rows, brackets):
+        handed.append((rows, lowering(rows, brackets)))
+        return handed[-1][1]
+
+    monkeypatch.setattr(algebra, "_lowering", recording)
+    axiom_sweep(spec, *windows)
+    (rows, (d, _, _)), = handed
+    assert den % d == 0
+    values = {name: point.value(name) for name in params.values()}
+    widest = 0
+    for key, row in rows.items():
+        gen = Gen(key[0], None if key[1] is None else SymIndex(key[1]))
+        for (letter, doubled), terms in row.items():
+            want = act_indexed(spec, gen.kind, gen.idx, letter, SymIndex(doubled))
+            want = [((l, i.doubled), ONE * c) for l, i, c in want if c]
+            assert [lk for lk, _ in terms] == [lk for lk, _ in want]
+            for (_, c), (_, w) in zip(terms, want):
+                assert w.substitute(values) == Fraction(c, row.den)
+                widest = max(widest, den * sum(abs(t) for t in w.terms.values()))
+    assert widest <= norm
 
 
 @pytest.mark.parametrize("spec", [aab(), aab(Fraction(1, 3), Fraction(-5, 7))],
                          ids=["sym", "1/3,-5/7"])
 def test_a_stratum_in_another_symbol_is_left_to_direct_reads(monkeypatch, spec):
-    # a coefficient holding a symbol other than m, k and the parameters
-    # (here an unknown of the unknowns mode) is no stratum of ints
+    # a coefficient holding a symbol other than m and k (here an unknown of
+    # the unknowns mode) is no stratum of ints
     original = modules._act_case_a
     unknown = Poly.var(unknown_name("g", SymIndex(0), SymIndex(0)))
 
