@@ -24,6 +24,10 @@ The checks:
   * the third determinant family (from the mixed Virasoro/fermionic
     identity) is divided exactly by its published linear factors and the
     quotient is tested on the published sporadic parameter pairs;
+  * case A's root sets of the two weight classes are intersected, with
+    both mixed-identity determinants, for every (b, bp): along finitely
+    many lines of the plane, by one gcd over Q[t] each and its rational
+    roots (`intersection_scan`), so no b is sampled;
   * the solved coefficient families are substituted back into every
     recurrence they must satisfy, with exact vanishing required;
   * the current-mode composition T_r = [G_r, G_0]/r regenerates every
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .algebra import bracket_terms
 from .deformation import CASES
@@ -53,7 +58,8 @@ from .modules import (BASE_FAMILY, PRINTED_CONSTANTS, R, FamilySpec, _combine, _
                       _landing, _mode, _only_coeff, aab, act_indexed, b_zero_candidate,
                       bracket_residual, slot_vector, t_composition, unknown_name)
 from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, _SLOT, _lowered, exact_divide,
-                   quadratic_root_data, QuadRootData, sym_shift)
+                   quadratic_root_data, QuadRootData, rational_roots, sym_shift,
+                   univariate_gcd)
 from .report import Report
 
 HALF = Fraction(1, 2)
@@ -208,15 +214,25 @@ def build_identity_system(kind: str, case: str, fam: str, kclass: str) -> System
     return sys3
 
 
+# memos of the at most 16 identity systems and their determinants
+_SYSTEMS: dict[tuple, System3] = {}
 _DET_CACHE: dict[tuple, Poly] = {}
+
+
+def identity_system(kind: str, case: str, fam: str, kclass: str) -> System3:
+    """`build_identity_system`, built once per process; read-only."""
+    key = (kind, case, fam, kclass)
+    sys3 = _SYSTEMS.get(key)
+    if sys3 is None:
+        sys3 = _SYSTEMS[key] = build_identity_system(*key)
+    return sys3
 
 
 def system_determinant(kind: str, case: str, fam: str, kclass: str) -> Poly:
     key = (kind, case, fam, kclass)
     det = _DET_CACHE.get(key)
     if det is None:
-        det = determinant3(build_identity_system(kind, case, fam, kclass).matrix)
-        _DET_CACHE[key] = det
+        det = _DET_CACHE[key] = determinant3(identity_system(*key).matrix)
     return det
 
 
@@ -372,12 +388,6 @@ def _delta3_report(which: str) -> Report:
     return rep
 
 
-def delta3_at(which: str, b: Fraction) -> Poly:
-    """The mixed-identity determinant at one b: a polynomial in bp, m and p."""
-    fam, kclass = _DELTA3_SYSTEM[which]
-    return system_determinant("LLG", "A", fam, kclass).substitute({"b": b})
-
-
 _DELTA3_COEFFS: dict[str, tuple] = {}
 
 
@@ -431,10 +441,11 @@ class RootSetEntry:
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def rationals_at(self, b: Fraction) -> set:
-        vals = {root.evaluate({"b": b}) for root in self.linear_roots}
-        vals.update(self.quad.rational_roots_at({"b": b}))
-        return vals
+    @property
+    def components(self) -> list:
+        """The factors of a verified root set's determinant, up to a
+        constant: bp - root for each printed root, and the quadratic."""
+        return [Pbp - root for root in self.linear_roots] + [self.quad.as_poly()]
 
 
 def _roots_spec():
@@ -665,9 +676,10 @@ def _shift_lemma(rep: Report, case: str) -> None:
     """Each LLG system of a case, on each solved branch of the case: the
     elimination pins the unknowns to the branch's own table form up to a
     constant (`_shift_factor_check`), and that form solves all three rows.
-    Each system is built once and substituted per branch."""
+    Each system is built once (`identity_system`) and substituted per
+    branch."""
     printed = _printed_llg_factors()
-    systems = [build_identity_system("LLG", case, fam, kclass) for fam, kclass in _LLG_SYSTEMS]
+    systems = [identity_system("LLG", case, fam, kclass) for fam, kclass in _LLG_SYSTEMS]
     for branch, bindings, prefix in _LLG_BRANCHES[case]:
         spec = generic_candidate(case, branch)
         for sys3 in systems:
@@ -991,11 +1003,6 @@ def recurrence_propagation_check() -> Report:
 # intersection of the root-set constraints
 # ---------------------------------------------------------------------------
 
-def sample_parameters() -> list[Fraction]:
-    """Deterministic rational grid p/q, |p| <= 20, 1 <= q <= 5."""
-    return sorted({Fraction(pn, qd) for qd in range(1, 6) for pn in range(-20, 21)})
-
-
 # Parameter pairs at which the determinant constraints alone admit one
 # off-diagonal survivor in the A analysis: a sporadic vanishing pair of one
 # mixed-identity determinant coincides with a linear factor of the other.
@@ -1008,17 +1015,91 @@ SPORADIC_SURVIVORS_A = (
 )
 
 
-def intersection_scan(case: str) -> Report:
-    """Reproduce the allowed-bp conclusion.
+def _line(form: Poly) -> tuple:
+    """The line form = 0 in the (b, bp) plane, form of degree 1, as
+    (label, t, bindings): bp = l(b) read along t = b, or, when form has no
+    bp, b = c read along t = bp.  Equal lines get equal labels."""
+    lead = form.coeff_in("bp", 1)
+    if lead:
+        rhs = Pbp - form * (1 / lead.const_value())
+        return f"bp = {rhs}", "b", {"bp": rhs}
+    c = -form.coeff_in("b", 0).const_value() / form.coeff_in("b", 1).const_value()
+    return f"b = {c}", "bp", {"b": c}
 
-    Case A intersects the two pairs of root sets (one pair per weight class)
-    at each sampled b, keeping the candidates that satisfy both
-    mixed-identity constraints, decided by substituting the candidate pair
-    into the derived determinants.  The expected outcome is the diagonal
-    bp = b, except at the four documented sporadic coincidences.  Case B
-    holds for every b: in each weight class, bp = b - 1/2 and bp = b + 1/2
-    must each annihilate one of that class's T-system determinants
-    identically in b.
+
+def _parts(poly: Poly, t: str) -> list:
+    """The coefficients over Q[t] of `poly`, one per monomial in its other
+    symbols."""
+    mask = 255 << sym_shift(t)
+    groups: dict[int, dict] = {}
+    for key, c in poly.terms.items():
+        groups.setdefault(key & ~mask, {})[key & mask] = c
+    return [Poly(terms, _canonical=True) for terms in groups.values()]
+
+
+def _common_zeros(polys, t: str, bindings: dict):
+    """Where every polynomial of `polys` vanishes identically in its other
+    symbols on the line `bindings` read along t (`_line`): None on the
+    whole line, else (points, cofactor), the points (b, bp) at the rational
+    roots of their gcd over Q[t] and the cofactor of the gcd that has no
+    rational root."""
+    g = univariate_gcd((part for f in polys for part in _parts(f.substitute(bindings), t)), t)
+    if not g:
+        return None
+    roots, cofactor = rational_roots(g, t)
+    if t == "b":
+        points = {(r, bindings["bp"].evaluate({"b": r})) for r in roots}
+    else:
+        points = {(bindings["b"], r) for r in roots}
+    return points, cofactor
+
+
+def _case_a_lines(sets1: list, sets2: list) -> tuple[dict, list]:
+    """Lines that hold every point common to the two weight classes' root
+    sets, keyed by label, and the quadratic pairs that give no line.
+
+    A point on a component of each class lies on one of them that is a
+    line, or on two quadratics; their leading forms are both (b + bp)^2,
+    so it lies on the line Q1 - Q2 = 0.  A difference that is zero or of
+    degree above 1 voids that argument; a nonzero constant one means that
+    the two quadratics do not meet."""
+    lines, unlined = {}, []
+    for rs in sets1 + sets2:
+        for root in rs.linear_roots:
+            label, *line = _line(Pbp - root)
+            lines.setdefault(label, line)
+    for rs1 in sets1:
+        for rs2 in sets2:
+            diff = rs1.quad.as_poly() - rs2.quad.as_poly()
+            degree = max((sum(exps) for exps, _ in diff.monomials()), default=-1)
+            if degree == 1:
+                label, *line = _line(diff)
+                lines.setdefault(label, line)
+            elif degree != 0:
+                unlined.append(f"the quadratics of {rs1.name} and {rs2.name} differ by {diff}")
+    return lines, unlined
+
+
+def intersection_scan(case: str) -> Report:
+    """Reproduce the allowed-bp conclusion, for every b.
+
+    Case A: a pair (b, bp) survives when it lies on a root set of each
+    weight class and both mixed-identity determinants vanish there,
+    identically in a, m, p and k.  Every common point of the two classes
+    lies on one of finitely many lines (`_case_a_lines`).  On each line the
+    scan takes the gcd over Q[t] of the two classes' component products
+    and of the determinants' coefficients, restricted to the line
+    (`_common_zeros`): a zero gcd means the whole line survives, and
+    otherwise its roots are the survivors on the line.  So the scan decides
+    every b, complex b included.  It passes when the diagonal bp = b is
+    the one whole surviving line, every gcd splits over Q, the survivors
+    off the diagonal are the four documented sporadic coincidences, and
+    each of them zeroes both determinants (`delta3_vanishes_at`).  A root
+    set that fails its checks fails the scan, whose witness then names it.
+
+    Case B holds for every b: in each weight class, bp = b - 1/2 and
+    bp = b + 1/2 must each annihilate one of that class's T-system
+    determinants identically in b.
     """
     if case == "B":
         rep = Report("intersection (B)")
@@ -1032,29 +1113,38 @@ def intersection_scan(case: str) -> Report:
         return rep
     if case != "A":
         raise ValueError(f"unknown intersection case {case!r}")
-    params = sample_parameters()
     rep = Report("intersection (A)")
+    name = "intersection (A): survivors match the classification for every b"
     sets1 = [root_set("f-int"), root_set("fp-int")]
     sets2 = [root_set("f-half"), root_set("fp-half")]
-    failed = [rs.name for rs in sets1 + sets2 if not rs.ok]  # their roots are not read
-    unexplained = []
-    for bv in () if failed else params:
-        first = set().union(*(rs.rationals_at(bv) for rs in sets1))
-        second = set().union(*(rs.rationals_at(bv) for rs in sets2))
-        survivors = {cand for cand in first & second
-                     if _mixed_ok_A("3", bv, cand) and _mixed_ok_A("3p", bv, cand)}
-        expected = {bv} | {bpv for (b0, bpv) in SPORADIC_SURVIVORS_A if b0 == bv}
-        if survivors != expected:
-            unexplained.append((bv, sorted(survivors), sorted(expected)))
-        elif len(expected) > 1:
-            rep.notes.append(f"intersection (A): documented sporadic survivor at b={bv}: "
-                             f"{[str(e) for e in sorted(expected - {bv})]}")
-    rep.add(f"sampled intersection (A): survivors match the classification over "
-            f"{len(params)} parameters", "intersection/A", not (failed or unexplained),
-            failed or unexplained[:2])
+    failed = [rs.name for rs in sets1 + sets2 if not rs.ok]  # their components are not read
+    if failed:
+        rep.add(name, "intersection/A", False, failed)
+        return rep
+    lines, problems = _case_a_lines(sets1, sets2)
+    polys = [prod((c for rs in sets for c in rs.components), start=ONE) for sets in (sets1, sets2)]
+    polys += [system_determinant("LLG", "A", *_DELTA3_SYSTEM[w]) for w in ("3", "3p")]
+    whole, survivors = [], set()
+    for label, line in lines.items():
+        found = _common_zeros(polys, *line)
+        if found is None:
+            whole.append(label)
+            continue
+        points, cofactor = found
+        if not cofactor.is_const():
+            problems.append(f"on {label}, the cofactor {cofactor} has no rational root")
+        survivors |= {(bv, bpv) for bv, bpv in points if bv != bpv}
+    if whole != ["bp = b"]:
+        problems.append(f"whole surviving lines {whole}, not the diagonal alone")
+    documented = set(SPORADIC_SURVIVORS_A)
+    for what, pairs in (("undocumented", survivors - documented),
+                        ("documented but not derived", documented - survivors)):
+        if pairs:
+            problems.append(f"{what} survivors {[f'({bv}, {bpv})' for bv, bpv in sorted(pairs)]}")
+    problems += [f"a determinant does not vanish at ({bv}, {bpv})" for bv, bpv in sorted(survivors)
+                 if not (delta3_vanishes_at("3", bv, bpv) and delta3_vanishes_at("3p", bv, bpv))]
+    for bv in sorted({bv for bv, _ in survivors & documented}):
+        rep.notes.append(f"intersection (A): documented sporadic survivor at b={bv}: "
+                         f"{[str(bpv) for b0, bpv in sorted(survivors & documented) if b0 == bv]}")
+    rep.add(name, "intersection/A", not problems, problems)
     return rep
-
-
-def _mixed_ok_A(which: str, bv: Fraction, cand: Fraction) -> bool:
-    near = {"3": (bv - 1, bv), "3p": (bv + 1, bv)}[which]
-    return cand in near or delta3_vanishes_at(which, bv, cand)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, format_rational, parse_rational
+from .poly import Poly, format_rational, parse_rational, sym_shift
 
 ParityEnv = dict  # symbol name -> 0 (integer-valued) or 1 (half-odd-valued)
 
@@ -132,10 +132,10 @@ class SymIndex:
 
     def as_poly(self) -> Poly:
         d = self.doubled
-        out = Poly.const(Fraction(d, 2) if d % 2 else d // 2)
-        for nm, c in self.lin:
-            out = out + c * Poly.var(nm)
-        return out
+        terms = {1 << sym_shift(nm): c for nm, c in self.lin}
+        if d:
+            terms[0] = Fraction(d, 2) if d % 2 else d // 2
+        return Poly(terms, _canonical=True)
 
     # -- identity and order -------------------------------------------------
 

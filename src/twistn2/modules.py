@@ -260,7 +260,8 @@ class _Ctx:
     """
 
     __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "branch",
-                 "consts", "printed_t", "base", "slot", "forced", "rows", "strata", "den")
+                 "consts", "printed_t", "base", "slot", "forced", "rows", "strata", "den",
+                 "twins")
 
     def __init__(self, spec: FamilySpec):
         self.spec = weakref.proxy(spec)
@@ -301,6 +302,7 @@ class _Ctx:
         self.rows: dict = {}
         self.strata: dict = {}
         self.den = 0  # not yet known (`int_den`)
+        self.twins: dict = {}  # (gen_window, basis_window) -> `_twin`'s pair, or None
 
     def row(self, g: Gen) -> _ActionRow:
         key = (g.kind, None if g.idx is None else g.idx.doubled)
@@ -939,16 +941,27 @@ def _twin(spec: FamilySpec, gen_window: int, basis_window: int):
       its coefficients are ints within the point's bound; `decode` reads
       the engine's int c at unit sign d^2 as c (D/d)^2 over sign D^2.
     A spec that refuses its twin (B(a,0,-3/2) at an integer a) has none.
+    The pair is kept in the spec's memo, one per pair of windows, so the
+    window checks of one spec share one twin and its filled rows.
     """
+    twins, key = spec.ctx.twins, (gen_window, basis_window)
+    if key not in twins:
+        twins[key] = _make_twin(spec, gen_window, basis_window)
+    return twins[key] or (spec, None)
+
+
+def _make_twin(spec: FamilySpec, gen_window: int, basis_window: int):
+    """`_twin`'s pair, or None where the spec is its own twin; the memo
+    keeps no reference to the spec itself, which would make a cycle."""
     found = _twin_point(spec, gen_window, basis_window)
     if found is None:
-        return spec, None
+        return None
     point, den, _, params = found
     values = {field: Fraction(point.value(name)) for field, name in params.items()}
     try:
         twin = replace(spec, **values)
     except ValueError:  # the spec refuses these values
-        return spec, None
+        return None
     square = den * den
     return twin, lambda c, unit: point.decode(c * (square // abs(unit)),
                                               square if unit > 0 else -square)
@@ -1111,7 +1124,8 @@ def ns_partition_check(spec: FamilySpec, gen_window: int = 2,
 
     Returns a `Tally` of the (generator, label) actions checked, with one
     {"g", "v", "target"} violation per target in the wrong block.  A
-    symbolic spec is checked on its twin (`_twin`).
+    symbolic spec is checked on its twin (`_twin`), so after an axiom sweep
+    at the same windows it reads the rows that sweep filled.
     """
     spec = _twin(spec, gen_window, basis_window)[0]
     checks = 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import or_
 from typing import Mapping, Union
 
@@ -471,6 +471,119 @@ def exact_divide(num: Poly, den: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
+# one-symbol polynomials over Q: gcd and rational roots
+# ---------------------------------------------------------------------------
+
+def _dense(f: Poly, var: str) -> list[int]:
+    """A polynomial in `var` alone as primitive int coefficients, highest
+    degree first, with a positive lead: f times a nonzero rational; [] for
+    zero."""
+    shift = sym_shift(var)
+    num, _ = _lowered(f.terms)
+    if not num:
+        return []
+    if any(key & ~(255 << shift) for key in num):
+        raise ValueError(f"not a polynomial in {var} alone: {f}")
+    top = max(num) >> shift
+    out = [0] * (top + 1)
+    for key, c in num.items():
+        out[top - (key >> shift)] = c
+    return _primitive(out)
+
+
+def _primitive(c: list[int]) -> list[int]:
+    """`c` with its leading zeros dropped, divided by its content, lead > 0."""
+    while c and not c[0]:
+        c = c[1:]
+    if not c:
+        return c
+    g = gcd(*c) if c[0] > 0 else -gcd(*c)
+    return [x // g for x in c] if g != 1 else c
+
+
+def _prem(f: list[int], g: list[int]) -> list[int]:
+    """The pseudo-remainder of f by g (dense, highest degree first): f times
+    a power of g's lead, reduced below g's degree."""
+    r, lead = list(f), g[0]
+    while len(r) >= len(g):
+        top = r[0]
+        r = [x * lead for x in r]
+        for i, c in enumerate(g):
+            r[i] -= top * c
+        r = r[1:]
+        while r and not r[0]:
+            r = r[1:]
+    return r
+
+
+def univariate_gcd(polys, var: str) -> Poly:
+    """The monic gcd over Q[var] of polynomials in `var` alone; ZERO when
+    all of them are zero.  A primitive Euclidean remainder sequence over
+    the ints (Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
+    ch. 7), which stops once the gcd is a constant."""
+    acc: list[int] = []
+    for f in polys:
+        g = _dense(f, var)
+        if len(acc) < len(g):
+            acc, g = g, acc
+        while g:
+            acc, g = g, _primitive(_prem(acc, g))
+        if len(acc) == 1:
+            return ONE
+    shift, top = sym_shift(var), len(acc) - 1
+    return Poly({(top - i) << shift: Fraction(x, acc[0]) for i, x in enumerate(acc) if x})
+
+
+def _divisors(n: int) -> list[int]:
+    small = [d for d in range(1, isqrt(n) + 1) if not n % d]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def rational_roots(f: Poly, var: str) -> tuple[list[Fraction], Poly]:
+    """(roots, cofactor): the rational roots of a nonzero polynomial in
+    `var` alone, ascending and each as often as its multiplicity, and the
+    cofactor with f = cofactor * prod(var - root), which has no rational
+    root.  The candidates p/q are those of the rational-root theorem on f
+    over its common denominator: p divides the lowest coefficient that is
+    not zero, q the lead."""
+    c = _dense(f, var)
+    if not c:
+        raise ZeroDivisionError("the zero polynomial vanishes everywhere")
+    roots = []
+    while not c[-1]:
+        roots.append(Fraction(0))
+        c = c[:-1]
+    for q in _divisors(c[0]):
+        for d in _divisors(abs(c[-1])):
+            for p in ((d, -d) if gcd(d, q) == 1 else ()):
+                while len(c) > 1 and not _at(c, p, q):
+                    c = _over_linear(c, p, q)
+                    roots.append(Fraction(p, q))
+    roots.sort()
+    x = Poly.var(var)
+    return roots, exact_divide(f, prod((x - r for r in roots), start=ONE))
+
+
+def _at(c: list[int], p: int, q: int) -> int:
+    """q^deg times the value of c at p/q."""
+    acc, qk = c[0], 1
+    for x in c[1:]:
+        qk *= q
+        acc = acc * p + x * qk
+    return acc
+
+
+def _over_linear(c: list[int], p: int, q: int) -> list[int]:
+    """c divided by q var - p, which divides it (Gauss's lemma keeps the
+    quotient integral)."""
+    out, carry = [], 0
+    for x in c[:-1]:
+        carry = (x + carry * p) // q
+        out.append(carry)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Kronecker substitution: polynomials as integers
 # ---------------------------------------------------------------------------
 
@@ -528,11 +641,9 @@ class KroneckerPoint:
 
 @dataclass(frozen=True)
 class QuadRootData:
-    """A quadratic in one symbol, stored as exact coefficient data.
-
-    Roots (-B +- sqrt(disc)) / (2A) are never materialised; membership and
-    rationality questions are decided on (A, B, C, disc) directly.
-    """
+    """A quadratic A var^2 + B var + C in one symbol, with coefficients
+    in the other symbols, and its discriminant, stored exactly; its roots
+    are never materialised."""
 
     var: str
     quad_a: Poly
@@ -545,24 +656,9 @@ class QuadRootData:
         if want != self.discriminant:
             raise ValueError("discriminant does not match B^2 - 4AC")
 
-    def rational_roots_at(self, bindings: Mapping[str, Scalar]) -> list[Fraction]:
-        """Exact rational roots after substituting values for parameters.
-
-        A root is rational iff the (rational) discriminant is a perfect
-        square; irrational roots are reported as the empty list.
-        """
-        a = self.quad_a.evaluate(bindings)
-        bb = self.quad_b.evaluate(bindings)
-        cc = self.quad_c.evaluate(bindings)
-        if a == 0:
-            if bb == 0:
-                raise WrongDegree("degenerate quadratic at this point")
-            return [-cc / bb]
-        disc = bb * bb - 4 * a * cc
-        root = rational_sqrt(disc)
-        if root is None:
-            return []
-        return sorted({(-bb + root) / (2 * a), (-bb - root) / (2 * a)})
+    def as_poly(self) -> Poly:
+        x = Poly.var(self.var)
+        return self.quad_a * x * x + self.quad_b * x + self.quad_c
 
 
 def quadratic_root_data(poly: Poly, var: str) -> QuadRootData:
@@ -573,19 +669,6 @@ def quadratic_root_data(poly: Poly, var: str) -> QuadRootData:
     b = poly.coeff_in(var, 1)
     c = poly.coeff_in(var, 0)
     return QuadRootData(var, a, b, c, b * b - 4 * a * c)
-
-
-def rational_sqrt(value: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if value < 0:
-        return None
-    from math import isqrt
-
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Fraction(rn, rd)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,20 @@ def test_constant_indices_agree_with_fractions(d1, d2):
     assert i1.const_value() is i1 and type(i1.value) is Fraction
 
 
+@given(st.integers(-60, 60), st.dictionaries(st.sampled_from("mnkq"), st.integers(-4, 4)))
+@settings(max_examples=100, deadline=None)
+def test_an_index_as_a_poly_is_its_linear_form(doubled, lin):
+    # the term map built directly equals the sum built by Poly arithmetic,
+    # canonical: no zero coefficient, an int where integral
+    index = SymIndex(doubled, tuple(lin.items()))
+    want = Poly.const(Fraction(doubled, 2))
+    for nm, c in lin.items():
+        want = want + c * Poly.var(nm)
+    got = index.as_poly()
+    assert got == want and all(c and (type(c) is int) == (c.denominator == 1)
+                               for c in got.terms.values())
+
+
 def test_index_constructors():
     assert SymIndex.of("3/2") == SymIndex(3) == Fraction(3, 2)
     assert SymIndex.of("-2") == SymIndex(-4)

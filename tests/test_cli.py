@@ -76,9 +76,15 @@ class TestPrintedDataMutations:
             (Fraction(1, 2), Fraction(-1, 2)),)),
          ("roots", "--which", "omega")),
         (_llg_factor_doubled_plus_b, ("solve-coeffs", "--which", "g-shift-invariance")),
+        # a survivor off any sampled grid of denominators up to 5: the
+        # meeting point of two quadratic components that the determinants reject
+        (lambda mp: mp.setattr(constraints, "SPORADIC_SURVIVORS_A",
+                               constraints.SPORADIC_SURVIVORS_A + (
+                                   (Fraction(-9, 8), Fraction(-3, 8)),)),
+         ("solve-coeffs", "--which", "intersections")),
     ], ids=["sporadic-survivors-a", "printed-beta", "a1-slot-at-x1", "printed-alpha",
             "printed-mu", "a1-case-sign", "t-central-doubled", "omega-last-pair",
-            "llg-factor"])
+            "llg-factor", "spurious-survivor-a"])
     def test_mutated_datum_fails_its_verb(self, capsys, monkeypatch, patch, argv):
         assert run(capsys, *argv)[0] == 0
         patch(monkeypatch)

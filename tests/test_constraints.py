@@ -1,6 +1,8 @@
 """Constraint determinants, root sets, coefficient lemmas, normalizations."""
 
+from dataclasses import replace
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -11,11 +13,10 @@ from twistn2.constraints import (K, M, N, LAMBDA_PAIRS, LAMBDA_PRIME_PAIRS, LEMM
                                  b0_nonexistence_check, build_identity_system,
                                  coeff_solution_check, compare_delta_closed_form,
                                  delta1_printed, delta2_printed, determinant3,
-                                 delta3_at, delta3_vanishes_at,
-                                 derive_T_composition,
-                                 generic_candidate, intersection_scan,
+                                 delta3_vanishes_at, derive_T_composition,
+                                 generic_candidate, identity_system, intersection_scan,
                                  recurrence_propagation_check, root_set,
-                                 sample_parameters, sporadic_values,
+                                 sporadic_values,
                                  swap_symmetry_checks, system_determinant,
                                  t_composition)
 from twistn2 import constraints, modules, poly
@@ -28,6 +29,12 @@ from twistn2.report import Report
 
 a, b, bp, m, k, r, p = (Poly.var(s) for s in ("a", "b", "bp", "m", "k", "r", "p"))
 H = Fraction(1, 2)
+
+
+def delta3_at(which: str, b: Fraction) -> Poly:
+    """Reference: the mixed-identity determinant at one b, a polynomial in
+    bp, a, m, p and k."""
+    return system_determinant("LLG", "A", *constraints._DELTA3_SYSTEM[which]).substitute({"b": b})
 
 
 def numeric_det3(matrix, bindings):
@@ -165,7 +172,8 @@ class TestDeltaIdentities:
                 assert delta3_vanishes_at(which, bv, bpv) == (not want)
 
     def test_zero_test_agrees_with_substitution_over_the_scan(self, monkeypatch):
-        # every (b, candidate) pair the case-A scan decides, for both determinants
+        # the case-A scan re-verifies each survivor it derives off the
+        # diagonal, with both determinants
         visited = []
         orig = constraints.delta3_vanishes_at
 
@@ -175,13 +183,13 @@ class TestDeltaIdentities:
 
         monkeypatch.setattr(constraints, "delta3_vanishes_at", record)
         assert intersection_scan("A").ok
-        assert len(visited) == 838  # one call per candidate off the near diagonal
-        assert {w for w, _, _ in visited} == {"3", "3p"}
-        at_b: dict = {}
+        assert sorted(visited) == sorted((which, bv, bpv) for which in ("3", "3p")
+                                         for bv, bpv in SPORADIC_SURVIVORS_A)
         for which, bv, cand in visited:
-            if (which, bv) not in at_b:
-                at_b[which, bv] = delta3_at(which, bv)
-            assert orig(which, bv, cand) == (not at_b[which, bv].substitute({"bp": cand}))
+            assert orig(which, bv, cand) and not delta3_at(which, bv).substitute({"bp": cand})
+        # and off the survivors, where the test stops at a nonzero coefficient
+        for which, bv, cand in [(w, bv, bpv + 1) for w, bv, bpv in visited]:
+            assert orig(which, bv, cand) == (not delta3_at(which, bv).substitute({"bp": cand}))
 
 
 class TestRootSets:
@@ -199,11 +207,6 @@ class TestRootSets:
         }
         for name, disc in want.items():
             assert root_set(name).quad.discriminant == disc, name
-
-    def test_rational_specialization(self):
-        entry = root_set("f-int")
-        got = entry.rationals_at(Fraction(0))
-        assert got == {Fraction(-1), Fraction(-2), Fraction(0), Fraction(-3)}
 
     def test_root_mismatch_is_detected(self):
         with pytest.raises(KeyError):
@@ -325,7 +328,8 @@ class TestCoefficientLemmas:
                 "yields factor * proportionality relation") in failed
 
     def test_the_shift_lemmas_build_eight_systems(self, monkeypatch):
-        # case B's four systems serve both its beta and its mu branch
+        # case B's four systems serve both its beta and its mu branch, and
+        # a second run builds none (`identity_system`)
         built = []
         original = constraints.build_identity_system
 
@@ -334,9 +338,31 @@ class TestCoefficientLemmas:
             return original(*args)
 
         monkeypatch.setattr(constraints, "build_identity_system", counting)
-        for which in ("g-shift-invariance", "b-shift-relations"):
+        monkeypatch.setattr(constraints, "_SYSTEMS", {})
+        for which in ("g-shift-invariance", "b-shift-relations") * 2:
             assert coeff_solution_check(which).ok
         assert len(built) == 8 and len(set(built)) == 8
+
+    def test_the_case_a_shift_lemma_reuses_the_mixed_identity_systems(self, monkeypatch):
+        # the two LLG systems of case A that delta 3 and 3' built are read
+        # again, not rebuilt; the memo holds the system its determinant expands
+        built = []
+        original = constraints.build_identity_system
+
+        def counting(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(constraints, "build_identity_system", counting)
+        monkeypatch.setattr(constraints, "_SYSTEMS", {})
+        monkeypatch.setattr(constraints, "_DET_CACHE", {})
+        assert compare_delta_closed_form("3").ok and compare_delta_closed_form("3p").ok
+        assert built == [("LLG", "A", "g", "int"), ("LLG", "A", "gp", "half")]
+        assert coeff_solution_check("g-shift-invariance").ok
+        assert built[2:] == [("LLG", "A", "g", "half"), ("LLG", "A", "gp", "int")]
+        sys3 = identity_system("LLG", "A", "g", "int")
+        assert determinant3(sys3.matrix) == system_determinant("LLG", "A", "g", "int")
+        assert identity_system("LLG", "A", "g", "int") is sys3 and len(built) == 4
 
     def test_exceptional_composition_discrepancies_are_recorded(self):
         group = coeff_solution_check("b-t-composition")
@@ -427,26 +453,116 @@ class TestPropagation:
 
 
 class TestIntersections:
-    def test_sample_grid(self):
-        params = sample_parameters()
-        assert len(params) == 141
-        assert Fraction(-9, 8) not in params
-        assert Fraction(-20) in params and Fraction(19, 5) in params
+    CLASSES = (("f-int", "fp-int"), ("f-half", "fp-half"))
+    NAME = "intersection (A): survivors match the classification for every b"
 
-    def test_the_scan_passes_at_the_case_a_discriminant_zeros(self, monkeypatch):
-        # a zero discriminant is a double root, which rational_roots_at
-        # returns exactly, so the sampled b need not avoid these zeros
+    @classmethod
+    def class_products(cls):
+        return [prod((c for name in names for c in root_set(name).components), start=ONE)
+                for names in cls.CLASSES]
+
+    @staticmethod
+    def patch_deltas(monkeypatch, edit):
+        # both mixed-identity determinants edited, for the scan and the zero test
+        original = constraints.system_determinant
+
+        def patched(kind, case, fam, kclass):
+            det = original(kind, case, fam, kclass)
+            return edit(det) if (kind, case) == ("LLG", "A") else det
+
+        monkeypatch.setattr(constraints, "system_determinant", patched)
+        monkeypatch.setattr(constraints, "_DELTA3_COEFFS", {})
+
+    def scan_witness(self):
+        report = intersection_scan("A")
+        scan, = report.checks
+        assert scan.name == self.NAME and not scan.passed
+        return scan.witness
+
+    def test_the_scan_passes_at_the_case_a_discriminant_zeros(self):
+        # at its discriminant zero a quadratic component has a double root
+        # in bp; the exact scan's survivors there are those of a pointwise
+        # decision: the common bp roots of both classes, with multiplicity,
+        # kept where both determinants vanish -- the diagonal alone
         zeros = {}
         for name, ((case, *_), _, disc) in constraints._roots_spec().items():
             if case == "A":
                 zeros[name] = -disc.coeff_in("b", 0).const_value() / disc.coeff_in("b", 1).const_value()
-                assert len(root_set(name).quad.rational_roots_at({"b": zeros[name]})) == 1
+                at_zero = root_set(name).quad.as_poly().substitute({"b": zeros[name]})
+                roots, cofactor = poly.rational_roots(at_zero, "bp")
+                assert len(roots) == 2 and roots[0] == roots[1] and cofactor == ONE
         assert set(zeros.values()) == {Fraction(n, 8) for n in (-9, -3, 1, -13)}
-        monkeypatch.setattr(constraints, "sample_parameters", lambda: sorted(zeros.values()))
         report = intersection_scan("A")
         assert report.ok, report.checks
-        assert [c.name for c in report.checks] == [
-            "sampled intersection (A): survivors match the classification over 4 parameters"]
+        assert [c.name for c in report.checks] == [self.NAME]
+        m1, m2 = self.class_products()
+        for bv in zeros.values():
+            first, second = (set(poly.rational_roots(mc.substitute({"b": bv}), "bp")[0])
+                             for mc in (m1, m2))
+            survivors = {bpv for bpv in first & second
+                         if delta3_vanishes_at("3", bv, bpv) and delta3_vanishes_at("3p", bv, bpv)}
+            assert survivors == {bv}
+            assert not any(b0 == bv for b0, _ in SPORADIC_SURVIVORS_A)
+
+    def test_an_off_grid_meeting_point_is_examined_and_rejected(self):
+        # (-9/8, -3/8), with denominator 8, is where f-int's and fp-half's
+        # quadratics meet, on their line bp = -b - 3/2; the class products
+        # alone keep it and its mirror, and the determinants reject both
+        lines, unlined = constraints._case_a_lines(
+            *[[root_set(name) for name in names] for names in self.CLASSES])
+        assert not unlined and "bp = -b - 3/2" in lines
+        line = lines["bp = -b - 3/2"]
+        products = self.class_products()
+        spurious = {(Fraction(-9, 8), Fraction(-3, 8)), (Fraction(-3, 8), Fraction(-9, 8))}
+        points, _ = constraints._common_zeros(products, *line)
+        assert spurious <= points
+        deltas = [system_determinant("LLG", "A", *constraints._DELTA3_SYSTEM[w]) for w in ("3", "3p")]
+        points, _ = constraints._common_zeros(products + deltas, *line)
+        assert not spurious & points
+        assert not delta3_vanishes_at("3", Fraction(-9, 8), Fraction(-3, 8))
+
+    def test_a_line_without_bp_is_read_along_bp(self):
+        # no case-A line is vertical, but a quadratic pair whose bp terms
+        # cancel would give one: b = c, read along t = bp
+        label, t, bindings = constraints._line(2 * b + 3)
+        assert (label, t, bindings) == ("b = -3/2", "bp", {"b": Fraction(-3, 2)})
+        assert constraints._line(2 * bp - 4 * b + 2) == ("bp = 2*b - 1", "b", {"bp": 2 * b - 1})
+        polys = [(bp - 1) * (bp - H) * m + (bp - 1) * (b + H) * k, (b + bp) * (2 * bp - 2)]
+        points, cofactor = constraints._common_zeros(polys, t, bindings)
+        assert points == {(Fraction(-3, 2), Fraction(1))} and cofactor == ONE
+        assert constraints._common_zeros([(2 * b + 3) * k], t, bindings) is None
+
+    def test_an_irrational_survivor_fails_with_its_cofactor(self, monkeypatch):
+        # b^2 - 2 in both determinants: on each line where both classes
+        # vanish, the gcd keeps it, and it does not split over Q
+        self.patch_deltas(monkeypatch, lambda det: det * (b * b - 2))
+        witness = self.scan_witness()
+        unsplit = [w for w in witness if "has no rational root" in w]
+        assert len(unsplit) == 6  # the shared lines off the diagonal
+        assert all("the cofactor b^2 - 2 " in w for w in unsplit)
+        assert unsplit[0] == "on bp = -b - 1, the cofactor b^2 - 2 has no rational root"
+
+    def test_a_second_whole_surviving_line_fails(self, monkeypatch):
+        # both determinants vanish on bp = -b - 1, a component of both classes
+        self.patch_deltas(monkeypatch, lambda det: det * (b + bp + 1))
+        witness = self.scan_witness()
+        assert "whole surviving lines ['bp = -b - 1', 'bp = b'], not the diagonal alone" in witness
+
+    def test_a_survivor_the_zero_test_does_not_confirm_fails(self, monkeypatch):
+        # the re-verification is a second, independent decision of each survivor
+        monkeypatch.setattr(constraints, "delta3_vanishes_at", lambda which, bv, bpv: bv != 0)
+        assert self.scan_witness() == ["a determinant does not vanish at (0, -1)"]
+
+    def test_quadratics_with_different_leading_forms_fail(self, monkeypatch):
+        # f-int's quadratic with leading form (b + bp)^2 + b bp: its
+        # difference from each half-odd quadratic is not a line
+        entry = root_set("f-int")
+        skewed = poly.quadratic_root_data(entry.quad.as_poly() + b * bp, "bp")
+        monkeypatch.setitem(constraints._ROOT_CACHE, "f-int", replace(entry, quad=skewed))
+        witness = self.scan_witness()
+        assert witness[:2] == [f"the quadratics of f-int and {name} differ by "
+                               f"{skewed.as_poly() - root_set(name).quad.as_poly()}"
+                               for name in ("f-half", "fp-half")]
 
     def test_case_a_scan_matches_with_documented_sporadics(self):
         report = intersection_scan("A")

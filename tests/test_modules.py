@@ -494,6 +494,22 @@ def test_symbolic_parameter_rows_are_filled_from_strata(spec):
     assert None not in strata and twin.ctx.int_den()
 
 
+def test_one_twin_per_spec_and_windows_whose_rows_the_partition_check_reads():
+    # the sweep and the partition check of one spec at one pair of windows
+    # share its twin, so the check reads the rows the sweep filled
+    spec = aab()
+    twin, decode = modules._twin(spec, 2, 4)
+    assert modules._twin(spec, 2, 4) == (twin, decode)
+    assert modules._twin(spec, 1, 2)[0] is not twin
+    assert axiom_sweep(spec).ok
+    filled = {key: dict(row) for key, row in twin.ctx.rows.items()}
+    assert ns_partition_check(spec).ok
+    assert {key: dict(row) for key, row in twin.ctx.rows.items()} == filled
+    # a spec with no twin keeps None, not itself (`test_spec_and_its_memo_form_no_reference_cycle`)
+    spec = b_zero_candidate()
+    assert modules._twin(spec, 2, 4) == (spec, None) and spec.ctx.twins == {(2, 4): None}
+
+
 @pytest.mark.parametrize("spec", SYMBOLIC_AB, ids=[s.label() for s in SYMBOLIC_AB])
 def test_symbolic_parameter_sweep_reads_strata(monkeypatch, spec):
     # 1 133 (Aab) and 869 (Bab) direct reads when a symbolic parameter
@@ -782,8 +798,8 @@ class TestActionMemo:
 
     def test_spec_and_its_memo_form_no_reference_cycle(self):
         # with the cyclic collector off, a spec goes as soon as its last
-        # reference does, memo and all
-        specs = [deformed("A1", Fraction(2, 7)), bab(),
+        # reference does, memo and all: twinned, concrete, and refusing its twin
+        specs = [deformed("A1", Fraction(2, 7)), bab(), b_zero_candidate(),
                  FamilySpec("GenericB", a=Fraction(1, 3), b=Fraction(-5, 7), bprime="sym")]
         enabled = gc.isenabled()
         gc.disable()

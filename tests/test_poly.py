@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from twistn2 import poly
 from twistn2.poly import (KroneckerPoint, NotDivisible, ONE, Poly, QuadRootData, RatFunc,
                           WrongDegree, ZERO, exact_divide, format_rational,
-                          parse_rational, quadratic_root_data,
-                          rational_sqrt, sym_name)
+                          parse_rational, quadratic_root_data, rational_roots,
+                          sym_name, univariate_gcd)
 
 b = Poly.var("b")
 bp = Poly.var("bp")
@@ -288,17 +288,32 @@ def test_quad_root_data_invariant_is_enforced():
         QuadRootData("bp", ONE, ZERO, ZERO, ONE)
 
 
-def test_rational_roots_require_square_discriminant():
-    quad = quadratic_root_data(bp * bp + (2 * b + 3) * bp + (b * b + b), "bp")
-    assert quad.rational_roots_at({"b": 0}) == [Fraction(-3), Fraction(0)]
-    assert quad.rational_roots_at({"b": 1}) == []  # disc 17 is not a square
+def test_quad_root_data_rebuilds_its_quadratic():
+    quad = bp * bp + (2 * b + 3) * bp + (b * b + b)
+    assert quadratic_root_data(quad, "bp").as_poly() == quad
 
 
-def test_rational_sqrt():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(-1)) is None
-    assert rational_sqrt(Fraction(0)) == 0
+def test_univariate_gcd_is_monic_and_stops_at_a_constant():
+    f = 2 * (b - Fraction(1, 2)) ** 2 * (b * b - 2)
+    g = Fraction(3, 5) * (b - Fraction(1, 2)) * (b * b - 2) * (b + 7)
+    assert univariate_gcd([f, g], "b") == (b - Fraction(1, 2)) * (b * b - 2)
+    assert univariate_gcd([ZERO, f, ZERO], "b") == f * Fraction(1, 2)
+    assert univariate_gcd([ZERO, ZERO], "b") == ZERO == univariate_gcd([], "b")
+    # a constant gcd ends the scan: what follows is not read
+    assert univariate_gcd(iter([f, b + 1, b * m]), "b") == ONE
+    with pytest.raises(ValueError):
+        univariate_gcd([f, b * m], "b")
+
+
+def test_rational_roots_split_off_every_rational_root_with_multiplicity():
+    f = Fraction(2, 3) * b ** 2 * (b - Fraction(9, 8)) ** 2 * (8 * b + 3) * (b * b + b + 1)
+    roots, cofactor = rational_roots(f, "b")
+    assert roots == [Fraction(-3, 8), 0, 0, Fraction(9, 8), Fraction(9, 8)]
+    assert cofactor == Fraction(16, 3) * (b * b + b + 1)
+    assert rational_roots(Poly.const(5), "bp") == ([], Poly.const(5))
+    assert rational_roots(b * b - 2, "b") == ([], b * b - 2)
+    with pytest.raises(ZeroDivisionError):
+        rational_roots(ZERO, "b")
 
 
 @pytest.mark.parametrize("text, value", [

@@ -5,17 +5,19 @@ Skipped when sympy is not installed; the lab itself never imports it.
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twistn2.constraints import (build_identity_system, delta1_printed, delta2_printed,
-                                 system_determinant)
-from twistn2 import poly
+from twistn2.constraints import (SPORADIC_SURVIVORS_A, build_identity_system, delta1_printed,
+                                 delta2_printed, root_set, system_determinant)
+from twistn2 import constraints, poly
 from twistn2.indices import SymIndex
 from twistn2.modules import unknown_name
-from twistn2.poly import NotDivisible, Poly, exact_divide, sym_name
+from twistn2.poly import (NotDivisible, ONE, Poly, exact_divide, rational_roots, sym_name,
+                          univariate_gcd)
 
 from test_poly import assert_canonical
 
@@ -197,3 +199,88 @@ def test_t_system_determinant_and_factors_agree_with_sympy(fam, printed):
     det = to_sympy(system_determinant("LLT", "A", fam, "int"))
     assert sympy.expand(matrix.det(method="berkowitz") - det) == 0
     assert factors(det) == factors(to_sympy(printed()))
+
+
+
+# one-symbol polynomials in b: a nonzero scale times rational linear
+# factors and at most one irreducible quadratic, b^2 + d with d > 0 or
+# b^2 - d with d a prime
+B = sympy.Symbol("b")
+irreducible = st.one_of(st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7),
+                        st.sampled_from((-2, -3, -5, -7)))
+univariates = st.tuples(fractions.filter(bool), st.lists(fractions, max_size=4),
+                        st.one_of(st.none(), irreducible))
+
+
+def univariate(scale, roots, quad_d) -> Poly:
+    x = Poly.var("b")
+    f = Poly.const(scale) * (ONE if quad_d is None else x * x + quad_d)
+    for root in roots:
+        f = f * (x - root)
+    return f
+
+
+def monic(expr) -> "sympy.Poly":
+    p = sympy.Poly(expr, B, domain="QQ")
+    return p if p.is_zero else p.monic()
+
+
+@given(st.lists(univariates, max_size=4), st.lists(fractions, max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_univariate_gcd_agrees_with_sympy(drawn, shared):
+    # the shared roots make a common factor more likely than chance would
+    fs = [univariate(scale, roots + shared, d) for scale, roots, d in drawn]
+    theirs = sympy.Integer(0)
+    for f in fs:
+        theirs = sympy.gcd(theirs, to_sympy(f))
+    assert monic(to_sympy(univariate_gcd(fs, "b"))) == monic(theirs)
+
+
+@given(univariates)
+@settings(max_examples=80, deadline=None)
+def test_rational_roots_agree_with_sympy(drawn):
+    f = univariate(*drawn)
+    roots, cofactor = rational_roots(f, "b")
+    theirs = sympy.roots(sympy.Poly(to_sympy(f), B, domain="QQ"), filter="Q")
+    assert roots == sorted(Fraction(int(r.p), int(r.q))
+                           for r, mult in theirs.items() for _ in range(mult))
+    assert same(f, sympy.expand(to_sympy(cofactor) * sympy.prod([B - to_sympy(r) for r in roots])))
+    assert not sympy.roots(sympy.Poly(to_sympy(cofactor), B, domain="QQ"), filter="Q")
+
+
+def test_case_a_common_zeros_agree_with_sympy():
+    # on each line of the exact case-A scan: sympy's gcd of the restricted
+    # class products and determinant coefficients, and its rational roots
+    sets1 = [root_set("f-int"), root_set("fp-int")]
+    sets2 = [root_set("f-half"), root_set("fp-half")]
+    lines, unlined = constraints._case_a_lines(sets1, sets2)
+    assert not unlined and len(lines) == 8
+    polys = [sympy.prod([to_sympy(c) for rs in sets for c in rs.components])
+             for sets in (sets1, sets2)]
+    polys += [to_sympy(system_determinant("LLG", "A", fam, kclass))
+              for fam, kclass in (("g", "int"), ("gp", "half"))]
+    ours = [prod((c for rs in sets for c in rs.components), start=ONE)
+            for sets in (sets1, sets2)]
+    ours += [system_determinant("LLG", "A", fam, kclass)
+             for fam, kclass in (("g", "int"), ("gp", "half"))]
+    others = sympy.symbols("a m p k")
+    off_diagonal = set()
+    for label, (t, bindings) in lines.items():
+        subs = {sympy.Symbol(name): to_sympy(v) for name, v in bindings.items()}
+        g = sympy.Integer(0)
+        for expr in polys:
+            restricted = sympy.expand(expr.subs(subs, simultaneous=True))
+            for coeff in sympy.Poly(restricted, *others).coeffs():
+                g = sympy.gcd(g, coeff)
+        found = constraints._common_zeros(ours, t, bindings)
+        if g == 0:
+            assert found is None, label
+            continue
+        points, cofactor = found
+        tx = sympy.Symbol(t)
+        rational = sympy.roots(sympy.Poly(g, tx, domain="QQ"), filter="Q")
+        at = {Fraction(int(r.p), int(r.q)) for r in rational}
+        assert {(bv if t == "b" else bpv) for bv, bpv in points} == at, label
+        assert cofactor.is_const() == (sum(rational.values()) == sympy.degree(g, tx)), label
+        off_diagonal |= {(bv, bpv) for bv, bpv in points if bv != bpv}
+    assert off_diagonal == set(SPORADIC_SURVIVORS_A)
