@@ -10,6 +10,11 @@ The graded Jacobi identity says that the adjoint action is a module action,
 so it is checked as the module axiom of the adjoint module: one residual
 engine (`residual_sweep`) runs both the Jacobi sweep and the module
 families' axiom sweeps, and both build a witness only when it is read.
+The engine reads each operator as position-indexed arrays of target
+positions and coefficients (`Row`).  A module entry has one term, so a
+module row is one such layer, and a check is at most three products; the
+Jacobi sweep's central brackets have two terms, and spread over a second
+layer.
 """
 
 from __future__ import annotations
@@ -179,6 +184,9 @@ def _key(g: Gen) -> tuple:
     return (g.kind, None if g.idx is None else g.idx.doubled)
 
 
+_C_KEY = _key(C)
+
+
 def super_jacobi_sweep(window: int) -> Tally:
     """Exhaustively check the graded Jacobi identity on a window.
 
@@ -194,17 +202,20 @@ def super_jacobi_sweep(window: int) -> Tally:
     sums `jacobi_residual`, the readable reference, at every triple.
     Violations are collected (none are expected); nothing is thrown.
 
-    The adjoint rows are one table of bracket terms, keyed by (kind,
-    doubled index) pairs: every window pair, and (h, z) and (z, h) for
-    each h that one bracket of window generators reaches.
+    The adjoint rows are one table of bracket terms over positions of
+    (kind, doubled index) keys: every window pair, and (h, z) and (z, h)
+    for each h that one bracket of window generators reaches.  A bracket
+    with a central term has two terms, so the rows that hold one spread
+    over a second layer (`layered_row`); their coefficients are ints over
+    each row's denominator (`_int_row`).
     """
     gens = generators_in_window(window)
     keyed = [(g, _key(g)) for g in gens]
     named: dict = {}  # key -> Gen, for the witnesses
-    rows: dict = {}  # key of x -> key of z -> the terms of [x, z]
+    brackets: dict = {}  # key of x -> key of z -> the terms of [x, z]
 
     def fill(g1: Gen, k1, g2: Gen, k2) -> None:
-        row = rows.setdefault(k1, {})
+        row = brackets.setdefault(k1, {})
         if k2 in row:
             return
         terms = []
@@ -223,9 +234,16 @@ def super_jacobi_sweep(window: int) -> Tally:
             fill(h, kh, z, kz)
             fill(z, kz, h, kh)
 
-    pairs = [((x, y), kx, ky, -1 if x.kind == "G" and y.kind == "G" else 1, rows[kx][ky])
+    keys = [None, *dict.fromkeys([*(k for _, k in keyed), *named])]
+    pos = {key: i for i, key in enumerate(keys)}
+    rows = {k: _int_row({pos[kz]: [(pos[kh], c) for kh, c in terms]
+                         for kz, terms in row.items()}, len(keys))
+            for k, row in brackets.items()}
+    # C acts as zero on the adjoint module, so a central term adds nothing
+    pairs = [((x, y), kx, ky, -1 if x.kind == "G" and y.kind == "G" else 1,
+              [(kh, c) for kh, c in brackets[kx][ky] if kh != _C_KEY])
              for x, kx in keyed for y, ky in keyed]
-    decode, records = residual_sweep(pairs, rows, [(kz, z) for z, kz in keyed])
+    decode, records = residual_sweep(pairs, rows, [(pos[kz], z) for z, kz in keyed], keys)
 
     def witness(record) -> tuple:
         (x, y), z, entries = record
@@ -234,141 +252,198 @@ def super_jacobi_sweep(window: int) -> Tally:
     return Tally(len(gens) ** 3, LazyList(list(records), witness))
 
 
-class Row(dict):
-    """One operator's action for the residual engine: vector key ->
-    ((target key, coeff), ...), each coeff an int numerator over `den`, or
-    an object (Fraction, Poly, RatFunc) where den is None, as in a dict."""
+class Row:
+    """One operator's action as the residual engine reads it: position-
+    indexed arrays, one (targets, coeffs) pair of lists per layer.
 
-    __slots__ = ("den",)
-
-    def __init__(self, entries=(), den: int | None = None):
-        super().__init__(entries)
-        self.den = den
-
-
-def _lowering(rows: dict, brackets):
-    """How `residual_sweep` takes its coefficients to ints: (d, lower,
-    decode), or None when a row holds an object other than a Fraction (a
-    Poly or a RatFunc).
-
-    `rows` are `Row`s.  d is the lcm of the bracket scales' denominators
-    (`brackets` holds one list of scales per pair) and of the rows': an
-    int row's den, whose entries are not read here, and the denominator of
-    every Fraction.  `lower(c, d)` is a Fraction c times d as an int, and
-    `decode(c, unit)` the residual coefficient that c stands for.  A bare
-    int in a row of objects is a numerator that lost its den, and raises.
+    The entry at position p is the sum, over the layers, of coeffs[p] times
+    the vector at position targets[p].  A coefficient is an int numerator
+    over `den`, or an object (Fraction, Poly, RatFunc) where den is None.
+    Position 0 is the zero vector: every layer holds (0, 0) there.  Where
+    an entry has no term in a layer, the layer holds coefficient 0, on
+    position 0 or on any filled position (a module row's empty entry sits
+    on the line a term would land on).  A position the row was not filled
+    at holds None, so a read there raises.  An entry of one term
+    fills one layer; an entry of more terms spreads its i-th term over the
+    i-th layer, and `spread` holds the positions where it does.
     """
-    dens = []
-    for r in rows.values():
-        if r.den is not None:
-            dens.append(r.den)
-            continue
-        for terms in r.values():
-            for _, c in terms:
-                if isinstance(c, Fraction):
-                    dens.append(c.denominator)
-                elif isinstance(c, int):
-                    raise TypeError(f"int coefficient {c} in a row without a den")
-                else:
-                    return None
-    for scales in brackets:
-        for c in scales:
-            dens.append(c.denominator)
-    return lcm(*dens), _times, Fraction
+
+    __slots__ = ("layers", "den", "spread")
+
+    def __init__(self, layers, den: int | None = None):
+        self.layers, self.den = tuple(layers), den
+        self.spread = frozenset(p for _, coeffs in self.layers[1:]
+                                for p, c in enumerate(coeffs) if c)
 
 
-def residual_sweep(pairs, rows: dict, vectors, sign: int = 1, decode=None):
+def layered_row(entries: dict, size: int, den: int | None = None) -> Row:
+    """The `Row` of {position: [(target position, coeff), ...]} over `size`
+    positions: None wherever no entry is given."""
+    width = max([1, *map(len, entries.values())])
+    layers = []
+    for i in range(width):
+        targets, coeffs = [None] * size, [None] * size
+        targets[0] = coeffs[0] = 0
+        for p, terms in entries.items():
+            targets[p], coeffs[p] = terms[i] if i < len(terms) else (0, 0)
+        layers.append((targets, coeffs))
+    return Row(layers, den)
+
+
+def _int_row(entries: dict, size: int) -> Row:
+    """`layered_row` of Fraction coefficients, as int numerators over their
+    common denominator."""
+    den = lcm(1, *(c.denominator for terms in entries.values() for _, c in terms))
+    return layered_row({p: [(t, _times(c, den)) for t, c in terms]
+                        for p, terms in entries.items()}, size, den)
+
+
+def _summed(vp: int, products) -> tuple:
+    """The nonzero terms at vector position vp of a sum of products, as
+    one flat tuple (target position, coeff, ...), in the order they are
+    first reached.  A product is (outer, inner, m), m times the outer layer
+    applied to the inner layer's term, or (layer, m), m times the layer's
+    term; a zero product is skipped."""
+    acc: dict = {}
+    get = acc.get
+    for product in products:
+        if len(product) == 3:
+            (outer_t, outer_c), (inner_t, inner_c), m = product
+            c = inner_c[vp]
+            if not c and c is not None:  # an unfilled read raises below
+                continue
+            t = inner_t[vp]
+            c2 = outer_c[t]
+            if not c2 and c2 is not None:
+                continue
+            t = outer_t[t]
+            acc[t] = get(t, 0) + (c * c2 if m == 1 else c * c2 * m)
+        else:
+            (targets, coeffs), m = product
+            c = coeffs[vp]
+            if c or c is None:
+                t = targets[vp]
+                acc[t] = get(t, 0) + (c if m == 1 else c * m)
+    return tuple(x for item in acc.items() if item[1] for x in item)
+
+
+def _products(x: Row, y: Row, singles: list, m, e) -> list:
+    """Every product of layers a check of the pair (x, y) sums, in the
+    order x(y v), then the bracket's `singles`, then y(x v); m and e are
+    the multipliers of the two compositions."""
+    return [*((a, b, m) for b in y.layers for a in x.layers), *singles,
+            *((b, a, e) for a in x.layers for b in y.layers)]
+
+
+def residual_sweep(pairs, rows: dict, vectors, keys, sign: int = 1, decode=None):
     """The one residual engine: the axiom residual of every pair on every
-    vector, in int arithmetic; hands back the nonzero ones, undecoded.
+    vector; hands back the nonzero ones, undecoded.
 
-    `rows` maps a row key to that operator's action, a `Row` (or a plain
-    dict of objects) from vector key to ((target key, coeff), ...).  Each
-    pair is (tag, k1, k2, eps, xy): the row keys of x and y, the sign eps =
-    (-1)^(|x||y|), and [x, y] as ((row key, scale), ...).  Each vector is
-    (vector key, tag).  At (x, y) on v the residual is
+    `rows` maps a row key to that operator's action, a `Row` over the
+    positions whose keys `keys` lists (position 0, the zero vector, has
+    none).  Each pair is (tag, k1, k2, eps, xy): the row keys of x and y,
+    the sign eps = (-1)^(|x||y|), and [x, y] as ((row key, scale), ...).
+    Each vector is (position, tag).  At (x, y) on v the residual is
         x(y v) - [x,y] v - eps y(x v),
-    summed in that order into one accumulator; `sign` = -1 gives a module
-    axiom's residual, the negative.
+    summed in that order; `sign` = -1 gives a module axiom's residual, the
+    negative.  The engine reads the rows' arrays as they are: every row at
+    the vector positions, and x and y also at every position one of them
+    takes a vector to.
 
-    A gather pass reads, once, the entries the loop reads: every row on
-    the vectors, and the pairs' rows also on every label one of them takes
-    a vector to.  A row that misses one raises there; a
-    `modules._ActionRow` builds it there.  Each label key then gets an int
-    position, and each row becomes a list indexed by position, with None
-    where nothing was gathered, so a read past the gather raises too.  Its
-    entries are ((target position, coeff), ...), every row coefficient and
-    bracket scale an int over their common denominator d (`_lowering`), so
-    each residual term, a product of two of them, comes out times d**2.
-    An int row is taken as it is, times d / den where its den is not d,
-    and a Fraction is lowered.  Rows holding a Poly or a RatFunc keep their
-    objects, with the sign alone as their unit; an int row beside them is
-    read over its den.
+    Int rows are read over d, the lcm of their dens and of the bracket
+    scales' denominators.  Each pair folds the factor that takes its
+    products to d**2 into one multiplier per part, so every residual comes
+    out times d**2.  Where a row holds objects (den None), d is 1 and the
+    multipliers are Fractions, so an int row beside it is read over its
+    den; a nonzero bare int in such a row is a numerator that lost its
+    den, and raises.
 
-    The gather runs at the call.  Returns (decode, records): `records`
-    yields one (pair tag, vector tag, entries) tuple per nonzero residual,
-    where entries are the accumulator's nonzero terms as one flat tuple
-    (target position, int coeff, target position, int coeff, ...), and
-    `decode(entries)`, the sweep's one decoder, reads them back to {target
-    key: coeff} at sign * d**2, so the decoding takes the sign too.  A
-    sweep that keeps a count and one witness so decodes one residual.  An
-    int coefficient c reads back as c / unit, unit = sign * d**2, or as
-    `decode(c, unit)` where given (a twin's Kronecker point, `modules._twin`).
+    A check of int rows is, on their first layers, at most three products,
+    summed into one scalar when they land on one target; a small dict sums
+    them where they do not (`_summed`).  The dict also sums every product
+    of layers where an entry the check reads spreads over more layers
+    (`Row.spread`), and at every check of a pair that reads objects or a
+    bracket of more terms.
+
+    Returns (decode, records): `records` yields one (pair tag, vector tag,
+    entries) tuple per nonzero residual, where entries are its nonzero
+    terms as one flat tuple (target position, coeff, target position,
+    coeff, ...), and `decode(entries)`, the sweep's one decoder, reads them
+    back to {target key: coeff} at unit = sign * d**2, so the decoding
+    takes the sign too.  A sweep that keeps a count and one witness so
+    decodes one residual.  An int coefficient c reads back as c / unit, or
+    as `decode(c, unit)` where given (a twin's Kronecker point,
+    `modules._twin`).
     """
-    vkeys = [vk for vk, _ in vectors]
-    outer = dict.fromkeys(k for _, k1, k2, _, _ in pairs for k in (k1, k2))
-    gathered = {k: Row(((vk, r[vk]) for vk in vkeys), getattr(r, "den", None))
-                for k, r in rows.items()}
-    reached = dict.fromkeys(lk for k in outer for terms in gathered[k].values()
-                            for lk, _ in terms)
-    for k in outer:
-        gathered[k].update((lk, rows[k][lk]) for lk in reached)
-    lowering = _lowering(gathered, [[scale for _, scale in xy] for *_, xy in pairs])
-    if lowering is None:
-        for r in gathered.values():  # an int row is read over its den
-            if r.den is not None:
-                r.update({vk: tuple((lk, Fraction(c, r.den)) for lk, c in terms)
-                          for vk, terms in r.items()})
-                r.den = None
-        lowering = 1, lambda c, d: c, lambda c, unit: c if unit == 1 else -c
-    d, lower, read = lowering
+    objects = False
+    for row in rows.values():
+        if row.den is None:
+            objects = True
+            for _, coeffs in row.layers:
+                if any(type(c) is int and c for c in coeffs):
+                    raise TypeError("int coefficient in a row without a den")
+    if objects:
+        d = 1
+        read = lambda c, unit: c if unit == 1 else -c  # noqa: E731
+    else:
+        d = lcm(*(row.den for row in rows.values()),
+                *(scale.denominator for *_, xy in pairs for _, scale in xy))
+        read = Fraction
     read = decode or read
-    unit = sign * d * d
-    keys = list(dict.fromkeys([*vkeys, *(lk for entries in gathered.values()
-                                         for terms in entries.values() for lk, _ in terms)]))
-    pos = {key: i for i, key in enumerate(keys)}
-    lowered = {}
-    for k, entries in gathered.items():
-        row = lowered[k] = [None] * len(keys)
-        f = entries.den and d // entries.den
-        for vk, terms in entries.items():
-            row[pos[vk]] = (tuple((pos[lk], lower(c, d)) for lk, c in terms) if f is None
-                            else tuple((pos[lk], c) for lk, c in terms) if f == 1
-                            else tuple((pos[lk], c * f) for lk, c in terms))
-    vectors = [(pos[vk], name) for vk, name in vectors]
+    square, unit = d * d, sign * d * d
+
+    def over(den: int):
+        """The multiplier that takes a product over den to d**2."""
+        if not objects:
+            return square // den
+        return 1 if den == 1 else Fraction(1, den)
+
+    def bracket_part(kh, scale) -> list:
+        """-scale times the bracket row kh, as (layer, multiplier) items."""
+        row = rows[kh]
+        m = (-scale * over(row.den or 1) if objects
+             else -scale.numerator * over(scale.denominator * row.den))
+        return [(layer, m) for layer in row.layers]
+
+    zero = ([0] * len(keys),) * 2
+
+    def records():
+        for tag, k1, k2, eps, xy in pairs:
+            r1, r2 = rows[k1], rows[k2]
+            m = over((r1.den or 1) * (r2.den or 1))
+            e = -eps * m
+            singles = [part for kh, scale in xy for part in bracket_part(kh, scale)]
+            if objects or len(xy) > 1:
+                products = _products(r1, r2, singles, m, e)
+                for vp, name in vectors:
+                    found = _summed(vp, products)
+                    if found:
+                        yield tag, name, found
+                continue
+            products = None  # built at the first check that needs the dict
+            (t1, c1), (t2, c2) = r1.layers[0], r2.layers[0]
+            (th, ch), mh = singles[0] if singles else (zero, 0)
+            sx, sy = r1.spread, r2.spread
+            sh = rows[xy[0][0]].spread if xy else sx  # sx is tested anyway
+            spread = sx or sy or sh
+            for vp, name in vectors:
+                t = t2[vp]
+                u = t1[vp]
+                target = t1[t]
+                if (target == t2[u] and (target == th[vp] or not ch[vp]) and not (
+                        spread and (vp in sy or t in sx or vp in sh or vp in sx or u in sy))):
+                    r = c2[vp] * c1[t] * m + ch[vp] * mh + c1[vp] * c2[u] * e
+                    if r:
+                        yield tag, name, (target, r)
+                    continue
+                products = products or _products(r1, r2, singles, m, e)
+                found = _summed(vp, products)
+                if found:
+                    yield tag, name, found
 
     def decoder(entries: tuple) -> dict:
         terms = iter(entries)
         return {keys[p]: read(c, unit) for p, c in zip(terms, terms)}
-
-    def records():
-        for tag, k1, k2, eps, xy in pairs:
-            r1, r2 = lowered[k1], lowered[k2]
-            xy_rows = [(lowered[kh], -lower(scale, d)) for kh, scale in xy]
-            for vp, name in vectors:
-                acc: dict = {}
-                get = acc.get
-                for lp, c in r2[vp]:
-                    for lp2, c2 in r1[lp]:
-                        acc[lp2] = get(lp2, 0) + c * c2
-                for rh, scale in xy_rows:
-                    for lp, c in rh[vp]:
-                        acc[lp] = get(lp, 0) + scale * c
-                for lp, c in r1[vp]:
-                    c = -eps * c
-                    for lp2, c2 in r2[lp]:
-                        acc[lp2] = get(lp2, 0) + c * c2
-                if any(acc.values()):
-                    yield tag, name, tuple(x for item in acc.items() if item[1] for x in item)
 
     return decoder, records()
 

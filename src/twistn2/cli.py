@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 import traceback
 from fractions import Fraction
+from functools import partial
 
 from . import constraints as clab
 from . import deformation as dlab
@@ -286,11 +288,16 @@ def _window(text: str) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    # argparse sizes its help to the terminal on every formatter it makes,
+    # one per add_argument; the width is read once here instead
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="twistn2",
         description="verification lab for intermediate-series modules over the "
-                    "twisted N=2 superconformal algebra")
+                    "twisted N=2 superconformal algebra",
+        formatter_class=formatter)
     sub = parser.add_subparsers(dest="verb", required=True)
+    add_parser = partial(sub.add_parser, formatter_class=formatter)
 
     def common(p, family=False, windows=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -306,25 +313,25 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--gen-window", type=_window, default=2, dest="gen_window")
             p.add_argument("--basis-window", type=_window, default=4, dest="basis_window")
 
-    p = sub.add_parser("verify-axioms", help="module-axiom sweep for one family")
+    p = add_parser("verify-axioms", help="module-axiom sweep for one family")
     common(p, family=True, windows=True)
     p.add_argument("--inject-fault", choices=tuple(FAULT_CATALOG), default=None,
                    help=argparse.SUPPRESS)
 
-    p = sub.add_parser("delta", help="constraint determinants vs printed closed forms")
+    p = add_parser("delta", help="constraint determinants vs printed closed forms")
     common(p)
     p.add_argument("--which", choices=("1", "2", "3", "3p", "all"), default="all")
 
-    p = sub.add_parser("roots", help="root sets of the constraint determinants")
+    p = add_parser("roots", help="root sets of the constraint determinants")
     common(p)
     p.add_argument("--which",
                    choices=clab.ROOT_SET_NAMES + tuple(clab.OMEGA_SETS) + ("all",),
                    default="all")
 
-    p = sub.add_parser("compose-t", help="re-derive T coefficients from compositions")
+    p = add_parser("compose-t", help="re-derive T coefficients from compositions")
     common(p, family=True)
 
-    p = sub.add_parser("solve-coeffs", help="coefficient lemmas and normalizations")
+    p = add_parser("solve-coeffs", help="coefficient lemmas and normalizations")
     common(p)
     p.add_argument("--which",
                    choices=clab.LEMMA_CHECKS + ("normalization-a", "normalization-b",
@@ -332,25 +339,25 @@ def make_parser() -> argparse.ArgumentParser:
                                                 "intersections", "all"),
                    default="all")
 
-    p = sub.add_parser("deform", help="deformation recurrences and instantiation")
+    p = add_parser("deform", help="deformation recurrences and instantiation")
     common(p)
     p.add_argument("--case", choices=("A1", "A2", "B1", "B2", "all"), default="all")
     p.add_argument("--alpha")
 
-    p = sub.add_parser("submodule", help="candidate submodule closure check")
+    p = add_parser("submodule", help="candidate submodule closure check")
     common(p, family=True, windows=True)
     p.add_argument("--candidate", help="span:x0,y1/2 or complement:x0")
     p.add_argument("--scan", action="store_true",
                    help="survey cyclic submodules instead of one candidate")
 
-    p = sub.add_parser("nonexist-b0", help="contradiction witness for the exceptional candidate")
+    p = add_parser("nonexist-b0", help="contradiction witness for the exceptional candidate")
     common(p)
 
-    p = sub.add_parser("jacobi", help="graded Jacobi identity sweep")
+    p = add_parser("jacobi", help="graded Jacobi identity sweep")
     common(p)
     p.add_argument("--window", type=_window, default=2)
 
-    p = sub.add_parser("all", help="full verification suite")
+    p = add_parser("all", help="full verification suite")
     common(p)
     return parser
 

@@ -28,14 +28,16 @@ action table (`FamilySpec.ctx`); no action state is process-wide.
 
 Each weight space is one-dimensional, so on each parity class of mode m
 and vector index k an action lands on index k+m with a coefficient
-polynomial in (m, k) and the parameters.  At concrete parameters the memo
-reads the table once per such stratum, at symbolic m and k, and fills its
-entries by evaluating that read in ints, over one denominator per row.  It
-reads the table entry by entry at symbolic parameters, where a stratum is
-not such a polynomial, and on a deformed family's slot, the one
-index-equality decision.  The window checks sweep a symbolic family as its
-concrete twin at one Kronecker point (`_twin`), and share one table of
-generator pairs per window (`_pair_table`).
+polynomial in (m, k) and the parameters, and every entry has at most one
+term.  At concrete parameters the memo reads the table once per such
+stratum, at symbolic m and k, and evaluates that read in ints: entry by
+entry for `act`, and in bulk, over a whole window of labels, for the axiom
+sweep's position arrays.  It reads the table entry by entry at symbolic
+parameters, where a stratum is not such a polynomial, and on a deformed
+family's slot, the one index-equality decision.  The window checks sweep a
+symbolic family as its concrete twin at one Kronecker point (`_twin`), and
+share one table of generator pairs and one layout of label positions per
+window (`_pair_table`, `_frame`).
 
 The central element acts as zero on every family.
 """
@@ -51,7 +53,7 @@ from operator import itemgetter
 from typing import Union
 
 from .algebra import (Gen, Row, _times, add_term, bracket, bracket_terms, generators_in_window,
-                      parity, residual_sweep)
+                      layered_row, parity, residual_sweep)
 from .indices import IDX_ZERO, SymIndex
 from .poly import ONE, KroneckerPoint, Poly, RatFunc, ZERO, sym_shift, sym_slot
 from .report import LazyList, Tally
@@ -260,7 +262,7 @@ class _Ctx:
     """
 
     __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "branch",
-                 "consts", "printed_t", "base", "slot", "forced", "rows", "strata", "den",
+                 "consts", "printed_t", "base", "slot", "forced", "rows", "strata", "symbolic",
                  "twins")
 
     def __init__(self, spec: FamilySpec):
@@ -301,7 +303,8 @@ class _Ctx:
         self.printed_t = spec.family in ("Aab", "Bab")
         self.rows: dict = {}
         self.strata: dict = {}
-        self.den = 0  # not yet known (`int_den`)
+        # a symbolic parameter leaves every row to direct reads
+        self.symbolic = any(isinstance(getattr(self, name), Poly) for name in _SYMBOLS.values())
         self.twins: dict = {}  # (gen_window, basis_window) -> `_twin`'s pair, or None
 
     def row(self, g: Gen) -> _ActionRow:
@@ -314,17 +317,6 @@ class _Ctx:
                 slot = letter, idx.doubled
             r = self.rows[key] = _ActionRow(self.spec, g, slot)
         return r
-
-    def int_den(self) -> int | None:
-        """The lcm of the spec's stratum denominators, over which its rows
-        hold ints; None, and rows of objects, where a parameter is a
-        symbol or a stratum is not in ints."""
-        if self.den == 0:
-            symbolic = any(isinstance(getattr(self, name), Poly) for name in _SYMBOLS.values())
-            strata = [None] if symbolic else [self.stratum(*key) for key in _STRATA]
-            self.den = None if None in strata else lcm(
-                1, *(den for st in strata for _, _, den, _ in st))
-        return self.den
 
     def stratum(self, kind: str, qpar: int, letter: str, kpar: int):
         """The action of mode m on the vector `letter`_k, for m and k of the
@@ -669,17 +661,14 @@ def act(spec: FamilySpec, g: Gen, v: BasisLabel) -> LinComb:
     """Concrete action; returns a label -> coefficient map without zeros.
 
     A view of the spec's memo row for g (`FamilySpec.ctx`): a row key's
-    doubled index d is the label index `SymIndex(d)`.  A concrete spec's
-    row holds int numerators over its `den`, which this divides out, so
-    its coefficients are Fractions; a symbolic parameter gives Poly (or
+    doubled index d is the label index `SymIndex(d)`.  A concrete spec
+    gives Fraction coefficients; a symbolic parameter gives Poly (or
     RatFunc) ones, a constant Poly again lowered to its Fraction.
     """
     if g.kind == "C":
         return {}
-    row = spec.ctx.row(g)
-    den = row.den
-    return {BasisLabel(letter, SymIndex(doubled)): c if den is None else Fraction(c, den)
-            for (letter, doubled), c in row[(v.letter, v.idx.doubled)]}
+    return {BasisLabel(letter, SymIndex(doubled)): c
+            for (letter, doubled), c in spec.ctx.row(g)[v.letter, v.idx.doubled]}
 
 
 def _scalar(c):
@@ -766,73 +755,100 @@ def _falling(nums, gd: int) -> list:
     return powers[::-1]
 
 
-class _ActionRow(Row):
-    """The action of one generator on one spec: label key (letter, doubled
-    index) -> ((label key, coeff), ...), each entry built the first time it
-    is read and kept as long as the spec.  A key's doubled index d is the
-    index `SymIndex(d)` the table reads, and a target's is the `doubled` of
-    the index the table returns.
+def _values(powers: list, ds: range) -> list:
+    """The polynomial of falling-power coefficients `powers` at every d of
+    `ds`, by Horner's rule run over the whole range at once."""
+    if len(powers) == 1:
+        return [powers[0]] * len(ds)
+    a, b, *rest = powers
+    out = [a * d + b for d in ds]
+    for c in rest:
+        out = [v * d + c for v, d in zip(out, ds)]
+    return out
 
-    An entry of an int row is the spec's stratum for the key's parity class
-    (`_Ctx.stratum`) evaluated in ints at the row's mode and the key's
-    index: one int numerator per nonzero term, over the row's `den` (the
-    lcm of `_Ctx.int_den` and the slot entry's denominators).  An entry is
-    read from the table directly, by `act_indexed`, in a row of objects
-    (den None: a symbolic parameter, a RatFunc form, the unknowns mode), in
-    the C row, and on the one key of a deformed family's row that reads
-    the slot (`slot_vector`, where `_at_slot` holds), the tables' only
-    decision on index equality.
+
+def _position(bound: int, letter: str, doubled: int) -> int:
+    """The engine position of label letter_(doubled/2) among the labels
+    with |doubled index| <= bound: x's, then y's, after the zero vector
+    at position 0."""
+    if not -bound <= doubled <= bound:
+        raise ValueError(f"label {letter}_{doubled}/2 lies beyond the bound {bound}")
+    return 1 + bound + doubled + (0 if letter == "x" else 2 * bound + 1)
+
+
+class _ActionRow(dict):
+    """The action of one generator on one spec, in two forms.
+
+    As a dict, label key (letter, doubled index) -> ((label key, coeff),
+    ...), each entry built the first time it is read and kept as long as
+    the spec; `act` and the submodule and partition checks read it.  A
+    key's doubled index d is the index `SymIndex(d)` the table reads, and
+    a target's is the `doubled` of the index the table returns.  An entry
+    is the spec's stratum for the key's parity class (`_Ctx.stratum`, read
+    through `_form`) evaluated at the row's mode and the key's index, as
+    Fractions.  It is read from the table directly, by `act_indexed`,
+    where that stratum is None (a symbolic parameter, a RatFunc form, the
+    unknowns mode), in the C row, and on the one key of a deformed
+    family's row that reads the slot (`slot_vector`, where `_at_slot`
+    holds), the tables' only decision on index equality.
+
+    As the residual engine reads it (`engine_row`), an `algebra.Row`:
+    position-indexed arrays of target positions and int numerators over
+    one den, the lcm of the denominators of the four strata of the row's
+    mode class and of its slot entry.  Each (letter, parity of k) stratum
+    fills its positions in bulk: its targets are one arithmetic
+    progression, and its numerators one Horner pass over the doubled
+    indices (`_values`).  The slot entry is then written over its
+    position.  A row whose strata are not all ints is filled entry by
+    entry from the dict, as objects, with den None.
 
     It is the only action memo.  The spec's context owns one row per
-    generator (`_Ctx.row`), and `act`, the axiom sweep and the submodule
-    and partition checks all read it, so each entry of a spec is built once
-    however many of them run.  The axiom sweep hands its rows to the
-    residual engine, `algebra.residual_sweep`, whose gather pass reads, and
-    so builds, exactly the entries the engine's loop reads.
-
-    A row of objects holds Fractions where only its slot or another row
-    holds a symbol or RatFunc, Poly where a parameter is symbolic, and
-    RatFunc in the generic candidates' solved modes.
+    generator (`_Ctx.row`), so a row's strata, entries and arrays are
+    built once however many readers of the spec run.  A row reads only
+    the strata of the entries it builds, and its arrays read the four of
+    its mode class.
     """
 
-    __slots__ = ("spec", "kind", "gidx", "forms")
+    __slots__ = ("spec", "kind", "gidx", "slot", "forms", "filled")
 
     def __init__(self, spec: FamilySpec, g: Gen, slot=None):
-        super().__init__(den=spec.ctx.int_den())
-        self.spec, self.kind, self.gidx = spec, g.kind, g.idx
+        super().__init__()
+        self.spec, self.kind, self.gidx, self.slot = spec, g.kind, g.idx, slot
         self.forms: dict = {}  # (letter, parity of k) -> the stratum at this mode
-        if slot is not None:
-            terms = self._read(*slot)
-            if self.den is not None:
-                self.den = lcm(self.den, *(c.denominator for _, c in terms))
-                terms = tuple((lk, _times(c, self.den)) for lk, c in terms)
-            self[slot] = terms
+        self.filled: dict = {}  # (bound, radius) -> `engine_row`
 
     def _form(self, letter: str, kpar: int):
-        """The stratum at this row's mode: per term, the target letter, the
+        """The stratum at this row's mode, or None where entries are read
+        directly: (den, parts), with per term the target letter, the
         target's offset from the key, and the numerator's int coefficients
-        by falling power of the key's doubled index (`_falling`), times the
-        row's den over the stratum's."""
+        by falling power of the key's doubled index (`_falling`), over den,
+        the lcm of the stratum's denominators."""
         if (letter, kpar) not in self.forms:
-            gd = self.gidx.doubled
-            self.forms[letter, kpar] = [
-                (letter2, off + gd, [c * (self.den // den) for c in _falling(nums, gd)])
-                for letter2, off, den, nums in self.spec.ctx.stratum(self.kind, gd & 1,
-                                                                     letter, kpar)]
+            ctx, form = self.spec.ctx, None
+            if self.kind != "C" and not ctx.symbolic:
+                gd = self.gidx.doubled
+                stratum = ctx.stratum(self.kind, gd & 1, letter, kpar)
+                if stratum is not None:
+                    den = lcm(1, *(d for _, _, d, _ in stratum))
+                    form = den, [(letter2, off + gd, [c * (den // d) for c in _falling(nums, gd)])
+                                 for letter2, off, d, nums in stratum]
+            self.forms[letter, kpar] = form
         return self.forms[letter, kpar]
 
     def __missing__(self, key):
         letter, doubled = key
-        if self.den is None or self.kind == "C":
+        form = None if key == self.slot else self._form(letter, doubled & 1)
+        if form is None:
             terms = self._read(letter, doubled)
         else:
+            den, parts = form
             terms = []
-            for letter2, off, powers in self._form(letter, doubled & 1):
+            for letter2, shift, powers in parts:
                 num = 0
                 for c in powers:
                     num = num * doubled + c
                 if num:
-                    terms.append(((letter2, doubled + off), num))
+                    terms.append(((letter2, doubled + shift), Fraction(num, den)))
             terms = tuple(terms)
         self[key] = terms
         return terms
@@ -845,6 +861,65 @@ class _ActionRow(Row):
             if coeff:
                 add_term(lc, (letter2, idx.doubled), coeff)
         return tuple((lk, _scalar(c)) for lk, c in lc.items())
+
+    def engine_row(self, bound: int, radius: int) -> Row:
+        """This row as the residual engine reads it, over the positions of
+        the labels with |doubled index| <= bound (`_position`), filled at
+        the labels with |doubled index| <= radius; kept per (bound,
+        radius)."""
+        if (bound, radius) not in self.filled:
+            self.filled[bound, radius] = self._fill(bound, radius)
+        return self.filled[bound, radius]
+
+    def _fill(self, bound: int, radius: int) -> Row:
+        size = _position(bound, "y", bound) + 1
+        if self.kind == "C":
+            return Row([([0] * size, [0] * size)], 1)
+        forms = {(letter, kpar): self._form(letter, kpar) for letter in "xy" for kpar in (0, 1)}
+        if None in forms.values():
+            return layered_row({_position(bound, letter, d): [(_position(bound, *lk), c)
+                                                             for lk, c in self[letter, d]]
+                                for letter in "xy" for d in range(-radius, radius + 1)}, size)
+        # an empty entry is coefficient 0 on the line a graded entry would
+        # land on, so the engine sums it with the other parts of a check
+        gd = self.gidx.doubled
+        landing = {"x": "y", "y": "x"} if self.kind == "G" else {"x": "x", "y": "y"}
+        forms = {(letter, kpar): (den, parts or [(landing[letter], gd, [0])])
+                 for (letter, kpar), (den, parts) in forms.items()}
+        slot = ()
+        if self.slot is not None:
+            letter, d = self.slot
+            slot = self[self.slot] or (((landing[letter], d + gd), 0),)
+        den = lcm(*(den for den, _ in forms.values()), *(c.denominator for _, c in slot))
+        layers = [([None] * size, [None] * size)
+                  for _ in range(max(len(slot), *(len(parts) for _, parts in forms.values())))]
+        for targets, coeffs in layers:
+            targets[0] = coeffs[0] = 0
+        for (letter, kpar), (form_den, parts) in forms.items():
+            ds = range(-radius + ((radius + kpar) & 1), radius + 1, 2)
+            if not ds:
+                continue
+            start = _position(bound, letter, ds[0])
+            cells = slice(start, start + 2 * len(ds), 2)
+            for i, (targets, coeffs) in enumerate(layers):
+                if i < len(parts):
+                    letter2, shift, powers = parts[i]
+                    first = _position(bound, letter2, ds[0] + shift)
+                    _position(bound, letter2, ds[-1] + shift)  # the last target is in bounds too
+                    targets[cells] = range(first, first + 2 * len(ds), 2)
+                    scale = den // form_den
+                    if scale > 1:
+                        powers = [c * scale for c in powers]
+                    coeffs[cells] = _values(powers, ds)
+                else:
+                    targets[cells] = coeffs[cells] = [0] * len(ds)
+        if self.slot is not None and abs(self.slot[1]) <= radius:
+            p = _position(bound, *self.slot)
+            for i, (targets, coeffs) in enumerate(layers):
+                lk, c = slot[i] if i < len(slot) else (None, 0)
+                targets[p] = 0 if lk is None else _position(bound, *lk)
+                coeffs[p] = _times(c, den)
+        return Row(layers, den)
 
 
 def _sweep_witness(decode, record) -> dict:
@@ -879,6 +954,34 @@ def _pair_table(gen_window: int) -> tuple:
             lhs = tuple((row(h), scale) for h, scale in bracket(g1, g2).items() if h.kind != "C")
             pairs.append(((names[g1], names[g2]), row(g1), row(g2), sign, lhs))
     return tuple(pairs), tuple(rows.items())
+
+
+@lru_cache(maxsize=4)
+def _frame(gen_window: int, basis_window: int) -> tuple:
+    """(bound, keys, vectors, radii): where an axiom sweep at these windows
+    puts its labels, constants shared by every spec's sweep.
+
+    A pair's rows are read at the window labels and at every label one of
+    them takes a window label to, so they are filled out to `radius` =
+    2 * basis_window + the widest doubled mode among them; a row read
+    only for a bracket term is read at the window labels alone.  `bound`
+    is the widest label any filled entry lands on, `keys` the label key
+    at each position (`_position`), and `vectors` the window labels as
+    (position, name)."""
+    pairs, rows = _pair_table(gen_window)
+    outer = {k for _, k1, k2, _, _ in pairs for k in (k1, k2)}
+    window = 2 * basis_window
+    reach = window + max(abs(doubled or 0) for _, doubled in outer)
+    radii = {key: reach if key in outer else window for key, _ in rows}
+    bound = max(radius + abs(key[1] or 0) for key, radius in radii.items())
+    vectors = tuple((_position(bound, v.letter, v.idx.doubled), str(v))
+                    for v in labels_in_window(basis_window))
+    return bound, _frame_keys(bound), vectors, radii
+
+
+def _frame_keys(bound: int) -> tuple:
+    """The label key at each `_position` of this bound, None at 0."""
+    return (None, *((letter, d) for letter in "xy" for d in range(-bound, bound + 1)))
 
 
 def _twin_point(spec: FamilySpec, gen_window: int, basis_window: int):
@@ -975,14 +1078,16 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
     pair.  Unordered pairs suffice: the reversed-pair residual is the
     forward one up to the super-antisymmetry sign; the pairs are the
     window's `_pair_table`.  The sweep reads the spec's action memo
-    (`_ActionRow`), so entries an earlier reader of the same spec built
-    (`act`, a first sweep) are not built again.  A symbolic spec is swept
-    as its concrete twin (`_twin`), whose rows are int rows and whose
-    residuals decode at one Kronecker point.  The sweep hands the rows to
-    the residual engine (`algebra.residual_sweep`), which reads exactly the
-    entries its loop needs and runs in int arithmetic, taking int rows as
-    they are; `bracket_action_check` is the readable reference for the
-    residual it computes.
+    (`_ActionRow`), so strata and arrays an earlier reader of the same spec
+    built (`act`, a first sweep) are not built again.  A symbolic spec is
+    swept as its concrete twin (`_twin`), whose rows are int rows and whose
+    residuals decode at one Kronecker point.  The sweep hands the residual
+    engine (`algebra.residual_sweep`) each row's position arrays
+    (`_ActionRow.engine_row`), filled in bulk from the strata over the
+    window's label positions (`_frame`), and the engine reads them as they
+    are.  Every module entry has one term, so every row has one layer, and
+    a check is at most three int products; `bracket_action_check` is the
+    readable reference for the residual it computes.
 
     A violation is kept as one tuple of its names and the engine's flat,
     undecoded entries, sorted by the names, and the violations are a
@@ -990,14 +1095,14 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
     and formatted (`lincomb_str`) only when it is read.
     """
     pairs, gens = _pair_table(gen_window)
+    bound, keys, vectors, radii = _frame(gen_window, basis_window)
     twin, decode = _twin(spec, gen_window, basis_window)
     ctx = twin.ctx
-    memo = {key: ctx.row(g) for key, g in gens}
-    keyed = [((v.letter, v.idx.doubled), str(v)) for v in labels_in_window(basis_window)]
-    decode, records = residual_sweep(pairs, memo, keyed, sign=-1, decode=decode)
+    rows = {key: ctx.row(g).engine_row(bound, radii[key]) for key, g in gens}
+    decode, records = residual_sweep(pairs, rows, vectors, keys, sign=-1, decode=decode)
     found = sorted(((name, n1, n2, *entries) for (n1, n2), name, entries in records),
                    key=itemgetter(0, 1, 2))
-    return Tally(len(pairs) * len(keyed), LazyList(found, partial(_sweep_witness, decode)))
+    return Tally(len(pairs) * len(vectors), LazyList(found, partial(_sweep_witness, decode)))
 
 
 # ---------------------------------------------------------------------------
@@ -1125,7 +1230,8 @@ def ns_partition_check(spec: FamilySpec, gen_window: int = 2,
     Returns a `Tally` of the (generator, label) actions checked, with one
     {"g", "v", "target"} violation per target in the wrong block.  A
     symbolic spec is checked on its twin (`_twin`), so after an axiom sweep
-    at the same windows it reads the rows that sweep filled.
+    at the same windows it reads the rows, and the strata, that sweep
+    built.
     """
     spec = _twin(spec, gen_window, basis_window)[0]
     checks = 0

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistn2 import algebra
-from twistn2.algebra import (C, G, Gen, L, Row, T, bracket, bracket_terms,
-                             generators_in_window, jacobi_residual, parity,
+from twistn2.algebra import (C, G, Gen, L, T, bracket, bracket_terms,
+                             generators_in_window, jacobi_residual, layered_row, parity,
                              residual_sweep, super_jacobi_sweep)
 from twistn2.indices import SymIndex
 from twistn2.poly import Poly, format_rational
@@ -317,8 +317,8 @@ def test_jacobi_sweep_equals_reference(monkeypatch, window, target, mutate):
 def test_jacobi_int_residuals_equal_the_object_loop(monkeypatch, target, mutate):
     monkeypatch.setattr(algebra, target, mutate(getattr(algebra, target)))
     lowered = super_jacobi_sweep(2)
-    # without a lowering the engine keeps every row's objects
-    monkeypatch.setattr(algebra, "_lowering", lambda rows, brackets: None)
+    # rows kept as Fractions, over no den, run the engine's object loop
+    monkeypatch.setattr(algebra, "_int_row", layered_row)
     objects = super_jacobi_sweep(2)
     assert lowered.violations
     assert (objects.checks, objects.violations) == (lowered.checks, lowered.violations)
@@ -328,8 +328,10 @@ def test_jacobi_int_residuals_equal_the_object_loop(monkeypatch, target, mutate)
 # Hand-built rows over string keys.  On v, x(y v) takes w to 1, then 0,
 # then back to 1 within its part, and z to 1; -[x,y] v takes both to 0;
 # -y(x v) re-forms w at 1 and leaves z at 0.  The pair "exact" reads rows
-# whose three parts cancel: 2w - 2w.  The coefficients are ints over den 1.
-CANCELLING_ROWS = {key: Row(entries, den=1) for key, entries in {
+# whose three parts cancel: 2w - 2w.  y's entry on v spreads over three
+# layers, and x's on u3 over two.
+CANCELLING_KEYS = [None, "v", "u1", "u2", "u3", "u4", "w", "z"]
+CANCELLING_ENTRIES = {
     "x": {"v": (("u4", 1),), "u1": (("w", 1),), "u2": (("w", -1),),
           "u3": (("w", 1), ("z", 1)), "u4": ()},
     "y": {"v": (("u1", 1), ("u2", 1), ("u3", 1)), "u1": (), "u2": (), "u3": (),
@@ -338,7 +340,7 @@ CANCELLING_ROWS = {key: Row(entries, den=1) for key, entries in {
     "x0": {"v": (), "u1": (("w", 1),), "u2": (("w", -1),), "u3": (("w", 2),), "u4": ()},
     "y0": {"v": (("u1", 1), ("u2", 1), ("u3", 1)), "u1": (), "u2": (), "u3": (), "u4": ()},
     "h0": {"v": (("w", 2),)},
-}.items()}
+}
 CANCELLING_PAIRS = [
     ("re-formed", "x", "y", 1, [("h", H)]),
     ("exact", "x0", "y0", 1, [("h0", 1)]),
@@ -347,9 +349,125 @@ CANCELLING_PAIRS = [
 
 @pytest.mark.parametrize("objects", [False, True], ids=["ints", "objects"])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_residual_drops_cancelled_entries(monkeypatch, sign, objects):
-    if objects:
-        monkeypatch.setattr(algebra, "_lowering", lambda rows, brackets: None)
-    decode, records = residual_sweep(CANCELLING_PAIRS, CANCELLING_ROWS, [("v", "v")], sign)
+def test_residual_drops_cancelled_entries(sign, objects):
+    # ints over den 1, or the same coefficients as Fractions over no den
+    pos = {key: p for p, key in enumerate(CANCELLING_KEYS)}
+    rows = {key: layered_row({pos[vk]: [(pos[lk], Fraction(c) if objects else c) for lk, c in terms]
+                              for vk, terms in entries.items()},
+                             len(CANCELLING_KEYS), None if objects else 1)
+            for key, entries in CANCELLING_ENTRIES.items()}
+    assert rows["y"].spread == {pos["v"]} and rows["x"].spread == {pos["u3"]}
+    decode, records = residual_sweep(CANCELLING_PAIRS, rows, [(pos["v"], "v")], CANCELLING_KEYS,
+                                     sign)
     got = [(tag, name, decode(entries)) for tag, name, entries in records]
     assert got == [("re-formed", "v", {"w": sign})]
+
+
+# Random engine input over positions 1..5, every row filled at each: 0 to 3
+# terms per entry, so an entry may spread over three layers, with targets
+# anywhere (no grading) and small coefficients, so terms often cancel.
+# A row is ints over its own den or, where drawn, the same values as
+# Fractions over no den; a pair reads up to two bracket rows.
+ENGINE_SIZE = 6
+ENGINE_TERMS = st.lists(st.tuples(st.integers(1, ENGINE_SIZE - 1), st.integers(-3, 3)),
+                        max_size=3)
+ENGINE_SCALES = st.sampled_from([Fraction(1), Fraction(-1, 2), Fraction(2, 3), Fraction(3)])
+
+
+@st.composite
+def engine_inputs(draw):
+    objects = draw(st.one_of(st.just(set()), st.sets(st.sampled_from("xyhk"))))
+    rows, values = {}, {}
+    for key in "xyhk":
+        den = draw(st.sampled_from([1, 2, 3, 4, 6]))
+        table = {p: draw(ENGINE_TERMS) for p in range(1, ENGINE_SIZE)}
+        values[key] = {p: [(t, Fraction(c, den)) for t, c in terms] for p, terms in table.items()}
+        rows[key] = (layered_row(values[key], ENGINE_SIZE) if key in objects
+                     else layered_row(table, ENGINE_SIZE, den))
+    pairs = draw(st.lists(st.tuples(st.sampled_from("xyhk"), st.sampled_from("xyhk"),
+                                    st.sampled_from([1, -1]),
+                                    st.lists(st.tuples(st.sampled_from("hk"), ENGINE_SCALES),
+                                             max_size=2)),
+                          min_size=1, max_size=3))
+    return [(i, *pair) for i, pair in enumerate(pairs)], rows, values
+
+
+def engine_reference(pairs, values, sign) -> list:
+    """The engine's decoded records, from plain dicts of Fractions."""
+    out = []
+    for tag, k1, k2, eps, xy in pairs:
+        for v in range(1, ENGINE_SIZE):
+            acc: dict = {}
+            for t, c in values[k2][v]:
+                for t2, c2 in values[k1][t]:
+                    acc[t2] = acc.get(t2, 0) + c * c2
+            for kh, scale in xy:
+                for t, c in values[kh][v]:
+                    acc[t] = acc.get(t, 0) - scale * c
+            for t, c in values[k1][v]:
+                for t2, c2 in values[k2][t]:
+                    acc[t2] = acc.get(t2, 0) - eps * c * c2
+            acc = {t: sign * c for t, c in acc.items() if c}
+            if acc:
+                out.append((tag, v, acc))
+    return out
+
+
+@given(engine_inputs(), st.sampled_from([1, -1]))
+@settings(max_examples=200, deadline=None)
+def test_residual_sweep_equals_a_plain_dict_reference(inputs, sign):
+    pairs, rows, values = inputs
+    keys = list(range(ENGINE_SIZE))
+    decode, records = residual_sweep(pairs, rows, [(v, v) for v in range(1, ENGINE_SIZE)], keys,
+                                     sign)
+    got = [(tag, v, decode(entries)) for tag, v, entries in records]
+    assert got == engine_reference(pairs, values, sign)
+
+
+@pytest.mark.parametrize("objects", [False, True], ids=["ints", "objects"])
+@pytest.mark.parametrize("bracket_target", ["x6", "x5"])
+def test_parts_at_different_weights_are_not_summed(objects, bracket_target):
+    # on v: x(y v) = 3 x5 through u, y(x v) = 0 through w, and -[x,y] v =
+    # -3 x6: one scalar would read 0, but the residual is 3 x5 - 3 x6.  With
+    # the bracket on x5 as well, the three parts do cancel
+    keys = [None, "v", "u", "w", "x5", "x6"]
+    pos = {key: p for p, key in enumerate(keys)}
+    entries = {"x": {"v": [("w", 1)], "u": [("x5", 3)], "w": []},
+               "y": {"v": [("u", 1)], "u": [], "w": [("x5", 0)]},
+               "h": {"v": [(bracket_target, 3)]}}
+    rows = {key: layered_row({pos[vk]: [(pos[lk], Fraction(c) if objects else c)
+                                        for lk, c in terms] for vk, terms in table.items()},
+                             len(keys), None if objects else 1)
+            for key, table in entries.items()}
+    decode, records = residual_sweep([("p", "x", "y", 1, [("h", Fraction(1))])], rows,
+                                     [(pos["v"], "v")], keys)
+    got = [decode(found) for *_, found in records]
+    assert got == ([{"x5": 3, "x6": -3}] if bracket_target == "x6" else [])
+
+
+# On v the first layers cancel: x(y v) = w through a, y(x v) = w through b,
+# and [x,y] v = 0 w.  One entry the check reads then gains a second term z,
+# in each of the five places an entry can: the residual is that term alone.
+SPREAD_KEYS = [None, "v", "a", "b", "w", "z"]
+SPREAD_ENTRIES = {
+    "x": {"v": [("b", 1)], "a": [("w", 1)], "b": [("w", 0)], "w": [("w", 0)], "z": [("z", 1)]},
+    "y": {"v": [("a", 1)], "a": [("w", 0)], "b": [("w", 1)], "w": [("w", 0)], "z": [("z", 1)]},
+    "h": {"v": [("w", 0)]},
+}
+
+
+@pytest.mark.parametrize("row, key, want", [
+    ("y", "v", 1), ("x", "a", 1), ("h", "v", -1), ("x", "v", -1), ("y", "b", -1),
+], ids=["y-on-v", "x-on-y-v", "bracket-on-v", "x-on-v", "y-on-x-v"])
+def test_a_spread_entry_is_read_in_every_place(row, key, want):
+    pos = {k: p for p, k in enumerate(SPREAD_KEYS)}
+    entries = {name: {vk: list(terms) for vk, terms in table.items()}
+               for name, table in SPREAD_ENTRIES.items()}
+    entries[row][key].append(("z", 1))
+    rows = {name: layered_row({pos[vk]: [(pos[lk], c) for lk, c in terms]
+                               for vk, terms in table.items()}, len(SPREAD_KEYS), 1)
+            for name, table in entries.items()}
+    assert rows[row].spread == {pos[key]}
+    decode, records = residual_sweep([("p", "x", "y", 1, [("h", Fraction(1))])], rows,
+                                     [(pos["v"], "v")], SPREAD_KEYS)
+    assert [decode(found) for *_, found in records] == [{"z": want}]

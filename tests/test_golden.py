@@ -97,23 +97,23 @@ def test_failing_jacobi_report_is_byte_identical(capsys, monkeypatch):
 def test_a_failing_jacobi_report_decodes_only_the_witness_it_prints(capsys, monkeypatch):
     # the report prints the count and the first witness, so the sweep
     # decodes at most one of its 30 one-term residuals
-    orig, lowering = algebra._central, algebra._lowering
+    orig, sweep = algebra._central, algebra.residual_sweep
     decoded = []
 
     def doubled(kind, i, env=None):
         return 2 * orig(kind, i, env) if kind == "L" else orig(kind, i, env)
 
-    def counting(rows, brackets):
-        d, lower, decode = lowering(rows, brackets)
+    def counting(*args, **kwargs):
+        decode, records = sweep(*args, **kwargs)
 
-        def counted(c, unit):
-            decoded.append(c)
-            return decode(c, unit)
+        def counted(entries):
+            decoded.append(entries)
+            return decode(entries)
 
-        return d, lower, counted
+        return counted, records
 
     monkeypatch.setattr(algebra, "_central", doubled)
-    monkeypatch.setattr(algebra, "_lowering", counting)
+    monkeypatch.setattr(algebra, "residual_sweep", counting)
     assert main(["jacobi", "--format", "json"]) == 1
     assert len(decoded) <= 1
     assert capsys.readouterr().out == (DATA / "jacobi-l-central-doubled.json").read_text()

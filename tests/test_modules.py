@@ -7,13 +7,14 @@ import re
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistn2 import algebra, deformation, modules, poly
-from twistn2.algebra import (G, Gen, L, T, bracket, generators_in_window, parity,
+from twistn2 import deformation, modules, poly
+from twistn2.algebra import (G, Gen, L, Row, T, bracket, generators_in_window, parity,
                              residual_sweep)
 from twistn2.cli import main
 from twistn2.deformation import instantiate_deformation
@@ -258,11 +259,13 @@ def test_sweep_kernel_matches_the_reference(spec, fractional):
 
 @pytest.mark.parametrize("fault", sorted(FAULT_CATALOG))
 def test_int_residuals_equal_the_object_loop(monkeypatch, fault):
-    # without a lowering the engine keeps every row's objects, the loop
-    # the RatFunc and unknowns sweeps run; without a twin a symbolic spec
-    # is swept over its own Poly rows
+    # rows handed over as Fractions over no den run the engine's object
+    # loop, the loop the RatFunc and unknowns sweeps run; without a twin a
+    # symbolic spec is swept over its own Poly rows
     lowered = axiom_sweep(spec_with_fault(fault))
-    monkeypatch.setattr(algebra, "_lowering", lambda rows, brackets: None)
+    original = modules._ActionRow.engine_row
+    monkeypatch.setattr(modules._ActionRow, "engine_row",
+                        lambda row, *frame: _as_objects(original(row, *frame)))
     monkeypatch.setattr(modules, "_twin", lambda spec, *windows: (spec, None))
     objects = axiom_sweep(spec_with_fault(fault))
     assert lowered.violations
@@ -306,48 +309,68 @@ def test_a_fault_sweep_formats_only_the_witness_it_prints(monkeypatch, capsys):
     assert out["notes"] == [f"{len(want)} violations in total"]
 
 
-def _decoded(row, key):
-    """A memo row's entry, an int row's numerators over its den."""
-    return tuple((lk, c if row.den is None else Fraction(c, row.den)) for lk, c in row[key])
+def _as_objects(row: Row) -> Row:
+    """An engine row's int numerators as Fractions over no den."""
+    if row.den is None:
+        return row
+    return Row([(targets, [c if c is None else Fraction(c, row.den) for c in coeffs])
+                for targets, coeffs in row.layers])
+
+
+def _array_entry(row: Row, bound: int, key) -> tuple:
+    """An engine row's entry at a label key, as the memo's dict holds it:
+    ((label key, coeff), ...), an int row's numerators over its den."""
+    keys = modules._frame_keys(bound)
+    p = modules._position(bound, *key)
+    return tuple((keys[targets[p]], c[p] if row.den is None else Fraction(c[p], row.den))
+                 for targets, c in row.layers if c[p])
 
 
 def _engine_input(monkeypatch, spec, *windows):
-    """The (pairs, rows, vectors, sign) an axiom sweep of spec hands the engine."""
+    """The (pairs, rows, vectors, keys, sign) an axiom sweep of spec hands
+    the engine."""
     handed = []
 
-    def recording(pairs, rows, vectors, sign=1, decode=None):
-        handed.append((pairs, rows, vectors, sign))
-        return residual_sweep(pairs, rows, vectors, sign, decode)
+    def recording(pairs, rows, vectors, keys, sign=1, decode=None):
+        handed.append((pairs, rows, vectors, keys, sign))
+        return residual_sweep(pairs, rows, vectors, keys, sign, decode)
 
     monkeypatch.setattr(modules, "residual_sweep", recording)
-    assert axiom_sweep(spec, *windows).ok
+    axiom_sweep(spec, *windows)
     return handed[0]
 
 
 def test_a_row_missing_a_reached_entry_raises(monkeypatch):
-    pairs, memo, vectors, sign = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)), 1, 2)
-    # a fresh spec's memo holds exactly the entries the engine read
-    rows = {key: {lk: _decoded(r, lk) for lk in r} for key, r in memo.items()}
-    assert list(residual_sweep(pairs, rows, vectors, sign)[1]) == []
-    window = {vk for vk, _ in vectors}
-    key, lk = next((k1, lk) for _, k1, *_ in pairs for lk in rows[k1] if lk not in window)
-    del rows[key][lk]
-    with pytest.raises(KeyError):
-        list(residual_sweep(pairs, rows, vectors, sign)[1])
+    pairs, rows, vectors, keys, sign = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)),
+                                                     1, 2)
+    assert list(residual_sweep(pairs, rows, vectors, keys, sign)[1]) == []
+    # a label outside the window that y takes a window label to, with a
+    # nonzero coefficient, so the check reads x there
+    window = {vp for vp, _ in vectors}
+    key, p = next((k1, targets[vp]) for _, k1, k2, _, _ in pairs
+                  for targets, coeffs in rows[k2].layers for vp in window
+                  if coeffs[vp] and targets[vp] not in window)
+    (targets, coeffs), = rows[key].layers
+    blank = [(targets[:p] + [None] + targets[p + 1:], coeffs[:p] + [None] + coeffs[p + 1:])]
+    with pytest.raises(TypeError):
+        list(residual_sweep(pairs, {**rows, key: Row(blank, rows[key].den)}, vectors, keys,
+                            sign)[1])
 
 
 def test_an_int_row_read_without_its_den_raises(monkeypatch):
-    # copied into plain dicts, a concrete spec's int numerators would be
-    # read as if over 1: every copy, or one beside the int rows, raises
-    pairs, memo, vectors, sign = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)), 1, 2)
-    assert all(r.den for r in memo.values()) and {r.den for r in memo.values()} != {1}
-    key = next(k for k, r in memo.items() if any(r.values()))
-    # decoded, one row beside the int rows is read as it is
-    mixed = {**memo, key: {lk: _decoded(memo[key], lk) for lk in memo[key]}}
-    assert list(residual_sweep(pairs, mixed, vectors, sign)[1]) == []
-    for rows in ({k: dict(r) for k, r in memo.items()}, {**memo, key: dict(memo[key])}):
+    # handed over without its den, a concrete spec's int row would be read
+    # as if over 1: every such row, or one beside the int rows, raises
+    pairs, rows, vectors, keys, sign = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)),
+                                                     1, 2)
+    assert all(r.den for r in rows.values()) and {r.den for r in rows.values()} != {1}
+    assert list(residual_sweep(pairs, rows, vectors, keys, sign)[1]) == []
+    key = next(k for k, r in rows.items() if any(r.layers[0][1]))
+    # as Fractions, one row beside the int rows is read as it is
+    mixed = {**rows, key: _as_objects(rows[key])}
+    assert list(residual_sweep(pairs, mixed, vectors, keys, sign)[1]) == []
+    for bad in ({k: Row(r.layers) for k, r in rows.items()}, {**rows, key: Row(rows[key].layers)}):
         with pytest.raises(TypeError, match="without a den"):
-            residual_sweep(pairs, rows, vectors, sign)
+            residual_sweep(pairs, bad, vectors, keys, sign)
 
 
 def _substituted(coeff, bindings):
@@ -372,7 +395,7 @@ FOREIGN_DENS = [deformed(fam, alpha, fault=fault) for fam, alpha, fault in (
 @pytest.mark.parametrize("spec", FOREIGN_DENS, ids=[s.label() for s in FOREIGN_DENS])
 def test_int_rows_over_foreign_denominators_match_the_reference(spec):
     report = axiom_sweep(spec)
-    assert len({r.den for r in spec.ctx.rows.values()}) > 1
+    assert len({f.den for r in spec.ctx.rows.values() for f in r.filled.values()}) > 1
     assert (report.checks, report.violations) == reference_sweep(spec)
     assert bool(report.violations) == (spec.fault is not None)
 
@@ -430,22 +453,24 @@ FILL_CASES = list(dict.fromkeys([spec for c, s, _ in TABLE_CASES for spec in (c,
 
 
 def _fill_mismatches(spec):
-    """The (generator, label) entries of a fresh copy of the spec's memo
-    that differ from a direct table read in value, type or term order: on
-    the window-2 generators and the bracket targets an axiom sweep reads,
-    at every label up to +-6."""
+    """The (generator, label) entries of a fresh copy of the spec's memo,
+    as its dict and as its engine arrays, that differ from a direct table
+    read in value, type or term order: on the window-2 generators and the
+    bracket targets an axiom sweep reads, at every label up to +-6."""
     spec = replace(spec)
     gens = generators_in_window(2) + [L(4), L(-4), T(Fraction(7, 2)), T(Fraction(-7, 2)),
                                       G(4), G(-4)]
     bad = []
     for g in gens:
         row = spec.ctx.row(g)
+        filled = row.engine_row(20, 12)  # labels to +-6 and modes to +-4, doubled
         for v in labels_in_window(6):
             want = tuple(((letter, idx.doubled), modules._scalar(c)) for letter, idx, c in
                          act_indexed(spec, g.kind, g.idx, v.letter, v.idx) if c)
-            got = _decoded(row, (v.letter, v.idx.doubled))
-            if got != want or [type(c) for _, c in got] != [type(c) for _, c in want]:
-                bad.append((g, v))
+            key = (v.letter, v.idx.doubled)
+            for got in (row[key], _array_entry(filled, 20, key)):
+                if got != want or [type(c) for _, c in got] != [type(c) for _, c in want]:
+                    bad.append((g, v))
     return bad
 
 
@@ -487,24 +512,38 @@ def test_symbolic_parameter_rows_are_filled_from_strata(spec):
     # direct reads of the spec at the twin's point
     twin, decode = modules._twin(spec, 2, 4)
     if spec == REFUSED:
-        assert twin is spec and decode is None and spec.ctx.int_den() is None
+        assert twin is spec and decode is None
+        # every row holds objects, but the C row's zeros
+        assert all(row.den is None for key, row in _engine_rows(spec).items() if key[0] != "C")
         return
     assert decode is not None and twin.family == spec.family and twin.fault == spec.fault
     strata = [twin.ctx.stratum(*key) for key in modules._STRATA]
-    assert None not in strata and twin.ctx.int_den()
+    assert None not in strata and all(row.den for row in _engine_rows(twin).values())
+
+
+def _engine_rows(spec, gen_window=2, basis_window=4) -> dict:
+    """The engine rows of the spec that an axiom sweep at these windows reads."""
+    bound, _, _, radii = modules._frame(gen_window, basis_window)
+    return {key: spec.ctx.row(g).engine_row(bound, radii[key])
+            for key, g in modules._pair_table(gen_window)[1]}
 
 
 def test_one_twin_per_spec_and_windows_whose_rows_the_partition_check_reads():
     # the sweep and the partition check of one spec at one pair of windows
-    # share its twin, so the check reads the rows the sweep filled
+    # share its twin, so the check reads the rows the sweep filled: it
+    # makes no row and reads no stratum the sweep did not
     spec = aab()
     twin, decode = modules._twin(spec, 2, 4)
     assert modules._twin(spec, 2, 4) == (twin, decode)
     assert modules._twin(spec, 1, 2)[0] is not twin
     assert axiom_sweep(spec).ok
-    filled = {key: dict(row) for key, row in twin.ctx.rows.items()}
+    rows, strata = dict(twin.ctx.rows), dict(twin.ctx.strata)
+    forms = {key: dict(row.forms) for key, row in rows.items()}
     assert ns_partition_check(spec).ok
-    assert {key: dict(row) for key, row in twin.ctx.rows.items()} == filled
+    assert twin.ctx.rows.keys() == rows.keys()
+    assert all(twin.ctx.rows[key] is row for key, row in rows.items())
+    assert twin.ctx.strata == strata
+    assert {key: row.forms for key, row in rows.items()} == forms
     # a spec with no twin keeps None, not itself (`test_spec_and_its_memo_form_no_reference_cycle`)
     spec = b_zero_candidate()
     assert modules._twin(spec, 2, 4) == (spec, None) and spec.ctx.twins == {(2, 4): None}
@@ -513,7 +552,7 @@ def test_one_twin_per_spec_and_windows_whose_rows_the_partition_check_reads():
 @pytest.mark.parametrize("spec", SYMBOLIC_AB, ids=[s.label() for s in SYMBOLIC_AB])
 def test_symbolic_parameter_sweep_reads_strata(monkeypatch, spec):
     # 1 133 (Aab) and 869 (Bab) direct reads when a symbolic parameter
-    # got no stratum; on the twin only the C row is read from the table,
+    # got no stratum; the twin reads none (its C row is zero as filled),
     # and a spec with no twin reads its rows directly
     read = []
     original = modules._ActionRow._read
@@ -525,9 +564,9 @@ def test_symbolic_parameter_sweep_reads_strata(monkeypatch, spec):
     monkeypatch.setattr(modules._ActionRow, "_read", counting)
     assert axiom_sweep(replace(spec)).checks == 6460
     if spec == REFUSED:
-        assert len(read) > 1000 and set(read) == {"C", "L", "T", "G"}
+        assert len(read) > 1000 and set(read) == {"L", "T", "G"}
     else:
-        assert len(read) <= 50 and set(read) == {"C"}
+        assert read == []
 
 
 def test_a_twin_decodes_at_d_squared_where_its_engine_runs_over_less(monkeypatch):
@@ -542,8 +581,9 @@ def test_a_twin_decodes_at_d_squared_where_its_engine_runs_over_less(monkeypatch
     monkeypatch.setitem(modules._TABLES, "Aab", eighth)
     spec = aab()
     assert modules._twin_point(spec, 1, 2)[1] == 8
-    assert modules._twin(spec, 1, 2)[0].ctx.int_den() == 4
     twinned = axiom_sweep(spec, 1, 2)
+    rows = _engine_rows(modules._twin(spec, 1, 2)[0], 1, 2)
+    assert lcm(*(row.den for row in rows.values())) == 4
     assert "15/32*b^2" in twinned.witness["residual"]
     monkeypatch.setattr(modules, "_twin", lambda spec, *windows: (spec, None))
     objects = axiom_sweep(replace(spec), 1, 2)
@@ -564,27 +604,23 @@ def test_the_twin_point_bounds_every_entry_the_sweep_reads(monkeypatch, spec, wi
     # norm, times D, is within the point's norm
     spec = replace(spec)
     point, den, norm, params = modules._twin_point(spec, *windows)
-    handed = []
-    lowering = algebra._lowering
-
-    def recording(rows, brackets):
-        handed.append((rows, lowering(rows, brackets)))
-        return handed[-1][1]
-
-    monkeypatch.setattr(algebra, "_lowering", recording)
-    axiom_sweep(spec, *windows)
-    (rows, (d, _, _)), = handed
+    pairs, rows, _, keys, _ = _engine_input(monkeypatch, spec, *windows)
+    d = lcm(*(row.den for row in rows.values()),
+            *(scale.denominator for *_, xy in pairs for _, scale in xy))
     assert den % d == 0
     values = {name: point.value(name) for name in params.values()}
     widest = 0
     for key, row in rows.items():
         gen = Gen(key[0], None if key[1] is None else SymIndex(key[1]))
-        for (letter, doubled), terms in row.items():
-            want = act_indexed(spec, gen.kind, gen.idx, letter, SymIndex(doubled))
+        for p, label in enumerate(keys):
+            if p == 0 or row.layers[0][1][p] is None:  # the zero vector, or not filled
+                continue
+            terms = _array_entry(row, modules._frame(*windows)[0], label)
+            want = act_indexed(spec, gen.kind, gen.idx, label[0], SymIndex(label[1]))
             want = [((l, i.doubled), ONE * c) for l, i, c in want if c]
             assert [lk for lk, _ in terms] == [lk for lk, _ in want]
             for (_, c), (_, w) in zip(terms, want):
-                assert w.substitute(values) == Fraction(c, row.den)
+                assert w.substitute(values) == c
                 widest = max(widest, den * sum(abs(t) for t in w.terms.values()))
     assert widest <= norm
 
@@ -758,6 +794,22 @@ class TestSubmodules:
     def test_cyclic_scan_on_generic_parameters_is_empty(self):
         assert proper_submodule_scan(aab(Fraction(1, 3), Fraction(2, 5))) == {}
 
+    @pytest.mark.parametrize("spec, cand, windows, read", [
+        (aab(Fraction(0), Fraction(-1)), complement_of("x0"), (0, 4), 8),
+        (aab(Fraction(0), Fraction(-1)), complement_of("x0"), (2, 4), 16),
+        (aab(Fraction(0), Fraction(-1, 2)), span_of("y0"), (2, 4), 4),
+    ], ids=["complement-x0-L0-G0", "complement-x0", "span-y0"])
+    def test_a_check_builds_only_the_strata_its_entries_read(self, spec, cand, windows, read):
+        # each entry reads the stratum of its own mode class, letter and
+        # parity of k: with L_0 and G_0 alone the half-odd and T modes read
+        # none, and on y_0 alone only (y, even k) is read
+        spec = replace(spec)
+        assert submodule_check(spec, cand, *windows).ok
+        entries = {(kind, doubled & 1, letter, d & 1)
+                   for (kind, doubled), row in spec.ctx.rows.items() if kind != "C"
+                   for letter, d in row}
+        assert set(spec.ctx.strata) == entries and len(entries) == read
+
 
 @pytest.fixture
 def counted_act_indexed(monkeypatch):
@@ -814,6 +866,24 @@ class TestActionMemo:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_every_entry_the_sweeps_of_all_read_has_one_term(self, monkeypatch, capsys):
+        # one-dimensional weight spaces: no module row spreads over a second
+        # layer, in any sweep of `all`, faults and twins included
+        handed = []
+        sweep = modules.residual_sweep
+
+        def recording(pairs, rows, *args, **kwargs):
+            handed.append(rows)
+            return sweep(pairs, rows, *args, **kwargs)
+
+        monkeypatch.setattr(modules, "residual_sweep", recording)
+        assert main(["all", "--format", "json"]) == 0
+        capsys.readouterr()
+        # Aab and Bab, A1..B2 at symbolic and at deform-stage alpha, 12 faults
+        assert len(handed) == 2 + 4 + 4 + 12
+        assert all(len(row.layers) == 1 and not row.spread
+                   for rows in handed for row in rows.values())
 
     def test_all_leaves_no_module_state_behind(self, capsys):
         def sizes():
