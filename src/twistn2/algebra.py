@@ -10,9 +10,10 @@ The graded Jacobi identity says that the adjoint action is a module action,
 so it is checked as the module axiom of the adjoint module: one residual
 engine (`residual_sweep`) runs both the Jacobi sweep and the module
 families' axiom sweeps, and both build a witness only when it is read.
-The engine reads each operator as position-indexed arrays of target
-positions and coefficients (`Row`).  A module entry has one term, so a
-module row is one such layer, and a check is at most three products; the
+The engine has one arithmetic: it reads each operator as position-indexed
+arrays of target positions and int numerators over one denominator
+(`Row`), and sums every residual in ints.  A module entry has one term, so
+a module row is one such layer, and a check is at most three products; the
 Jacobi sweep's central brackets have two terms, and spread over a second
 layer.
 """
@@ -257,28 +258,27 @@ class Row:
     indexed arrays, one (targets, coeffs) pair of lists per layer.
 
     The entry at position p is the sum, over the layers, of coeffs[p] times
-    the vector at position targets[p].  A coefficient is an int numerator
-    over `den`, or an object (Fraction, Poly, RatFunc) where den is None.
-    Position 0 is the zero vector: every layer holds (0, 0) there.  Where
-    an entry has no term in a layer, the layer holds coefficient 0, on
-    position 0 or on any filled position (a module row's empty entry sits
-    on the line a term would land on).  A position the row was not filled
-    at holds None, so a read there raises.  An entry of one term
-    fills one layer; an entry of more terms spreads its i-th term over the
-    i-th layer, and `spread` holds the positions where it does.
+    the vector at position targets[p], each coefficient an int numerator
+    over the row's `den`.  Position 0 is the zero vector: every layer holds
+    (0, 0) there.  Where an entry has no term in a layer, the layer holds
+    coefficient 0, on position 0 or on any filled position (a module row's
+    empty entry sits on the line a term would land on).  A position the
+    row was not filled at holds None, so a read there raises.  An entry of
+    one term fills one layer; an entry of more terms spreads its i-th term
+    over the i-th layer, and `spread` holds the positions where it does.
     """
 
     __slots__ = ("layers", "den", "spread")
 
-    def __init__(self, layers, den: int | None = None):
+    def __init__(self, layers, den: int):
         self.layers, self.den = tuple(layers), den
         self.spread = frozenset(p for _, coeffs in self.layers[1:]
                                 for p, c in enumerate(coeffs) if c)
 
 
-def layered_row(entries: dict, size: int, den: int | None = None) -> Row:
-    """The `Row` of {position: [(target position, coeff), ...]} over `size`
-    positions: None wherever no entry is given."""
+def layered_row(entries: dict, size: int, den: int) -> Row:
+    """The `Row` of {position: [(target position, int numerator), ...]}
+    over `size` positions and `den`: None wherever no entry is given."""
     width = max([1, *map(len, entries.values())])
     layers = []
     for i in range(width):
@@ -350,20 +350,16 @@ def residual_sweep(pairs, rows: dict, vectors, keys, sign: int = 1, decode=None)
     the vector positions, and x and y also at every position one of them
     takes a vector to.
 
-    Int rows are read over d, the lcm of their dens and of the bracket
-    scales' denominators.  Each pair folds the factor that takes its
+    The rows are read over d, the lcm of their dens and of the bracket
+    scales' denominators.  Each pair folds the int factor that takes its
     products to d**2 into one multiplier per part, so every residual comes
-    out times d**2.  Where a row holds objects (den None), d is 1 and the
-    multipliers are Fractions, so an int row beside it is read over its
-    den; a nonzero bare int in such a row is a numerator that lost its
-    den, and raises.
+    out, in ints, times d**2.
 
-    A check of int rows is, on their first layers, at most three products,
-    summed into one scalar when they land on one target; a small dict sums
-    them where they do not (`_summed`).  The dict also sums every product
-    of layers where an entry the check reads spreads over more layers
-    (`Row.spread`), and at every check of a pair that reads objects or a
-    bracket of more terms.
+    A check is, on the rows' first layers, at most three products, summed
+    into one scalar when they land on one target; a small dict sums them
+    where they do not (`_summed`).  The dict also sums every product of
+    layers where an entry the check reads spreads over more layers
+    (`Row.spread`), and at every check of a bracket of more terms.
 
     Returns (decode, records): `records` yields one (pair tag, vector tag,
     entries) tuple per nonzero residual, where entries are its nonzero
@@ -375,34 +371,15 @@ def residual_sweep(pairs, rows: dict, vectors, keys, sign: int = 1, decode=None)
     as `decode(c, unit)` where given (a twin's Kronecker point,
     `modules._twin`).
     """
-    objects = False
-    for row in rows.values():
-        if row.den is None:
-            objects = True
-            for _, coeffs in row.layers:
-                if any(type(c) is int and c for c in coeffs):
-                    raise TypeError("int coefficient in a row without a den")
-    if objects:
-        d = 1
-        read = lambda c, unit: c if unit == 1 else -c  # noqa: E731
-    else:
-        d = lcm(*(row.den for row in rows.values()),
-                *(scale.denominator for *_, xy in pairs for _, scale in xy))
-        read = Fraction
-    read = decode or read
+    d = lcm(*(row.den for row in rows.values()),
+            *(scale.denominator for *_, xy in pairs for _, scale in xy))
+    read = decode or Fraction
     square, unit = d * d, sign * d * d
-
-    def over(den: int):
-        """The multiplier that takes a product over den to d**2."""
-        if not objects:
-            return square // den
-        return 1 if den == 1 else Fraction(1, den)
 
     def bracket_part(kh, scale) -> list:
         """-scale times the bracket row kh, as (layer, multiplier) items."""
         row = rows[kh]
-        m = (-scale * over(row.den or 1) if objects
-             else -scale.numerator * over(scale.denominator * row.den))
+        m = -scale.numerator * (square // (scale.denominator * row.den))
         return [(layer, m) for layer in row.layers]
 
     zero = ([0] * len(keys),) * 2
@@ -410,10 +387,10 @@ def residual_sweep(pairs, rows: dict, vectors, keys, sign: int = 1, decode=None)
     def records():
         for tag, k1, k2, eps, xy in pairs:
             r1, r2 = rows[k1], rows[k2]
-            m = over((r1.den or 1) * (r2.den or 1))
+            m = square // (r1.den * r2.den)
             e = -eps * m
             singles = [part for kh, scale in xy for part in bracket_part(kh, scale)]
-            if objects or len(xy) > 1:
+            if len(xy) > 1:
                 products = _products(r1, r2, singles, m, e)
                 for vp, name in vectors:
                     found = _summed(vp, products)

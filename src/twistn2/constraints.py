@@ -57,7 +57,7 @@ from .indices import SymIndex
 from .modules import (BASE_FAMILY, PRINTED_CONSTANTS, R, FamilySpec, _combine, _commutator,
                       _landing, _mode, _only_coeff, aab, act_indexed, b_zero_candidate,
                       bracket_residual, slot_vector, t_composition, unknown_name)
-from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, _SLOT, _lowered, exact_divide,
+from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, _SLOT, exact_divide,
                    quadratic_root_data, QuadRootData, rational_roots, sym_shift,
                    univariate_gcd)
 from .report import Report
@@ -388,40 +388,11 @@ def _delta3_report(which: str) -> Report:
     return rep
 
 
-_DELTA3_COEFFS: dict[str, tuple] = {}
-
-
-def _delta3_coefficients(which: str) -> tuple:
-    """The mixed-identity determinant read as a polynomial in the symbols
-    other than b and bp, over Z[b, bp]: (coefficients, top degree in b, top
-    degree in bp).  Each coefficient is a list of int terms (i, j, c) of
-    c * b**i * bp**j, the determinant times its common denominator, which
-    no zero test needs; the shortest come first."""
-    got = _DELTA3_COEFFS.get(which)
-    if got is None:
-        fam, kclass = _DELTA3_SYSTEM[which]
-        det = system_determinant("LLG", "A", fam, kclass)
-        num, _ = _lowered(det.terms)
-        sb, sbp = sym_shift("b"), sym_shift("bp")
-        groups: dict[int, list] = {}
-        for key, c in num.items():
-            rest = key & ~(255 << sb | 255 << sbp)
-            groups.setdefault(rest, []).append((key >> sb & 255, key >> sbp & 255, c))
-        got = _DELTA3_COEFFS[which] = (sorted(groups.values(), key=len),
-                                       det.degree_in("b"), det.degree_in("bp"))
-    return got
-
-
 def delta3_vanishes_at(which: str, b: Fraction, bp: Fraction) -> bool:
     """Does the mixed-identity determinant vanish identically in its other
-    symbols (a, m, p, k) at (b, bp)?  Each coefficient in those symbols is
-    evaluated in ints, at b = u/v and bp = s/t as v**Db * t**Dbp times its
-    value (Db and Dbp the top degrees), and the test stops at the first
-    nonzero one."""
-    coeffs, top_b, top_bp = _delta3_coefficients(which)
-    xb = [b.numerator ** i * b.denominator ** (top_b - i) for i in range(top_b + 1)]
-    xbp = [bp.numerator ** j * bp.denominator ** (top_bp - j) for j in range(top_bp + 1)]
-    return not any(sum(c * xb[i] * xbp[j] for i, j, c in terms) for terms in coeffs)
+    symbols (a, m, p, k) at (b, bp)?"""
+    fam, kclass = _DELTA3_SYSTEM[which]
+    return not system_determinant("LLG", "A", fam, kclass).substitute({"b": b, "bp": bp})
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,9 @@ symbolic constraint derivations (free mode symbols).  Case splits on
 distinguished indices (deformation points) are structural-equality tests,
 which on symbolic indices is exactly the generic-index reading used when
 the coefficient recurrences are solved.  Each spec memoizes its own
-action table (`FamilySpec.ctx`); no action state is process-wide.
+action table (`FamilySpec.ctx`); the one process-wide action state is the
+deformed families' base modules, one spec per base module (`_base_spec`),
+whose strata every alpha shares.
 
 Each weight space is one-dimensional, so on each parity class of mode m
 and vector index k an action lands on index k+m with a coefficient
@@ -32,12 +34,13 @@ polynomial in (m, k) and the parameters, and every entry has at most one
 term.  At concrete parameters the memo reads the table once per such
 stratum, at symbolic m and k, and evaluates that read in ints: entry by
 entry for `act`, and in bulk, over a whole window of labels, for the axiom
-sweep's position arrays.  It reads the table entry by entry at symbolic
-parameters, where a stratum is not such a polynomial, and on a deformed
-family's slot, the one index-equality decision.  The window checks sweep a
-symbolic family as its concrete twin at one Kronecker point (`_twin`), and
-share one table of generator pairs and one layout of label positions per
-window (`_pair_table`, `_frame`).
+sweep's position arrays, the residual engine's one input.  It reads the
+table entry by entry at symbolic parameters, where a stratum is not such a
+polynomial, and on a deformed family's slot, the one index-equality
+decision.  The window checks sweep a symbolic family as its concrete twin
+at one Kronecker point (`_twin`), so every sweep the CLI runs is a sweep
+of int rows, and share one table of generator pairs and one layout of
+label positions per window (`_pair_table`, `_frame`).
 
 The central element acts as zero on every family.
 """
@@ -45,7 +48,7 @@ The central element acts as zero on every family.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from math import lcm
@@ -53,9 +56,10 @@ from operator import itemgetter
 from typing import Union
 
 from .algebra import (Gen, Row, _times, add_term, bracket, bracket_terms, generators_in_window,
-                      layered_row, parity, residual_sweep)
+                      parity, residual_sweep)
 from .indices import IDX_ZERO, SymIndex
-from .poly import ONE, KroneckerPoint, Poly, RatFunc, ZERO, sym_shift, sym_slot
+from .poly import (ONE, KroneckerPoint, NotDivisible, Poly, RatFunc, ZERO, sym_shift,
+                   sym_slot)
 from .report import LazyList, Tally
 
 Param = Union[Fraction, str, None]  # "sym" selects symbolic mode
@@ -156,7 +160,9 @@ class FamilySpec:
         if b == Fraction(0) and bp == Fraction(-3, 2):
             # the x<->y-exchanged twin of this candidate is the same module,
             # and for a in (1/2)Z its coefficient forms force the module to
-            # collapse, so that range is rejected outright
+            # collapse, so that range is rejected outright.  The Kronecker
+            # twin of the candidate at symbolic a (`_make_twin`) takes an
+            # integer a all the same: it evaluates the tables, and is no module
             if isinstance(self.a, Fraction) and (2 * self.a).denominator == 1:
                 raise ValueError(
                     "B(a,0,-3/2) requires a outside half-integers (got a=%s)" % self.a
@@ -256,8 +262,8 @@ class _Ctx:
     beta or mu) and whether its normalization constants are symbols or
     their printed values (`consts`).  It reaches its spec through a weak
     proxy, so a spec and its memo form no reference cycle and are freed
-    together.  A deformed family's context holds its base module's spec,
-    which answers every read off the slot, and the slot's role
+    together.  A deformed family's context holds its base module's spec
+    (`_base_spec`), which answers every read off the slot, and the slot's role
     (`BASE_FAMILY`; `slot_vector` says where the slot is read).
     """
 
@@ -275,7 +281,7 @@ class _Ctx:
         self.forced = {}
         if spec.family in BASE_FAMILY:
             family, a, b, self.slot, _ = BASE_FAMILY[spec.family]
-            self.base = FamilySpec(family, a=a, b=b)
+            self.base = _base_spec(family, a, b)
         elif spec.family in ("Aab", "GenericA"):
             self.branch = "alpha"
         elif spec.coeff_mode == "mu" or (spec.family == "Bab" and spec.b == 0
@@ -322,14 +328,27 @@ class _Ctx:
         """The action of mode m on the vector `letter`_k, for m and k of the
         given parity classes, read once from the table at symbolic m and k
         and lowered to ints (`_int_stratum`); None where a row must read
-        each entry directly (a RatFunc form, a symbol other than m and k).
+        each entry directly (a RatFunc that is no polynomial, a symbol
+        other than m and k).
         The unknowns mode is never read here, as its symbols are named by
-        concrete index."""
+        concrete index.  A deformed family reads its base module's: every
+        stratum lies off the slot, where the family is its base module for
+        every alpha."""
+        if self.base is not None:
+            return self.base.ctx.stratum(kind, qpar, letter, kpar)
         key = (kind, qpar, letter, kpar)
         if key not in self.strata:
             self.strata[key] = None if self.mode == "unknowns" else _int_stratum(
                 act_indexed(self.spec, kind, _M, letter, _K, {"m": qpar, "k": kpar}))
         return self.strata[key]
+
+
+@lru_cache(maxsize=4)
+def _base_spec(family: str, a: Fraction, b: Fraction) -> FamilySpec:
+    """The base module of a deformed family (`BASE_FAMILY`), one spec per
+    base module: its table answers the family's reads off the slot, and
+    its strata are the family's for every alpha (`_Ctx.stratum`)."""
+    return FamilySpec(family, a=a, b=b)
 
 
 def _param(name: str, value: Param) -> Fraction | Poly | None:
@@ -672,7 +691,15 @@ def act(spec: FamilySpec, g: Gen, v: BasisLabel) -> LinComb:
 
 
 def _scalar(c):
-    """A constant Poly as its Fraction; any other coefficient unchanged."""
+    """A coefficient in its plainest type: a RatFunc whose denominator
+    divides its numerator as that Poly (a generic candidate's T
+    composition [G_r, G_0]/c), and a constant Poly as its Fraction; any
+    other coefficient unchanged."""
+    if isinstance(c, RatFunc):
+        try:
+            c = c.as_poly()
+        except NotDivisible:
+            return c
     return c.const_value() if isinstance(c, Poly) and c.is_const() else c
 
 
@@ -729,12 +756,14 @@ def _int_stratum(terms):
     n (2m)**i (2k)**j / den over nums = ((n, i, j), ...), so a row
     evaluates it at doubled indices.  None unless every target is k + m
     plus a constant and every coefficient a scalar or a Poly in m and k
-    alone; another symbol or a RatFunc form leaves the whole stratum to
+    alone, a polynomial RatFunc read as its Poly (`_scalar`); another
+    symbol or a RatFunc that is no polynomial leaves the whole stratum to
     direct reads."""
     out = []
     for letter, idx, coeff in terms:
         if idx.lin != _MK:
             return None
+        coeff = _scalar(coeff)
         if isinstance(coeff, (int, Fraction)):
             coeff = Poly.const(coeff)
         elif not isinstance(coeff, Poly):
@@ -787,10 +816,10 @@ class _ActionRow(dict):
     is the spec's stratum for the key's parity class (`_Ctx.stratum`, read
     through `_form`) evaluated at the row's mode and the key's index, as
     Fractions.  It is read from the table directly, by `act_indexed`,
-    where that stratum is None (a symbolic parameter, a RatFunc form, the
-    unknowns mode), in the C row, and on the one key of a deformed
-    family's row that reads the slot (`slot_vector`, where `_at_slot`
-    holds), the tables' only decision on index equality.
+    where that stratum is None (a symbolic parameter, a RatFunc that is
+    no polynomial, the unknowns mode), in the C row, and on the one key of
+    a deformed family's row that reads the slot (`slot_vector`, where
+    `_at_slot` holds), the tables' only decision on index equality.
 
     As the residual engine reads it (`engine_row`), an `algebra.Row`:
     position-indexed arrays of target positions and int numerators over
@@ -799,8 +828,10 @@ class _ActionRow(dict):
     fills its positions in bulk: its targets are one arithmetic
     progression, and its numerators one Horner pass over the doubled
     indices (`_values`).  The slot entry is then written over its
-    position.  A row whose strata are not all ints is filled entry by
-    entry from the dict, as objects, with den None.
+    position.  A row whose strata are not all ints (a symbolic parameter,
+    the unknowns mode, symbolic normalization constants, the mu branch's
+    1/(a - k) forms) has no arrays: `engine_row` raises `ValueError`,
+    naming the spec.
 
     It is the only action memo.  The spec's context owns one row per
     generator (`_Ctx.row`), so a row's strata, entries and arrays are
@@ -877,9 +908,8 @@ class _ActionRow(dict):
             return Row([([0] * size, [0] * size)], 1)
         forms = {(letter, kpar): self._form(letter, kpar) for letter in "xy" for kpar in (0, 1)}
         if None in forms.values():
-            return layered_row({_position(bound, letter, d): [(_position(bound, *lk), c)
-                                                             for lk, c in self[letter, d]]
-                                for letter in "xy" for d in range(-radius, radius + 1)}, size)
+            raise ValueError(f"{self.spec.label()}: the {self.kind} action has no stratum of "
+                             "ints, so the residual engine cannot read it")
         # an empty entry is coefficient 0 on the line a graded entry would
         # land on, so the engine sums it with the other parts of a check
         gd = self.gidx.doubled
@@ -987,7 +1017,7 @@ def _frame_keys(bound: int) -> tuple:
 def _twin_point(spec: FamilySpec, gen_window: int, basis_window: int):
     """(point, D, norm, {field: symbol}) for `_twin`, or None."""
     params = {field: name for field, name in _SYMBOLS.items() if getattr(spec, field) == "sym"}
-    if not params or spec.coeff_mode == "unknowns":  # its symbols name concrete indices
+    if not spec.ctx.symbolic or spec.coeff_mode == "unknowns":  # its symbols name concrete indices
         return None
     reads = [act_indexed(spec, kind, _M, letter, _K, {"m": qpar, "k": kpar})
              for kind, qpar, letter, kpar in _STRATA]
@@ -998,7 +1028,7 @@ def _twin_point(spec: FamilySpec, gen_window: int, basis_window: int):
     modes = max(abs(doubled) for (_, doubled), _ in rows if doubled is not None)
     bounds = dict(m=modes, k=modes + 2 * basis_window, q=modes, **dict.fromkeys(params.values(), 1))
     halved = []  # each read coefficient in 2m, 2k and 2q
-    for coeff in (coeff for read in reads for _, _, coeff in read):
+    for coeff in (_scalar(coeff) for read in reads for _, _, coeff in read):
         if not isinstance(coeff, (int, Fraction, Poly)):
             return None
         halved.append((ONE * coeff).substitute({i: HALF * Poly.var(i) for i in "mkq"}))
@@ -1028,7 +1058,8 @@ def _twin(spec: FamilySpec, gen_window: int, basis_window: int):
       reads at a symbolic mode q (`MODE_CLASSES`); each entry a window
       check reads is one of them at concrete indices.  Each coefficient is
       a Poly in m, k, q and the spec's parameters, or there is no twin (a
-      RatFunc, an unknown, a normalization symbol alpha1..).
+      RatFunc that is no polynomial, an unknown, a normalization symbol
+      alpha1..).
     - Tops: each parameter's top degree over the reads.
     - Index bounds, doubled: |2m| and |2q| are at most the largest |2i| of
       a row of `_pair_table`, whose bracket targets reach 2 * gen_window,
@@ -1043,7 +1074,6 @@ def _twin(spec: FamilySpec, gen_window: int, basis_window: int):
       terms in one read) and two compositions (width^2 norm^2 each), so
       its coefficients are ints within the point's bound; `decode` reads
       the engine's int c at unit sign d^2 as c (D/d)^2 over sign D^2.
-    A spec that refuses its twin (B(a,0,-3/2) at an integer a) has none.
     The pair is kept in the spec's memo, one per pair of windows, so the
     window checks of one spec share one twin and its filled rows.
     """
@@ -1055,16 +1085,20 @@ def _twin(spec: FamilySpec, gen_window: int, basis_window: int):
 
 def _make_twin(spec: FamilySpec, gen_window: int, basis_window: int):
     """`_twin`'s pair, or None where the spec is its own twin; the memo
-    keeps no reference to the spec itself, which would make a cycle."""
+    keeps no reference to the spec itself, which would make a cycle.
+
+    The twin is the validated spec's fields with the point's ints for the
+    symbolic ones, built without `FamilySpec`'s checks: it is a device for
+    evaluating the spec's tables, not a module, so B(a,0,-3/2) at symbolic
+    a gets a twin at an integer a, which the candidate refuses."""
     found = _twin_point(spec, gen_window, basis_window)
     if found is None:
         return None
     point, den, _, params = found
-    values = {field: Fraction(point.value(name)) for field, name in params.items()}
-    try:
-        twin = replace(spec, **values)
-    except ValueError:  # the spec refuses these values
-        return None
+    values = {field.name: getattr(spec, field.name) for field in fields(spec)}
+    values.update((field, Fraction(point.value(name))) for field, name in params.items())
+    twin = object.__new__(FamilySpec)
+    twin.__dict__.update(values)
     square = den * den
     return twin, lambda c, unit: point.decode(c * (square // abs(unit)),
                                               square if unit > 0 else -square)
@@ -1083,11 +1117,15 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
     swept as its concrete twin (`_twin`), whose rows are int rows and whose
     residuals decode at one Kronecker point.  The sweep hands the residual
     engine (`algebra.residual_sweep`) each row's position arrays
-    (`_ActionRow.engine_row`), filled in bulk from the strata over the
-    window's label positions (`_frame`), and the engine reads them as they
-    are.  Every module entry has one term, so every row has one layer, and
-    a check is at most three int products; `bracket_action_check` is the
-    readable reference for the residual it computes.
+    (`_ActionRow.engine_row`), int numerators over a den filled in bulk
+    from the strata over the window's label positions (`_frame`), and the
+    engine reads them as they are.  Every module entry has one term, so
+    every row has one layer, and a check is at most three int products;
+    `bracket_action_check` is the readable reference for the residual it
+    computes.  A spec with no stratum of ints and no twin (the unknowns
+    mode, symbolic normalization constants, the mu branch's 1/(a - k)
+    forms; the CLI builds none) raises `ValueError`; `act` and
+    `bracket_action_check` still read it.
 
     A violation is kept as one tuple of its names and the engine's flat,
     undecoded entries, sorted by the names, and the violations are a

@@ -309,22 +309,6 @@ def test_jacobi_sweep_equals_reference(monkeypatch, window, target, mutate):
         assert report.ok == (target is None)
 
 
-@pytest.mark.parametrize("target, mutate", [
-    ("_central", _double_l_central),
-    ("_central", _flip_g_central),
-    ("bracket_terms", _double_tg),
-], ids=["L-central-doubled", "G-central-sign", "TG-doubled"])
-def test_jacobi_int_residuals_equal_the_object_loop(monkeypatch, target, mutate):
-    monkeypatch.setattr(algebra, target, mutate(getattr(algebra, target)))
-    lowered = super_jacobi_sweep(2)
-    # rows kept as Fractions, over no den, run the engine's object loop
-    monkeypatch.setattr(algebra, "_int_row", layered_row)
-    objects = super_jacobi_sweep(2)
-    assert lowered.violations
-    assert (objects.checks, objects.violations) == (lowered.checks, lowered.violations)
-    assert repr(objects.violations) == repr(lowered.violations)
-
-
 # Hand-built rows over string keys.  On v, x(y v) takes w to 1, then 0,
 # then back to 1 within its part, and z to 1; -[x,y] v takes both to 0;
 # -y(x v) re-forms w at 1 and leaves z at 0.  The pair "exact" reads rows
@@ -347,14 +331,13 @@ CANCELLING_PAIRS = [
 ]
 
 
-@pytest.mark.parametrize("objects", [False, True], ids=["ints", "objects"])
+@pytest.mark.parametrize("den", [1, 3], ids=["ints", "over-3"])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_residual_drops_cancelled_entries(sign, objects):
-    # ints over den 1, or the same coefficients as Fractions over no den
+def test_residual_drops_cancelled_entries(sign, den):
+    # the same coefficients as ints over den 1, or as numerators over 3
     pos = {key: p for p, key in enumerate(CANCELLING_KEYS)}
-    rows = {key: layered_row({pos[vk]: [(pos[lk], Fraction(c) if objects else c) for lk, c in terms]
-                              for vk, terms in entries.items()},
-                             len(CANCELLING_KEYS), None if objects else 1)
+    rows = {key: layered_row({pos[vk]: [(pos[lk], c * den) for lk, c in terms]
+                              for vk, terms in entries.items()}, len(CANCELLING_KEYS), den)
             for key, entries in CANCELLING_ENTRIES.items()}
     assert rows["y"].spread == {pos["v"]} and rows["x"].spread == {pos["u3"]}
     decode, records = residual_sweep(CANCELLING_PAIRS, rows, [(pos["v"], "v")], CANCELLING_KEYS,
@@ -366,8 +349,7 @@ def test_residual_drops_cancelled_entries(sign, objects):
 # Random engine input over positions 1..5, every row filled at each: 0 to 3
 # terms per entry, so an entry may spread over three layers, with targets
 # anywhere (no grading) and small coefficients, so terms often cancel.
-# A row is ints over its own den or, where drawn, the same values as
-# Fractions over no den; a pair reads up to two bracket rows.
+# A row is ints over its own den; a pair reads up to two bracket rows.
 ENGINE_SIZE = 6
 ENGINE_TERMS = st.lists(st.tuples(st.integers(1, ENGINE_SIZE - 1), st.integers(-3, 3)),
                         max_size=3)
@@ -376,14 +358,12 @@ ENGINE_SCALES = st.sampled_from([Fraction(1), Fraction(-1, 2), Fraction(2, 3), F
 
 @st.composite
 def engine_inputs(draw):
-    objects = draw(st.one_of(st.just(set()), st.sets(st.sampled_from("xyhk"))))
     rows, values = {}, {}
     for key in "xyhk":
         den = draw(st.sampled_from([1, 2, 3, 4, 6]))
         table = {p: draw(ENGINE_TERMS) for p in range(1, ENGINE_SIZE)}
         values[key] = {p: [(t, Fraction(c, den)) for t, c in terms] for p, terms in table.items()}
-        rows[key] = (layered_row(values[key], ENGINE_SIZE) if key in objects
-                     else layered_row(table, ENGINE_SIZE, den))
+        rows[key] = layered_row(table, ENGINE_SIZE, den)
     pairs = draw(st.lists(st.tuples(st.sampled_from("xyhk"), st.sampled_from("xyhk"),
                                     st.sampled_from([1, -1]),
                                     st.lists(st.tuples(st.sampled_from("hk"), ENGINE_SCALES),
@@ -424,9 +404,9 @@ def test_residual_sweep_equals_a_plain_dict_reference(inputs, sign):
     assert got == engine_reference(pairs, values, sign)
 
 
-@pytest.mark.parametrize("objects", [False, True], ids=["ints", "objects"])
+@pytest.mark.parametrize("den", [1, 3], ids=["ints", "over-3"])
 @pytest.mark.parametrize("bracket_target", ["x6", "x5"])
-def test_parts_at_different_weights_are_not_summed(objects, bracket_target):
+def test_parts_at_different_weights_are_not_summed(den, bracket_target):
     # on v: x(y v) = 3 x5 through u, y(x v) = 0 through w, and -[x,y] v =
     # -3 x6: one scalar would read 0, but the residual is 3 x5 - 3 x6.  With
     # the bracket on x5 as well, the three parts do cancel
@@ -435,9 +415,8 @@ def test_parts_at_different_weights_are_not_summed(objects, bracket_target):
     entries = {"x": {"v": [("w", 1)], "u": [("x5", 3)], "w": []},
                "y": {"v": [("u", 1)], "u": [], "w": [("x5", 0)]},
                "h": {"v": [(bracket_target, 3)]}}
-    rows = {key: layered_row({pos[vk]: [(pos[lk], Fraction(c) if objects else c)
-                                        for lk, c in terms] for vk, terms in table.items()},
-                             len(keys), None if objects else 1)
+    rows = {key: layered_row({pos[vk]: [(pos[lk], c * den) for lk, c in terms]
+                              for vk, terms in table.items()}, len(keys), den)
             for key, table in entries.items()}
     decode, records = residual_sweep([("p", "x", "y", 1, [("h", Fraction(1))])], rows,
                                      [(pos["v"], "v")], keys)

@@ -471,7 +471,6 @@ class TestIntersections:
             return edit(det) if (kind, case) == ("LLG", "A") else det
 
         monkeypatch.setattr(constraints, "system_determinant", patched)
-        monkeypatch.setattr(constraints, "_DELTA3_COEFFS", {})
 
     def scan_witness(self):
         report = intersection_scan("A")

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from twistn2 import deformation, modules, poly
 from twistn2.algebra import (G, Gen, L, Row, T, bracket, generators_in_window, parity,
                              residual_sweep)
-from twistn2.cli import main
+from twistn2.cli import build_family, main, make_parser
 from twistn2.deformation import instantiate_deformation
 from twistn2.indices import SymIndex
 from twistn2.modules import (FAULT_CATALOG, BasisLabel, FamilySpec, aab, act,
@@ -206,11 +206,11 @@ def test_tally_is_ok_on_work_without_violations_and_witnesses_the_first():
     assert not failed.ok and failed.witness == {"v": "x_0"}
 
 
-def reference_sweep(spec):
+def reference_sweep(spec, gen_window=2, basis_window=4):
     """axiom_sweep's result computed from bracket_action_check, check by check."""
-    gens = sorted(generators_in_window(2), key=Gen.sort_key)
+    gens = sorted(generators_in_window(gen_window), key=Gen.sort_key)
     checks, violations = 0, []
-    for v in labels_in_window(4):
+    for v in labels_in_window(basis_window):
         for i, g1 in enumerate(gens):
             for g2 in gens[i:]:
                 checks += 1
@@ -235,18 +235,22 @@ def reference_sweep(spec):
     # residuals are polynomials in the parameters show a wrong decoding
     (bab(fault="bab.gx-sign"), "symbolic"),
     (deformed("B2", "sym", "sym", fault="b2.gdef-sign"), "symbolic"),
-    # B(a,0,-3/2) refuses the twin's integer a, so the loop keeps its Poly
-    # rows (1 190 witnesses)
+    # B(a,0,-3/2) is twinned at an integer a, which the candidate refuses
+    # (1 190 witnesses)
     (b_zero_candidate(), False),
-    # rows the loop keeps as objects: RatFunc solved forms, and one unknown
-    # per mode and vector (3 842 witnesses)
+    # the T composition, a RatFunc whose denominator divides it, read as a Poly
     (FamilySpec("GenericB", a=Fraction(1, 3), b=Fraction(-5, 7), bprime="sym"), False),
-    (FamilySpec("GenericA", a="sym", b="sym", bprime="sym", coeff_mode="unknowns"), False),
+    # one unknown per mode and vector: no stratum of ints, so no sweep
+    (FamilySpec("GenericA", a="sym", b="sym", bprime="sym", coeff_mode="unknowns"), None),
 ], ids=["A1", "Aab", "a1.g0-coeff", "aab.gy-coeff",
         "b2.gdef-sign@-20/7", "a1.g0-coeff@12/5",
         "bab.gx-sign@sym", "b2.gdef-sign@sym", "B(a,0,-3/2)@sym",
         "GenericB@1/3,-5/7", "GenericA-unknowns"])
 def test_sweep_kernel_matches_the_reference(spec, fractional):
+    if fractional is None:
+        with pytest.raises(ValueError, match=re.escape(spec.label())):
+            axiom_sweep(spec)
+        return
     report = axiom_sweep(spec)
     assert (report.checks, report.violations) == reference_sweep(spec)
     if fractional == "symbolic":
@@ -255,21 +259,6 @@ def test_sweep_kernel_matches_the_reference(spec, fractional):
                    for w in report.violations)
     elif fractional:
         assert any("/" in w["residual"] for w in report.violations)
-
-
-@pytest.mark.parametrize("fault", sorted(FAULT_CATALOG))
-def test_int_residuals_equal_the_object_loop(monkeypatch, fault):
-    # rows handed over as Fractions over no den run the engine's object
-    # loop, the loop the RatFunc and unknowns sweeps run; without a twin a
-    # symbolic spec is swept over its own Poly rows
-    lowered = axiom_sweep(spec_with_fault(fault))
-    original = modules._ActionRow.engine_row
-    monkeypatch.setattr(modules._ActionRow, "engine_row",
-                        lambda row, *frame: _as_objects(original(row, *frame)))
-    monkeypatch.setattr(modules, "_twin", lambda spec, *windows: (spec, None))
-    objects = axiom_sweep(spec_with_fault(fault))
-    assert lowered.violations
-    assert (objects.checks, objects.violations) == (lowered.checks, lowered.violations)
 
 
 @functools.lru_cache(maxsize=None)
@@ -309,21 +298,12 @@ def test_a_fault_sweep_formats_only_the_witness_it_prints(monkeypatch, capsys):
     assert out["notes"] == [f"{len(want)} violations in total"]
 
 
-def _as_objects(row: Row) -> Row:
-    """An engine row's int numerators as Fractions over no den."""
-    if row.den is None:
-        return row
-    return Row([(targets, [c if c is None else Fraction(c, row.den) for c in coeffs])
-                for targets, coeffs in row.layers])
-
-
 def _array_entry(row: Row, bound: int, key) -> tuple:
     """An engine row's entry at a label key, as the memo's dict holds it:
     ((label key, coeff), ...), an int row's numerators over its den."""
     keys = modules._frame_keys(bound)
     p = modules._position(bound, *key)
-    return tuple((keys[targets[p]], c[p] if row.den is None else Fraction(c[p], row.den))
-                 for targets, c in row.layers if c[p])
+    return tuple((keys[targets[p]], Fraction(c[p], row.den)) for targets, c in row.layers if c[p])
 
 
 def _engine_input(monkeypatch, spec, *windows):
@@ -358,19 +338,45 @@ def test_a_row_missing_a_reached_entry_raises(monkeypatch):
 
 
 def test_an_int_row_read_without_its_den_raises(monkeypatch):
-    # handed over without its den, a concrete spec's int row would be read
-    # as if over 1: every such row, or one beside the int rows, raises
+    # without its den, a concrete spec's int row would be read as if over
+    # 1: a row cannot be built without one
     pairs, rows, vectors, keys, sign = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)),
                                                      1, 2)
-    assert all(r.den for r in rows.values()) and {r.den for r in rows.values()} != {1}
+    assert all(type(r.den) is int for r in rows.values()) and {r.den for r in rows.values()} != {1}
     assert list(residual_sweep(pairs, rows, vectors, keys, sign)[1]) == []
     key = next(k for k, r in rows.items() if any(r.layers[0][1]))
-    # as Fractions, one row beside the int rows is read as it is
-    mixed = {**rows, key: _as_objects(rows[key])}
-    assert list(residual_sweep(pairs, mixed, vectors, keys, sign)[1]) == []
-    for bad in ({k: Row(r.layers) for k, r in rows.items()}, {**rows, key: Row(rows[key].layers)}):
-        with pytest.raises(TypeError, match="without a den"):
-            residual_sweep(pairs, bad, vectors, keys, sign)
+    with pytest.raises(TypeError):
+        Row(rows[key].layers)
+
+
+# every spec `verify-axioms` can sweep: each family at symbolic and at
+# concrete parameters, and each catalogued fault
+CLI_SWEEPS = [
+    *(["--family", fam, *params] for fam in ("Aab", "Bab", "GenericA", "GenericB")
+      for params in ([], ["--a", "1/3", "--b=-5/7"])),
+    ["--family", "GenericA", "--a", "1/3", "--b", "2"],
+    *(["--family", "Bab", "--b", "0", "--bprime=-3/2", *params] for params in ([], ["--a", "1/3"])),
+    *(["--family", fam, "--alpha", alpha] for fam in ("A1", "A2", "B1", "B2")
+      for alpha in ("sym", "2/7")),
+    *(["--family", spec.family, *(["--alpha", str(spec.alpha)] if spec.alpha else []),
+       "--inject-fault", spec.fault] for spec in map(spec_with_fault, sorted(FAULT_CATALOG))),
+]
+
+
+@pytest.mark.parametrize("argv", CLI_SWEEPS, ids=[
+    argv[-1] if "--inject-fault" in argv else " ".join(argv[1:]) for argv in CLI_SWEEPS])
+def test_every_sweep_the_cli_runs_is_on_int_rows(monkeypatch, argv):
+    # one arithmetic: every row the engine reads is int numerators over an
+    # int den, and the sweep is the check-by-check reference
+    spec = build_family(make_parser().parse_args(["verify-axioms", *argv]))
+    _, rows, _, _, _ = _engine_input(monkeypatch, spec)
+    assert all(type(row.den) is int and all(type(c) is int for _, coeffs in row.layers
+                                            for c in coeffs if c is not None)
+               for row in rows.values())
+    report = axiom_sweep(spec)
+    want = fault_reference(spec.fault) if spec.fault else reference_sweep(spec)
+    assert (report.checks, report.violations) == want
+    assert bool(report.violations) == (spec.fault is not None or spec.bprime == Fraction(-3, 2))
 
 
 def _substituted(coeff, bindings):
@@ -440,9 +446,10 @@ TABLE_CASES = [
 
 # every spec of TABLE_CASES, each once (the Aab/Bab faults at symbolic
 # (a, b), and A1-B2 with their faults at symbolic alpha, alpha'), the faults
-# at alpha' = 3/2, the mu branch, whose RatFunc and mu-symbol strata are
-# read entry by entry, and an integral a with b symbolic, where b*q vanishes
-# on L_0, so a symbolic stratum gives a constant entry, integral at integer k
+# at alpha' = 3/2, the mu branch, whose RatFunc and mu-symbol strata are no
+# ints, so only its entries are read, and an integral a with b symbolic,
+# where b*q vanishes on L_0, so a symbolic stratum gives a constant entry,
+# integral at integer k
 FILL_CASES = list(dict.fromkeys([spec for c, s, _ in TABLE_CASES for spec in (c, s)] + [
     deformed(fam, Fraction(2, 7), Fraction(3, 2), fault=fault)
     for fam in ("A1", "A2", "B1", "B2") for fault in _faults(fam)
@@ -452,23 +459,25 @@ FILL_CASES = list(dict.fromkeys([spec for c, s, _ in TABLE_CASES for spec in (c,
 ]))
 
 
-def _fill_mismatches(spec):
-    """The (generator, label) entries of a fresh copy of the spec's memo,
-    as its dict and as its engine arrays, that differ from a direct table
-    read in value, type or term order: on the window-2 generators and the
-    bracket targets an axiom sweep reads, at every label up to +-6."""
-    spec = replace(spec)
+def _fill_mismatches(spec, arrays=True):
+    """The (generator, label) entries of the spec's memo, as its dict and,
+    unless `arrays` is false, as its engine arrays, that differ from a
+    direct table read in value, type or term order: on the window-2
+    generators and the bracket targets an axiom sweep reads, at every label
+    up to +-6.  The spec should be fresh, so that its memo is built here."""
     gens = generators_in_window(2) + [L(4), L(-4), T(Fraction(7, 2)), T(Fraction(-7, 2)),
                                       G(4), G(-4)]
     bad = []
     for g in gens:
         row = spec.ctx.row(g)
-        filled = row.engine_row(20, 12)  # labels to +-6 and modes to +-4, doubled
+        # labels to +-6 and modes to +-4, doubled
+        filled = row.engine_row(20, 12) if arrays else None
         for v in labels_in_window(6):
             want = tuple(((letter, idx.doubled), modules._scalar(c)) for letter, idx, c in
                          act_indexed(spec, g.kind, g.idx, v.letter, v.idx) if c)
             key = (v.letter, v.idx.doubled)
-            for got in (row[key], _array_entry(filled, 20, key)):
+            reads = (row[key], _array_entry(filled, 20, key)) if arrays else (row[key],)
+            for got in reads:
                 if got != want or [type(c) for _, c in got] != [type(c) for _, c in want]:
                     bad.append((g, v))
     return bad
@@ -478,8 +487,13 @@ def _fill_mismatches(spec):
 def test_row_fill_equals_direct_reads(spec):
     # a row evaluates one symbolic read per parity stratum; `act` and the
     # sweeps read the same rows, so only a direct read can check them.  A
-    # symbolic spec's rows are direct reads, so its twin's fill is checked
-    assert _fill_mismatches(modules._twin(spec, 2, 4)[0]) == []
+    # symbolic spec's rows are direct reads, so its twin's fill is checked;
+    # the mu branch has no arrays, so only its entries are
+    twin = modules._twin(replace(spec), 2, 4)[0]
+    if spec.coeff_mode == "mu":
+        with pytest.raises(ValueError, match=re.escape(spec.label())):
+            twin.ctx.row(G(0)).engine_row(20, 12)
+    assert _fill_mismatches(twin, arrays=spec.coeff_mode != "mu") == []
 
 
 def test_row_fill_misses_an_index_case_without_its_own_fallback(monkeypatch):
@@ -501,24 +515,18 @@ SYMBOLIC_AB = [spec for spec in FILL_CASES
                if spec.family in ("Aab", "Bab") and spec.a == "sym"]
 
 
-# B(a,0,-3/2) refuses an integer a, so it gets no twin
-REFUSED = b_zero_candidate()
-
-
 @pytest.mark.parametrize("spec", SYMBOLIC_AB, ids=[s.label() for s in SYMBOLIC_AB])
 def test_symbolic_parameter_rows_are_filled_from_strata(spec):
     # a symbolic spec is swept as its twin, whose rows are int rows filled
     # from int strata; the bound test below compares their entries with
-    # direct reads of the spec at the twin's point
+    # direct reads of the spec at the twin's point.  B(a,0,-3/2) is twinned
+    # at an integer a, which the candidate itself refuses
     twin, decode = modules._twin(spec, 2, 4)
-    if spec == REFUSED:
-        assert twin is spec and decode is None
-        # every row holds objects, but the C row's zeros
-        assert all(row.den is None for key, row in _engine_rows(spec).items() if key[0] != "C")
-        return
     assert decode is not None and twin.family == spec.family and twin.fault == spec.fault
+    assert all(getattr(twin, field).denominator == 1 for field in ("a", "b")
+               if getattr(spec, field) == "sym")
     strata = [twin.ctx.stratum(*key) for key in modules._STRATA]
-    assert None not in strata and all(row.den for row in _engine_rows(twin).values())
+    assert None not in strata and all(type(row.den) is int for row in _engine_rows(twin).values())
 
 
 def _engine_rows(spec, gen_window=2, basis_window=4) -> dict:
@@ -545,15 +553,14 @@ def test_one_twin_per_spec_and_windows_whose_rows_the_partition_check_reads():
     assert twin.ctx.strata == strata
     assert {key: row.forms for key, row in rows.items()} == forms
     # a spec with no twin keeps None, not itself (`test_spec_and_its_memo_form_no_reference_cycle`)
-    spec = b_zero_candidate()
+    spec = deformed("A1", Fraction(2, 7))
     assert modules._twin(spec, 2, 4) == (spec, None) and spec.ctx.twins == {(2, 4): None}
 
 
 @pytest.mark.parametrize("spec", SYMBOLIC_AB, ids=[s.label() for s in SYMBOLIC_AB])
 def test_symbolic_parameter_sweep_reads_strata(monkeypatch, spec):
     # 1 133 (Aab) and 869 (Bab) direct reads when a symbolic parameter
-    # got no stratum; the twin reads none (its C row is zero as filled),
-    # and a spec with no twin reads its rows directly
+    # got no stratum; the twin reads none (its C row is zero as filled)
     read = []
     original = modules._ActionRow._read
 
@@ -563,10 +570,7 @@ def test_symbolic_parameter_sweep_reads_strata(monkeypatch, spec):
 
     monkeypatch.setattr(modules._ActionRow, "_read", counting)
     assert axiom_sweep(replace(spec)).checks == 6460
-    if spec == REFUSED:
-        assert len(read) > 1000 and set(read) == {"L", "T", "G"}
-    else:
-        assert read == []
+    assert read == []
 
 
 def test_a_twin_decodes_at_d_squared_where_its_engine_runs_over_less(monkeypatch):
@@ -585,15 +589,17 @@ def test_a_twin_decodes_at_d_squared_where_its_engine_runs_over_less(monkeypatch
     rows = _engine_rows(modules._twin(spec, 1, 2)[0], 1, 2)
     assert lcm(*(row.den for row in rows.values())) == 4
     assert "15/32*b^2" in twinned.witness["residual"]
-    monkeypatch.setattr(modules, "_twin", lambda spec, *windows: (spec, None))
-    objects = axiom_sweep(replace(spec), 1, 2)
     assert len(twinned.violations) == 450
-    assert list(objects.violations) == list(twinned.violations)
+    assert (twinned.checks, list(twinned.violations)) == reference_sweep(replace(spec), 1, 2)
 
 
-# every twinned spec of `all`, and the four faults at symbolic (a, b)
+# every twinned spec of `all`, the four faults at symbolic (a, b), the
+# generic candidates at symbolic (a, b), whose T compositions are read as
+# Polys, and B(a,0,-3/2) at symbolic a, twinned at an integer a
 TWINNED = [aab(), bab(), *(deformed(fam, "sym", "sym") for fam in ("A1", "A2", "B1", "B2")),
-           *(spec_with_fault(fault) for fault in _faults("Aab")[1:] + _faults("Bab")[1:])]
+           *(spec_with_fault(fault) for fault in _faults("Aab")[1:] + _faults("Bab")[1:]),
+           *(FamilySpec(fam, a="sym", b="sym", bprime="sym") for fam in ("GenericA", "GenericB")),
+           b_zero_candidate()]
 
 
 @pytest.mark.parametrize("windows", [(1, 2), (2, 4)], ids=["1,2", "2,4"])
@@ -617,7 +623,7 @@ def test_the_twin_point_bounds_every_entry_the_sweep_reads(monkeypatch, spec, wi
                 continue
             terms = _array_entry(row, modules._frame(*windows)[0], label)
             want = act_indexed(spec, gen.kind, gen.idx, label[0], SymIndex(label[1]))
-            want = [((l, i.doubled), ONE * c) for l, i, c in want if c]
+            want = [((l, i.doubled), ONE * modules._scalar(c)) for l, i, c in want if c]
             assert [lk for lk, _ in terms] == [lk for lk, _ in want]
             for (_, c), (_, w) in zip(terms, want):
                 assert w.substitute(values) == c
@@ -629,7 +635,8 @@ def test_the_twin_point_bounds_every_entry_the_sweep_reads(monkeypatch, spec, wi
                          ids=["sym", "1/3,-5/7"])
 def test_a_stratum_in_another_symbol_is_left_to_direct_reads(monkeypatch, spec):
     # a coefficient holding a symbol other than m and k (here an unknown of
-    # the unknowns mode) is no stratum of ints
+    # the unknowns mode) is no stratum of ints: the entries are direct
+    # reads, and the row has no engine arrays
     original = modules._act_case_a
     unknown = Poly.var(unknown_name("g", SymIndex(0), SymIndex(0)))
 
@@ -641,7 +648,9 @@ def test_a_stratum_in_another_symbol_is_left_to_direct_reads(monkeypatch, spec):
     spec = replace(spec)
     assert spec.ctx.stratum("L", 0, "x", 0) is None
     assert spec.ctx.stratum("G", 1, "x", 0) is not None
-    assert _fill_mismatches(spec) == []
+    assert _fill_mismatches(spec, arrays=False) == []
+    with pytest.raises(ValueError, match=re.escape(spec.label())):
+        spec.ctx.row(L(0)).engine_row(20, 12)
 
 
 def test_row_fill_registers_no_symbol(monkeypatch):
@@ -666,19 +675,22 @@ def test_row_fill_registers_no_symbol(monkeypatch):
     assert len(poly._NAMES) == before
     assert asked <= set(poly.CORE_SYMBOLS)
     # the unknowns mode names its symbols by concrete mode and vector only
-    axiom_sweep(FamilySpec("GenericA", a="sym", b="sym", bprime="sym",
-                           coeff_mode="unknowns"), 1, 2)
+    unknowns = FamilySpec("GenericA", a="sym", b="sym", bprime="sym", coeff_mode="unknowns")
+    for g in generators_in_window(1):
+        for v in labels_in_window(2):
+            act(unknowns, g, v)
     assert all(re.fullmatch(r"(fp?|gp?)\[-?[\d/]+;-?[\d/]+\]", name)
                for name in asked - set(poly.CORE_SYMBOLS))
 
 
 def test_witness_over_a_constant_denominator_prints_as_a_polynomial():
+    # the mu branch's entries are RatFuncs; `act` reads one over a constant
+    # denominator as its Poly, so the residual prints as a polynomial
     spec = FamilySpec("GenericB", a=Fraction(1, 3), b=Fraction(0), bprime="sym",
                       coeff_mode="mu")
-    report = axiom_sweep(spec, 1, 1)
-    assert len(report.violations) == 230
-    assert report.violations[0]["residual"] == "(-8/3*mu1*mu3 + 8/3)*x_-3"
-    assert not any(")/(" in w["residual"] for w in report.violations)
+    residual = bracket_action_check(spec, G(-1), G(-1), lbl("x", -1))
+    assert [type(c) for c in residual.values()] == [Poly]
+    assert lincomb_str(residual) == "(-8/3*mu1*mu3 + 8/3)*x_-3"
 
 
 @pytest.mark.parametrize("concrete, symbolic, values", TABLE_CASES,
@@ -839,18 +851,32 @@ class TestActionMemo:
 
     def test_audit_reads_the_slot_only(self, counted_act_indexed):
         # one read per kind of mode at a symbolic index, and no memo entry
-        # of the spec or of its base module
+        # of the spec or of its base module, which other specs share
         for family in ("A1", "A2", "B1", "B2"):
+            base = modules._base_spec(*modules.BASE_FAMILY[family][:3])
+            before = set(base.ctx.rows)
             counted_act_indexed[0] = 0
             spec, found = instantiate_deformation(family, Fraction(2, 7))
             assert not found
             assert 0 < counted_act_indexed[0] <= 4
             assert spec.ctx.rows == {}
-            assert spec.ctx.base.ctx.rows == {}
+            assert spec.ctx.base is base and set(base.ctx.rows) == before
+
+    def test_deformed_specs_share_their_base_modules_strata(self):
+        # off the slot a deformed family is its base module for every alpha,
+        # so its strata are built once per base module
+        one = deformed("A1", Fraction(2, 7))
+        two = deformed("A1", Fraction(-20, 7), fault="a1.g0-coeff")
+        assert one.ctx.base is two.ctx.base
+        for key in modules._STRATA:
+            assert one.ctx.stratum(*key) is two.ctx.stratum(*key) is one.ctx.base.ctx.stratum(*key)
+        assert one.ctx.strata == two.ctx.strata == {}
 
     def test_spec_and_its_memo_form_no_reference_cycle(self):
         # with the cyclic collector off, a spec goes as soon as its last
-        # reference does, memo and all: twinned, concrete, and refusing its twin
+        # reference does, memo and all: concrete, twinned, and twinned at a
+        # value the spec refuses; a deformed spec's base module is the
+        # process-wide `_base_spec` memo, and holds no reference to it
         specs = [deformed("A1", Fraction(2, 7)), bab(), b_zero_candidate(),
                  FamilySpec("GenericB", a=Fraction(1, 3), b=Fraction(-5, 7), bprime="sym")]
         enabled = gc.isenabled()
@@ -860,7 +886,6 @@ class TestActionMemo:
                 axiom_sweep(spec, 1, 2)
                 ns_partition_check(spec, 1, 2)
             refs = [weakref.ref(spec) for spec in specs]
-            refs.append(weakref.ref(specs[0].ctx.base))
             del spec, specs
             assert [ref() for ref in refs] == [None] * len(refs)
         finally:
