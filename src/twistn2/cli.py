@@ -287,7 +287,10 @@ def _window(text: str) -> int:
     return value
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; with `only`, the same parser holding that verb's
+    subparser alone.  `main` builds the one subparser it reads, when the
+    first argument names a verb: the other nine cost more than parsing."""
     # argparse sizes its help to the terminal on every formatter it makes,
     # one per add_argument; the width is read once here instead
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
@@ -296,10 +299,16 @@ def make_parser() -> argparse.ArgumentParser:
         description="verification lab for intermediate-series modules over the "
                     "twisted N=2 superconformal algebra",
         formatter_class=formatter)
-    sub = parser.add_subparsers(dest="verb", required=True)
-    add_parser = partial(sub.add_parser, formatter_class=formatter)
+    # a parser of one verb names every verb in its usage, as the full one does
+    sub = parser.add_subparsers(dest="verb", required=True,
+                                metavar=None if only is None else "{%s}" % ",".join(VERBS))
 
-    def common(p, family=False, windows=False):
+    def verb(name, text, family=False, windows=False):
+        """The subparser of one verb, with its common options; None where
+        `only` names another verb."""
+        if only not in (None, name):
+            return None
+        p = sub.add_parser(name, help=text, formatter_class=formatter)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write the report to a file")
         if family:
@@ -312,53 +321,36 @@ def make_parser() -> argparse.ArgumentParser:
         if windows:
             p.add_argument("--gen-window", type=_window, default=2, dest="gen_window")
             p.add_argument("--basis-window", type=_window, default=4, dest="basis_window")
+        return p
 
-    p = add_parser("verify-axioms", help="module-axiom sweep for one family")
-    common(p, family=True, windows=True)
-    p.add_argument("--inject-fault", choices=tuple(FAULT_CATALOG), default=None,
-                   help=argparse.SUPPRESS)
-
-    p = add_parser("delta", help="constraint determinants vs printed closed forms")
-    common(p)
-    p.add_argument("--which", choices=("1", "2", "3", "3p", "all"), default="all")
-
-    p = add_parser("roots", help="root sets of the constraint determinants")
-    common(p)
-    p.add_argument("--which",
-                   choices=clab.ROOT_SET_NAMES + tuple(clab.OMEGA_SETS) + ("all",),
-                   default="all")
-
-    p = add_parser("compose-t", help="re-derive T coefficients from compositions")
-    common(p, family=True)
-
-    p = add_parser("solve-coeffs", help="coefficient lemmas and normalizations")
-    common(p)
-    p.add_argument("--which",
-                   choices=clab.LEMMA_CHECKS + ("normalization-a", "normalization-b",
-                                                "normalization-b0", "propagation",
-                                                "intersections", "all"),
-                   default="all")
-
-    p = add_parser("deform", help="deformation recurrences and instantiation")
-    common(p)
-    p.add_argument("--case", choices=("A1", "A2", "B1", "B2", "all"), default="all")
-    p.add_argument("--alpha")
-
-    p = add_parser("submodule", help="candidate submodule closure check")
-    common(p, family=True, windows=True)
-    p.add_argument("--candidate", help="span:x0,y1/2 or complement:x0")
-    p.add_argument("--scan", action="store_true",
-                   help="survey cyclic submodules instead of one candidate")
-
-    p = add_parser("nonexist-b0", help="contradiction witness for the exceptional candidate")
-    common(p)
-
-    p = add_parser("jacobi", help="graded Jacobi identity sweep")
-    common(p)
-    p.add_argument("--window", type=_window, default=2)
-
-    p = add_parser("all", help="full verification suite")
-    common(p)
+    if p := verb("verify-axioms", "module-axiom sweep for one family", family=True,
+                 windows=True):
+        p.add_argument("--inject-fault", choices=tuple(FAULT_CATALOG), default=None,
+                       help=argparse.SUPPRESS)
+    if p := verb("delta", "constraint determinants vs printed closed forms"):
+        p.add_argument("--which", choices=("1", "2", "3", "3p", "all"), default="all")
+    if p := verb("roots", "root sets of the constraint determinants"):
+        p.add_argument("--which",
+                       choices=clab.ROOT_SET_NAMES + tuple(clab.OMEGA_SETS) + ("all",),
+                       default="all")
+    verb("compose-t", "re-derive T coefficients from compositions", family=True)
+    if p := verb("solve-coeffs", "coefficient lemmas and normalizations"):
+        p.add_argument("--which",
+                       choices=clab.LEMMA_CHECKS + ("normalization-a", "normalization-b",
+                                                    "normalization-b0", "propagation",
+                                                    "intersections", "all"),
+                       default="all")
+    if p := verb("deform", "deformation recurrences and instantiation"):
+        p.add_argument("--case", choices=("A1", "A2", "B1", "B2", "all"), default="all")
+        p.add_argument("--alpha")
+    if p := verb("submodule", "candidate submodule closure check", family=True, windows=True):
+        p.add_argument("--candidate", help="span:x0,y1/2 or complement:x0")
+        p.add_argument("--scan", action="store_true",
+                       help="survey cyclic submodules instead of one candidate")
+    verb("nonexist-b0", "contradiction witness for the exceptional candidate")
+    if p := verb("jacobi", "graded Jacobi identity sweep"):
+        p.add_argument("--window", type=_window, default=2)
+    verb("all", "full verification suite")
     return parser
 
 
@@ -396,8 +388,8 @@ def _merge_negative_rationals(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
     argv = _merge_negative_rationals(list(sys.argv[1:] if argv is None else argv))
+    parser = make_parser(argv[0] if argv and argv[0] in VERBS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

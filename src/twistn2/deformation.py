@@ -18,8 +18,10 @@ distinguished vector.
 The instantiation audit reads each family's slot rule in `modules` once
 per kind of mode -- L, T, integer G and half-odd G -- at a symbolic mode
 index q, and compares the reads with the closed forms, so a clean audit
-holds at every mode index.  Off the slot a family's table is its base
-module by construction; where the slot sits is checked by the axiom sweep.
+holds at every mode index.  The reads are the spec's slot strata
+(`_Ctx.slot_stratum`), so its rows' slot entries reuse them.  Off the
+slot a family's table is its base module by construction; where the slot
+sits is checked by the axiom sweep.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .indices import SymIndex
 # `act` is not called here: perfbench/selftest.py checks that the tracer
 # rebinds this import of it, a binding outside its home module
 from .modules import (MODE_CLASSES, R, FamilySpec, _landing, act,  # noqa: F401
-                      act_indexed, slot_vector, t_composition)
+                      slot_vector, t_composition)
 from .poly import Poly, RatFunc, ZERO
 from .report import Report
 
@@ -178,10 +180,11 @@ def _terms_str(terms) -> str:
 def deformation_discrepancies(spec: FamilySpec) -> list[dict]:
     """Audit a deformed family's slot against the closed forms of its case.
 
-    One `act_indexed` read per kind of mode and parity class of its index
+    One read per kind of mode and parity class of its index
     (`modules.MODE_CLASSES`), at the symbolic mode index q on the vector
     where that mode reads the slot (`slot_vector`), so the audit covers
-    every mode index.  Returns one {"g", "v", "family", "derived"} dict per
+    every mode index; the reads are the spec's `_Ctx.slot_stratum`, kept
+    for its rows.  Returns one {"g", "v", "family", "derived"} dict per
     read that disagrees: the mode, the vector, and the family's and the
     closed form's terms.
     """
@@ -197,7 +200,7 @@ def deformation_discrepancies(spec: FamilySpec) -> list[dict]:
         else:
             value = case.g_closed_form(Pq, parity, al, alp)
         want = [(*_landing(letter, v, ((kind, Q),)), value)] if value else []
-        got = [t for t in act_indexed(spec, kind, Q, letter, v, {"q": parity}) if t[2]]
+        got = [t for t in spec.ctx.slot_stratum(kind, parity)[0] if t[2]]
         if got != want:
             q_class = "half-odd" if parity else "integer"
             out.append({"g": f"{kind}(q), q {q_class}", "v": f"{letter}_{v}",

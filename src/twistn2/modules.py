@@ -26,7 +26,7 @@ which on symbolic indices is exactly the generic-index reading used when
 the coefficient recurrences are solved.  Each spec memoizes its own
 action table (`FamilySpec.ctx`); the one process-wide action state is the
 deformed families' base modules, one spec per base module (`_base_spec`),
-whose strata every alpha shares.
+whose strata and filled rows every alpha shares.
 
 Each weight space is one-dimensional, so on each parity class of mode m
 and vector index k an action lands on index k+m with a coefficient
@@ -34,13 +34,15 @@ polynomial in (m, k) and the parameters, and every entry has at most one
 term.  At concrete parameters the memo reads the table once per such
 stratum, at symbolic m and k, and evaluates that read in ints: entry by
 entry for `act`, and in bulk, over a whole window of labels, for the axiom
-sweep's position arrays, the residual engine's one input.  It reads the
-table entry by entry at symbolic parameters, where a stratum is not such a
-polynomial, and on a deformed family's slot, the one index-equality
-decision.  The window checks sweep a symbolic family as its concrete twin
-at one Kronecker point (`_twin`), so every sweep the CLI runs is a sweep
-of int rows, and share one table of generator pairs and one layout of
-label positions per window (`_pair_table`, `_frame`).
+sweep's position arrays, the residual engine's one input.  A deformed
+family's slot, the one index-equality decision, is read the same way, once
+per kind and parity class of the mode, at symbolic q on the slot's vector.
+The memo reads the table entry by entry at symbolic parameters, where a
+stratum is not such a polynomial.  The window checks sweep a symbolic
+family as its concrete twin at one Kronecker point (`_twin`), so every
+sweep the CLI runs is a sweep of int rows, and share one table of
+generator pairs and one layout of label positions per window
+(`_pair_table`, `_frame`).
 
 The central element acts as zero on every family.
 """
@@ -263,13 +265,14 @@ class _Ctx:
     their printed values (`consts`).  It reaches its spec through a weak
     proxy, so a spec and its memo form no reference cycle and are freed
     together.  A deformed family's context holds its base module's spec
-    (`_base_spec`), which answers every read off the slot, and the slot's role
-    (`BASE_FAMILY`; `slot_vector` says where the slot is read).
+    (`_base_spec`), which answers every read off the slot and whose rows its
+    rows copy, the slot's role (`BASE_FAMILY`; `slot_vector` says where the
+    slot is read), and the slot's strata (`slot_stratum`).
     """
 
     __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "branch",
-                 "consts", "printed_t", "base", "slot", "forced", "rows", "strata", "symbolic",
-                 "twins")
+                 "consts", "printed_t", "base", "slot", "forced", "rows", "strata", "slots",
+                 "symbolic", "twins")
 
     def __init__(self, spec: FamilySpec):
         self.spec = weakref.proxy(spec)
@@ -309,6 +312,7 @@ class _Ctx:
         self.printed_t = spec.family in ("Aab", "Bab")
         self.rows: dict = {}
         self.strata: dict = {}
+        self.slots: dict = {}  # (kind, parity of q) -> `slot_stratum`
         # a symbolic parameter leaves every row to direct reads
         self.symbolic = any(isinstance(getattr(self, name), Poly) for name in _SYMBOLS.values())
         self.twins: dict = {}  # (gen_window, basis_window) -> `_twin`'s pair, or None
@@ -342,12 +346,28 @@ class _Ctx:
                 act_indexed(self.spec, kind, _M, letter, _K, {"m": qpar, "k": kpar}))
         return self.strata[key]
 
+    def slot_stratum(self, kind: str, qpar: int):
+        """(read, ints): the slot of a deformed family for the modes of
+        this kind and parity class, read once from the table at symbolic q
+        on `slot_vector(family, kind, q)`, and that read lowered to ints in
+        q as a stratum (`_int_stratum`), None where a coefficient holds a
+        parameter symbol.  The slot audit and the twin point read the one,
+        and the rows' slot entries evaluate the other at their mode."""
+        key = (kind, qpar)
+        if key not in self.slots:
+            letter, v = slot_vector(self.spec.family, kind, _Q)
+            read = act_indexed(self.spec, kind, _Q, letter, v, {"q": qpar})
+            self.slots[key] = read, _int_stratum(read, v + _Q, _Q_SHIFT)
+        return self.slots[key]
+
 
 @lru_cache(maxsize=4)
 def _base_spec(family: str, a: Fraction, b: Fraction) -> FamilySpec:
     """The base module of a deformed family (`BASE_FAMILY`), one spec per
-    base module: its table answers the family's reads off the slot, and
-    its strata are the family's for every alpha (`_Ctx.stratum`)."""
+    base module: its table answers the family's reads off the slot, its
+    strata are the family's for every alpha (`_Ctx.stratum`), and its
+    filled rows are the family's arrays but for the slot's one position
+    (`_ActionRow._fill`)."""
     return FamilySpec(family, a=a, b=b)
 
 
@@ -736,9 +756,7 @@ def labels_in_window(window: int) -> list[BasisLabel]:
 
 
 _M, _K, _Q = SymIndex.var("m"), SymIndex.var("k"), SymIndex.var("q")
-_MK = (_M + _K).lin
-_M_SHIFT, _K_SHIFT = sym_shift("m"), sym_shift("k")
-_MK_MASK = 255 << _M_SHIFT | 255 << _K_SHIFT
+_M_SHIFT, _K_SHIFT, _Q_SHIFT = sym_shift("m"), sym_shift("k"), sym_shift("q")
 
 
 def _int_parts(parts):
@@ -749,29 +767,33 @@ def _int_parts(parts):
     return den, tuple((c.numerator * (den // c.denominator), i, j) for c, i, j in parts)
 
 
-def _int_stratum(terms):
+def _int_stratum(terms, origin: SymIndex = _M + _K, mode: int = _M_SHIFT):
     """A stratum read (`_Ctx.stratum`) in ints: one (letter, offset, den,
     nums) per term, in the table's order, for the target
-    letter_(k+m+offset/2), whose coefficient is the sum
+    letter_(origin+offset/2), whose coefficient is the sum
     n (2m)**i (2k)**j / den over nums = ((n, i, j), ...), so a row
-    evaluates it at doubled indices.  None unless every target is k + m
-    plus a constant and every coefficient a scalar or a Poly in m and k
-    alone, a polynomial RatFunc read as its Poly (`_scalar`); another
-    symbol or a RatFunc that is no polynomial leaves the whole stratum to
-    direct reads."""
+    evaluates it at doubled indices.  The mode symbol m sits at the shift
+    `mode` of a packed key: a slot read (`_Ctx.slot_stratum`) is lowered
+    in q, with its vector plus q as the origin.  None unless every target
+    is the origin plus a constant and every coefficient a scalar or a Poly
+    in m and k alone, a polynomial RatFunc read as its Poly (`_scalar`);
+    another symbol or a RatFunc that is no polynomial leaves the whole
+    stratum to direct reads."""
+    mask = 255 << mode | 255 << _K_SHIFT
     out = []
     for letter, idx, coeff in terms:
-        if idx.lin != _MK:
+        offset = idx - origin
+        if offset.lin:
             return None
         coeff = _scalar(coeff)
         if isinstance(coeff, (int, Fraction)):
             coeff = Poly.const(coeff)
         elif not isinstance(coeff, Poly):
             return None
-        if any(key & ~_MK_MASK for key in coeff.terms):
+        if any(key & ~mask for key in coeff.terms):
             return None
-        out.append((letter, idx.doubled, *_int_parts(
-            (c, key >> _M_SHIFT & 255, key >> _K_SHIFT & 255) for key, c in coeff.terms.items())))
+        out.append((letter, offset.doubled, *_int_parts(
+            (c, key >> mode & 255, key >> _K_SHIFT & 255) for key, c in coeff.terms.items())))
     return tuple(out)
 
 
@@ -815,29 +837,31 @@ class _ActionRow(dict):
     a target's is the `doubled` of the index the table returns.  An entry
     is the spec's stratum for the key's parity class (`_Ctx.stratum`, read
     through `_form`) evaluated at the row's mode and the key's index, as
-    Fractions.  It is read from the table directly, by `act_indexed`,
-    where that stratum is None (a symbolic parameter, a RatFunc that is
-    no polynomial, the unknowns mode), in the C row, and on the one key of
-    a deformed family's row that reads the slot (`slot_vector`, where
-    `_at_slot` holds), the tables' only decision on index equality.
+    Fractions.  On the one key of a deformed family's row that reads the
+    slot (`slot_vector`, where `_at_slot` holds), the tables' only
+    decision on index equality, the stratum is the slot's
+    (`_Ctx.slot_stratum`).  An entry is read from the table directly, by
+    `act_indexed`, where its stratum is None (a symbolic parameter, a
+    RatFunc that is no polynomial, the unknowns mode) and in the C row.
 
     As the residual engine reads it (`engine_row`), an `algebra.Row`:
     position-indexed arrays of target positions and int numerators over
     one den, the lcm of the denominators of the four strata of the row's
-    mode class and of its slot entry.  Each (letter, parity of k) stratum
-    fills its positions in bulk: its targets are one arithmetic
-    progression, and its numerators one Horner pass over the doubled
-    indices (`_values`).  The slot entry is then written over its
-    position.  A row whose strata are not all ints (a symbolic parameter,
-    the unknowns mode, symbolic normalization constants, the mu branch's
-    1/(a - k) forms) has no arrays: `engine_row` raises `ValueError`,
-    naming the spec.
+    mode class.  Each (letter, parity of k) stratum fills its positions in
+    bulk: its targets are one arithmetic progression, and its numerators
+    one Horner pass over the doubled indices (`_values`).  A deformed
+    family's row is its base module's row, copied: rescaled to the lcm of
+    its den and the slot entry's, with the slot entry written over its
+    one position.  A row whose strata are not all ints (a symbolic
+    parameter, the unknowns mode, symbolic normalization constants, the
+    mu branch's 1/(a - k) forms) has no arrays: `engine_row` raises
+    `ValueError`, naming the spec.
 
     It is the only action memo.  The spec's context owns one row per
     generator (`_Ctx.row`), so a row's strata, entries and arrays are
     built once however many readers of the spec run.  A row reads only
     the strata of the entries it builds, and its arrays read the four of
-    its mode class.
+    its mode class, or a deformed family's its base row and slot entry.
     """
 
     __slots__ = ("spec", "kind", "gidx", "slot", "forms", "filled")
@@ -850,25 +874,33 @@ class _ActionRow(dict):
 
     def _form(self, letter: str, kpar: int):
         """The stratum at this row's mode, or None where entries are read
-        directly: (den, parts), with per term the target letter, the
-        target's offset from the key, and the numerator's int coefficients
-        by falling power of the key's doubled index (`_falling`), over den,
-        the lcm of the stratum's denominators."""
+        directly (`_at_mode`)."""
         if (letter, kpar) not in self.forms:
-            ctx, form = self.spec.ctx, None
+            ctx, stratum = self.spec.ctx, None
             if self.kind != "C" and not ctx.symbolic:
-                gd = self.gidx.doubled
-                stratum = ctx.stratum(self.kind, gd & 1, letter, kpar)
-                if stratum is not None:
-                    den = lcm(1, *(d for _, _, d, _ in stratum))
-                    form = den, [(letter2, off + gd, [c * (den // d) for c in _falling(nums, gd)])
-                                 for letter2, off, d, nums in stratum]
-            self.forms[letter, kpar] = form
+                stratum = ctx.stratum(self.kind, self.gidx.doubled & 1, letter, kpar)
+            self.forms[letter, kpar] = self._at_mode(stratum)
         return self.forms[letter, kpar]
+
+    def _at_mode(self, stratum):
+        """A stratum at this row's mode, None for None: (den, parts), with
+        per term the target letter, the target's offset from the key, and
+        the numerator's int coefficients by falling power of the key's
+        doubled index (`_falling`), over den, the lcm of the stratum's
+        denominators."""
+        if stratum is None:
+            return None
+        gd = self.gidx.doubled
+        den = lcm(1, *(d for _, _, d, _ in stratum))
+        return den, [(letter2, off + gd, [c * (den // d) for c in _falling(nums, gd)])
+                     for letter2, off, d, nums in stratum]
 
     def __missing__(self, key):
         letter, doubled = key
-        form = None if key == self.slot else self._form(letter, doubled & 1)
+        if key == self.slot:
+            form = self._at_mode(self.spec.ctx.slot_stratum(self.kind, self.gidx.doubled & 1)[1])
+        else:
+            form = self._form(letter, doubled & 1)
         if form is None:
             terms = self._read(letter, doubled)
         else:
@@ -906,23 +938,38 @@ class _ActionRow(dict):
         size = _position(bound, "y", bound) + 1
         if self.kind == "C":
             return Row([([0] * size, [0] * size)], 1)
-        forms = {(letter, kpar): self._form(letter, kpar) for letter in "xy" for kpar in (0, 1)}
-        if None in forms.values():
+        ctx, gd = self.spec.ctx, self.gidx.doubled
+        forms = {} if ctx.base else {(letter, kpar): self._form(letter, kpar)
+                                     for letter in "xy" for kpar in (0, 1)}
+        if ctx.symbolic or None in forms.values():
             raise ValueError(f"{self.spec.label()}: the {self.kind} action has no stratum of "
                              "ints, so the residual engine cannot read it")
         # an empty entry is coefficient 0 on the line a graded entry would
         # land on, so the engine sums it with the other parts of a check
-        gd = self.gidx.doubled
         landing = {"x": "y", "y": "x"} if self.kind == "G" else {"x": "x", "y": "y"}
+        if ctx.base is not None:
+            # off the slot a deformed family is its base module: its arrays
+            # are the base row's, copied over the lcm of that row's den and
+            # the slot entry's, with the slot's one position written over
+            base = ctx.base.ctx.row(Gen(self.kind, self.gidx)).engine_row(bound, radius)
+            letter, d = self.slot
+            (lk, c), = self[self.slot] or (((landing[letter], d + gd), 0),)
+            den = lcm(base.den, c.denominator)
+            scale = den // base.den
+            layers = [(targets[:], [n and n * scale for n in coeffs])
+                      for targets, coeffs in base.layers]
+            if abs(d) <= radius:
+                p = _position(bound, letter, d)
+                (targets, coeffs), *rest = layers
+                targets[p], coeffs[p] = _position(bound, *lk), _times(c, den)
+                for targets, coeffs in rest:
+                    targets[p] = coeffs[p] = 0
+            return Row(layers, den)
         forms = {(letter, kpar): (den, parts or [(landing[letter], gd, [0])])
                  for (letter, kpar), (den, parts) in forms.items()}
-        slot = ()
-        if self.slot is not None:
-            letter, d = self.slot
-            slot = self[self.slot] or (((landing[letter], d + gd), 0),)
-        den = lcm(*(den for den, _ in forms.values()), *(c.denominator for _, c in slot))
+        den = lcm(*(den for den, _ in forms.values()))
         layers = [([None] * size, [None] * size)
-                  for _ in range(max(len(slot), *(len(parts) for _, parts in forms.values())))]
+                  for _ in range(max(len(parts) for _, parts in forms.values()))]
         for targets, coeffs in layers:
             targets[0] = coeffs[0] = 0
         for (letter, kpar), (form_den, parts) in forms.items():
@@ -943,12 +990,6 @@ class _ActionRow(dict):
                     coeffs[cells] = _values(powers, ds)
                 else:
                     targets[cells] = coeffs[cells] = [0] * len(ds)
-        if self.slot is not None and abs(self.slot[1]) <= radius:
-            p = _position(bound, *self.slot)
-            for i, (targets, coeffs) in enumerate(layers):
-                lk, c = slot[i] if i < len(slot) else (None, 0)
-                targets[p] = 0 if lk is None else _position(bound, *lk)
-                coeffs[p] = _times(c, den)
         return Row(layers, den)
 
 
@@ -1022,8 +1063,7 @@ def _twin_point(spec: FamilySpec, gen_window: int, basis_window: int):
     reads = [act_indexed(spec, kind, _M, letter, _K, {"m": qpar, "k": kpar})
              for kind, qpar, letter, kpar in _STRATA]
     if spec.family in BASE_FAMILY:
-        reads += [act_indexed(spec, kind, _Q, *slot_vector(spec.family, kind, _Q), {"q": qpar})
-                  for kind, qpar in MODE_CLASSES]
+        reads += [spec.ctx.slot_stratum(kind, qpar)[0] for kind, qpar in MODE_CLASSES]
     pairs, rows = _pair_table(gen_window)
     modes = max(abs(doubled) for (_, doubled), _ in rows if doubled is not None)
     bounds = dict(m=modes, k=modes + 2 * basis_window, q=modes, **dict.fromkeys(params.values(), 1))
@@ -1055,11 +1095,12 @@ def _twin(spec: FamilySpec, gen_window: int, basis_window: int):
     `KroneckerPoint`, a ring homomorphism, so its tables hold the images
     of the spec's coefficients, in int rows.  The point is wide enough:
     - Reads: the 16 strata at symbolic m and k and, on A1..B2, the 4 slot
-      reads at a symbolic mode q (`MODE_CLASSES`); each entry a window
-      check reads is one of them at concrete indices.  Each coefficient is
-      a Poly in m, k, q and the spec's parameters, or there is no twin (a
-      RatFunc that is no polynomial, an unknown, a normalization symbol
-      alpha1..).
+      reads at a symbolic mode q (`MODE_CLASSES`), the spec's
+      `_Ctx.slot_stratum`, which the slot audit reads too; each entry a
+      window check reads is one of them at concrete indices.  Each
+      coefficient is a Poly in m, k, q and the spec's parameters, or there
+      is no twin (a RatFunc that is no polynomial, an unknown, a
+      normalization symbol alpha1..).
     - Tops: each parameter's top degree over the reads.
     - Index bounds, doubled: |2m| and |2q| are at most the largest |2i| of
       a row of `_pair_table`, whose bracket targets reach 2 * gen_window,

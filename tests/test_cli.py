@@ -209,6 +209,36 @@ class TestParsing:
         with pytest.raises(UsageError):
             parse_candidate("everything")
 
+    @pytest.mark.parametrize("verb", list(cli.VERBS))
+    def test_a_parser_of_one_verb_prints_what_the_full_parser_prints(
+            self, capsys, monkeypatch, verb):
+        # `main` builds only the subparser of the verb it is given: its
+        # help, and the usage of the parser around it, must not change
+        monkeypatch.setenv("COLUMNS", "80")
+        printed = []
+        for parser in (cli.make_parser(verb), cli.make_parser()):
+            with pytest.raises(SystemExit):
+                parser.parse_args([verb, "--help"])
+            printed.append((capsys.readouterr(), parser.format_usage()))
+        assert printed[0] == printed[1] and f"twistn2 {verb}" in printed[0][0].out
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus"], ["verify-axioms", "--bogus"],
+        ["verify-axioms", "--family", "Z"], ["jacobi", "--window", "0"],
+        ["verify-axioms", "--family", "A1", "--alpha", "-2/7", "--gen-window", "1",
+         "--basis-window", "1", "--format", "json"],
+    ], ids=["help", "no-verb", "unknown-verb", "unknown-option", "bad-choice",
+            "bad-window", "a-sweep"])
+    def test_main_answers_as_with_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = cli.make_parser
+        answers = []
+        for make in (full, lambda only=None: full()):
+            monkeypatch.setattr(cli, "make_parser", make)
+            code = main(list(argv))
+            answers.append((code, *capsys.readouterr()))
+        assert answers[0] == answers[1]
+
 
 class TestReports:
     def test_delta_json_schema_and_exit_code(self, capsys):

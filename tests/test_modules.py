@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistn2 import deformation, modules, poly
+from twistn2 import modules, poly
 from twistn2.algebra import (G, Gen, L, Row, T, bracket, generators_in_window, parity,
                              residual_sweep)
 from twistn2.cli import build_family, main, make_parser
@@ -498,8 +498,9 @@ def test_row_fill_equals_direct_reads(spec):
 
 def test_row_fill_misses_an_index_case_without_its_own_fallback(monkeypatch):
     # a case split on v = 3 is a decision on index equality, which a read
-    # at symbolic k never takes; so the fill disagrees there, and the slot,
-    # the tables' one such decision, needs the rows' direct read
+    # at symbolic k never takes; so the fill disagrees there.  The slot,
+    # the tables' one such decision, has its own strata, read at symbolic q
+    # on the slot's vector (`_Ctx.slot_stratum`)
     original = modules._act_case_a
 
     def special(ctx, kind, g, letter, v, env):
@@ -509,6 +510,87 @@ def test_row_fill_misses_an_index_case_without_its_own_fallback(monkeypatch):
     monkeypatch.setitem(modules._TABLES, "Aab", special)
     bad = _fill_mismatches(aab(Fraction(1, 3), Fraction(-5, 7)))
     assert bad and {v for _, v in bad} == {lbl("x", 3), lbl("y", 3)}
+
+
+DEFORMED = ("A1", "A2", "B1", "B2")
+# (alpha, alpha'): the deform stage's alpha, and one whose slot entries
+# bring denominators the base rows lack
+SLOT_ALPHAS = ((Fraction(2, 7), Fraction(1)), (Fraction(-13, 5), Fraction(3, 2)))
+
+
+def _base_arrays():
+    """Every filled row of the four base modules, element for element."""
+    return {(fam, key, size): (row.den, [(list(t), list(c)) for t, c in row.layers])
+            for fam in DEFORMED
+            for key, r in modules._base_spec(*modules.BASE_FAMILY[fam][:3]).ctx.rows.items()
+            for size, row in r.filled.items()}
+
+
+def test_deformed_rows_copy_their_base_rows_and_never_patch_them():
+    # a deformed family's arrays are its base module's, copied, with the
+    # slot written over: faults, and alphas whose slots bring new dens,
+    # leave the shared base rows as they were
+    for fam in DEFORMED:
+        assert axiom_sweep(deformed(fam, Fraction(2, 7))).ok
+    before = _base_arrays()
+    assert before
+    rescaled = set()
+    for fam in DEFORMED:
+        base = modules._base_spec(*modules.BASE_FAMILY[fam][:3])
+        for fault in _faults(fam):
+            for alpha, alphap in SLOT_ALPHAS:
+                spec = deformed(fam, alpha, alphap, fault=fault)
+                assert bool(axiom_sweep(spec).violations) == (fault is not None)
+                rescaled |= {(fam, alpha) for key, r in spec.ctx.rows.items() if key[0] != "C"
+                             for size, row in r.filled.items()
+                             if row.den != base.ctx.rows[key].filled[size].den}
+    assert _base_arrays() == before
+    assert {fam for fam, _ in rescaled} == set(DEFORMED)
+    for fam in DEFORMED:
+        assert axiom_sweep(deformed(fam, Fraction(5, 3))).ok
+
+
+SLOT_CASES = [deformed(fam, alpha, alphap, fault=fault) for fam in DEFORMED
+              for fault in _faults(fam) for alpha, alphap in SLOT_ALPHAS]
+
+
+@pytest.mark.parametrize("spec", SLOT_CASES, ids=[s.label() for s in SLOT_CASES])
+def test_slot_strata_at_each_mode_are_the_direct_reads(counted_act_indexed, spec):
+    # the four slot strata, read at symbolic q, give every row of a sweep
+    # its slot entry: at each mode of the window and each bracket target,
+    # of both parities, with no further table read
+    spec = replace(spec)
+    for kind, qpar in modules.MODE_CLASSES:
+        spec.ctx.slot_stratum(kind, qpar)
+    assert counted_act_indexed[0] == 4
+    gens = [g for _, g in modules._pair_table(2)[1] if g.kind != "C"]
+    entries = {g: spec.ctx.row(g)[spec.ctx.row(g).slot] for g in gens}
+    assert counted_act_indexed[0] == 4
+    assert {(g.kind, g.idx.doubled & 1) for g in gens} == set(modules.MODE_CLASSES)
+    for g, got in entries.items():
+        letter, v = modules.slot_vector(spec.family, g.kind, g.idx)
+        want = tuple(((letter2, idx.doubled), modules._scalar(c))
+                     for letter2, idx, c in act_indexed(spec, g.kind, g.idx, letter, v) if c)
+        assert got == want and [type(c) for _, c in got] == [type(c) for _, c in want]
+
+
+@pytest.mark.parametrize("family", DEFORMED)
+def test_a_second_spec_of_a_family_reads_the_table_on_its_slot_alone(monkeypatch, family):
+    # the base module's rows are filled by the first spec; the second
+    # reads only its four slot strata, at symbolic q on the slot's vector
+    assert axiom_sweep(deformed(family, Fraction(2, 7))).ok
+    reads = []
+    original = modules.act_indexed
+
+    def recording(spec, kind, g, letter, v, env=None):
+        reads.append((kind, g, letter, v))
+        return original(spec, kind, g, letter, v, env)
+
+    monkeypatch.setattr(modules, "act_indexed", recording)
+    assert axiom_sweep(deformed(family, Fraction(-13, 5), Fraction(3, 2))).ok
+    assert len(reads) == 4
+    assert all(g == modules._Q and (letter, v) == modules.slot_vector(family, kind, g)
+               for kind, g, letter, v in reads)
 
 
 SYMBOLIC_AB = [spec for spec in FILL_CASES
@@ -825,8 +907,9 @@ class TestSubmodules:
 
 @pytest.fixture
 def counted_act_indexed(monkeypatch):
-    """Counts the action entries built from the tables, through the
-    bindings in `modules` and in `deformation`."""
+    """Counts the action entries built from the tables.  The slot audit in
+    `deformation` reads its spec's slot strata, so every read goes through
+    the binding in `modules`."""
     calls = [0]
     original = modules.act_indexed
 
@@ -835,7 +918,6 @@ def counted_act_indexed(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(modules, "act_indexed", counting)
-    monkeypatch.setattr(deformation, "act_indexed", counting)
     return calls
 
 
