@@ -109,8 +109,8 @@ def bracket_terms(k1: str, i1, k2: str, i2, env: dict | None = None) -> list:
     """The structure constants: [k1_i1, k2_i2] less its central term.
 
     Returns (kind, index, coefficient) triples over SymIndex indices.  A
-    coefficient is a Fraction where the indices are concrete half-integers
-    and a Poly where one is symbolic; `env` declares the parity class of
+    coefficient is an int or a Fraction where the indices are concrete
+    half-integers and a Poly where one is symbolic; `env` declares the parity class of
     each free index symbol.  A C term is never returned (C acts as zero on
     every module family).  Mixed orders are defined through
     super-antisymmetry [y, x] = -(-1)^(|x||y|) [x, y]; two generators of
@@ -291,8 +291,8 @@ def layered_row(entries: dict, size: int, den: int) -> Row:
 
 
 def _int_row(entries: dict, size: int) -> Row:
-    """`layered_row` of Fraction coefficients, as int numerators over their
-    common denominator."""
+    """`layered_row` of rational (int or Fraction) coefficients, as int
+    numerators over their common denominator."""
     den = lcm(1, *(c.denominator for terms in entries.values() for _, c in terms))
     return layered_row({p: [(t, _times(c, den)) for t, c in terms]
                         for p, terms in entries.items()}, size, den)

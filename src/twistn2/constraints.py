@@ -57,7 +57,7 @@ from .indices import SymIndex
 from .modules import (BASE_FAMILY, PRINTED_CONSTANTS, R, FamilySpec, _combine, _commutator,
                       _landing, _mode, _only_coeff, aab, act_indexed, b_zero_candidate,
                       bracket_residual, slot_vector, t_composition, unknown_name)
-from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, _SLOT, exact_divide,
+from .poly import (NotDivisible, ONE, Poly, RatFunc, ZERO, _SLOT, exact_divide, from_pair,
                    quadratic_root_data, QuadRootData, rational_roots, sym_shift,
                    univariate_gcd)
 from .report import Report
@@ -172,7 +172,7 @@ def linear_decompose(poly: Poly, names: list) -> dict:
     with no registry slot is in no term: it gets ZERO and stays unregistered."""
     shifts = {8 * _SLOT[nm]: nm for nm in names if nm in _SLOT}
     parts: dict = {nm: {} for nm in names}
-    for key, coeff in poly.terms.items():
+    for key, coeff in poly.num.items():
         hit = None
         for shift, nm in shifts.items():
             e = key >> shift & 255
@@ -184,7 +184,7 @@ def linear_decompose(poly: Poly, names: list) -> dict:
             raise MalformedInstance("row has a term free of the unknowns")
         shift, nm = hit
         parts[nm][key - (1 << shift)] = coeff
-    return {nm: Poly(terms, _canonical=True) for nm, terms in parts.items()}
+    return {nm: from_pair(num, poly.den) for nm, num in parts.items()}
 
 
 def build_identity_system(kind: str, case: str, fam: str, kclass: str) -> System3:
@@ -555,7 +555,7 @@ def _shift_factor_check(rep, sys3, label, weights, printed=None, misprint=False)
             cof = exact_divide(factor, printed)
         except NotDivisible:
             cof = None
-        if cof is not None and len(cof.terms) == 1:
+        if cof is not None and len(cof.num) == 1:
             _lemma(rep, f"{label}: printed factor reproduced", True,
                    f"up to the monomial cofactor {cof}")
         elif misprint:
@@ -1003,9 +1003,9 @@ def _parts(poly: Poly, t: str) -> list:
     symbols."""
     mask = 255 << sym_shift(t)
     groups: dict[int, dict] = {}
-    for key, c in poly.terms.items():
+    for key, c in poly.num.items():
         groups.setdefault(key & ~mask, {})[key & mask] = c
-    return [Poly(terms, _canonical=True) for terms in groups.values()]
+    return [from_pair(num, poly.den) for num in groups.values()]
 
 
 def _common_zeros(polys, t: str, bindings: dict):

@@ -92,9 +92,13 @@ class SymIndex:
     # -- structure ----------------------------------------------------------
 
     @property
-    def value(self) -> Fraction | Poly:
-        """The index as a coefficient: a Fraction when constant, else its Poly."""
-        return self.as_poly() if self.lin else Fraction(self.doubled, 2)
+    def value(self) -> int | Fraction | Poly:
+        """The index as a coefficient: an int when integral, a Fraction when
+        half-odd, and its Poly when symbolic."""
+        if self.lin:
+            return self.as_poly()
+        d = self.doubled
+        return Fraction(d, 2) if d & 1 else d >> 1
 
     def is_const(self) -> bool:
         return not self.lin
@@ -131,11 +135,13 @@ class SymIndex:
         return out
 
     def as_poly(self) -> Poly:
+        """The linear form as a Poly: over 2 when the constant is half-odd."""
         d = self.doubled
-        terms = {1 << sym_shift(nm): c for nm, c in self.lin}
+        den = 2 if d & 1 else 1
+        num = {1 << sym_shift(nm): den * c for nm, c in self.lin}
         if d:
-            terms[0] = Fraction(d, 2) if d % 2 else d // 2
-        return Poly(terms, _canonical=True)
+            num[0] = d * den // 2
+        return Poly(num, den)  # canonical: over 2, the constant d is odd
 
     # -- identity and order -------------------------------------------------
 

@@ -53,15 +53,15 @@ import weakref
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Union
 
 from .algebra import (Gen, Row, _times, add_term, bracket, bracket_terms, generators_in_window,
                       parity, residual_sweep)
 from .indices import IDX_ZERO, SymIndex
-from .poly import (ONE, KroneckerPoint, NotDivisible, Poly, RatFunc, ZERO, sym_shift,
-                   sym_slot)
+from .poly import (ONE, KroneckerPoint, NotDivisible, Poly, RatFunc, ZERO, from_pair,
+                   sym_shift, sym_slot)
 from .report import LazyList, Tally
 
 Param = Union[Fraction, str, None]  # "sym" selects symbolic mode
@@ -399,10 +399,11 @@ def act_indexed(spec: FamilySpec, kind: str, g: SymIndex, letter: str, v: SymInd
     """Action of one generator mode on one basis vector.
 
     Returns a list of (letter, index, coefficient) triples.  Concrete
-    parameters and constant indices are read as Fractions, so a concrete
-    spec at constant indices gives Fraction coefficients; a symbolic
-    parameter or index gives Poly ones, or RatFunc in the solved generic
-    modes.  `env` declares parity classes for any free index symbols.
+    parameters are read as Fractions and constant indices as ints or
+    Fractions (`SymIndex.value`), so a concrete spec at constant indices
+    gives Fraction coefficients; a symbolic parameter or index gives Poly
+    ones, or RatFunc in the solved generic modes.  `env` declares parity
+    classes for any free index symbols.
     """
     if kind == "C":
         return []
@@ -759,12 +760,13 @@ _M, _K, _Q = SymIndex.var("m"), SymIndex.var("k"), SymIndex.var("q")
 _M_SHIFT, _K_SHIFT, _Q_SHIFT = sym_shift("m"), sym_shift("k"), sym_shift("q")
 
 
-def _int_parts(parts):
-    """(den, ((n, i, j), ...)): the terms c (2m)**i (2k)**j of `parts`, given
-    as (c, i, j), as int numerators n over their common denominator."""
-    parts = [(Fraction(c, 2 ** (i + j)), i, j) for c, i, j in parts]
-    den = lcm(1, *(c.denominator for c, _, _ in parts))
-    return den, tuple((c.numerator * (den // c.denominator), i, j) for c, i, j in parts)
+def _int_parts(den: int, parts):
+    """(common, ((n, i, j), ...)): the terms (c/den) m**i k**j of `parts`,
+    given as (c, i, j), as terms n (2m)**i (2k)**j, with int numerators n
+    over their least common denominator."""
+    parts = [(c, den << i + j, i, j) for c, i, j in parts]
+    common = lcm(1, *(d // gcd(c, d) for c, d, _, _ in parts))
+    return common, tuple((c * common // d, i, j) for c, d, i, j in parts)
 
 
 def _int_stratum(terms, origin: SymIndex = _M + _K, mode: int = _M_SHIFT):
@@ -790,10 +792,10 @@ def _int_stratum(terms, origin: SymIndex = _M + _K, mode: int = _M_SHIFT):
             coeff = Poly.const(coeff)
         elif not isinstance(coeff, Poly):
             return None
-        if any(key & ~mask for key in coeff.terms):
+        if any(key & ~mask for key in coeff.num):
             return None
-        out.append((letter, offset.doubled, *_int_parts(
-            (c, key >> mode & 255, key >> _K_SHIFT & 255) for key, c in coeff.terms.items())))
+        out.append((letter, offset.doubled, *_int_parts(coeff.den, (
+            (c, key >> mode & 255, key >> _K_SHIFT & 255) for key, c in coeff.num.items()))))
     return tuple(out)
 
 
@@ -1075,10 +1077,9 @@ def _twin_point(spec: FamilySpec, gen_window: int, basis_window: int):
         if not bounds.keys() >= set(halved[-1].variables()):
             return None
     scales = [[scale for _, scale in lhs] for *_, lhs in pairs]
-    den = lcm(*(Fraction(c).denominator for p in halved for c in p.terms.values()),
-              *(c.denominator for row in scales for c in row))
-    norm = int(den * max(Poly({key: abs(c) for key, c in p.terms.items()}).evaluate(bounds)
-                         for p in halved))
+    den = lcm(*(p.den for p in halved), *(c.denominator for row in scales for c in row))
+    norm = int(den * max(from_pair({key: abs(c) for key, c in p.num.items()}, p.den)
+                         .evaluate(bounds) for p in halved))
     smax = int(den * max(sum(map(abs, row)) for row in scales))
     width = max(map(len, reads))
     tops = {sym_slot(name): max(p.degree_in(name) for p in halved) for name in params.values()}

@@ -1,23 +1,21 @@
 """Exact sparse multivariate polynomials over the rationals.
 
-Coefficients are exact rationals in one canonical form: a Python `int`
-exactly when the coefficient is integral, otherwise a `fractions.Fraction`
-with denominator > 1 (reduced, positive denominator).  Products and
-substitution run over the integers: each operand is lowered to int
-coefficients over one common denominator, the loop does int arithmetic
-only, and each result coefficient is divided back once, so they make one
-rational per output term and none per term product.  Arithmetic on
-integral coefficients, the common case, builds no Fraction at all.  Every
-identity checked downstream is exact: two polynomials are equal iff their
-canonical term maps are equal (`3 == Fraction(3)`, and the two hash alike).
+A polynomial is held as int numerators over one denominator, the form of
+FLINT's fmpq_poly (Hart, FLINT: Fast Library for Number Theory): `num` maps
+each monomial to a nonzero int and `den` > 0 shares no factor with all of
+them, so two polynomials are equal iff their pairs are.  Arithmetic runs in
+ints on the pairs, reduces each result by one gcd and builds no Fraction; a
+product with a constant only scales the numerators.  `terms` reads the
+coefficients num/den, each an int when integral and otherwise a Fraction.
+Every identity checked downstream is exact.
 
-A polynomial maps monomials to nonzero coefficients.  A monomial is one
-int, a packed exponent vector (Monagan and Pearce, CASC 2007): the exponent
-of slot i of a process-wide symbol registry sits in bits [8i, 8i+8), so a
-term product is one int add.  Exponents stay below 128, so no field
-carries, and one that would reach 128 raises OverflowError.  A new symbol
-adds a field that is zero in older keys, so polynomials built before and
-after it compare equal.  Rendering is graded lex in registry order.
+A monomial is one int, a packed exponent vector (Monagan and Pearce, CASC
+2007): the exponent of slot i of a process-wide symbol registry sits in
+bits [8i, 8i+8), so a term product is one int add.  Exponents stay below
+128, so no field carries, and one that would reach 128 raises
+OverflowError.  A new symbol adds a field that is zero in older keys, so
+polynomials built before and after it compare equal.  Rendering is graded
+lex in registry order.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, isqrt, lcm, prod
 from operator import or_
+from types import MappingProxyType
 from typing import Mapping, Union
 
 
@@ -112,102 +111,131 @@ def _grlex_key(term):
     return (sum(term[0]), term[0])
 
 
-def _rat(value) -> Scalar:
-    """`value` as a canonical coefficient: an int if integral, else a
-    Fraction with denominator > 1."""
+def _ratio(value) -> tuple[int, int]:
+    """(n, d): `value` = n/d in lowest terms, d > 0, for an int, a Fraction
+    or anything else Fraction takes (a float, say)."""
     if type(value) is int:
-        return value
-    value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+        return value, 1
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator, value.denominator
 
 
-def _lowered(terms: Mapping[Exps, Scalar]) -> tuple[Mapping[Exps, int], int]:
-    """(num, d): `terms` as int numerators over their common denominator d.
-    An all-int map is returned as it is, with d = 1."""
-    d = 1
-    for c in terms.values():
-        if type(c) is not int:
-            d = lcm(d, c.denominator)
-    if d == 1:
-        return terms, 1
-    return {e: c * d if type(c) is int else c.numerator * (d // c.denominator)
-            for e, c in terms.items()}, d
+def from_pair(num: dict, den: int) -> "Poly":
+    """The Poly num/den, for int numerators none of which is zero and an
+    int den > 0: the pair is divided by the gcd of den and every
+    numerator."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {key: c // g for key, c in num.items()}
+            den //= g
+    return Poly(num, den)
 
 
-def _over(num: dict, d: int) -> dict:
-    """The canonical coefficients num/d of an int term map, zeros dropped:
-    one int or Fraction per term; `num` itself if d = 1 and none is zero."""
-    if d == 1:
-        return num if all(num.values()) else {e: c for e, c in num.items() if c}
-    return {e: c // d if not c % d else Fraction(c, d) for e, c in num.items() if c}
+def _scaled(p: "Poly", n: int, d: int) -> "Poly":
+    """p * n/d for a nonzero p and n/d in lowest terms, n != 0 and d > 0:
+    the numerators are scaled and no product loop runs.  n shares no
+    factor with p.den after its gcd with p.den is cancelled, so the only
+    other common factor is gcd(d, numerators)."""
+    if n == 1 and d == 1:
+        return p
+    num, den = p.num, p.den
+    if den != 1 and n != 1:
+        g = gcd(n, den)
+        n //= g
+        den //= g
+    g = gcd(d, *num.values()) if d != 1 else 1
+    if g != 1 or n != 1:
+        num = {key: c // g * n for key, c in num.items()}
+    return Poly(num, den * (d // g))
 
 
-def _integral(out: dict) -> dict:
-    """Canonicalize in place the integral Fractions an arithmetic loop left
-    in `out`; int + int and int * int stay int on their own."""
-    for key, c in out.items():
-        if type(c) is Fraction and c.denominator == 1:
-            out[key] = c.numerator
-    return out
+def _sum(p: "Poly", q: "Poly", sign: int) -> "Poly":
+    """p + sign * q, over the lcm of the two denominators."""
+    n2 = q.num
+    if not n2:
+        return p
+    n1 = p.num
+    if not n1:
+        return q if sign == 1 else -q
+    d1, d2 = p.den, q.den
+    if d1 == d2:
+        out, s2, den = dict(n1), sign, d1
+    else:
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, sign * (d1 // g)
+        out, den = {key: c * s1 for key, c in n1.items()}, d1 * s1
+    get = out.get
+    for key, c in n2.items():
+        new = get(key, 0) + c * s2
+        if new:
+            out[key] = new
+        else:
+            del out[key]
+    return from_pair(out, den)
 
 
 class Poly:
     """Canonical sparse polynomial; immutable by convention.
 
-    `terms` maps packed monomials to nonzero coefficients, each an int when
-    integral and otherwise a Fraction with denominator > 1; `monomials()`
-    reads the exponent tuples.  The constructor canonicalizes any rational
-    (or float) coefficients it is given; `_canonical=True` trusts the
-    caller to pass that form and takes ownership of the dict.  Products
-    and `substitute` do their rational arithmetic in ints over one common
-    denominator (`_lowered`) and divide each result coefficient once
-    (`_over`).
+    A polynomial is the pair num/den: `num` maps packed monomials to
+    nonzero int numerators, and `den` > 0 shares no factor with all of
+    them, so two polynomials are equal iff their pairs are.  `terms` is a
+    read-only view of the coefficients num/den, built on first read: an
+    int when integral, otherwise a Fraction with denominator > 1;
+    `monomials()` reads the exponent tuples.  `Poly(terms)` takes a
+    coefficient map of ints, Fractions or floats, zeros among them;
+    `Poly(num, den)` takes a canonical pair as it is, and `from_pair` one
+    that may need reducing.  Arithmetic runs on the pairs in ints, and a product with a constant, a
+    scalar among them, only scales the numerators.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den", "_terms")
 
-    def __init__(self, terms: Mapping[Exps, Scalar] | None = None, _canonical: bool = False):
-        if terms is None:
-            self.terms = {}
-        elif _canonical:
-            self.terms = terms
-        else:
-            clean: dict[Exps, Scalar] = {}
-            for key, coeff in terms.items():
-                coeff = _rat(coeff)
-                if coeff:
-                    acc = clean.get(key)
-                    new = coeff if acc is None else acc + coeff
-                    if new:
-                        clean[key] = new
-                    elif acc is not None:
-                        del clean[key]
-            self.terms = _integral(clean)
+    def __init__(self, terms: Mapping[Exps, Scalar] | None = None, den: int | None = None):
+        if den is None:
+            pairs = {key: _ratio(c) for key, c in (terms or {}).items() if c}
+            den = lcm(1, *(d for _, d in pairs.values()))
+            terms = {key: n * (den // d) for key, (n, d) in pairs.items()}
+        self.num = terms
+        self.den = den
+        self._terms = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(value: Scalar) -> "Poly":
-        value = _rat(value)
-        return Poly({0: value} if value else {}, _canonical=bool(value))
+        n, d = _ratio(value)
+        return Poly({0: n}, d) if n else ZERO
 
     @staticmethod
     def var(name: str, power: int = 1) -> "Poly":
         if power >> 7:
             raise OverflowError(f"exponent {power} is not in [0, 128)")
-        return Poly({power << sym_shift(name): 1}, _canonical=True)
+        return Poly({power << sym_shift(name): 1}, 1)
+
+    @property
+    def terms(self) -> Mapping[Exps, Scalar]:
+        """The coefficient num/den of each packed monomial, read-only."""
+        view = self._terms
+        if view is None:
+            d = self.den
+            view = self._terms = MappingProxyType(self.num if d == 1 else {
+                key: Fraction(c, d) if c % d else c // d for key, c in self.num.items()})
+        return view
 
     # -- ring operations ---------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     __hash__ = None  # mutable-dict backed; not hashable
 
@@ -216,58 +244,38 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps)
-            if acc is None:
-                out[exps] = coeff
-                continue
-            new = acc + coeff
-            if not new:
-                del out[exps]
-            elif type(new) is Fraction and new.denominator == 1:
-                out[exps] = new.numerator
-            else:
-                out[exps] = new
-        return Poly(out, _canonical=True)
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self.terms.items()}, _canonical=True)
+        return Poly({e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other) -> "Poly":
-        return (-self) + other
+        if isinstance(other, (int, Fraction)):
+            return _sum(Poly.const(other), self, -1)
+        return NotImplemented
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            other = _rat(other)
-            if not other:
-                return ZERO
-            num, d = _lowered(self.terms)
-            if type(other) is not int:
-                d *= other.denominator
-                other = other.numerator
-            out = {e: c * other for e, c in num.items()}
-            # a product of nonzero ints is nonzero: over d = 1 it is canonical
-            return Poly(out if d == 1 else _over(out, d), _canonical=True)
+            n, d = _ratio(other)
+            return _scaled(self, n, d) if n and self.num else ZERO
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.terms or not other.terms:
+        num1, num2 = self.num, other.num
+        if not num1 or not num2:
             return ZERO
-        num1, d1 = _lowered(self.terms)
-        num2, d2 = _lowered(other.terms)
+        if len(num2) == 1 and 0 in num2:
+            return _scaled(self, num2[0], other.den)
+        if len(num1) == 1 and 0 in num1:
+            return _scaled(other, num1[0], self.den)
         out: dict[Exps, int] = {}
         get = out.get
         for e1, c1 in num1.items():
@@ -275,7 +283,9 @@ class Poly:
                 key = e1 + e2
                 out[key] = get(key, 0) + c1 * c2
         _checked(out)
-        return Poly(_over(out, d1 * d2), _canonical=True)
+        if not all(out.values()):
+            out = {key: c for key, c in out.items() if c}
+        return from_pair(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -295,16 +305,15 @@ class Poly:
     # -- structure ---------------------------------------------------------
 
     def is_const(self) -> bool:
-        return not self.terms or self.terms.keys() == {0}
+        num = self.num
+        return not num or (len(num) == 1 and 0 in num)
 
     def const_value(self) -> Fraction:
         """The constant's value, as a Fraction even when integral, so a
         caller may divide by it exactly."""
-        if not self.terms:
-            return Fraction(0)
-        if self.terms.keys() != {0}:
+        if not self.is_const():
             raise WrongDegree(f"not a constant: {self}")
-        return Fraction(self.terms[0])
+        return Fraction(self.num.get(0, 0), self.den)
 
     def monomials(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """(exponent tuple by registry slot, coefficient) per term."""
@@ -315,10 +324,10 @@ class Poly:
         slot = _SLOT.get(name)
         if slot is None:
             return 0
-        return max((key >> 8 * slot & 255 for key in self.terms), default=0)
+        return max((key >> 8 * slot & 255 for key in self.num), default=0)
 
     def variables(self) -> tuple[str, ...]:
-        seen = _unpack(reduce(or_, self.terms, 0))
+        seen = _unpack(reduce(or_, self.num, 0))
         return tuple(sym_name(i) for i, e in enumerate(seen) if e)
 
     def coeff_in(self, name: str, power: int) -> "Poly":
@@ -328,8 +337,8 @@ class Poly:
             return self if power == 0 else ZERO
         want = power << 8 * slot
         mask = 255 << 8 * slot
-        return Poly({key - want: c for key, c in self.terms.items() if key & mask == want},
-                    _canonical=True)
+        return from_pair({key - want: c for key, c in self.num.items() if key & mask == want},
+                         self.den)
 
     # -- substitution ------------------------------------------------------
 
@@ -338,33 +347,29 @@ class Poly:
 
         Substitution is simultaneous: every value is read against the
         original polynomial, so {"k": k - m} and a swap {"b": bp, "bp": b}
-        are correct.  It runs in ints: the coefficients are lowered over
-        their common denominator d, and each value to num/den, with num an
-        int or an int-coefficient polynomial (a constant polynomial counts
-        as a scalar).  A term of degree e in a symbol of top degree D is
-        multiplied by num**e * den**(D - e), so every term lands over the
-        one denominator d * prod(den**D), and each result coefficient is
-        divided by it once.  A term meets a polynomial value only when it
-        contains that symbol.
+        are correct.  It runs on the pair num/d, with each value as
+        vnum/den: vnum an int or, for a polynomial value, its int
+        numerators as a polynomial (a constant polynomial counts as a
+        scalar).  A term of degree e in a symbol of top degree D is
+        multiplied by vnum**e * den**(D - e), so every term lands over the
+        one denominator d * prod(den**D), and the result is reduced once.
+        A term meets a polynomial value only when it contains that symbol.
         """
         if not bindings:
             return self
-        num, d = _lowered(self.terms)
+        num, d = self.num, self.den
         bound = []  # (shift, numerator, den, top degree in self)
         for name, val in bindings.items():
             slot = _SLOT.get(name)
             if slot is None:  # a symbol never registered is in no term
                 continue
             shift = 8 * slot
-            if isinstance(val, Poly) and val.is_const():
-                val = val.terms.get(0, 0)
-            if isinstance(val, Poly):
-                vnum, den = _lowered(val.terms)
-                val = Poly(vnum, _canonical=True)
+            if not isinstance(val, Poly):
+                val, den = _ratio(val)
+            elif val.is_const():
+                val, den = val.num.get(0, 0), val.den
             else:
-                if not isinstance(val, (int, Fraction)):
-                    val = Fraction(val)
-                val, den = val.numerator, val.denominator
+                val, den = Poly(val.num, 1), val.den
             top = 0
             if den != 1:
                 top = max((key >> shift & 255 for key in num), default=0)
@@ -394,11 +399,11 @@ class Poly:
             if factor is None:
                 acc[key] = get(key, 0) + coeff
             else:
-                for fkey, fcoeff in factor.terms.items():
+                for fkey, fcoeff in factor.num.items():
                     term = key + fkey
                     acc[term] = get(term, 0) + coeff * fcoeff
         _checked(acc)
-        return Poly(_over(acc, d), _canonical=True)
+        return from_pair({key: c for key, c in acc.items() if c}, d)
 
     def evaluate(self, bindings: Mapping[str, Scalar]) -> Fraction:
         """The value at `bindings`, which must bind every symbol; a Fraction."""
@@ -407,7 +412,7 @@ class Poly:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         pieces = []
         for exps, coeff in sorted(self.monomials(), key=_grlex_key, reverse=True):
@@ -432,7 +437,7 @@ class Poly:
     __repr__ = __str__
 
 
-ZERO = Poly.const(0)
+ZERO = Poly()
 ONE = Poly.const(1)
 
 
@@ -442,32 +447,48 @@ def exact_divide(num: Poly, den: Poly) -> Poly:
     Leading-term division by the largest packed key: comparing packed
     keys is a monomial order (lex, last slot first), so the unique exact
     quotient is found greedily.  Key k is divisible by key d iff no field
-    of k - d is negative: ((k | G) - d) & G == G, G the guard bits.  Each
-    quotient term times den is subtracted from one working remainder.
+    of k - d is negative: ((k | G) - d) & G == G, G the guard bits.  It
+    runs on the numerators in ints: where den's lead L does not divide the
+    remainder's lead, the remainder is first multiplied by |L| over their
+    gcd, and that running scale s > 0 is kept, so s * num.num equals the
+    quotient's numerators times den.num at every step.  Each quotient term
+    times den is subtracted from one working remainder.
     """
     if not den:
         raise ZeroDivisionError("division by the zero polynomial")
     if not num:
         return ZERO
-    den_key = max(den.terms)
-    den_coeff = den.terms[den_key]
-    quot: dict[Exps, Scalar] = {}
-    rem = dict(num.terms)
+    dnum = den.num
+    den_key = max(dnum)
+    lead = dnum[den_key]
+    step = abs(lead)
+    quot: dict[Exps, tuple[int, int]] = {}  # key -> (numerator, scale it was found at)
+    rem = dict(num.num)
+    scale = 1
     while rem:
-        lead = max(rem)
-        if ((lead | _GUARD) - den_key) & _GUARD != _GUARD:
+        top = max(rem)
+        if ((top | _GUARD) - den_key) & _GUARD != _GUARD:
             raise NotDivisible(num, den)
-        key = lead - den_key
-        c = quot[key] = _rat(Fraction(rem[lead]) / den_coeff)
-        _checked(key + dk for dk in den.terms)
-        for dk, dc in den.terms.items():
+        key = top - den_key
+        c = rem[top]
+        m = step // gcd(c, lead)
+        if m != 1:
+            scale *= m
+            rem = {k: v * m for k, v in rem.items()}
+            c *= m
+        q = c // lead
+        quot[key] = (q, scale)
+        _checked(key + dk for dk in dnum)
+        for dk, dc in dnum.items():
             t = key + dk
-            new = rem.get(t, 0) - c * dc
+            new = rem.get(t, 0) - q * dc
             if new:
                 rem[t] = new
             else:
                 del rem[t]
-    return Poly(quot, _canonical=True)
+    dd = den.den
+    return from_pair({key: q * (scale // s) * dd for key, (q, s) in quot.items()},
+                     scale * num.den)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +500,7 @@ def _dense(f: Poly, var: str) -> list[int]:
     degree first, with a positive lead: f times a nonzero rational; [] for
     zero."""
     shift = sym_shift(var)
-    num, _ = _lowered(f.terms)
+    num = f.num
     if not num:
         return []
     if any(key & ~(255 << shift) for key in num):
@@ -530,8 +551,11 @@ def univariate_gcd(polys, var: str) -> Poly:
             acc, g = g, _primitive(_prem(acc, g))
         if len(acc) == 1:
             return ONE
+    if not acc:
+        return ZERO
     shift, top = sym_shift(var), len(acc) - 1
-    return Poly({(top - i) << shift: Fraction(x, acc[0]) for i, x in enumerate(acc) if x})
+    # a primitive sequence with a positive lead: acc over acc[0] is canonical
+    return Poly({(top - i) << shift: x for i, x in enumerate(acc) if x}, acc[0])
 
 
 def _divisors(n: int) -> list[int]:
@@ -614,9 +638,11 @@ class KroneckerPoint:
 
     def decode(self, value: int, unit: int = 1) -> Poly:
         """The polynomial whose image is `value`, divided by `unit`."""
+        if unit < 0:
+            value, unit = -value, -unit
         mask = (1 << self.shift) - 1
         half = 1 << (self.shift - 1)
-        terms: dict[Exps, Scalar] = {}
+        num: dict[Exps, int] = {}
         pos = 0
         while value:
             digit = value & mask
@@ -630,9 +656,9 @@ class KroneckerPoint:
                     key |= e << 8 * slot
                 if rest:
                     raise ValueError("value is not the image of a polynomial in range")
-                terms[key] = _rat(Fraction(digit, unit))
+                num[key] = digit
             pos += 1
-        return Poly(terms, _canonical=True)
+        return from_pair(num, unit)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact polynomial kernel: canonical forms, division, substitution."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -102,7 +103,16 @@ def is_canonical(c) -> bool:
     return type(c) is int or (type(c) is Fraction and c.denominator > 1)
 
 
+def assert_pair(p: Poly) -> None:
+    """The stored pair num/den is canonical: den > 0, no numerator zero,
+    and no factor common to den and every numerator."""
+    assert type(p.den) is int and p.den > 0, p.den
+    assert all(type(c) is int and c for c in p.num.values()), p.num
+    assert gcd(p.den, *p.num.values()) == 1, (p.num, p.den)
+
+
 def assert_canonical(p: Poly) -> None:
+    assert_pair(p)
     assert all(is_canonical(c) for c in p.terms.values()), p.terms
 
 
@@ -128,6 +138,88 @@ def test_every_coefficient_is_canonical(p, q, s, bindings, power):
     assert type(value) is Fraction
     assert type(Poly.const(s).const_value()) is Fraction
     assert type(ZERO.const_value()) is Fraction
+
+
+def canonical_map(acc: dict) -> dict:
+    """A map of rationals in the canonical coefficient form: zeros dropped,
+    an int where integral, else a Fraction."""
+    return {key: c.numerator if c.denominator == 1 else c
+            for key, c in ((key, Fraction(c)) for key, c in acc.items()) if c}
+
+
+def typed(terms) -> dict:
+    return {key: (type(c), c) for key, c in terms.items()}
+
+
+def sum_map(t1, t2, sign: int = 1) -> dict:
+    acc = dict(t1)
+    for key, c in t2.items():
+        acc[key] = acc.get(key, 0) + sign * c
+    return canonical_map(acc)
+
+
+def product_map(t1, t2) -> dict:
+    acc: dict = {}
+    for k1, c1 in t1.items():
+        for k2, c2 in t2.items():
+            acc[k1 + k2] = acc.get(k1 + k2, 0) + Fraction(c1) * c2
+    return canonical_map(acc)
+
+
+def with_negative_lead(q: Poly) -> Poly:
+    """q or -q, whichever has a negative coefficient at the largest key."""
+    return q if q.num[max(q.num)] < 0 else -q
+
+
+# term maps as a caller may pass them: zeros, integral Fractions and floats
+loose_maps = st.dictionaries(st.sampled_from((0, 1, 1 << 8, 2 << 8, 1 << 16 | 1, 3)),
+                             st.one_of(small_scalars, st.sampled_from((0, 0.5, -2.0))),
+                             max_size=5)
+
+
+@given(polys(), polys(), small_scalars, bindings_of, st.integers(0, 3), loose_maps)
+@settings(max_examples=80, deadline=None)
+def test_every_operation_leaves_a_canonical_pair_with_the_old_terms(p, q, s, bindings,
+                                                                    power, loose):
+    sp = Poly.const(s)
+    results = [
+        (p + q, sum_map(p.terms, q.terms)),
+        (p - q, sum_map(p.terms, q.terms, -1)),
+        (p + s, sum_map(p.terms, sp.terms)),
+        (s - p, sum_map(sp.terms, p.terms, -1)),
+        (-p, sum_map({}, p.terms, -1)),
+        (p * q, product_map(p.terms, q.terms)),
+        (p * s, product_map(p.terms, sp.terms)),
+        (sp * p, product_map(sp.terms, p.terms)),
+        (p ** power, None),
+        (p.substitute(bindings), substitute_by_ring_ops(p, bindings).terms),
+        (p.coeff_in("b", 1), None),
+        (Poly(loose), canonical_map(loose)),
+        (Poly(canonical_map(loose)), canonical_map(loose)),
+    ]
+    if q:
+        results.append((exact_divide(p * q, q), p.terms))
+    for out, want in results:
+        assert_canonical(out)
+        if want is not None:
+            assert typed(out.terms) == typed(want)
+    shift = poly.sym_shift("b")
+    assert typed(p.coeff_in("b", 1).terms) == typed(canonical_map(
+        {key - (1 << shift): c for key, c in p.terms.items() if key >> shift & 255 == 1}))
+
+
+@given(polys(), polys(max_terms=3), st.integers(-7, 7).filter(bool))
+@settings(max_examples=80, deadline=None)
+def test_exact_divide_by_a_negative_lead_keeps_the_denominator_positive(p, q, scale):
+    # a lead that does not divide the remainder's makes the division scale
+    # it; a negative lead must not carry its sign into the denominator
+    if not q:
+        return
+    q = with_negative_lead(q * scale)
+    quotient = exact_divide(p * q, q)
+    assert_canonical(quotient)
+    assert quotient == p
+    assert exact_divide(q, q) == ONE and exact_divide(-q, q) == -ONE
 
 
 def by_exponents(p: Poly) -> dict:
@@ -238,6 +330,9 @@ def test_kronecker_point_scales_fractions_to_a_common_denominator(p, extra):
     point = kronecker_point([p], int(l1(p) * d) ** 2)
     assert point.decode(image(point, p, d), d) == p
     assert point.decode(image(point, p, d) ** 2, d * d) == p * p
+    # a negative unit divides as well: its sign moves onto the image
+    assert point.decode(-image(point, p, d), -d) == p
+    assert_canonical(point.decode(image(point, p, d), -2 * d))
 
 
 def test_exact_divide_examples():
