@@ -9,13 +9,15 @@ point enters anywhere.
 The graded Jacobi identity says that the adjoint action is a module action,
 so it is checked as the module axiom of the adjoint module: one residual
 engine (`residual_sweep`) runs both the Jacobi sweep and the module
-families' axiom sweeps, and both build a witness only when it is read.
-The engine has one arithmetic: it reads each operator as position-indexed
-arrays of target positions and int numerators over one denominator
-(`Row`), and sums every residual in ints.  A module entry has one term, so
-a module row is one such layer, and a check is at most three products; the
-Jacobi sweep's central brackets have two terms, and spread over a second
-layer.
+families' axiom sweeps.  The engine only flags the checks that fail; a
+witness is the readable reference's residual (`jacobi_residual` here,
+`modules.bracket_action_check` for a module), computed only when a report
+reads it.  The engine has one arithmetic: it reads each operator as
+position-indexed arrays of target positions and int numerators over one
+denominator (`Row`), and sums every residual in ints.  A module entry has
+one term, so a module row is one such layer, and a check is at most three
+products; the Jacobi sweep's central brackets have two terms, and spread
+over a second layer.
 """
 
 from __future__ import annotations
@@ -194,14 +196,15 @@ def super_jacobi_sweep(window: int) -> Tally:
     Returns a `Tally` of every ordered triple of window generators, whose
     violations are (x, y, z, {generator name: residual coefficient}), in
     the engine's pair-major order.  They are a `report.LazyList` over the
-    engine's records: a witness is decoded only when it is read.
+    triples the engine flags: a witness is computed, by `jacobi_residual`,
+    only when it is read.
 
     For homogeneous x, y, z the identity reads
         [x,[y,z]] = [[x,y],z] + (-1)^(|x||y|) [y,[x,z]],
     the module axiom of the adjoint module at (x, y) on the vector z, so
-    the sweep runs on the axiom sweeps' engine (`residual_sweep`), which
-    sums `jacobi_residual`, the readable reference, at every triple.
-    Violations are collected (none are expected); nothing is thrown.
+    the sweep runs on the axiom sweeps' engine (`residual_sweep`), whose
+    residual at every triple is `jacobi_residual`'s.  Violations are
+    collected (none are expected); nothing is thrown.
 
     The adjoint rows are one table of bracket terms over positions of
     (kind, doubled index) keys: every window pair, and (h, z) and (z, h)
@@ -212,7 +215,7 @@ def super_jacobi_sweep(window: int) -> Tally:
     """
     gens = generators_in_window(window)
     keyed = [(g, _key(g)) for g in gens]
-    named: dict = {}  # key -> Gen, for the witnesses
+    reached: dict = {}  # key -> Gen, for every generator a bracket reaches
     brackets: dict = {}  # key of x -> key of z -> the terms of [x, z]
 
     def fill(g1: Gen, k1, g2: Gen, k2) -> None:
@@ -222,20 +225,20 @@ def super_jacobi_sweep(window: int) -> Tally:
         terms = []
         for h, c in bracket(g1, g2).items():
             kh = _key(h)
-            named[kh] = h
+            reached[kh] = h
             terms.append((kh, c))
         row[k2] = terms
 
     for g1, k1 in keyed:
         for g2, k2 in keyed:
             fill(g1, k1, g2, k2)
-    # `named` holds, so far, every generator one window bracket reaches
-    for kh, h in list(named.items()):
+    # `reached` holds, so far, every generator one window bracket reaches
+    for kh, h in list(reached.items()):
         for z, kz in keyed:
             fill(h, kh, z, kz)
             fill(z, kz, h, kh)
 
-    keys = [None, *dict.fromkeys([*(k for _, k in keyed), *named])]
+    keys = [None, *dict.fromkeys([*(k for _, k in keyed), *reached])]
     pos = {key: i for i, key in enumerate(keys)}
     rows = {k: _int_row({pos[kz]: [(pos[kh], c) for kh, c in terms]
                          for kz, terms in row.items()}, len(keys))
@@ -244,13 +247,13 @@ def super_jacobi_sweep(window: int) -> Tally:
     pairs = [((x, y), kx, ky, -1 if x.kind == "G" and y.kind == "G" else 1,
               [(kh, c) for kh, c in brackets[kx][ky] if kh != _C_KEY])
              for x, kx in keyed for y, ky in keyed]
-    decode, records = residual_sweep(pairs, rows, [(pos[kz], z) for z, kz in keyed], keys)
+    flagged = residual_sweep(pairs, rows, [(pos[kz], z) for z, kz in keyed])
 
-    def witness(record) -> tuple:
-        (x, y), z, entries = record
-        return x, y, z, {str(named[h]): c for h, c in decode(entries).items()}
+    def witness(triple) -> tuple:
+        (x, y), z = triple
+        return x, y, z, {str(h): c for h, c in jacobi_residual(x, y, z).items()}
 
-    return Tally(len(gens) ** 3, LazyList(list(records), witness))
+    return Tally(len(gens) ** 3, LazyList(list(flagged), witness))
 
 
 class Row:
@@ -298,10 +301,9 @@ def _int_row(entries: dict, size: int) -> Row:
                         for p, terms in entries.items()}, size, den)
 
 
-def _summed(vp: int, products) -> tuple:
-    """The nonzero terms at vector position vp of a sum of products, as
-    one flat tuple (target position, coeff, ...), in the order they are
-    first reached.  A product is (outer, inner, m), m times the outer layer
+def _summed(vp: int, products) -> bool:
+    """Whether a sum of products at vector position vp is nonzero on some
+    target.  A product is (outer, inner, m), m times the outer layer
     applied to the inner layer's term, or (layer, m), m times the layer's
     term; a zero product is skipped."""
     acc: dict = {}
@@ -324,7 +326,7 @@ def _summed(vp: int, products) -> tuple:
             if c or c is None:
                 t = targets[vp]
                 acc[t] = get(t, 0) + (c if m == 1 else c * m)
-    return tuple(x for item in acc.items() if item[1] for x in item)
+    return any(acc.values())
 
 
 def _products(x: Row, y: Row, singles: list, m, e) -> list:
@@ -335,94 +337,67 @@ def _products(x: Row, y: Row, singles: list, m, e) -> list:
             *((b, a, e) for a in x.layers for b in y.layers)]
 
 
-def residual_sweep(pairs, rows: dict, vectors, keys, sign: int = 1, decode=None):
-    """The one residual engine: the axiom residual of every pair on every
-    vector; hands back the nonzero ones, undecoded.
+def residual_sweep(pairs, rows: dict, vectors):
+    """The one residual engine: yields (pair tag, vector tag) for every
+    check of a pair on a vector whose axiom residual is nonzero.
 
-    `rows` maps a row key to that operator's action, a `Row` over the
-    positions whose keys `keys` lists (position 0, the zero vector, has
-    none).  Each pair is (tag, k1, k2, eps, xy): the row keys of x and y,
-    the sign eps = (-1)^(|x||y|), and [x, y] as ((row key, scale), ...).
+    `rows` maps a row key to that operator's action, a `Row` over one
+    layout of positions (position 0 is the zero vector).  Each pair is
+    (tag, k1, k2, eps, xy): the row keys of x and y, the sign
+    eps = (-1)^(|x||y|), and [x, y] as at most one (row key, scale) term.
     Each vector is (position, tag).  At (x, y) on v the residual is
-        x(y v) - [x,y] v - eps y(x v),
-    summed in that order; `sign` = -1 gives a module axiom's residual, the
-    negative.  The engine reads the rows' arrays as they are: every row at
-    the vector positions, and x and y also at every position one of them
-    takes a vector to.
+        x(y v) - [x,y] v - eps y(x v).
+    The engine reads the rows' arrays as they are: every row at the
+    vector positions, and x and y also at every position one of them
+    takes a vector to.  It keeps no residual: a caller that reports one
+    computes it with its readable reference.
 
     The rows are read over d, the lcm of their dens and of the bracket
     scales' denominators.  Each pair folds the int factor that takes its
-    products to d**2 into one multiplier per part, so every residual comes
-    out, in ints, times d**2.
+    products to d**2 into one multiplier per part, so every residual is
+    summed, exactly, in ints times d**2.
 
     A check is, on the rows' first layers, at most three products, summed
     into one scalar when they land on one target; a small dict sums them
     where they do not (`_summed`).  The dict also sums every product of
     layers where an entry the check reads spreads over more layers
-    (`Row.spread`), and at every check of a bracket of more terms.
-
-    Returns (decode, records): `records` yields one (pair tag, vector tag,
-    entries) tuple per nonzero residual, where entries are its nonzero
-    terms as one flat tuple (target position, coeff, target position,
-    coeff, ...), and `decode(entries)`, the sweep's one decoder, reads them
-    back to {target key: coeff} at unit = sign * d**2, so the decoding
-    takes the sign too.  A sweep that keeps a count and one witness so
-    decodes one residual.  An int coefficient c reads back as c / unit, or
-    as `decode(c, unit)` where given (a twin's Kronecker point,
-    `modules._twin`).
+    (`Row.spread`).
     """
     d = lcm(*(row.den for row in rows.values()),
             *(scale.denominator for *_, xy in pairs for _, scale in xy))
-    read = decode or Fraction
-    square, unit = d * d, sign * d * d
+    square = d * d
+    # a pair with no bracket term reads this all-zero layer, which keeps
+    # its checks on the scalar path
+    size = len(next(iter(rows.values())).layers[0][0])
+    zero = ([0] * size,) * 2
 
-    def bracket_part(kh, scale) -> list:
-        """-scale times the bracket row kh, as (layer, multiplier) items."""
-        row = rows[kh]
-        m = -scale.numerator * (square // (scale.denominator * row.den))
-        return [(layer, m) for layer in row.layers]
-
-    zero = ([0] * len(keys),) * 2
-
-    def records():
-        for tag, k1, k2, eps, xy in pairs:
-            r1, r2 = rows[k1], rows[k2]
-            m = square // (r1.den * r2.den)
-            e = -eps * m
-            singles = [part for kh, scale in xy for part in bracket_part(kh, scale)]
-            if len(xy) > 1:
-                products = _products(r1, r2, singles, m, e)
-                for vp, name in vectors:
-                    found = _summed(vp, products)
-                    if found:
-                        yield tag, name, found
+    for tag, k1, k2, eps, xy in pairs:
+        r1, r2 = rows[k1], rows[k2]
+        m = square // (r1.den * r2.den)
+        e = -eps * m
+        (t1, c1), (t2, c2) = r1.layers[0], r2.layers[0]
+        sx, sy = r1.spread, r2.spread
+        singles, (th, ch), mh, sh = [], zero, 0, sx  # sx is tested anyway
+        if xy:
+            (kh, scale), = xy  # a bracket has at most one term
+            h = rows[kh]
+            mh = -scale.numerator * (square // (scale.denominator * h.den))
+            singles = [(layer, mh) for layer in h.layers]
+            (th, ch), sh = h.layers[0], h.spread
+        spread = sx or sy or sh
+        products = None  # built at the first check that needs the dict
+        for vp, name in vectors:
+            t = t2[vp]
+            u = t1[vp]
+            target = t1[t]
+            if (target == t2[u] and (target == th[vp] or not ch[vp]) and not (
+                    spread and (vp in sy or t in sx or vp in sh or vp in sx or u in sy))):
+                if c2[vp] * c1[t] * m + ch[vp] * mh + c1[vp] * c2[u] * e:
+                    yield tag, name
                 continue
-            products = None  # built at the first check that needs the dict
-            (t1, c1), (t2, c2) = r1.layers[0], r2.layers[0]
-            (th, ch), mh = singles[0] if singles else (zero, 0)
-            sx, sy = r1.spread, r2.spread
-            sh = rows[xy[0][0]].spread if xy else sx  # sx is tested anyway
-            spread = sx or sy or sh
-            for vp, name in vectors:
-                t = t2[vp]
-                u = t1[vp]
-                target = t1[t]
-                if (target == t2[u] and (target == th[vp] or not ch[vp]) and not (
-                        spread and (vp in sy or t in sx or vp in sh or vp in sx or u in sy))):
-                    r = c2[vp] * c1[t] * m + ch[vp] * mh + c1[vp] * c2[u] * e
-                    if r:
-                        yield tag, name, (target, r)
-                    continue
-                products = products or _products(r1, r2, singles, m, e)
-                found = _summed(vp, products)
-                if found:
-                    yield tag, name, found
-
-    def decoder(entries: tuple) -> dict:
-        terms = iter(entries)
-        return {keys[p]: read(c, unit) for p, c in zip(terms, terms)}
-
-    return decoder, records()
+            products = products or _products(r1, r2, singles, m, e)
+            if _summed(vp, products):
+                yield tag, name
 
 
 def jacobi_residual(x: Gen, y: Gen, z: Gen) -> GenSum:

@@ -42,7 +42,9 @@ stratum is not such a polynomial.  The window checks sweep a symbolic
 family as its concrete twin at one Kronecker point (`_twin`), so every
 sweep the CLI runs is a sweep of int rows, and share one table of
 generator pairs and one layout of label positions per window
-(`_pair_table`, `_frame`).
+(`_pair_table`, `_frame`).  The residual engine only flags the failing
+checks; a printed witness is the residual of the spec asked for, by the
+readable reference `bracket_action_check`.
 
 The central element acts as zero on every family.
 """
@@ -995,21 +997,21 @@ class _ActionRow(dict):
         return Row(layers, den)
 
 
-def _sweep_witness(decode, record) -> dict:
+def _sweep_witness(spec: FamilySpec, record) -> dict:
     """The {"g1", "g2", "v", "residual"} witness of one violation record,
-    (v, g1, g2, *entries), with the flat entries the residual engine hands
-    back and its `decode`."""
-    name, n1, n2, *entries = record
+    (v name, g1 name, g2 name, v, g1, g2): the spec's residual there, by
+    the readable reference."""
+    name, n1, n2, v, g1, g2 = record
     return {"g1": n1, "g2": n2, "v": name,
-            "residual": lincomb_str({BasisLabel(lk[0], SymIndex(lk[1])): c
-                                     for lk, c in decode(entries).items()})}
+            "residual": lincomb_str(bracket_action_check(spec, g1, g2, v))}
 
 
 @lru_cache(maxsize=4)
 def _pair_table(gen_window: int) -> tuple:
     """An axiom sweep's pairs at this generator window, as `residual_sweep`
     takes them, and (row key, generator) for each row they read: constants
-    shared by every spec's sweep, with each generator named once."""
+    shared by every spec's sweep, with each generator named once.  A
+    pair's tag is (g1 name, g2 name, g1, g2)."""
     gens = sorted(generators_in_window(gen_window), key=Gen.sort_key)
     names = {g: str(g) for g in gens}
     rows: dict = {}
@@ -1025,36 +1027,30 @@ def _pair_table(gen_window: int) -> tuple:
             sign = -1 if parity(g1) and parity(g2) else 1
             # C acts as zero, so its bracket terms add nothing
             lhs = tuple((row(h), scale) for h, scale in bracket(g1, g2).items() if h.kind != "C")
-            pairs.append(((names[g1], names[g2]), row(g1), row(g2), sign, lhs))
+            pairs.append(((names[g1], names[g2], g1, g2), row(g1), row(g2), sign, lhs))
     return tuple(pairs), tuple(rows.items())
 
 
 @lru_cache(maxsize=4)
 def _frame(gen_window: int, basis_window: int) -> tuple:
-    """(bound, keys, vectors, radii): where an axiom sweep at these windows
-    puts its labels, constants shared by every spec's sweep.
+    """(bound, vectors, radii): where an axiom sweep at these windows puts
+    its labels, constants shared by every spec's sweep.
 
     A pair's rows are read at the window labels and at every label one of
     them takes a window label to, so they are filled out to `radius` =
     2 * basis_window + the widest doubled mode among them; a row read
     only for a bracket term is read at the window labels alone.  `bound`
-    is the widest label any filled entry lands on, `keys` the label key
-    at each position (`_position`), and `vectors` the window labels as
-    (position, name)."""
+    is the widest label any filled entry lands on, and `vectors` the
+    window labels as (position (`_position`), (name, label))."""
     pairs, rows = _pair_table(gen_window)
     outer = {k for _, k1, k2, _, _ in pairs for k in (k1, k2)}
     window = 2 * basis_window
     reach = window + max(abs(doubled or 0) for _, doubled in outer)
     radii = {key: reach if key in outer else window for key, _ in rows}
     bound = max(radius + abs(key[1] or 0) for key, radius in radii.items())
-    vectors = tuple((_position(bound, v.letter, v.idx.doubled), str(v))
+    vectors = tuple((_position(bound, v.letter, v.idx.doubled), (str(v), v))
                     for v in labels_in_window(basis_window))
-    return bound, _frame_keys(bound), vectors, radii
-
-
-def _frame_keys(bound: int) -> tuple:
-    """The label key at each `_position` of this bound, None at 0."""
-    return (None, *((letter, d) for letter in "xy" for d in range(-bound, bound + 1)))
+    return bound, vectors, radii
 
 
 def _twin_point(spec: FamilySpec, gen_window: int, basis_window: int):
@@ -1088,9 +1084,8 @@ def _twin_point(spec: FamilySpec, gen_window: int, basis_window: int):
 
 
 def _twin(spec: FamilySpec, gen_window: int, basis_window: int):
-    """(twin, decode): the concrete spec a window check of this symbolic
-    one runs on, and the `decode` its residual engine reads ints with;
-    (spec, None) for a concrete spec or one with no twin.
+    """The concrete spec a window check of this symbolic one runs on; the
+    spec itself where it is concrete or has no twin.
 
     The twin sets each symbolic parameter to its value at one
     `KroneckerPoint`, a ring homomorphism, so its tables hold the images
@@ -1111,22 +1106,25 @@ def _twin(spec: FamilySpec, gen_window: int, basis_window: int):
       every entry and scale, so the twin engine's d divides D; `norm`, D
       times the largest L1 norm of a read at the index bounds, bounds the
       L1 norm of D times an entry.
-    - Bound: a residual times D^2 sums bracket terms (at most smax * width
-      * norm, smax D times the largest sum of |scale|, width the most
-      terms in one read) and two compositions (width^2 norm^2 each), so
-      its coefficients are ints within the point's bound; `decode` reads
-      the engine's int c at unit sign d^2 as c (D/d)^2 over sign D^2.
-    The pair is kept in the spec's memo, one per pair of windows, so the
+    - Bound, why the twin's zero test is exact: a residual times D^2, a
+      polynomial in the parameters within twice the tops, sums bracket
+      terms (at most smax * width * norm, smax D times the largest sum of
+      |scale|, width the most terms in one read) and two compositions
+      (width^2 norm^2 each), so its coefficients are ints within the
+      point's bound.  The twin's engine sums (d/D)^2 times its image, and
+      the point is injective on such polynomials, so that sum is zero
+      exactly where the spec's residual is.
+    The twin is kept in the spec's memo, one per pair of windows, so the
     window checks of one spec share one twin and its filled rows.
     """
     twins, key = spec.ctx.twins, (gen_window, basis_window)
     if key not in twins:
         twins[key] = _make_twin(spec, gen_window, basis_window)
-    return twins[key] or (spec, None)
+    return twins[key] or spec
 
 
 def _make_twin(spec: FamilySpec, gen_window: int, basis_window: int):
-    """`_twin`'s pair, or None where the spec is its own twin; the memo
+    """`_twin`'s twin, or None where the spec is its own twin; the memo
     keeps no reference to the spec itself, which would make a cycle.
 
     The twin is the validated spec's fields with the point's ints for the
@@ -1136,14 +1134,12 @@ def _make_twin(spec: FamilySpec, gen_window: int, basis_window: int):
     found = _twin_point(spec, gen_window, basis_window)
     if found is None:
         return None
-    point, den, _, params = found
+    point, _, _, params = found
     values = {field.name: getattr(spec, field.name) for field in fields(spec)}
     values.update((field, Fraction(point.value(name))) for field, name in params.items())
     twin = object.__new__(FamilySpec)
     twin.__dict__.update(values)
-    square = den * den
-    return twin, lambda c, unit: point.decode(c * (square // abs(unit)),
-                                              square if unit > 0 else -square)
+    return twin
 
 
 def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) -> Tally:
@@ -1157,32 +1153,30 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
     (`_ActionRow`), so strata and arrays an earlier reader of the same spec
     built (`act`, a first sweep) are not built again.  A symbolic spec is
     swept as its concrete twin (`_twin`), whose rows are int rows and whose
-    residuals decode at one Kronecker point.  The sweep hands the residual
-    engine (`algebra.residual_sweep`) each row's position arrays
+    residuals vanish exactly where the spec's do.  The sweep hands the
+    residual engine (`algebra.residual_sweep`) each row's position arrays
     (`_ActionRow.engine_row`), int numerators over a den filled in bulk
     from the strata over the window's label positions (`_frame`), and the
-    engine reads them as they are.  Every module entry has one term, so
-    every row has one layer, and a check is at most three int products;
-    `bracket_action_check` is the readable reference for the residual it
-    computes.  A spec with no stratum of ints and no twin (the unknowns
-    mode, symbolic normalization constants, the mu branch's 1/(a - k)
-    forms; the CLI builds none) raises `ValueError`; `act` and
-    `bracket_action_check` still read it.
+    engine reads them as they are and flags the failing checks.  Every
+    module entry has one term, so every row has one layer, and a check is
+    at most three int products.  A spec with no stratum of ints and no
+    twin (the unknowns mode, symbolic normalization constants, the mu
+    branch's 1/(a - k) forms; the CLI builds none) raises `ValueError`;
+    `act` and `bracket_action_check` still read it.
 
-    A violation is kept as one tuple of its names and the engine's flat,
-    undecoded entries, sorted by the names, and the violations are a
-    `report.LazyList`: a witness is decoded, by the sweep's one decoder,
-    and formatted (`lincomb_str`) only when it is read.
+    A violation is kept as its names, label and generators, sorted by the
+    names, and the violations are a `report.LazyList`: a witness is the
+    residual of the spec itself, not its twin, by the readable reference
+    `bracket_action_check`, computed and formatted (`lincomb_str`) only
+    when it is read.
     """
     pairs, gens = _pair_table(gen_window)
-    bound, keys, vectors, radii = _frame(gen_window, basis_window)
-    twin, decode = _twin(spec, gen_window, basis_window)
-    ctx = twin.ctx
+    bound, vectors, radii = _frame(gen_window, basis_window)
+    ctx = _twin(spec, gen_window, basis_window).ctx
     rows = {key: ctx.row(g).engine_row(bound, radii[key]) for key, g in gens}
-    decode, records = residual_sweep(pairs, rows, vectors, keys, sign=-1, decode=decode)
-    found = sorted(((name, n1, n2, *entries) for (n1, n2), name, entries in records),
-                   key=itemgetter(0, 1, 2))
-    return Tally(len(pairs) * len(vectors), LazyList(found, partial(_sweep_witness, decode)))
+    found = sorted(((name, n1, n2, v, g1, g2) for (n1, n2, g1, g2), (name, v)
+                    in residual_sweep(pairs, rows, vectors)), key=itemgetter(0, 1, 2))
+    return Tally(len(pairs) * len(vectors), LazyList(found, partial(_sweep_witness, spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -1313,7 +1307,7 @@ def ns_partition_check(spec: FamilySpec, gen_window: int = 2,
     at the same windows it reads the rows, and the strata, that sweep
     built.
     """
-    spec = _twin(spec, gen_window, basis_window)[0]
+    spec = _twin(spec, gen_window, basis_window)
     checks = 0
     violations = []
     for g in generators_in_window(gen_window):

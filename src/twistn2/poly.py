@@ -613,15 +613,17 @@ def _over_linear(c: list[int], p: int, q: int) -> list[int]:
 
 class KroneckerPoint:
     """One integer point at which polynomials within given degrees are
-    evaluated, and the products of two of them decoded again.
+    evaluated, so that a product of two of them is zero exactly when its
+    image is.
 
     Symbol slot i goes to X**offset_i (`value`), the offsets in mixed radix
     2*top_i + 1 by the top degrees `tops`, so every monomial of a product
     of two such polynomials has its own power of X; X is 2**(B + 2) with
     2**B > `bound`.  Evaluation there is a ring homomorphism (Kronecker
     substitution), and on such products with integer coefficients of
-    absolute value at most `bound` it is injective: `decode` reads the
-    image back as balanced base-X digits.
+    absolute value at most `bound` it is injective: the image's balanced
+    base-X digits are the coefficients, so a nonzero one has a nonzero
+    image.
     """
 
     __slots__ = ("slots", "sizes", "shift")
@@ -635,30 +637,6 @@ class KroneckerPoint:
         """The integer the symbol `name`, one of the point's slots, takes."""
         i = self.slots.index(_SLOT[name])
         return 1 << self.shift * prod(self.sizes[:i])
-
-    def decode(self, value: int, unit: int = 1) -> Poly:
-        """The polynomial whose image is `value`, divided by `unit`."""
-        if unit < 0:
-            value, unit = -value, -unit
-        mask = (1 << self.shift) - 1
-        half = 1 << (self.shift - 1)
-        num: dict[Exps, int] = {}
-        pos = 0
-        while value:
-            digit = value & mask
-            if digit >= half:
-                digit -= mask + 1
-            value = (value - digit) >> self.shift
-            if digit:
-                key, rest = 0, pos
-                for slot, size in zip(self.slots, self.sizes):
-                    rest, e = divmod(rest, size)
-                    key |= e << 8 * slot
-                if rest:
-                    raise ValueError("value is not the image of a polynomial in range")
-                num[key] = digit
-            pos += 1
-        return from_pair(num, unit)
 
 
 # ---------------------------------------------------------------------------

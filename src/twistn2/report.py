@@ -7,8 +7,9 @@ and witness, and a CLI verb only chooses routines and merges their reports
 with `Report.extend`.  `Tally` holds what a window check counted: the
 Jacobi sweep, the axiom sweeps, the NS partitions and submodule closure
 return one, and a CLI verb turns it into one check of its `Report`.  The
-Jacobi and axiom sweeps' violations are a `LazyList`, which builds a
-witness only when it is read, since a report prints the count and the
+Jacobi and axiom sweeps' violations are a `LazyList` over the checks their
+residual engine flags: a witness is the readable reference's residual,
+computed only when it is read, since a report prints the count and the
 first one.
 
 Reports are byte-stable for identical inputs: no timestamps, no set

@@ -36,7 +36,8 @@ CONCRETE = [
     ("deform-alpha-13-5", ["deform", "--alpha", "13/5"], 0),
     # the same verb with alpha free: audits and sweeps at every alpha
     ("deform-alpha-sym", ["deform", "--alpha", "sym"], 0),
-    # a symbolic sweep's witnesses, decoded from its int loop (exit 1)
+    # a symbolic sweep: its twin's int rows flag the failing checks, and
+    # the witness is the symbolic spec's own residual (exit 1)
     ("verify-axioms-aab-gy-coeff", ["verify-axioms", "--family", "Aab",
                                     "--inject-fault", "aab.gy-coeff"], 1),
     # the action table read through `act`: a window survey of cyclic
@@ -48,8 +49,8 @@ CONCRETE = [
     # a symbolic sweep and the NS partition check of one spec
     ("verify-axioms-bab", ["verify-axioms", "--family", "Bab"], 0),
     # a deformed family's fault at symbolic alpha, swept as its concrete
-    # twin (exit 1), and B(a,0,-3/2) at symbolic a, which refuses the
-    # twin's integer a and is swept over its own Poly rows (exit 1)
+    # twin (exit 1), and B(a,0,-3/2) at symbolic a, whose twin sits at an
+    # integer a that the candidate itself refuses (exit 1)
     ("verify-axioms-a2-sym-ty-coeff", ["verify-axioms", "--family", "A2", "--alpha", "sym",
                                        "--inject-fault", "a2.ty-coeff"], 1),
     ("verify-axioms-b0-sym", ["verify-axioms", "--family", "Bab", "--b", "0",
@@ -94,27 +95,22 @@ def test_failing_jacobi_report_is_byte_identical(capsys, monkeypatch):
     assert capsys.readouterr().out == (DATA / "jacobi-l-central-doubled.json").read_text()
 
 
-def test_a_failing_jacobi_report_decodes_only_the_witness_it_prints(capsys, monkeypatch):
+def test_a_failing_jacobi_report_computes_only_the_witness_it_prints(capsys, monkeypatch):
     # the report prints the count and the first witness, so the sweep
-    # decodes at most one of its 30 one-term residuals
-    orig, sweep = algebra._central, algebra.residual_sweep
-    decoded = []
+    # computes at most one of its 30 residuals by `jacobi_residual`
+    orig, residual = algebra._central, algebra.jacobi_residual
+    computed = []
 
     def doubled(kind, i, env=None):
         return 2 * orig(kind, i, env) if kind == "L" else orig(kind, i, env)
 
-    def counting(*args, **kwargs):
-        decode, records = sweep(*args, **kwargs)
-
-        def counted(entries):
-            decoded.append(entries)
-            return decode(entries)
-
-        return counted, records
+    def counting(x, y, z):
+        computed.append((x, y, z))
+        return residual(x, y, z)
 
     monkeypatch.setattr(algebra, "_central", doubled)
-    monkeypatch.setattr(algebra, "residual_sweep", counting)
+    monkeypatch.setattr(algebra, "jacobi_residual", counting)
     assert main(["jacobi", "--format", "json"]) == 1
-    assert len(decoded) <= 1
+    assert len(computed) <= 1
     assert capsys.readouterr().out == (DATA / "jacobi-l-central-doubled.json").read_text()
     assert len(algebra.super_jacobi_sweep(2).violations) == 30

@@ -269,8 +269,9 @@ def fault_reference(fault):
 
 @pytest.mark.parametrize("fault", sorted(FAULT_CATALOG))
 def test_lazy_witnesses_read_as_the_eager_list(fault):
-    # a sweep keeps its violations undecoded and builds each witness when
-    # it is read; every reading of the list is the eager reference's
+    # a sweep keeps only the checks the engine flags and builds each
+    # witness when it is read; every reading of the list is the eager
+    # reference's
     checks, want = fault_reference(fault)
     report = axiom_sweep(spec_with_fault(fault))
     got = report.violations
@@ -282,38 +283,49 @@ def test_lazy_witnesses_read_as_the_eager_list(fault):
 
 
 def test_a_fault_sweep_formats_only_the_witness_it_prints(monkeypatch, capsys):
-    formatted = []
+    # the report prints the count and the first witness, so the sweep
+    # computes and formats at most one residual of its violations
+    formatted, checked = [], []
 
     def counting(lc):
         formatted.append(lc)
         return lincomb_str(lc)
 
+    def counted_check(*args):
+        checked.append(args)
+        return bracket_action_check(*args)
+
     monkeypatch.setattr(modules, "lincomb_str", counting)
+    monkeypatch.setattr(modules, "bracket_action_check", counted_check)
     argv = ["verify-axioms", "--family", "Aab", "--inject-fault", "aab.t-sign"]
     assert main(argv + ["--format", "json"]) == 1
-    assert len(formatted) <= 1
+    assert len(formatted) <= 1 and len(checked) <= 1
     _, want = fault_reference("aab.t-sign")
     out = json.loads(capsys.readouterr().out)
     assert out["checks"][0]["witness"] == want[0]
     assert out["notes"] == [f"{len(want)} violations in total"]
 
 
+def _position_keys(bound: int) -> tuple:
+    """The label key at each `modules._position` of this bound, None at 0."""
+    return (None, *((letter, d) for letter in "xy" for d in range(-bound, bound + 1)))
+
+
 def _array_entry(row: Row, bound: int, key) -> tuple:
     """An engine row's entry at a label key, as the memo's dict holds it:
     ((label key, coeff), ...), an int row's numerators over its den."""
-    keys = modules._frame_keys(bound)
+    keys = _position_keys(bound)
     p = modules._position(bound, *key)
     return tuple((keys[targets[p]], Fraction(c[p], row.den)) for targets, c in row.layers if c[p])
 
 
 def _engine_input(monkeypatch, spec, *windows):
-    """The (pairs, rows, vectors, keys, sign) an axiom sweep of spec hands
-    the engine."""
+    """The (pairs, rows, vectors) an axiom sweep of spec hands the engine."""
     handed = []
 
-    def recording(pairs, rows, vectors, keys, sign=1, decode=None):
-        handed.append((pairs, rows, vectors, keys, sign))
-        return residual_sweep(pairs, rows, vectors, keys, sign, decode)
+    def recording(pairs, rows, vectors):
+        handed.append((pairs, rows, vectors))
+        return residual_sweep(pairs, rows, vectors)
 
     monkeypatch.setattr(modules, "residual_sweep", recording)
     axiom_sweep(spec, *windows)
@@ -321,9 +333,8 @@ def _engine_input(monkeypatch, spec, *windows):
 
 
 def test_a_row_missing_a_reached_entry_raises(monkeypatch):
-    pairs, rows, vectors, keys, sign = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)),
-                                                     1, 2)
-    assert list(residual_sweep(pairs, rows, vectors, keys, sign)[1]) == []
+    pairs, rows, vectors = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)), 1, 2)
+    assert list(residual_sweep(pairs, rows, vectors)) == []
     # a label outside the window that y takes a window label to, with a
     # nonzero coefficient, so the check reads x there
     window = {vp for vp, _ in vectors}
@@ -333,17 +344,15 @@ def test_a_row_missing_a_reached_entry_raises(monkeypatch):
     (targets, coeffs), = rows[key].layers
     blank = [(targets[:p] + [None] + targets[p + 1:], coeffs[:p] + [None] + coeffs[p + 1:])]
     with pytest.raises(TypeError):
-        list(residual_sweep(pairs, {**rows, key: Row(blank, rows[key].den)}, vectors, keys,
-                            sign)[1])
+        list(residual_sweep(pairs, {**rows, key: Row(blank, rows[key].den)}, vectors))
 
 
 def test_an_int_row_read_without_its_den_raises(monkeypatch):
     # without its den, a concrete spec's int row would be read as if over
     # 1: a row cannot be built without one
-    pairs, rows, vectors, keys, sign = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)),
-                                                     1, 2)
+    pairs, rows, vectors = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)), 1, 2)
     assert all(type(r.den) is int for r in rows.values()) and {r.den for r in rows.values()} != {1}
-    assert list(residual_sweep(pairs, rows, vectors, keys, sign)[1]) == []
+    assert list(residual_sweep(pairs, rows, vectors)) == []
     key = next(k for k, r in rows.items() if any(r.layers[0][1]))
     with pytest.raises(TypeError):
         Row(rows[key].layers)
@@ -369,7 +378,7 @@ def test_every_sweep_the_cli_runs_is_on_int_rows(monkeypatch, argv):
     # one arithmetic: every row the engine reads is int numerators over an
     # int den, and the sweep is the check-by-check reference
     spec = build_family(make_parser().parse_args(["verify-axioms", *argv]))
-    _, rows, _, _, _ = _engine_input(monkeypatch, spec)
+    _, rows, _ = _engine_input(monkeypatch, spec)
     assert all(type(row.den) is int and all(type(c) is int for _, coeffs in row.layers
                                             for c in coeffs if c is not None)
                for row in rows.values())
@@ -489,7 +498,7 @@ def test_row_fill_equals_direct_reads(spec):
     # sweeps read the same rows, so only a direct read can check them.  A
     # symbolic spec's rows are direct reads, so its twin's fill is checked;
     # the mu branch has no arrays, so only its entries are
-    twin = modules._twin(replace(spec), 2, 4)[0]
+    twin = modules._twin(replace(spec), 2, 4)
     if spec.coeff_mode == "mu":
         with pytest.raises(ValueError, match=re.escape(spec.label())):
             twin.ctx.row(G(0)).engine_row(20, 12)
@@ -603,8 +612,8 @@ def test_symbolic_parameter_rows_are_filled_from_strata(spec):
     # from int strata; the bound test below compares their entries with
     # direct reads of the spec at the twin's point.  B(a,0,-3/2) is twinned
     # at an integer a, which the candidate itself refuses
-    twin, decode = modules._twin(spec, 2, 4)
-    assert decode is not None and twin.family == spec.family and twin.fault == spec.fault
+    twin = modules._twin(spec, 2, 4)
+    assert twin is not spec and twin.family == spec.family and twin.fault == spec.fault
     assert all(getattr(twin, field).denominator == 1 for field in ("a", "b")
                if getattr(spec, field) == "sym")
     strata = [twin.ctx.stratum(*key) for key in modules._STRATA]
@@ -613,7 +622,7 @@ def test_symbolic_parameter_rows_are_filled_from_strata(spec):
 
 def _engine_rows(spec, gen_window=2, basis_window=4) -> dict:
     """The engine rows of the spec that an axiom sweep at these windows reads."""
-    bound, _, _, radii = modules._frame(gen_window, basis_window)
+    bound, _, radii = modules._frame(gen_window, basis_window)
     return {key: spec.ctx.row(g).engine_row(bound, radii[key])
             for key, g in modules._pair_table(gen_window)[1]}
 
@@ -623,9 +632,9 @@ def test_one_twin_per_spec_and_windows_whose_rows_the_partition_check_reads():
     # share its twin, so the check reads the rows the sweep filled: it
     # makes no row and reads no stratum the sweep did not
     spec = aab()
-    twin, decode = modules._twin(spec, 2, 4)
-    assert modules._twin(spec, 2, 4) == (twin, decode)
-    assert modules._twin(spec, 1, 2)[0] is not twin
+    twin = modules._twin(spec, 2, 4)
+    assert twin is not spec and modules._twin(spec, 2, 4) is twin
+    assert modules._twin(spec, 1, 2) is not twin
     assert axiom_sweep(spec).ok
     rows, strata = dict(twin.ctx.rows), dict(twin.ctx.strata)
     forms = {key: dict(row.forms) for key, row in rows.items()}
@@ -636,7 +645,7 @@ def test_one_twin_per_spec_and_windows_whose_rows_the_partition_check_reads():
     assert {key: row.forms for key, row in rows.items()} == forms
     # a spec with no twin keeps None, not itself (`test_spec_and_its_memo_form_no_reference_cycle`)
     spec = deformed("A1", Fraction(2, 7))
-    assert modules._twin(spec, 2, 4) == (spec, None) and spec.ctx.twins == {(2, 4): None}
+    assert modules._twin(spec, 2, 4) is spec and spec.ctx.twins == {(2, 4): None}
 
 
 @pytest.mark.parametrize("spec", SYMBOLIC_AB, ids=[s.label() for s in SYMBOLIC_AB])
@@ -655,9 +664,11 @@ def test_symbolic_parameter_sweep_reads_strata(monkeypatch, spec):
     assert read == []
 
 
-def test_a_twin_decodes_at_d_squared_where_its_engine_runs_over_less(monkeypatch):
+def test_a_twin_whose_engine_runs_over_less_than_d_flags_the_references_violations(monkeypatch):
     # b/8 added to every G action: an int at the point, so the twin's rows
-    # stay over 4 while its residuals hold b**2/32; decode reads them at D**2
+    # stay over 4 while the spec's residuals hold b**2/32 and D is 8; the
+    # twin's engine flags exactly the checks where the spec's residual is
+    # nonzero
     original = modules._act_case_a
 
     def eighth(ctx, kind, g, letter, v, env):
@@ -668,11 +679,14 @@ def test_a_twin_decodes_at_d_squared_where_its_engine_runs_over_less(monkeypatch
     spec = aab()
     assert modules._twin_point(spec, 1, 2)[1] == 8
     twinned = axiom_sweep(spec, 1, 2)
-    rows = _engine_rows(modules._twin(spec, 1, 2)[0], 1, 2)
+    rows = _engine_rows(modules._twin(spec, 1, 2), 1, 2)
     assert lcm(*(row.den for row in rows.values())) == 4
+    checks, want = reference_sweep(replace(spec), 1, 2)
+    flagged = [record[:3] for record in twinned.violations.records]
+    assert twinned.checks == checks and len(flagged) == 450
+    assert flagged == [(w["v"], w["g1"], w["g2"]) for w in want]
     assert "15/32*b^2" in twinned.witness["residual"]
-    assert len(twinned.violations) == 450
-    assert (twinned.checks, list(twinned.violations)) == reference_sweep(replace(spec), 1, 2)
+    assert list(twinned.violations) == want
 
 
 # every twinned spec of `all`, the four faults at symbolic (a, b), the
@@ -692,7 +706,8 @@ def test_the_twin_point_bounds_every_entry_the_sweep_reads(monkeypatch, spec, wi
     # norm, times D, is within the point's norm
     spec = replace(spec)
     point, den, norm, params = modules._twin_point(spec, *windows)
-    pairs, rows, _, keys, _ = _engine_input(monkeypatch, spec, *windows)
+    pairs, rows, _ = _engine_input(monkeypatch, spec, *windows)
+    bound = modules._frame(*windows)[0]
     d = lcm(*(row.den for row in rows.values()),
             *(scale.denominator for *_, xy in pairs for _, scale in xy))
     assert den % d == 0
@@ -700,10 +715,10 @@ def test_the_twin_point_bounds_every_entry_the_sweep_reads(monkeypatch, spec, wi
     widest = 0
     for key, row in rows.items():
         gen = Gen(key[0], None if key[1] is None else SymIndex(key[1]))
-        for p, label in enumerate(keys):
+        for p, label in enumerate(_position_keys(bound)):
             if p == 0 or row.layers[0][1][p] is None:  # the zero vector, or not filled
                 continue
-            terms = _array_entry(row, modules._frame(*windows)[0], label)
+            terms = _array_entry(row, bound, label)
             want = act_indexed(spec, gen.kind, gen.idx, label[0], SymIndex(label[1]))
             want = [((l, i.doubled), ONE * modules._scalar(c)) for l, i, c in want if c]
             assert [lk for lk, _ in terms] == [lk for lk, _ in want]

@@ -1,7 +1,8 @@
 """Exact polynomial kernel: canonical forms, division, substitution."""
 
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -127,12 +128,6 @@ def test_every_coefficient_is_canonical(p, q, s, bindings, power):
     if q:
         assert_canonical(exact_divide(p * q, q))
         assert_canonical(exact_divide(q * (p + s), q))
-    d = 1
-    for c in p.terms.values():
-        d = d * c.denominator
-    point = kronecker_point([p], int(l1(p) * d) ** 2)
-    assert_canonical(point.decode(image(point, p, d), d))
-    assert_canonical(point.decode(image(point, p, d) * 3, 2 * d))
     # a value read as a scalar stays a Fraction, so a caller may divide by it
     value = p.evaluate({"b": s, "m": 2, "k": Fraction(1, 3)})
     assert type(value) is Fraction
@@ -284,9 +279,9 @@ def kronecker_point(polys, bound: int) -> KroneckerPoint:
                            for name in names}, bound)
 
 
-def image(point: KroneckerPoint, p: Poly, scale: int = 1) -> int:
-    """p * scale evaluated at the point, `Poly.substitute` at its values."""
-    value = (p * scale).substitute({name: point.value(name) for name in p.variables()})
+def image(point: KroneckerPoint, p: Poly) -> int:
+    """p evaluated at the point, `Poly.substitute` at its values."""
+    value = p.substitute({name: point.value(name) for name in p.variables()})
     value = value.const_value()
     assert value.denominator == 1
     return value.numerator
@@ -306,33 +301,36 @@ def integer_polys(draw, vars=("b", "m", "k"), max_terms=5):
     return p
 
 
-@given(integer_polys(), integer_polys(), st.sampled_from((("b",), ("b", "m"), ("b", "m", "k"))))
+@given(st.lists(integer_polys(), min_size=4, max_size=4),
+       st.sampled_from((("b",), ("b", "m"), ("b", "m", "k"))),
+       st.lists(st.integers(0, 3), min_size=4, max_size=4))
 @settings(max_examples=80, deadline=None)
-def test_kronecker_point_decodes_images_and_their_products(p, q, names):
-    # keep only the chosen symbols: up to three, in any registry slots
-    p = p.substitute({v: 1 for v in ("b", "m", "k") if v not in names})
-    q = q.substitute({v: 1 for v in ("b", "m", "k") if v not in names})
-    bound = int(max(l1(p) * l1(q), l1(p) + l1(q)))
-    point = kronecker_point([p, q], bound)
-    ip, iq = image(point, p), image(point, q)
-    assert point.decode(ip) == p and point.decode(iq) == q
-    assert point.decode(ip * iq) == p * q
-    assert point.decode(ip - iq) == p - q
+def test_kronecker_point_separates_polynomials_and_their_products(drawn, names, picks):
+    # keep only the chosen symbols: up to three, in any registry slots; p,
+    # q, r and s are picked from the same four, so equal polynomials and
+    # equal products come up as well as distinct ones
+    pool = [x.substitute({v: 1 for v in ("b", "m", "k") if v not in names}) for x in drawn]
+    p, q, r, s = (pool[i] for i in picks)
+    point = kronecker_point(pool, int(max(l1(x) * l1(y) for x in pool for y in pool)))
+    ip, iq, ir, is_ = (image(point, x) for x in (p, q, r, s))
+    assert (ip == iq) == (p == q)
+    assert (ip * iq == ir * is_) == (p * q == r * s)
     assert (ip * iq == 0) == (not p * q)
 
 
-@given(polys(), st.integers(1, 12))
-@settings(max_examples=40, deadline=None)
-def test_kronecker_point_scales_fractions_to_a_common_denominator(p, extra):
-    d = extra
-    for c in p.terms.values():
-        d = d * c.denominator
-    point = kronecker_point([p], int(l1(p) * d) ** 2)
-    assert point.decode(image(point, p, d), d) == p
-    assert point.decode(image(point, p, d) ** 2, d * d) == p * p
-    # a negative unit divides as well: its sign moves onto the image
-    assert point.decode(-image(point, p, d), -d) == p
-    assert_canonical(point.decode(image(point, p, d), -2 * d))
+@pytest.mark.parametrize("tops, bound", [({"b": 1, "m": 1}, 1), ({"b": 2}, 3), ({"b": 1}, 4)],
+                         ids=["b,m-1", "b2-3", "b1-4"])
+def test_kronecker_point_is_injective_on_every_product_in_range(tops, bound):
+    # every polynomial of degree at most 2 * top in each symbol, with
+    # coefficients in [-bound, bound], which is all a product of two
+    # polynomials within the point's tops and bound can be: no two share an
+    # image.  Slots spaced by top + 1, or a radix of 2**B, would collide
+    point = KroneckerPoint({poly._SLOT[name]: top for name, top in tops.items()}, bound)
+    powers = [prod(point.value(name) ** e for name, e in zip(tops, exps))
+              for exps in product(*(range(2 * top + 1) for top in tops.values()))]
+    images = {sum(c * x for c, x in zip(coeffs, powers))
+              for coeffs in product(range(-bound, bound + 1), repeat=len(powers))}
+    assert len(images) == (2 * bound + 1) ** len(powers)
 
 
 def test_exact_divide_examples():
