@@ -244,10 +244,11 @@ def super_jacobi_sweep(window: int) -> Tally:
                          for kz, terms in row.items()}, len(keys))
             for k, row in brackets.items()}
     # C acts as zero on the adjoint module, so a central term adds nothing
+    vectors = [(pos[kz], z) for z, kz in keyed]
     pairs = [((x, y), kx, ky, -1 if x.kind == "G" and y.kind == "G" else 1,
-              [(kh, c) for kh, c in brackets[kx][ky] if kh != _C_KEY])
+              [(kh, c) for kh, c in brackets[kx][ky] if kh != _C_KEY], vectors)
              for x, kx in keyed for y, ky in keyed]
-    flagged = residual_sweep(pairs, rows, [(pos[kz], z) for z, kz in keyed])
+    flagged = residual_sweep(pairs, rows)
 
     def witness(triple) -> tuple:
         (x, y), z = triple
@@ -337,15 +338,18 @@ def _products(x: Row, y: Row, singles: list, m, e) -> list:
             *((b, a, e) for a in x.layers for b in y.layers)]
 
 
-def residual_sweep(pairs, rows: dict, vectors):
+def residual_sweep(pairs, rows: dict):
     """The one residual engine: yields (pair tag, vector tag) for every
     check of a pair on a vector whose axiom residual is nonzero.
 
     `rows` maps a row key to that operator's action, a `Row` over one
     layout of positions (position 0 is the zero vector).  Each pair is
-    (tag, k1, k2, eps, xy): the row keys of x and y, the sign
-    eps = (-1)^(|x||y|), and [x, y] as at most one (row key, scale) term.
-    Each vector is (position, tag).  At (x, y) on v the residual is
+    (tag, k1, k2, eps, xy, vectors): the row keys of x and y, the sign
+    eps = (-1)^(|x||y|), [x, y] as at most one (row key, scale) term, and
+    the vectors the pair is checked on, each (position, tag).  A full
+    sweep hands every pair the same vectors; a deformed family's sweep
+    hands each pair only those of its checks that read the slot
+    (`modules.axiom_sweep`).  At (x, y) on v the residual is
         x(y v) - [x,y] v - eps y(x v).
     The engine reads the rows' arrays as they are: every row at the
     vector positions, and x and y also at every position one of them
@@ -364,14 +368,14 @@ def residual_sweep(pairs, rows: dict, vectors):
     (`Row.spread`).
     """
     d = lcm(*(row.den for row in rows.values()),
-            *(scale.denominator for *_, xy in pairs for _, scale in xy))
+            *(scale.denominator for *_, xy, _ in pairs for _, scale in xy))
     square = d * d
     # a pair with no bracket term reads this all-zero layer, which keeps
     # its checks on the scalar path
     size = len(next(iter(rows.values())).layers[0][0])
     zero = ([0] * size,) * 2
 
-    for tag, k1, k2, eps, xy in pairs:
+    for tag, k1, k2, eps, xy, vectors in pairs:
         r1, r2 = rows[k1], rows[k2]
         m = square // (r1.den * r2.den)
         e = -eps * m

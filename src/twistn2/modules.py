@@ -42,9 +42,13 @@ stratum is not such a polynomial.  The window checks sweep a symbolic
 family as its concrete twin at one Kronecker point (`_twin`), so every
 sweep the CLI runs is a sweep of int rows, and share one table of
 generator pairs and one layout of label positions per window
-(`_pair_table`, `_frame`).  The residual engine only flags the failing
-checks; a printed witness is the residual of the spec asked for, by the
-readable reference `bracket_action_check`.
+(`_pair_table`, `_frame`).  A deformed family is its base module off the
+slot, so its sweep runs the engine only on the checks that read a slot
+position (`_slot_checks`) and takes the others' flags from its base
+module's sweep, run once per base module and pair of windows.  The
+residual engine only flags the failing checks; a printed witness is the
+residual of the spec asked for, by the readable reference
+`bracket_action_check`.
 
 The central element acts as zero on every family.
 """
@@ -59,7 +63,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Union
 
-from .algebra import (Gen, Row, _times, add_term, bracket, bracket_terms, generators_in_window,
+from .algebra import (Gen, Row, add_term, bracket, bracket_terms, generators_in_window,
                       parity, residual_sweep)
 from .indices import IDX_ZERO, SymIndex
 from .poly import (ONE, KroneckerPoint, NotDivisible, Poly, RatFunc, ZERO, from_pair,
@@ -269,12 +273,14 @@ class _Ctx:
     together.  A deformed family's context holds its base module's spec
     (`_base_spec`), which answers every read off the slot and whose rows its
     rows copy, the slot's role (`BASE_FAMILY`; `slot_vector` says where the
-    slot is read), and the slot's strata (`slot_stratum`).
+    slot is read), and the slot's strata (`slot_stratum`).  A base module's
+    context keeps the flagged checks of its sweeps (`flags`), which its
+    deformed families read off the slot (`_flagged`).
     """
 
     __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "branch",
                  "consts", "printed_t", "base", "slot", "forced", "rows", "strata", "slots",
-                 "symbolic", "twins")
+                 "symbolic", "twins", "flags")
 
     def __init__(self, spec: FamilySpec):
         self.spec = weakref.proxy(spec)
@@ -318,6 +324,9 @@ class _Ctx:
         # a symbolic parameter leaves every row to direct reads
         self.symbolic = any(isinstance(getattr(self, name), Poly) for name in _SYMBOLS.values())
         self.twins: dict = {}  # (gen_window, basis_window) -> `_twin`'s pair, or None
+        # (gen_window, basis_window) -> the flagged checks of a base module's
+        # sweep, which every deformed family over it reuses (`_flagged`)
+        self.flags: dict = {}
 
     def row(self, g: Gen) -> _ActionRow:
         key = (g.kind, None if g.idx is None else g.idx.doubled)
@@ -367,9 +376,12 @@ class _Ctx:
 def _base_spec(family: str, a: Fraction, b: Fraction) -> FamilySpec:
     """The base module of a deformed family (`BASE_FAMILY`), one spec per
     base module: its table answers the family's reads off the slot, its
-    strata are the family's for every alpha (`_Ctx.stratum`), and its
-    filled rows are the family's arrays but for the slot's one position
-    (`_ActionRow._fill`)."""
+    strata are the family's for every alpha (`_Ctx.stratum`), its filled
+    rows are the family's arrays but for the slot's one position
+    (`_ActionRow._fill`), and the flagged checks of its sweep at a pair of
+    windows (`_Ctx.flags`) are the family's flags on every check that
+    reads no slot (`_flagged`).  Its context holds both, so clearing this
+    cache drops both."""
     return FamilySpec(family, a=a, b=b)
 
 
@@ -856,10 +868,12 @@ class _ActionRow(dict):
     one Horner pass over the doubled indices (`_values`).  A deformed
     family's row is its base module's row, copied: rescaled to the lcm of
     its den and the slot entry's, with the slot entry written over its
-    one position.  A row whose strata are not all ints (a symbolic
-    parameter, the unknowns mode, symbolic normalization constants, the
-    mu branch's 1/(a - k) forms) has no arrays: `engine_row` raises
-    `ValueError`, naming the spec.
+    one position.  That entry is the slot stratum's ints at the row's
+    mode, one numerator over its least den; the dict's slot entry, which
+    `act` reads, is the same stratum as a Fraction.  A row whose strata
+    are not all ints (a symbolic parameter, the unknowns mode, symbolic
+    normalization constants, the mu branch's 1/(a - k) forms) has no
+    arrays: `engine_row` raises `ValueError`, naming the spec.
 
     It is the only action memo.  The spec's context owns one row per
     generator (`_Ctx.row`), so a row's strata, entries and arrays are
@@ -948,27 +962,33 @@ class _ActionRow(dict):
         if ctx.symbolic or None in forms.values():
             raise ValueError(f"{self.spec.label()}: the {self.kind} action has no stratum of "
                              "ints, so the residual engine cannot read it")
-        # an empty entry is coefficient 0 on the line a graded entry would
-        # land on, so the engine sums it with the other parts of a check
-        landing = {"x": "y", "y": "x"} if self.kind == "G" else {"x": "x", "y": "y"}
         if ctx.base is not None:
             # off the slot a deformed family is its base module: its arrays
             # are the base row's, copied over the lcm of that row's den and
-            # the slot entry's, with the slot's one position written over
+            # the slot entry's, with the slot's one position written over.
+            # The slot entry is its stratum's ints at this mode, over the
+            # least den, with no Fraction built
             base = ctx.base.ctx.row(Gen(self.kind, self.gidx)).engine_row(bound, radius)
             letter, d = self.slot
-            (lk, c), = self[self.slot] or (((landing[letter], d + gd), 0),)
-            den = lcm(base.den, c.denominator)
+            (letter2, shift, form_den, nums), = ctx.slot_stratum(self.kind, gd & 1)[1]
+            num = sum(n * gd ** i * d ** j for n, i, j in nums)
+            common = gcd(num, form_den)
+            num, form_den = num // common, form_den // common
+            den = lcm(base.den, form_den)
             scale = den // base.den
             layers = [(targets[:], [n and n * scale for n in coeffs])
                       for targets, coeffs in base.layers]
             if abs(d) <= radius:
                 p = _position(bound, letter, d)
                 (targets, coeffs), *rest = layers
-                targets[p], coeffs[p] = _position(bound, *lk), _times(c, den)
+                targets[p] = _position(bound, letter2, d + gd + shift)
+                coeffs[p] = num * (den // form_den)
                 for targets, coeffs in rest:
                     targets[p] = coeffs[p] = 0
             return Row(layers, den)
+        # an empty entry is coefficient 0 on the line a graded entry would
+        # land on, so the engine sums it with the other parts of a check
+        landing = {"x": "y", "y": "x"} if self.kind == "G" else {"x": "x", "y": "y"}
         forms = {(letter, kpar): (den, parts or [(landing[letter], gd, [0])])
                  for (letter, kpar), (den, parts) in forms.items()}
         den = lcm(*(den for den, _ in forms.values()))
@@ -1033,15 +1053,17 @@ def _pair_table(gen_window: int) -> tuple:
 
 @lru_cache(maxsize=4)
 def _frame(gen_window: int, basis_window: int) -> tuple:
-    """(bound, vectors, radii): where an axiom sweep at these windows puts
-    its labels, constants shared by every spec's sweep.
+    """(bound, pairs, radii): where an axiom sweep at these windows puts
+    its labels, and the pairs it hands `residual_sweep`, constants shared
+    by every spec's sweep.
 
     A pair's rows are read at the window labels and at every label one of
     them takes a window label to, so they are filled out to `radius` =
     2 * basis_window + the widest doubled mode among them; a row read
     only for a bracket term is read at the window labels alone.  `bound`
-    is the widest label any filled entry lands on, and `vectors` the
-    window labels as (position (`_position`), (name, label))."""
+    is the widest label any filled entry lands on.  Each pair is one of
+    `_pair_table` with the window labels as its vectors, each
+    (position (`_position`), (name, label)): the full sweep."""
     pairs, rows = _pair_table(gen_window)
     outer = {k for _, k1, k2, _, _ in pairs for k in (k1, k2)}
     window = 2 * basis_window
@@ -1050,7 +1072,77 @@ def _frame(gen_window: int, basis_window: int) -> tuple:
     bound = max(radius + abs(key[1] or 0) for key, radius in radii.items())
     vectors = tuple((_position(bound, v.letter, v.idx.doubled), (str(v), v))
                     for v in labels_in_window(basis_window))
-    return bound, vectors, radii
+    return bound, tuple((*pair, vectors) for pair in pairs), radii
+
+
+def _source(key, label):
+    """The label key that the row of this key takes to `label`: the row's
+    doubled mode less, and the other letter for G; None for C, which acts
+    as zero, and for no label."""
+    kind, gd = key
+    if kind == "C" or label is None:
+        return None
+    letter, d = label
+    return ("y" if letter == "x" else "x") if kind == "G" else letter, d - gd
+
+
+@lru_cache(maxsize=8)
+def _slot_checks(gen_window: int, basis_window: int, slots: tuple) -> tuple:
+    """The checks of an axiom sweep at these windows that read a slot
+    position, as `_frame`'s pairs, each with only those of its vectors,
+    in their order; a pair with none is left out.  `slots` is ((row key,
+    slot label key or None), ...), the one position each row of a
+    deformed family writes over (`slot_vector`).
+
+    A check at (x, y) on v reads five entries: y at v, x at y v, x at v,
+    y at x v, and [x, y] at v; it reads the slot if one of them is a slot
+    position.  So it is on one of at most five vectors of the pair: the
+    slots of y, x and [x, y], and the labels that y and x take to the
+    slots of x and y.  The table depends on the slots and the windows
+    alone, not on alpha, alpha' or the fault."""
+    slot = dict(slots)
+    full = _frame(gen_window, basis_window)[1]
+    vectors = full[0][-1]  # every pair's, in a full sweep
+    where = {(v.letter, v.idx.doubled): i for i, (_, (_, v)) in enumerate(vectors)}
+    pairs = []
+    for tag, k1, k2, eps, xy, _ in full:
+        s1, s2 = slot[k1], slot[k2]
+        hits = {where.get(s2), where.get(_source(k2, s1)), where.get(s1),
+                where.get(_source(k1, s2)), *(where.get(slot[kh]) for kh, _ in xy)}
+        hits.discard(None)
+        if hits:
+            pairs.append((tag, k1, k2, eps, xy, tuple(vectors[i] for i in sorted(hits))))
+    return tuple(pairs)
+
+
+def _flagged(ctx: _Ctx, gen_window: int, basis_window: int):
+    """The (pair tag, vector tag) of every failing check of an axiom sweep
+    of ctx's spec, a spec with int rows, at these windows: the engine's
+    generator, or a deformed family's list.
+
+    Off the slot a deformed family is its base module, and its rows are
+    the base module's rows, rescaled, with one position written over:
+    each check that reads no slot (`_slot_checks`) has the base module's
+    residual.  So a deformed family's flags are the base module's, kept
+    on the base module's context (`_Ctx.flags`) for every alpha, less the
+    slot-touching checks, plus those of the slot-touching checks that the
+    engine flags on the family's own rows.  Every check is still decided
+    exactly."""
+    _, gens = _pair_table(gen_window)
+    bound, pairs, radii = _frame(gen_window, basis_window)
+    rows = {key: ctx.row(g).engine_row(bound, radii[key]) for key, g in gens}
+    if ctx.base is None:
+        return residual_sweep(pairs, rows)
+    base, windows = ctx.base.ctx, (gen_window, basis_window)
+    if windows not in base.flags:
+        base.flags[windows] = list(_flagged(base, gen_window, basis_window))
+    pairs = _slot_checks(gen_window, basis_window,
+                         tuple((key, ctx.rows[key].slot) for key, _ in gens))
+    flagged = list(residual_sweep(pairs, rows))
+    if base.flags[windows]:  # none where the base module is a module
+        read = {(tag, name) for tag, *_, vectors in pairs for _, name in vectors}
+        flagged += (check for check in base.flags[windows] if check not in read)
+    return flagged
 
 
 def _twin_point(spec: FamilySpec, gen_window: int, basis_window: int):
@@ -1159,8 +1251,11 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
     from the strata over the window's label positions (`_frame`), and the
     engine reads them as they are and flags the failing checks.  Every
     module entry has one term, so every row has one layer, and a check is
-    at most three int products.  A spec with no stratum of ints and no
-    twin (the unknowns mode, symbolic normalization constants, the mu
+    at most three int products.  A deformed family (and its twin) hands
+    the engine only its checks that read the slot, and takes the other
+    checks' flags from its base module's sweep at the same windows, run
+    once per base module (`_flagged`).  A spec with no stratum of ints and
+    no twin (the unknowns mode, symbolic normalization constants, the mu
     branch's 1/(a - k) forms; the CLI builds none) raises `ValueError`;
     `act` and `bracket_action_check` still read it.
 
@@ -1170,13 +1265,11 @@ def axiom_sweep(spec: FamilySpec, gen_window: int = 2, basis_window: int = 4) ->
     `bracket_action_check`, computed and formatted (`lincomb_str`) only
     when it is read.
     """
-    pairs, gens = _pair_table(gen_window)
-    bound, vectors, radii = _frame(gen_window, basis_window)
+    pairs = _frame(gen_window, basis_window)[1]
     ctx = _twin(spec, gen_window, basis_window).ctx
-    rows = {key: ctx.row(g).engine_row(bound, radii[key]) for key, g in gens}
     found = sorted(((name, n1, n2, v, g1, g2) for (n1, n2, g1, g2), (name, v)
-                    in residual_sweep(pairs, rows, vectors)), key=itemgetter(0, 1, 2))
-    return Tally(len(pairs) * len(vectors), LazyList(found, partial(_sweep_witness, spec)))
+                    in _flagged(ctx, gen_window, basis_window)), key=itemgetter(0, 1, 2))
+    return Tally(len(pairs) * len(pairs[0][-1]), LazyList(found, partial(_sweep_witness, spec)))
 
 
 # ---------------------------------------------------------------------------

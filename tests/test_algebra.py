@@ -327,8 +327,8 @@ CANCELLING_ENTRIES = {
     "h0": {"v": (("w", 2),)},
 }
 CANCELLING_PAIRS = [
-    ("re-formed", "x", "y", 1, [("h", H)]),
-    ("exact", "x0", "y0", 1, [("h0", 1)]),
+    ("re-formed", "x", "y", 1, [("h", H)], [(1, "v")]),
+    ("exact", "x0", "y0", 1, [("h0", 1)], [(1, "v")]),
 ]
 
 
@@ -341,7 +341,8 @@ def test_residual_drops_cancelled_entries(den):
                               for vk, terms in entries.items()}, len(CANCELLING_KEYS), den)
             for key, entries in CANCELLING_ENTRIES.items()}
     assert rows["y"].spread == {pos["v"]} and rows["x"].spread == {pos["u3"]}
-    got = list(residual_sweep(CANCELLING_PAIRS, rows, [(pos["v"], "v")]))
+    assert all(vectors == [(pos["v"], "v")] for *_, vectors in CANCELLING_PAIRS)
+    got = list(residual_sweep(CANCELLING_PAIRS, rows))
     assert got == [("re-formed", "v")]
 
 
@@ -349,11 +350,15 @@ def test_residual_drops_cancelled_entries(den):
 # terms per entry, so an entry may spread over three layers, with targets
 # anywhere (no grading) and small coefficients, so terms often cancel.
 # A row is ints over its own den; a pair reads at most one bracket row, at
-# a scale of either sign, and its eps is drawn too.
+# a scale of either sign, and its eps is drawn too.  Each pair carries its
+# own vectors: every position, as a full sweep hands them, or any of them
+# in any order, none included.
 ENGINE_SIZE = 6
 ENGINE_TERMS = st.lists(st.tuples(st.integers(1, ENGINE_SIZE - 1), st.integers(-3, 3)),
                         max_size=3)
 ENGINE_SCALES = st.sampled_from([Fraction(1), Fraction(-1, 2), Fraction(2, 3), Fraction(3)])
+ENGINE_VECTORS = st.one_of(st.just(list(range(1, ENGINE_SIZE))),
+                           st.lists(st.integers(1, ENGINE_SIZE - 1), unique=True))
 
 
 @st.composite
@@ -367,7 +372,8 @@ def engine_inputs(draw):
     pairs = draw(st.lists(st.tuples(st.sampled_from("xyhk"), st.sampled_from("xyhk"),
                                     st.sampled_from([1, -1]),
                                     st.lists(st.tuples(st.sampled_from("hk"), ENGINE_SCALES),
-                                             max_size=1)),
+                                             max_size=1),
+                                    ENGINE_VECTORS.map(lambda vs: [(v, v) for v in vs])),
                           min_size=1, max_size=3))
     return [(i, *pair) for i, pair in enumerate(pairs)], rows, values
 
@@ -376,8 +382,8 @@ def engine_reference(pairs, values) -> list:
     """The (pair, vector) tags of the nonzero residuals, from plain dicts
     of Fractions."""
     out = []
-    for tag, k1, k2, eps, xy in pairs:
-        for v in range(1, ENGINE_SIZE):
+    for tag, k1, k2, eps, xy, vectors in pairs:
+        for v, _ in vectors:
             acc: dict = {}
             for t, c in values[k2][v]:
                 for t2, c2 in values[k1][t]:
@@ -397,8 +403,7 @@ def engine_reference(pairs, values) -> list:
 @settings(max_examples=200, deadline=None)
 def test_residual_sweep_equals_a_plain_dict_reference(inputs):
     pairs, rows, values = inputs
-    got = list(residual_sweep(pairs, rows, [(v, v) for v in range(1, ENGINE_SIZE)]))
-    assert got == engine_reference(pairs, values)
+    assert list(residual_sweep(pairs, rows)) == engine_reference(pairs, values)
 
 
 @pytest.mark.parametrize("den", [1, 3], ids=["ints", "over-3"])
@@ -415,8 +420,8 @@ def test_parts_at_different_weights_are_not_summed(den, bracket_target):
     rows = {key: layered_row({pos[vk]: [(pos[lk], c * den) for lk, c in terms]
                               for vk, terms in table.items()}, len(keys), den)
             for key, table in entries.items()}
-    got = list(residual_sweep([("p", "x", "y", 1, [("h", Fraction(1))])], rows,
-                              [(pos["v"], "v")]))
+    got = list(residual_sweep([("p", "x", "y", 1, [("h", Fraction(1))], [(pos["v"], "v")])],
+                              rows))
     assert got == ([("p", "v")] if bracket_target == "x6" else [])
 
 
@@ -444,19 +449,19 @@ def test_a_spread_entry_is_read_in_every_place(row, key):
                                for vk, terms in table.items()}, len(SPREAD_KEYS), 1)
             for name, table in entries.items()}
     assert rows[row].spread == {pos[key]}
-    pairs = [("p", "x", "y", 1, [("h", Fraction(1))])]
-    assert list(residual_sweep(pairs, rows, [(pos["v"], "v")])) == [("p", "v")]
+    pairs = [("p", "x", "y", 1, [("h", Fraction(1))], [(pos["v"], "v")])]
+    assert list(residual_sweep(pairs, rows)) == [("p", "v")]
     # without the spread term the residual is zero
     entries[row][key].pop()
     rows[row] = layered_row({pos[vk]: [(pos[lk], c) for lk, c in terms]
                              for vk, terms in entries[row].items()}, len(SPREAD_KEYS), 1)
-    assert list(residual_sweep(pairs, rows, [(pos["v"], "v")])) == []
+    assert list(residual_sweep(pairs, rows)) == []
 
 
 def test_a_bracket_of_more_than_one_term_is_refused():
     # every bracket the sweeps hand the engine has at most one term, so the
     # engine reads one; a pair with two is an error, not a wrong zero test
     rows = {key: layered_row({1: [(1, 1)]}, 2, 1) for key in "xyhk"}
-    pairs = [("p", "x", "y", 1, [("h", Fraction(1)), ("k", Fraction(1))])]
+    pairs = [("p", "x", "y", 1, [("h", Fraction(1)), ("k", Fraction(1))], [(1, "v")])]
     with pytest.raises(ValueError):
-        list(residual_sweep(pairs, rows, [(1, "v")]))
+        list(residual_sweep(pairs, rows))

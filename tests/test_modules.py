@@ -320,39 +320,42 @@ def _array_entry(row: Row, bound: int, key) -> tuple:
 
 
 def _engine_input(monkeypatch, spec, *windows):
-    """The (pairs, rows, vectors) an axiom sweep of spec hands the engine."""
+    """The (pairs, rows) of the spec's own engine call in an axiom sweep of
+    it: the last call, after its base module's sweep where it has one."""
     handed = []
 
-    def recording(pairs, rows, vectors):
-        handed.append((pairs, rows, vectors))
-        return residual_sweep(pairs, rows, vectors)
+    def recording(pairs, rows):
+        handed.append((pairs, rows))
+        return residual_sweep(pairs, rows)
 
     monkeypatch.setattr(modules, "residual_sweep", recording)
     axiom_sweep(spec, *windows)
-    return handed[0]
+    return handed[-1]
 
 
 def test_a_row_missing_a_reached_entry_raises(monkeypatch):
-    pairs, rows, vectors = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)), 1, 2)
-    assert list(residual_sweep(pairs, rows, vectors)) == []
+    # the full sweep over the rows the split sweep of A1 read
+    _, rows = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)), 1, 2)
+    pairs = modules._frame(1, 2)[1]
+    assert list(residual_sweep(pairs, rows)) == []
     # a label outside the window that y takes a window label to, with a
     # nonzero coefficient, so the check reads x there
-    window = {vp for vp, _ in vectors}
-    key, p = next((k1, targets[vp]) for _, k1, k2, _, _ in pairs
+    window = {vp for vp, _ in pairs[0][-1]}
+    key, p = next((k1, targets[vp]) for _, k1, k2, _, _, _ in pairs
                   for targets, coeffs in rows[k2].layers for vp in window
                   if coeffs[vp] and targets[vp] not in window)
     (targets, coeffs), = rows[key].layers
     blank = [(targets[:p] + [None] + targets[p + 1:], coeffs[:p] + [None] + coeffs[p + 1:])]
     with pytest.raises(TypeError):
-        list(residual_sweep(pairs, {**rows, key: Row(blank, rows[key].den)}, vectors))
+        list(residual_sweep(pairs, {**rows, key: Row(blank, rows[key].den)}))
 
 
 def test_an_int_row_read_without_its_den_raises(monkeypatch):
     # without its den, a concrete spec's int row would be read as if over
     # 1: a row cannot be built without one
-    pairs, rows, vectors = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)), 1, 2)
+    _, rows = _engine_input(monkeypatch, deformed("A1", Fraction(2, 7)), 1, 2)
     assert all(type(r.den) is int for r in rows.values()) and {r.den for r in rows.values()} != {1}
-    assert list(residual_sweep(pairs, rows, vectors)) == []
+    assert list(residual_sweep(modules._frame(1, 2)[1], rows)) == []
     key = next(k for k, r in rows.items() if any(r.layers[0][1]))
     with pytest.raises(TypeError):
         Row(rows[key].layers)
@@ -378,7 +381,7 @@ def test_every_sweep_the_cli_runs_is_on_int_rows(monkeypatch, argv):
     # one arithmetic: every row the engine reads is int numerators over an
     # int den, and the sweep is the check-by-check reference
     spec = build_family(make_parser().parse_args(["verify-axioms", *argv]))
-    _, rows, _ = _engine_input(monkeypatch, spec)
+    _, rows = _engine_input(monkeypatch, spec)
     assert all(type(row.den) is int and all(type(c) is int for _, coeffs in row.layers
                                             for c in coeffs if c is not None)
                for row in rows.values())
@@ -602,6 +605,173 @@ def test_a_second_spec_of_a_family_reads_the_table_on_its_slot_alone(monkeypatch
                for kind, g, letter, v in reads)
 
 
+# the deformed specs whose split sweep is compared with the full sweep: the
+# deform stage's alpha, alpha = 0, a slot with new dens, the twin at
+# symbolic alpha, and the 8 deformed faults
+SPLIT_CASES = [*(deformed(fam, alpha, alphap) for fam in DEFORMED
+                 for alpha, alphap in ((Fraction(0), Fraction(1)), *SLOT_ALPHAS)),
+               *(deformed(fam, "sym") for fam in DEFORMED),
+               *(spec_with_fault(fault) for fam in DEFORMED for fault in _faults(fam)[1:])]
+
+
+def _slots(spec, gen_window) -> tuple:
+    """The (row key, slot) of every row of a deformed spec's sweep, the
+    key of `modules._slot_checks`."""
+    return tuple((key, spec.ctx.row(g).slot) for key, g in modules._pair_table(gen_window)[1])
+
+
+def _full_flags(rows, windows) -> list:
+    """(v name, g1 name, g2 name) of every check the full sweep over these
+    rows flags, every pair on every window label, as a sweep sorts them."""
+    return sorted((name, n1, n2) for (n1, n2, _, _), (name, _)
+                  in residual_sweep(modules._frame(*windows)[1], rows))
+
+
+@pytest.mark.parametrize("windows", [(1, 2), (2, 4)], ids=["1,2", "2,4"])
+@pytest.mark.parametrize("spec", SPLIT_CASES, ids=[s.label() for s in SPLIT_CASES])
+def test_the_split_sweep_flags_what_the_full_sweep_flags(monkeypatch, spec, windows):
+    # the base module's flags off the slot and the engine's on the checks
+    # that read it are the flags of the full sweep over the same rows, and
+    # the reference's violations
+    spec = replace(spec)
+    _, rows = _engine_input(monkeypatch, spec, *windows)
+    report = axiom_sweep(spec, *windows)
+    flagged = [record[:3] for record in report.violations.records]
+    checks, want = (fault_reference(spec.fault) if spec.fault and windows == (2, 4)
+                    else reference_sweep(replace(spec), *windows))
+    assert report.checks == checks
+    assert flagged == _full_flags(rows, windows) == [(w["v"], w["g1"], w["g2"]) for w in want]
+    assert bool(flagged) == (spec.fault is not None)
+
+
+def _off_slot_fault(original):
+    """A case-A table whose G action on y gains 1: A1's base module A(0,-1)
+    is no module, and fails checks that read no slot of A1, the actions on
+    x_0."""
+    def shifted(ctx, kind, g, letter, v, env):
+        terms = original(ctx, kind, g, letter, v, env)
+        return [(l, i, c + 1) for l, i, c in terms] if kind == "G" and letter == "y" else terms
+    return shifted
+
+
+def _base_with_no_source(original):
+    """A case-A table read at a + 1: A(1,-1), a module, in place of A1's
+    base module A(0,-1).  G_q maps y_-q onto x_0 at a nonzero coefficient
+    there, so x_0 is no source, and a check whose one slot read is x at
+    y v reads A1's slot at a nonzero coefficient."""
+    def moved(ctx, kind, g, letter, v, env):
+        return [(l, i + 1, c) for l, i, c in original(ctx, kind, g, letter, v - 1, env)]
+    return moved
+
+
+@pytest.mark.parametrize("windows", [(1, 2), (2, 4)], ids=["1,2", "2,4"])
+@pytest.mark.parametrize("patch", [_off_slot_fault, _base_with_no_source],
+                         ids=["fault-off-the-slot", "no-source"])
+def test_a_changed_base_module_is_read_by_the_split_sweep(monkeypatch, patch, windows):
+    # the split sweep merges its base module's flags, so a base module
+    # fault off the slot fails A1 as it fails the full sweep; and it runs
+    # the engine on every check that reads the slot, so a base module in
+    # which the slot is reached (its own flags empty) fails A1 there too
+    monkeypatch.setitem(modules._TABLES, "Aab", patch(modules._act_case_a))
+    modules._base_spec.cache_clear()
+    try:
+        spec = deformed("A1", Fraction(2, 7))
+        _, rows = _engine_input(monkeypatch, spec, *windows)
+        report = axiom_sweep(spec, *windows)
+        flagged = [record[:3] for record in report.violations.records]
+        checks, want = reference_sweep(replace(spec), *windows)
+        assert report.checks == checks
+        assert flagged == _full_flags(rows, windows) == [(w["v"], w["g1"], w["g2"]) for w in want]
+        touching = {(name, n1, n2) for (n1, n2, _, _), *_, vectors in modules._slot_checks(
+            *windows, _slots(spec, windows[0])) for _, (name, _) in vectors}
+        base_flags = spec.ctx.base.ctx.flags[windows]
+        if patch is _off_slot_fault:
+            # some of them read no slot
+            assert set(flagged) - touching and base_flags
+        else:
+            assert flagged and set(flagged) <= touching and base_flags == []
+    finally:
+        modules._base_spec.cache_clear()
+
+
+def _moved_slot(monkeypatch, family, how):
+    """BASE_FAMILY with the family's slot moved: its index by one, its
+    letter or its role."""
+    base, a, b, role, (letter, idx) = modules.BASE_FAMILY[family]
+    if how == "index":
+        idx = idx + 1
+    elif how == "letter":
+        letter = "y" if letter == "x" else "x"
+    elif how == "role":
+        role = "sink" if role == "source" else "source"
+    monkeypatch.setitem(modules.BASE_FAMILY, family, (base, a, b, role, (letter, idx)))
+
+
+@pytest.mark.parametrize("how", ["index", "letter", "role"])
+@pytest.mark.parametrize("family", DEFORMED)
+def test_a_moved_slot_is_swept_with_its_own_slot_checks(monkeypatch, family, how):
+    # a family swept with its slot in place, then moved: the split sweep of
+    # the moved slot flags every check the full sweep and the reference do,
+    # so no table of slot checks kept from the first sweep is read
+    windows = (1, 2)
+    assert axiom_sweep(deformed(family, Fraction(2, 7)), *windows).ok
+    _moved_slot(monkeypatch, family, how)
+    spec = deformed(family, Fraction(2, 7))
+    _, rows = _engine_input(monkeypatch, spec, *windows)
+    flagged = [record[:3] for record in axiom_sweep(spec, *windows).violations.records]
+    _, want = reference_sweep(replace(spec), *windows)
+    assert flagged == _full_flags(rows, windows) == [(w["v"], w["g1"], w["g2"]) for w in want]
+    assert flagged
+
+
+@pytest.mark.parametrize("windows", [(1, 2), (2, 4)], ids=["1,2", "2,4"])
+@pytest.mark.parametrize("how", [None, "index", "letter", "role"])
+@pytest.mark.parametrize("family", DEFORMED)
+def test_the_slot_table_holds_the_checks_that_read_a_slot_position(monkeypatch, family, how,
+                                                                   windows):
+    # brute force over every pair and window label of the full sweep: a
+    # check is in the table iff one of its five reads, by the targets of
+    # the rows themselves, is a row's slot position.  A moved slot has its
+    # own table, as the table is keyed by the slots and not the family
+    _moved_slot(monkeypatch, family, how)
+    spec = deformed(family, Fraction(2, 7))
+    bound, pairs, _ = modules._frame(*windows)
+    rows = _engine_rows(spec, *windows)
+    slots = {key: modules._position(bound, *slot) for key, slot in _slots(spec, windows[0])
+             if slot is not None}
+    want = []
+    for tag, k1, k2, _, xy, vectors in pairs:
+        (t1, _), (t2, _) = rows[k1].layers[0], rows[k2].layers[0]
+        for vp, name in vectors:
+            reads = [(k2, vp), (k1, t2[vp]), (k1, vp), (k2, t1[vp]), *((kh, vp) for kh, _ in xy)]
+            if any(slots.get(key) == p for key, p in reads):
+                want.append((tag, name))
+    table = modules._slot_checks(*windows, _slots(spec, windows[0]))
+    assert [(tag, name) for tag, *_, vectors in table for _, name in vectors] == want
+    assert 0 < len(want) < sum(len(pair[-1]) for pair in pairs)
+    # each pair as the full sweep has it, with its own vectors in the
+    # full sweep's order
+    tags = {tag for tag, _ in want}
+    assert [pair[:5] for pair in table] == [pair[:5] for pair in pairs if pair[0] in tags]
+
+
+def test_a_warm_deformed_sweep_hands_the_engine_its_slot_checks_alone(monkeypatch):
+    # with its base module swept, an A1 sweep at windows (2, 4) runs the
+    # engine once, on the 495 checks that read its slot, and still reports
+    # all 6 460 checks
+    assert axiom_sweep(deformed("A1", Fraction(2, 7))).ok
+    handed = []
+
+    def recording(pairs, rows):
+        handed.append(pairs)
+        return residual_sweep(pairs, rows)
+
+    monkeypatch.setattr(modules, "residual_sweep", recording)
+    report = axiom_sweep(deformed("A1", Fraction(-13, 5), Fraction(3, 2)))
+    assert report.checks == 6460 and report.ok
+    assert [(len(pairs), sum(len(pair[-1]) for pair in pairs)) for pairs in handed] == [(189, 495)]
+
+
 SYMBOLIC_AB = [spec for spec in FILL_CASES
                if spec.family in ("Aab", "Bab") and spec.a == "sym"]
 
@@ -706,10 +876,12 @@ def test_the_twin_point_bounds_every_entry_the_sweep_reads(monkeypatch, spec, wi
     # norm, times D, is within the point's norm
     spec = replace(spec)
     point, den, norm, params = modules._twin_point(spec, *windows)
-    pairs, rows, _ = _engine_input(monkeypatch, spec, *windows)
-    bound = modules._frame(*windows)[0]
+    _, rows = _engine_input(monkeypatch, spec, *windows)
+    bound, pairs, _ = modules._frame(*windows)
+    # d over every pair of the full sweep, which a deformed family's twin
+    # hands the engine only in part
     d = lcm(*(row.den for row in rows.values()),
-            *(scale.denominator for *_, xy in pairs for _, scale in xy))
+            *(scale.denominator for *_, xy, _ in pairs for _, scale in xy))
     assert den % d == 0
     values = {name: point.value(name) for name in params.values()}
     widest = 0
@@ -1000,10 +1172,13 @@ class TestActionMemo:
             return sweep(pairs, rows, *args, **kwargs)
 
         monkeypatch.setattr(modules, "residual_sweep", recording)
+        # the four base modules are swept once each in the run, not before it
+        modules._base_spec.cache_clear()
         assert main(["all", "--format", "json"]) == 0
         capsys.readouterr()
-        # Aab and Bab, A1..B2 at symbolic and at deform-stage alpha, 12 faults
-        assert len(handed) == 2 + 4 + 4 + 12
+        # Aab and Bab, the four base modules of A1..B2, A1..B2 at symbolic
+        # and at deform-stage alpha, 12 faults
+        assert len(handed) == 2 + 4 + 4 + 4 + 12
         assert all(len(row.layers) == 1 and not row.spread
                    for rows in handed for row in rows.values())
 
