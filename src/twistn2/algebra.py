@@ -356,10 +356,11 @@ def residual_sweep(pairs, rows: dict):
     takes a vector to.  It keeps no residual: a caller that reports one
     computes it with its readable reference.
 
-    The rows are read over d, the lcm of their dens and of the bracket
-    scales' denominators.  Each pair folds the int factor that takes its
-    products to d**2 into one multiplier per part, so every residual is
-    summed, exactly, in ints times d**2.
+    Each pair reads its checks over the product of its own dens: those
+    of x's and y's rows, and of [x, y]'s row and scale where it has a
+    bracket term.  It folds them into one int multiplier per part, so
+    every residual of the pair is summed, exactly, in ints times that
+    product; no den of another row, or lcm, is taken.
 
     A check is, on the rows' first layers, at most three products, summed
     into one scalar when they land on one target; a small dict sums them
@@ -367,9 +368,6 @@ def residual_sweep(pairs, rows: dict):
     layers where an entry the check reads spreads over more layers
     (`Row.spread`).
     """
-    d = lcm(*(row.den for row in rows.values()),
-            *(scale.denominator for *_, xy, _ in pairs for _, scale in xy))
-    square = d * d
     # a pair with no bracket term reads this all-zero layer, which keeps
     # its checks on the scalar path
     size = len(next(iter(rows.values())).layers[0][0])
@@ -377,17 +375,17 @@ def residual_sweep(pairs, rows: dict):
 
     for tag, k1, k2, eps, xy, vectors in pairs:
         r1, r2 = rows[k1], rows[k2]
-        m = square // (r1.den * r2.den)
-        e = -eps * m
         (t1, c1), (t2, c2) = r1.layers[0], r2.layers[0]
         sx, sy = r1.spread, r2.spread
-        singles, (th, ch), mh, sh = [], zero, 0, sx  # sx is tested anyway
+        m, singles, (th, ch), mh, sh = 1, [], zero, 0, sx  # sx is tested anyway
         if xy:
             (kh, scale), = xy  # a bracket has at most one term
             h = rows[kh]
-            mh = -scale.numerator * (square // (scale.denominator * h.den))
+            m = h.den * scale.denominator
+            mh = -scale.numerator * r1.den * r2.den
             singles = [(layer, mh) for layer in h.layers]
             (th, ch), sh = h.layers[0], h.spread
+        e = -eps * m
         spread = sx or sy or sh
         products = None  # built at the first check that needs the dict
         for vp, name in vectors:

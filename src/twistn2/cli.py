@@ -14,7 +14,7 @@ import shutil
 import sys
 import traceback
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from . import constraints as clab
 from . import deformation as dlab
@@ -289,11 +289,24 @@ def _window(text: str) -> int:
 
 def make_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser; with `only`, the same parser holding that verb's
-    subparser alone.  `main` builds the one subparser it reads, when the
-    first argument names a verb: the other nine cost more than parsing."""
+    subparser alone.  `main` reads the one subparser of the verb it is
+    given: the other nine cost more than parsing.
+
+    One parser per verb and help width is built per process (`_parser`)
+    and reused, as parsing keeps no state in it: a caller parses with it
+    and never adds to it.  The width is read from the terminal on every
+    call, so `COLUMNS` still takes effect."""
+    return _parser(only, shutil.get_terminal_size().columns - 2)
+
+
+@lru_cache(maxsize=11)
+def _parser(only: str | None, width: int) -> argparse.ArgumentParser:
+    """`make_parser`'s parser at this help width, built once: the bound
+    holds the parser of each of the ten verbs and the full one at one
+    width."""
     # argparse sizes its help to the terminal on every formatter it makes,
-    # one per add_argument; the width is read once here instead
-    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    # one per add_argument; the width is given to each instead
+    formatter = partial(argparse.HelpFormatter, width=width)
     parser = argparse.ArgumentParser(
         prog="twistn2",
         description="verification lab for intermediate-series modules over the "

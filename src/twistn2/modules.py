@@ -43,12 +43,18 @@ family as its concrete twin at one Kronecker point (`_twin`), so every
 sweep the CLI runs is a sweep of int rows, and share one table of
 generator pairs and one layout of label positions per window
 (`_pair_table`, `_frame`).  A deformed family is its base module off the
-slot, so its sweep runs the engine only on the checks that read a slot
-position (`_slot_checks`) and takes the others' flags from its base
-module's sweep, run once per base module and pair of windows.  The
-residual engine only flags the failing checks; a printed witness is the
-residual of the spec asked for, by the readable reference
-`bracket_action_check`.
+slot: its rows are the base module's filled rows, copied by slicing and
+rescaled only where the slot entry's den asks it, with the slot's one
+position written over, and its sweep runs the engine only on the checks
+that read a slot position (`_slot_checks`) and takes the others' flags
+from its base module's sweep, run once per base module and pair of
+windows.  So a repeat sweep of a family pays for its slot strata, its
+row copies and its slot checks.  The residual engine only flags the
+failing checks; a printed witness is the residual of the spec asked for,
+by the readable reference `bracket_action_check`.  The checks that need
+only an action's targets (submodule closure, reachability, the NS
+partitions) read the memo rows by label key, and format a label only
+for a violation.
 
 The central element acts as zero on every family.
 """
@@ -95,7 +101,15 @@ class BasisLabel:
         return f"{self.letter}_{self.idx}"
 
     def sort_key(self):
+        """(letter, doubled index): the labels' order, and the label key
+        under which the action memo holds entries (`_ActionRow`)."""
         return (self.letter, self.idx.doubled)
+
+
+def _key_label(key) -> BasisLabel:
+    """The label of a label key (`BasisLabel.sort_key`)."""
+    letter, doubled = key
+    return BasisLabel(letter, SymIndex(doubled))
 
 
 # LinComb: BasisLabel -> coefficient: a Fraction for a concrete spec, Poly
@@ -273,14 +287,15 @@ class _Ctx:
     together.  A deformed family's context holds its base module's spec
     (`_base_spec`), which answers every read off the slot and whose rows its
     rows copy, the slot's role (`BASE_FAMILY`; `slot_vector` says where the
-    slot is read), and the slot's strata (`slot_stratum`).  A base module's
+    slot is read, and `slot_keys` holds its label key at each kind's mode
+    0), and the slot's strata (`slot_stratum`).  A base module's
     context keeps the flagged checks of its sweeps (`flags`), which its
     deformed families read off the slot (`_flagged`).
     """
 
     __slots__ = ("spec", "a", "b", "bp", "alpha", "alphap", "fault", "mode", "branch",
                  "consts", "printed_t", "base", "slot", "forced", "rows", "strata", "slots",
-                 "symbolic", "twins", "flags")
+                 "slot_keys", "symbolic", "twins", "flags")
 
     def __init__(self, spec: FamilySpec):
         self.spec = weakref.proxy(spec)
@@ -288,11 +303,17 @@ class _Ctx:
         self.mode = spec.coeff_mode
         for field, name in _SYMBOLS.items():
             setattr(self, name, _param(name, getattr(spec, field)))
-        self.branch = self.consts = self.base = self.slot = None
+        self.branch = self.consts = self.base = self.slot = self.slot_keys = None
         self.forced = {}
         if spec.family in BASE_FAMILY:
             family, a, b, self.slot, _ = BASE_FAMILY[spec.family]
             self.base = _base_spec(family, a, b)
+            # kind -> the label key of the slot of that kind's mode 0; a
+            # sink's slot moves down by the mode (`slot_vector`)
+            self.slot_keys = {}
+            for kind in "LTG":
+                letter, idx = slot_vector(spec.family, kind, IDX_ZERO)
+                self.slot_keys[kind] = letter, idx.doubled
         elif spec.family in ("Aab", "GenericA"):
             self.branch = "alpha"
         elif spec.coeff_mode == "mu" or (spec.family == "Bab" and spec.b == 0
@@ -334,8 +355,8 @@ class _Ctx:
         if r is None:
             slot = None
             if self.slot is not None and g.kind != "C":
-                letter, idx = slot_vector(self.spec.family, g.kind, g.idx)
-                slot = letter, idx.doubled
+                letter, d = self.slot_keys[g.kind]
+                slot = letter, (d - key[1] if self.slot == "sink" else d)
             r = self.rows[key] = _ActionRow(self.spec, g, slot)
         return r
 
@@ -714,15 +735,14 @@ def t_composition(spec: FamilySpec, letter: str, vidx: SymIndex, env,
 def act(spec: FamilySpec, g: Gen, v: BasisLabel) -> LinComb:
     """Concrete action; returns a label -> coefficient map without zeros.
 
-    A view of the spec's memo row for g (`FamilySpec.ctx`): a row key's
-    doubled index d is the label index `SymIndex(d)`.  A concrete spec
+    A view of the spec's memo row for g (`FamilySpec.ctx`), its label keys
+    read as labels (`_key_label`).  A concrete spec
     gives Fraction coefficients; a symbolic parameter gives Poly (or
     RatFunc) ones, a constant Poly again lowered to its Fraction.
     """
     if g.kind == "C":
         return {}
-    return {BasisLabel(letter, SymIndex(doubled)): c
-            for (letter, doubled), c in spec.ctx.row(g)[v.letter, v.idx.doubled]}
+    return {_key_label(key): c for key, c in spec.ctx.row(g)[v.sort_key()]}
 
 
 def _scalar(c):
@@ -848,7 +868,8 @@ class _ActionRow(dict):
 
     As a dict, label key (letter, doubled index) -> ((label key, coeff),
     ...), each entry built the first time it is read and kept as long as
-    the spec; `act` and the submodule and partition checks read it.  A
+    the spec; `act` reads it, and the submodule and partition checks read
+    it by key, with no label built (`_window_rows`).  A
     key's doubled index d is the index `SymIndex(d)` the table reads, and
     a target's is the `doubled` of the index the table returns.  An entry
     is the spec's stratum for the key's parity class (`_Ctx.stratum`, read
@@ -866,11 +887,15 @@ class _ActionRow(dict):
     mode class.  Each (letter, parity of k) stratum fills its positions in
     bulk: its targets are one arithmetic progression, and its numerators
     one Horner pass over the doubled indices (`_values`).  A deformed
-    family's row is its base module's row, copied: rescaled to the lcm of
-    its den and the slot entry's, with the slot entry written over its
-    one position.  That entry is the slot stratum's ints at the row's
-    mode, one numerator over its least den; the dict's slot entry, which
-    `act` reads, is the same stratum as a Fraction.  A row whose strata
+    family's row is its base module's row, copied by slicing, with the
+    slot entry written over its one position (`_fill_slot`).  That entry
+    is the slot stratum's ints at the row's mode, one numerator over its
+    least den; where that den does not divide the base row's, the copy is
+    rescaled to their lcm, at its filled positions alone.  The dict's slot
+    entry, which `act` reads, is the same stratum as a Fraction.  The
+    slot's position, and the strata it evaluates, are per mode class of
+    the spec's context (`_Ctx.slot_keys`, `_Ctx.slot_stratum`), so the
+    row's own work is the copy.  A row whose strata
     are not all ints (a symbolic parameter, the unknowns mode, symbolic
     normalization constants, the mu branch's 1/(a - k) forms) has no
     arrays: `engine_row` raises `ValueError`, naming the spec.
@@ -882,11 +907,11 @@ class _ActionRow(dict):
     its mode class, or a deformed family's its base row and slot entry.
     """
 
-    __slots__ = ("spec", "kind", "gidx", "slot", "forms", "filled")
+    __slots__ = ("spec", "gen", "kind", "gidx", "slot", "forms", "filled")
 
     def __init__(self, spec: FamilySpec, g: Gen, slot=None):
         super().__init__()
-        self.spec, self.kind, self.gidx, self.slot = spec, g.kind, g.idx, slot
+        self.spec, self.gen, self.kind, self.gidx, self.slot = spec, g, g.kind, g.idx, slot
         self.forms: dict = {}  # (letter, parity of k) -> the stratum at this mode
         self.filled: dict = {}  # (bound, radius) -> `engine_row`
 
@@ -957,35 +982,12 @@ class _ActionRow(dict):
         if self.kind == "C":
             return Row([([0] * size, [0] * size)], 1)
         ctx, gd = self.spec.ctx, self.gidx.doubled
-        forms = {} if ctx.base else {(letter, kpar): self._form(letter, kpar)
-                                     for letter in "xy" for kpar in (0, 1)}
+        if ctx.base is not None and not ctx.symbolic:
+            return self._fill_slot(bound, radius)
+        forms = {(letter, kpar): self._form(letter, kpar) for letter in "xy" for kpar in (0, 1)}
         if ctx.symbolic or None in forms.values():
             raise ValueError(f"{self.spec.label()}: the {self.kind} action has no stratum of "
                              "ints, so the residual engine cannot read it")
-        if ctx.base is not None:
-            # off the slot a deformed family is its base module: its arrays
-            # are the base row's, copied over the lcm of that row's den and
-            # the slot entry's, with the slot's one position written over.
-            # The slot entry is its stratum's ints at this mode, over the
-            # least den, with no Fraction built
-            base = ctx.base.ctx.row(Gen(self.kind, self.gidx)).engine_row(bound, radius)
-            letter, d = self.slot
-            (letter2, shift, form_den, nums), = ctx.slot_stratum(self.kind, gd & 1)[1]
-            num = sum(n * gd ** i * d ** j for n, i, j in nums)
-            common = gcd(num, form_den)
-            num, form_den = num // common, form_den // common
-            den = lcm(base.den, form_den)
-            scale = den // base.den
-            layers = [(targets[:], [n and n * scale for n in coeffs])
-                      for targets, coeffs in base.layers]
-            if abs(d) <= radius:
-                p = _position(bound, letter, d)
-                (targets, coeffs), *rest = layers
-                targets[p] = _position(bound, letter2, d + gd + shift)
-                coeffs[p] = num * (den // form_den)
-                for targets, coeffs in rest:
-                    targets[p] = coeffs[p] = 0
-            return Row(layers, den)
         # an empty entry is coefficient 0 on the line a graded entry would
         # land on, so the engine sums it with the other parts of a check
         landing = {"x": "y", "y": "x"} if self.kind == "G" else {"x": "x", "y": "y"}
@@ -1015,6 +1017,38 @@ class _ActionRow(dict):
                 else:
                     targets[cells] = coeffs[cells] = [0] * len(ds)
         return Row(layers, den)
+
+    def _fill_slot(self, bound: int, radius: int) -> Row:
+        """A deformed family's arrays: off the slot the family is its base
+        module, so they are the base row's, copied by slicing, with the
+        slot's one position written over.  The slot entry is its stratum's
+        ints at this mode (`_Ctx.slot_stratum`), over the least den, with
+        no Fraction built; where that den does not divide the base row's,
+        the copy is rescaled to their lcm at the filled positions alone."""
+        ctx, gd = self.spec.ctx, self.gidx.doubled
+        base = ctx.base.ctx.row(self.gen).engine_row(bound, radius)
+        (letter2, shift, den, nums), = ctx.slot_stratum(self.kind, gd & 1)[1]
+        letter, d = self.slot
+        num = sum(n * gd ** i * d ** j for n, i, j in nums)
+        common = gcd(num, den)
+        num, den = num // common, den // common
+        scale = den // gcd(den, base.den)
+        layers = [(targets[:], coeffs[:]) for targets, coeffs in base.layers]
+        if scale > 1:
+            # each letter's filled labels, |doubled index| <= radius, are
+            # one run of positions
+            for start in (_position(bound, "x", -radius), _position(bound, "y", -radius)):
+                cells = slice(start, start + 2 * radius + 1)
+                for _, coeffs in layers:
+                    coeffs[cells] = [c * scale for c in coeffs[cells]]
+        if abs(d) <= radius:
+            p = _position(bound, letter, d)
+            (targets, coeffs), *rest = layers
+            targets[p] = _position(bound, letter2, d + gd + shift)
+            coeffs[p] = num * (base.den * scale // den)
+            for targets, coeffs in rest:
+                targets[p] = coeffs[p] = 0
+        return Row(layers, base.den * scale)
 
 
 def _sweep_witness(spec: FamilySpec, record) -> dict:
@@ -1098,20 +1132,24 @@ def _slot_checks(gen_window: int, basis_window: int, slots: tuple) -> tuple:
     y at x v, and [x, y] at v; it reads the slot if one of them is a slot
     position.  So it is on one of at most five vectors of the pair: the
     slots of y, x and [x, y], and the labels that y and x take to the
-    slots of x and y.  The table depends on the slots and the windows
-    alone, not on alpha, alpha' or the fault."""
-    slot = dict(slots)
+    slots of x and y.  Each row's own slot is indexed among the window's
+    vectors once; the two labels taken to a slot depend on the pair, and
+    are found by the window index of their label keys.  The table
+    depends on the slots and the windows alone, not on alpha, alpha' or
+    the fault."""
     full = _frame(gen_window, basis_window)[1]
     vectors = full[0][-1]  # every pair's, in a full sweep
     where = {(v.letter, v.idx.doubled): i for i, (_, (_, v)) in enumerate(vectors)}
+    slot = dict(slots)
+    at = {key: where.get(s) for key, s in slots}
+    get = where.get
     pairs = []
     for tag, k1, k2, eps, xy, _ in full:
-        s1, s2 = slot[k1], slot[k2]
-        hits = {where.get(s2), where.get(_source(k2, s1)), where.get(s1),
-                where.get(_source(k1, s2)), *(where.get(slot[kh]) for kh, _ in xy)}
+        hits = {at[k1], at[k2], get(_source(k2, slot[k1])), get(_source(k1, slot[k2])),
+                at[xy[0][0]] if xy else None}
         hits.discard(None)
         if hits:
-            pairs.append((tag, k1, k2, eps, xy, tuple(vectors[i] for i in sorted(hits))))
+            pairs.append((tag, k1, k2, eps, xy, tuple([vectors[i] for i in sorted(hits)])))
     return tuple(pairs)
 
 
@@ -1121,13 +1159,15 @@ def _flagged(ctx: _Ctx, gen_window: int, basis_window: int):
     generator, or a deformed family's list.
 
     Off the slot a deformed family is its base module, and its rows are
-    the base module's rows, rescaled, with one position written over:
-    each check that reads no slot (`_slot_checks`) has the base module's
+    the base module's rows, copied and rescaled where the slot's den asks
+    it, with one position written over (`_ActionRow._fill_slot`): each
+    check that reads no slot (`_slot_checks`) has the base module's
     residual.  So a deformed family's flags are the base module's, kept
     on the base module's context (`_Ctx.flags`) for every alpha, less the
     slot-touching checks, plus those of the slot-touching checks that the
     engine flags on the family's own rows.  Every check is still decided
-    exactly."""
+    exactly.  A repeat sweep of a family thus reads its four slot strata,
+    copies its rows and runs the engine on its slot checks alone."""
     _, gens = _pair_table(gen_window)
     bound, pairs, radii = _frame(gen_window, basis_window)
     rows = {key: ctx.row(g).engine_row(bound, radii[key]) for key, g in gens}
@@ -1316,24 +1356,37 @@ def _as_label(l) -> BasisLabel:
     return BasisLabel(letter, idx)
 
 
+def _window_rows(spec: FamilySpec, gen_window: int) -> list:
+    """(generator, its memo row, None for C, which acts as zero) for each
+    generator of the window."""
+    ctx = spec.ctx
+    return [(g, None if g.kind == "C" else ctx.row(g)) for g in generators_in_window(gen_window)]
+
+
 def submodule_check(spec: FamilySpec, cand: SubmoduleCandidate,
                     gen_window: int = 2, basis_window: int = 4) -> Tally:
     """Is the candidate subspace closed under the window action?
 
     Returns a `Tally` of the (generator, label) actions checked: `ok` says
     the candidate is closed, and an escape stops the check with one
-    {"g", "v", "target", "coefficient"} witness.
+    {"g", "v", "target", "coefficient"} witness.  The actions are read
+    from the spec's memo rows by label key, and a witness is formatted
+    only for the escape.
     """
     checks = 0
-    gens = generators_in_window(gen_window)
+    rows = _window_rows(spec, gen_window)
+    named = set(map(BasisLabel.sort_key, cand.labels))
+    span = cand.kind == "span"
     for v in labels_in_window(basis_window):
         if not cand.contains(v):
             continue
-        for g in gens:
+        key = v.sort_key()
+        for g, row in rows:
             checks += 1
-            for label, coeff in act(spec, g, v).items():
-                if coeff and not cand.contains(label):
-                    escape = {"g": str(g), "v": str(v), "target": str(label),
+            for target, coeff in () if row is None else row[key]:
+                # a span holds the named labels, a complement the others
+                if coeff and (target in named) != span:
+                    escape = {"g": str(g), "v": str(v), "target": str(_key_label(target)),
                               "coefficient": str(coeff)}
                     return Tally(checks, [escape])
     return Tally(checks)
@@ -1344,20 +1397,21 @@ def reachable_labels(spec: FamilySpec, start: BasisLabel,
     """Labels reachable from `start` by repeated window action.
 
     Exploration is confined to the basis window, so the result is the
-    window shadow of the submodule generated by the start vector.
+    window shadow of the submodule generated by the start vector.  It
+    runs over label keys, read from the spec's memo rows.
     """
     bound = 2 * basis_window
-    gens = generators_in_window(gen_window)
-    seen = {start}
-    frontier = [start]
+    rows = [row for _, row in _window_rows(spec, gen_window) if row is not None]
+    seen = {start.sort_key()}
+    frontier = list(seen)
     while frontier:
-        v = frontier.pop()
-        for g in gens:
-            for label, coeff in act(spec, g, v).items():
-                if coeff and abs(label.idx.doubled) <= bound and label not in seen:
-                    seen.add(label)
-                    frontier.append(label)
-    return seen
+        key = frontier.pop()
+        for row in rows:
+            for target, coeff in row[key]:
+                if coeff and abs(target[1]) <= bound and target not in seen:
+                    seen.add(target)
+                    frontier.append(target)
+    return set(map(_key_label, seen))
 
 
 def proper_submodule_scan(spec: FamilySpec, gen_window: int = 2,
@@ -1382,11 +1436,11 @@ def proper_submodule_scan(spec: FamilySpec, gen_window: int = 2,
 # the two NS-restriction partitions
 # ---------------------------------------------------------------------------
 
-def _partition_side(label: BasisLabel) -> int:
-    """0 for the x-integer/y-half-odd block, 1 for its complement."""
-    if label.letter == "x":
-        return 0 if label.idx.is_integer() else 1
-    return 1 if label.idx.is_integer() else 0
+def _partition_side(key) -> int:
+    """0 for the x-integer/y-half-odd block, 1 for its complement, of a
+    label key."""
+    letter, doubled = key
+    return (doubled & 1) ^ (letter == "y")
 
 
 def ns_partition_check(spec: FamilySpec, gen_window: int = 2,
@@ -1398,21 +1452,24 @@ def ns_partition_check(spec: FamilySpec, gen_window: int = 2,
     {"g", "v", "target"} violation per target in the wrong block.  A
     symbolic spec is checked on its twin (`_twin`), so after an axiom sweep
     at the same windows it reads the rows, and the strata, that sweep
-    built.
+    built.  The actions are read from the memo rows by label key, and a
+    violation is formatted only where one is found.
     """
     spec = _twin(spec, gen_window, basis_window)
     checks = 0
     violations = []
-    for g in generators_in_window(gen_window):
-        if g.kind == "C":
+    labels = [(v, v.sort_key()) for v in labels_in_window(basis_window)]
+    for g, row in _window_rows(spec, gen_window):
+        if row is None:
             continue
         preserves = g.kind == "L" or (g.kind == "G" and g.idx.is_half_odd())
-        for v in labels_in_window(basis_window):
+        for v, key in labels:
             checks += 1
-            want = _partition_side(v) if preserves else 1 - _partition_side(v)
-            for label, coeff in act(spec, g, v).items():
-                if coeff and _partition_side(label) != want:
-                    violations.append({"g": str(g), "v": str(v), "target": str(label)})
+            want = _partition_side(key) if preserves else 1 - _partition_side(key)
+            for target, coeff in row[key]:
+                if coeff and _partition_side(target) != want:
+                    violations.append({"g": str(g), "v": str(v),
+                                       "target": str(_key_label(target))})
     return Tally(checks, violations)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -222,22 +223,42 @@ class TestParsing:
             printed.append((capsys.readouterr(), parser.format_usage()))
         assert printed[0] == printed[1] and f"twistn2 {verb}" in printed[0][0].out
 
-    @pytest.mark.parametrize("argv", [
-        ["--help"], [], ["bogus"], ["verify-axioms", "--bogus"],
-        ["verify-axioms", "--family", "Z"], ["jacobi", "--window", "0"],
-        ["verify-axioms", "--family", "A1", "--alpha", "-2/7", "--gen-window", "1",
-         "--basis-window", "1", "--format", "json"],
+    A_SWEEP = ["verify-axioms", "--family", "A1", "--alpha", "-2/7", "--gen-window", "1",
+               "--basis-window", "1", "--format", "json"]
+
+    @pytest.mark.parametrize("calls", [
+        *([(80, argv)] for argv in (
+            ["--help"], [], ["bogus"], ["verify-axioms", "--bogus"],
+            ["verify-axioms", "--family", "Z"], ["jacobi", "--window", "0"], A_SWEEP)),
+        # one process, the help width changed between calls
+        [(80, A_SWEEP), (60, ["verify-axioms", "--bogus"]), (120, ["verify-axioms", "--help"]),
+         (45, ["verify-axioms", "--family", "Z"]),
+         (200, ["verify-axioms", "--family", "A1", "--alpha", "1", "--gen-window", "0"]),
+         (70, A_SWEEP)],
     ], ids=["help", "no-verb", "unknown-verb", "unknown-option", "bad-choice",
-            "bad-window", "a-sweep"])
-    def test_main_answers_as_with_the_full_parser(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("COLUMNS", "80")
-        full = cli.make_parser
-        answers = []
-        for make in (full, lambda only=None: full()):
+            "bad-window", "a-sweep", "a-sequence"])
+    def test_main_answers_as_with_the_full_parser(self, capsys, monkeypatch, calls):
+        # `main` reuses one parser per verb and help width, holding that
+        # verb's subparser alone: each call answers as a full parser built
+        # afresh for it does, whatever the calls before it parsed
+        def fresh(only=None):
+            return cli._parser.__wrapped__(None, shutil.get_terminal_size().columns - 2)
+
+        answers = {}
+        for make in (cli.make_parser, fresh):
             monkeypatch.setattr(cli, "make_parser", make)
-            code = main(list(argv))
-            answers.append((code, *capsys.readouterr()))
-        assert answers[0] == answers[1]
+            for columns, argv in calls:
+                monkeypatch.setenv("COLUMNS", str(columns))
+                code = main(list(argv))
+                answers.setdefault(make, []).append((code, *capsys.readouterr()))
+        memo, built = answers.values()
+        assert memo == built
+        # and the widths the calls ran at shape what they print
+        helps = set()
+        for columns in (45, 200):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            helps.add(cli.make_parser("verify-axioms").format_help())
+        assert len(helps) == 2
 
 
 class TestReports:

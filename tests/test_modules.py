@@ -772,6 +772,42 @@ def test_a_warm_deformed_sweep_hands_the_engine_its_slot_checks_alone(monkeypatc
     assert [(len(pairs), sum(len(pair[-1]) for pair in pairs)) for pairs in handed] == [(189, 495)]
 
 
+# A1-B2 with no fault and with each of their faults, at alpha = 0, at the
+# deform stage's alpha, and at one whose slot entries bring dens the base
+# rows lack, so the copies are rescaled
+ROW_CASES = [deformed(fam, alpha, alphap, fault=fault) for fam in DEFORMED
+             for fault in _faults(fam)
+             for alpha, alphap in ((Fraction(0), Fraction(1)), *SLOT_ALPHAS)]
+
+
+@pytest.mark.parametrize("windows", [(1, 2), (2, 4)], ids=["1,2", "2,4"])
+@pytest.mark.parametrize("spec", ROW_CASES, ids=[s.label() for s in ROW_CASES])
+def test_the_rows_a_split_sweep_hands_the_engine_are_direct_reads(monkeypatch, spec, windows):
+    # the split sweep reads copied, rescaled base rows with the slot
+    # written over: at every position a slot-touching check reads, each row
+    # holds the direct table read, target and value, an empty entry as 0
+    spec = replace(spec)
+    pairs, rows = _engine_input(monkeypatch, spec, *windows)
+    bound, full, _ = modules._frame(*windows)
+    assert 0 < sum(len(pair[-1]) for pair in pairs) < sum(len(pair[-1]) for pair in full)
+    reads = set()
+    for _, k1, k2, _, xy, vectors in pairs:
+        (t1, _), (t2, _) = rows[k1].layers[0], rows[k2].layers[0]
+        for vp, _ in vectors:
+            reads |= {(k2, vp), (k1, t2[vp]), (k1, vp), (k2, t1[vp]), *((kh, vp) for kh, _ in xy)}
+    keys = _position_keys(bound)
+    slots = {(key, modules._position(bound, *slot)) for key, slot in _slots(spec, windows[0])
+             if slot is not None and abs(slot[1]) <= bound}
+    assert slots & reads
+    for key, p in reads - {(key, 0) for key, _ in reads}:  # position 0 is the zero vector
+        (kind, gd), (letter, d), row = key, keys[p], rows[key]
+        terms = [] if kind == "C" else act_indexed(spec, kind, SymIndex(gd), letter, SymIndex(d))
+        want = {modules._position(bound, letter2, idx.doubled): c for letter2, idx, c in terms if c}
+        got = {targets[p]: Fraction(coeffs[p], row.den) for targets, coeffs in row.layers
+               if coeffs[p]}
+        assert got == want, (key, keys[p])
+
+
 SYMBOLIC_AB = [spec for spec in FILL_CASES
                if spec.family in ("Aab", "Bab") and spec.a == "sym"]
 
