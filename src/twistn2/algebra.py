@@ -360,7 +360,7 @@ def residual_sweep(pairs, rows: dict):
     of x's and y's rows, and of [x, y]'s row and scale where it has a
     bracket term.  It folds them into one int multiplier per part, so
     every residual of the pair is summed, exactly, in ints times that
-    product; no den of another row, or lcm, is taken.
+    product.
 
     A check is, on the rows' first layers, at most three products, summed
     into one scalar when they land on one target; a small dict sums them

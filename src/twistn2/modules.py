@@ -43,18 +43,14 @@ family as its concrete twin at one Kronecker point (`_twin`), so every
 sweep the CLI runs is a sweep of int rows, and share one table of
 generator pairs and one layout of label positions per window
 (`_pair_table`, `_frame`).  A deformed family is its base module off the
-slot: its rows are the base module's filled rows, copied by slicing and
-rescaled only where the slot entry's den asks it, with the slot's one
-position written over, and its sweep runs the engine only on the checks
-that read a slot position (`_slot_checks`) and takes the others' flags
-from its base module's sweep, run once per base module and pair of
-windows.  So a repeat sweep of a family pays for its slot strata, its
-row copies and its slot checks.  The residual engine only flags the
-failing checks; a printed witness is the residual of the spec asked for,
-by the readable reference `bracket_action_check`.  The checks that need
-only an action's targets (submodule closure, reachability, the NS
-partitions) read the memo rows by label key, and format a label only
-for a violation.
+slot: its rows copy the base module's (`_ActionRow._fill_slot`), and its
+sweep runs the engine only on the checks that read a slot position
+(`_slot_checks`) and takes the others' flags from its base module's
+sweep, run once per base module and pair of windows.  The residual
+engine only flags the failing checks; a printed witness is the residual
+of the spec asked for, by the readable reference `bracket_action_check`.
+The window checks that need only an action's targets read the memo rows
+by label key (`_window_rows`).
 
 The central element acts as zero on every family.
 """
@@ -287,9 +283,8 @@ class _Ctx:
     together.  A deformed family's context holds its base module's spec
     (`_base_spec`), which answers every read off the slot and whose rows its
     rows copy, the slot's role (`BASE_FAMILY`; `slot_vector` says where the
-    slot is read, and `slot_keys` holds its label key at each kind's mode
-    0), and the slot's strata (`slot_stratum`).  A base module's
-    context keeps the flagged checks of its sweeps (`flags`), which its
+    slot is read, `slot_keys` its label key at each kind's mode 0), and
+    the slot's strata (`slot_stratum`).  A base module's context keeps the flagged checks of its sweeps (`flags`), which its
     deformed families read off the slot (`_flagged`).
     """
 
@@ -736,9 +731,9 @@ def act(spec: FamilySpec, g: Gen, v: BasisLabel) -> LinComb:
     """Concrete action; returns a label -> coefficient map without zeros.
 
     A view of the spec's memo row for g (`FamilySpec.ctx`), its label keys
-    read as labels (`_key_label`).  A concrete spec
-    gives Fraction coefficients; a symbolic parameter gives Poly (or
-    RatFunc) ones, a constant Poly again lowered to its Fraction.
+    read as labels (`_key_label`).  A concrete spec gives Fraction
+    coefficients; a symbolic parameter gives Poly (or RatFunc) ones, a
+    constant Poly again lowered to its Fraction.
     """
     if g.kind == "C":
         return {}
@@ -868,8 +863,7 @@ class _ActionRow(dict):
 
     As a dict, label key (letter, doubled index) -> ((label key, coeff),
     ...), each entry built the first time it is read and kept as long as
-    the spec; `act` reads it, and the submodule and partition checks read
-    it by key, with no label built (`_window_rows`).  A
+    the spec; `act` and the window checks (`_window_rows`) read it.  A
     key's doubled index d is the index `SymIndex(d)` the table reads, and
     a target's is the `doubled` of the index the table returns.  An entry
     is the spec's stratum for the key's parity class (`_Ctx.stratum`, read
@@ -887,16 +881,9 @@ class _ActionRow(dict):
     mode class.  Each (letter, parity of k) stratum fills its positions in
     bulk: its targets are one arithmetic progression, and its numerators
     one Horner pass over the doubled indices (`_values`).  A deformed
-    family's row is its base module's row, copied by slicing, with the
-    slot entry written over its one position (`_fill_slot`).  That entry
-    is the slot stratum's ints at the row's mode, one numerator over its
-    least den; where that den does not divide the base row's, the copy is
-    rescaled to their lcm, at its filled positions alone.  The dict's slot
-    entry, which `act` reads, is the same stratum as a Fraction.  The
-    slot's position, and the strata it evaluates, are per mode class of
-    the spec's context (`_Ctx.slot_keys`, `_Ctx.slot_stratum`), so the
-    row's own work is the copy.  A row whose strata
-    are not all ints (a symbolic parameter, the unknowns mode, symbolic
+    family's arrays are its base module's row with the slot written over
+    (`_fill_slot`); the dict's slot entry, which `act` reads, is the same
+    stratum as a Fraction.  A row whose strata are not all ints (a symbolic parameter, the unknowns mode, symbolic
     normalization constants, the mu branch's 1/(a - k) forms) has no
     arrays: `engine_row` raises `ValueError`, naming the spec.
 
@@ -1132,11 +1119,8 @@ def _slot_checks(gen_window: int, basis_window: int, slots: tuple) -> tuple:
     y at x v, and [x, y] at v; it reads the slot if one of them is a slot
     position.  So it is on one of at most five vectors of the pair: the
     slots of y, x and [x, y], and the labels that y and x take to the
-    slots of x and y.  Each row's own slot is indexed among the window's
-    vectors once; the two labels taken to a slot depend on the pair, and
-    are found by the window index of their label keys.  The table
-    depends on the slots and the windows alone, not on alpha, alpha' or
-    the fault."""
+    slots of x and y.  The table depends on the slots and the windows
+    alone, not on alpha, alpha' or the fault."""
     full = _frame(gen_window, basis_window)[1]
     vectors = full[0][-1]  # every pair's, in a full sweep
     where = {(v.letter, v.idx.doubled): i for i, (_, (_, v)) in enumerate(vectors)}
@@ -1159,15 +1143,13 @@ def _flagged(ctx: _Ctx, gen_window: int, basis_window: int):
     generator, or a deformed family's list.
 
     Off the slot a deformed family is its base module, and its rows are
-    the base module's rows, copied and rescaled where the slot's den asks
-    it, with one position written over (`_ActionRow._fill_slot`): each
-    check that reads no slot (`_slot_checks`) has the base module's
+    the base module's with the slot written over (`_ActionRow._fill_slot`):
+    each check that reads no slot (`_slot_checks`) has the base module's
     residual.  So a deformed family's flags are the base module's, kept
     on the base module's context (`_Ctx.flags`) for every alpha, less the
     slot-touching checks, plus those of the slot-touching checks that the
     engine flags on the family's own rows.  Every check is still decided
-    exactly.  A repeat sweep of a family thus reads its four slot strata,
-    copies its rows and runs the engine on its slot checks alone."""
+    exactly."""
     _, gens = _pair_table(gen_window)
     bound, pairs, radii = _frame(gen_window, basis_window)
     rows = {key: ctx.row(g).engine_row(bound, radii[key]) for key, g in gens}
@@ -1358,7 +1340,8 @@ def _as_label(l) -> BasisLabel:
 
 def _window_rows(spec: FamilySpec, gen_window: int) -> list:
     """(generator, its memo row, None for C, which acts as zero) for each
-    generator of the window."""
+    generator of the window: the window checks read the rows by label key,
+    and build a label only for a witness."""
     ctx = spec.ctx
     return [(g, None if g.kind == "C" else ctx.row(g)) for g in generators_in_window(gen_window)]
 
@@ -1369,9 +1352,7 @@ def submodule_check(spec: FamilySpec, cand: SubmoduleCandidate,
 
     Returns a `Tally` of the (generator, label) actions checked: `ok` says
     the candidate is closed, and an escape stops the check with one
-    {"g", "v", "target", "coefficient"} witness.  The actions are read
-    from the spec's memo rows by label key, and a witness is formatted
-    only for the escape.
+    {"g", "v", "target", "coefficient"} witness.
     """
     checks = 0
     rows = _window_rows(spec, gen_window)
@@ -1397,8 +1378,7 @@ def reachable_labels(spec: FamilySpec, start: BasisLabel,
     """Labels reachable from `start` by repeated window action.
 
     Exploration is confined to the basis window, so the result is the
-    window shadow of the submodule generated by the start vector.  It
-    runs over label keys, read from the spec's memo rows.
+    window shadow of the submodule generated by the start vector.
     """
     bound = 2 * basis_window
     rows = [row for _, row in _window_rows(spec, gen_window) if row is not None]
@@ -1452,8 +1432,7 @@ def ns_partition_check(spec: FamilySpec, gen_window: int = 2,
     {"g", "v", "target"} violation per target in the wrong block.  A
     symbolic spec is checked on its twin (`_twin`), so after an axiom sweep
     at the same windows it reads the rows, and the strata, that sweep
-    built.  The actions are read from the memo rows by label key, and a
-    violation is formatted only where one is found.
+    built.
     """
     spec = _twin(spec, gen_window, basis_window)
     checks = 0
